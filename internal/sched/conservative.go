@@ -15,7 +15,7 @@ func (e *conservativeEngine) Name() string { return "conservative" }
 
 func (e *conservativeEngine) Schedule(s *Scheduler) {
 	now := s.K.Now()
-	p := s.buildProfile()
+	p := s.passProfile()
 	// Plan queued jobs in FIFO order; start the ones whose planned start
 	// is now. Each plan is committed into the profile so later jobs cannot
 	// delay earlier ones. Planning depth is capped: beyond the cap the

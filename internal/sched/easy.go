@@ -19,7 +19,7 @@ func (e *easyEngine) Schedule(s *Scheduler) { easyPass(s, &e.q) }
 // fairshare engines (fairshare is purely an ordering refinement on top).
 func easyPass(s *Scheduler, q *[]*job.Job) {
 	now := s.K.Now()
-	p := s.buildProfile()
+	p := s.passProfile()
 	// Start jobs in order while they fit.
 	for len(*q) > 0 {
 		head := (*q)[0]

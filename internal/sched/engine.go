@@ -34,7 +34,7 @@ type PolicyEngine interface {
 	// read-only planning (the start estimator). Callers must not mutate.
 	Queued() []*job.Job
 	// Schedule runs one scheduling pass at the current instant: the engine
-	// inspects the availability profile (s.buildProfile) and starts, via
+	// inspects the availability profile (s.passProfile) and starts, via
 	// s.startBatch, every queued job that should begin now.
 	Schedule(s *Scheduler)
 	// JobFinished observes a batch job leaving the machine (completed or

@@ -11,7 +11,7 @@ type fcfsEngine struct {
 func (e *fcfsEngine) Name() string { return "fcfs" }
 
 func (e *fcfsEngine) Schedule(s *Scheduler) {
-	p := s.buildProfile()
+	p := s.passProfile()
 	for len(e.q) > 0 {
 		head := e.q[0]
 		if !s.startableNow(p, head) {

@@ -26,6 +26,8 @@ type gangEngine struct {
 	asmKey string
 	held   map[job.ID]bool
 	stats  EngineStats
+	// scratch is fitsTogether's tentative profile, reused across calls.
+	scratch profile
 }
 
 func (e *gangEngine) Name() string { return "gang" }
@@ -99,10 +101,11 @@ func gangCores(g []*job.Job) int {
 }
 
 // fitsTogether reports whether every member of g can start now
-// simultaneously under p (checked against a scratch copy).
+// simultaneously under p (checked against the engine's scratch copy).
 func (e *gangEngine) fitsTogether(s *Scheduler, p *profile, g []*job.Job) bool {
 	now := s.K.Now()
-	scratch := p.clone()
+	scratch := &e.scratch
+	scratch.copyFrom(p)
 	for _, j := range g {
 		if !s.startableNow(scratch, j) {
 			return false
@@ -142,7 +145,7 @@ func (e *gangEngine) remove(j *job.Job) {
 
 func (e *gangEngine) Schedule(s *Scheduler) {
 	now := s.K.Now()
-	p := s.buildProfile()
+	p := s.passProfile()
 	// Launch whole gangs from the front while they fit together.
 	for {
 		gangs := e.gangs()

@@ -90,7 +90,7 @@ func (e *priorityEngine) forget(j *job.Job) {
 func (e *priorityEngine) Schedule(s *Scheduler) {
 	now := s.K.Now()
 	e.sortQueue(s)
-	p := s.buildProfile()
+	p := s.passProfile()
 	// Start jobs in priority order while they fit.
 	for len(e.q) > 0 {
 		head := e.q[0]

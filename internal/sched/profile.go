@@ -25,16 +25,17 @@ type profilePoint struct {
 	free int
 }
 
-// newProfile returns a profile with free cores everywhere from time origin.
-func newProfile(origin des.Time, free int) *profile {
-	return &profile{points: []profilePoint{{t: origin, free: free}}}
+// profileRelease is one running job's contribution to a built profile: its
+// cores come back at end.
+type profileRelease struct {
+	end   des.Time
+	cores int
 }
 
-// clone returns a deep copy, used for tentative planning.
-func (p *profile) clone() *profile {
-	cp := make([]profilePoint, len(p.points))
-	copy(cp, p.points)
-	return &profile{points: cp}
+// copyFrom overwrites p with the points of src, reusing p's storage. It is
+// how tentative planning gets a scratch copy without allocating.
+func (p *profile) copyFrom(src *profile) {
+	p.points = append(p.points[:0], src.points...)
 }
 
 // splitAt ensures a point exists exactly at time t (within the profile's
@@ -147,21 +148,6 @@ func (p *profile) segmentIndex(t des.Time) int {
 	return lo
 }
 
-// firstViolation returns the index of the first segment overlapping
-// [start, end) whose free cores are below cores, or -1 when the rectangle
-// fits. It scans only overlapping segments, starting from a binary search.
-func (p *profile) firstViolation(start, end des.Time, cores int) int {
-	for i := p.segmentIndex(start); i < len(p.points); i++ {
-		if p.points[i].t >= end {
-			break
-		}
-		if p.points[i].free < cores {
-			return i
-		}
-	}
-	return -1
-}
-
 // minFree returns the minimum free cores over [start, end).
 func (p *profile) minFree(start, end des.Time) int {
 	if end <= start {
@@ -187,8 +173,10 @@ func (p *profile) freeAt(t des.Time) int {
 // earliestFit returns the earliest time ≥ from at which a (cores, duration)
 // rectangle fits entirely within the profile. Candidate start times are the
 // profile's step points (free cores only increase at job completions, so
-// checking steps is sufficient); on a violation the candidate jumps past
-// the violating segment, so the scan is near-linear in the number of
+// checking steps is sufficient). One binary search finds the segment of the
+// first candidate; after that the scan index only moves forward: on a
+// violation at segment v the next candidate is the start of segment v+1,
+// and no segment is examined twice, so a call is linear in the number of
 // segments. The search always terminates because the final segment extends
 // to infinity; if cores never fit there the capacity is simply too small
 // and the caller must reject the job beforehand.
@@ -200,15 +188,17 @@ func (p *profile) earliestFit(from des.Time, cores int, duration des.Time) (des.
 	if cand < p.points[0].t {
 		cand = p.points[0].t
 	}
-	for {
-		v := p.firstViolation(cand, cand+duration, cores)
-		if v < 0 {
-			return cand, true
+	i := p.segmentIndex(cand)
+	for end := cand + duration; i < len(p.points) && p.points[i].t < end; i++ {
+		if p.points[i].free >= cores {
+			continue
 		}
-		if v+1 >= len(p.points) {
+		if i+1 >= len(p.points) {
 			// The violating segment extends to infinity.
 			return 0, false
 		}
-		cand = p.points[v+1].t
+		cand = p.points[i+1].t
+		end = cand + duration
 	}
+	return cand, true
 }

@@ -15,8 +15,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/tgsim/tgmod/internal/des"
@@ -226,16 +228,28 @@ type Scheduler struct {
 	rescheduling   bool
 	needReschedule bool
 
-	// Estimate cache. The conservative queue plan EstimateStart builds is
-	// a pure function of scheduler state, and the metascheduler polls
-	// every machine for every brokered arrival — profiling shows that
-	// replanning dominating large runs. stateVersion fingerprints every
-	// queue/running/reservation/outage mutation; a matching version means
-	// the cached planned profile (which earliestFit reads without
-	// mutating) is still exact.
+	// Planning buffers, reused so steady-state planning does not allocate.
+	// pass is the working profile of an engine's Schedule pass; only
+	// reschedule runs passes and its rescheduling guard keeps them from
+	// nesting, so one buffer serves every pass. Listeners fired by
+	// startBatch inside a pass may call EstimateStart or Reserve on this
+	// scheduler, so the estimate plan lives in a buffer of its own and
+	// Reserve allocates a fresh profile. endsBuf is buildProfile's sort
+	// scratch; buildProfile never fires listeners, so it cannot nest.
+	pass    profile
+	endsBuf []profileRelease
+
+	// Estimate cache. EstimateStart plans the whole queue conservatively,
+	// and the metascheduler polls every machine for every brokered arrival
+	// — profiling shows that replanning dominating large runs. stateVersion
+	// fingerprints every queue/running/reservation/outage mutation. The
+	// cached plan in estProfile is the plan as of the last state change: a
+	// matching version reuses it (earliestFit reads it without mutating),
+	// at later virtual times too, where it is not what a replan from the
+	// later now would give. Time passing alone does not rebuild it.
 	stateVersion uint64
 	estVersion   uint64
-	estProfile   *profile
+	estProfile   profile
 	estTail      des.Time
 }
 
@@ -430,18 +444,22 @@ func (s *Scheduler) reject(j *job.Job) {
 
 // ---- Batch partition ----
 
-// buildProfile constructs the availability profile from running batch jobs'
-// guaranteed ends plus all committed reservations. Claimed-and-running
-// reservation jobs are already accounted as running jobs.
-func (s *Scheduler) buildProfile() *profile {
+// buildProfile rebuilds p as the availability profile from running batch
+// jobs' guaranteed ends plus all committed reservations, and returns it.
+// Claimed-and-running reservation jobs are already accounted as running
+// jobs. p's storage is reused, so the caller must own it exclusively (see
+// passProfile and EstimateStart).
+func (s *Scheduler) buildProfile(p *profile) *profile {
 	now := s.K.Now()
-	p := newProfile(now, s.M.BatchCores())
-	// Running jobs hold cores until their guaranteed end. A job whose
-	// guaranteed end equals the current instant may still be running —
-	// its finish event fires later within this timestamp — so hold its
-	// cores for an infinitesimal sliver to keep profile and partition
-	// state consistent; the finish event triggers a fresh reschedule at
-	// the same virtual time.
+	// Running jobs hold cores from now until their guaranteed end. A job
+	// whose guaranteed end equals the current instant may still be running
+	// — its finish event fires later within this timestamp — so hold its
+	// cores for an infinitesimal sliver to keep profile and partition state
+	// consistent; the finish event triggers a fresh reschedule at the same
+	// virtual time. Past 2^24 s a 1e-9 sliver rounds away, so it falls back
+	// to the next representable instant.
+	ends := s.endsBuf[:0]
+	busy := 0
 	for _, r := range s.running {
 		if r.j.QOS == job.QOSInteractive {
 			continue
@@ -449,8 +467,33 @@ func (s *Scheduler) buildProfile() *profile {
 		end := r.endsBy
 		if end <= now {
 			end = now + 1e-9
+			if end == now {
+				end = des.Time(math.Nextafter(float64(now), math.Inf(1)))
+			}
 		}
-		p.subtract(now, end, r.j.Cores)
+		ends = append(ends, profileRelease{end: end, cores: r.j.Cores})
+		busy += r.j.Cores
+	}
+	s.endsBuf = ends
+	// One sorted sweep turns the releases into the step function: free
+	// cores start at capacity minus everything running and rise at each
+	// distinct end time. A job that never ends releases nothing.
+	slices.SortFunc(ends, func(a, b profileRelease) int { return cmp.Compare(a.end, b.end) })
+	free := s.M.BatchCores() - busy
+	if free < 0 {
+		panic(fmt.Sprintf("sched: profile overcommitted at %v: %d cores short", now, -free))
+	}
+	p.points = append(p.points[:0], profilePoint{t: now, free: free})
+	for _, e := range ends {
+		if e.end == des.Forever {
+			break
+		}
+		free += e.cores
+		if last := &p.points[len(p.points)-1]; last.t == e.end {
+			last.free = free
+		} else {
+			p.points = append(p.points, profilePoint{t: e.end, free: free})
+		}
 	}
 	for _, rv := range s.resvs {
 		start := rv.start
@@ -485,6 +528,11 @@ func (s *Scheduler) buildProfile() *profile {
 	}
 	return p
 }
+
+// passProfile rebuilds and returns the working profile of a scheduling pass.
+// Engines call it at the start of Schedule and may mutate the result freely
+// until the pass returns; the next pass overwrites it.
+func (s *Scheduler) passProfile() *profile { return s.buildProfile(&s.pass) }
 
 // ---- Maintenance outages ----
 
@@ -996,7 +1044,9 @@ func (s *Scheduler) Reserve(id string, cores int, start, end des.Time) error {
 			return fmt.Errorf("sched %s: duplicate reservation %s", s.M.ID, id)
 		}
 	}
-	p := s.buildProfile()
+	// Reserve may run inside a pass (from a lifecycle listener), so it plans
+	// against a profile of its own rather than either scheduler buffer.
+	p := s.buildProfile(new(profile))
 	if p.minFree(start, end) < cores {
 		return fmt.Errorf("sched %s: reservation %s: %d cores not free over [%v,%v)",
 			s.M.ID, id, cores, start, end)
@@ -1078,11 +1128,12 @@ func (s *Scheduler) EstimateStart(cores int, walltime des.Time) (des.Time, bool)
 	}
 	// The planned profile is cached across calls keyed on stateVersion:
 	// until some lifecycle event, reservation, or outage changes the
-	// availability picture, the plan below stays exact, and the common
+	// availability picture, the plan below is reused, and the common
 	// metascheduler pattern — estimate every machine, then estimate again
 	// for co-allocation — reuses it instead of replanning the whole queue.
-	if s.estProfile == nil || s.estVersion != s.stateVersion {
-		p := s.buildProfile()
+	// A built profile always has a point, so an empty one was never built.
+	if len(s.estProfile.points) == 0 || s.estVersion != s.stateVersion {
+		p := s.buildProfile(&s.estProfile)
 		// The estimator plans the queue in detail up to a depth bound, then
 		// folds anything beyond it into an aggregate backlog term (total
 		// requested core-seconds divided by machine capacity). Detailed
@@ -1110,7 +1161,6 @@ func (s *Scheduler) EstimateStart(cores int, walltime des.Time) (des.Time, bool)
 			}
 			tail = des.Time(tailCS / float64(s.M.BatchCores()))
 		}
-		s.estProfile = p
 		s.estTail = tail
 		s.estVersion = s.stateVersion
 	}
