@@ -221,7 +221,7 @@ func run() error {
 	var spans *obs.Buffer
 	if *chromeTrace != "" || *obsJSONL != "" || *analysisFlag || *exportDir != "" {
 		spans = obs.NewBufferCap(*obsMaxEvents)
-		cfg.Observe.Recorder = spans
+		cfg.Observers = append(cfg.Observers, scenario.RecordSpans(spans))
 	}
 	var sloEval *slo.Evaluator
 	if *sloFlag {
@@ -229,18 +229,18 @@ func run() error {
 		if sloEval, err = slo.New(); err != nil {
 			return err
 		}
-		cfg.Observe.SLO = sloEval
+		cfg.Observers = append(cfg.Observers, scenario.EvaluateSLO(sloEval))
 	}
 	if *obsCSV != "" {
 		if *obsSampleHours <= 0 {
 			return fmt.Errorf("non-positive -obs-sample-hours")
 		}
-		cfg.Observe.SamplePeriod = des.Time(*obsSampleHours) * des.Hour
+		cfg.Observers = append(cfg.Observers, scenario.SampleEvery(des.Time(*obsSampleHours)*des.Hour))
 	}
 	// -profile attaches the phase-attribution profiler (internal/perf): it
-	// embeds the classic per-event-name self-profile and splits the wall
-	// clock across FEL/handler/accounting/classify phases. Built unbound —
-	// scenario.Run binds the kernel during assembly.
+	// splits the wall clock across FEL/handler/accounting/classify phases,
+	// per event name. Built unbound — scenario.Run binds the kernel during
+	// assembly.
 	var phases *perf.Profiler
 	if *profile {
 		phases = perf.New(nil)
@@ -255,7 +255,7 @@ func run() error {
 	var console *telemetry.Console
 	if *httpAddr != "" || *progress || *exportDir != "" {
 		reg = telemetry.New()
-		cfg.Observe.Registry = reg
+		cfg.Observers = append(cfg.Observers, scenario.LiveTelemetry(reg))
 	}
 	// The streaming modality observatory: a processor tapped into the
 	// accounting-flush seam, classifying records online and serving
@@ -299,8 +299,10 @@ func run() error {
 	// push transport counters; assigned when -push dials below.
 	var pusher *observatory.Pusher
 	if reg != nil {
+		// Appended before the pusher's observer below, which forwards to
+		// whatever snapshot sink is already attached.
 		showProgress := *progress
-		cfg.Observe.Snapshots = func(s *telemetry.Snapshot) {
+		cfg.Observers = append(cfg.Observers, scenario.StreamSnapshots(func(s *telemetry.Snapshot) {
 			if console != nil {
 				var buf bytes.Buffer
 				if err := reg.WriteOpenMetrics(&buf); err == nil {
@@ -330,7 +332,7 @@ func run() error {
 					fmt.Fprintf(os.Stderr, "\r\x1b[K%s", s.Line())
 				}
 			}
-		}
+		}))
 	}
 
 	if *dumpConfig != "" {
@@ -920,26 +922,19 @@ func largestBatchCores(cfg scenario.Config) (int, error) {
 	return largest, nil
 }
 
-// printProfile renders the kernel profile when one was collected. A phase
-// profiler (the -profile default) prints the phase attribution and the
-// per-event FEL/handler split; a bare self-profiler (library callers using
-// Observe.Profile) keeps the classic per-name table.
+// printProfile renders the -profile phase attribution and the per-event
+// FEL/handler split when a phase profiler was attached.
 func printProfile(res *scenario.Result) error {
-	if res.Phases != nil {
-		fmt.Println()
-		fmt.Println(res.Phases.Summary())
-		if err := res.Phases.PhaseTable().WriteText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-		return res.Phases.BreakdownTable().WriteText(os.Stdout)
-	}
-	if res.Profiler == nil {
+	if res.Phases == nil {
 		return nil
 	}
 	fmt.Println()
-	fmt.Println(res.Profiler.Summary())
-	return res.Profiler.Table().WriteText(os.Stdout)
+	fmt.Println(res.Phases.Summary())
+	if err := res.Phases.PhaseTable().WriteText(os.Stdout); err != nil {
+		return err
+	}
+	fmt.Println()
+	return res.Phases.BreakdownTable().WriteText(os.Stdout)
 }
 
 // startProfiles starts the requested runtime profiles and returns the stop

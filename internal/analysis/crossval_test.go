@@ -40,7 +40,7 @@ func TestWaitDecompositionMatchesAccounting(t *testing.T) {
 
 	cfg := crossValConfig(41)
 	buf := obs.NewBuffer()
-	cfg.Observe = scenario.Observe{Recorder: buf}
+	cfg.Observers = []scenario.Observer{scenario.RecordSpans(buf)}
 	res, err := scenario.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

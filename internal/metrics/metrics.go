@@ -1,8 +1,7 @@
 // Package metrics provides the small statistics toolkit the analysis and
 // experiment layers share: streaming summaries, exact-percentile samples,
-// fixed-bin histograms, time series with period bucketing, Gini
-// coefficients for usage concentration, and confusion matrices for
-// classifier validation.
+// time series with period bucketing, Gini coefficients for usage
+// concentration, and confusion matrices for classifier validation.
 package metrics
 
 import (
@@ -144,79 +143,6 @@ func (s *Sample) Gini() float64 {
 		return 0
 	}
 	return (2*cum)/(float64(n)*total) - float64(n+1)/float64(n)
-}
-
-// Histogram counts observations into caller-defined ordered bins.
-type Histogram struct {
-	labels []string
-	assign func(v float64) int
-	counts []int
-	weight []float64
-}
-
-// NewHistogram builds a histogram with the given ordered labels and an
-// assignment function mapping a value to a bin index (out-of-range indexes
-// are clamped).
-func NewHistogram(labels []string, assign func(v float64) int) *Histogram {
-	return &Histogram{
-		labels: labels,
-		assign: assign,
-		counts: make([]int, len(labels)),
-		weight: make([]float64, len(labels)),
-	}
-}
-
-// NewLogHistogram builds power-of-two bins covering [1, 2^(n-1)] with
-// labels "1","2","4",....
-func NewLogHistogram(n int) *Histogram {
-	labels := make([]string, n)
-	for i := range labels {
-		labels[i] = fmt.Sprintf("%d", 1<<uint(i))
-	}
-	return NewHistogram(labels, func(v float64) int {
-		if v < 1 {
-			return 0
-		}
-		return int(math.Log2(v))
-	})
-}
-
-// Add counts an observation with an associated weight.
-func (h *Histogram) Add(v, weight float64) {
-	i := h.assign(v)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.weight[i] += weight
-}
-
-// Labels returns the bin labels.
-func (h *Histogram) Labels() []string { return h.labels }
-
-// Count and Weight return per-bin totals.
-func (h *Histogram) Count(i int) int      { return h.counts[i] }
-func (h *Histogram) Weight(i int) float64 { return h.weight[i] }
-
-// TotalCount returns the number of observations.
-func (h *Histogram) TotalCount() int {
-	t := 0
-	for _, c := range h.counts {
-		t += c
-	}
-	return t
-}
-
-// TotalWeight returns the summed weight.
-func (h *Histogram) TotalWeight() float64 {
-	t := 0.0
-	for _, w := range h.weight {
-		t += w
-	}
-	return t
 }
 
 // TimeSeries buckets weighted events into fixed-width periods.

@@ -116,52 +116,6 @@ func TestGini(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]string{"small", "large"}, func(v float64) int {
-		if v < 10 {
-			return 0
-		}
-		return 1
-	})
-	h.Add(1, 100)
-	h.Add(5, 200)
-	h.Add(50, 1000)
-	if h.Count(0) != 2 || h.Count(1) != 1 {
-		t.Errorf("counts = %d,%d", h.Count(0), h.Count(1))
-	}
-	if h.Weight(0) != 300 || h.Weight(1) != 1000 {
-		t.Errorf("weights = %v,%v", h.Weight(0), h.Weight(1))
-	}
-	if h.TotalCount() != 3 || h.TotalWeight() != 1300 {
-		t.Errorf("totals = %d,%v", h.TotalCount(), h.TotalWeight())
-	}
-	if len(h.Labels()) != 2 {
-		t.Error("labels wrong")
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram([]string{"a", "b"}, func(v float64) int { return int(v) })
-	h.Add(-5, 1) // clamps to 0
-	h.Add(99, 1) // clamps to 1
-	if h.Count(0) != 1 || h.Count(1) != 1 {
-		t.Errorf("clamping failed: %d,%d", h.Count(0), h.Count(1))
-	}
-}
-
-func TestLogHistogram(t *testing.T) {
-	h := NewLogHistogram(5) // bins 1,2,4,8,16
-	for _, v := range []float64{1, 2, 3, 4, 7, 8, 100} {
-		h.Add(v, 1)
-	}
-	wants := []int{1, 2, 2, 1, 1} // 1→[1]; 2,3→[2]; 4,7→[4]; 8→[8]; 100 clamps →[16]
-	for i, want := range wants {
-		if h.Count(i) != want {
-			t.Errorf("bin %s count = %d, want %d", h.Labels()[i], h.Count(i), want)
-		}
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	ts := NewTimeSeries(100)
 	ts.Add(0, 1)

@@ -1,9 +1,9 @@
 // Package obs is the simulator's observability layer: structured span and
 // instant events for job lifecycles, scheduler decisions, data transfers,
 // gateway sessions and maintenance windows (exportable as Chrome
-// trace-event JSON or JSONL); virtual-time metric sampling into
-// metrics.TimeSeries with CSV export; and wall-clock kernel self-profiling
-// over the des.Tracer seam.
+// trace-event JSON or JSONL); and virtual-time metric sampling into
+// metrics.TimeSeries with CSV export. Wall-clock kernel profiling lives in
+// internal/perf.
 //
 // The layer is strictly opt-in: every hook in the simulation nil-checks its
 // recorder, so a run without observability configured pays nothing.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/tgsim/tgmod/internal/des"
 )
@@ -137,43 +136,6 @@ func TestSampler(t *testing.T) {
 	}
 	if err := sm.WriteCSV("nope", &out); err == nil {
 		t.Error("unknown group accepted")
-	}
-}
-
-func TestKernelProfiler(t *testing.T) {
-	k := des.New()
-	p := NewKernelProfiler(k)
-	p.Install()
-	for i := 0; i < 50; i++ {
-		k.ScheduleNamed(des.Time(i), "tick", func(*des.Kernel) {
-			time.Sleep(10 * time.Microsecond)
-		})
-	}
-	k.Schedule(100, func(*des.Kernel) {})
-	k.Run()
-	if p.Events() != 51 {
-		t.Fatalf("profiled %d events, want 51", p.Events())
-	}
-	if p.FELHighWater() != 51 {
-		t.Errorf("FEL high-water = %d, want 51", p.FELHighWater())
-	}
-	if p.EventsPerSec() <= 0 {
-		t.Errorf("events/sec = %v, want > 0", p.EventsPerSec())
-	}
-	tab := p.Table()
-	// Two event names ("tick", anonymous) plus the TOTAL row.
-	if tab.Rows() != 3 {
-		t.Fatalf("profile rows = %d, want 3:\n%s", tab.Rows(), tab)
-	}
-	// "tick" dominates wall time, so it sorts first.
-	if got := tab.Cell(0, 0); got != "tick" {
-		t.Errorf("heaviest event = %q, want \"tick\"", got)
-	}
-	if got := tab.Cell(2, 0); got != "TOTAL" {
-		t.Errorf("last row = %q, want TOTAL", got)
-	}
-	if !strings.Contains(p.Summary(), "51 events") {
-		t.Errorf("summary %q missing event count", p.Summary())
 	}
 }
 

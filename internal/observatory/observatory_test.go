@@ -14,6 +14,7 @@ import (
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/scenario"
 	"github.com/tgsim/tgmod/internal/stream"
+	"github.com/tgsim/tgmod/internal/telemetry"
 	"github.com/tgsim/tgmod/internal/users"
 	"github.com/tgsim/tgmod/internal/workload"
 )
@@ -145,6 +146,61 @@ func TestDaemonReportByteMatch(t *testing.T) {
 	}
 	if !bytes.Equal(dExport.Bytes(), pExport.Bytes()) {
 		t.Fatal("daemon-side accounting export differs from the producer's")
+	}
+}
+
+// TestPusherChainsExistingSnapshotSink pins Pusher.Observer's composition
+// contract: a snapshot sink attached before the pusher's observer keeps
+// receiving every snapshot, and the pusher forwards each one to the daemon.
+// Attaching the local sink after the pusher would replace the pusher's
+// sink instead, so the order below is the one callers must use.
+func TestPusherChainsExistingSnapshotSink(t *testing.T) {
+	d, addr := startDaemon(t)
+	cfg := smallConfig(5)
+	end := float64(cfg.Horizon + cfg.DrainTime)
+	p, err := Dial(addr, Hello{
+		Run: "chain", Seed: 5, LargestCores: largestCores(t),
+		EndTimeS: end, Source: "test",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	var local uint64
+	var last *telemetry.Snapshot
+	cfg.Observers = append(cfg.Observers,
+		scenario.LiveTelemetry(reg),
+		scenario.StreamSnapshots(func(s *telemetry.Snapshot) {
+			local++
+			last = s
+		}),
+		p.Observer(reg),
+	)
+	if _, err := scenario.Run(cfg); err != nil {
+		p.Abort()
+		t.Fatal(err)
+	}
+	if err := p.Finish(end); err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	if local == 0 || last == nil || !last.Done {
+		t.Fatalf("local sink got %d snapshots (last %+v), want at least the final one", local, last)
+	}
+	st := p.Stats()
+	if st.Snapshots != local {
+		t.Errorf("pusher forwarded %d snapshots, local sink saw %d", st.Snapshots, local)
+	}
+	// Snapshot and metrics frames are droppable: each one the pusher
+	// enqueued either reached the daemon or was counted as dropped.
+	got := d.frameSnaps.Load()
+	if got == 0 {
+		t.Fatal("daemon received no snapshot frames")
+	}
+	if sum := got + d.frameMetrics.Load() + st.SnapsDropped; sum != st.Snapshots+st.Metrics {
+		t.Errorf("daemon frames + dropped = %d, pusher sent %d", sum, st.Snapshots+st.Metrics)
+	}
+	if rs := d.run(p.RunID()); rs == nil || rs.lastSnap.Load() == nil {
+		t.Error("daemon holds no snapshot for the run")
 	}
 }
 

@@ -2,8 +2,8 @@
 // *simulator's own* wall-clock time go, and how is that trajectory moving
 // across commits?
 //
-// The package has three legs. Phase attribution (this file) extends the
-// obs.KernelProfiler seam into a per-event-name cost split across kernel
+// The package has three legs. Phase attribution (this file) rides the
+// kernel's tracer seam and splits the per-event-name cost across kernel
 // phases — future-event-list operations, handler execution, accounting
 // flush/encode/ingest, and post-run classification. Runtime sampling
 // (runtime.go) publishes Go runtime state (heap, GC, goroutines,
@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"github.com/tgsim/tgmod/internal/des"
-	"github.com/tgsim/tgmod/internal/obs"
 	"github.com/tgsim/tgmod/internal/report"
 )
 
@@ -80,11 +79,12 @@ type phaseStat struct {
 	handler time.Duration
 }
 
-// Profiler is the phase-attribution profiler. It embeds obs.KernelProfiler
-// (whose per-name totals, throughput, and FEL high-water reporting it
-// keeps) and additionally implements des.OpProfiler, so the kernel feeds it
-// the timing of its own heap operations. Install it on the tracer seam
-// (scenario.ProfilePhases, or Install for a bare kernel).
+// Profiler is the phase-attribution profiler. It implements des.Tracer,
+// des.StepObserver and des.OpProfiler, so the kernel feeds it every event
+// boundary plus the timing of its own heap operations, and it reports
+// throughput and the FEL high-water mark alongside the phase split. Install
+// it on the tracer seam (scenario.ProfilePhases, or Install for a bare
+// kernel).
 //
 // The attribution model: for event i, the window from the previous
 // AfterEvent to this Event is FEL/dispatch cost (heap pop plus tracer
@@ -98,10 +98,13 @@ type phaseStat struct {
 // Like the kernel itself, a Profiler is single-goroutine: it must only be
 // touched from the goroutine running the kernel.
 type Profiler struct {
-	*obs.KernelProfiler
 	k      *des.Kernel
 	phases [numPhases]time.Duration
 	byName map[string]*phaseStat
+
+	events    uint64    // completed events
+	pendingHW int       // largest FEL length seen at an event boundary
+	wallStart time.Time // first event's Event-callback stamp
 
 	evStart    time.Time     // this event's Event-callback stamp
 	lastAfter  time.Time     // previous event's AfterEvent stamp
@@ -116,22 +119,14 @@ type Profiler struct {
 // scenario observers are built before the kernel exists; scenario.Run
 // binds it (Bind) during assembly.
 func New(k *des.Kernel) *Profiler {
-	return &Profiler{
-		KernelProfiler: obs.NewKernelProfiler(k),
-		k:              k,
-		byName:         make(map[string]*phaseStat),
-	}
+	return &Profiler{k: k, byName: make(map[string]*phaseStat)}
 }
 
 // Bind attaches (or replaces) the kernel, for profilers constructed before
 // the kernel existed.
-func (p *Profiler) Bind(k *des.Kernel) {
-	p.k = k
-	p.KernelProfiler.Bind(k)
-}
+func (p *Profiler) Bind(k *des.Kernel) { p.k = k }
 
-// Install makes the profiler the kernel's tracer (shadowing the embedded
-// Install, which would install only the KernelProfiler half).
+// Install makes the profiler the kernel's tracer.
 func (p *Profiler) Install() { p.k.SetTracer(p) }
 
 // BeforeStep implements des.OpProfiler. The FEL window is measured from the
@@ -157,10 +152,11 @@ func (p *Profiler) FELOp(d time.Duration) {
 // Event implements des.Tracer: close the FEL window, open the handler one.
 func (p *Profiler) Event(at des.Time, name string) {
 	now := time.Now()
-	if p.Events() > 0 && !p.lastAfter.IsZero() {
-		p.felPop = now.Sub(p.lastAfter)
-	} else {
+	if p.events == 0 {
+		p.wallStart = now
 		p.felPop = 0
+	} else {
+		p.felPop = now.Sub(p.lastAfter)
 	}
 	p.handlerFEL = 0
 	p.inHandler = true
@@ -172,14 +168,17 @@ func (p *Profiler) Event(at des.Time, name string) {
 		}
 		p.curStat, p.curName = st, name
 	}
-	p.KernelProfiler.Event(at, name)
 	p.evStart = now
 }
 
-// AfterEvent implements des.StepObserver: charge the closed windows.
+// AfterEvent implements des.StepObserver: charge the closed windows and
+// track the future-event-list high-water mark.
 func (p *Profiler) AfterEvent(at des.Time, name string, pending int) {
-	p.KernelProfiler.AfterEvent(at, name, pending)
 	now := time.Now()
+	p.events++
+	if pending > p.pendingHW {
+		p.pendingHW = pending
+	}
 	h := now.Sub(p.evStart) - p.handlerFEL
 	if h < 0 {
 		h = 0
@@ -192,6 +191,45 @@ func (p *Profiler) AfterEvent(at des.Time, name string, pending int) {
 	p.phases[PhaseFEL] += fel
 	p.inHandler = false
 	p.lastAfter = now
+}
+
+// Events returns the number of profiled events.
+func (p *Profiler) Events() uint64 { return p.events }
+
+// WallSeconds returns the wall-clock span from the first profiled event's
+// start to the last one's end.
+func (p *Profiler) WallSeconds() float64 {
+	if p.events == 0 {
+		return 0
+	}
+	return p.lastAfter.Sub(p.wallStart).Seconds()
+}
+
+// EventsPerSec returns the wall-clock event throughput.
+func (p *Profiler) EventsPerSec() float64 {
+	w := p.WallSeconds()
+	if w <= 0 {
+		return 0
+	}
+	return float64(p.events) / w
+}
+
+// FELHighWater returns the largest pending-event count observed at any
+// event boundary (or the kernel's own high-water mark, if larger).
+func (p *Profiler) FELHighWater() int {
+	if p.k != nil {
+		if hw := p.k.MaxPending(); hw > p.pendingHW {
+			return hw
+		}
+	}
+	return p.pendingHW
+}
+
+// Summary returns the one-line profile header.
+func (p *Profiler) Summary() string {
+	return fmt.Sprintf("kernel: %d events in %.3fs wall (%s events/s), FEL high-water %s",
+		p.events, p.WallSeconds(),
+		report.FormatFloat(p.EventsPerSec()), report.GroupInt(int64(p.FELHighWater())))
 }
 
 // Region opens a wall-clock region charged to ph and returns its closer:

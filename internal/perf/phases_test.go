@@ -91,6 +91,48 @@ func TestPhaseSumMatchesWallSeconds(t *testing.T) {
 	}
 }
 
+// TestKernelCountersAndSummary: event count, FEL high-water, throughput,
+// the summary line, and the per-event breakdown ordering over a scripted
+// run.
+func TestKernelCountersAndSummary(t *testing.T) {
+	k := des.New()
+	p := New(k)
+	p.Install()
+	for i := 0; i < 50; i++ {
+		k.ScheduleNamed(des.Time(i), "tick", func(*des.Kernel) {
+			time.Sleep(10 * time.Microsecond)
+		})
+	}
+	k.Schedule(100, func(*des.Kernel) {})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Events() != 51 {
+		t.Fatalf("profiled %d events, want 51", p.Events())
+	}
+	if p.FELHighWater() != 51 {
+		t.Errorf("FEL high-water = %d, want 51", p.FELHighWater())
+	}
+	if p.EventsPerSec() <= 0 {
+		t.Errorf("events/sec = %v, want > 0", p.EventsPerSec())
+	}
+	tab := p.BreakdownTable()
+	// Two event names ("tick", anonymous) plus the TOTAL row.
+	if tab.Rows() != 3 {
+		t.Fatalf("breakdown rows = %d, want 3:\n%s", tab.Rows(), tab)
+	}
+	// "tick" dominates wall time, so it sorts first.
+	if got := tab.Cell(0, 0); got != "tick" {
+		t.Errorf("heaviest event = %q, want \"tick\"", got)
+	}
+	if got := tab.Cell(2, 0); got != "TOTAL" {
+		t.Errorf("last row = %q, want TOTAL", got)
+	}
+	if !strings.Contains(p.Summary(), "51 events") {
+		t.Errorf("summary %q missing event count", p.Summary())
+	}
+}
+
 // TestSetupPhaseExcludedFromLoop: heap pushes before the first event are
 // setup, and must not be counted in the loop identity.
 func TestSetupPhaseExcludedFromLoop(t *testing.T) {

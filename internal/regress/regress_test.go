@@ -121,7 +121,9 @@ func exportRun(t *testing.T, dir string, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Observe = scenario.Observe{Recorder: buf, Registry: reg, SLO: ev}
+	cfg.Observers = []scenario.Observer{
+		scenario.RecordSpans(buf), scenario.LiveTelemetry(reg), scenario.EvaluateSLO(ev),
+	}
 	res, err := scenario.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

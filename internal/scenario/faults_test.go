@@ -20,8 +20,8 @@ func faultConfig(seed uint64) Config {
 
 // Two same-seed fault-enabled runs must agree on every observable output:
 // the accounting records, the injector's stats, and the full OpenMetrics
-// exposition. This is the in-process version of the CI chaos-determinism
-// gate (two tgsim -faults runs diffed with tgdiff).
+// exposition. This is the in-process version of the CI determinism job's
+// chaos pair (two tgsim -faults runs diffed with tgdiff).
 func TestFaultRunDeterministic(t *testing.T) {
 	run := func() (*Result, []byte) {
 		reg := telemetry.New()

@@ -1,6 +1,7 @@
 // Observability wiring: hooks the obs layer into the assembled simulation.
-// Everything here is conditional on the Observe config — an unconfigured
-// run installs no listeners, no probes, no ticker, and no tracer.
+// Everything here is conditional on the attached observers — an
+// unobserved run installs no listeners, no probes, no ticker, and no
+// tracer.
 package scenario
 
 import (

@@ -7,6 +7,7 @@ import (
 
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/obs"
+	"github.com/tgsim/tgmod/internal/perf"
 )
 
 // observedRun executes a small scenario with the full observability stack
@@ -17,7 +18,7 @@ func observedRun(t *testing.T, seed uint64) (*Result, []byte) {
 	cfg.MaintenanceEvery = 3 * des.Day
 	cfg.MaintenanceLength = 4 * des.Hour
 	buf := obs.NewBuffer()
-	cfg.Observe = Observe{Recorder: buf, SamplePeriod: des.Hour, Profile: true}
+	cfg.Observers = []Observer{RecordSpans(buf), SampleEvery(des.Hour), ProfilePhases(perf.New(nil))}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +55,7 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallConfig(7)
-	cfg.Observe = Observe{Recorder: obs.NewBuffer(), SamplePeriod: des.Hour, Profile: true}
+	cfg.Observers = []Observer{RecordSpans(obs.NewBuffer()), SampleEvery(des.Hour), ProfilePhases(perf.New(nil))}
 	observed, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,14 +105,14 @@ func TestSamplerAndProfilerWiredIntoRun(t *testing.T) {
 	if csv.Len() == 0 {
 		t.Error("federation CSV is empty")
 	}
-	if res.Profiler == nil {
-		t.Fatal("Result.Profiler is nil with Profile set")
+	if res.Phases == nil {
+		t.Fatal("Result.Phases is nil with ProfilePhases attached")
 	}
-	if res.Profiler.Events() == 0 {
+	if res.Phases.Events() == 0 {
 		t.Error("profiler recorded no events")
 	}
-	if res.Profiler.Events() != res.Kernel.Executed() {
+	if res.Phases.Events() != res.Kernel.Executed() {
 		t.Errorf("profiler saw %d events, kernel executed %d",
-			res.Profiler.Events(), res.Kernel.Executed())
+			res.Phases.Events(), res.Kernel.Executed())
 	}
 }

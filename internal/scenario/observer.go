@@ -1,10 +1,7 @@
-// The consolidated observability seam. Three PRs of observability features
-// accreted three separate attachment mechanisms on Config — the obs tracer
-// fields, the telemetry registry/snapshot fields, and the slo evaluator
-// field. An Observer collapses them into one interface: each observer
-// contributes to a single Attachment during assembly, and Run wires
-// whatever the merged attachment asks for (folding des.CombineTracers
-// behind the seam, so callers never manage tracer composition again).
+// The observability seam: each Observer contributes to a single Attachment
+// during assembly, and Run wires whatever the merged attachment asks for
+// (folding des.CombineTracers behind the seam, so callers never manage
+// tracer composition).
 package scenario
 
 import (
@@ -17,11 +14,11 @@ import (
 )
 
 // Attachment is the single mount point observers write into. Run builds
-// one Attachment per simulation (seeding it from the deprecated
-// Config.Observe shim), offers it to every registered Observer in order,
-// and then installs exactly what the merged result requests. Scalar slots
-// (Recorder, Registry, Snapshots, SLO) follow a last-writer-wins rule;
-// Tracers accumulate and are combined with des.CombineTracers internally.
+// one empty Attachment per simulation, offers it to every registered
+// Observer in order, and then installs exactly what the merged result
+// requests. Scalar slots (Recorder, Registry, Snapshots, SLO) follow a
+// last-writer-wins rule; Tracers accumulate and are combined with
+// des.CombineTracers internally.
 type Attachment struct {
 	// Recorder receives job-lifecycle, scheduler-decision, data-transfer,
 	// gateway-session, and maintenance spans. Nil disables span tracing.
@@ -29,14 +26,10 @@ type Attachment struct {
 	// SamplePeriod, when positive, samples per-machine queue depth and
 	// utilization plus federation-wide gauges every period of virtual time.
 	SamplePeriod des.Time
-	// Profile, when true, installs a wall-clock kernel self-profiler.
-	Profile bool
 	// Phases, when non-nil, is installed as the kernel's phase-attribution
 	// profiler (tracer + step observer + op profiler): per-event-name wall
 	// time split across FEL/handler phases, with the scenario's accounting
-	// flush charged as PhaseAccounting. Supersedes Profile (which measures
-	// per-name totals only); both may be attached, but the phase profiler
-	// already embeds the per-name profile.
+	// flush charged as PhaseAccounting.
 	Phases *perf.Profiler
 	// Registry, when non-nil, receives live labeled metrics.
 	Registry *telemetry.Registry
@@ -59,13 +52,6 @@ type Attachment struct {
 	// after the deterministic fields are built), letting observers surface
 	// their own state in /status without a second publication channel.
 	SnapshotExtras []func(*telemetry.Snapshot)
-}
-
-// enabled reports whether anything is attached.
-func (a *Attachment) enabled() bool {
-	return a.Recorder != nil || a.SamplePeriod > 0 || a.Profile || a.Phases != nil ||
-		a.Registry != nil || a.Snapshots != nil || a.SLO != nil || len(a.Tracers) > 0 ||
-		len(a.Packets) > 0 || len(a.SnapshotExtras) > 0
 }
 
 // Observer contributes observability wiring to a run. Implementations
@@ -91,12 +77,6 @@ func RecordSpans(rec obs.Recorder) Observer {
 // gauges every period of virtual time; the series land in Result.Sampler.
 func SampleEvery(period des.Time) Observer {
 	return ObserverFunc(func(a *Attachment) { a.SamplePeriod = period })
-}
-
-// ProfileKernel returns an Observer that installs the wall-clock kernel
-// self-profiler; the profile lands in Result.Profiler.
-func ProfileKernel() Observer {
-	return ObserverFunc(func(a *Attachment) { a.Profile = true })
 }
 
 // ProfilePhases returns an Observer that installs p as the run's
@@ -165,17 +145,10 @@ func DecorateSnapshots(fn func(*telemetry.Snapshot)) Observer {
 	})
 }
 
-// attachment merges the deprecated Observe shim with the registered
-// observers into the single view Run wires from.
+// attachment merges the registered observers, in order, into the single
+// view Run wires from.
 func (cfg *Config) attachment() Attachment {
-	a := Attachment{
-		Recorder:     cfg.Observe.Recorder,
-		SamplePeriod: cfg.Observe.SamplePeriod,
-		Profile:      cfg.Observe.Profile,
-		Registry:     cfg.Observe.Registry,
-		Snapshots:    cfg.Observe.Snapshots,
-		SLO:          cfg.Observe.SLO,
-	}
+	var a Attachment
 	for _, o := range cfg.Observers {
 		if o != nil {
 			o.Attach(&a)

@@ -17,7 +17,7 @@ func TestPhaseProfilingDoesNotPerturbRun(t *testing.T) {
 	run := func(profile bool) (*Result, []byte) {
 		cfg := smallConfig(23)
 		reg := telemetry.New()
-		cfg.Observe = Observe{Registry: reg}
+		cfg.Observers = []Observer{LiveTelemetry(reg)}
 		if profile {
 			sampler := perf.NewRuntimeSampler()
 			cfg.Observers = append(cfg.Observers,
@@ -27,8 +27,8 @@ func TestPhaseProfilingDoesNotPerturbRun(t *testing.T) {
 					snap := sampler.Snap()
 					s.Runtime = &snap
 				}),
+				StreamSnapshots(func(*telemetry.Snapshot) {}),
 			)
-			cfg.Observe.Snapshots = func(*telemetry.Snapshot) {}
 		}
 		res, err := Run(cfg)
 		if err != nil {

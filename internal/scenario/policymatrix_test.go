@@ -28,7 +28,7 @@ func matrixConfig(seed uint64, policy string, withFaults bool) Config {
 }
 
 // TestPolicyMatrixDeterministic is the in-process cross-policy determinism
-// matrix (the CI policy-matrix job runs the tgsim/tgdiff version): for every
+// matrix (the CI determinism job runs the tgsim/tgdiff version): for every
 // registered engine, with and without fault injection, two same-seed runs
 // must agree on every accounting record and on the full OpenMetrics
 // exposition — the same byte-equality tgdiff checks over exported run dirs.

@@ -23,7 +23,6 @@ import (
 	"github.com/tgsim/tgmod/internal/perf"
 	"github.com/tgsim/tgmod/internal/sched"
 	"github.com/tgsim/tgmod/internal/simrand"
-	"github.com/tgsim/tgmod/internal/slo"
 	"github.com/tgsim/tgmod/internal/storage"
 	"github.com/tgsim/tgmod/internal/telemetry"
 	"github.com/tgsim/tgmod/internal/users"
@@ -82,42 +81,6 @@ type GatewayConfig struct {
 	AttrCoverage float64 // probability of per-request end-user attributes
 }
 
-// Observe configures the optional observability layer. The zero value
-// turns everything off: no recorder hooks are installed, no sampler ticks,
-// and the kernel keeps a nil tracer, so an unobserved run pays nothing.
-type Observe struct {
-	// Recorder receives job-lifecycle spans plus scheduler-decision,
-	// data-transfer, gateway-session, and maintenance events. Nil disables
-	// span tracing.
-	Recorder obs.Recorder
-	// SamplePeriod, when positive, samples per-machine queue depth and
-	// utilization plus federation-wide gauges every period of virtual time.
-	SamplePeriod des.Time
-	// Profile, when true, installs a wall-clock kernel self-profiler.
-	Profile bool
-	// Registry, when non-nil, receives live labeled metrics: per-machine
-	// queue/utilization gauges, lifecycle and modality counters, queue-wait
-	// and transfer-duration histograms, and accounting-flush counters. The
-	// registry is only ever touched from the simulation goroutine.
-	Registry *telemetry.Registry
-	// Snapshots, when non-nil, receives wall-throttled progress snapshots
-	// during the run (via the des tracer seam, so no kernel events are
-	// added) plus one final snapshot after the run completes. The sink runs
-	// on the simulation goroutine.
-	Snapshots func(*telemetry.Snapshot)
-	// SLO, when non-nil, scores job starts and rejections against
-	// virtual-time service-level objectives on the scheduler seam. When
-	// Registry is also set, the evaluator is bound to it as tg_slo_*
-	// families.
-	SLO *slo.Evaluator
-}
-
-// Enabled reports whether any observability feature is requested.
-func (o Observe) Enabled() bool {
-	return o.Recorder != nil || o.SamplePeriod > 0 || o.Profile ||
-		o.Registry != nil || o.Snapshots != nil || o.SLO != nil
-}
-
 // Config parameterizes a full simulation.
 type Config struct {
 	Seed    uint64
@@ -168,15 +131,9 @@ type Config struct {
 	// per completed checkpoint interval — the cost of writing checkpoints.
 	CheckpointOverhead des.Time
 	// Observers contribute observability wiring through the consolidated
-	// Attachment seam; register them with WithObserver.
+	// Attachment seam; register them with WithObserver. None attached means
+	// an unobserved run that pays nothing.
 	Observers []Observer
-	// Observe configures the observability layer (zero value = off).
-	//
-	// Deprecated: use Observers (WithObserver with RecordSpans,
-	// SampleEvery, ProfileKernel, LiveTelemetry, StreamSnapshots,
-	// EvaluateSLO, TraceKernel). The field remains as a shim — Run folds it
-	// into the same Attachment — but new code should not touch it.
-	Observe Observe
 }
 
 // DefaultConfig returns a one-quarter simulation with the standard
@@ -242,11 +199,9 @@ type Result struct {
 	// LargestCores is the batch-core count of the biggest machine, for
 	// classifier configuration.
 	LargestCores int
-	// Sampler holds the virtual-time metric series (nil unless
-	// Observe.SamplePeriod was set).
+	// Sampler holds the virtual-time metric series (nil unless a
+	// SampleEvery observer was attached).
 	Sampler *obs.Sampler
-	// Profiler holds the kernel self-profile (nil unless Observe.Profile).
-	Profiler *obs.KernelProfiler
 	// Phases holds the phase-attribution profile (nil unless a
 	// ProfilePhases observer was attached).
 	Phases *perf.Profiler
@@ -272,8 +227,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.EventLimit > 0 {
 		k.SetPendingLimit(cfg.EventLimit)
 	}
-	// Merge the deprecated Observe shim and the registered Observers into
-	// the single attachment the rest of assembly wires from.
+	// Merge the registered Observers into the single attachment the rest
+	// of assembly wires from.
 	att := cfg.attachment()
 	rec := att.Recorder
 	if ev := att.SLO; ev != nil {
@@ -281,11 +236,6 @@ func Run(cfg Config) (*Result, error) {
 		// surfaces tg_slo_* families when a registry is configured.
 		ev.Now = k.Now
 		ev.Bind(att.Registry)
-	}
-	var profiler *obs.KernelProfiler
-	if att.Profile {
-		// Created now, installed with the other tracers just before the run.
-		profiler = obs.NewKernelProfiler(k)
 	}
 	if att.Phases != nil {
 		// Phase profilers are built by callers before the kernel exists;
@@ -602,9 +552,6 @@ func Run(cfg Config) (*Result, error) {
 	// the snapshot publisher, and any raw TraceKernel tracers combine here,
 	// invisibly to callers.
 	var tracers []des.Tracer
-	if profiler != nil {
-		tracers = append(tracers, profiler)
-	}
 	if att.Phases != nil {
 		tracers = append(tracers, att.Phases)
 	}
@@ -634,8 +581,8 @@ func Run(cfg Config) (*Result, error) {
 		Config: cfg, Kernel: k, Federation: fed, Central: central, Bank: bank,
 		Schedulers: scheds, Broker: broker, Gateways: gateways, Fabric: fabric,
 		Archives: archives, Population: pop, Finished: finished,
-		LargestCores: largest, Sampler: sampler, Profiler: profiler,
-		Phases: att.Phases, Faults: injector,
+		LargestCores: largest, Sampler: sampler, Phases: att.Phases,
+		Faults: injector,
 	}, nil
 }
 

@@ -19,7 +19,7 @@ func TestSLOEvaluationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
-	cfg.Observe = Observe{SLO: ev, Registry: reg}
+	cfg.Observers = []Observer{EvaluateSLO(ev), LiveTelemetry(reg)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,13 +65,13 @@ func TestSLODeterminism(t *testing.T) {
 	run := func(withSLO bool) (string, int) {
 		cfg := smallConfig(23)
 		reg := telemetry.New()
-		cfg.Observe = Observe{Registry: reg}
+		cfg.Observers = []Observer{LiveTelemetry(reg)}
 		if withSLO {
 			ev, err := slo.New()
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Observe.SLO = ev
+			cfg.Observers = append(cfg.Observers, EvaluateSLO(ev))
 		}
 		res, err := Run(cfg)
 		if err != nil {

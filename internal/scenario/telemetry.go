@@ -2,7 +2,7 @@
 // (scheduler listeners and probes, fabric and gateway hooks, the
 // accounting flush, kernel state) into a telemetry.Registry, and builds
 // the progress snapshots the run console serves. Everything here is
-// conditional on Observe.Registry / Observe.Snapshots — an unconfigured
+// conditional on an attached registry / snapshot sink — an unconfigured
 // run installs none of it — and nothing here consumes randomness or
 // mutates simulation state, which is what keeps instrumented and
 // uninstrumented same-seed runs byte-identical.

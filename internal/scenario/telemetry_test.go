@@ -7,6 +7,7 @@ import (
 
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/obs"
+	"github.com/tgsim/tgmod/internal/perf"
 	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
@@ -17,12 +18,12 @@ func telemetryRun(t *testing.T, seed uint64) (*Result, []byte, *telemetry.Snapsh
 	cfg := smallConfig(seed)
 	reg := telemetry.New()
 	var last *telemetry.Snapshot
-	cfg.Observe = Observe{
-		Recorder: obs.NewBuffer(),
-		Registry: reg,
-		Snapshots: func(s *telemetry.Snapshot) {
+	cfg.Observers = []Observer{
+		RecordSpans(obs.NewBuffer()),
+		LiveTelemetry(reg),
+		StreamSnapshots(func(s *telemetry.Snapshot) {
 			last = s
-		},
+		}),
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -70,8 +71,10 @@ func TestTelemetryTraceByteIdenticalWithRegistry(t *testing.T) {
 	cfg.MaintenanceEvery = 3 * des.Day
 	cfg.MaintenanceLength = 4 * des.Hour
 	buf := obs.NewBuffer()
-	cfg.Observe = Observe{Recorder: buf, SamplePeriod: des.Hour, Profile: true,
-		Registry: telemetry.New(), Snapshots: func(*telemetry.Snapshot) {}}
+	cfg.Observers = []Observer{
+		RecordSpans(buf), SampleEvery(des.Hour), ProfilePhases(perf.New(nil)),
+		LiveTelemetry(telemetry.New()), StreamSnapshots(func(*telemetry.Snapshot) {}),
+	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func TestObsBufferCapBoundsMemory(t *testing.T) {
 	cfg := smallConfig(17)
 	buf := obs.NewBufferCap(500)
 	reg := telemetry.New()
-	cfg.Observe = Observe{Recorder: buf, Registry: reg}
+	cfg.Observers = []Observer{RecordSpans(buf), LiveTelemetry(reg)}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // The test machine has (16-2)*8 = 112 batch cores.
 
 func TestCrashKillsRunningAndBlocksRestarts(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	j := mkJob(64, 500, 1000)
 	s.Submit(j)
 
@@ -49,7 +49,7 @@ func TestCrashKillsRunningAndBlocksRestarts(t *testing.T) {
 // maintenance window must merge with it — one window, one outage-end, no
 // double-released cores — instead of stacking an independent window.
 func TestCrashInsideMaintenanceWindowMerges(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	if err := s.ScheduleOutage(200, 400); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCrashInsideMaintenanceWindowMerges(t *testing.T) {
 }
 
 func TestCrashExtendingMaintenanceWindow(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	if err := s.ScheduleOutage(200, 400); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCrashExtendingMaintenanceWindow(t *testing.T) {
 }
 
 func TestOverlappingMaintenanceWindowsMerge(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	if err := s.ScheduleOutage(100, 300); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestOverlappingMaintenanceWindowsMerge(t *testing.T) {
 }
 
 func TestNodeFailureShrinksCapacityAndKills(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	a := mkJob(60, 1000, 2000)
 	b := mkJob(52, 1000, 2000)
 	s.Submit(a)
@@ -191,7 +191,7 @@ func TestNodeFailureShrinksCapacityAndKills(t *testing.T) {
 }
 
 func TestCrashCheckpointCreditAndWaste(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	s.CheckpointRestart = true
 	s.CheckpointInterval = 100
 	j := mkJob(64, 1000, 2000)
@@ -218,7 +218,7 @@ func TestCrashCheckpointCreditAndWaste(t *testing.T) {
 }
 
 func TestCheckpointOverheadDilatesRuns(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	s.CheckpointRestart = true
 	s.CheckpointInterval = 100
 	s.CheckpointOverhead = 10

@@ -10,7 +10,7 @@ import (
 // a light user's queued job jumps ahead of the heavy user's next job even
 // though it was submitted later.
 func TestFairShareFavorsLightUsers(t *testing.T) {
-	k, s := newTestSched(FairShare)
+	k, s := newTestSched("fairshare")
 	// Heavy usage history for "hog": one full-machine run.
 	first := mkJob(112, 1000, 1000)
 	first.User = "hog"
@@ -35,7 +35,7 @@ func TestFairShareFavorsLightUsers(t *testing.T) {
 // TestFairShareDecay: usage fades over time; after several half-lives the
 // hog is effectively a fresh user again and FIFO order prevails.
 func TestFairShareDecay(t *testing.T) {
-	k, s := newTestSched(FairShare)
+	k, s := newTestSched("fairshare")
 	s.FairShareHalfLife = des.Hour
 	first := mkJob(112, 1000, 1000)
 	first.User = "hog"
@@ -63,7 +63,7 @@ func TestFairShareDecay(t *testing.T) {
 // TestFairShareStillBackfills: the fairness ordering must not disable
 // backfilling.
 func TestFairShareStillBackfills(t *testing.T) {
-	k, s := newTestSched(FairShare)
+	k, s := newTestSched("fairshare")
 	big := mkJob(100, 100, 100)
 	s.Submit(big)
 	head := mkJob(112, 100, 100) // waits for whole machine
@@ -73,11 +73,5 @@ func TestFairShareStillBackfills(t *testing.T) {
 	k.Run()
 	if filler.StartTime != 0 {
 		t.Errorf("filler start = %v, want 0 (backfilled)", filler.StartTime)
-	}
-}
-
-func TestFairShareString(t *testing.T) {
-	if FairShare.String() != "fairshare" {
-		t.Error("FairShare policy name wrong")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestOutageDrainsBeforeWindow(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	if err := s.ScheduleOutage(100, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestOutageDrainsBeforeWindow(t *testing.T) {
 }
 
 func TestOutagePreemptsStragglers(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	long := mkJob(8, 500, 500)
 	s.Submit(long) // starts at 0, would run to 500
 	// Outage announced at t=50 for [100,200): the running job is a
@@ -51,7 +51,7 @@ func TestOutagePreemptsStragglers(t *testing.T) {
 }
 
 func TestOutageValidation(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	k.RunUntil(50)
 	if err := s.ScheduleOutage(10, 20); err == nil {
 		t.Error("outage in the past accepted")
@@ -62,7 +62,7 @@ func TestOutageValidation(t *testing.T) {
 }
 
 func TestOutageDoesNotBlockViz(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	if err := s.ScheduleOutage(10, 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestOutageDoesNotBlockViz(t *testing.T) {
 }
 
 func TestEstimateStartSeesOutage(t *testing.T) {
-	_, s := newTestSched(EASY)
+	_, s := newTestSched("easy")
 	if err := s.ScheduleOutage(100, 5000); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEstimateStartSeesOutage(t *testing.T) {
 }
 
 func TestBackToBackOutages(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	if err := s.ScheduleOutage(100, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBackToBackOutages(t *testing.T) {
 }
 
 func TestCheckpointRestartPreemption(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	s.CheckpointRestart = true
 	s.CheckpointInterval = 100
 	victim := mkJob(112, 1000, 2000)
@@ -124,7 +124,7 @@ func TestCheckpointRestartPreemption(t *testing.T) {
 }
 
 func TestRestartFromScratchByDefault(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	victim := mkJob(112, 1000, 2000)
 	s.Submit(victim)
 	urgent := mkJob(112, 100, 100)

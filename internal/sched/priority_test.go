@@ -101,8 +101,8 @@ func TestPriorityBackfillStillWorks(t *testing.T) {
 	}
 }
 
-// TestEngineRegistry: all six engines resolve by name, unknown names fail,
-// and the legacy shims keep working.
+// TestEngineRegistry: all six engines resolve by name and unknown names
+// fail.
 func TestEngineRegistry(t *testing.T) {
 	want := []string{"conservative", "easy", "fairshare", "fcfs", "gang", "priority"}
 	got := EngineNames()
@@ -128,20 +128,6 @@ func TestEngineRegistry(t *testing.T) {
 	}
 	if _, err := NewNamed(des.New(), testMachine(), "nope"); err == nil {
 		t.Error("NewNamed accepted unknown engine")
-	}
-	// Legacy enum shims.
-	for _, p := range []Policy{FCFS, EASY, Conservative, FairShare} {
-		back, err := PolicyByName(p.String())
-		if err != nil || back != p {
-			t.Errorf("PolicyByName(%q) = %v,%v", p.String(), back, err)
-		}
-		s := New(des.New(), testMachine(), p)
-		if s.EngineName() != p.String() {
-			t.Errorf("New(%v) engine = %q", p, s.EngineName())
-		}
-	}
-	if _, err := PolicyByName("gang"); err == nil {
-		t.Error("PolicyByName must not mint enum values for new engines")
 	}
 }
 

@@ -26,55 +26,6 @@ import (
 	"github.com/tgsim/tgmod/internal/job"
 )
 
-// Policy selects a batch scheduling algorithm by enum value.
-//
-// Deprecated: the enum is frozen at the four original policies and exists
-// only for source compatibility. Use engine names with NewNamed (or
-// NewEngine) instead; new engines are registered by name and never get
-// enum values.
-type Policy int
-
-// Batch scheduling policies.
-//
-// Deprecated: use engine names ("fcfs", "easy", "conservative",
-// "fairshare", "gang", "priority") with NewNamed.
-const (
-	FCFS         Policy = iota // strict first-come first-served
-	EASY                       // aggressive backfill with one reservation (head job)
-	Conservative               // backfill with reservations for every queued job
-	FairShare                  // EASY ordered by decayed per-user usage
-)
-
-// String returns the policy's engine name.
-func (p Policy) String() string {
-	switch p {
-	case FCFS:
-		return "fcfs"
-	case EASY:
-		return "easy"
-	case Conservative:
-		return "conservative"
-	case FairShare:
-		return "fairshare"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// PolicyByName maps a legacy engine name to its enum value.
-//
-// Deprecated: compat shim for callers still carrying Policy values. Only
-// the four original policies have enum values; "gang" and "priority" (and
-// any externally registered engine) are reachable only through NewNamed.
-func PolicyByName(name string) (Policy, error) {
-	for _, p := range []Policy{FCFS, EASY, Conservative, FairShare} {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("sched: no legacy Policy value for engine %q", name)
-}
-
 // Event is a job lifecycle notification delivered to listeners.
 type Event struct {
 	Kind EventKind
@@ -271,18 +222,6 @@ type Stats struct {
 type fsEntry struct {
 	usage float64
 	at    des.Time
-}
-
-// New returns a scheduler for machine m using a legacy enum policy.
-//
-// Deprecated: use NewNamed with an engine name, which reaches every
-// registered engine instead of only the four enum values.
-func New(k *des.Kernel, m *grid.Machine, policy Policy) *Scheduler {
-	s, err := NewNamed(k, m, policy.String())
-	if err != nil {
-		panic("sched: " + err.Error())
-	}
-	return s
 }
 
 // NewNamed returns a scheduler for machine m driven by kernel k, running

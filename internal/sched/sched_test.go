@@ -27,18 +27,9 @@ func testMachine() *grid.Machine {
 	}
 }
 
-func newTestSched(p Policy) (*des.Kernel, *Scheduler) {
+func newTestSched(engine string) (*des.Kernel, *Scheduler) {
 	k := des.New()
-	return k, New(k, testMachine(), p)
-}
-
-func TestPolicyString(t *testing.T) {
-	if FCFS.String() != "fcfs" || EASY.String() != "easy" || Conservative.String() != "conservative" {
-		t.Error("policy names wrong")
-	}
-	if Policy(9).String() != "policy(9)" {
-		t.Error("unknown policy name wrong")
-	}
+	return k, MustNamed(k, testMachine(), engine)
 }
 
 func TestEventKindString(t *testing.T) {
@@ -54,7 +45,7 @@ func TestEventKindString(t *testing.T) {
 }
 
 func TestFCFSRunsInOrder(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	var order []job.ID
 	s.Subscribe(func(e Event) {
 		if e.Kind == EventStarted {
@@ -84,7 +75,7 @@ func TestFCFSRunsInOrder(t *testing.T) {
 }
 
 func TestFCFSHeadOfLineBlocks(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	big := mkJob(112, 100, 100)
 	blocked := mkJob(100, 10, 10)
 	tiny := mkJob(1, 10, 10)
@@ -98,7 +89,7 @@ func TestFCFSHeadOfLineBlocks(t *testing.T) {
 }
 
 func TestEASYBackfills(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	big := mkJob(112, 100, 100)  // occupies whole batch partition until 100
 	waiter := mkJob(112, 50, 50) // head of queue, reserved at t=100
 	filler := mkJob(8, 90, 90)   // fits before the reservation? no cores free
@@ -118,7 +109,7 @@ func TestEASYBackfills(t *testing.T) {
 }
 
 func TestEASYBackfillUsesHoles(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	// 112 batch cores. big leaves 12 free until t=100.
 	big := mkJob(100, 100, 100)
 	head := mkJob(112, 100, 100) // must wait for whole machine at t=100
@@ -141,7 +132,7 @@ func TestEASYBackfillUsesHoles(t *testing.T) {
 }
 
 func TestConservativeDoesNotDelayAnyEarlier(t *testing.T) {
-	k, s := newTestSched(Conservative)
+	k, s := newTestSched("conservative")
 	// Construct: j1 uses all cores [0,100). j2 (head of queue) wants all
 	// cores → planned [100,200). j3 wants 12 cores for 150 → planned at
 	// 200 under conservative (would overlap j2's plan otherwise).
@@ -161,7 +152,7 @@ func TestConservativeDoesNotDelayAnyEarlier(t *testing.T) {
 }
 
 func TestConservativeBackfillsWhenHarmless(t *testing.T) {
-	k, s := newTestSched(Conservative)
+	k, s := newTestSched("conservative")
 	j1 := mkJob(100, 100, 100) // leaves 12 cores idle
 	j2 := mkJob(112, 100, 100) // planned at 100
 	j3 := mkJob(12, 80, 80)    // fits in [0,80) without delaying j2
@@ -178,7 +169,7 @@ func TestConservativeBackfillsWhenHarmless(t *testing.T) {
 }
 
 func TestWalltimeKill(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	j := mkJob(8, 500, 100) // needs 500s but only requested 100
 	s.Submit(j)
 	k.Run()
@@ -191,7 +182,7 @@ func TestWalltimeKill(t *testing.T) {
 }
 
 func TestRejectOversize(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	var rejected []*job.Job
 	s.Subscribe(func(e Event) {
 		if e.Kind == EventRejected {
@@ -207,7 +198,7 @@ func TestRejectOversize(t *testing.T) {
 }
 
 func TestUrgentPreempts(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	victim := mkJob(112, 1000, 1000)
 	s.Submit(victim)
 	urgent := mkJob(50, 100, 100)
@@ -234,7 +225,7 @@ func TestUrgentPreempts(t *testing.T) {
 }
 
 func TestUrgentPrefersFreeCores(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	small := mkJob(10, 1000, 1000)
 	s.Submit(small)
 	urgent := mkJob(50, 10, 10)
@@ -253,7 +244,7 @@ func TestUrgentOnNonCapableMachineRejected(t *testing.T) {
 	k := des.New()
 	m := testMachine()
 	m.UrgentCapable = false
-	s := New(k, m, EASY)
+	s := MustNamed(k, m, "easy")
 	u := mkJob(8, 10, 10)
 	u.QOS = job.QOSUrgent
 	s.Submit(u)
@@ -264,7 +255,7 @@ func TestUrgentOnNonCapableMachineRejected(t *testing.T) {
 }
 
 func TestInteractivePartition(t *testing.T) {
-	k, s := newTestSched(EASY) // 2 viz nodes = 16 cores
+	k, s := newTestSched("easy") // 2 viz nodes = 16 cores
 	batch := mkJob(112, 1000, 1000)
 	s.Submit(batch) // batch partition fully busy
 	viz := mkJob(8, 60, 120)
@@ -280,7 +271,7 @@ func TestInteractivePartition(t *testing.T) {
 }
 
 func TestInteractiveQueuesWhenVizFull(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	v1 := mkJob(16, 100, 100)
 	v1.QOS = job.QOSInteractive
 	v2 := mkJob(8, 50, 50)
@@ -294,7 +285,7 @@ func TestInteractiveQueuesWhenVizFull(t *testing.T) {
 }
 
 func TestReservationBlocksBackfillAndRuns(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	if err := s.Reserve("co-1", 112, 100, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +308,7 @@ func TestReservationBlocksBackfillAndRuns(t *testing.T) {
 }
 
 func TestReservationErrors(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	if err := s.Reserve("r1", 112, 10, 20); err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +345,7 @@ func TestReservationErrors(t *testing.T) {
 }
 
 func TestCancelReservation(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	if err := s.Reserve("r1", 112, 100, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +364,7 @@ func TestCancelReservation(t *testing.T) {
 }
 
 func TestEstimateStart(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	s.Submit(mkJob(112, 100, 100))
 	s.Submit(mkJob(112, 100, 100))
 	// Estimate for a full-machine job: after both queued jobs → 200.
@@ -391,7 +382,7 @@ func TestEstimateStart(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	s.Submit(mkJob(56, 100, 100)) // half the batch partition for 100s
 	k.Run()
 	k.RunUntil(200) // idle for another 100s
@@ -402,7 +393,7 @@ func TestUtilization(t *testing.T) {
 }
 
 func TestSubmitInvalidPanics(t *testing.T) {
-	_, s := newTestSched(EASY)
+	_, s := newTestSched("easy")
 	defer func() {
 		if recover() == nil {
 			t.Error("invalid job submission did not panic")
@@ -411,16 +402,16 @@ func TestSubmitInvalidPanics(t *testing.T) {
 	s.Submit(&job.Job{})
 }
 
-// TestNoOvercommitProperty drives random workloads through every policy and
+// TestNoOvercommitProperty drives random workloads through every engine and
 // checks the fundamental invariants: cores are never overcommitted, every
 // job eventually reaches a terminal state, and started+queue counts add up.
 func TestNoOvercommitProperty(t *testing.T) {
-	for _, pol := range []Policy{FCFS, EASY, Conservative} {
+	for _, pol := range EngineNames() {
 		pol := pol
 		f := func(seed uint64) bool {
 			r := simrand.New(seed)
 			k := des.New()
-			s := New(k, testMachine(), pol)
+			s := MustNamed(k, testMachine(), pol)
 			minFree := 0
 			s.Subscribe(func(e Event) {
 				if s.FreeBatchCores() < minFree {
@@ -469,7 +460,7 @@ func TestBackfillNeverDelaysHead(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := simrand.New(seed)
 		k := des.New()
-		s := New(k, testMachine(), EASY)
+		s := MustNamed(k, testMachine(), "easy")
 		// Fill the machine, then submit a known head job and random filler.
 		base := mkJob(112, 100, 100)
 		s.Submit(base)

@@ -35,6 +35,9 @@ func TestConsoleConcurrentScrapes(t *testing.T) {
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	// Closed once the writer has mounted /modalities and /drift: before
+	// their first PublishJSON those pages do not exist (404).
+	mounted := make(chan struct{})
 
 	// Writer: each publication i stamps every token with i, so a torn
 	// response would mix two stamps.
@@ -58,6 +61,9 @@ func TestConsoleConcurrentScrapes(t *testing.T) {
 			page := []byte(fmt.Sprintf(`{"seq":%d,"echo":%d,"again":%d}`, i, i, i))
 			c.PublishJSON("/modalities", page)
 			c.PublishJSON("/drift", page)
+			if i == 0 {
+				close(mounted)
+			}
 		}
 		stop.Store(true)
 	}()
@@ -139,6 +145,7 @@ func TestConsoleConcurrentScrapes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-mounted
 			for !stop.Load() {
 				check("/metrics", verifyMetrics)
 				check("/status", verifyStatus)
