@@ -6,8 +6,9 @@
 package metasched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
@@ -52,7 +53,11 @@ type Broker struct {
 	K      *des.Kernel
 	policy SelectPolicy
 	rng    *simrand.Stream
-	scheds []*sched.Scheduler
+	scheds []*sched.Scheduler // in machine-ID order
+	// cands is feasible's result buffer. Every caller finishes reading it
+	// before anything can re-enter the broker (a placed job's lifecycle
+	// events fire only after the choice is made).
+	cands []*sched.Scheduler
 	// TagCoverage is the probability a routed job carries its broker
 	// attribute (models partially deployed instrumentation).
 	TagCoverage float64
@@ -79,6 +84,8 @@ type Broker struct {
 
 // New returns a broker over the given schedulers.
 func New(k *des.Kernel, policy SelectPolicy, rng *simrand.Stream, scheds []*sched.Scheduler) *Broker {
+	scheds = slices.Clone(scheds)
+	slices.SortFunc(scheds, func(a, b *sched.Scheduler) int { return cmp.Compare(a.M.ID, b.M.ID) })
 	return &Broker{
 		K: k, policy: policy, rng: rng, scheds: scheds,
 		TagCoverage: 1.0,
@@ -119,16 +126,17 @@ func (b *Broker) Unhealthy(machine string) bool {
 }
 
 // feasible returns schedulers that could ever run the job, in deterministic
-// (machine-ID) order.
+// (machine-ID) order. The result is a reused buffer, valid until the next
+// call.
 func (b *Broker) feasible(j *job.Job) []*sched.Scheduler {
-	var out []*sched.Scheduler
+	out := b.cands[:0]
 	for _, s := range b.scheds {
 		if j.Cores <= s.M.BatchCores() && (j.QOS != job.QOSUrgent || s.M.UrgentCapable) &&
 			!b.Unhealthy(s.M.ID) {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].M.ID < out[k].M.ID })
+	b.cands = out
 	return out
 }
 

@@ -24,16 +24,12 @@ func (e *conservativeEngine) Schedule(s *Scheduler) {
 	// preserves behavior while bounding reschedule cost under backlog.
 	const maxPlan = 128
 	var started []int
+	pl := planner{p: p, origin: now}
 	for idx, j := range e.q {
 		if idx >= maxPlan {
 			break
 		}
-		at, ok := p.earliestFit(now, j.Cores, j.ReqWalltime)
-		if !ok {
-			continue
-		}
-		p.subtract(at, at+j.ReqWalltime, j.Cores)
-		if at == now {
+		if at, ok := pl.place(j.Cores, j.ReqWalltime); ok && at == now {
 			started = append(started, idx)
 		}
 	}

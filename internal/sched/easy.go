@@ -43,10 +43,7 @@ func easyPass(s *Scheduler, q *[]*job.Job) {
 	// reschedule cost flat under heavy backlog.
 	const maxBackfillScan = 256
 	head := (*q)[0]
-	shadow, ok := p.earliestFit(now, head.Cores, head.ReqWalltime)
-	if ok {
-		p.subtract(shadow, shadow+head.ReqWalltime, head.Cores)
-	}
+	p.place(now, head.Cores, head.ReqWalltime)
 	i := 1
 	scanned := 0
 	for i < len(*q) && scanned < maxBackfillScan {

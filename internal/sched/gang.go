@@ -222,9 +222,7 @@ func (e *gangEngine) holdAndBackfill(s *Scheduler, p *profile, gangs [][]*job.Jo
 	// so backfill below cannot push the gang's assembly into the future.
 	for _, j := range head {
 		if !e.held[j.ID] {
-			if at, ok := p.earliestFit(now, j.Cores, j.ReqWalltime); ok {
-				p.subtract(at, at+j.ReqWalltime, j.Cores)
-			}
+			p.place(now, j.Cores, j.ReqWalltime)
 		}
 	}
 	// Backfill later gangs, whole or not at all, bounded like EASY's scan.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/tgsim/tgmod/internal/des"
+	"github.com/tgsim/tgmod/internal/grid"
 )
 
 // planningSnapshot returns a scheduler running the named engine at t=1e6 s
@@ -20,7 +21,7 @@ func planningSnapshot(tb testing.TB, engine string) *Scheduler {
 	s := MustNamed(k, testMachine(), engine)
 	for i := 0; i < 100; i++ {
 		j := mkJob(1, 1, 1)
-		s.running[j.ID] = &running{j: j, endsBy: now + des.Time(300*(i+1))}
+		s.track(&running{j: j, endsBy: now + des.Time(300*(i+1))})
 		s.freeBatch--
 	}
 	for i := 0; i < 1000; i++ {
@@ -70,11 +71,40 @@ func BenchmarkSchedulePass(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildProfile measures one profile build from 4096 running jobs
+// on a 16384-core partition: the sweep over the sorted release list, with
+// runs of equal guaranteed ends, plus a reservation and an outage.
+func BenchmarkBuildProfile(b *testing.B) {
+	k := des.New()
+	now := des.Time(1e6)
+	k.RunUntil(now)
+	m := &grid.Machine{ID: "big", Site: "s", Nodes: 2048, CoresPerNode: 8, GFlopsPerCore: 4, NUPerCoreHour: 1}
+	s := MustNamed(k, m, "easy")
+	for i := 0; i < 4096; i++ {
+		j := mkJob(1+i%3, 1, 1)
+		s.track(&running{j: j, endsBy: now + des.Time(60*(1+i%1500))})
+	}
+	s.resvs = append(s.resvs, &reservation{id: "r", cores: 64, start: now + des.Hour, end: now + 3*des.Hour})
+	s.outages = append(s.outages, &outage{start: now + des.Day, end: now + des.Day + des.Hour})
+	var p profile
+	s.buildProfile(&p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.buildProfile(&p)
+	}
+}
+
 // TestPlanningAllocationFree pins the planning kernel's steady state at
 // zero allocations: once the scheduler's profile buffers are warm, neither
-// an estimate rebuild nor an easy or conservative pass allocates.
+// a profile build, an estimate rebuild nor an easy or conservative pass
+// allocates.
 func TestPlanningAllocationFree(t *testing.T) {
 	s := planningSnapshot(t, "easy")
+	build := func() { s.buildProfile(&s.pass) }
+	if n := testing.AllocsPerRun(20, build); n != 0 {
+		t.Errorf("warm buildProfile: %v allocs, want 0", n)
+	}
 	estimate := func() {
 		s.stateVersion++
 		s.EstimateStart(32, des.Hour)

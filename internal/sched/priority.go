@@ -115,9 +115,7 @@ func (e *priorityEngine) Schedule(s *Scheduler) {
 		if i != 0 && !e.escalated[j.ID] {
 			continue
 		}
-		if at, ok := p.earliestFit(now, j.Cores, j.ReqWalltime); ok {
-			p.subtract(at, at+j.ReqWalltime, j.Cores)
-		}
+		p.place(now, j.Cores, j.ReqWalltime)
 		reserved[j.ID] = true
 		planned++
 		if planned >= maxEscalatedPlans {

@@ -277,17 +277,104 @@ func TestEarliestFitMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPlaceMatchesReference: place commits exactly what earliestFit
+// followed by subtract commits, query after query on one evolving profile:
+// the same start, the same verdict and the same points. Queries start
+// before the origin, on step points and in mid-segment, and some never fit.
+func TestPlaceMatchesReference(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := simrand.New(seed)
+		got := randomProfile(r)
+		want := &profile{points: slices.Clone(got.points)}
+		capacity := got.points[0].free + 16
+		for q := 0; q < 40; q++ {
+			from := des.Time(r.Intn(280)) - 20
+			if r.Bool(0.3) {
+				from += 0.5
+			}
+			cores := 1 + r.Intn(capacity)
+			dur := des.Time(r.Intn(80))
+			at, ok := got.place(from, cores, dur)
+			wantAt, wantOK := want.earliestFit(from, cores, dur)
+			if wantOK {
+				want.subtract(wantAt, wantAt+dur, cores)
+			}
+			if at != wantAt || ok != wantOK || !slices.Equal(got.points, want.points) {
+				t.Logf("place(%v, %d, %v) = %v,%v with points %v; reference %v,%v with points %v",
+					from, cores, dur, at, ok, got.points, wantAt, wantOK, want.points)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPlannerMatchesSequential: a planner with dominance floors gives every
+// job of a random queue the start that plain sequential placement from the
+// origin gives it, and leaves exactly the same points. Cores and durations
+// come from small sets so that later jobs often dominate earlier ones.
+func TestPlannerMatchesSequential(t *testing.T) {
+	floored := 0
+	f := func(seed uint64) bool {
+		r := simrand.New(seed)
+		got := randomProfile(r)
+		want := &profile{points: slices.Clone(got.points)}
+		origin := got.points[0].t
+		if r.Bool(0.3) {
+			origin += des.Time(r.Intn(40)) + 0.5
+		}
+		pl := planner{p: got, origin: origin}
+		capacity := got.points[0].free + 8
+		for q := 0; q < 60; q++ {
+			cores := 1 + r.Intn(4)*capacity/4
+			dur := des.Time(r.Intn(5) * 20)
+			if pl.n > 0 {
+				for _, fl := range pl.floors[:pl.n] {
+					if fl.at > origin && cores >= fl.cores && max(dur, 1) >= fl.dur {
+						floored++
+						break
+					}
+				}
+			}
+			at, ok := pl.place(cores, dur)
+			wantAt, wantOK := want.earliestFit(origin, cores, dur)
+			if wantOK {
+				want.subtract(wantAt, wantAt+dur, cores)
+			}
+			if at != wantAt || ok != wantOK {
+				t.Logf("job %d (%d cores, %v): planner %v,%v, sequential %v,%v", q, cores, dur, at, ok, wantAt, wantOK)
+				return false
+			}
+		}
+		if !slices.Equal(got.points, want.points) {
+			t.Logf("points %v, sequential %v", got.points, want.points)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if floored == 0 {
+		t.Error("no search started at a floor; the property did not exercise the planner")
+	}
+}
+
 // randomSchedState returns a scheduler at a random instant holding random
-// running jobs (equal end times, expired and never-ending ones, interactive
-// sessions), feasible reservations (past, active and future), node losses
-// and outages. The state is written directly; no events run.
+// running jobs (equal end times, expired and never-ending ones, one ending
+// between now and the expired jobs' sliver, interactive sessions), feasible
+// reservations (past, active and future), node losses and outages. Jobs
+// enter through track; no events run.
 func randomSchedState(r *simrand.Stream) *Scheduler {
 	k := des.New()
 	now := des.Time(r.Intn(1e6))
 	k.RunUntil(now)
 	s := MustNamed(k, testMachine(), "easy")
 	capacity := s.M.BatchCores()
-	ends := []des.Time{now - 10, now, now + 1, now + 100, now + 100, now + 250, des.Forever}
+	ends := []des.Time{now - 10, now, now + 5e-10, now + 1, now + 100, now + 100, now + 250, des.Forever}
 	busy := 0
 	for i := 0; i < r.Intn(40); i++ {
 		j := mkJob(1+r.Intn(24), 1, 1)
@@ -302,7 +389,7 @@ func randomSchedState(r *simrand.Stream) *Scheduler {
 		if r.Bool(0.5) {
 			end = ends[r.Intn(len(ends))]
 		}
-		s.running[j.ID] = &running{j: j, endsBy: end}
+		s.track(&running{j: j, endsBy: end})
 	}
 	for i := 0; i < r.Intn(6); i++ {
 		start := now + des.Time(r.Intn(600)) - 200
@@ -357,7 +444,7 @@ func TestBuildProfileOvercommitPanics(t *testing.T) {
 	k := des.New()
 	s := MustNamed(k, testMachine(), "easy")
 	j := mkJob(s.M.BatchCores()+1, 10, 10)
-	s.running[j.ID] = &running{j: j, endsBy: 10}
+	s.track(&running{j: j, endsBy: 10})
 	defer func() {
 		if recover() == nil {
 			t.Error("overcommitted running set did not panic")
@@ -377,7 +464,7 @@ func TestBuildProfileSliverPast2To24(t *testing.T) {
 	k.RunUntil(now)
 	s := MustNamed(k, testMachine(), "easy")
 	j := mkJob(40, 10, 10)
-	s.running[j.ID] = &running{j: j, endsBy: now}
+	s.track(&running{j: j, endsBy: now})
 	p := s.buildProfile(new(profile))
 	if got, want := p.freeAt(now), s.M.BatchCores()-40; got != want {
 		t.Errorf("freeAt(now) = %d, want %d (the sliver vanished)", got, want)
@@ -406,5 +493,75 @@ func TestSliverPast2To24HoldsCores(t *testing.T) {
 	if first.EndTime != end || second.StartTime != end || second.State != job.StateCompleted {
 		t.Errorf("first ended %v, second started %v in state %v; want both at %v, completed",
 			first.EndTime, second.StartTime, second.State, end)
+	}
+}
+
+// checkReleases fails the test unless the release list holds exactly the
+// running batch jobs, sorted by guaranteed end and then job ID.
+func checkReleases(t *testing.T, s *Scheduler, step string) {
+	t.Helper()
+	var want []profileRelease
+	for _, r := range s.running {
+		if r.j.QOS != job.QOSInteractive {
+			want = append(want, profileRelease{end: r.endsBy, cores: r.j.Cores, id: r.j.ID})
+		}
+	}
+	slices.SortFunc(want, compareReleases)
+	if !slices.Equal(s.releases, want) {
+		t.Fatalf("%s: releases %v, want %v", step, s.releases, want)
+	}
+}
+
+// TestReleaseListFollowsLifecycle drives one scheduler through starts,
+// early finishes, walltime kills, urgent preemption, a crash, a node
+// failure and viz sessions, checking the release list after every step.
+func TestReleaseListFollowsLifecycle(t *testing.T) {
+	k, s := newTestSched("easy")
+	submit := func(cores int, run, wall des.Time, qos job.QOS) *job.Job {
+		j := mkJob(cores, run, wall)
+		j.QOS = qos
+		s.Submit(j)
+		return j
+	}
+	step := func(name string, until des.Time) {
+		t.Helper()
+		k.RunUntil(until)
+		checkReleases(t, s, name)
+	}
+	for i := 0; i < 8; i++ {
+		// Equal walltimes in pairs; odd jobs outrun theirs and are killed.
+		wall := des.Time(1000 * (1 + i/2))
+		submit(16, wall/2+des.Time(i%2)*wall, wall, job.QOSNormal)
+	}
+	submit(8, 500, 900, job.QOSInteractive)
+	submit(8, 2500, 3000, job.QOSInteractive)
+	step("start", 0)
+	if len(s.releases) != 7 {
+		t.Fatalf("%d batch jobs running at start, want 7 (112 cores)", len(s.releases))
+	}
+	step("finish and walltime kill", 1200)
+	submit(s.M.BatchCores(), 300, 400, job.QOSUrgent)
+	step("urgent preemption", 1200)
+	if s.Stats().Preemptions == 0 {
+		t.Fatal("urgent arrival preempted nothing")
+	}
+	step("urgent finish and restarts", 1700)
+	for _, v := range s.Crash(2500) {
+		s.Requeue(v)
+	}
+	step("crash", 1700)
+	if len(s.releases) != 0 {
+		t.Fatalf("%d batch jobs still running after a crash", len(s.releases))
+	}
+	step("repair", 2600)
+	s.FailNodes(s.M.BatchCores()-16, 4000)
+	step("node failure", 2600)
+	if s.Stats().NodeKills == 0 {
+		t.Fatal("node failure killed nothing")
+	}
+	step("restore", 4100)
+	step("drain", des.Forever)
+	if len(s.running) != 0 || len(s.releases) != 0 {
+		t.Fatalf("%d running, %d releases after the drain", len(s.running), len(s.releases))
 	}
 }

@@ -185,10 +185,12 @@ type Scheduler struct {
 	// nesting, so one buffer serves every pass. Listeners fired by
 	// startBatch inside a pass may call EstimateStart or Reserve on this
 	// scheduler, so the estimate plan lives in a buffer of its own and
-	// Reserve allocates a fresh profile. endsBuf is buildProfile's sort
-	// scratch; buildProfile never fires listeners, so it cannot nest.
-	pass    profile
-	endsBuf []profileRelease
+	// Reserve allocates a fresh profile.
+	pass profile
+	// releases holds every running batch job's guaranteed end, kept sorted
+	// by (end, job ID) as jobs start and stop (see track and untrack), so
+	// buildProfile sweeps it without sorting.
+	releases []profileRelease
 
 	// Estimate cache. EstimateStart plans the whole queue conservatively,
 	// and the metascheduler polls every machine for every brokered arrival
@@ -383,6 +385,41 @@ func (s *Scheduler) reject(j *job.Job) {
 
 // ---- Batch partition ----
 
+// track records r as running. A batch job also enters the release list at
+// its guaranteed end; interactive sessions hold viz cores, which the batch
+// profile never plans.
+func (s *Scheduler) track(r *running) {
+	s.running[r.j.ID] = r
+	if r.j.QOS == job.QOSInteractive {
+		return
+	}
+	rel := profileRelease{end: r.endsBy, cores: r.j.Cores, id: r.j.ID}
+	i, _ := slices.BinarySearchFunc(s.releases, rel, compareReleases)
+	s.releases = slices.Insert(s.releases, i, rel)
+}
+
+// untrack removes r from the running set and from the release list.
+func (s *Scheduler) untrack(r *running) {
+	delete(s.running, r.j.ID)
+	if r.j.QOS == job.QOSInteractive {
+		return
+	}
+	i, ok := slices.BinarySearchFunc(s.releases,
+		profileRelease{end: r.endsBy, id: r.j.ID}, compareReleases)
+	if !ok {
+		panic(fmt.Sprintf("sched %s: job %d missing from the release list", s.M.ID, r.j.ID))
+	}
+	s.releases = slices.Delete(s.releases, i, i+1)
+}
+
+// compareReleases orders releases by end, then by job ID.
+func compareReleases(a, b profileRelease) int {
+	if c := cmp.Compare(a.end, b.end); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
 // buildProfile rebuilds p as the availability profile from running batch
 // jobs' guaranteed ends plus all committed reservations, and returns it.
 // Claimed-and-running reservation jobs are already accounted as running
@@ -390,49 +427,51 @@ func (s *Scheduler) reject(j *job.Job) {
 // passProfile and EstimateStart).
 func (s *Scheduler) buildProfile(p *profile) *profile {
 	now := s.K.Now()
-	// Running jobs hold cores from now until their guaranteed end. A job
-	// whose guaranteed end equals the current instant may still be running
-	// — its finish event fires later within this timestamp — so hold its
-	// cores for an infinitesimal sliver to keep profile and partition state
-	// consistent; the finish event triggers a fresh reschedule at the same
-	// virtual time. Past 2^24 s a 1e-9 sliver rounds away, so it falls back
-	// to the next representable instant.
-	ends := s.endsBuf[:0]
 	busy := 0
-	for _, r := range s.running {
-		if r.j.QOS == job.QOSInteractive {
-			continue
-		}
-		end := r.endsBy
-		if end <= now {
-			end = now + 1e-9
-			if end == now {
-				end = des.Time(math.Nextafter(float64(now), math.Inf(1)))
-			}
-		}
-		ends = append(ends, profileRelease{end: end, cores: r.j.Cores})
-		busy += r.j.Cores
+	for _, e := range s.releases {
+		busy += e.cores
 	}
-	s.endsBuf = ends
-	// One sorted sweep turns the releases into the step function: free
-	// cores start at capacity minus everything running and rise at each
-	// distinct end time. A job that never ends releases nothing.
-	slices.SortFunc(ends, func(a, b profileRelease) int { return cmp.Compare(a.end, b.end) })
 	free := s.M.BatchCores() - busy
 	if free < 0 {
 		panic(fmt.Sprintf("sched: profile overcommitted at %v: %d cores short", now, -free))
 	}
+	// Running jobs hold cores from now until their guaranteed end. A job
+	// whose guaranteed end is at or before the current instant may still be
+	// running — its finish event fires later within this timestamp — so
+	// hold its cores for an infinitesimal sliver to keep profile and
+	// partition state consistent; the finish event triggers a fresh
+	// reschedule at the same virtual time. Past 2^24 s a 1e-9 sliver rounds
+	// away, so it falls back to the next representable instant.
+	sliver := now + 1e-9
+	if sliver == now {
+		sliver = des.Time(math.Nextafter(float64(now), math.Inf(1)))
+	}
+	// One sweep over the sorted release list turns it into the step
+	// function: free cores start at capacity minus everything running and
+	// rise at each distinct end time. Expired ends sort first but release
+	// at the sliver, and a raw end strictly between now and the sliver
+	// comes before it, so their cores are held back until the sweep passes
+	// the sliver. A job that never ends releases nothing.
 	p.points = append(p.points[:0], profilePoint{t: now, free: free})
-	for _, e := range ends {
+	held := 0
+	for _, e := range s.releases {
+		if e.end <= now {
+			held += e.cores
+			continue
+		}
+		if held > 0 && e.end >= sliver {
+			free += held
+			held = 0
+			p.rise(sliver, free)
+		}
 		if e.end == des.Forever {
 			break
 		}
 		free += e.cores
-		if last := &p.points[len(p.points)-1]; last.t == e.end {
-			last.free = free
-		} else {
-			p.points = append(p.points, profilePoint{t: e.end, free: free})
-		}
+		p.rise(e.end, free)
+	}
+	if held > 0 {
+		p.rise(sliver, free+held)
 	}
 	for _, rv := range s.resvs {
 		start := rv.start
@@ -660,7 +699,7 @@ func (s *Scheduler) startBatch(j *job.Job, fromResID string) {
 	r.endTimer = s.K.ScheduleNamed(dur, "job-end", func(*des.Kernel) {
 		s.finish(r, killed)
 	})
-	s.running[j.ID] = r
+	s.track(r)
 	s.stats.Started++
 	s.emit(EventStarted, j)
 }
@@ -668,7 +707,7 @@ func (s *Scheduler) startBatch(j *job.Job, fromResID string) {
 // finish completes a running batch or viz job.
 func (s *Scheduler) finish(r *running, killed bool) {
 	j := r.j
-	delete(s.running, j.ID)
+	s.untrack(r)
 	j.EndTime = s.K.Now()
 	if killed {
 		j.State = job.StateKilled
@@ -736,7 +775,7 @@ func (s *Scheduler) startUrgent(j *job.Job) {
 func (s *Scheduler) preempt(r *running) {
 	j := r.j
 	s.K.Cancel(r.endTimer)
-	delete(s.running, j.ID)
+	s.untrack(r)
 	s.accumulate()
 	s.freeBatch += j.Cores
 	if s.CheckpointRestart {
@@ -790,7 +829,7 @@ func (s *Scheduler) checkpointCredit(j *job.Job) des.Time {
 func (s *Scheduler) killRunning(r *running, kind string) {
 	j := r.j
 	s.K.Cancel(r.endTimer)
-	delete(s.running, j.ID)
+	s.untrack(r)
 	s.accumulate()
 	s.freeBatch += j.Cores
 	ran := s.K.Now() - j.StartTime
@@ -958,7 +997,7 @@ func (s *Scheduler) dispatchViz() {
 		r.endTimer = s.K.ScheduleNamed(dur, "viz-end", func(*des.Kernel) {
 			s.finish(r, killed)
 		})
-		s.running[head.ID] = r
+		s.track(r)
 		s.stats.Started++
 		s.emit(EventStarted, head)
 	}
@@ -1086,11 +1125,9 @@ func (s *Scheduler) EstimateStart(cores int, walltime des.Time) (des.Time, bool)
 		if detail > maxDetailed {
 			detail = maxDetailed
 		}
+		pl := planner{p: p, origin: s.K.Now()}
 		for _, q := range queued[:detail] {
-			at, ok := p.earliestFit(s.K.Now(), q.Cores, q.ReqWalltime)
-			if ok {
-				p.subtract(at, at+q.ReqWalltime, q.Cores)
-			}
+			pl.place(q.Cores, q.ReqWalltime)
 		}
 		var tail des.Time
 		if len(queued) > detail {
