@@ -8,6 +8,7 @@ package metasched
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/tgsim/tgmod/internal/des"
@@ -58,6 +59,11 @@ type Broker struct {
 	// before anything can re-enter the broker (a placed job's lifecycle
 	// events fire only after the choice is made).
 	cands []*sched.Scheduler
+	// ranked is earliest's bound-ordered buffer and coUsed CoAllocate's set
+	// of machines already holding a part. Both belong to the broker, not
+	// the package: brokers of parallel replications must not share them.
+	ranked []candidate
+	coUsed []*sched.Scheduler
 	// TagCoverage is the probability a routed job carries its broker
 	// attribute (models partially deployed instrumentation).
 	TagCoverage float64
@@ -74,6 +80,7 @@ type Broker struct {
 	routed    uint64
 	coallocs  uint64
 	failovers uint64
+	pruned    uint64
 	nextCoID  int64
 	perTarget map[string]uint64
 	// unhealthyUntil marks machines the broker avoids until the given
@@ -108,6 +115,10 @@ func (b *Broker) CoAllocations() uint64 { return b.coallocs }
 
 // Failovers returns the number of jobs re-placed after machine failures.
 func (b *Broker) Failovers() uint64 { return b.failovers }
+
+// Pruned returns the number of candidate start estimates the routing
+// bound skipped (see earliest).
+func (b *Broker) Pruned() uint64 { return b.pruned }
 
 // MarkUnhealthy excludes a machine from routing until the given virtual
 // time. Repeated marks keep the latest horizon.
@@ -166,22 +177,9 @@ func (b *Broker) selectFrom(cands []*sched.Scheduler, j *job.Job) *sched.Schedul
 			}
 		}
 	case BestEstimated:
-		pick = b.bestBy(cands, j, func(s *sched.Scheduler, start des.Time) float64 {
-			return float64(start)
-		})
+		pick = b.bestBy(cands, j, false)
 	case DataAware:
-		pick = b.bestBy(cands, j, func(s *sched.Scheduler, start des.Time) float64 {
-			cost := float64(start)
-			if home, ok := b.DataHome[j.Project]; ok && b.Stage != nil && j.InputBytes > 0 {
-				stage := b.Stage(home, s.M.Site, j.InputBytes)
-				// Staging overlaps the queue wait; the binding term is
-				// whichever finishes later.
-				if stage > cost {
-					cost = stage
-				}
-			}
-			return cost
-		})
+		pick = b.bestBy(cands, j, true)
 	default:
 		pick = cands[0]
 	}
@@ -207,22 +205,95 @@ func (b *Broker) Failover(j *job.Job) bool {
 	return true
 }
 
-func (b *Broker) bestBy(cands []*sched.Scheduler, j *job.Job,
-	score func(*sched.Scheduler, des.Time) float64) *sched.Scheduler {
-	best := cands[0]
-	bestScore := 0.0
-	first := true
-	for _, s := range cands {
-		start, ok := s.EstimateStart(j.Cores, j.ReqWalltime)
+// bestBy returns the candidate with the least score, the earliest
+// predicted start or, when staged, the later of start and input staging;
+// among equal scores the first in machine-ID order wins. When no machine
+// gives an estimate it returns cands[0].
+func (b *Broker) bestBy(cands []*sched.Scheduler, j *job.Job, staged bool) *sched.Scheduler {
+	if best, _, ok := b.earliest(cands, j, staged); ok {
+		return best
+	}
+	return cands[0]
+}
+
+// candidate is one machine in earliest's bound order.
+type candidate struct {
+	s     *sched.Scheduler
+	idx   int     // position in cands: among equal scores the lower wins
+	bound float64 // score of the machine's start-time lower bound
+	floor float64 // staging term of the score, -Inf when there is none
+}
+
+// score is a candidate's cost for a predicted start: the start, or the
+// staging time when staging finishes later (staging overlaps the queue
+// wait; the binding term is whichever finishes later). It is monotone
+// non-decreasing in start, so the score of a lower bound on the start is a
+// lower bound on the score.
+func score(start des.Time, floor float64) float64 {
+	cost := float64(start)
+	if floor > cost {
+		cost = floor
+	}
+	return cost
+}
+
+// floor returns the staging term of j's score on s: the time to stage j's
+// input from its project's data home, or -Inf when j needs no staging or
+// the broker has no cost model.
+func (b *Broker) floor(s *sched.Scheduler, j *job.Job) float64 {
+	if home, ok := b.DataHome[j.Project]; ok && b.Stage != nil && j.InputBytes > 0 {
+		return b.Stage(home, s.M.Site, j.InputBytes)
+	}
+	return math.Inf(-1)
+}
+
+// earliest returns the candidate with the least (score, position in cands)
+// among those with a start estimate, and its score; ok is false when no
+// candidate has one. It is branch and bound: every candidate's score is
+// first bounded from sched's EstimateBound, which plans no queue, and
+// candidates are estimated in ascending (bound, position) order until the
+// next one's bound cannot beat the best score so far. Every candidate not
+// estimated then has a score at least its bound, and a later position on
+// a tie, so the pick is exactly the pick of estimating every candidate.
+// The staging term is computed once per candidate and shared by its bound
+// and its score.
+func (b *Broker) earliest(cands []*sched.Scheduler, j *job.Job, staged bool) (*sched.Scheduler, float64, bool) {
+	ranked := b.ranked[:0]
+	for i, s := range cands {
+		bound, ok := s.EstimateBound(j.Cores, j.ReqWalltime)
+		if !ok {
+			continue // no estimate either
+		}
+		floor := math.Inf(-1)
+		if staged {
+			floor = b.floor(s, j)
+		}
+		ranked = append(ranked, candidate{s: s, idx: i, bound: score(bound, floor), floor: floor})
+	}
+	b.ranked = ranked
+	slices.SortFunc(ranked, func(x, y candidate) int {
+		if c := cmp.Compare(x.bound, y.bound); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.idx, y.idx)
+	})
+	var best *sched.Scheduler
+	bestScore, bestIdx, estimated := 0.0, 0, 0
+	for _, c := range ranked {
+		if best != nil && (c.bound > bestScore || c.bound == bestScore && c.idx > bestIdx) {
+			break
+		}
+		estimated++
+		start, ok := c.s.EstimateStart(j.Cores, j.ReqWalltime)
 		if !ok {
 			continue
 		}
-		sc := score(s, start)
-		if first || sc < bestScore {
-			best, bestScore, first = s, sc, false
+		if sc := score(start, c.floor); best == nil || sc < bestScore || sc == bestScore && c.idx < bestIdx {
+			best, bestScore, bestIdx = c.s, sc, c.idx
 		}
 	}
-	return best
+	b.pruned += uint64(len(cands) - estimated)
+	return best, bestScore, best != nil
 }
 
 func (b *Broker) route(j *job.Job, s *sched.Scheduler) {
@@ -245,57 +316,60 @@ func (b *Broker) CoAllocate(parts []*job.Job) (des.Time, error) {
 	if len(parts) < 2 {
 		return 0, fmt.Errorf("metasched: co-allocation needs ≥2 parts")
 	}
-	// Choose machines: greedily assign each part to a distinct feasible
-	// machine with the earliest estimate.
-	type assignment struct {
-		s *sched.Scheduler
-		j *job.Job
+	chosen, latest, err := b.coAssign(parts)
+	if err != nil {
+		return 0, err
 	}
-	used := make(map[string]bool)
-	assigns := make([]assignment, 0, len(parts))
-	latest := b.K.Now()
-	for _, j := range parts {
-		var best *sched.Scheduler
-		bestStart := des.Forever
-		for _, s := range b.feasible(j) {
-			if used[s.M.ID] {
-				continue
-			}
-			start, ok := s.EstimateStart(j.Cores, j.ReqWalltime)
-			if ok && start < bestStart {
-				best, bestStart = s, start
-			}
-		}
-		if best == nil {
-			return 0, fmt.Errorf("metasched: no machine for co-allocation part needing %d cores", j.Cores)
-		}
-		used[best.M.ID] = true
-		assigns = append(assigns, assignment{best, j})
-		if bestStart > latest {
-			latest = bestStart
-		}
-	}
+	// Cancels and claims fire lifecycle listeners, which may re-enter the
+	// broker, so the bookings work from a copy of its scratch set.
+	machines := slices.Clone(chosen)
 	// Safety margin absorbs estimate error; reservations are firm.
 	start := latest + 10*des.Minute
 	b.nextCoID++
 	coID := fmt.Sprintf("coalloc-%d", b.nextCoID)
-	booked := make([]*sched.Scheduler, 0, len(assigns))
-	for _, a := range assigns {
-		if err := a.s.Reserve(coID, a.j.Cores, start, start+a.j.ReqWalltime); err != nil {
-			for _, s := range booked {
-				s.CancelReservation(coID)
+	for i, s := range machines {
+		if err := s.Reserve(coID, parts[i].Cores, start, start+parts[i].ReqWalltime); err != nil {
+			for _, booked := range machines[:i] {
+				booked.CancelReservation(coID)
 			}
 			return 0, fmt.Errorf("metasched: reservation failed: %w", err)
 		}
-		booked = append(booked, a.s)
 	}
-	for _, a := range assigns {
-		a.j.Attr.CoAllocID = coID
-		a.j.Attr.SubmitVia = "metasched"
-		if err := a.s.ClaimReservation(coID, a.j); err != nil {
+	for i, s := range machines {
+		j := parts[i]
+		j.Attr.CoAllocID = coID
+		j.Attr.SubmitVia = "metasched"
+		if err := s.ClaimReservation(coID, j); err != nil {
 			return 0, fmt.Errorf("metasched: claim failed: %w", err)
 		}
 	}
 	b.coallocs++
 	return start, nil
+}
+
+// coAssign greedily assigns each part to a distinct feasible machine with
+// the earliest estimate, first in machine-ID order among equals, and
+// returns the machines in part order and the latest of their estimates
+// (now at the earliest). The machines live in the broker's scratch set
+// coUsed, valid until the next call.
+func (b *Broker) coAssign(parts []*job.Job) ([]*sched.Scheduler, des.Time, error) {
+	b.coUsed = b.coUsed[:0]
+	latest := b.K.Now()
+	for _, j := range parts {
+		cands := b.feasible(j)
+		n := 0
+		for _, s := range cands {
+			if !slices.Contains(b.coUsed, s) {
+				cands[n] = s
+				n++
+			}
+		}
+		best, start, ok := b.earliest(cands[:n], j, false)
+		if !ok || des.Time(start) >= des.Forever {
+			return nil, 0, fmt.Errorf("metasched: no machine for co-allocation part needing %d cores", j.Cores)
+		}
+		b.coUsed = append(b.coUsed, best)
+		latest = max(latest, des.Time(start))
+	}
+	return b.coUsed, latest, nil
 }

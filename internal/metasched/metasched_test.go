@@ -189,3 +189,73 @@ func TestCoAllocateErrors(t *testing.T) {
 		t.Errorf("expected distinct-machine failure, got %v", err)
 	}
 }
+
+// fourMachines builds an idle federation of easy schedulers: a and b with
+// 64 cores, c with 128, d with 32.
+func fourMachines(k *des.Kernel) []*sched.Scheduler {
+	var out []*sched.Scheduler
+	for _, m := range []struct {
+		id    string
+		nodes int
+	}{{"a", 8}, {"b", 8}, {"c", 16}, {"d", 4}} {
+		out = append(out, sched.MustNamed(k, &grid.Machine{ID: m.id, Site: "s-" + m.id,
+			Nodes: m.nodes, CoresPerNode: 8, GFlopsPerCore: 4, NUPerCoreHour: 1}, "easy"))
+	}
+	return out
+}
+
+// TestCoAllocatePinsChoice pins the machines and the agreed start of a
+// co-allocation over a fixed federation: a is full until t=1000, b half
+// full until t=500, c idle, d full until t=2000. The 48-core part takes c
+// (start 0, ahead of b at 500 and a at 1000), the 32-core part b (0), and
+// the 16-core part a (1000, ahead of d at 2000); the latest start plus the
+// 10-minute margin is the agreed start. Each part is decided after one
+// estimate: the other candidates' bounds already lose, so 5 are pruned.
+func TestCoAllocatePinsChoice(t *testing.T) {
+	k := des.New()
+	scheds := fourMachines(k)
+	scheds[0].Submit(mkJob(64, 1000, 1000))
+	scheds[1].Submit(mkJob(32, 500, 500))
+	scheds[3].Submit(mkJob(32, 2000, 2000))
+	b := New(k, BestEstimated, simrand.New(1), scheds)
+	parts := []*job.Job{mkJob(48, 100, 100), mkJob(32, 100, 100), mkJob(16, 100, 100)}
+	start, err := b.CoAllocate(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if start != 1000+10*des.Minute {
+		t.Errorf("agreed start %v, want %v", start, 1000+10*des.Minute)
+	}
+	if b.Pruned() != 5 {
+		t.Errorf("Pruned = %d, want 5", b.Pruned())
+	}
+	k.Run()
+	for i, want := range []string{"c", "b", "a"} {
+		if p := parts[i]; p.Machine != want || p.StartTime != start {
+			t.Errorf("part %d (%d cores) on %q at %v, want %q at %v",
+				i, p.Cores, p.Machine, p.StartTime, want, start)
+		}
+	}
+}
+
+// TestPrunedCountsSkippedEstimates: with one idle machine whose bound
+// beats every other machine's, routing estimates the idle one and skips
+// the rest; a tie on the winning score goes to the first machine, and a
+// machine that has lost every core for good is skipped on its bound alone.
+func TestPrunedCountsSkippedEstimates(t *testing.T) {
+	k := des.New()
+	scheds := fourMachines(k)
+	scheds[0].Submit(mkJob(64, 1000, 1000))
+	scheds[3].FailNodes(32, des.Forever)
+	b := New(k, BestEstimated, simrand.New(1), scheds)
+	j := mkJob(48, 100, 100)
+	b.Submit(j) // a at 1000, b and c at 0: b wins the tie, a and c are skipped
+	if j.Machine != "b" || b.Pruned() != 2 {
+		t.Errorf("routed to %q with %d pruned, want b with 2 (a and c)", j.Machine, b.Pruned())
+	}
+	b.Submit(mkJob(4, 100, 100)) // b still has 16 cores free: 0 again, so c, a and d are skipped
+	if b.Routed() != 2 || b.Pruned() != 2+3 {
+		t.Errorf("Routed %d, Pruned %d, want 2 and 5", b.Routed(), b.Pruned())
+	}
+	k.RunUntil(5000)
+}

@@ -87,21 +87,21 @@ func BenchmarkBuildProfile(b *testing.B) {
 	s.resvs = append(s.resvs, &reservation{id: "r", cores: 64, start: now + des.Hour, end: now + 3*des.Hour})
 	s.outages = append(s.outages, &outage{start: now + des.Day, end: now + des.Day + des.Hour})
 	var p profile
-	s.buildProfile(&p)
+	s.buildProfile(&p, now)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.buildProfile(&p)
+		s.buildProfile(&p, now)
 	}
 }
 
 // TestPlanningAllocationFree pins the planning kernel's steady state at
 // zero allocations: once the scheduler's profile buffers are warm, neither
-// a profile build, an estimate rebuild nor an easy or conservative pass
-// allocates.
+// a profile build, an estimate or bound rebuild nor an easy or
+// conservative pass allocates.
 func TestPlanningAllocationFree(t *testing.T) {
 	s := planningSnapshot(t, "easy")
-	build := func() { s.buildProfile(&s.pass) }
+	build := func() { s.buildProfile(&s.pass, s.K.Now()) }
 	if n := testing.AllocsPerRun(20, build); n != 0 {
 		t.Errorf("warm buildProfile: %v allocs, want 0", n)
 	}
@@ -111,6 +111,13 @@ func TestPlanningAllocationFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, estimate); n != 0 {
 		t.Errorf("warm EstimateStart rebuild: %v allocs, want 0", n)
+	}
+	bound := func() {
+		s.stateVersion++
+		s.EstimateBound(32, des.Hour)
+	}
+	if n := testing.AllocsPerRun(20, bound); n != 0 {
+		t.Errorf("warm EstimateBound rebuild: %v allocs, want 0", n)
 	}
 	for _, name := range []string{"easy", "conservative"} {
 		s := planningSnapshot(t, name)

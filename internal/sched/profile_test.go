@@ -417,7 +417,7 @@ func TestBuildProfileMatchesReference(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := simrand.New(seed)
 		s := randomSchedState(r)
-		got, want := s.buildProfile(&dst), refBuildProfile(s)
+		got, want := s.buildProfile(&dst, s.K.Now()), refBuildProfile(s)
 		if !slices.Equal(got.points, want.points) {
 			t.Logf("points %v, reference %v", got.points, want.points)
 			return false
@@ -450,7 +450,7 @@ func TestBuildProfileOvercommitPanics(t *testing.T) {
 			t.Error("overcommitted running set did not panic")
 		}
 	}()
-	s.buildProfile(new(profile))
+	s.buildProfile(new(profile), s.K.Now())
 }
 
 // TestBuildProfileSliverPast2To24: beyond 2^24 s, now+1e-9 rounds back to
@@ -465,7 +465,7 @@ func TestBuildProfileSliverPast2To24(t *testing.T) {
 	s := MustNamed(k, testMachine(), "easy")
 	j := mkJob(40, 10, 10)
 	s.track(&running{j: j, endsBy: now})
-	p := s.buildProfile(new(profile))
+	p := s.buildProfile(new(profile), s.K.Now())
 	if got, want := p.freeAt(now), s.M.BatchCores()-40; got != want {
 		t.Errorf("freeAt(now) = %d, want %d (the sliver vanished)", got, want)
 	}

@@ -193,17 +193,27 @@ type Scheduler struct {
 	releases []profileRelease
 
 	// Estimate cache. EstimateStart plans the whole queue conservatively,
-	// and the metascheduler polls every machine for every brokered arrival
-	// — profiling shows that replanning dominating large runs. stateVersion
-	// fingerprints every queue/running/reservation/outage mutation. The
-	// cached plan in estProfile is the plan as of the last state change: a
-	// matching version reuses it (earliestFit reads it without mutating),
-	// at later virtual times too, where it is not what a replan from the
-	// later now would give. Time passing alone does not rebuild it.
+	// and the metascheduler asks for an estimate or a bound on every
+	// machine for every brokered arrival — profiling shows replanning
+	// dominating large runs. stateVersion fingerprints every
+	// queue/running/reservation/outage mutation. The first estimate or
+	// bound after a state change pins the plan's origin (estVersion, estAt);
+	// every later one at the same version reads the plan as of that
+	// instant, at later virtual times too, where it is not what a replan
+	// from the later now would give. Time passing alone does not rebuild
+	// it. The plan itself is built lazily (estPlanned), so a bound that
+	// lets the broker skip the estimate skips the replan too, and a later
+	// estimate at the same version builds exactly the plan an estimate at
+	// the pinned instant would have built. boundProfile is the same
+	// instant's profile without the queue, the base of EstimateBound.
 	stateVersion uint64
 	estVersion   uint64
+	estAt        des.Time
+	estPlanned   bool
 	estProfile   profile
 	estTail      des.Time
+	boundBuilt   bool
+	boundProfile profile
 }
 
 // Stats is a point-in-time snapshot of a scheduler's lifetime counters.
@@ -258,6 +268,8 @@ func NewWith(k *des.Kernel, m *grid.Machine, e PolicyEngine) *Scheduler {
 		freeViz:   m.VizCores(),
 		running:   make(map[job.ID]*running),
 		fsUsage:   make(map[string]*fsEntry),
+		// Version 0 is the estimate cache's "never pinned".
+		stateVersion: 1,
 	}
 }
 
@@ -421,12 +433,14 @@ func compareReleases(a, b profileRelease) int {
 }
 
 // buildProfile rebuilds p as the availability profile from running batch
-// jobs' guaranteed ends plus all committed reservations, and returns it.
-// Claimed-and-running reservation jobs are already accounted as running
-// jobs. p's storage is reused, so the caller must own it exclusively (see
-// passProfile and EstimateStart).
-func (s *Scheduler) buildProfile(p *profile) *profile {
-	now := s.K.Now()
+// jobs' guaranteed ends plus all committed reservations, as of the instant
+// now, and returns it. now is the current virtual time except for the
+// estimate cache, which builds as of its pinned instant; the state must be
+// the state at that instant (see pinEstimate). Claimed-and-running
+// reservation jobs are already accounted as running jobs. p's storage is
+// reused, so the caller must own it exclusively (see passProfile and
+// EstimateStart).
+func (s *Scheduler) buildProfile(p *profile, now des.Time) *profile {
 	busy := 0
 	for _, e := range s.releases {
 		busy += e.cores
@@ -510,7 +524,7 @@ func (s *Scheduler) buildProfile(p *profile) *profile {
 // passProfile rebuilds and returns the working profile of a scheduling pass.
 // Engines call it at the start of Schedule and may mutate the result freely
 // until the pass returns; the next pass overwrites it.
-func (s *Scheduler) passProfile() *profile { return s.buildProfile(&s.pass) }
+func (s *Scheduler) passProfile() *profile { return s.buildProfile(&s.pass, s.K.Now()) }
 
 // ---- Maintenance outages ----
 
@@ -1024,7 +1038,7 @@ func (s *Scheduler) Reserve(id string, cores int, start, end des.Time) error {
 	}
 	// Reserve may run inside a pass (from a lifecycle listener), so it plans
 	// against a profile of its own rather than either scheduler buffer.
-	p := s.buildProfile(new(profile))
+	p := s.buildProfile(new(profile), s.K.Now())
 	if p.minFree(start, end) < cores {
 		return fmt.Errorf("sched %s: reservation %s: %d cores not free over [%v,%v)",
 			s.M.ID, id, cores, start, end)
@@ -1099,19 +1113,23 @@ func (s *Scheduler) activateReservation(rv *reservation) {
 // EstimateStart predicts the earliest start time of a hypothetical
 // (cores, walltime) request submitted now, assuming conservative planning
 // of everything currently queued. The estimate is what TeraGrid's
-// batch-queue-prediction tools exposed to resource selectors.
+// batch-queue-prediction tools exposed to resource selectors. The
+// metascheduler asks EstimateBound first and calls EstimateStart only on
+// machines whose bound can still win.
 func (s *Scheduler) EstimateStart(cores int, walltime des.Time) (des.Time, bool) {
 	if cores <= 0 || cores > s.M.BatchCores() {
 		return 0, false
 	}
-	// The planned profile is cached across calls keyed on stateVersion:
-	// until some lifecycle event, reservation, or outage changes the
-	// availability picture, the plan below is reused, and the common
-	// metascheduler pattern — estimate every machine, then estimate again
-	// for co-allocation — reuses it instead of replanning the whole queue.
-	// A built profile always has a point, so an empty one was never built.
-	if len(s.estProfile.points) == 0 || s.estVersion != s.stateVersion {
-		p := s.buildProfile(&s.estProfile)
+	s.pinEstimate()
+	if !s.estPlanned {
+		// The plan starts from the queue-free profile of the pinned
+		// instant, which a bound at this version may already have built.
+		p := &s.estProfile
+		if s.boundBuilt {
+			p.copyFrom(&s.boundProfile)
+		} else {
+			s.buildProfile(p, s.estAt)
+		}
 		// The estimator plans the queue in detail up to a depth bound, then
 		// folds anything beyond it into an aggregate backlog term (total
 		// requested core-seconds divided by machine capacity). Detailed
@@ -1125,7 +1143,7 @@ func (s *Scheduler) EstimateStart(cores int, walltime des.Time) (des.Time, bool)
 		if detail > maxDetailed {
 			detail = maxDetailed
 		}
-		pl := planner{p: p, origin: s.K.Now()}
+		pl := planner{p: p, origin: s.estAt}
 		for _, q := range queued[:detail] {
 			pl.place(q.Cores, q.ReqWalltime)
 		}
@@ -1138,11 +1156,49 @@ func (s *Scheduler) EstimateStart(cores int, walltime des.Time) (des.Time, bool)
 			tail = des.Time(tailCS / float64(s.M.BatchCores()))
 		}
 		s.estTail = tail
-		s.estVersion = s.stateVersion
+		s.estPlanned = true
 	}
 	at, ok := s.estProfile.earliestFit(s.K.Now(), cores, walltime)
 	if !ok {
 		return 0, false
 	}
 	return at + s.estTail, true
+}
+
+// EstimateBound returns a lower bound on what EstimateStart would return
+// for the same request now, without planning the queue: ok is false only
+// when EstimateStart's would be. When the plan of the current state is
+// already built it returns the exact estimate, the tightest bound there is.
+// Otherwise it fits the request into the profile without the queue, built
+// as of the same pinned instant the plan would start from: placing queued
+// jobs only removes capacity, so the planned fit cannot be earlier, and
+// the backlog tail is never negative. Building it as of the pinned instant
+// rather than now matters: a profile rebuilt now holds jobs whose
+// guaranteed end has passed until a sliver after now, so it can start a
+// request later than the plan pinned earlier does. Like EstimateStart it
+// pins the plan's origin, so skipping the estimate after a bound leaves
+// the cache where the estimate would have.
+func (s *Scheduler) EstimateBound(cores int, walltime des.Time) (des.Time, bool) {
+	if cores <= 0 || cores > s.M.BatchCores() {
+		return 0, false
+	}
+	s.pinEstimate()
+	if s.estPlanned {
+		return s.EstimateStart(cores, walltime)
+	}
+	if !s.boundBuilt {
+		s.buildProfile(&s.boundProfile, s.estAt)
+		s.boundBuilt = true
+	}
+	return s.boundProfile.earliestFit(s.K.Now(), cores, walltime)
+}
+
+// pinEstimate fixes the estimate plan's origin at now when the state has
+// changed since the last pin, and drops the plan and bound built for the
+// old state.
+func (s *Scheduler) pinEstimate() {
+	if s.estVersion != s.stateVersion {
+		s.estVersion, s.estAt = s.stateVersion, s.K.Now()
+		s.estPlanned, s.boundBuilt = false, false
+	}
 }
