@@ -2,6 +2,7 @@ package accounting
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -17,6 +18,7 @@ type Central struct {
 	seen         map[string]uint64 // per-site highest contiguous seq ingested
 	duplicates   uint64
 	outOfOrder   uint64
+	syms         map[string]string // IngestWire's intern table, at most internCap entries
 }
 
 // NewCentral returns an empty central database.
@@ -30,43 +32,116 @@ func NewCentral() *Central {
 // Ingest applies a packet. Packets must arrive in per-site sequence order;
 // re-delivery of an already-ingested sequence is counted and skipped, and a
 // gap is an error (the transport below is reliable in simulation, so a gap
-// indicates a bug).
+// indicates a bug). Job records grow along growLive, the other kinds once
+// per packet.
 func (c *Central) Ingest(p *Packet) error {
 	if p == nil {
 		return nil
 	}
-	last := c.seen[p.Site]
-	switch {
-	case p.Seq <= last:
-		c.duplicates++
-		return nil
-	case p.Seq != last+1:
-		c.outOfOrder++
-		return fmt.Errorf("accounting: site %s packet gap: got seq %d, want %d", p.Site, p.Seq, last+1)
+	if fresh, err := c.admit(p.Site, p.Seq); !fresh {
+		return err
 	}
-	c.seen[p.Site] = p.Seq
-	for _, r := range p.Jobs {
-		if _, dup := c.jobIndex[r.JobID]; dup {
-			c.duplicates++
-			continue
-		}
-		c.jobIndex[r.JobID] = len(c.jobs)
-		c.jobs = append(c.jobs, r)
-	}
+	from := len(c.jobs)
+	c.jobs = append(growLive(c.jobs, len(p.Jobs)), p.Jobs...)
+	c.indexJobs(from)
 	c.transfers = append(c.transfers, p.Transfers...)
 	c.gatewayAttrs = append(c.gatewayAttrs, p.GatewayAttrs...)
 	c.storage = append(c.storage, p.Storage...)
 	return nil
 }
 
-// IngestWire decodes and ingests a wire-form packet, exercising the full
-// serialization path.
+// IngestWire ingests a wire-form packet with the same rules and results as
+// DecodePacket followed by Ingest, but decodes the records straight into
+// the tails of Central's own slices, with no intermediate Packet, and
+// interns the low-cardinality strings. A malformed, duplicate or
+// out-of-sequence packet leaves the records unchanged.
 func (c *Central) IngestWire(data []byte) error {
-	p, err := DecodePacket(data)
+	r, err := newWireReader(data)
 	if err != nil {
 		return err
 	}
-	return c.Ingest(p)
+	if c.syms == nil {
+		c.syms = make(map[string]string)
+	}
+	r.syms, r.live = c.syms, true
+	p := Packet{Jobs: c.jobs, Transfers: c.transfers, GatewayAttrs: c.gatewayAttrs, Storage: c.storage}
+	err = r.packet(&p)
+	if err == nil {
+		var fresh bool
+		if fresh, err = c.admit(p.Site, p.Seq); fresh {
+			from := len(c.jobs)
+			c.jobs, c.transfers, c.gatewayAttrs, c.storage = p.Jobs, p.Transfers, p.GatewayAttrs, p.Storage
+			c.indexJobs(from)
+			return nil
+		}
+	}
+	// Rejected: Central's slice headers never moved. Zero the decoded tails
+	// so a shared backing array holds no stale records.
+	clear(p.Jobs[len(c.jobs):])
+	clear(p.Transfers[len(c.transfers):])
+	clear(p.GatewayAttrs[len(c.gatewayAttrs):])
+	clear(p.Storage[len(c.storage):])
+	return err
+}
+
+// bulkLoad is the number of job records above which a packet into an
+// empty database counts as a bulk load.
+const bulkLoad = 256
+
+// growLive makes room for n more job records. A live database takes a few
+// records per packet; growing it in the runtime's own steps, as appending
+// record by record does, keeps it on the same capacities, and in steady
+// state that is at most one reallocation per packet. Sizing each growth to
+// the packet instead starts the sequence from the first packet's length,
+// which leaves a different slack in every Result and measured larger on
+// quick-scale runs. A bulk load into an empty slice, such as the stream's
+// end-of-run rebuild, is sized exactly, in one copy.
+func growLive(s []JobRecord, n int) []JobRecord {
+	if len(s) == 0 && n > bulkLoad {
+		return slices.Grow(s, n)
+	}
+	for cap(s)-len(s) < n {
+		s = append(s[:cap(s)], JobRecord{})[:len(s)]
+	}
+	return s
+}
+
+// admit applies the per-site sequence rule to a packet header. It reports
+// whether the packet is the site's next one, recording it if so; a
+// re-delivered packet counts as a duplicate and a gap is an error.
+func (c *Central) admit(site string, seq uint64) (bool, error) {
+	last := c.seen[site]
+	switch {
+	case seq <= last:
+		c.duplicates++
+		return false, nil
+	case seq != last+1:
+		c.outOfOrder++
+		return false, fmt.Errorf("accounting: site %s packet gap: got seq %d, want %d", site, seq, last+1)
+	}
+	c.seen[site] = seq
+	return true, nil
+}
+
+// indexJobs indexes the job records appended at jobs[from:], dropping (and
+// counting) each whose JobID is already present, including earlier in the
+// same batch.
+func (c *Central) indexJobs(from int) {
+	w := from
+	for i := from; i < len(c.jobs); i++ {
+		id := c.jobs[i].JobID
+		if _, dup := c.jobIndex[id]; dup {
+			c.duplicates++
+			continue
+		}
+		c.jobIndex[id] = w
+		if w != i {
+			c.jobs[w] = c.jobs[i]
+		}
+		w++
+	}
+	clear(c.jobs[w:])
+	c.jobs = c.jobs[:w]
 }
 
 // Duplicates returns how many duplicate packets/records were skipped.

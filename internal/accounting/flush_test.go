@@ -1,0 +1,141 @@
+package accounting
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"github.com/tgsim/tgmod/internal/des"
+)
+
+// sampleJob is a job record with every string field set.
+var sampleJob = samplePacket().Jobs[0]
+
+// spoolOne spools jobs job records (IDs from id) and one record of every
+// other kind.
+func spoolOne(l *Ledger, id int64, jobs int) {
+	for i := 0; i < jobs; i++ {
+		r := sampleJob
+		r.JobID = id + int64(i)
+		l.AddJob(r)
+	}
+	l.AddTransfer(TransferRecord{TransferID: id, Src: "ridge", Dst: "mesa", Bytes: id})
+	l.AddGatewayAttr(GatewayAttrRecord{GatewayID: "nanohub", GatewayUser: "u", JobID: id})
+	l.AddStorage(StorageRecord{Site: "ridge", Project: "p", Bytes: id})
+}
+
+func clonePacket(p *Packet) *Packet {
+	q := *p
+	q.Jobs = slices.Clone(p.Jobs)
+	q.Transfers = slices.Clone(p.Transfers)
+	q.GatewayAttrs = slices.Clone(p.GatewayAttrs)
+	q.Storage = slices.Clone(p.Storage)
+	return &q
+}
+
+// TestFlushedPacketIsImmutable pins the packet-ownership contract: the
+// ledger reuses its spools, but a packet it flushed never changes again, so
+// taps may keep packets (spill journals, recorded corpora) for a whole run.
+func TestFlushedPacketIsImmutable(t *testing.T) {
+	l := NewLedger("ridge")
+	spoolOne(l, 1, 3)
+	first := l.Flush(10)
+	snap := clonePacket(first)
+	spoolOne(l, 100, 5) // more records than the first flush: overwrites every spool slot
+	second := l.Flush(20)
+	if !reflect.DeepEqual(first, snap) {
+		t.Fatalf("first packet changed after the ledger was reused:\nnow:  %+v\nwant: %+v", first, snap)
+	}
+	if second.Seq != 2 || len(second.Jobs) != 5 || second.Jobs[0].JobID != 100 {
+		t.Fatalf("second packet wrong: seq %d, %d jobs", second.Seq, len(second.Jobs))
+	}
+	if cap(first.Jobs) != len(first.Jobs) {
+		t.Errorf("packet jobs cap %d, want exact size %d", cap(first.Jobs), len(first.Jobs))
+	}
+	l.Release()
+	if second.Jobs[4].JobID != 104 || l.Pending() != 0 {
+		t.Fatal("Release disturbed a flushed packet or left records pending")
+	}
+	spoolOne(l, 200, 1)
+	if p := l.Flush(30); p.Seq != 3 || len(p.Jobs) != 1 {
+		t.Fatalf("ledger after Release: %+v", p)
+	}
+}
+
+// TestFlushIngestAllocations pins the allocations of the accounting path's
+// three steps in steady state.
+func TestFlushIngestAllocations(t *testing.T) {
+	// Encoding into a warm buffer allocates nothing.
+	p := samplePacket()
+	buf := p.AppendWire(nil)
+	if n := testing.AllocsPerRun(20, func() { buf = p.AppendWire(buf[:0]) }); n != 0 {
+		t.Errorf("AppendWire into a warm buffer: %v allocs, want 0", n)
+	}
+
+	// A steady-state flush allocates the packet and one exact-size copy per
+	// non-empty record kind; spooling reuses the drained spools.
+	l := NewLedger("ridge")
+	id := int64(0)
+	flush := func() {
+		id += 100
+		spoolOne(l, id, 10)
+		if l.Flush(des.Time(id)) == nil {
+			t.Fatal("nothing flushed")
+		}
+	}
+	if n := testing.AllocsPerRun(20, flush); n != 1+4 {
+		t.Errorf("steady-state flush: %v allocs, want 5 (packet + 4 record kinds)", n)
+	}
+
+	// Ingesting a 60-job packet into a Central with spare capacity
+	// allocates only the job strings that are not interned: name, user,
+	// project, workflow, ensemble, broker job, co-allocation and truth
+	// campaign, all non-empty in the sample record.
+	const runs, jobs = 20, 60
+	packets := make([][]byte, runs+1)
+	for i := range packets {
+		p := &Packet{Site: "ridge", Seq: uint64(i + 1)}
+		for j := 0; j < jobs; j++ {
+			r := sampleJob
+			r.JobID = int64(i*jobs + j)
+			p.Jobs = append(p.Jobs, r)
+		}
+		packets[i] = p.AppendWire(nil)
+	}
+	c := NewCentral()
+	c.jobs = make([]JobRecord, 0, len(packets)*jobs)
+	c.jobIndex = make(map[int64]int, len(packets)*jobs)
+	next := 0
+	ingest := func() {
+		if err := c.IngestWire(packets[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if n := testing.AllocsPerRun(runs, ingest); n != 8*jobs {
+		t.Errorf("IngestWire of a %d-job packet: %v allocs, want %d (uninterned strings only)", jobs, n, 8*jobs)
+	}
+	if len(c.Jobs()) != len(packets)*jobs {
+		t.Fatalf("ingested %d jobs, want %d", len(c.Jobs()), len(packets)*jobs)
+	}
+}
+
+// BenchmarkFlushIngest times one periodic report of a site: a ledger flush
+// of 60 jobs, the wire encode into a reused buffer, and the direct-decode
+// central ingest.
+func BenchmarkFlushIngest(b *testing.B) {
+	l := NewLedger("ridge")
+	c := NewCentral()
+	var buf []byte
+	id := int64(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		id += 100
+		spoolOne(l, id, 60)
+		p := l.Flush(des.Time(i))
+		buf = p.AppendWire(buf[:0])
+		if err := c.IngestWire(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

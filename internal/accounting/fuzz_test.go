@@ -2,7 +2,9 @@ package accounting
 
 import (
 	"errors"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -66,36 +68,13 @@ func TestDecodeTruncationsReturnTypedError(t *testing.T) {
 	}
 }
 
-func TestDecodeCorruptJSONReturnsTypedError(t *testing.T) {
-	if _, err := DecodePacket([]byte("{not valid json")); !errors.Is(err, ErrBadPacket) {
-		t.Fatalf("corrupt JSON error %v does not wrap ErrBadPacket", err)
-	}
-}
-
 // FuzzDecodePacket drives arbitrary bytes through the packet decoder. The
 // invariant under test: DecodePacket never panics, and every failure wraps
 // the typed ErrBadPacket so callers can match it. Successful decodes must
 // re-encode and decode again to the same packet (the codec is a bijection on
-// its image, modulo the legacy JSON form).
+// its image).
 func FuzzDecodePacket(f *testing.F) {
-	v1, _ := samplePacket().Encode()
-	v2, _ := wastedPacket().Encode()
-	js, _ := samplePacket().EncodeJSON()
-	empty, _ := (&Packet{Site: "s", Seq: 1}).Encode()
-	f.Add(v1)
-	f.Add(v2)
-	f.Add(js)
-	f.Add(empty)
-	f.Add(v1[:len(v1)/2])
-	f.Add(v2[:len(v2)-3])
-	f.Add([]byte{})
-	f.Add([]byte("TGP"))
-	f.Add([]byte("TGP\x01"))
-	f.Add([]byte("TGP\x02\x00"))
-	f.Add([]byte("TGP\x63junk"))
-	f.Add([]byte("{\"site\":"))
-	f.Add(append(append([]byte{}, v1...), 0xaa))
-
+	addWireSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePacket(data)
 		if err != nil {
@@ -115,6 +94,144 @@ func FuzzDecodePacket(f *testing.F) {
 		}
 		if !reflect.DeepEqual(p, q) {
 			t.Fatalf("re-encode round trip mismatch:\n%+v\n%+v", p, q)
+		}
+	})
+}
+
+// addWireSeeds seeds a packet fuzzer with valid packets of both versions,
+// repeated JobIDs, and truncated, trailing and garbage inputs.
+func addWireSeeds(f *testing.F) {
+	v1, _ := samplePacket().Encode()
+	v2, _ := wastedPacket().Encode()
+	repeat := samplePacket()
+	repeat.Jobs = append(repeat.Jobs, repeat.Jobs[0])
+	rep, _ := repeat.Encode()
+	empty, _ := (&Packet{Site: "s", Seq: 1}).Encode()
+	f.Add(v1)
+	f.Add(v2)
+	f.Add(rep)
+	f.Add(empty)
+	f.Add(v1[:len(v1)/2])
+	f.Add(v2[:len(v2)-3])
+	f.Add([]byte{})
+	f.Add([]byte("TGP"))
+	f.Add([]byte("TGP\x01"))
+	f.Add([]byte("TGP\x02\x00"))
+	f.Add([]byte("TGP\x63junk"))
+	f.Add([]byte("{\"site\":"))
+	f.Add(append(append([]byte{}, v1...), 0xaa))
+}
+
+// priorCentral builds the state FuzzIngestWire ingests into: site "ridge"
+// up to seq 41, so the seed packets (seq 42) are next in sequence; site
+// "s" up to seq 3, so a seq-1 packet is a re-delivery; and JobID 1, which
+// the seed packets repeat. wire selects the ingest path.
+func priorCentral(t *testing.T, wire bool) *Central {
+	c := NewCentral()
+	var packets []*Packet
+	for seq := uint64(1); seq <= 41; seq++ {
+		packets = append(packets, &Packet{Site: "ridge", Seq: seq, Jobs: []JobRecord{
+			{JobID: int64(seq) % 40, Site: "ridge", Machine: "ridge-xt", NUs: float64(seq)},
+		}})
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		packets = append(packets, &Packet{Site: "s", Seq: seq,
+			Storage: []StorageRecord{{Site: "s", Project: "p", Bytes: int64(seq)}}})
+	}
+	for _, p := range packets {
+		var err error
+		if wire {
+			err = c.IngestWire(p.AppendWire(nil))
+		} else {
+			err = c.Ingest(p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// centralState is a deep copy of everything Central stores.
+type centralState struct {
+	jobs         []JobRecord
+	jobIndex     map[int64]int
+	transfers    []TransferRecord
+	gatewayAttrs []GatewayAttrRecord
+	storage      []StorageRecord
+	seen         map[string]uint64
+	duplicates   uint64
+}
+
+func stateOf(c *Central) centralState {
+	return centralState{
+		jobs:         slices.Clone(c.jobs),
+		jobIndex:     maps.Clone(c.jobIndex),
+		transfers:    slices.Clone(c.transfers),
+		gatewayAttrs: slices.Clone(c.gatewayAttrs),
+		storage:      slices.Clone(c.storage),
+		seen:         maps.Clone(c.seen),
+		duplicates:   c.duplicates,
+	}
+}
+
+// zeroTail reports whether the spare capacity of s holds only zero values:
+// rejected and de-duplicated records must not linger behind the slice end.
+func zeroTail[T comparable](s []T) bool {
+	var zero T
+	for _, v := range s[len(s):cap(s)] {
+		if v != zero {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzIngestWire is the differential check of the direct-decode ingest
+// path: for any input, IngestWire must leave Central exactly as the
+// reference DecodePacket plus Ingest does, return the same error, and
+// change nothing when it fails.
+func FuzzIngestWire(f *testing.F) {
+	addWireSeeds(f)
+	for _, seq := range []uint64{1, 3, 41, 43, 50} {
+		p := samplePacket()
+		p.Seq = seq
+		data, _ := p.Encode()
+		f.Add(data)
+	}
+	redelivery, _ := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 900}}}).Encode()
+	f.Add(redelivery)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, got := priorCentral(t, false), priorCentral(t, true)
+		if !reflect.DeepEqual(stateOf(ref), stateOf(got)) {
+			t.Fatal("prior states differ between Ingest and IngestWire")
+		}
+		before := stateOf(got)
+
+		var wantErr error
+		if p, err := DecodePacket(data); err != nil {
+			wantErr = err
+		} else {
+			wantErr = ref.Ingest(p)
+		}
+		gotErr := got.IngestWire(data)
+		if (wantErr == nil) != (gotErr == nil) ||
+			wantErr != nil && wantErr.Error() != gotErr.Error() {
+			t.Fatalf("IngestWire error %v, reference %v", gotErr, wantErr)
+		}
+		if errors.Is(wantErr, ErrBadPacket) != errors.Is(gotErr, ErrBadPacket) {
+			t.Fatalf("IngestWire error %v and reference %v differ in kind", gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(stateOf(ref), stateOf(got)) {
+			t.Fatalf("state after IngestWire differs from the reference path:\nwire: %+v\nref:  %+v",
+				stateOf(got), stateOf(ref))
+		}
+		if gotErr != nil && !reflect.DeepEqual(before, stateOf(got)) {
+			t.Fatalf("failed IngestWire (%v) changed Central", gotErr)
+		}
+		if !zeroTail(got.jobs) || !zeroTail(got.transfers) || !zeroTail(got.gatewayAttrs) || !zeroTail(got.storage) {
+			t.Fatal("IngestWire left records behind the end of a slice")
 		}
 	})
 }

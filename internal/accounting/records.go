@@ -7,9 +7,6 @@
 package accounting
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/grid"
 	"github.com/tgsim/tgmod/internal/job"
@@ -153,26 +150,10 @@ type Packet struct {
 	Storage      []StorageRecord     `json:"storage,omitempty"`
 }
 
-// Encode serializes the packet to its wire form — the binary codec in
-// wire.go. EncodeJSON remains for tools that want a readable packet.
-func (p *Packet) Encode() ([]byte, error) { return p.encodeWire(), nil }
-
-// EncodeJSON serializes the packet as JSON, the legacy wire form.
-func (p *Packet) EncodeJSON() ([]byte, error) { return json.Marshal(p) }
-
-// DecodePacket parses a wire-form packet: the binary form by default, with
-// a sniff for the legacy JSON form ('{' first byte) so persisted packets
-// and hand-built test fixtures keep working.
-func DecodePacket(data []byte) (*Packet, error) {
-	if len(data) > 0 && data[0] == '{' {
-		var p Packet
-		if err := json.Unmarshal(data, &p); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadPacket, err)
-		}
-		return &p, nil
-	}
-	return decodeWire(data)
-}
+// Encode serializes the packet to its wire form, the binary codec in
+// wire.go, in a fresh buffer. Hot paths encode with AppendWire into a
+// buffer they reuse.
+func (p *Packet) Encode() ([]byte, error) { return p.AppendWire(nil), nil }
 
 // Ledger is a site's local spool of unreported records. Sites flush their
 // ledgers to the central database on a reporting interval (or at simulation
@@ -208,19 +189,40 @@ func (l *Ledger) Pending() int {
 
 // Flush drains the ledger into a sequenced packet; it returns nil when
 // nothing is pending.
+//
+// The packet owns its records: each non-empty spool is copied into an
+// exact-size slice and the spool is reused for the next interval, so a
+// flushed packet never changes again. Packet taps rely on that: a spill
+// journal or a recorded corpus may keep every packet for the whole run.
 func (l *Ledger) Flush(now des.Time) *Packet {
 	if l.Pending() == 0 {
 		return nil
 	}
 	l.seq++
-	p := &Packet{
+	return &Packet{
 		Site: l.Site, Seq: l.seq, SentAt: float64(now),
-		Jobs: l.jobs, Transfers: l.transfers,
-		GatewayAttrs: l.gatewayAttrs, Storage: l.storage,
+		Jobs: drain(&l.jobs), Transfers: drain(&l.transfers),
+		GatewayAttrs: drain(&l.gatewayAttrs), Storage: drain(&l.storage),
 	}
-	l.jobs = nil
-	l.transfers = nil
-	l.gatewayAttrs = nil
-	l.storage = nil
-	return p
+}
+
+// Release drops the spool buffers. Call it after a run's final flush, so
+// whatever still references the ledger (a gateway, a run result) does not
+// keep a whole interval's worth of records alive. Later records regrow the
+// spools.
+func (l *Ledger) Release() {
+	l.jobs, l.transfers, l.gatewayAttrs, l.storage = nil, nil, nil, nil
+}
+
+// drain returns an exact-size copy of *spool (nil when it is empty) and
+// truncates the spool for reuse.
+func drain[T any](spool *[]T) []T {
+	s := *spool
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	*spool = s[:0]
+	return out
 }

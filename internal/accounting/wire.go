@@ -1,17 +1,14 @@
-// Binary wire codec for accounting packets. The periodic ledger flush
-// encodes and immediately decodes every packet (the simulated AMIE wire),
-// and kernel self-profiling shows the JSON round trip dominating the
-// acct-flush event — reflection-driven marshal plus unmarshal is the
-// single most expensive handler at quick scale. The hand-rolled codec
-// below writes the same schema as length-prefixed fields in fixed order:
-// no reflection, no intermediate maps, one buffer.
+// Binary wire codec for accounting packets. Every periodic ledger flush
+// crosses it on the way to the central database (the simulated AMIE wire),
+// and observatory packet frames, daemon WAL records and push spill journals
+// carry the same bytes. A packet is the magic "TGP", a version byte, and the
+// schema's fields in fixed order as varints, little-endian float64 bits and
+// length-prefixed strings: no reflection, no intermediate maps, one buffer.
 //
 // The wire format is internal to the simulation (producer and consumer
 // are the same build), so evolution is handled with a plain version byte.
-// DecodePacket still accepts the legacy JSON form — packets persisted by
-// older runs or crafted by tests begin with '{' and are sniffed to the
-// JSON path — and the JSON-lines archive interchange in io.go is
-// untouched: run-dir artifacts remain human-readable.
+// The JSON-lines archive in io.go is a separate format: run-dir artifacts
+// remain human-readable.
 package accounting
 
 import (
@@ -19,10 +16,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrBadPacket is the typed error every malformed-packet failure wraps:
-// truncation, bad magic, unknown version, trailing bytes, or invalid JSON.
+// truncation, bad magic, unknown version, an impossible record count, or
+// trailing bytes.
 // Decoding never panics on corrupt input; match with
 // errors.Is(err, ErrBadPacket).
 var ErrBadPacket = errors.New("accounting: bad packet")
@@ -51,6 +50,12 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// internCap bounds a Central's intern table. The interned fields take a
+// few hundred distinct values in any federation; past the cap new values
+// are still decoded, just not shared, so hostile input cannot grow the
+// table without bound.
+const internCap = 1024
+
 // wireReader is a cursor over an encoded packet. Errors are sticky: after
 // the first malformed field every read returns zero values, and the caller
 // checks err once at the end.
@@ -59,6 +64,24 @@ type wireReader struct {
 	off  int
 	ver  byte
 	err  error
+	// syms, when non-nil, is the intern table sym shares strings through.
+	syms map[string]string
+	// live marks a decode into a live Central's own slices: job records
+	// then grow along growLive instead of to the packet's size.
+	live bool
+}
+
+// newWireReader checks the packet header (magic and version) and returns
+// a reader positioned at the first field.
+func newWireReader(data []byte) (wireReader, error) {
+	if len(data) < len(wireMagic)+1 || string(data[:len(wireMagic)]) != wireMagic {
+		return wireReader{}, fmt.Errorf("%w: missing wire magic", ErrBadPacket)
+	}
+	v := data[len(wireMagic)]
+	if v != wireVersion && v != wireVersion2 {
+		return wireReader{}, fmt.Errorf("%w: unsupported wire version %d", ErrBadPacket, v)
+	}
+	return wireReader{data: data, off: len(wireMagic) + 1, ver: v}, nil
 }
 
 func (r *wireReader) fail(what string) {
@@ -106,33 +129,56 @@ func (r *wireReader) f64(what string) float64 {
 	return v
 }
 
-func (r *wireReader) str(what string) string {
-	n := int(r.u64(what))
+// raw reads a length-prefixed string field without copying it.
+func (r *wireReader) raw(what string) []byte {
+	n := r.u64(what)
 	if r.err != nil {
-		return ""
+		return nil
 	}
-	if n < 0 || r.off+n > len(r.data) {
+	if n > uint64(len(r.data)-r.off) {
 		r.fail(what)
-		return ""
+		return nil
 	}
-	s := string(r.data[r.off : r.off+n])
-	r.off += n
+	b := r.data[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b
+}
+
+func (r *wireReader) str(what string) string { return string(r.raw(what)) }
+
+// sym reads a string field that takes few distinct values: a site,
+// machine, queue, QOS, exit status, submission mechanism, gateway,
+// workflow engine, science field or truth modality. With an intern table
+// attached every record shares one string per value, and a value already
+// in the table costs no allocation.
+func (r *wireReader) sym(what string) string {
+	b := r.raw(what)
+	if r.syms == nil || len(b) == 0 {
+		return string(b)
+	}
+	if s, ok := r.syms[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(r.syms) < internCap {
+		r.syms[s] = s
+	}
 	return s
 }
 
-// count reads a slice length and bounds it by the remaining bytes (each
-// element needs at least one byte), so a corrupt length cannot drive a
-// huge allocation.
-func (r *wireReader) count(what string) int {
-	n := int(r.u64(what))
+// count reads a record count and bounds it by the bytes left (every
+// record takes at least minSize bytes), so a corrupt count cannot drive a
+// large allocation.
+func (r *wireReader) count(what string, minSize int) int {
+	n := r.u64(what)
 	if r.err != nil {
 		return 0
 	}
-	if n < 0 || n > len(r.data)-r.off {
+	if n > uint64((len(r.data)-r.off)/minSize) {
 		r.fail(what)
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 func appendJobRecord(b []byte, j *JobRecord, ver byte) []byte {
@@ -175,9 +221,9 @@ func (r *wireReader) jobRecord(j *JobRecord) {
 	j.Name = r.str("name")
 	j.User = r.str("user")
 	j.Project = r.str("project")
-	j.Site = r.str("site")
-	j.Machine = r.str("machine")
-	j.Queue = r.str("queue")
+	j.Site = r.sym("site")
+	j.Machine = r.sym("machine")
+	j.Queue = r.sym("queue")
 	j.Cores = int(r.i64("cores"))
 	j.SubmitTime = r.f64("submit")
 	j.StartTime = r.f64("start")
@@ -185,22 +231,26 @@ func (r *wireReader) jobRecord(j *JobRecord) {
 	j.WallSeconds = r.f64("wall_s")
 	j.CoreSeconds = r.f64("core_s")
 	j.NUs = r.f64("nus")
-	j.QOS = r.str("qos")
-	j.ExitStatus = r.str("exit")
+	j.QOS = r.sym("qos")
+	j.ExitStatus = r.sym("exit")
 	j.Preemptions = int(r.i64("preempts"))
-	j.SubmitVia = r.str("submit_via")
-	j.GatewayID = r.str("gateway_id")
+	j.SubmitVia = r.sym("submit_via")
+	j.GatewayID = r.sym("gateway_id")
 	j.WorkflowID = r.str("workflow_id")
-	j.WorkflowEngine = r.str("workflow_engine")
+	j.WorkflowEngine = r.sym("workflow_engine")
 	j.EnsembleID = r.str("ensemble_id")
 	j.BrokerJobID = r.str("broker_job_id")
 	j.CoAllocID = r.str("coalloc_id")
-	j.ScienceField = r.str("science_field")
-	j.TruthModality = r.str("truth")
+	j.ScienceField = r.sym("science_field")
+	j.TruthModality = r.sym("truth")
 	j.TruthCampaign = r.str("truth_campaign")
 	if r.ver >= wireVersion2 {
 		j.WastedCoreSeconds = r.f64("wasted_core_s")
 		j.WastedNUs = r.f64("wasted_nus")
+	} else {
+		// Set both anyway: Central.IngestWire decodes into spare capacity,
+		// and a record must not depend on the slot's earlier contents.
+		j.WastedCoreSeconds, j.WastedNUs = 0, 0
 	}
 }
 
@@ -219,8 +269,8 @@ func appendTransferRecord(b []byte, t *TransferRecord) []byte {
 
 func (r *wireReader) transferRecord(t *TransferRecord) {
 	t.TransferID = r.i64("transfer_id")
-	t.Src = r.str("src")
-	t.Dst = r.str("dst")
+	t.Src = r.sym("src")
+	t.Dst = r.sym("dst")
 	t.Bytes = r.i64("bytes")
 	t.Start = r.f64("start")
 	t.End = r.f64("end")
@@ -238,7 +288,7 @@ func appendGatewayAttrRecord(b []byte, g *GatewayAttrRecord) []byte {
 }
 
 func (r *wireReader) gatewayAttrRecord(g *GatewayAttrRecord) {
-	g.GatewayID = r.str("gateway_id")
+	g.GatewayID = r.sym("gateway_id")
 	g.GatewayUser = r.str("gateway_user")
 	g.JobID = r.i64("job_id")
 	g.At = r.f64("at")
@@ -253,17 +303,31 @@ func appendStorageRecord(b []byte, s *StorageRecord) []byte {
 }
 
 func (r *wireReader) storageRecord(s *StorageRecord) {
-	s.Site = r.str("site")
+	s.Site = r.sym("site")
 	s.Project = r.str("project")
 	s.Bytes = r.i64("bytes")
 	s.At = r.f64("at")
 }
 
-// encodeWire serializes p in the binary wire form.
-func (p *Packet) encodeWire() []byte {
+// Smallest encoded record of each kind: a zero record, whose varints and
+// string lengths take one byte each. count bounds record counts by them.
+var (
+	minJobWire = [...]int{
+		wireVersion:  len(appendJobRecord(nil, &JobRecord{}, wireVersion)),
+		wireVersion2: len(appendJobRecord(nil, &JobRecord{}, wireVersion2)),
+	}
+	minTransferWire    = len(appendTransferRecord(nil, &TransferRecord{}))
+	minGatewayAttrWire = len(appendGatewayAttrRecord(nil, &GatewayAttrRecord{}))
+	minStorageWire     = len(appendStorageRecord(nil, &StorageRecord{}))
+)
+
+// AppendWire appends the packet's binary wire form to dst and returns the
+// extended buffer. A buffer reused across packets stops allocating once it
+// has grown to the largest packet's size hint.
+func (p *Packet) AppendWire(dst []byte) []byte {
 	// Size hint: jobs dominate real packets; ~200 bytes each is close
 	// enough to avoid most growth copies.
-	b := make([]byte, 0, 64+200*len(p.Jobs)+64*len(p.Transfers)+
+	b := slices.Grow(dst, 64+200*len(p.Jobs)+64*len(p.Transfers)+
 		48*len(p.GatewayAttrs)+48*len(p.Storage))
 	// Version selection happens at encode time: only packets that actually
 	// carry wasted-work data pay for (and signal) the v2 fields, keeping
@@ -299,49 +363,62 @@ func (p *Packet) encodeWire() []byte {
 	return b
 }
 
-// decodeWire parses the binary wire form produced by encodeWire.
-func decodeWire(data []byte) (*Packet, error) {
-	if len(data) < len(wireMagic)+1 || string(data[:len(wireMagic)]) != wireMagic {
-		return nil, fmt.Errorf("%w: missing wire magic", ErrBadPacket)
+// DecodePacket parses a packet in the binary wire form into a new Packet.
+// It never panics on corrupt input: every failure wraps ErrBadPacket.
+func DecodePacket(data []byte) (*Packet, error) {
+	r, err := newWireReader(data)
+	if err != nil {
+		return nil, err
 	}
-	v := data[len(wireMagic)]
-	if v != wireVersion && v != wireVersion2 {
-		return nil, fmt.Errorf("%w: unsupported wire version %d", ErrBadPacket, v)
-	}
-	r := &wireReader{data: data, off: len(wireMagic) + 1, ver: v}
 	p := &Packet{}
-	p.Site = r.str("site")
-	p.Seq = r.u64("seq")
-	p.SentAt = r.f64("sent_at")
-	if n := r.count("jobs"); n > 0 {
-		p.Jobs = make([]JobRecord, n)
-		for i := range p.Jobs {
-			r.jobRecord(&p.Jobs[i])
-		}
-	}
-	if n := r.count("transfers"); n > 0 {
-		p.Transfers = make([]TransferRecord, n)
-		for i := range p.Transfers {
-			r.transferRecord(&p.Transfers[i])
-		}
-	}
-	if n := r.count("gateway_attrs"); n > 0 {
-		p.GatewayAttrs = make([]GatewayAttrRecord, n)
-		for i := range p.GatewayAttrs {
-			r.gatewayAttrRecord(&p.GatewayAttrs[i])
-		}
-	}
-	if n := r.count("storage"); n > 0 {
-		p.Storage = make([]StorageRecord, n)
-		for i := range p.Storage {
-			r.storageRecord(&p.Storage[i])
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPacket, len(data)-r.off)
+	if err := r.packet(p); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// packet decodes the body after the header into p, appending the records
+// to whatever p's slices already hold (Central.IngestWire passes its own),
+// and rejects trailing bytes.
+func (r *wireReader) packet(p *Packet) error {
+	p.Site = r.sym("site")
+	p.Seq = r.u64("seq")
+	p.SentAt = r.f64("sent_at")
+	n := len(p.Jobs)
+	if k := r.count("jobs", minJobWire[r.ver]); r.live {
+		p.Jobs = growLive(p.Jobs, k)[:n+k]
+	} else {
+		p.Jobs = extend(p.Jobs, k)
+	}
+	for i := n; i < len(p.Jobs); i++ {
+		r.jobRecord(&p.Jobs[i])
+	}
+	n = len(p.Transfers)
+	p.Transfers = extend(p.Transfers, r.count("transfers", minTransferWire))
+	for i := n; i < len(p.Transfers); i++ {
+		r.transferRecord(&p.Transfers[i])
+	}
+	n = len(p.GatewayAttrs)
+	p.GatewayAttrs = extend(p.GatewayAttrs, r.count("gateway_attrs", minGatewayAttrWire))
+	for i := n; i < len(p.GatewayAttrs); i++ {
+		r.gatewayAttrRecord(&p.GatewayAttrs[i])
+	}
+	n = len(p.Storage)
+	p.Storage = extend(p.Storage, r.count("storage", minStorageWire))
+	for i := n; i < len(p.Storage); i++ {
+		r.storageRecord(&p.Storage[i])
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if r.off != len(r.data) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadPacket, len(r.data)-r.off)
+	}
+	return nil
+}
+
+// extend lengthens s by n elements, growing it at most once. Capacity
+// past len may hold reused slots, so callers overwrite every field.
+func extend[T any](s []T, n int) []T {
+	return slices.Grow(s, n)[:len(s)+n]
 }

@@ -74,21 +74,6 @@ func TestWireDeterministic(t *testing.T) {
 	}
 }
 
-func TestDecodeLegacyJSON(t *testing.T) {
-	p := samplePacket()
-	data, err := p.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodePacket(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, got) {
-		t.Fatalf("JSON fallback mismatch:\nin:  %+v\nout: %+v", p, got)
-	}
-}
-
 func TestDecodeCorruptPacket(t *testing.T) {
 	data, _ := samplePacket().Encode()
 	cases := map[string][]byte{
@@ -97,7 +82,7 @@ func TestDecodeCorruptPacket(t *testing.T) {
 		"bad version": append([]byte(wireMagic), 99),
 		"truncated":   data[:len(data)/2],
 		"trailing":    append(append([]byte{}, data...), 0xaa),
-		"not json":    []byte("{broken"),
+		"json":        []byte("{broken"),
 		"huge count":  append(append([]byte(wireMagic), wireVersion, 0x01, 's'), 0xff, 0xff, 0xff, 0x7f),
 	}
 	for name, d := range cases {
@@ -117,25 +102,6 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data, err := p.Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodePacket(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkJSONRoundTrip(b *testing.B) {
-	// The pre-optimization baseline, kept for comparison.
-	p := samplePacket()
-	for i := 0; i < 60; i++ {
-		p.Jobs = append(p.Jobs, p.Jobs[0])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := p.EncodeJSON()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -451,7 +451,11 @@ func Run(cfg Config) (*Result, error) {
 	// ingest to PhaseAccounting and the tap fan-out (live classification
 	// ingest) to PhaseClassify; both Region calls are nil-safe no-ops when
 	// no profiler is attached.
+	//
+	// Every flush encodes into one run-owned wire buffer; the central
+	// ingest copies what it keeps, so the buffer is reused.
 	phases := att.Phases
+	var wire []byte
 	flushAll := func() error {
 		for _, s := range fed.Sites {
 			endAcct := phases.Region(perf.PhaseAccounting)
@@ -460,17 +464,13 @@ func Run(cfg Config) (*Result, error) {
 				endAcct()
 				continue
 			}
-			data, err := p.Encode()
-			if err != nil {
-				endAcct()
-				return err
-			}
-			err = central.IngestWire(data)
+			wire = p.AppendWire(wire[:0])
+			err := central.IngestWire(wire)
 			endAcct()
 			if err != nil {
 				return err
 			}
-			th.flushed(len(p.Jobs), len(data))
+			th.flushed(len(p.Jobs), len(wire))
 			endTaps := phases.Region(perf.PhaseClassify)
 			for _, tap := range att.Packets {
 				tap(k.Now(), p)
@@ -570,6 +570,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if err := flushAll(); err != nil {
 		return nil, err
+	}
+	// The result keeps the kernel (and through it flushAll) and the
+	// gateways (and through them the ledgers): drop the buffers the run
+	// no longer needs.
+	wire = nil
+	for _, l := range ledgers {
+		l.Release()
 	}
 	if pub != nil {
 		// One final snapshot so consoles and progress lines end on the true

@@ -75,8 +75,17 @@ func (b *inbox) depth() int { return len(b.items) - b.head }
 // Canonical record orders for Finalize: sorts keyed on record identity so
 // the rebuilt database is independent of arrival order.
 
-func canonicalJobs(in []accounting.JobRecord) []accounting.JobRecord {
-	out := append([]accounting.JobRecord(nil), in...)
+// canonicalJobs concatenates the chunked job store into one exact-size
+// slice, sorted by JobID.
+func canonicalJobs(chunks [][]accounting.JobRecord) []accounting.JobRecord {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	out := make([]accounting.JobRecord, 0, n)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
 	return out
 }

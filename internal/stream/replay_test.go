@@ -78,8 +78,8 @@ func TestTapSeesEveryRecord(t *testing.T) {
 	if proc.Dropped() != 0 {
 		t.Errorf("unbounded inbox dropped %d", proc.Dropped())
 	}
-	if len(proc.jobs) != len(c.Jobs()) {
-		t.Errorf("stream accepted %d jobs, central %d", len(proc.jobs), len(c.Jobs()))
+	if jobs := acceptedJobs(proc); len(jobs) != len(c.Jobs()) {
+		t.Errorf("stream accepted %d jobs, central %d", len(jobs), len(c.Jobs()))
 	}
 }
 

@@ -71,7 +71,9 @@ type Processor struct {
 	drift  *driftMonitor
 
 	// Accepted records, in arrival order, for the end-of-stream report.
-	jobs         []accounting.JobRecord
+	// Job records are kept in chunks of jobChunk: a long stream never
+	// re-copies its records to grow, and its slack stays under one chunk.
+	jobs         [][]accounting.JobRecord
 	transfers    []accounting.TransferRecord
 	gatewayAttrs []accounting.GatewayAttrRecord
 	storage      []accounting.StorageRecord
@@ -218,7 +220,7 @@ func (p *Processor) process(it item) {
 	switch it.kind {
 	case kindJob:
 		r := it.job
-		p.jobs = append(p.jobs, r)
+		p.keepJob(&r)
 		d := p.online.classify(&r)
 		p.usage.observe(at, d.Modality, r.NUs, d.Confidence)
 		p.drift.observe(at, d.Modality, r.TruthModality)
@@ -231,6 +233,20 @@ func (p *Processor) process(it item) {
 	case kindStorage:
 		p.storage = append(p.storage, it.storage)
 	}
+}
+
+// jobChunk is the number of job records per chunk of the accepted-record
+// store (about 96 KiB).
+const jobChunk = 256
+
+// keepJob appends an accepted job record to the chunked store.
+func (p *Processor) keepJob(r *accounting.JobRecord) {
+	n := len(p.jobs)
+	if n == 0 || len(p.jobs[n-1]) == jobChunk {
+		p.jobs = append(p.jobs, make([]accounting.JobRecord, 0, jobChunk))
+		n++
+	}
+	p.jobs[n-1] = append(p.jobs[n-1], *r)
 }
 
 // Now returns the stream clock: the latest virtual time offered or

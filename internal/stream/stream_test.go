@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,8 +73,8 @@ func TestInboxBackpressure(t *testing.T) {
 		t.Errorf("depth after drain = %d, want 0", d)
 	}
 	// Only the accepted records survive, in FIFO order.
-	if len(p.jobs) != 3 || p.jobs[0].JobID != 1 || p.jobs[2].JobID != 3 {
-		t.Errorf("accepted jobs = %+v, want IDs 1..3", p.jobs)
+	if jobs := acceptedJobs(p); len(jobs) != 3 || jobs[0].JobID != 1 || jobs[2].JobID != 3 {
+		t.Errorf("accepted jobs = %+v, want IDs 1..3", jobs)
 	}
 	// Drained capacity is reusable.
 	p.OfferJob(accounting.JobRecord{JobID: 6, Cores: 1, EndTime: 11})
@@ -325,6 +326,69 @@ func TestStreamMetricsExposed(t *testing.T) {
 	} {
 		if !strings.Contains(om, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// acceptedJobs flattens the processor's chunked job store, in arrival
+// order.
+func acceptedJobs(p *Processor) []accounting.JobRecord { return slices.Concat(p.jobs...) }
+
+// TestJobStoreChunks: the chunked store keeps arrival order across chunk
+// boundaries, fills each chunk before starting the next, and Finalize
+// rebuilds every record in JobID order.
+func TestJobStoreChunks(t *testing.T) {
+	p := New(Config{LargestCores: 512})
+	const n = 2*jobChunk + 7
+	for i := 0; i < n; i++ {
+		// Descending IDs, so canonical order reverses arrival order.
+		p.OfferJob(accounting.JobRecord{JobID: int64(n - i), Cores: 1, NUs: 1,
+			EndTime: float64(i), ExitStatus: "completed"})
+	}
+	p.Advance(des.Time(n))
+	if len(p.jobs) != 3 || len(p.jobs[0]) != jobChunk || len(p.jobs[2]) != 7 {
+		t.Fatalf("chunks = %d (last %d), want 3 with 7 in the last", len(p.jobs), len(p.jobs[len(p.jobs)-1]))
+	}
+	for i, r := range acceptedJobs(p) {
+		if r.JobID != int64(n-i) {
+			t.Fatalf("accepted job %d has ID %d, want %d", i, r.JobID, n-i)
+		}
+	}
+	fin, err := p.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := fin.Central.Jobs()
+	if len(jobs) != n {
+		t.Fatalf("finalize central holds %d jobs, want %d", len(jobs), n)
+	}
+	for i, r := range jobs {
+		if r.JobID != int64(i+1) {
+			t.Fatalf("finalize job %d has ID %d, want %d", i, r.JobID, i+1)
+		}
+	}
+}
+
+// BenchmarkOfferFinalize times a stream's life over 5000 job records: the
+// offers, the online layers, and Finalize's rebuild of the chunked store
+// into a central database plus the batch classify.
+func BenchmarkOfferFinalize(b *testing.B) {
+	recs := make([]accounting.JobRecord, 5000)
+	for i := range recs {
+		recs[i] = accounting.JobRecord{JobID: int64(len(recs) - i), User: "u", Project: "p",
+			Site: "s", Machine: "m", Cores: 1 + i%64, NUs: 1, EndTime: float64(i),
+			ExitStatus: "completed", SubmitVia: "login"}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := New(Config{LargestCores: 512})
+		for j := range recs {
+			p.OfferJob(recs[j])
+		}
+		p.Advance(des.Time(len(recs)))
+		if _, err := p.Finalize(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
