@@ -6,47 +6,76 @@
 //
 // Usage:
 //
-//	benchtab [-seed N] [-scale quick|full] [-only T3] [-progress] [-json PATH]
-//	benchtab -history [-bench-dir DIR]
-//	benchtab -gate CANDIDATE.json -baseline BASELINE.json [-tol-eps F] [-tol-speedup F]
+//	benchtab [-seed N] [-scale quick|full] [-only T3,PX] [-progress]
 //
-// -progress prints one line per experiment to stderr (id and wall time)
-// without touching stdout, so piped table output stays clean. -json writes
-// a BENCH_*.json performance-trajectory record (see DESIGN.md for the
-// schema): per-experiment wall time plus kernel throughput on the standard
-// scenario, stamped with git describe, seed, and scale.
-//
-// -history parses every committed BENCH_*.json — all schema versions since
-// v2 — into one normalized trajectory table and lists noise-aware
-// regressions along it. -gate compares a freshly measured candidate record
-// against a committed baseline with explicit tolerances and exits 2 on a
-// regression (the CI perf gate). Both analysis modes run no experiments.
+// -only takes comma-separated experiment ids in any case; an unknown id is
+// an error that lists the valid ones. -progress prints one line per
+// experiment to stderr (id and wall time) without touching stdout, so
+// piped table output stays clean. Performance is measured by bench/tgbench
+// and the root BenchmarkStandardKernel, not here.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/tgsim/tgmod/internal/experiments"
-	"github.com/tgsim/tgmod/internal/perf"
 )
-
-// errGate marks a perf-gate failure; main maps it to exit code 2 so CI can
-// tell "performance regressed" from "benchtab broke".
-var errGate = errors.New("perf gate failed")
 
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
-		if errors.Is(err, errGate) {
-			os.Exit(2)
-		}
 		os.Exit(1)
 	}
+}
+
+// gen is one experiment: its EXPERIMENTS.md id and the table it renders.
+type gen struct {
+	id  string
+	run func(seed uint64, sc experiments.Scale) (fmt.Stringer, error)
+}
+
+// gens lists every experiment in output order.
+var gens = []gen{
+	{"T1", func(uint64, experiments.Scale) (fmt.Stringer, error) { return experiments.T1Taxonomy(), nil }},
+	{"T2", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.T2Mechanism(s, sc) }},
+	{"T3", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.T3ModalityUsage(s, sc) }},
+	{"T4", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.T4Coverage(s, sc) }},
+	{"F1", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.F1JobSize(s, sc) }},
+	{"F2", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.F2GatewayGrowth(s, sc) }},
+	{"F3", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.F3WaitBySize(s, sc) }},
+	{"F4", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.F4Utilization(s, sc) }},
+	{"F5", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.F5Urgent(s, sc) }},
+	{"F6", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.F6Transfers(s, sc) }},
+	{"F7", func(_ uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.F7Kernel(sc), nil }},
+	{"F8", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.F8Inference(s, sc) }},
+	{"F9", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.F9Prediction(s, sc) }},
+	{"GV", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) {
+		return experiments.GatewayVisibilityTable(s, sc)
+	}},
+	{"CC", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) {
+		return experiments.ConcentrationTable(s, sc)
+	}},
+	{"SQ", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.ServiceTable(s, sc) }},
+	{"FS", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.FieldTable(s, sc) }},
+	{"CR", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.CampaignTable(s, sc) }},
+	{"OV", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.OverlapTable(s, sc) }},
+	{"MA", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.MaintenanceTable(s, sc) }},
+	{"SL", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.SLOTable(s, sc) }},
+	{"PX", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.PXPolicyEngines(s, sc) }},
+	{"FL", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) {
+		t, _, err := experiments.FLFleetScaling(s, sc)
+		return t, err
+	}},
+	{"FT", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) { return experiments.FTChaos(s, sc) }},
+	{"DR", func(s uint64, sc experiments.Scale) (fmt.Stringer, error) {
+		t, _, err := experiments.DRDrift(s, sc)
+		return t, err
+	}},
 }
 
 func run() error {
@@ -54,26 +83,7 @@ func run() error {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. T3,F4); empty = all")
 	progress := flag.Bool("progress", false, "print per-experiment progress to stderr")
-	jsonPath := flag.String("json", "", "write a BENCH_*.json perf record to this path")
-	history := flag.Bool("history", false, "parse committed BENCH_*.json records into the trajectory table and exit")
-	benchDir := flag.String("bench-dir", ".", "directory holding BENCH_*.json records (with -history)")
-	gatePath := flag.String("gate", "", "candidate BENCH record to gate against -baseline; exits 2 on regression")
-	basePath := flag.String("baseline", "", "committed baseline BENCH record (with -gate)")
-	tolEPS := flag.Float64("tol-eps", 0.30, "allowed fractional drop in kernel events/s before the gate fails")
-	tolSpeedup := flag.Float64("tol-speedup", 0.30, "allowed fractional drop in fleet speedup before the gate fails")
 	flag.Parse()
-
-	if *history {
-		return runHistory(*benchDir, *tolEPS)
-	}
-	if *gatePath != "" || *basePath != "" {
-		if *gatePath == "" || *basePath == "" {
-			return fmt.Errorf("-gate and -baseline go together")
-		}
-		return runGate(*gatePath, *basePath, perf.Tolerance{
-			EventsPSFrac: *tolEPS, SpeedupFrac: *tolSpeedup,
-		})
-	}
 
 	var sc experiments.Scale
 	switch *scaleFlag {
@@ -84,125 +94,58 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown scale %q", *scaleFlag)
 	}
+	selected, err := selectGens(*only)
+	if err != nil {
+		return err
+	}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
-			want[id] = true
-		}
-	}
-	selected := func(id string) bool { return len(want) == 0 || want[id] }
-
-	type gen struct {
-		id  string
-		run func() (fmt.Stringer, error)
-	}
-	gens := []gen{
-		{"T1", func() (fmt.Stringer, error) { return experiments.T1Taxonomy(), nil }},
-		{"T2", func() (fmt.Stringer, error) { return experiments.T2Mechanism(*seed, sc) }},
-		{"T3", func() (fmt.Stringer, error) { return experiments.T3ModalityUsage(*seed, sc) }},
-		{"T4", func() (fmt.Stringer, error) { return experiments.T4Coverage(*seed, sc) }},
-		{"F1", func() (fmt.Stringer, error) { return experiments.F1JobSize(*seed, sc) }},
-		{"F2", func() (fmt.Stringer, error) { return experiments.F2GatewayGrowth(*seed, sc) }},
-		{"F3", func() (fmt.Stringer, error) { return experiments.F3WaitBySize(*seed, sc) }},
-		{"F4", func() (fmt.Stringer, error) { return experiments.F4Utilization(*seed, sc) }},
-		{"F5", func() (fmt.Stringer, error) { return experiments.F5Urgent(*seed, sc) }},
-		{"F6", func() (fmt.Stringer, error) { return experiments.F6Transfers(*seed, sc) }},
-		{"F7", func() (fmt.Stringer, error) { return experiments.F7Kernel(sc), nil }},
-		{"F8", func() (fmt.Stringer, error) { return experiments.F8Inference(*seed, sc) }},
-		{"F9", func() (fmt.Stringer, error) { return experiments.F9Prediction(*seed, sc) }},
-		{"GV", func() (fmt.Stringer, error) { return experiments.GatewayVisibilityTable(*seed, sc) }},
-		{"CC", func() (fmt.Stringer, error) { return experiments.ConcentrationTable(*seed, sc) }},
-		{"SQ", func() (fmt.Stringer, error) { return experiments.ServiceTable(*seed, sc) }},
-		{"FS", func() (fmt.Stringer, error) { return experiments.FieldTable(*seed, sc) }},
-		{"CR", func() (fmt.Stringer, error) { return experiments.CampaignTable(*seed, sc) }},
-		{"OV", func() (fmt.Stringer, error) { return experiments.OverlapTable(*seed, sc) }},
-		{"MA", func() (fmt.Stringer, error) { return experiments.MaintenanceTable(*seed, sc) }},
-		{"SL", func() (fmt.Stringer, error) { return experiments.SLOTable(*seed, sc) }},
-		{"PX", func() (fmt.Stringer, error) { return experiments.PXPolicyEngines(*seed, sc) }},
-		{"FL", func() (fmt.Stringer, error) {
-			t, _, err := experiments.FLFleetScaling(*seed, sc)
-			return t, err
-		}},
-		{"FT", func() (fmt.Stringer, error) { return experiments.FTChaos(*seed, sc) }},
-		{"DR", func() (fmt.Stringer, error) {
-			t, _, err := experiments.DRDrift(*seed, sc)
-			return t, err
-		}},
-	}
-	wall := map[string]float64{}
-	for _, g := range gens {
-		if !selected(g.id) {
-			continue
-		}
+	for _, g := range selected {
 		if *progress {
 			fmt.Fprintf(os.Stderr, "benchtab: %s...", g.id)
 		}
 		start := time.Now()
-		out, err := g.run()
-		wall[g.id] = time.Since(start).Seconds()
+		out, err := g.run(*seed, sc)
 		if *progress {
-			fmt.Fprintf(os.Stderr, " %.2fs\n", wall[g.id])
+			fmt.Fprintf(os.Stderr, " %.2fs\n", time.Since(start).Seconds())
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", g.id, err)
 		}
 		fmt.Printf("[%s]\n%s\n", g.id, out)
 	}
-	if *jsonPath != "" {
-		if *progress {
-			fmt.Fprintf(os.Stderr, "benchtab: timing kernel for %s...\n", *jsonPath)
-		}
-		if err := writeBenchRecord(*jsonPath, *seed, *scaleFlag, sc, wall); err != nil {
-			return fmt.Errorf("bench record: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "benchtab: wrote perf record to %s\n", *jsonPath)
-	}
 	return nil
 }
 
-// runHistory renders the normalized bench trajectory across every schema
-// version and lists points that dipped below their noise-aware trailing
-// baseline. Detection is informational here — the record is already
-// committed; the hard stop is the -gate path, which fires before a commit.
-func runHistory(dir string, tolEPS float64) error {
-	points, err := perf.LoadBenchDir(dir)
-	if err != nil {
-		return err
+// selectGens returns the experiments named in only, a comma-separated,
+// case-insensitive id list, in output order. An empty list selects every
+// experiment; an id no experiment has is an error naming the valid ids.
+func selectGens(only string) ([]gen, error) {
+	valid := make([]string, len(gens))
+	for i, g := range gens {
+		valid[i] = g.id
 	}
-	if err := perf.TrajectoryTable(points).WriteText(os.Stdout); err != nil {
-		return err
-	}
-	if regs := perf.DetectRegressions(points, tolEPS); len(regs) > 0 {
-		fmt.Println()
-		for _, r := range regs {
-			fmt.Printf("regression: %s\n", r)
+	var want, unknown []string
+	for _, id := range strings.Split(only, ",") {
+		switch id = strings.TrimSpace(strings.ToUpper(id)); {
+		case id == "":
+		case slices.Contains(valid, id):
+			want = append(want, id)
+		default:
+			unknown = append(unknown, id)
 		}
 	}
-	return nil
-}
-
-// runGate compares a candidate record against the committed baseline and
-// fails (exit 2 via errGate) when any gated figure drops past tolerance.
-func runGate(candPath, basePath string, tol perf.Tolerance) error {
-	base, err := perf.LoadBenchFile(basePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment id %s (valid: %s)",
+			strings.Join(unknown, ","), strings.Join(valid, ","))
 	}
-	cand, err := perf.LoadBenchFile(candPath)
-	if err != nil {
-		return fmt.Errorf("candidate: %w", err)
+	if len(want) == 0 {
+		return gens, nil
 	}
-	viols := perf.Compare(base, cand, tol)
-	fmt.Printf("perf gate: %s (%.0f events/s) vs baseline %s (%.0f events/s), tolerance eps %.0f%% speedup %.0f%%\n",
-		cand.File, cand.EventsPS, base.File, base.EventsPS,
-		100*tol.EventsPSFrac, 100*tol.SpeedupFrac)
-	if len(viols) == 0 {
-		fmt.Println("perf gate: PASS")
-		return nil
+	var out []gen
+	for _, g := range gens {
+		if slices.Contains(want, g.id) {
+			out = append(out, g)
+		}
 	}
-	for _, v := range viols {
-		fmt.Printf("perf gate: FAIL: %s\n", v)
-	}
-	return errGate
+	return out, nil
 }

@@ -1,18 +1,16 @@
 // Package perf is the simulator's performance observatory: where does the
-// *simulator's own* wall-clock time go, and how is that trajectory moving
-// across commits?
+// *simulator's own* wall-clock time go?
 //
-// The package has three legs. Phase attribution (this file) rides the
+// The package has two legs. Phase attribution (this file) rides the
 // kernel's tracer seam and splits the per-event-name cost across kernel
 // phases — future-event-list operations, handler execution, accounting
 // flush/encode/ingest, and post-run classification. Runtime sampling
 // (runtime.go) publishes Go runtime state (heap, GC, goroutines,
 // throughput) as the wall-clock-only tg_runtime_* telemetry family, kept in
 // a registry separate from the deterministic tg_* families so it can never
-// reach exported run artifacts or determinism diffs. Trajectory analysis
-// (history.go) parses committed BENCH_*.json records across schema versions
-// into one normalized table with noise-aware regression detection — the
-// contract the CI perf gate enforces.
+// reach exported run artifacts or determinism diffs. Performance across
+// commits is measured elsewhere: bench/tgbench compares builds, and the
+// root BenchmarkStandardKernel holds the kernel throughput floor.
 //
 // Everything here is wall-clock measurement of the host process. Nothing
 // consumes simulation randomness, schedules kernel events, or mutates

@@ -30,8 +30,10 @@ package trace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -153,8 +155,13 @@ type Job struct {
 	Partition int
 }
 
+// ErrNonFinite marks an SWF field that parses as NaN or ±Inf. ReadSWF
+// wraps it with the line and field number.
+var ErrNonFinite = errors.New("non-finite value")
+
 // ReadSWF parses an SWF trace, tolerating comments anywhere and missing
-// trailing fields (filled with -1 per SWF convention).
+// trailing fields (filled with -1 per SWF convention). A field that is not
+// a finite number is an error naming its line and field.
 func ReadSWF(r io.Reader) ([]Job, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -177,6 +184,9 @@ func ReadSWF(r io.Reader) ([]Job, error) {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return 0, fmt.Errorf("trace: line %d field %d: %w", lineNo, i+1, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0, fmt.Errorf("trace: line %d field %d: %w %q", lineNo, i+1, ErrNonFinite, fields[i])
 			}
 			return v, nil
 		}

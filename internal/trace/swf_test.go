@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -129,6 +131,44 @@ func TestReadSWFErrors(t *testing.T) {
 	if _, err := ReadSWF(strings.NewReader("a b c d e\n")); err == nil {
 		t.Error("non-numeric accepted")
 	}
+	// A non-finite field is a typed error naming its line and field.
+	for _, in := range []string{"1 0 10 100 4\n2 0 NaN 100 4\n", "2 0 10 +Inf 4\n", "2 0 10 100 4 -1 -1 4 -inf\n"} {
+		_, err := ReadSWF(strings.NewReader(in))
+		if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), " field ") {
+			t.Errorf("%q: err = %v, want a line- and field-numbered ErrNonFinite", in, err)
+		}
+	}
+}
+
+// FuzzReadSWF: arbitrary input never panics the reader, and every job it
+// accepts carries finite times.
+func FuzzReadSWF(f *testing.F) {
+	for _, seed := range []string{
+		"; comment\n1 0 10 100 4 -1 -1 4 200 -1 1 1 1 1 1 1 -1 -1\n",
+		"2 5 0 50 0 -1 -1 8\n",
+		"1 2 3\n",
+		"a b c d e\n",
+		"1 0 NaN 100 4\n",
+		"1 0 10 1e309 4\n",
+		"1 0 10 100 4 -1 -1 4 -Inf\n",
+		"9e18 -0 0x1p-2 1_0 4\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		jobs, err := ReadSWF(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for _, j := range jobs {
+			for _, v := range []float64{j.Submit, j.Wait, j.Run, j.ReqTime} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted non-finite job %+v from %q", j, in)
+				}
+			}
+		}
+		Records(jobs)
+	})
 }
 
 func TestEmptyTrace(t *testing.T) {
