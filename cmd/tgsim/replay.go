@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -14,8 +13,8 @@ import (
 	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
-// runReplayMode implements tgsim -replay DIR: the exported run directory
-// is streamed through the modality observatory in virtual-time order
+// runReplay implements tgsim -replay DIR: the exported run directory is
+// streamed through the modality observatory in virtual-time order
 // (optionally paced by -replay-speed) and the post-run modality report is
 // rebuilt from the imported accounting trace.
 //
@@ -23,15 +22,14 @@ import (
 // ingestion order exactly (Export/Import round-trip), and the batch
 // classifier plus report builder are the same code the live run used, so
 // the replayed modality table is byte-identical to the live one. Compare
-// the two -modality-out files, or tgdiff the two -export directories.
-func runReplayMode(dir string, speed float64, streamBuf int,
-	exportDir, modalityOut, csvDir string, quiet bool) error {
-	run, err := regress.LoadRunDir(dir)
+// the two run directories' modality.txt, or tgdiff them.
+func runReplay(o *options) error {
+	run, err := regress.LoadRunDir(o.replay)
 	if err != nil {
 		return err
 	}
 	if run.Central == nil {
-		return fmt.Errorf("-replay: %s has no %s (export the run with -export)", dir, regress.AcctFile)
+		return fmt.Errorf("-replay: %s has no %s (export the run with -export)", o.replay, regress.AcctFile)
 	}
 
 	largest := 0
@@ -44,17 +42,15 @@ func runReplayMode(dir string, speed float64, streamBuf int,
 		// Pre-manifest export: fall back to the biggest job seen, the same
 		// inference a post-hoc analysis of a real accounting dump would use.
 		for _, j := range run.Central.Jobs() {
-			if j.Cores > largest {
-				largest = j.Cores
-			}
+			largest = max(largest, j.Cores)
 		}
 	}
 
 	reg := telemetry.New()
 	proc := stream.New(stream.Config{
-		LargestCores: largest, InboxCap: streamBuf, Registry: reg,
+		LargestCores: largest, InboxCap: o.streamBuf, Registry: reg,
 	})
-	rp := &stream.Replay{Run: run, Speed: speed, EndTime: endTime}
+	rp := &stream.Replay{Run: run, Speed: o.replaySpeed, EndTime: endTime}
 	records, spans, err := rp.Feed(proc)
 	if err != nil {
 		return err
@@ -63,45 +59,37 @@ func runReplayMode(dir string, speed float64, streamBuf int,
 	// The byte-identical report path: classify the imported central
 	// directly, exactly as the live run classified its own.
 	cl := core.NewClassifier(core.Config{LargestCores: largest})
-	results := cl.Classify(run.Central)
-	rep := core.BuildReport(run.Central, results)
-	mod := modalityTable(rep)
-	if modalityOut != "" {
-		if err := writeTo(modalityOut, mod.WriteText); err != nil {
-			return err
-		}
-	}
+	rep := core.BuildReport(run.Central, cl.Classify(run.Central))
+	mod := core.ModalityTable(rep)
 
-	if exportDir != "" {
-		// Re-export what replay can reproduce exactly: the accounting trace
-		// and obs events round-trip byte-identically; metrics.om does not
-		// (a replay has no kernel), so it is deliberately absent.
+	if o.export != "" {
+		// Re-export what replay can reproduce exactly: the accounting trace,
+		// obs events and modality report round-trip byte-identically;
+		// metrics.om does not (a replay has no kernel), so it is
+		// deliberately absent. The dashboard payloads ride along.
 		var man *regress.Manifest
 		if run.Manifest != nil {
 			m := *run.Manifest
 			man = &m
 		}
-		if err := regress.WriteRunDir(exportDir, nil,
+		if err := regress.WriteRunDir(o.export, nil,
 			stream.RebuildObsBuffer(run.Events), run.Central, man); err != nil {
 			return err
 		}
-		if err := writeTo(filepath.Join(exportDir, "modalities.json"), func(w io.Writer) error {
-			_, err := w.Write(proc.ModalitiesJSON())
-			return err
-		}); err != nil {
+		if err := writeTo(filepath.Join(o.export, regress.ModalityFile), mod.WriteText); err != nil {
 			return err
 		}
-		if err := writeTo(filepath.Join(exportDir, "drift.json"), func(w io.Writer) error {
-			_, err := w.Write(proc.DriftJSON())
-			return err
-		}); err != nil {
+		if err := os.WriteFile(filepath.Join(o.export, "modalities.json"), proc.ModalitiesJSON(), 0o666); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "tgsim: replay exported to %s\n", exportDir)
+		if err := os.WriteFile(filepath.Join(o.export, "drift.json"), proc.DriftJSON(), 0o666); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "tgsim: replay exported to %s\n", o.export)
 	}
 
 	snap := proc.Snap()
-	if quiet {
+	if o.quiet {
 		fmt.Printf("replayed records=%d obs=%d ingested=%d dropped=%d jobs=%d NUs=%.0f\n",
 			records, spans, snap.Ingested, snap.Dropped,
 			len(run.Central.Jobs()), run.Central.TotalNUs())
@@ -109,11 +97,9 @@ func runReplayMode(dir string, speed float64, streamBuf int,
 	}
 
 	fmt.Printf("tgsim: replay of %s: %d records + %d obs events through the stream "+
-		"(%d ingested, %d dropped)\n\n", dir, records, spans, snap.Ingested, snap.Dropped)
-
-	if err := mod.WriteText(os.Stdout); err != nil {
-		return err
-	}
+		"(%d ingested, %d dropped)\n\n", o.replay, records, spans, snap.Ingested, snap.Dropped)
+	out := newTableSink(o.csvDir)
+	out.table("modality", mod)
 	fmt.Println()
 
 	dr := proc.Drift()
@@ -124,20 +110,6 @@ func runReplayMode(dir string, speed float64, streamBuf int,
 			fmt.Sprintf("%.3f", w.Rate), fmt.Sprintf("%.3f", w.Peak))
 	}
 	drt.AddRowf("lifetime", dr.Events, dr.Disagree, fmt.Sprintf("%.3f", dr.Rate), "")
-	if err := drt.WriteText(os.Stdout); err != nil {
-		return err
-	}
-
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		if err := writeTo(filepath.Join(csvDir, "modality.csv"), mod.WriteCSV); err != nil {
-			return err
-		}
-		if err := writeTo(filepath.Join(csvDir, "drift.csv"), drt.WriteCSV); err != nil {
-			return err
-		}
-	}
-	return nil
+	out.table("drift", drt)
+	return out.err
 }

@@ -43,7 +43,7 @@ func DRDrift(seed uint64, sc Scale) (*report.Table, []DriftRow, error) {
 		},
 	})
 
-	largest, err := largestBatchCores(cfg)
+	largest, err := scenario.LargestBatchCores(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -93,23 +93,4 @@ func DRDrift(seed uint64, sc Scale) (*report.Table, []DriftRow, error) {
 	t.AddRowf("lifetime", dr.Events, dr.Disagree, report.Percent(dr.Rate))
 	t.AddRowf("peak trailing window", "", "", report.Percent(peak))
 	return t, rows, nil
-}
-
-// largestBatchCores resolves the classifier capability threshold from
-// the config's federation (nil means the TG9 default, matching Run).
-func largestBatchCores(cfg scenario.Config) (int, error) {
-	fed := cfg.Federation
-	if fed == nil {
-		var err error
-		if fed, err = scenario.TG9(); err != nil {
-			return 0, err
-		}
-	}
-	largest := 0
-	for _, m := range fed.Machines() {
-		if m.BatchCores() > largest {
-			largest = m.BatchCores()
-		}
-	}
-	return largest, nil
 }

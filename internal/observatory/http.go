@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
 // RunInfo is one row of the /runs listing: identity, liveness, ingest
@@ -273,17 +275,24 @@ func (d *Daemon) writeMetaMetrics(w http.ResponseWriter) {
 				rs.ID, now.Sub(time.Unix(0, uns)).Seconds())
 		}
 	}
-	fmt.Fprintf(w, "# TYPE tg_obsd_backlog gauge\n")
-	fmt.Fprintf(w, "# HELP tg_obsd_backlog Records spooled in each run's stream inbox.\n")
-	fmt.Fprintf(w, "# TYPE tg_obsd_backlog_high_water gauge\n")
-	fmt.Fprintf(w, "# HELP tg_obsd_backlog_high_water Maximum spool depth seen per run.\n")
-	fmt.Fprintf(w, "# TYPE tg_obsd_dropped counter\n")
-	fmt.Fprintf(w, "# HELP tg_obsd_dropped Records lost to inbox overflow per run.\n")
-	for _, rs := range runs {
-		if ss := rs.streamSnap.Load(); ss != nil {
-			fmt.Fprintf(w, "tg_obsd_backlog{run=%q} %d\n", rs.ID, ss.Depth)
-			fmt.Fprintf(w, "tg_obsd_backlog_high_water{run=%q} %d\n", rs.ID, ss.HighWater)
-			fmt.Fprintf(w, "tg_obsd_dropped_total{run=%q} %d\n", rs.ID, ss.Dropped)
+	// One loop per family: OpenMetrics wants each family's samples
+	// together under that family's own TYPE and HELP lines.
+	for _, fam := range []struct {
+		name, typ, sample, help string
+		value                   func(*telemetry.StreamSnap) uint64
+	}{
+		{"tg_obsd_backlog", "gauge", "tg_obsd_backlog", "Records spooled in each run's stream inbox.",
+			func(ss *telemetry.StreamSnap) uint64 { return uint64(ss.Depth) }},
+		{"tg_obsd_backlog_high_water", "gauge", "tg_obsd_backlog_high_water", "Maximum spool depth seen per run.",
+			func(ss *telemetry.StreamSnap) uint64 { return uint64(ss.HighWater) }},
+		{"tg_obsd_dropped", "counter", "tg_obsd_dropped_total", "Records lost to inbox overflow per run.",
+			func(ss *telemetry.StreamSnap) uint64 { return ss.Dropped }},
+	} {
+		fmt.Fprintf(w, "# TYPE %s %s\n# HELP %s %s\n", fam.name, fam.typ, fam.name, fam.help)
+		for _, rs := range runs {
+			if ss := rs.streamSnap.Load(); ss != nil {
+				fmt.Fprintf(w, "%s{run=%q} %d\n", fam.sample, rs.ID, fam.value(ss))
+			}
 		}
 	}
 	// Splice the daemon's own Go runtime families (tg_runtime_*) in before

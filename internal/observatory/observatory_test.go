@@ -41,15 +41,9 @@ func smallConfig(seed uint64) scenario.Config {
 
 func largestCores(t *testing.T) int {
 	t.Helper()
-	fed, err := scenario.TG9()
+	largest, err := scenario.LargestBatchCores(scenario.Config{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	largest := 0
-	for _, m := range fed.Machines() {
-		if m.BatchCores() > largest {
-			largest = m.BatchCores()
-		}
 	}
 	return largest
 }
@@ -311,6 +305,28 @@ func TestConcurrentRunsAndFederation(t *testing.T) {
 	} {
 		if !strings.Contains(om, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, om)
+		}
+	}
+	// OpenMetrics: every sample sits under its own family's TYPE line, and
+	// no family is declared twice.
+	family, declared := "", map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(om), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family = strings.Fields(f)[0]
+			if declared[family] {
+				t.Errorf("/metrics declares %s twice", family)
+			}
+			declared[family] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := strings.FieldsFunc(line, func(r rune) bool { return r == '{' || r == ' ' })[0]
+		switch strings.TrimPrefix(name, family) {
+		case "", "_total", "_bucket", "_sum", "_count":
+		default:
+			t.Errorf("/metrics sample %q sits under family %s", line, family)
 		}
 	}
 }

@@ -32,6 +32,10 @@ const (
 	ObsFile      = "obs.jsonl"
 	AcctFile     = "acct.jsonl"
 	ManifestFile = "manifest.json"
+	// ModalityFile is the usage-by-modality report (core.ModalityTable as
+	// text): the byte-equivalence anchor between a live run, its replay,
+	// and the observatory daemon's final report. tgdiff does not read it.
+	ModalityFile = "modality.txt"
 )
 
 // Manifest carries the run parameters a consumer needs to reproduce the

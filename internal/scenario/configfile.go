@@ -144,8 +144,24 @@ func (gs *GeneratorSpec) build() (workload.Generator, error) {
 }
 
 // FromConfig captures a runnable Config back into its file form (the
-// inverse of ToConfig for the generator types this package knows).
+// inverse of ToConfig for the generator types this package knows). A
+// config that sets a field the file cannot carry is an error, not a dump
+// that silently runs a different scenario.
 func FromConfig(cfg Config) (*ConfigFile, error) {
+	var lost string
+	switch {
+	case cfg.Faults.Enabled:
+		lost = "Faults"
+	case cfg.CheckpointRestart:
+		lost = "CheckpointRestart"
+	case cfg.Federation != nil:
+		lost = "Federation"
+	case cfg.EventLimit > 0:
+		lost = "EventLimit"
+	}
+	if lost != "" {
+		return nil, fmt.Errorf("scenario: %s has no file form", lost)
+	}
 	cf := &ConfigFile{
 		Seed:              cfg.Seed,
 		HorizonDays:       float64(cfg.Horizon / des.Day),

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/metasched"
 )
 
@@ -99,6 +100,29 @@ func TestDecodeConfigFileErrors(t *testing.T) {
 		Generators: []GeneratorSpec{{Type: "martian"}}}
 	if _, err := cf.ToConfig(); err == nil {
 		t.Error("unknown generator type accepted")
+	}
+}
+
+// TestFromConfigRejectsFieldsWithoutFileForm: a dump that dropped faults
+// or checkpointing would replay as a different, fault-free scenario, so
+// FromConfig must refuse and name the field instead.
+func TestFromConfigRejectsFieldsWithoutFileForm(t *testing.T) {
+	fed, err := TG9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, opt := range map[string]Option{
+		"Faults":            WithFaultIntensity(1),
+		"CheckpointRestart": WithCheckpointRestart(15*des.Minute, 0),
+		"Federation":        func(c *Config) { c.Federation = fed },
+		"EventLimit":        func(c *Config) { c.EventLimit = 1000 },
+	} {
+		cfg := DefaultConfig(1)
+		opt(&cfg)
+		_, err := FromConfig(cfg)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: FromConfig error = %v, want one naming the field", field, err)
+		}
 	}
 }
 

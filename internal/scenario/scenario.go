@@ -210,15 +210,41 @@ type Result struct {
 	Faults *faults.Injector
 }
 
+// federation resolves cfg's federation: the override, or TG9 when nil.
+func federation(cfg Config) (*grid.Federation, error) {
+	if cfg.Federation != nil {
+		return cfg.Federation, nil
+	}
+	return TG9()
+}
+
+// LargestBatchCores is the classifier's capability threshold for cfg: the
+// batch cores of its federation's biggest machine. It is the value Run
+// reports as Result.LargestCores, resolved before the run for consumers
+// that need it up front (stream taps, observatory pushes).
+func LargestBatchCores(cfg Config) (int, error) {
+	fed, err := federation(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return largestBatchCores(fed), nil
+}
+
+func largestBatchCores(fed *grid.Federation) int {
+	largest := 0
+	for _, s := range fed.Sites {
+		for _, m := range s.Machines {
+			largest = max(largest, m.BatchCores())
+		}
+	}
+	return largest
+}
+
 // Run builds and executes the simulation described by cfg.
 func Run(cfg Config) (*Result, error) {
-	fed := cfg.Federation
-	if fed == nil {
-		var err error
-		fed, err = TG9()
-		if err != nil {
-			return nil, err
-		}
+	fed, err := federation(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("scenario: non-positive horizon")
@@ -309,7 +335,6 @@ func Run(cfg Config) (*Result, error) {
 	tracker := workload.NewTracker()
 	scheds := make(map[string]*sched.Scheduler)
 	finished := 0
-	largest := 0
 	archiveRNG := simrand.Derive(cfg.Seed, "archive")
 	for _, m := range fed.Machines() {
 		m := m
@@ -323,9 +348,6 @@ func Run(cfg Config) (*Result, error) {
 			s.CheckpointOverhead = cfg.CheckpointOverhead
 		}
 		scheds[m.ID] = s
-		if m.BatchCores() > largest {
-			largest = m.BatchCores()
-		}
 		s.Subscribe(func(e sched.Event) {
 			switch e.Kind {
 			case sched.EventFinished:
@@ -588,7 +610,7 @@ func Run(cfg Config) (*Result, error) {
 		Config: cfg, Kernel: k, Federation: fed, Central: central, Bank: bank,
 		Schedulers: scheds, Broker: broker, Gateways: gateways, Fabric: fabric,
 		Archives: archives, Population: pop, Finished: finished,
-		LargestCores: largest, Sampler: sampler, Phases: att.Phases,
+		LargestCores: largestBatchCores(fed), Sampler: sampler, Phases: att.Phases,
 		Faults: injector,
 	}, nil
 }
