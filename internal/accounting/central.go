@@ -2,16 +2,24 @@ package accounting
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
 // Central is the federation-wide accounting database (the TGCDB analogue).
 // It ingests site packets idempotently and answers the aggregation queries
 // the usage-modality analysis and the experiment harness rely on.
+//
+// Job records arrive in chunks (live) and are sealed into one exact-size
+// slice (jobs) by the first read after an ingest: Jobs, Job, TotalNUs,
+// NUsBy, CountBy, DistinctUsers, DistinctUsersBy and Export all seal
+// first. A read therefore writes once, and Central is not safe for
+// concurrent use while records are pending. Once a read has sealed the
+// records and no ingest follows, any number of goroutines may read
+// concurrently.
 type Central struct {
-	jobs         []JobRecord
-	jobIndex     map[int64]int // JobID → index in jobs
+	jobs         []JobRecord   // sealed records, in arrival order
+	live         JobChunks     // records ingested since the last seal
+	jobIndex     map[int64]int // JobID → arrival index across jobs, then live
 	transfers    []TransferRecord
 	gatewayAttrs []GatewayAttrRecord
 	storage      []StorageRecord
@@ -32,8 +40,8 @@ func NewCentral() *Central {
 // Ingest applies a packet. Packets must arrive in per-site sequence order;
 // re-delivery of an already-ingested sequence is counted and skipped, and a
 // gap is an error (the transport below is reliable in simulation, so a gap
-// indicates a bug). Job records grow along growLive, the other kinds once
-// per packet.
+// indicates a bug). Job records go into the live chunks, the other kinds
+// grow once per packet.
 func (c *Central) Ingest(p *Packet) error {
 	if p == nil {
 		return nil
@@ -41,9 +49,40 @@ func (c *Central) Ingest(p *Packet) error {
 	if fresh, err := c.admit(p.Site, p.Seq); !fresh {
 		return err
 	}
-	from := len(c.jobs)
-	c.jobs = append(growLive(c.jobs, len(p.Jobs)), p.Jobs...)
-	c.indexJobs(from)
+	for i := range p.Jobs {
+		if c.index(p.Jobs[i].JobID) {
+			c.live.Append(&p.Jobs[i])
+		}
+	}
+	c.transfers = append(c.transfers, p.Transfers...)
+	c.gatewayAttrs = append(c.gatewayAttrs, p.GatewayAttrs...)
+	c.storage = append(c.storage, p.Storage...)
+	return nil
+}
+
+// IngestOwned is Ingest for a packet whose job slice the caller hands
+// over: into a database that holds no job records yet, Central keeps
+// p.Jobs as its sealed records instead of copying them. The caller must
+// not use p.Jobs afterwards.
+func (c *Central) IngestOwned(p *Packet) error {
+	if p == nil || c.jobCount() > 0 {
+		return c.Ingest(p)
+	}
+	if fresh, err := c.admit(p.Site, p.Seq); !fresh {
+		return err
+	}
+	w := 0
+	for i := range p.Jobs {
+		if !c.index(p.Jobs[i].JobID) {
+			continue
+		}
+		if w != i {
+			p.Jobs[w] = p.Jobs[i]
+		}
+		w++
+	}
+	clear(p.Jobs[w:])
+	c.jobs = p.Jobs[:w]
 	c.transfers = append(c.transfers, p.Transfers...)
 	c.gatewayAttrs = append(c.gatewayAttrs, p.GatewayAttrs...)
 	c.storage = append(c.storage, p.Storage...)
@@ -52,9 +91,10 @@ func (c *Central) Ingest(p *Packet) error {
 
 // IngestWire ingests a wire-form packet with the same rules and results as
 // DecodePacket followed by Ingest, but decodes the records straight into
-// the tails of Central's own slices, with no intermediate Packet, and
-// interns the low-cardinality strings. A malformed, duplicate or
-// out-of-sequence packet leaves the records unchanged.
+// Central's own storage, with no intermediate Packet: job records into the
+// next slots of the live chunks, the other kinds into the tails of their
+// slices. It interns the low-cardinality strings. A malformed, duplicate
+// or out-of-sequence packet leaves the records unchanged.
 func (c *Central) IngestWire(data []byte) error {
 	r, err := newWireReader(data)
 	if err != nil {
@@ -63,47 +103,25 @@ func (c *Central) IngestWire(data []byte) error {
 	if c.syms == nil {
 		c.syms = make(map[string]string)
 	}
-	r.syms, r.live = c.syms, true
-	p := Packet{Jobs: c.jobs, Transfers: c.transfers, GatewayAttrs: c.gatewayAttrs, Storage: c.storage}
-	err = r.packet(&p)
+	r.syms = c.syms
+	from := c.live.Len()
+	p := Packet{Transfers: c.transfers, GatewayAttrs: c.gatewayAttrs, Storage: c.storage}
+	err = r.packet(&p, &c.live)
 	if err == nil {
 		var fresh bool
 		if fresh, err = c.admit(p.Site, p.Seq); fresh {
-			from := len(c.jobs)
-			c.jobs, c.transfers, c.gatewayAttrs, c.storage = p.Jobs, p.Transfers, p.GatewayAttrs, p.Storage
-			c.indexJobs(from)
+			c.transfers, c.gatewayAttrs, c.storage = p.Transfers, p.GatewayAttrs, p.Storage
+			c.indexLive(from)
 			return nil
 		}
 	}
-	// Rejected: Central's slice headers never moved. Zero the decoded tails
-	// so a shared backing array holds no stale records.
-	clear(p.Jobs[len(c.jobs):])
+	// Rejected: Central's slice headers never moved. Drop the decoded job
+	// slots and zero the decoded tails, so no stale record stays behind.
+	c.live.truncate(from)
 	clear(p.Transfers[len(c.transfers):])
 	clear(p.GatewayAttrs[len(c.gatewayAttrs):])
 	clear(p.Storage[len(c.storage):])
 	return err
-}
-
-// bulkLoad is the number of job records above which a packet into an
-// empty database counts as a bulk load.
-const bulkLoad = 256
-
-// growLive makes room for n more job records. A live database takes a few
-// records per packet; growing it in the runtime's own steps, as appending
-// record by record does, keeps it on the same capacities, and in steady
-// state that is at most one reallocation per packet. Sizing each growth to
-// the packet instead starts the sequence from the first packet's length,
-// which leaves a different slack in every Result and measured larger on
-// quick-scale runs. A bulk load into an empty slice, such as the stream's
-// end-of-run rebuild, is sized exactly, in one copy.
-func growLive(s []JobRecord, n int) []JobRecord {
-	if len(s) == 0 && n > bulkLoad {
-		return slices.Grow(s, n)
-	}
-	for cap(s)-len(s) < n {
-		s = append(s[:cap(s)], JobRecord{})[:len(s)]
-	}
-	return s
 }
 
 // admit applies the per-site sequence rule to a packet header. It reports
@@ -123,33 +141,53 @@ func (c *Central) admit(site string, seq uint64) (bool, error) {
 	return true, nil
 }
 
-// indexJobs indexes the job records appended at jobs[from:], dropping (and
-// counting) each whose JobID is already present, including earlier in the
-// same batch.
-func (c *Central) indexJobs(from int) {
+// index files the next job record's JobID under the next arrival index,
+// which is the index's size: it holds one entry per record kept. It reports
+// false, and counts a duplicate, when the JobID is already present:
+// Central keeps the first record of each JobID.
+func (c *Central) index(id int64) bool {
+	if _, dup := c.jobIndex[id]; dup {
+		c.duplicates++
+		return false
+	}
+	c.jobIndex[id] = len(c.jobIndex)
+	return true
+}
+
+// indexLive indexes the job records decoded into live[from:], dropping
+// (and counting) each whose JobID is already present, including earlier in
+// the same packet, and compacting the rest in place.
+func (c *Central) indexLive(from int) {
 	w := from
-	for i := from; i < len(c.jobs); i++ {
-		id := c.jobs[i].JobID
-		if _, dup := c.jobIndex[id]; dup {
-			c.duplicates++
+	for i := from; i < c.live.Len(); i++ {
+		r := c.live.At(i)
+		if !c.index(r.JobID) {
 			continue
 		}
-		c.jobIndex[id] = w
 		if w != i {
-			c.jobs[w] = c.jobs[i]
+			*c.live.At(w) = *r
 		}
 		w++
 	}
-	clear(c.jobs[w:])
-	c.jobs = c.jobs[:w]
+	c.live.truncate(w)
 }
+
+// jobCount returns the number of job records held, sealed or not.
+func (c *Central) jobCount() int { return len(c.jobs) + c.live.Len() }
 
 // Duplicates returns how many duplicate packets/records were skipped.
 func (c *Central) Duplicates() uint64 { return c.duplicates }
 
-// Jobs returns all ingested job records (shared slice; callers must not
-// modify).
-func (c *Central) Jobs() []JobRecord { return c.jobs }
+// Jobs returns all ingested job records in arrival order (shared slice;
+// callers must not modify). Every read of the job records goes through it:
+// it seals the live records onto the end of the sealed slice, and the
+// first seal allocates that slice at its exact size.
+func (c *Central) Jobs() []JobRecord {
+	if c.live.Len() > 0 {
+		c.jobs = c.live.moveTo(c.jobs)
+	}
+	return c.jobs
+}
 
 // Transfers returns all ingested transfer records.
 func (c *Central) Transfers() []TransferRecord { return c.transfers }
@@ -166,7 +204,7 @@ func (c *Central) Job(id int64) (JobRecord, bool) {
 	if !ok {
 		return JobRecord{}, false
 	}
-	return c.jobs[i], true
+	return c.Jobs()[i], true
 }
 
 // GatewayUserOf returns the gateway end-user attribute for a job, if any.
@@ -186,8 +224,9 @@ func (c *Central) GatewayUserOf(jobID int64) (GatewayAttrRecord, bool) {
 // TotalNUs sums normalized units across all job records.
 func (c *Central) TotalNUs() float64 {
 	t := 0.0
-	for i := range c.jobs {
-		t += c.jobs[i].NUs
+	jobs := c.Jobs()
+	for i := range jobs {
+		t += jobs[i].NUs
 	}
 	return t
 }
@@ -196,8 +235,9 @@ func (c *Central) TotalNUs() float64 {
 // deterministic key-sorted slice.
 func (c *Central) NUsBy(key func(*JobRecord) string) []KeyedValue {
 	agg := make(map[string]float64)
-	for i := range c.jobs {
-		agg[key(&c.jobs[i])] += c.jobs[i].NUs
+	jobs := c.Jobs()
+	for i := range jobs {
+		agg[key(&jobs[i])] += jobs[i].NUs
 	}
 	return sortKeyed(agg)
 }
@@ -205,8 +245,9 @@ func (c *Central) NUsBy(key func(*JobRecord) string) []KeyedValue {
 // CountBy counts job records by an arbitrary key function.
 func (c *Central) CountBy(key func(*JobRecord) string) []KeyedCount {
 	agg := make(map[string]int)
-	for i := range c.jobs {
-		agg[key(&c.jobs[i])]++
+	jobs := c.Jobs()
+	for i := range jobs {
+		agg[key(&jobs[i])]++
 	}
 	out := make([]KeyedCount, 0, len(agg))
 	for k, v := range agg {
@@ -219,12 +260,13 @@ func (c *Central) CountBy(key func(*JobRecord) string) []KeyedCount {
 // DistinctUsersBy returns, per key, the number of distinct charging users.
 func (c *Central) DistinctUsersBy(key func(*JobRecord) string) []KeyedCount {
 	sets := make(map[string]map[string]bool)
-	for i := range c.jobs {
-		k := key(&c.jobs[i])
+	jobs := c.Jobs()
+	for i := range jobs {
+		k := key(&jobs[i])
 		if sets[k] == nil {
 			sets[k] = make(map[string]bool)
 		}
-		sets[k][c.jobs[i].User] = true
+		sets[k][jobs[i].User] = true
 	}
 	out := make([]KeyedCount, 0, len(sets))
 	for k, s := range sets {
@@ -237,8 +279,9 @@ func (c *Central) DistinctUsersBy(key func(*JobRecord) string) []KeyedCount {
 // DistinctUsers counts distinct charging users across all records.
 func (c *Central) DistinctUsers() int {
 	s := make(map[string]bool)
-	for i := range c.jobs {
-		s[c.jobs[i].User] = true
+	jobs := c.Jobs()
+	for i := range jobs {
+		s[jobs[i].User] = true
 	}
 	return len(s)
 }

@@ -87,10 +87,10 @@ func TestFlushIngestAllocations(t *testing.T) {
 		t.Errorf("steady-state flush: %v allocs, want 5 (packet + 4 record kinds)", n)
 	}
 
-	// Ingesting a 60-job packet into a Central with spare capacity
-	// allocates only the job strings that are not interned: name, user,
-	// project, workflow, ensemble, broker job, co-allocation and truth
-	// campaign, all non-empty in the sample record.
+	// Ingesting a 60-job packet allocates only the job strings that are
+	// not interned (name, user, project, workflow, ensemble, broker job,
+	// co-allocation and truth campaign, all non-empty in the sample
+	// record) and, at most once per 256 records, a live chunk.
 	const runs, jobs = 20, 60
 	packets := make([][]byte, runs+1)
 	for i := range packets {
@@ -103,8 +103,6 @@ func TestFlushIngestAllocations(t *testing.T) {
 		packets[i] = p.AppendWire(nil)
 	}
 	c := NewCentral()
-	c.jobs = make([]JobRecord, 0, len(packets)*jobs)
-	c.jobIndex = make(map[int64]int, len(packets)*jobs)
 	next := 0
 	ingest := func() {
 		if err := c.IngestWire(packets[next]); err != nil {
@@ -112,11 +110,12 @@ func TestFlushIngestAllocations(t *testing.T) {
 		}
 		next++
 	}
-	if n := testing.AllocsPerRun(runs, ingest); n != 8*jobs {
-		t.Errorf("IngestWire of a %d-job packet: %v allocs, want %d (uninterned strings only)", jobs, n, 8*jobs)
+	strs := testing.AllocsPerRun(runs, ingest)
+	if limit := float64(8*jobs + (jobs+chunkSize-1)/chunkSize); strs < 8*jobs || strs > limit {
+		t.Errorf("IngestWire of a %d-job packet: %v allocs, want %d uninterned strings and at most one chunk", jobs, strs, 8*jobs)
 	}
-	if len(c.Jobs()) != len(packets)*jobs {
-		t.Fatalf("ingested %d jobs, want %d", len(c.Jobs()), len(packets)*jobs)
+	if got := len(c.Jobs()); got != len(packets)*jobs || cap(c.Jobs()) != got {
+		t.Fatalf("ingested %d jobs (cap %d), want %d at exact size", got, cap(c.Jobs()), len(packets)*jobs)
 	}
 }
 

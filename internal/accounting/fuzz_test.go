@@ -1,10 +1,11 @@
 package accounting
 
 import (
+	"bytes"
 	"errors"
 	"maps"
+	"math"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -92,17 +93,22 @@ func FuzzDecodePacket(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of re-encoded packet failed: %v", err)
 		}
-		if !reflect.DeepEqual(p, q) {
+		if !sameBits(p, q) {
 			t.Fatalf("re-encode round trip mismatch:\n%+v\n%+v", p, q)
 		}
 	})
 }
 
 // addWireSeeds seeds a packet fuzzer with valid packets of both versions,
-// repeated JobIDs, and truncated, trailing and garbage inputs.
+// repeated JobIDs, a NaN field, and truncated, trailing and garbage inputs.
 func addWireSeeds(f *testing.F) {
 	v1, _ := samplePacket().Encode()
 	v2, _ := wastedPacket().Encode()
+	withNaN := samplePacket()
+	// JobID 77 is not in priorCentral, so FuzzIngestWire keeps the record.
+	withNaN.Jobs[1].JobID, withNaN.Jobs[1].CoreSeconds = 77, math.NaN()
+	nan, _ := withNaN.Encode()
+	f.Add(nan)
 	repeat := samplePacket()
 	repeat.Jobs = append(repeat.Jobs, repeat.Jobs[0])
 	rep, _ := repeat.Encode()
@@ -125,8 +131,10 @@ func addWireSeeds(f *testing.F) {
 // priorCentral builds the state FuzzIngestWire ingests into: site "ridge"
 // up to seq 41, so the seed packets (seq 42) are next in sequence; site
 // "s" up to seq 3, so a seq-1 packet is a re-delivery; and JobID 1, which
-// the seed packets repeat. wire selects the ingest path.
-func priorCentral(t *testing.T, wire bool) *Central {
+// the seed packets repeat. wire selects the ingest path. Reads after seq
+// 10 and 30 seal the records so far, so the database ends with a sealed
+// prefix and pending records in its live chunks.
+func priorCentral(t testing.TB, wire bool) *Central {
 	c := NewCentral()
 	var packets []*Packet
 	for seq := uint64(1); seq <= 41; seq++ {
@@ -148,36 +156,56 @@ func priorCentral(t *testing.T, wire bool) *Central {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if p.Seq == 10 || p.Seq == 30 {
+			c.Jobs()
+		}
+	}
+	if c.live.Len() == 0 {
+		t.Fatal("prior state has no pending records")
 	}
 	return c
 }
 
-// centralState is a deep copy of everything Central stores.
+// sameBits reports whether two packets have the same wire form. The codec
+// keeps every float's bits, so unlike reflect.DeepEqual this holds a NaN
+// the input carried equal to itself.
+func sameBits(a, b *Packet) bool { return bytes.Equal(a.AppendWire(nil), b.AppendWire(nil)) }
+
+// centralState is a deep copy of everything Central stores, read through
+// Jobs (which seals the live records). The records are kept in wire form,
+// so comparing states is bit-exact, as sameBits is.
 type centralState struct {
-	jobs         []JobRecord
-	jobIndex     map[int64]int
-	transfers    []TransferRecord
-	gatewayAttrs []GatewayAttrRecord
-	storage      []StorageRecord
-	seen         map[string]uint64
-	duplicates   uint64
+	records    []byte
+	jobIndex   map[int64]int
+	seen       map[string]uint64
+	duplicates uint64
 }
 
 func stateOf(c *Central) centralState {
+	records := &Packet{Jobs: c.Jobs(), Transfers: c.transfers, GatewayAttrs: c.gatewayAttrs, Storage: c.storage}
 	return centralState{
-		jobs:         slices.Clone(c.jobs),
-		jobIndex:     maps.Clone(c.jobIndex),
-		transfers:    slices.Clone(c.transfers),
-		gatewayAttrs: slices.Clone(c.gatewayAttrs),
-		storage:      slices.Clone(c.storage),
-		seen:         maps.Clone(c.seen),
-		duplicates:   c.duplicates,
+		records:    records.AppendWire(nil),
+		jobIndex:   maps.Clone(c.jobIndex),
+		seen:       maps.Clone(c.seen),
+		duplicates: c.duplicates,
 	}
 }
 
-// zeroTail reports whether the spare capacity of s holds only zero values:
-// rejected and de-duplicated records must not linger behind the slice end.
-func zeroTail[T comparable](s []T) bool {
+// zeroTail reports whether Central holds only zero values behind the end
+// of its records: in the spare capacity of every record slice and in every
+// slot of the live chunks past the pending records. Rejected and
+// de-duplicated records must not linger there.
+func zeroTail(c *Central) bool {
+	for i := c.live.Len(); i < len(c.live.chunks)*chunkSize; i++ {
+		if *c.live.At(i) != (JobRecord{}) {
+			return false
+		}
+	}
+	return zeroSpare(c.jobs) && zeroSpare(c.transfers) && zeroSpare(c.gatewayAttrs) && zeroSpare(c.storage)
+}
+
+// zeroSpare reports whether the spare capacity of s holds only zero values.
+func zeroSpare[T comparable](s []T) bool {
 	var zero T
 	for _, v := range s[len(s):cap(s)] {
 		if v != zero {
@@ -202,12 +230,12 @@ func FuzzIngestWire(f *testing.F) {
 	redelivery, _ := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 900}}}).Encode()
 	f.Add(redelivery)
 
+	before := stateOf(priorCentral(f, true))
+	if !reflect.DeepEqual(stateOf(priorCentral(f, false)), before) {
+		f.Fatal("prior states differ between Ingest and IngestWire")
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, got := priorCentral(t, false), priorCentral(t, true)
-		if !reflect.DeepEqual(stateOf(ref), stateOf(got)) {
-			t.Fatal("prior states differ between Ingest and IngestWire")
-		}
-		before := stateOf(got)
 
 		var wantErr error
 		if p, err := DecodePacket(data); err != nil {
@@ -223,6 +251,10 @@ func FuzzIngestWire(f *testing.F) {
 		if errors.Is(wantErr, ErrBadPacket) != errors.Is(gotErr, ErrBadPacket) {
 			t.Fatalf("IngestWire error %v and reference %v differ in kind", gotErr, wantErr)
 		}
+		// Check the live chunks before stateOf seals them away.
+		if !zeroTail(got) {
+			t.Fatal("IngestWire left records behind the end of the store")
+		}
 		if !reflect.DeepEqual(stateOf(ref), stateOf(got)) {
 			t.Fatalf("state after IngestWire differs from the reference path:\nwire: %+v\nref:  %+v",
 				stateOf(got), stateOf(ref))
@@ -230,8 +262,8 @@ func FuzzIngestWire(f *testing.F) {
 		if gotErr != nil && !reflect.DeepEqual(before, stateOf(got)) {
 			t.Fatalf("failed IngestWire (%v) changed Central", gotErr)
 		}
-		if !zeroTail(got.jobs) || !zeroTail(got.transfers) || !zeroTail(got.gatewayAttrs) || !zeroTail(got.storage) {
-			t.Fatal("IngestWire left records behind the end of a slice")
+		if !zeroTail(got) {
+			t.Fatal("sealing left records behind the end of the store")
 		}
 	})
 }

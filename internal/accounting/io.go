@@ -33,8 +33,9 @@ func (c *Central) Export(w io.Writer) error {
 		}
 		return bw.WriteByte('\n')
 	}
-	for i := range c.jobs {
-		if err := write("job", &c.jobs[i]); err != nil {
+	jobs := c.Jobs()
+	for i := range jobs {
+		if err := write("job", &jobs[i]); err != nil {
 			return err
 		}
 	}
@@ -60,7 +61,7 @@ func (c *Central) Export(w io.Writer) error {
 // refuses to import into a database that already holds records, since the
 // sequence-tracking state would be inconsistent.
 func (c *Central) Import(r io.Reader) error {
-	if len(c.jobs)+len(c.transfers)+len(c.gatewayAttrs)+len(c.storage) > 0 {
+	if c.jobCount()+len(c.transfers)+len(c.gatewayAttrs)+len(c.storage) > 0 {
 		return fmt.Errorf("accounting: import into non-empty database")
 	}
 	sc := bufio.NewScanner(r)
@@ -81,12 +82,9 @@ func (c *Central) Import(r io.Reader) error {
 			if err := json.Unmarshal(tl.Data, &rec); err != nil {
 				return fmt.Errorf("accounting: import line %d: %w", lineNo, err)
 			}
-			if _, dup := c.jobIndex[rec.JobID]; dup {
-				c.duplicates++
-				continue
+			if c.index(rec.JobID) {
+				c.live.Append(&rec)
 			}
-			c.jobIndex[rec.JobID] = len(c.jobs)
-			c.jobs = append(c.jobs, rec)
 		case "transfer":
 			var rec TransferRecord
 			if err := json.Unmarshal(tl.Data, &rec); err != nil {

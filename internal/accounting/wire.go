@@ -66,9 +66,6 @@ type wireReader struct {
 	err  error
 	// syms, when non-nil, is the intern table sym shares strings through.
 	syms map[string]string
-	// live marks a decode into a live Central's own slices: job records
-	// then grow along growLive instead of to the packet's size.
-	live bool
 }
 
 // newWireReader checks the packet header (magic and version) and returns
@@ -244,13 +241,11 @@ func (r *wireReader) jobRecord(j *JobRecord) {
 	j.ScienceField = r.sym("science_field")
 	j.TruthModality = r.sym("truth")
 	j.TruthCampaign = r.str("truth_campaign")
+	// A version 1 record leaves both wasted fields as the slot holds them:
+	// zero, since every slot a decode fills is fresh or zeroed.
 	if r.ver >= wireVersion2 {
 		j.WastedCoreSeconds = r.f64("wasted_core_s")
 		j.WastedNUs = r.f64("wasted_nus")
-	} else {
-		// Set both anyway: Central.IngestWire decodes into spare capacity,
-		// and a record must not depend on the slot's earlier contents.
-		j.WastedCoreSeconds, j.WastedNUs = 0, 0
 	}
 }
 
@@ -371,7 +366,7 @@ func DecodePacket(data []byte) (*Packet, error) {
 		return nil, err
 	}
 	p := &Packet{}
-	if err := r.packet(p); err != nil {
+	if err := r.packet(p, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -379,21 +374,25 @@ func DecodePacket(data []byte) (*Packet, error) {
 
 // packet decodes the body after the header into p, appending the records
 // to whatever p's slices already hold (Central.IngestWire passes its own),
-// and rejects trailing bytes.
-func (r *wireReader) packet(p *Packet) error {
+// and rejects trailing bytes. With jobs non-nil the job records go into
+// its next slots instead of p.Jobs.
+func (r *wireReader) packet(p *Packet, jobs *JobChunks) error {
 	p.Site = r.sym("site")
 	p.Seq = r.u64("seq")
 	p.SentAt = r.f64("sent_at")
-	n := len(p.Jobs)
-	if k := r.count("jobs", minJobWire[r.ver]); r.live {
-		p.Jobs = growLive(p.Jobs, k)[:n+k]
+	k := r.count("jobs", minJobWire[r.ver])
+	if jobs != nil {
+		for ; k > 0 && r.err == nil; k-- {
+			r.jobRecord(jobs.next())
+		}
 	} else {
+		n := len(p.Jobs)
 		p.Jobs = extend(p.Jobs, k)
+		for i := n; i < len(p.Jobs); i++ {
+			r.jobRecord(&p.Jobs[i])
+		}
 	}
-	for i := n; i < len(p.Jobs); i++ {
-		r.jobRecord(&p.Jobs[i])
-	}
-	n = len(p.Transfers)
+	n := len(p.Transfers)
 	p.Transfers = extend(p.Transfers, r.count("transfers", minTransferWire))
 	for i := n; i < len(p.Transfers); i++ {
 		r.transferRecord(&p.Transfers[i])

@@ -797,7 +797,8 @@ func (d *Daemon) RunCentralExport(id string, w io.Writer) error {
 	}
 	// Safe: after finalize the owning goroutine no longer mutates the
 	// database (applyFrame rejects record frames past the final, and a
-	// resumed connection to a finalized run only ever re-acks).
+	// resumed connection to a finalized run only ever re-acks), and
+	// finalizeRun's classify sealed its records, so Export only reads.
 	return rs.central.Export(w)
 }
 

@@ -143,6 +143,28 @@ func TestDaemonReportByteMatch(t *testing.T) {
 	}
 }
 
+// TestConcurrentCentralExport: reads of a Central seal its live records,
+// so they write once. Finalize reads the run's database before it marks
+// the run finalized, so concurrent exports of a finalized run only read
+// (run under -race) and agree byte for byte.
+func TestConcurrentCentralExport(t *testing.T) {
+	d, addr := startDaemon(t)
+	_, p, _ := pushRun(t, addr, 5, "concurrent")
+	var outs [2]bytes.Buffer
+	errs := make(chan error, len(outs))
+	for i := range outs {
+		go func() { errs <- d.RunCentralExport(p.RunID(), &outs[i]) }()
+	}
+	for range outs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outs[0].Len() == 0 || !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Fatalf("concurrent exports differ or are empty (%d and %d bytes)", outs[0].Len(), outs[1].Len())
+	}
+}
+
 // TestPusherChainsExistingSnapshotSink pins Pusher.Observer's composition
 // contract: a snapshot sink attached before the pusher's observer keeps
 // receiving every snapshot, and the pusher forwards each one to the daemon.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -63,13 +64,30 @@ func (cf *ConfigFile) Encode(w io.Writer) error {
 	return enc.Encode(cf)
 }
 
-// DecodeConfigFile parses a JSON scenario configuration.
+// ErrBadConfig is the error every failure of DecodeConfigFile and
+// ConfigFile.ToConfig wraps: malformed JSON, an unknown field, data after
+// the configuration, or an unknown policy, broker policy or generator
+// type. Match with errors.Is(err, ErrBadConfig).
+var ErrBadConfig = errors.New("scenario: bad config file")
+
+// badConfig marks err as a config-file error and keeps its text.
+type badConfig struct{ error }
+
+func (e badConfig) Is(target error) bool { return target == ErrBadConfig }
+
+func (e badConfig) Unwrap() error { return e.error }
+
+// DecodeConfigFile parses a JSON scenario configuration: one JSON object,
+// optionally followed by white space.
 func DecodeConfigFile(r io.Reader) (*ConfigFile, error) {
 	var cf ConfigFile
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cf); err != nil {
-		return nil, fmt.Errorf("scenario: bad config file: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: data after the configuration", ErrBadConfig)
 	}
 	return &cf, nil
 }
@@ -79,11 +97,11 @@ func (cf *ConfigFile) ToConfig() (Config, error) {
 	var cfg Config
 	pol, err := ParsePolicy(cf.Policy)
 	if err != nil {
-		return cfg, err
+		return cfg, badConfig{err}
 	}
 	bpol, err := ParseBrokerPolicy(cf.BrokerPolicy)
 	if err != nil {
-		return cfg, err
+		return cfg, badConfig{err}
 	}
 	cfg = Config{
 		Seed:              cf.Seed,
@@ -102,7 +120,7 @@ func (cf *ConfigFile) ToConfig() (Config, error) {
 	for i, gs := range cf.Generators {
 		g, err := gs.build()
 		if err != nil {
-			return cfg, fmt.Errorf("scenario: generator %d: %w", i, err)
+			return cfg, badConfig{fmt.Errorf("scenario: generator %d: %w", i, err)}
 		}
 		cfg.Generators = append(cfg.Generators, g)
 	}

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,25 +84,80 @@ func TestConfigFileRunsIdenticallyToCode(t *testing.T) {
 }
 
 func TestDecodeConfigFileErrors(t *testing.T) {
-	if _, err := DecodeConfigFile(strings.NewReader("{bad")); err == nil {
-		t.Error("garbage accepted")
+	for name, in := range map[string]string{
+		"garbage":       "{bad",
+		"unknown field": `{"unknown_field": 1}`,
+		"trailing data": `{"seed": 1} {"seed": 2}`,
+	} {
+		if _, err := DecodeConfigFile(strings.NewReader(in)); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: error %v, want ErrBadConfig", name, err)
+		}
 	}
-	if _, err := DecodeConfigFile(strings.NewReader(`{"unknown_field": 1}`)); err == nil {
-		t.Error("unknown field accepted")
+	if _, err := DecodeConfigFile(strings.NewReader("{\"seed\": 1}\n\t ")); err != nil {
+		t.Errorf("trailing white space rejected: %v", err)
 	}
-	cf := &ConfigFile{Policy: "martian"}
-	if _, err := cf.ToConfig(); err == nil {
-		t.Error("unknown policy accepted")
+	for name, cf := range map[string]*ConfigFile{
+		"unknown policy":        {Policy: "martian"},
+		"unknown broker policy": {Policy: "easy", BrokerPolicy: "martian"},
+		"unknown generator type": {Policy: "easy", BrokerPolicy: "random",
+			Generators: []GeneratorSpec{{Type: "martian"}}},
+	} {
+		if _, err := cf.ToConfig(); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: error %v, want ErrBadConfig", name, err)
+		}
 	}
-	cf = &ConfigFile{Policy: "easy", BrokerPolicy: "martian"}
-	if _, err := cf.ToConfig(); err == nil {
-		t.Error("unknown broker policy accepted")
+}
+
+// FuzzDecodeConfigFile drives arbitrary bytes through the -config file
+// path. DecodeConfigFile and ToConfig never panic, every error wraps
+// ErrBadConfig, and an accepted file re-encodes and decodes again to the
+// same ConfigFile.
+func FuzzDecodeConfigFile(f *testing.F) {
+	for _, cfg := range []Config{DefaultConfig(42), smallConfig(5)} {
+		cfg.MaintenanceEvery = 0
+		cf, err := FromConfig(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := cf.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
 	}
-	cf = &ConfigFile{Policy: "easy", BrokerPolicy: "random",
-		Generators: []GeneratorSpec{{Type: "martian"}}}
-	if _, err := cf.ToConfig(); err == nil {
-		t.Error("unknown generator type accepted")
+	for _, s := range []string{
+		"", "{}", "null", "[]", "{bad", `{"unknown_field": 1}`, `{"seed": 1} {"seed": 2}`,
+		`{"seed": -1}`, `{"horizon_days": 1e400}`, `{"policy": "martian"}`,
+		`{"generators": [{"type": "martian"}]}`, `{"generators": [null, {"type": "batch"}]}`,
+		`{"users": {"projects": 3, "Projects": 4}}`, `{"SEED": 7, "gateways": null}`,
+		`{"gateways": [{"ID": "\xff"}]}`,
+	} {
+		f.Add([]byte(s))
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cf, err := DecodeConfigFile(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("decode error %v does not wrap ErrBadConfig", err)
+			}
+			return
+		}
+		if _, err := cf.ToConfig(); err != nil && !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("ToConfig error %v does not wrap ErrBadConfig", err)
+		}
+		var buf bytes.Buffer
+		if err := cf.Encode(&buf); err != nil {
+			t.Fatalf("re-encode of an accepted file failed: %v", err)
+		}
+		back, err := DecodeConfigFile(&buf)
+		if err != nil {
+			t.Fatalf("decode of a re-encoded file failed: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(cf, back) {
+			t.Fatalf("re-encode round trip mismatch:\n%+v\n%+v", cf, back)
+		}
+	})
 }
 
 // TestFromConfigRejectsFieldsWithoutFileForm: a dump that dropped faults

@@ -67,6 +67,11 @@ func TestRecordConservation(t *testing.T) {
 				t.Errorf("events/jobs = %d/%d, want the quick seed-7 anchors 14210/5129",
 					res.Kernel.Executed(), len(res.Central.Jobs()))
 			}
+			// The first read seals the live records at their exact size:
+			// a Result keeps no growth slack.
+			if jobs := res.Central.Jobs(); cap(jobs) != len(jobs) {
+				t.Errorf("central jobs cap %d, want exact size %d", cap(jobs), len(jobs))
+			}
 
 			packetNUs, packetWasted := sumNUs(tapped)
 			central := res.Central.Jobs()

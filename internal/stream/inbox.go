@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/tgsim/tgmod/internal/accounting"
@@ -75,18 +77,28 @@ func (b *inbox) depth() int { return len(b.items) - b.head }
 // Canonical record orders for Finalize: sorts keyed on record identity so
 // the rebuilt database is independent of arrival order.
 
-// canonicalJobs concatenates the chunked job store into one exact-size
-// slice, sorted by JobID.
-func canonicalJobs(chunks [][]accounting.JobRecord) []accounting.JobRecord {
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
+// canonicalJobs gathers the job store into one exact-size slice, sorted
+// by JobID and, within a JobID, by arrival. It sorts 16-byte keys rather
+// than the records, then copies each record once.
+func canonicalJobs(jobs *accounting.JobChunks) []accounting.JobRecord {
+	type key struct {
+		id  int64
+		pos int
 	}
-	out := make([]accounting.JobRecord, 0, n)
-	for _, c := range chunks {
-		out = append(out, c...)
+	keys := make([]key, jobs.Len())
+	for i := range keys {
+		keys[i] = key{jobs.At(i).JobID, i}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	out := make([]accounting.JobRecord, len(keys))
+	for i, k := range keys {
+		out[i] = *jobs.At(k.pos)
+	}
 	return out
 }
 

@@ -71,9 +71,9 @@ type Processor struct {
 	drift  *driftMonitor
 
 	// Accepted records, in arrival order, for the end-of-stream report.
-	// Job records are kept in chunks of jobChunk: a long stream never
-	// re-copies its records to grow, and its slack stays under one chunk.
-	jobs         [][]accounting.JobRecord
+	// Job records are kept in chunks: a long stream never re-copies its
+	// records to grow, and its slack stays under one chunk.
+	jobs         accounting.JobChunks
 	transfers    []accounting.TransferRecord
 	gatewayAttrs []accounting.GatewayAttrRecord
 	storage      []accounting.StorageRecord
@@ -219,9 +219,9 @@ func (p *Processor) process(it item) {
 	}
 	switch it.kind {
 	case kindJob:
-		r := it.job
-		p.keepJob(&r)
-		d := p.online.classify(&r)
+		r := &it.job
+		p.jobs.Append(r)
+		d := p.online.classify(r)
 		p.usage.observe(at, d.Modality, r.NUs, d.Confidence)
 		p.drift.observe(at, d.Modality, r.TruthModality)
 	case kindTransfer:
@@ -233,20 +233,6 @@ func (p *Processor) process(it item) {
 	case kindStorage:
 		p.storage = append(p.storage, it.storage)
 	}
-}
-
-// jobChunk is the number of job records per chunk of the accepted-record
-// store (about 96 KiB).
-const jobChunk = 256
-
-// keepJob appends an accepted job record to the chunked store.
-func (p *Processor) keepJob(r *accounting.JobRecord) {
-	n := len(p.jobs)
-	if n == 0 || len(p.jobs[n-1]) == jobChunk {
-		p.jobs = append(p.jobs, make([]accounting.JobRecord, 0, jobChunk))
-		n++
-	}
-	p.jobs[n-1] = append(p.jobs[n-1], *r)
 }
 
 // Now returns the stream clock: the latest virtual time offered or
@@ -283,18 +269,19 @@ type Final struct {
 // an accounting database in canonical record order. Because the batch
 // classifier is record-order-invariant, the per-job classifications equal
 // what a post-run Classify over the live database produces, no matter
-// what order the stream saw the records in.
+// what order the stream saw the records in. Of several records with one
+// JobID the database keeps the first accepted, as a live Central does.
 func (p *Processor) Finalize() (*Final, error) {
 	p.Advance(p.now)
 	c := accounting.NewCentral()
 	pkt := &accounting.Packet{
 		Site: "stream", Seq: 1, SentAt: float64(p.now),
-		Jobs:         canonicalJobs(p.jobs),
+		Jobs:         canonicalJobs(&p.jobs),
 		Transfers:    canonicalTransfers(p.transfers),
 		GatewayAttrs: canonicalGatewayAttrs(p.gatewayAttrs),
 		Storage:      canonicalStorage(p.storage),
 	}
-	if err := c.Ingest(pkt); err != nil {
+	if err := c.IngestOwned(pkt); err != nil {
 		return nil, err
 	}
 	ccfg := p.cfg.Classifier

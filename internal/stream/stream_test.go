@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -330,24 +329,30 @@ func TestStreamMetricsExposed(t *testing.T) {
 	}
 }
 
-// acceptedJobs flattens the processor's chunked job store, in arrival
+// acceptedJobs copies the processor's chunked job store out, in arrival
 // order.
-func acceptedJobs(p *Processor) []accounting.JobRecord { return slices.Concat(p.jobs...) }
+func acceptedJobs(p *Processor) []accounting.JobRecord {
+	out := make([]accounting.JobRecord, p.jobs.Len())
+	for i := range out {
+		out[i] = *p.jobs.At(i)
+	}
+	return out
+}
 
 // TestJobStoreChunks: the chunked store keeps arrival order across chunk
-// boundaries, fills each chunk before starting the next, and Finalize
-// rebuilds every record in JobID order.
+// boundaries, and Finalize rebuilds every record in JobID order into an
+// exact-size slice.
 func TestJobStoreChunks(t *testing.T) {
 	p := New(Config{LargestCores: 512})
-	const n = 2*jobChunk + 7
+	const n = 2*256 + 7
 	for i := 0; i < n; i++ {
 		// Descending IDs, so canonical order reverses arrival order.
 		p.OfferJob(accounting.JobRecord{JobID: int64(n - i), Cores: 1, NUs: 1,
 			EndTime: float64(i), ExitStatus: "completed"})
 	}
 	p.Advance(des.Time(n))
-	if len(p.jobs) != 3 || len(p.jobs[0]) != jobChunk || len(p.jobs[2]) != 7 {
-		t.Fatalf("chunks = %d (last %d), want 3 with 7 in the last", len(p.jobs), len(p.jobs[len(p.jobs)-1]))
+	if p.jobs.Len() != n {
+		t.Fatalf("store holds %d jobs, want %d", p.jobs.Len(), n)
 	}
 	for i, r := range acceptedJobs(p) {
 		if r.JobID != int64(n-i) {
@@ -359,13 +364,49 @@ func TestJobStoreChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := fin.Central.Jobs()
-	if len(jobs) != n {
-		t.Fatalf("finalize central holds %d jobs, want %d", len(jobs), n)
+	if len(jobs) != n || cap(jobs) != n {
+		t.Fatalf("finalize central holds %d jobs (cap %d), want %d", len(jobs), cap(jobs), n)
 	}
 	for i, r := range jobs {
 		if r.JobID != int64(i+1) {
 			t.Fatalf("finalize job %d has ID %d, want %d", i, r.JobID, i+1)
 		}
+	}
+}
+
+// TestFinalizeKeepsFirstDuplicate: of several accepted records with one
+// JobID, Finalize keeps the first, as a live Central does, whatever the
+// sort does with equal JobIDs.
+func TestFinalizeKeepsFirstDuplicate(t *testing.T) {
+	p := New(Config{LargestCores: 512})
+	const ids = 2500
+	for second := 0; second < 2; second++ {
+		for i := 0; i < ids; i++ {
+			// The first copy of every JobID has even NUs, the second odd.
+			p.OfferJob(accounting.JobRecord{JobID: int64(i*7919%ids + 1), Cores: 1,
+				NUs: float64(2*i + second), EndTime: float64(i), ExitStatus: "completed"})
+		}
+	}
+	p.Advance(des.Time(ids))
+	fin, err := p.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := fin.Central.Jobs()
+	if len(jobs) != ids {
+		t.Fatalf("finalize central holds %d jobs, want %d", len(jobs), ids)
+	}
+	later := 0
+	for _, r := range jobs {
+		if int(r.NUs)%2 != 0 {
+			later++
+		}
+	}
+	if later != 0 {
+		t.Fatalf("%d of %d kept records are a later copy, want 0", later, ids)
+	}
+	if fin.Central.Duplicates() != ids {
+		t.Fatalf("finalize counted %d duplicates, want %d", fin.Central.Duplicates(), ids)
 	}
 }
 
