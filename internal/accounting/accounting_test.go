@@ -128,20 +128,25 @@ func TestCentralIngestIdempotent(t *testing.T) {
 	}
 }
 
-func TestCentralIngestWire(t *testing.T) {
-	c := NewCentral()
-	p := &Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 5}}}
-	data, err := p.Encode()
+// TestCentralIngestDecoded: a decoded packet ingests like the one encoded,
+// and Central borrows the decoded job slice.
+func TestCentralIngestDecoded(t *testing.T) {
+	data, err := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 5}}}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.IngestWire(data); err != nil {
+	p, err := DecodePacket(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Job(5); !ok {
-		t.Error("wire-ingested job not found")
+	c := NewCentral()
+	if err := c.Ingest(p); err != nil {
+		t.Fatal(err)
 	}
-	if err := c.IngestWire([]byte("{")); err == nil {
+	if _, ok := c.Job(5); !ok || &c.Jobs()[0] != &p.Jobs[0] {
+		t.Error("decoded job not found, or copied")
+	}
+	if _, err := DecodePacket([]byte("{")); err == nil {
 		t.Error("bad wire data accepted")
 	}
 }

@@ -9,24 +9,24 @@ import (
 // It ingests site packets idempotently and answers the aggregation queries
 // the usage-modality analysis and the experiment harness rely on.
 //
-// Job records arrive in chunks (live) and are sealed into one exact-size
-// slice (jobs) by the first read after an ingest: Jobs, Job, TotalNUs,
-// NUsBy, CountBy, DistinctUsers, DistinctUsersBy and Export all seal
-// first. A read therefore writes once, and Central is not safe for
-// concurrent use while records are pending. Once a read has sealed the
-// records and no ingest follows, any number of goroutines may read
-// concurrently.
+// Central borrows job records: Ingest keeps the runs of a packet's jobs it
+// accepts as segments instead of copying them, which is sound because a
+// flushed packet never changes again. The first read after an ingest seals
+// the segments into one slice (jobs): Jobs, Job, TotalNUs, NUsBy, CountBy,
+// DistinctUsers, DistinctUsersBy and Export all seal first. A read
+// therefore writes once, and Central is not safe for concurrent use while
+// records are pending. Once a read has sealed the records and no ingest
+// follows, any number of goroutines may read concurrently.
 type Central struct {
 	jobs         []JobRecord   // sealed records, in arrival order
-	live         JobChunks     // records ingested since the last seal
-	jobIndex     map[int64]int // JobID → arrival index across jobs, then live
+	segs         [][]JobRecord // borrowed runs of job records since the last seal
+	jobIndex     map[int64]int // JobID → arrival index across jobs, then segs
 	transfers    []TransferRecord
 	gatewayAttrs []GatewayAttrRecord
 	storage      []StorageRecord
 	seen         map[string]uint64 // per-site highest contiguous seq ingested
 	duplicates   uint64
 	outOfOrder   uint64
-	syms         map[string]string // IngestWire's intern table, at most internCap entries
 }
 
 // NewCentral returns an empty central database.
@@ -40,8 +40,10 @@ func NewCentral() *Central {
 // Ingest applies a packet. Packets must arrive in per-site sequence order;
 // re-delivery of an already-ingested sequence is counted and skipped, and a
 // gap is an error (the transport below is reliable in simulation, so a gap
-// indicates a bug). Job records go into the live chunks, the other kinds
-// grow once per packet.
+// indicates a bug). Central borrows the job records: it keeps the runs of
+// p.Jobs between duplicate JobIDs as segments and never writes to them, so
+// the caller must not change p.Jobs afterwards. The other kinds are
+// copied, growing once per packet.
 func (c *Central) Ingest(p *Packet) error {
 	if p == nil {
 		return nil
@@ -49,79 +51,28 @@ func (c *Central) Ingest(p *Packet) error {
 	if fresh, err := c.admit(p.Site, p.Seq); !fresh {
 		return err
 	}
-	for i := range p.Jobs {
-		if c.index(p.Jobs[i].JobID) {
-			c.live.Append(&p.Jobs[i])
-		}
-	}
-	c.transfers = append(c.transfers, p.Transfers...)
-	c.gatewayAttrs = append(c.gatewayAttrs, p.GatewayAttrs...)
-	c.storage = append(c.storage, p.Storage...)
-	return nil
-}
-
-// IngestOwned is Ingest for a packet whose job slice the caller hands
-// over: into a database that holds no job records yet, Central keeps
-// p.Jobs as its sealed records instead of copying them. The caller must
-// not use p.Jobs afterwards.
-func (c *Central) IngestOwned(p *Packet) error {
-	if p == nil || c.jobCount() > 0 {
-		return c.Ingest(p)
-	}
-	if fresh, err := c.admit(p.Site, p.Seq); !fresh {
-		return err
-	}
-	w := 0
+	from := 0
 	for i := range p.Jobs {
 		if !c.index(p.Jobs[i].JobID) {
-			continue
+			c.borrow(p.Jobs[from:i])
+			from = i + 1
 		}
-		if w != i {
-			p.Jobs[w] = p.Jobs[i]
-		}
-		w++
 	}
-	clear(p.Jobs[w:])
-	c.jobs = p.Jobs[:w]
+	c.borrow(p.Jobs[from:])
 	c.transfers = append(c.transfers, p.Transfers...)
 	c.gatewayAttrs = append(c.gatewayAttrs, p.GatewayAttrs...)
 	c.storage = append(c.storage, p.Storage...)
 	return nil
 }
 
-// IngestWire ingests a wire-form packet with the same rules and results as
-// DecodePacket followed by Ingest, but decodes the records straight into
-// Central's own storage, with no intermediate Packet: job records into the
-// next slots of the live chunks, the other kinds into the tails of their
-// slices. It interns the low-cardinality strings. A malformed, duplicate
-// or out-of-sequence packet leaves the records unchanged.
-func (c *Central) IngestWire(data []byte) error {
-	r, err := newWireReader(data)
-	if err != nil {
-		return err
+// borrow keeps a non-empty run of job records as a pending segment. The
+// full slice expression caps it at its length, so an append to a sealed
+// slice that adopted it reallocates instead of writing into the array the
+// segment shares.
+func (c *Central) borrow(s []JobRecord) {
+	if len(s) > 0 {
+		c.segs = append(c.segs, s[:len(s):len(s)])
 	}
-	if c.syms == nil {
-		c.syms = make(map[string]string)
-	}
-	r.syms = c.syms
-	from := c.live.Len()
-	p := Packet{Transfers: c.transfers, GatewayAttrs: c.gatewayAttrs, Storage: c.storage}
-	err = r.packet(&p, &c.live)
-	if err == nil {
-		var fresh bool
-		if fresh, err = c.admit(p.Site, p.Seq); fresh {
-			c.transfers, c.gatewayAttrs, c.storage = p.Transfers, p.GatewayAttrs, p.Storage
-			c.indexLive(from)
-			return nil
-		}
-	}
-	// Rejected: Central's slice headers never moved. Drop the decoded job
-	// slots and zero the decoded tails, so no stale record stays behind.
-	c.live.truncate(from)
-	clear(p.Transfers[len(c.transfers):])
-	clear(p.GatewayAttrs[len(c.gatewayAttrs):])
-	clear(p.Storage[len(c.storage):])
-	return err
 }
 
 // admit applies the per-site sequence rule to a packet header. It reports
@@ -154,38 +105,30 @@ func (c *Central) index(id int64) bool {
 	return true
 }
 
-// indexLive indexes the job records decoded into live[from:], dropping
-// (and counting) each whose JobID is already present, including earlier in
-// the same packet, and compacting the rest in place.
-func (c *Central) indexLive(from int) {
-	w := from
-	for i := from; i < c.live.Len(); i++ {
-		r := c.live.At(i)
-		if !c.index(r.JobID) {
-			continue
-		}
-		if w != i {
-			*c.live.At(w) = *r
-		}
-		w++
-	}
-	c.live.truncate(w)
-}
-
-// jobCount returns the number of job records held, sealed or not.
-func (c *Central) jobCount() int { return len(c.jobs) + c.live.Len() }
-
 // Duplicates returns how many duplicate packets/records were skipped.
 func (c *Central) Duplicates() uint64 { return c.duplicates }
 
 // Jobs returns all ingested job records in arrival order (shared slice;
 // callers must not modify). Every read of the job records goes through it:
-// it seals the live records onto the end of the sealed slice, and the
-// first seal allocates that slice at its exact size.
+// it seals the pending segments onto the end of the sealed slice. A lone
+// segment in an empty Central becomes the sealed slice as it is;
+// otherwise the first seal allocates the slice at its exact size, and
+// later seals append.
 func (c *Central) Jobs() []JobRecord {
-	if c.live.Len() > 0 {
-		c.jobs = c.live.moveTo(c.jobs)
+	switch {
+	case len(c.segs) == 0:
+		return c.jobs
+	case len(c.jobs) == 0 && len(c.segs) == 1:
+		c.jobs = c.segs[0]
+	default:
+		if len(c.jobs) == 0 {
+			c.jobs = make([]JobRecord, 0, len(c.jobIndex))
+		}
+		for _, s := range c.segs {
+			c.jobs = append(c.jobs, s...)
+		}
 	}
+	c.segs = nil
 	return c.jobs
 }
 

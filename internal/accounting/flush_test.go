@@ -63,7 +63,7 @@ func TestFlushedPacketIsImmutable(t *testing.T) {
 }
 
 // TestFlushIngestAllocations pins the allocations of the accounting path's
-// three steps in steady state.
+// steps in steady state.
 func TestFlushIngestAllocations(t *testing.T) {
 	// Encoding into a warm buffer allocates nothing.
 	p := samplePacket()
@@ -87,53 +87,50 @@ func TestFlushIngestAllocations(t *testing.T) {
 		t.Errorf("steady-state flush: %v allocs, want 5 (packet + 4 record kinds)", n)
 	}
 
-	// Ingesting a 60-job packet allocates only the job strings that are
-	// not interned (name, user, project, workflow, ensemble, broker job,
-	// co-allocation and truth campaign, all non-empty in the sample
-	// record) and, at most once per 256 records, a live chunk.
-	const runs, jobs = 20, 60
-	packets := make([][]byte, runs+1)
-	for i := range packets {
-		p := &Packet{Site: "ridge", Seq: uint64(i + 1)}
-		for j := 0; j < jobs; j++ {
-			r := sampleJob
-			r.JobID = int64(i*jobs + j)
-			p.Jobs = append(p.Jobs, r)
+	// Ingest borrows the job records, so once the index has room for every
+	// JobID its allocations do not depend on the packet's size: a 60-job
+	// and a 600-job packet cost the same, at most one segment-list growth.
+	const runs = 20
+	allocs := map[int]float64{}
+	for _, jobs := range []int{60, 600} {
+		packets := make([]*Packet, runs+1)
+		for i := range packets {
+			packets[i] = &Packet{Site: "ridge", Seq: uint64(i + 1)}
+			for j := 0; j < jobs; j++ {
+				r := sampleJob
+				r.JobID = int64(i*jobs + j)
+				packets[i].Jobs = append(packets[i].Jobs, r)
+			}
 		}
-		packets[i] = p.AppendWire(nil)
-	}
-	c := NewCentral()
-	next := 0
-	ingest := func() {
-		if err := c.IngestWire(packets[next]); err != nil {
-			t.Fatal(err)
+		c := NewCentral()
+		c.jobIndex = make(map[int64]int, len(packets)*jobs)
+		next := 0
+		allocs[jobs] = testing.AllocsPerRun(runs, func() {
+			if err := c.Ingest(packets[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if got := len(c.Jobs()); got != len(packets)*jobs || cap(c.Jobs()) != got {
+			t.Fatalf("ingested %d jobs (cap %d), want %d at exact size", got, cap(c.Jobs()), len(packets)*jobs)
 		}
-		next++
 	}
-	strs := testing.AllocsPerRun(runs, ingest)
-	if limit := float64(8*jobs + (jobs+chunkSize-1)/chunkSize); strs < 8*jobs || strs > limit {
-		t.Errorf("IngestWire of a %d-job packet: %v allocs, want %d uninterned strings and at most one chunk", jobs, strs, 8*jobs)
-	}
-	if got := len(c.Jobs()); got != len(packets)*jobs || cap(c.Jobs()) != got {
-		t.Fatalf("ingested %d jobs (cap %d), want %d at exact size", got, cap(c.Jobs()), len(packets)*jobs)
+	if allocs[60] != allocs[600] || allocs[600] > 1 {
+		t.Errorf("Ingest allocs: %v for 60 jobs, %v for 600; want equal and at most 1", allocs[60], allocs[600])
 	}
 }
 
 // BenchmarkFlushIngest times one periodic report of a site: a ledger flush
-// of 60 jobs, the wire encode into a reused buffer, and the direct-decode
-// central ingest.
+// of 60 jobs and the central ingest that borrows its records.
 func BenchmarkFlushIngest(b *testing.B) {
 	l := NewLedger("ridge")
 	c := NewCentral()
-	var buf []byte
 	id := int64(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		id += 100
 		spoolOne(l, id, 60)
-		p := l.Flush(des.Time(i))
-		buf = p.AppendWire(buf[:0])
-		if err := c.IngestWire(buf); err != nil {
+		if err := c.Ingest(l.Flush(des.Time(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -57,13 +57,22 @@ func (c *Central) Export(w io.Writer) error {
 	return bw.Flush()
 }
 
+// importBlock is the number of job records per block Import decodes into
+// (about 94 KiB).
+const importBlock = 256
+
 // Import reads a JSON-lines export into an empty central database. It
 // refuses to import into a database that already holds records, since the
 // sequence-tracking state would be inconsistent.
 func (c *Central) Import(r io.Reader) error {
-	if c.jobCount()+len(c.transfers)+len(c.gatewayAttrs)+len(c.storage) > 0 {
+	if len(c.jobIndex)+len(c.transfers)+len(c.gatewayAttrs)+len(c.storage) > 0 {
 		return fmt.Errorf("accounting: import into non-empty database")
 	}
+	// Job records go into blocks that Central keeps as segments, so none
+	// is copied to grow before the seal. The last block is kept on every
+	// return, so the index never names a record Central does not hold.
+	var block []JobRecord
+	defer func() { c.borrow(block) }()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
@@ -82,9 +91,14 @@ func (c *Central) Import(r io.Reader) error {
 			if err := json.Unmarshal(tl.Data, &rec); err != nil {
 				return fmt.Errorf("accounting: import line %d: %w", lineNo, err)
 			}
-			if c.index(rec.JobID) {
-				c.live.Append(&rec)
+			if !c.index(rec.JobID) {
+				continue
 			}
+			if len(block) == cap(block) {
+				c.borrow(block)
+				block = make([]JobRecord, 0, importBlock)
+			}
+			block = append(block, rec)
 		case "transfer":
 			var rec TransferRecord
 			if err := json.Unmarshal(tl.Data, &rec); err != nil {

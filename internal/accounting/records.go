@@ -192,8 +192,10 @@ func (l *Ledger) Pending() int {
 //
 // The packet owns its records: each non-empty spool is copied into an
 // exact-size slice and the spool is reused for the next interval, so a
-// flushed packet never changes again. Packet taps rely on that: a spill
-// journal or a recorded corpus may keep every packet for the whole run.
+// flushed packet never changes again. Its consumers rely on that: the
+// central database and the stream processor borrow its records instead
+// of copying them, and a spill journal or a recorded corpus may keep every
+// packet for the whole run.
 func (l *Ledger) Flush(now des.Time) *Packet {
 	if l.Pending() == 0 {
 		return nil

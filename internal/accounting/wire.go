@@ -50,12 +50,6 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// internCap bounds a Central's intern table. The interned fields take a
-// few hundred distinct values in any federation; past the cap new values
-// are still decoded, just not shared, so hostile input cannot grow the
-// table without bound.
-const internCap = 1024
-
 // wireReader is a cursor over an encoded packet. Errors are sticky: after
 // the first malformed field every read returns zero values, and the caller
 // checks err once at the end.
@@ -64,8 +58,6 @@ type wireReader struct {
 	off  int
 	ver  byte
 	err  error
-	// syms, when non-nil, is the intern table sym shares strings through.
-	syms map[string]string
 }
 
 // newWireReader checks the packet header (magic and version) and returns
@@ -126,40 +118,17 @@ func (r *wireReader) f64(what string) float64 {
 	return v
 }
 
-// raw reads a length-prefixed string field without copying it.
-func (r *wireReader) raw(what string) []byte {
+func (r *wireReader) str(what string) string {
 	n := r.u64(what)
 	if r.err != nil {
-		return nil
+		return ""
 	}
 	if n > uint64(len(r.data)-r.off) {
 		r.fail(what)
-		return nil
+		return ""
 	}
-	b := r.data[r.off : r.off+int(n)]
+	s := string(r.data[r.off : r.off+int(n)])
 	r.off += int(n)
-	return b
-}
-
-func (r *wireReader) str(what string) string { return string(r.raw(what)) }
-
-// sym reads a string field that takes few distinct values: a site,
-// machine, queue, QOS, exit status, submission mechanism, gateway,
-// workflow engine, science field or truth modality. With an intern table
-// attached every record shares one string per value, and a value already
-// in the table costs no allocation.
-func (r *wireReader) sym(what string) string {
-	b := r.raw(what)
-	if r.syms == nil || len(b) == 0 {
-		return string(b)
-	}
-	if s, ok := r.syms[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(r.syms) < internCap {
-		r.syms[s] = s
-	}
 	return s
 }
 
@@ -218,9 +187,9 @@ func (r *wireReader) jobRecord(j *JobRecord) {
 	j.Name = r.str("name")
 	j.User = r.str("user")
 	j.Project = r.str("project")
-	j.Site = r.sym("site")
-	j.Machine = r.sym("machine")
-	j.Queue = r.sym("queue")
+	j.Site = r.str("site")
+	j.Machine = r.str("machine")
+	j.Queue = r.str("queue")
 	j.Cores = int(r.i64("cores"))
 	j.SubmitTime = r.f64("submit")
 	j.StartTime = r.f64("start")
@@ -228,21 +197,21 @@ func (r *wireReader) jobRecord(j *JobRecord) {
 	j.WallSeconds = r.f64("wall_s")
 	j.CoreSeconds = r.f64("core_s")
 	j.NUs = r.f64("nus")
-	j.QOS = r.sym("qos")
-	j.ExitStatus = r.sym("exit")
+	j.QOS = r.str("qos")
+	j.ExitStatus = r.str("exit")
 	j.Preemptions = int(r.i64("preempts"))
-	j.SubmitVia = r.sym("submit_via")
-	j.GatewayID = r.sym("gateway_id")
+	j.SubmitVia = r.str("submit_via")
+	j.GatewayID = r.str("gateway_id")
 	j.WorkflowID = r.str("workflow_id")
-	j.WorkflowEngine = r.sym("workflow_engine")
+	j.WorkflowEngine = r.str("workflow_engine")
 	j.EnsembleID = r.str("ensemble_id")
 	j.BrokerJobID = r.str("broker_job_id")
 	j.CoAllocID = r.str("coalloc_id")
-	j.ScienceField = r.sym("science_field")
-	j.TruthModality = r.sym("truth")
+	j.ScienceField = r.str("science_field")
+	j.TruthModality = r.str("truth")
 	j.TruthCampaign = r.str("truth_campaign")
-	// A version 1 record leaves both wasted fields as the slot holds them:
-	// zero, since every slot a decode fills is fresh or zeroed.
+	// A version 1 record leaves both wasted fields zero: every record a
+	// decode fills is fresh.
 	if r.ver >= wireVersion2 {
 		j.WastedCoreSeconds = r.f64("wasted_core_s")
 		j.WastedNUs = r.f64("wasted_nus")
@@ -264,8 +233,8 @@ func appendTransferRecord(b []byte, t *TransferRecord) []byte {
 
 func (r *wireReader) transferRecord(t *TransferRecord) {
 	t.TransferID = r.i64("transfer_id")
-	t.Src = r.sym("src")
-	t.Dst = r.sym("dst")
+	t.Src = r.str("src")
+	t.Dst = r.str("dst")
 	t.Bytes = r.i64("bytes")
 	t.Start = r.f64("start")
 	t.End = r.f64("end")
@@ -283,7 +252,7 @@ func appendGatewayAttrRecord(b []byte, g *GatewayAttrRecord) []byte {
 }
 
 func (r *wireReader) gatewayAttrRecord(g *GatewayAttrRecord) {
-	g.GatewayID = r.sym("gateway_id")
+	g.GatewayID = r.str("gateway_id")
 	g.GatewayUser = r.str("gateway_user")
 	g.JobID = r.i64("job_id")
 	g.At = r.f64("at")
@@ -298,7 +267,7 @@ func appendStorageRecord(b []byte, s *StorageRecord) []byte {
 }
 
 func (r *wireReader) storageRecord(s *StorageRecord) {
-	s.Site = r.sym("site")
+	s.Site = r.str("site")
 	s.Project = r.str("project")
 	s.Bytes = r.i64("bytes")
 	s.At = r.f64("at")
@@ -366,45 +335,32 @@ func DecodePacket(data []byte) (*Packet, error) {
 		return nil, err
 	}
 	p := &Packet{}
-	if err := r.packet(p, nil); err != nil {
+	if err := r.packet(p); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// packet decodes the body after the header into p, appending the records
-// to whatever p's slices already hold (Central.IngestWire passes its own),
-// and rejects trailing bytes. With jobs non-nil the job records go into
-// its next slots instead of p.Jobs.
-func (r *wireReader) packet(p *Packet, jobs *JobChunks) error {
-	p.Site = r.sym("site")
+// packet decodes the body after the header into p and rejects trailing
+// bytes.
+func (r *wireReader) packet(p *Packet) error {
+	p.Site = r.str("site")
 	p.Seq = r.u64("seq")
 	p.SentAt = r.f64("sent_at")
-	k := r.count("jobs", minJobWire[r.ver])
-	if jobs != nil {
-		for ; k > 0 && r.err == nil; k-- {
-			r.jobRecord(jobs.next())
-		}
-	} else {
-		n := len(p.Jobs)
-		p.Jobs = extend(p.Jobs, k)
-		for i := n; i < len(p.Jobs); i++ {
-			r.jobRecord(&p.Jobs[i])
-		}
+	p.Jobs = records[JobRecord](r.count("jobs", minJobWire[r.ver]))
+	for i := range p.Jobs {
+		r.jobRecord(&p.Jobs[i])
 	}
-	n := len(p.Transfers)
-	p.Transfers = extend(p.Transfers, r.count("transfers", minTransferWire))
-	for i := n; i < len(p.Transfers); i++ {
+	p.Transfers = records[TransferRecord](r.count("transfers", minTransferWire))
+	for i := range p.Transfers {
 		r.transferRecord(&p.Transfers[i])
 	}
-	n = len(p.GatewayAttrs)
-	p.GatewayAttrs = extend(p.GatewayAttrs, r.count("gateway_attrs", minGatewayAttrWire))
-	for i := n; i < len(p.GatewayAttrs); i++ {
+	p.GatewayAttrs = records[GatewayAttrRecord](r.count("gateway_attrs", minGatewayAttrWire))
+	for i := range p.GatewayAttrs {
 		r.gatewayAttrRecord(&p.GatewayAttrs[i])
 	}
-	n = len(p.Storage)
-	p.Storage = extend(p.Storage, r.count("storage", minStorageWire))
-	for i := n; i < len(p.Storage); i++ {
+	p.Storage = records[StorageRecord](r.count("storage", minStorageWire))
+	for i := range p.Storage {
 		r.storageRecord(&p.Storage[i])
 	}
 	if r.err != nil {
@@ -416,8 +372,11 @@ func (r *wireReader) packet(p *Packet, jobs *JobChunks) error {
 	return nil
 }
 
-// extend lengthens s by n elements, growing it at most once. Capacity
-// past len may hold reused slots, so callers overwrite every field.
-func extend[T any](s []T, n int) []T {
-	return slices.Grow(s, n)[:len(s)+n]
+// records returns n zero records, or nil for none, so a decoded packet
+// holds nil where the encoded one did.
+func records[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
 }

@@ -67,7 +67,8 @@ func (cf *ConfigFile) Encode(w io.Writer) error {
 // ErrBadConfig is the error every failure of DecodeConfigFile and
 // ConfigFile.ToConfig wraps: malformed JSON, an unknown field, data after
 // the configuration, or an unknown policy, broker policy or generator
-// type. Match with errors.Is(err, ErrBadConfig).
+// type. Run wraps it too when no site of the federation has an archive.
+// Match with errors.Is(err, ErrBadConfig).
 var ErrBadConfig = errors.New("scenario: bad config file")
 
 // badConfig marks err as a config-file error and keeps its text.

@@ -6,8 +6,10 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/tgsim/tgmod/internal/accounting"
@@ -249,6 +251,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("scenario: non-positive horizon")
 	}
+	if !slices.ContainsFunc(fed.Sites, func(s *grid.Site) bool { return s.ArchivePB > 0 }) {
+		return nil, badConfig{errors.New("scenario: no site has an archive to home project data at")}
+	}
 	k := des.New()
 	if cfg.EventLimit > 0 {
 		k.SetPendingLimit(cfg.EventLimit)
@@ -474,8 +479,10 @@ func Run(cfg Config) (*Result, error) {
 	// ingest) to PhaseClassify; both Region calls are nil-safe no-ops when
 	// no profiler is attached.
 	//
-	// Every flush encodes into one run-owned wire buffer; the central
-	// ingest copies what it keeps, so the buffer is reused.
+	// The central database and the taps share the flushed packet, which
+	// never changes again. Only the telemetry wire-bytes counter reads the
+	// wire form, so a run with a registry encodes each packet into one
+	// run-owned buffer, reused across flushes.
 	phases := att.Phases
 	var wire []byte
 	flushAll := func() error {
@@ -486,13 +493,15 @@ func Run(cfg Config) (*Result, error) {
 				endAcct()
 				continue
 			}
-			wire = p.AppendWire(wire[:0])
-			err := central.IngestWire(wire)
+			err := central.Ingest(p)
+			if err == nil && th != nil {
+				wire = p.AppendWire(wire[:0])
+				th.flushed(len(p.Jobs), len(wire))
+			}
 			endAcct()
 			if err != nil {
 				return err
 			}
-			th.flushed(len(p.Jobs), len(wire))
 			endTaps := phases.Region(perf.PhaseClassify)
 			for _, tap := range att.Packets {
 				tap(k.Now(), p)

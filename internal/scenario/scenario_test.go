@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/tgsim/tgmod/internal/core"
@@ -200,6 +201,18 @@ func TestRunValidation(t *testing.T) {
 	cfg.Gateways = []GatewayConfig{{ID: "x", Machine: "no-such-machine"}}
 	if _, err := Run(cfg); err == nil {
 		t.Error("gateway with unknown machine accepted")
+	}
+	cfg = smallConfig(1)
+	fed, err := TG9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range fed.Sites {
+		s.ArchivePB = 0
+	}
+	cfg.Federation = fed
+	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("federation without an archive: %v, want ErrBadConfig", err)
 	}
 }
 

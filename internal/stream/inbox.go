@@ -22,13 +22,15 @@ const (
 // item is one spooled record plus its intrinsic visibility time (job end,
 // transfer end, attribute timestamp) — the time the online windows bucket
 // it under, independent of when the site ledger happened to flush it.
+// The record is a pointer, into the offered packet or to a copy an Offer
+// method made, so spooling moves a few words instead of the record.
 type item struct {
 	kind     itemKind
 	at       des.Time
-	job      accounting.JobRecord
-	transfer accounting.TransferRecord
-	gateway  accounting.GatewayAttrRecord
-	storage  accounting.StorageRecord
+	job      *accounting.JobRecord
+	transfer *accounting.TransferRecord
+	gateway  *accounting.GatewayAttrRecord
+	storage  *accounting.StorageRecord
 }
 
 // inbox is the bounded ingest spool: the pipeline's backpressure model.
@@ -77,17 +79,17 @@ func (b *inbox) depth() int { return len(b.items) - b.head }
 // Canonical record orders for Finalize: sorts keyed on record identity so
 // the rebuilt database is independent of arrival order.
 
-// canonicalJobs gathers the job store into one exact-size slice, sorted
-// by JobID and, within a JobID, by arrival. It sorts 16-byte keys rather
-// than the records, then copies each record once.
-func canonicalJobs(jobs *accounting.JobChunks) []accounting.JobRecord {
+// canonicalJobs gathers the accepted job records into one exact-size
+// slice, sorted by JobID and, within a JobID, by arrival. It sorts 16-byte
+// keys rather than the records, then copies each record once.
+func canonicalJobs(jobs []*accounting.JobRecord) []accounting.JobRecord {
 	type key struct {
 		id  int64
 		pos int
 	}
-	keys := make([]key, jobs.Len())
-	for i := range keys {
-		keys[i] = key{jobs.At(i).JobID, i}
+	keys := make([]key, len(jobs))
+	for i, r := range jobs {
+		keys[i] = key{r.JobID, i}
 	}
 	slices.SortFunc(keys, func(a, b key) int {
 		if c := cmp.Compare(a.id, b.id); c != 0 {
@@ -97,7 +99,7 @@ func canonicalJobs(jobs *accounting.JobChunks) []accounting.JobRecord {
 	})
 	out := make([]accounting.JobRecord, len(keys))
 	for i, k := range keys {
-		out[i] = *jobs.At(k.pos)
+		out[i] = *jobs[k.pos]
 	}
 	return out
 }

@@ -85,31 +85,33 @@ func (rp *Replay) Feed(p *Processor) (records, spans int, err error) {
 // storage snapshots at their record timestamps ahead of jobs at their
 // completion times, interleaved with obs span events, stably ordered by
 // (time, kind, original index) so the stream is deterministic for a
-// given export.
+// given export. The records are offered as pointers into the loaded
+// database, which nothing changes while the replay runs.
 func (rp *Replay) merge() []replayItem {
 	c := rp.Run.Central
+	jobs, transfers, attrs, storage := c.Jobs(), c.Transfers(), c.GatewayAttrs(), c.StorageRecords()
 	items := make([]replayItem, 0,
-		len(c.Jobs())+len(c.Transfers())+len(c.GatewayAttrs())+len(c.StorageRecords())+len(rp.Run.Events))
-	for i := range c.GatewayAttrs() {
-		r := c.GatewayAttrs()[i]
+		len(jobs)+len(transfers)+len(attrs)+len(storage)+len(rp.Run.Events))
+	for i := range attrs {
+		r := &attrs[i]
 		items = append(items, replayItem{at: des.Time(r.At), prio: 0, seq: i,
-			feed: func(p *Processor) { p.OfferGatewayAttr(r) }})
+			feed: func(p *Processor) { p.offerGatewayAttr(r) }})
 	}
-	for i := range c.Transfers() {
-		r := c.Transfers()[i]
+	for i := range transfers {
+		r := &transfers[i]
 		items = append(items, replayItem{at: des.Time(r.End), prio: 1, seq: i,
-			feed: func(p *Processor) { p.OfferTransfer(r) }})
+			feed: func(p *Processor) { p.offerTransfer(r) }})
 	}
-	for i := range c.StorageRecords() {
-		r := c.StorageRecords()[i]
+	for i := range storage {
+		r := &storage[i]
 		items = append(items, replayItem{at: des.Time(r.At), prio: 2, seq: i,
-			feed: func(p *Processor) { p.OfferStorage(r) }})
+			feed: func(p *Processor) { p.offerStorage(r) }})
 	}
-	for i := range c.Jobs() {
-		r := c.Jobs()[i]
+	for i := range jobs {
+		r := &jobs[i]
 		items = append(items, replayItem{at: des.Time(r.EndTime), prio: 3, seq: i,
 			feed: func(p *Processor) {
-				p.OfferJob(r)
+				p.offerJob(r)
 				p.Advance(p.now) // drain immediately: replay depth mirrors live per-flush drains
 			}})
 	}

@@ -71,9 +71,9 @@ type Processor struct {
 	drift  *driftMonitor
 
 	// Accepted records, in arrival order, for the end-of-stream report.
-	// Job records are kept in chunks: a long stream never re-copies its
-	// records to grow, and its slack stays under one chunk.
-	jobs         accounting.JobChunks
+	// Job records are kept as pointers into the offered packets (which
+	// never change) or to the copies OfferJob made.
+	jobs         []*accounting.JobRecord
 	transfers    []accounting.TransferRecord
 	gatewayAttrs []accounting.GatewayAttrRecord
 	storage      []accounting.StorageRecord
@@ -133,43 +133,58 @@ func (p *Processor) bind(reg *telemetry.Registry) {
 // OfferPacket spools every record of a freshly flushed accounting packet
 // and drains the inbox at the flush time. Attribute and transfer records
 // are offered before the job records they evidence, so an online decision
-// never misses same-packet evidence.
+// never misses same-packet evidence. The processor keeps pointers into
+// the packet's records, so the caller must not change them afterwards; a
+// flushed packet never changes.
 func (p *Processor) OfferPacket(at des.Time, pkt *accounting.Packet) {
 	if pkt == nil {
 		return
 	}
 	for i := range pkt.GatewayAttrs {
-		p.OfferGatewayAttr(pkt.GatewayAttrs[i])
+		p.offerGatewayAttr(&pkt.GatewayAttrs[i])
 	}
 	for i := range pkt.Transfers {
-		p.OfferTransfer(pkt.Transfers[i])
+		p.offerTransfer(&pkt.Transfers[i])
 	}
 	for i := range pkt.Storage {
-		p.OfferStorage(pkt.Storage[i])
+		p.offerStorage(&pkt.Storage[i])
 	}
 	for i := range pkt.Jobs {
-		p.OfferJob(pkt.Jobs[i])
+		p.offerJob(&pkt.Jobs[i])
 	}
 	p.Advance(at)
 }
 
-// OfferJob spools one job usage record.
-func (p *Processor) OfferJob(r accounting.JobRecord) {
+// OfferJob spools one job usage record. It copies r to the heap once.
+func (p *Processor) OfferJob(r accounting.JobRecord) { p.offerJob(&r) }
+
+// OfferTransfer spools one data-transfer record. It copies r to the heap
+// once.
+func (p *Processor) OfferTransfer(r accounting.TransferRecord) { p.offerTransfer(&r) }
+
+// OfferGatewayAttr spools one gateway end-user attribute record. It copies
+// r to the heap once.
+func (p *Processor) OfferGatewayAttr(r accounting.GatewayAttrRecord) { p.offerGatewayAttr(&r) }
+
+// OfferStorage spools one storage snapshot record. It copies r to the heap
+// once.
+func (p *Processor) OfferStorage(r accounting.StorageRecord) { p.offerStorage(&r) }
+
+// offerJob, offerTransfer, offerGatewayAttr and offerStorage spool a
+// record the processor may keep: r must not change afterwards.
+func (p *Processor) offerJob(r *accounting.JobRecord) {
 	p.offer(item{kind: kindJob, at: des.Time(r.EndTime), job: r})
 }
 
-// OfferTransfer spools one data-transfer record.
-func (p *Processor) OfferTransfer(r accounting.TransferRecord) {
+func (p *Processor) offerTransfer(r *accounting.TransferRecord) {
 	p.offer(item{kind: kindTransfer, at: des.Time(r.End), transfer: r})
 }
 
-// OfferGatewayAttr spools one gateway end-user attribute record.
-func (p *Processor) OfferGatewayAttr(r accounting.GatewayAttrRecord) {
+func (p *Processor) offerGatewayAttr(r *accounting.GatewayAttrRecord) {
 	p.offer(item{kind: kindGateway, at: des.Time(r.At), gateway: r})
 }
 
-// OfferStorage spools one storage snapshot record.
-func (p *Processor) OfferStorage(r accounting.StorageRecord) {
+func (p *Processor) offerStorage(r *accounting.StorageRecord) {
 	p.offer(item{kind: kindStorage, at: des.Time(r.At), storage: r})
 }
 
@@ -219,19 +234,19 @@ func (p *Processor) process(it item) {
 	}
 	switch it.kind {
 	case kindJob:
-		r := &it.job
-		p.jobs.Append(r)
+		r := it.job
+		p.jobs = append(p.jobs, r)
 		d := p.online.classify(r)
 		p.usage.observe(at, d.Modality, r.NUs, d.Confidence)
 		p.drift.observe(at, d.Modality, r.TruthModality)
 	case kindTransfer:
-		p.transfers = append(p.transfers, it.transfer)
-		p.online.noteTransfer(&it.transfer)
+		p.transfers = append(p.transfers, *it.transfer)
+		p.online.noteTransfer(it.transfer)
 	case kindGateway:
-		p.gatewayAttrs = append(p.gatewayAttrs, it.gateway)
-		p.online.noteGatewayAttr(&it.gateway)
+		p.gatewayAttrs = append(p.gatewayAttrs, *it.gateway)
+		p.online.noteGatewayAttr(it.gateway)
 	case kindStorage:
-		p.storage = append(p.storage, it.storage)
+		p.storage = append(p.storage, *it.storage)
 	}
 }
 
@@ -276,12 +291,12 @@ func (p *Processor) Finalize() (*Final, error) {
 	c := accounting.NewCentral()
 	pkt := &accounting.Packet{
 		Site: "stream", Seq: 1, SentAt: float64(p.now),
-		Jobs:         canonicalJobs(&p.jobs),
+		Jobs:         canonicalJobs(p.jobs),
 		Transfers:    canonicalTransfers(p.transfers),
 		GatewayAttrs: canonicalGatewayAttrs(p.gatewayAttrs),
 		Storage:      canonicalStorage(p.storage),
 	}
-	if err := c.IngestOwned(pkt); err != nil {
+	if err := c.Ingest(pkt); err != nil {
 		return nil, err
 	}
 	ccfg := p.cfg.Classifier

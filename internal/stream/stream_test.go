@@ -2,6 +2,8 @@ package stream
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -329,20 +331,19 @@ func TestStreamMetricsExposed(t *testing.T) {
 	}
 }
 
-// acceptedJobs copies the processor's chunked job store out, in arrival
-// order.
+// acceptedJobs copies the processor's accepted job records out, in
+// arrival order.
 func acceptedJobs(p *Processor) []accounting.JobRecord {
-	out := make([]accounting.JobRecord, p.jobs.Len())
-	for i := range out {
-		out[i] = *p.jobs.At(i)
+	out := make([]accounting.JobRecord, len(p.jobs))
+	for i, r := range p.jobs {
+		out[i] = *r
 	}
 	return out
 }
 
-// TestJobStoreChunks: the chunked store keeps arrival order across chunk
-// boundaries, and Finalize rebuilds every record in JobID order into an
-// exact-size slice.
-func TestJobStoreChunks(t *testing.T) {
+// TestJobStorePointers: the pointer store keeps arrival order, and
+// Finalize rebuilds every record in JobID order into an exact-size slice.
+func TestJobStorePointers(t *testing.T) {
 	p := New(Config{LargestCores: 512})
 	const n = 2*256 + 7
 	for i := 0; i < n; i++ {
@@ -351,8 +352,8 @@ func TestJobStoreChunks(t *testing.T) {
 			EndTime: float64(i), ExitStatus: "completed"})
 	}
 	p.Advance(des.Time(n))
-	if p.jobs.Len() != n {
-		t.Fatalf("store holds %d jobs, want %d", p.jobs.Len(), n)
+	if len(p.jobs) != n {
+		t.Fatalf("store holds %d jobs, want %d", len(p.jobs), n)
 	}
 	for i, r := range acceptedJobs(p) {
 		if r.JobID != int64(n-i) {
@@ -372,6 +373,83 @@ func TestJobStoreChunks(t *testing.T) {
 			t.Fatalf("finalize job %d has ID %d, want %d", i, r.JobID, i+1)
 		}
 	}
+}
+
+// TestOfferJobCopiesArgument: OfferJob keeps its own copy of the record,
+// so offering one reused variable n times keeps n distinct records.
+func TestOfferJobCopiesArgument(t *testing.T) {
+	p := New(Config{LargestCores: 512})
+	const n = 50
+	r := accounting.JobRecord{Cores: 1, NUs: 1, ExitStatus: "completed"}
+	for i := 1; i <= n; i++ {
+		r.JobID, r.EndTime = int64(i), float64(i)
+		p.OfferJob(r)
+	}
+	p.Advance(n)
+	for i, got := range acceptedJobs(p) {
+		if got.JobID != int64(i+1) {
+			t.Fatalf("accepted job %d has ID %d, want %d", i, got.JobID, i+1)
+		}
+	}
+	if len(p.jobs) != n {
+		t.Fatalf("store holds %d jobs, want %d", len(p.jobs), n)
+	}
+}
+
+// TestOfferPacketBorrows: the processor keeps pointers into the offered
+// packets instead of copies, never changes them, and Finalize's database
+// holds records of its own.
+func TestOfferPacketBorrows(t *testing.T) {
+	p := New(Config{LargestCores: 512})
+	recs := randomRecords(simrand.New(5), 300)
+	var packets, clones []*accounting.Packet
+	for i := 0; i < len(recs); i += 100 {
+		pkt := &accounting.Packet{Site: "s", Seq: uint64(i/100 + 1), Jobs: recs[i : i+100 : i+100],
+			Transfers:    []accounting.TransferRecord{{TransferID: int64(i), User: "u", JobID: recs[i].JobID}},
+			GatewayAttrs: []accounting.GatewayAttrRecord{{GatewayID: "gw", GatewayUser: "e", JobID: recs[i].JobID}},
+			Storage:      []accounting.StorageRecord{{Site: "s", Project: "p", Bytes: int64(i)}},
+		}
+		packets = append(packets, pkt)
+		clones = append(clones, clonePacket(pkt))
+		p.OfferPacket(des.Time(recs[i+99].EndTime), pkt)
+	}
+	if len(p.jobs) != len(recs) || p.jobs[0] != &packets[0].Jobs[0] {
+		t.Fatal("the job store does not point into the offered packet")
+	}
+	fin, err := p.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	borrowed := map[*accounting.JobRecord]bool{}
+	for _, pkt := range packets {
+		for i := range pkt.Jobs {
+			borrowed[&pkt.Jobs[i]] = true
+		}
+	}
+	jobs := fin.Central.Jobs()
+	if len(jobs) != len(recs) {
+		t.Fatalf("finalize central holds %d jobs, want %d", len(jobs), len(recs))
+	}
+	for i := range jobs {
+		if borrowed[&jobs[i]] {
+			t.Fatalf("finalize record %d aliases an offered packet", i)
+		}
+	}
+	for i := range packets {
+		if !reflect.DeepEqual(packets[i], clones[i]) {
+			t.Fatalf("packet %d changed after Finalize", i)
+		}
+	}
+}
+
+// clonePacket deep-copies a packet's record slices.
+func clonePacket(p *accounting.Packet) *accounting.Packet {
+	q := *p
+	q.Jobs = slices.Clone(p.Jobs)
+	q.Transfers = slices.Clone(p.Transfers)
+	q.GatewayAttrs = slices.Clone(p.GatewayAttrs)
+	q.Storage = slices.Clone(p.Storage)
+	return &q
 }
 
 // TestFinalizeKeepsFirstDuplicate: of several accepted records with one
@@ -411,7 +489,7 @@ func TestFinalizeKeepsFirstDuplicate(t *testing.T) {
 }
 
 // BenchmarkOfferFinalize times a stream's life over 5000 job records: the
-// offers, the online layers, and Finalize's rebuild of the chunked store
+// offers, the online layers, and Finalize's rebuild of the accepted records
 // into a central database plus the batch classify.
 func BenchmarkOfferFinalize(b *testing.B) {
 	recs := make([]accounting.JobRecord, 5000)
