@@ -41,7 +41,7 @@ func run() error {
 		return fmt.Errorf("exactly one of -trace or -swf is required")
 	}
 
-	central := accounting.NewCentral()
+	central := accounting.NewCentral(nil)
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)
 		if err != nil {
@@ -62,7 +62,7 @@ func run() error {
 			return err
 		}
 		err = central.Ingest(&accounting.Packet{
-			Site: "swf-import", Seq: 1, Jobs: trace.Records(parsed),
+			Site: "swf-import", Seq: 1, Jobs: trace.Records(parsed, central.Syms()), Syms: central.Syms(),
 		})
 		if err != nil {
 			return err
@@ -105,7 +105,7 @@ func run() error {
 	// Validation only when the trace carries truth labels.
 	hasTruth := false
 	for _, r := range central.Jobs() {
-		if r.TruthModality != "" {
+		if r.TruthModality != accounting.SymNone {
 			hasTruth = true
 			break
 		}

@@ -29,12 +29,13 @@ import (
 
 func main() {
 	// Phase 1: record a month on a 4096-core machine under EASY.
-	original := record()
+	syms := accounting.NewSymbols()
+	original := record(syms)
 	fmt.Printf("recorded %d jobs on the original machine\n", len(original))
 
 	// Phase 2: round-trip through SWF (the archive interchange format).
 	var buf bytes.Buffer
-	if err := trace.WriteSWF(&buf, original); err != nil {
+	if err := trace.WriteSWF(&buf, original, syms); err != nil {
 		log.Fatal(err)
 	}
 	parsed, err := trace.ReadSWF(&buf)
@@ -56,8 +57,9 @@ func main() {
 	fmt.Println("absorbs part of the squeeze that strict FIFO turns into queue time.")
 }
 
-// record simulates the original machine and returns its accounting records.
-func record() []accounting.JobRecord {
+// record simulates the original machine and returns its accounting
+// records, interning their strings into syms.
+func record(syms *accounting.Symbols) []accounting.JobRecord {
 	k := des.New()
 	m := &grid.Machine{ID: "orig", Site: "s", Nodes: 512, CoresPerNode: 8,
 		GFlopsPerCore: 4, NUPerCoreHour: 1.5}
@@ -65,7 +67,7 @@ func record() []accounting.JobRecord {
 	var recs []accounting.JobRecord
 	s.Subscribe(func(e sched.Event) {
 		if e.Kind == sched.EventFinished {
-			recs = append(recs, accounting.RecordOf(e.Job, m))
+			recs = append(recs, accounting.RecordOf(e.Job, m, syms))
 		}
 	})
 	pop, err := users.Synthesize(users.Config{Projects: 20, UsersPerProjMu: 0.5,

@@ -43,15 +43,15 @@ func main() {
 		GFlopsPerCore: 4, NUPerCoreHour: 1.4}
 	s := sched.MustNamed(k, m, "easy")
 	rng := simrand.New(7)
-	ledger := accounting.NewLedger("s")
-	central := accounting.NewCentral()
+	central := accounting.NewCentral(nil)
+	ledger := accounting.NewLedger("s", central.Syms())
 
 	seen := make(map[job.ID]*workflow.Instance)
 	s.Subscribe(func(e sched.Event) {
 		if e.Kind != sched.EventFinished {
 			return
 		}
-		ledger.AddJob(accounting.RecordOf(e.Job, m))
+		ledger.AddJob(accounting.RecordOf(e.Job, m, central.Syms()))
 		if w, ok := seen[e.Job.ID]; ok {
 			w.TaskFinished(e.Job)
 		}

@@ -29,8 +29,9 @@ func finishedJob(id int64) *job.Job {
 }
 
 func TestRecordOf(t *testing.T) {
-	r := RecordOf(finishedJob(1), testMachine())
-	if r.JobID != 1 || r.User != "alice" || r.Cores != 10 {
+	syms := NewSymbols()
+	r := RecordOf(finishedJob(1), testMachine(), syms)
+	if r.JobID != 1 || syms.Str(r.User) != "alice" || r.Cores != 10 {
 		t.Errorf("identity fields wrong: %+v", r)
 	}
 	if r.WallSeconds != 100 || r.CoreSeconds != 1000 {
@@ -41,14 +42,14 @@ func TestRecordOf(t *testing.T) {
 	if r.NUs != want {
 		t.Errorf("NUs = %v, want %v", r.NUs, want)
 	}
-	if r.ExitStatus != "completed" || r.QOS != "normal" {
+	if r.ExitStatus != SymCompleted || r.QOS != SymNormal {
 		t.Errorf("status fields wrong: %+v", r)
 	}
-	if r.SubmitVia != "login" || r.ScienceField != "physics" {
+	if r.SubmitVia != SymLogin || syms.Str(r.ScienceField) != "physics" {
 		t.Errorf("attributes not carried: %+v", r)
 	}
-	if r.TruthModality != "batch-capacity" {
-		t.Errorf("truth not carried: %q", r.TruthModality)
+	if r.TruthModality != SymBatchCapacity {
+		t.Errorf("truth not carried: %q", syms.Str(r.TruthModality))
 	}
 	if r.WaitSeconds() != 50 {
 		t.Errorf("WaitSeconds = %v, want 50", r.WaitSeconds())
@@ -56,7 +57,7 @@ func TestRecordOf(t *testing.T) {
 }
 
 func TestLedgerFlush(t *testing.T) {
-	l := NewLedger("s")
+	l := NewLedger("s", NewSymbols())
 	if p := l.Flush(0); p != nil {
 		t.Error("empty flush should return nil")
 	}
@@ -84,26 +85,26 @@ func TestLedgerFlush(t *testing.T) {
 }
 
 func TestPacketRoundTrip(t *testing.T) {
-	p := &Packet{Site: "s", Seq: 7, Jobs: []JobRecord{{JobID: 3, NUs: 1.5}}}
+	p := &Packet{Site: "s", Seq: 7, Jobs: []JobRecord{{JobID: 3, NUs: 1.5}}, Syms: NewSymbols()}
 	data, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePacket(data)
+	got, err := DecodePacket(data, NewSymbols())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Site != "s" || got.Seq != 7 || len(got.Jobs) != 1 || got.Jobs[0].NUs != 1.5 {
 		t.Errorf("round trip lost data: %+v", got)
 	}
-	if _, err := DecodePacket([]byte("not json")); err == nil {
+	if _, err := DecodePacket([]byte("not json"), NewSymbols()); err == nil {
 		t.Error("garbage packet accepted")
 	}
 }
 
 func TestCentralIngestIdempotent(t *testing.T) {
-	c := NewCentral()
-	p1 := &Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 1, NUs: 10}}}
+	c := NewCentral(nil)
+	p1 := &Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 1, NUs: 10}}, Syms: c.Syms()}
 	if err := c.Ingest(p1); err != nil {
 		t.Fatal(err)
 	}
@@ -131,40 +132,42 @@ func TestCentralIngestIdempotent(t *testing.T) {
 // TestCentralIngestDecoded: a decoded packet ingests like the one encoded,
 // and Central borrows the decoded job slice.
 func TestCentralIngestDecoded(t *testing.T) {
-	data, err := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 5}}}).Encode()
+	data, err := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 5}}, Syms: NewSymbols()}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := DecodePacket(data)
+	c := NewCentral(nil)
+	p, err := DecodePacket(data, c.Syms())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCentral()
 	if err := c.Ingest(p); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Job(5); !ok || &c.Jobs()[0] != &p.Jobs[0] {
 		t.Error("decoded job not found, or copied")
 	}
-	if _, err := DecodePacket([]byte("{")); err == nil {
+	if _, err := DecodePacket([]byte("{"), c.Syms()); err == nil {
 		t.Error("bad wire data accepted")
 	}
 }
 
 func TestCentralQueries(t *testing.T) {
-	c := NewCentral()
+	c := NewCentral(nil)
+	s := c.Syms()
+	a, b, m1, m2 := s.Intern("a"), s.Intern("b"), s.Intern("m1"), s.Intern("m2")
 	jobs := []JobRecord{
-		{JobID: 1, User: "a", Machine: "m1", NUs: 10, Cores: 1},
-		{JobID: 2, User: "a", Machine: "m2", NUs: 20, Cores: 64},
-		{JobID: 3, User: "b", Machine: "m1", NUs: 5, Cores: 2000},
+		{JobID: 1, User: a, Machine: m1, NUs: 10, Cores: 1},
+		{JobID: 2, User: a, Machine: m2, NUs: 20, Cores: 64},
+		{JobID: 3, User: b, Machine: m1, NUs: 5, Cores: 2000},
 	}
-	if err := c.Ingest(&Packet{Site: "s", Seq: 1, Jobs: jobs}); err != nil {
+	if err := c.Ingest(&Packet{Site: "s", Seq: 1, Jobs: jobs, Syms: s}); err != nil {
 		t.Fatal(err)
 	}
 	if c.TotalNUs() != 35 {
 		t.Errorf("TotalNUs = %v, want 35", c.TotalNUs())
 	}
-	byMachine := c.NUsBy(func(r *JobRecord) string { return r.Machine })
+	byMachine := c.NUsBy(func(r *JobRecord) string { return s.Str(r.Machine) })
 	if len(byMachine) != 2 || byMachine[0].Key != "m1" || byMachine[0].Value != 15 {
 		t.Errorf("NUsBy machine = %v", byMachine)
 	}
@@ -172,7 +175,7 @@ func TestCentralQueries(t *testing.T) {
 	if len(counts) != 3 {
 		t.Errorf("CountBy size = %v", counts)
 	}
-	users := c.DistinctUsersBy(func(r *JobRecord) string { return r.Machine })
+	users := c.DistinctUsersBy(func(r *JobRecord) string { return s.Str(r.Machine) })
 	if users[0].Key != "m1" || users[0].Count != 2 || users[1].Count != 1 {
 		t.Errorf("DistinctUsersBy = %v", users)
 	}
@@ -185,7 +188,7 @@ func TestCentralQueries(t *testing.T) {
 }
 
 func TestGatewayUserOf(t *testing.T) {
-	c := NewCentral()
+	c := NewCentral(nil)
 	err := c.Ingest(&Packet{Site: "s", Seq: 1,
 		GatewayAttrs: []GatewayAttrRecord{{GatewayID: "g", GatewayUser: "u9", JobID: 42}}})
 	if err != nil {
@@ -241,9 +244,10 @@ func TestSizeBin(t *testing.T) {
 func TestIngestDedupProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := simrand.New(seed)
-		l := NewLedger("s")
-		exactly := NewCentral()
-		flaky := NewCentral()
+		syms := NewSymbols()
+		l := NewLedger("s", syms)
+		exactly := NewCentral(syms)
+		flaky := NewCentral(syms)
 		var packets []*Packet
 		id := int64(0)
 		for i := 0; i < 20; i++ {

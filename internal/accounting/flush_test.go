@@ -8,8 +8,13 @@ import (
 	"github.com/tgsim/tgmod/internal/des"
 )
 
-// sampleJob is a job record with every string field set.
-var sampleJob = samplePacket().Jobs[0]
+// sampleJob is a job record with every string field set; its Syms index
+// sampleSyms.
+var (
+	sample     = samplePacket()
+	sampleJob  = sample.Jobs[0]
+	sampleSyms = sample.Syms
+)
 
 // spoolOne spools jobs job records (IDs from id) and one record of every
 // other kind.
@@ -37,7 +42,7 @@ func clonePacket(p *Packet) *Packet {
 // ledger reuses its spools, but a packet it flushed never changes again, so
 // taps may keep packets (spill journals, recorded corpora) for a whole run.
 func TestFlushedPacketIsImmutable(t *testing.T) {
-	l := NewLedger("ridge")
+	l := NewLedger("ridge", sampleSyms)
 	spoolOne(l, 1, 3)
 	first := l.Flush(10)
 	snap := clonePacket(first)
@@ -74,7 +79,7 @@ func TestFlushIngestAllocations(t *testing.T) {
 
 	// A steady-state flush allocates the packet and one exact-size copy per
 	// non-empty record kind; spooling reuses the drained spools.
-	l := NewLedger("ridge")
+	l := NewLedger("ridge", sampleSyms)
 	id := int64(0)
 	flush := func() {
 		id += 100
@@ -95,14 +100,14 @@ func TestFlushIngestAllocations(t *testing.T) {
 	for _, jobs := range []int{60, 600} {
 		packets := make([]*Packet, runs+1)
 		for i := range packets {
-			packets[i] = &Packet{Site: "ridge", Seq: uint64(i + 1)}
+			packets[i] = &Packet{Site: "ridge", Seq: uint64(i + 1), Syms: sampleSyms}
 			for j := 0; j < jobs; j++ {
 				r := sampleJob
 				r.JobID = int64(i*jobs + j)
 				packets[i].Jobs = append(packets[i].Jobs, r)
 			}
 		}
-		c := NewCentral()
+		c := NewCentral(sampleSyms)
 		c.jobIndex = make(map[int64]int, len(packets)*jobs)
 		next := 0
 		allocs[jobs] = testing.AllocsPerRun(runs, func() {
@@ -123,8 +128,8 @@ func TestFlushIngestAllocations(t *testing.T) {
 // BenchmarkFlushIngest times one periodic report of a site: a ledger flush
 // of 60 jobs and the central ingest that borrows its records.
 func BenchmarkFlushIngest(b *testing.B) {
-	l := NewLedger("ridge")
-	c := NewCentral()
+	l := NewLedger("ridge", sampleSyms)
+	c := NewCentral(sampleSyms)
 	id := int64(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -2,18 +2,22 @@ package accounting
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func populated(t *testing.T) *Central {
 	t.Helper()
-	c := NewCentral()
+	c := NewCentral(nil)
+	s := c.Syms()
 	err := c.Ingest(&Packet{
-		Site: "s", Seq: 1,
+		Site: "s", Seq: 1, Syms: s,
 		Jobs: []JobRecord{
-			{JobID: 1, User: "a", NUs: 10, Cores: 4, TruthModality: "batch-capacity"},
-			{JobID: 2, User: "b", NUs: 20, Cores: 8, GatewayID: "g"},
+			{JobID: 1, User: s.Intern("a"), NUs: 10, Cores: 4, TruthModality: SymBatchCapacity},
+			{JobID: 2, User: s.Intern("b"), NUs: 20, Cores: 8, GatewayID: s.Intern("g")},
 		},
 		Transfers:    []TransferRecord{{TransferID: 9, Src: "x", Dst: "y", Bytes: 100, JobID: 1}},
 		GatewayAttrs: []GatewayAttrRecord{{GatewayID: "g", GatewayUser: "u", JobID: 2}},
@@ -31,7 +35,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err := c.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCentral()
+	c2 := NewCentral(nil)
 	if err := c2.Import(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +47,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if c2.TotalNUs() != 30 {
 		t.Errorf("TotalNUs = %v, want 30", c2.TotalNUs())
 	}
-	if r, ok := c2.Job(1); !ok || r.TruthModality != "batch-capacity" {
+	if r, ok := c2.Job(1); !ok || r.TruthModality != SymBatchCapacity {
 		t.Error("truth label lost in round trip")
 	}
 }
@@ -67,7 +71,7 @@ func TestImportDuplicateJobsSkipped(t *testing.T) {
 	}
 	// Duplicate the content: same job IDs twice.
 	doubled := append(append([]byte{}, buf.Bytes()...), buf.Bytes()...)
-	c2 := NewCentral()
+	c2 := NewCentral(nil)
 	if err := c2.Import(bytes.NewReader(doubled)); err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +93,60 @@ func TestImportErrors(t *testing.T) {
 		"bad storage":  `{"kind":"storage","data":true}` + "\n",
 	}
 	for name, in := range cases {
-		c := NewCentral()
-		if err := c.Import(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
+		c := NewCentral(nil)
+		if err := c.Import(strings.NewReader(in)); !errors.Is(err, ErrBadImport) {
+			t.Errorf("%s: error %v does not wrap ErrBadImport", name, err)
 		}
 	}
 	// Blank lines are tolerated.
-	c := NewCentral()
+	c := NewCentral(nil)
 	if err := c.Import(strings.NewReader("\n\n")); err != nil {
 		t.Errorf("blank lines rejected: %v", err)
 	}
+}
+
+// FuzzImport drives arbitrary bytes through Import. The invariants: Import
+// never panics, every failure wraps ErrBadImport, and whatever it accepts
+// round-trips: exporting it, importing that into a fresh database and
+// exporting again gives the same bytes. The seeds are lines of a quick
+// seed-7 run's acct.jsonl, whole and one by one, plus variants.
+func FuzzImport(f *testing.F) {
+	real, err := os.ReadFile(filepath.Join("testdata", "quick7-acct.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	for _, line := range bytes.SplitAfter(real, []byte("\n")) {
+		f.Add(line)
+	}
+	f.Add(append(append([]byte{}, real...), real...)) // every JobID twice
+	f.Add([]byte(`{"kind":"storage","data":{"site":"ridge","project":"p","bytes":7,"at":86400}}` + "\n"))
+	f.Add([]byte(`{"kind":"job","data":{"job_id":1,"wasted_core_s":1.5,"preempts":2,"truth":"urgent"}}` + "\r\n\n"))
+	f.Add([]byte(`{"kind":"job","data":null}`))
+	f.Add([]byte(`{"kind":"martian","data":{}}`))
+	f.Add([]byte("not json\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := NewCentral(nil)
+		if err := c.Import(bytes.NewReader(data)); err != nil {
+			if !errors.Is(err, ErrBadImport) {
+				t.Fatalf("error %v does not wrap ErrBadImport", err)
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if err := c.Export(&first); err != nil {
+			t.Fatalf("export of an accepted import: %v", err)
+		}
+		back := NewCentral(nil)
+		if err := back.Import(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("import of an export: %v", err)
+		}
+		if err := back.Export(&second); err != nil {
+			t.Fatalf("second export: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("export round trip differs:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

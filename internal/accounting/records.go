@@ -14,62 +14,67 @@ import (
 
 // JobRecord is the per-job usage record a site reports centrally. It is
 // deliberately flat and serializable: this is the wire schema, not the
-// live simulation object.
+// live simulation object. Its string fields are Syms into the run's
+// Symbols table, so a record holds no pointers and takes 160 bytes; the
+// wire codec and the JSON export write them as strings (Symbols.Str).
 type JobRecord struct {
-	JobID   int64  `json:"job_id"`
-	Name    string `json:"name"`
-	User    string `json:"user"`
-	Project string `json:"project"`
-	Site    string `json:"site"`
-	Machine string `json:"machine"`
-	Queue   string `json:"queue"`
+	JobID   int64
+	Name    Sym
+	User    Sym
+	Project Sym
+	Site    Sym
+	Machine Sym
+	Queue   Sym
 
-	Cores       int     `json:"cores"`
-	SubmitTime  float64 `json:"submit"`
-	StartTime   float64 `json:"start"`
-	EndTime     float64 `json:"end"`
-	WallSeconds float64 `json:"wall_s"`
-	CoreSeconds float64 `json:"core_s"`
-	NUs         float64 `json:"nus"`
-	QOS         string  `json:"qos"`
-	ExitStatus  string  `json:"exit"`
-	Preemptions int     `json:"preempts,omitempty"`
+	Cores       int
+	SubmitTime  float64
+	StartTime   float64
+	EndTime     float64
+	WallSeconds float64
+	CoreSeconds float64
+	NUs         float64
+	QOS         Sym
+	ExitStatus  Sym
+	Preemptions int
 
 	// Wasted work: execution lost to unplanned failures (beyond the last
 	// checkpoint) that had to be redone. Separates goodput from raw usage
 	// in chaos experiments; zero (and absent on the wire) in fault-free runs.
-	WastedCoreSeconds float64 `json:"wasted_core_s,omitempty"`
-	WastedNUs         float64 `json:"wasted_nus,omitempty"`
+	WastedCoreSeconds float64
+	WastedNUs         float64
 
 	// Instrumentation attributes (may be empty depending on coverage).
-	SubmitVia      string `json:"submit_via,omitempty"`
-	GatewayID      string `json:"gateway_id,omitempty"`
-	WorkflowID     string `json:"workflow_id,omitempty"`
-	WorkflowEngine string `json:"workflow_engine,omitempty"`
-	EnsembleID     string `json:"ensemble_id,omitempty"`
-	BrokerJobID    string `json:"broker_job_id,omitempty"`
-	CoAllocID      string `json:"coalloc_id,omitempty"`
-	ScienceField   string `json:"science_field,omitempty"`
+	SubmitVia      Sym
+	GatewayID      Sym
+	WorkflowID     Sym
+	WorkflowEngine Sym
+	EnsembleID     Sym
+	BrokerJobID    Sym
+	CoAllocID      Sym
+	ScienceField   Sym
 
 	// TruthModality and TruthCampaign carry the generator's ground truth
 	// for validation experiments. They are NEVER read by classifiers; the
 	// core package's tests enforce that separation.
-	TruthModality string `json:"truth,omitempty"`
-	TruthCampaign string `json:"truth_campaign,omitempty"`
+	TruthModality Sym
+	TruthCampaign Sym
 }
 
 // RecordOf converts a finished job into its usage record, charging NUs
-// according to the machine it ran on.
-func RecordOf(j *job.Job, m *grid.Machine) JobRecord {
+// according to the machine it ran on and interning its strings into syms.
+// QOS, exit state and truth modality map to pre-seeded Syms without a
+// lookup; once syms holds the job's other strings, RecordOf does not
+// allocate.
+func RecordOf(j *job.Job, m *grid.Machine, syms *Symbols) JobRecord {
 	cs := j.CoreSeconds()
 	return JobRecord{
 		JobID:       int64(j.ID),
-		Name:        j.Name,
-		User:        j.User,
-		Project:     j.Project,
-		Site:        j.Site,
-		Machine:     j.Machine,
-		Queue:       j.Queue,
+		Name:        syms.Intern(j.Name),
+		User:        syms.Intern(j.User),
+		Project:     syms.Intern(j.Project),
+		Site:        syms.Intern(j.Site),
+		Machine:     syms.Intern(j.Machine),
+		Queue:       syms.Intern(j.Queue),
 		Cores:       j.Cores,
 		SubmitTime:  float64(j.SubmitTime),
 		StartTime:   float64(j.StartTime),
@@ -77,24 +82,24 @@ func RecordOf(j *job.Job, m *grid.Machine) JobRecord {
 		WallSeconds: float64(j.Elapsed()),
 		CoreSeconds: cs,
 		NUs:         m.NUs(cs),
-		QOS:         j.QOS.String(),
-		ExitStatus:  j.State.String(),
+		QOS:         syms.qos(j.QOS),
+		ExitStatus:  syms.state(j.State),
 		Preemptions: j.Preemptions,
 
 		WastedCoreSeconds: j.WastedCoreSeconds,
 		WastedNUs:         m.NUs(j.WastedCoreSeconds),
 
-		SubmitVia:      j.Attr.SubmitVia,
-		GatewayID:      j.Attr.GatewayID,
-		WorkflowID:     j.Attr.WorkflowID,
-		WorkflowEngine: j.Attr.WorkflowEngine,
-		EnsembleID:     j.Attr.EnsembleID,
-		BrokerJobID:    j.Attr.BrokerJobID,
-		CoAllocID:      j.Attr.CoAllocID,
-		ScienceField:   j.Attr.ScienceField,
+		SubmitVia:      syms.Intern(j.Attr.SubmitVia),
+		GatewayID:      syms.Intern(j.Attr.GatewayID),
+		WorkflowID:     syms.Intern(j.Attr.WorkflowID),
+		WorkflowEngine: syms.Intern(j.Attr.WorkflowEngine),
+		EnsembleID:     syms.Intern(j.Attr.EnsembleID),
+		BrokerJobID:    syms.Intern(j.Attr.BrokerJobID),
+		CoAllocID:      syms.Intern(j.Attr.CoAllocID),
+		ScienceField:   syms.Intern(j.Attr.ScienceField),
 
-		TruthModality: string(j.Truth.Modality),
-		TruthCampaign: j.Truth.CampaignID,
+		TruthModality: syms.modality(j.Truth.Modality),
+		TruthCampaign: syms.Intern(j.Truth.CampaignID),
 	}
 }
 
@@ -148,6 +153,10 @@ type Packet struct {
 	Transfers    []TransferRecord    `json:"transfers,omitempty"`
 	GatewayAttrs []GatewayAttrRecord `json:"gateway_attrs,omitempty"`
 	Storage      []StorageRecord     `json:"storage,omitempty"`
+
+	// Syms is the table the job records' Syms index: the flushing
+	// ledger's, or the one DecodePacket decoded into.
+	Syms *Symbols `json:"-"`
 }
 
 // Encode serializes the packet to its wire form, the binary codec in
@@ -160,6 +169,7 @@ func (p *Packet) Encode() ([]byte, error) { return p.AppendWire(nil), nil }
 // end), mirroring how usage reporting lagged reality operationally.
 type Ledger struct {
 	Site         string
+	syms         *Symbols
 	seq          uint64
 	jobs         []JobRecord
 	transfers    []TransferRecord
@@ -167,8 +177,9 @@ type Ledger struct {
 	storage      []StorageRecord
 }
 
-// NewLedger returns an empty ledger for a site.
-func NewLedger(site string) *Ledger { return &Ledger{Site: site} }
+// NewLedger returns an empty ledger for a site whose job records index
+// syms, the run's table.
+func NewLedger(site string, syms *Symbols) *Ledger { return &Ledger{Site: site, syms: syms} }
 
 // AddJob spools a job record.
 func (l *Ledger) AddJob(r JobRecord) { l.jobs = append(l.jobs, r) }
@@ -205,6 +216,7 @@ func (l *Ledger) Flush(now des.Time) *Packet {
 		Site: l.Site, Seq: l.seq, SentAt: float64(now),
 		Jobs: drain(&l.jobs), Transfers: drain(&l.transfers),
 		GatewayAttrs: drain(&l.gatewayAttrs), Storage: drain(&l.storage),
+		Syms: l.syms,
 	}
 }
 

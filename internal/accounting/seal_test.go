@@ -26,7 +26,7 @@ type sealModel struct {
 // Central must drop as a duplicate; dup 0 repeats nothing.
 func (m *sealModel) packet(n, dup int) *Packet {
 	m.seq++
-	p := &Packet{Site: "ridge", Seq: m.seq}
+	p := &Packet{Site: "ridge", Seq: m.seq, Syms: sampleSyms}
 	for i := 0; i < n; i++ {
 		m.nextID++
 		r := sampleJob
@@ -140,7 +140,8 @@ func exportOp(t *testing.T, m *sealModel) {
 	if err := m.c.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back := NewCentral()
+	// Importing into the same table gives every string its Sym back.
+	back := NewCentral(m.c.Syms())
 	if err := back.Import(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestSealInterleaved(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := &sealModel{c: NewCentral()}
+			m := &sealModel{c: NewCentral(sampleSyms)}
 			for i, step := range tc.steps {
 				for _, op := range step {
 					op(t, m)
@@ -201,8 +202,8 @@ func TestSealInterleaved(t *testing.T) {
 // TestImportRefusesUnsealedRecords: records still in pending segments count
 // as held records.
 func TestImportRefusesUnsealedRecords(t *testing.T) {
-	c := NewCentral()
-	if err := c.Ingest(&Packet{Site: "ridge", Seq: 1, Jobs: []JobRecord{{JobID: 1}}}); err != nil {
+	c := NewCentral(nil)
+	if err := c.Ingest(&Packet{Site: "ridge", Seq: 1, Jobs: []JobRecord{{JobID: 1}}, Syms: c.Syms()}); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.segs) != 1 || len(c.jobs) != 0 {
@@ -221,8 +222,8 @@ func TestImportRefusesUnsealedRecords(t *testing.T) {
 func TestSealAdoptsLoneSegment(t *testing.T) {
 	jobs := make([]JobRecord, 3, 8)
 	copy(jobs, []JobRecord{{JobID: 3, NUs: 1}, {JobID: 1}, {JobID: 2}})
-	c := NewCentral()
-	if err := c.Ingest(&Packet{Site: "stream", Seq: 1, Jobs: jobs}); err != nil {
+	c := NewCentral(nil)
+	if err := c.Ingest(&Packet{Site: "stream", Seq: 1, Jobs: jobs, Syms: c.Syms()}); err != nil {
 		t.Fatal(err)
 	}
 	got := c.Jobs()
@@ -232,7 +233,7 @@ func TestSealAdoptsLoneSegment(t *testing.T) {
 	if r, ok := c.Job(2); !ok || r.JobID != 2 {
 		t.Fatalf("Job(2) = %+v, %v", r, ok)
 	}
-	if err := c.Ingest(&Packet{Site: "stream", Seq: 2, Jobs: []JobRecord{{JobID: 4}}}); err != nil {
+	if err := c.Ingest(&Packet{Site: "stream", Seq: 2, Jobs: []JobRecord{{JobID: 4}}, Syms: c.Syms()}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Jobs(); len(got) != 4 || &got[0] == &jobs[0] || got[3].JobID != 4 {
@@ -244,8 +245,8 @@ func TestSealAdoptsLoneSegment(t *testing.T) {
 
 	split := []JobRecord{{JobID: 3, NUs: 1}, {JobID: 1}, {JobID: 3, NUs: 2}, {JobID: 2}}
 	want := slices.Clone(split)
-	c = NewCentral()
-	if err := c.Ingest(&Packet{Site: "stream", Seq: 1, Jobs: split}); err != nil {
+	c = NewCentral(nil)
+	if err := c.Ingest(&Packet{Site: "stream", Seq: 1, Jobs: split, Syms: c.Syms()}); err != nil {
 		t.Fatal(err)
 	}
 	got = c.Jobs()

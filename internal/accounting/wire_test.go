@@ -5,23 +5,27 @@ import (
 	"testing"
 )
 
+// samplePacket returns a packet of every record kind, its job records
+// indexing a fresh table.
 func samplePacket() *Packet {
+	syms := NewSymbols()
+	s := syms.Intern
 	return &Packet{
-		Site: "ridge", Seq: 42, SentAt: 86400.5,
+		Site: "ridge", Seq: 42, SentAt: 86400.5, Syms: syms,
 		Jobs: []JobRecord{
 			{
-				JobID: 1, Name: "hero", User: "alice", Project: "TG-AST001",
-				Site: "ridge", Machine: "ridge-xt", Queue: "batch",
+				JobID: 1, Name: s("hero"), User: s("alice"), Project: s("TG-AST001"),
+				Site: s("ridge"), Machine: s("ridge-xt"), Queue: s("batch"),
 				Cores: 65536, SubmitTime: 100, StartTime: 250.25, EndTime: 9999.75,
 				WallSeconds: 9749.5, CoreSeconds: 6.39e8, NUs: 514000.125,
-				QOS: "normal", ExitStatus: "completed", Preemptions: 2,
-				SubmitVia: "gateway", GatewayID: "nanohub", WorkflowID: "wf-9",
-				WorkflowEngine: "pegasus", EnsembleID: "ens-3", BrokerJobID: "bk-7",
-				CoAllocID: "ca-1", ScienceField: "nanoscience",
-				TruthModality: "gateway", TruthCampaign: "c-12",
+				QOS: SymNormal, ExitStatus: SymCompleted, Preemptions: 2,
+				SubmitVia: SymGateway, GatewayID: s("nanohub"), WorkflowID: s("wf-9"),
+				WorkflowEngine: s("pegasus"), EnsembleID: s("ens-3"), BrokerJobID: s("bk-7"),
+				CoAllocID: s("ca-1"), ScienceField: s("nanoscience"),
+				TruthModality: SymGateway, TruthCampaign: s("c-12"),
 			},
-			{JobID: 2, Name: "", User: "bob", Project: "p", Site: "ridge",
-				Machine: "ridge-xt", Queue: "batch", Cores: 1},
+			{JobID: 2, Name: SymNone, User: s("bob"), Project: s("p"), Site: s("ridge"),
+				Machine: s("ridge-xt"), Queue: s("batch"), Cores: 1},
 		},
 		Transfers: []TransferRecord{
 			{TransferID: 7, Src: "ridge", Dst: "mesa", Bytes: 1 << 40,
@@ -42,22 +46,26 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePacket(data)
+	n := p.Syms.Len()
+	got, err := DecodePacket(data, p.Syms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p, got) {
 		t.Fatalf("round trip mismatch:\nin:  %+v\nout: %+v", p, got)
 	}
+	if p.Syms.Len() != n {
+		t.Errorf("decoding into the encoding table grew it from %d to %d strings", n, p.Syms.Len())
+	}
 }
 
 func TestWireEmptyPacket(t *testing.T) {
-	p := &Packet{Site: "s", Seq: 1, SentAt: 0}
+	p := &Packet{Site: "s", Seq: 1, SentAt: 0, Syms: NewSymbols()}
 	data, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePacket(data)
+	got, err := DecodePacket(data, p.Syms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +94,7 @@ func TestDecodeCorruptPacket(t *testing.T) {
 		"huge count":  append(append([]byte(wireMagic), wireVersion, 0x01, 's'), 0xff, 0xff, 0xff, 0x7f),
 	}
 	for name, d := range cases {
-		if _, err := DecodePacket(d); err == nil {
+		if _, err := DecodePacket(d, NewSymbols()); err == nil {
 			t.Errorf("%s: decode succeeded on corrupt input", name)
 		}
 	}
@@ -105,7 +113,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := DecodePacket(data); err != nil {
+		if _, err := DecodePacket(data, p.Syms); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -239,12 +239,18 @@ func TestDecomposeAggregatesPerModality(t *testing.T) {
 	}
 }
 
+// testSyms is the table the package's test records index.
+var testSyms = accounting.NewSymbols()
+
+// sym interns s into testSyms.
+func sym(s string) accounting.Sym { return testSyms.Intern(s) }
+
 // mkRec builds a campaign member record.
 func mkRec(id int64, campaign, mod string, submit, start, end float64) accounting.JobRecord {
 	return accounting.JobRecord{
-		JobID: id, TruthCampaign: campaign, TruthModality: mod,
+		JobID: id, TruthCampaign: sym(campaign), TruthModality: sym(mod),
 		SubmitTime: submit, StartTime: start, EndTime: end,
-		WallSeconds: end - start, Cores: 1, User: "u", Project: "p",
+		WallSeconds: end - start, Cores: 1, User: sym("u"), Project: sym("p"),
 	}
 }
 
@@ -257,7 +263,7 @@ func TestCriticalPathChain(t *testing.T) {
 		mkRec(3, "wf-1", "workflow", 100, 110, 180),
 		mkRec(4, "wf-1", "workflow", 250, 260, 400),
 	}
-	paths := CriticalPaths(recs)
+	paths := CriticalPaths(recs, testSyms)
 	if len(paths) != 1 {
 		t.Fatalf("got %d paths", len(paths))
 	}
@@ -288,16 +294,16 @@ func TestCriticalPathsGroupingAndOrder(t *testing.T) {
 		mkRec(11, "ens-1", "ensemble", 0, 6, 90),
 		mkRec(12, "ens-1", "ensemble", 0, 7, 110),
 		// Workflow pair via instrumented tag only (no truth campaign).
-		{JobID: 20, WorkflowID: "wf-x", TruthModality: "workflow",
+		{JobID: 20, WorkflowID: sym("wf-x"), TruthModality: sym("workflow"),
 			SubmitTime: 0, StartTime: 1, EndTime: 50, WallSeconds: 49},
-		{JobID: 21, WorkflowID: "wf-x", TruthModality: "workflow",
+		{JobID: 21, WorkflowID: sym("wf-x"), TruthModality: sym("workflow"),
 			SubmitTime: 50, StartTime: 52, EndTime: 90, WallSeconds: 38},
 		// Singleton: excluded.
 		mkRec(30, "solo", "ensemble", 0, 1, 10),
 		// Untagged: excluded.
 		{JobID: 31, SubmitTime: 0, StartTime: 1, EndTime: 10},
 	}
-	paths := CriticalPaths(recs)
+	paths := CriticalPaths(recs, testSyms)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths: %+v", len(paths), paths)
 	}

@@ -45,25 +45,24 @@ func (p CampaignPath) CPShare() float64 {
 // campaignKey groups a record into its campaign: ground-truth campaign
 // when labeled, else the instrumented workflow/ensemble tags, so partially
 // instrumented traces still group what they can.
-func campaignKey(r *accounting.JobRecord) string {
+func campaignKey(r *accounting.JobRecord) accounting.Sym {
 	switch {
-	case r.TruthCampaign != "":
+	case r.TruthCampaign != accounting.SymNone:
 		return r.TruthCampaign
-	case r.WorkflowID != "":
+	case r.WorkflowID != accounting.SymNone:
 		return r.WorkflowID
-	case r.EnsembleID != "":
-		return r.EnsembleID
 	default:
-		return ""
+		return r.EnsembleID
 	}
 }
 
 // CriticalPaths extracts one CampaignPath per campaign with at least two
-// member jobs, sorted by descending makespan (ties by campaign ID).
-func CriticalPaths(recs []accounting.JobRecord) []CampaignPath {
-	groups := make(map[string][]*accounting.JobRecord)
+// member jobs, sorted by descending makespan (ties by campaign ID). syms
+// is the table the records index.
+func CriticalPaths(recs []accounting.JobRecord, syms *accounting.Symbols) []CampaignPath {
+	groups := make(map[accounting.Sym][]*accounting.JobRecord)
 	for i := range recs {
-		if key := campaignKey(&recs[i]); key != "" {
+		if key := campaignKey(&recs[i]); key != accounting.SymNone {
 			groups[key] = append(groups[key], &recs[i])
 		}
 	}
@@ -72,7 +71,7 @@ func CriticalPaths(recs []accounting.JobRecord) []CampaignPath {
 		if len(members) < 2 {
 			continue
 		}
-		out = append(out, pathOf(key, members))
+		out = append(out, pathOf(syms.Str(key), members, syms))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].MakespanSeconds != out[j].MakespanSeconds {
@@ -86,7 +85,7 @@ func CriticalPaths(recs []accounting.JobRecord) []CampaignPath {
 // pathOf computes the critical path of one campaign with an O(n²) DP over
 // members sorted by end time: chain(j) = span(j) + max{chain(i) : i ended
 // by j's submission}. Campaigns are tens of jobs, so quadratic is fine.
-func pathOf(key string, members []*accounting.JobRecord) CampaignPath {
+func pathOf(key string, members []*accounting.JobRecord, syms *accounting.Symbols) CampaignPath {
 	sort.Slice(members, func(a, b int) bool {
 		if members[a].EndTime != members[b].EndTime {
 			return members[a].EndTime < members[b].EndTime
@@ -105,7 +104,7 @@ func pathOf(key string, members []*accounting.JobRecord) CampaignPath {
 			lastEnd = m.EndTime
 		}
 		p.SumWorkSeconds += m.WallSeconds
-		kinds[m.TruthModality]++
+		kinds[syms.Str(m.TruthModality)]++
 	}
 	p.MakespanSeconds = lastEnd - firstSubmit
 

@@ -90,7 +90,7 @@ func TestWaitDecompositionMatchesAccounting(t *testing.T) {
 			continue
 		}
 		validated++
-		mod := r.TruthModality
+		mod := res.Central.Syms().Str(r.TruthModality)
 		if mod == "" {
 			mod = string(job.ModUnknown)
 		}

@@ -30,20 +30,20 @@ type CampaignStats struct {
 // workflow modalities from classified records. Ground truth comes from the
 // records' generator labels, used only for grading.
 func CampaignReport(c *accounting.Central, results []Result) []CampaignStats {
-	jobs := c.Jobs()
+	jobs, syms := c.Jobs(), c.Syms()
 	type key struct {
 		mod job.Modality
-		id  string
+		id  accounting.Sym
 	}
 	// true campaign → measured campaign id → member count
 	members := make(map[key]map[string]int)
 	measuredSet := make(map[job.Modality]map[string]bool)
 	for i := range jobs {
-		truthMod := job.Modality(jobs[i].TruthModality)
+		truthMod := job.Modality(syms.Str(jobs[i].TruthModality))
 		if truthMod != job.ModEnsemble && truthMod != job.ModWorkflow {
 			continue
 		}
-		if jobs[i].TruthCampaign == "" {
+		if jobs[i].TruthCampaign == accounting.SymNone {
 			continue
 		}
 		k := key{truthMod, jobs[i].TruthCampaign}

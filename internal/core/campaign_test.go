@@ -16,9 +16,9 @@ func TestCampaignReportTaggedPerfect(t *testing.T) {
 			id++
 			camp := []string{"ens-A", "ens-B"}[c]
 			jobs = append(jobs, rec(id, func(r *accounting.JobRecord) {
-				r.EnsembleID = camp
-				r.TruthModality = string(job.ModEnsemble)
-				r.TruthCampaign = camp
+				r.EnsembleID = sym(camp)
+				r.TruthModality = sym(string(job.ModEnsemble))
+				r.TruthCampaign = sym(camp)
 			}))
 		}
 	}
@@ -45,11 +45,11 @@ func TestCampaignReportInferredBurst(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		i := i
 		jobs = append(jobs, rec(int64(i+1), func(r *accounting.JobRecord) {
-			r.Name = "sweep"
+			r.Name = sym("sweep")
 			r.Cores = 4
 			r.SubmitTime = float64(i) * 30
-			r.TruthModality = string(job.ModEnsemble)
-			r.TruthCampaign = "true-ens-1"
+			r.TruthModality = sym(string(job.ModEnsemble))
+			r.TruthCampaign = sym("true-ens-1")
 		}))
 	}
 	c := central(t, jobs, nil, nil)
@@ -71,12 +71,12 @@ func TestCampaignReportUnrecovered(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		jobs = append(jobs, rec(int64(i+1), func(r *accounting.JobRecord) {
-			r.Name = "stage"
+			r.Name = sym("stage")
 			r.SubmitTime = tm
 			r.StartTime = tm + 10
 			r.EndTime = tm + 600
-			r.TruthModality = string(job.ModWorkflow)
-			r.TruthCampaign = "wf-lost"
+			r.TruthModality = sym(string(job.ModWorkflow))
+			r.TruthCampaign = sym("wf-lost")
 		}))
 		tm += 20000 // hours of slack: no chain signature
 	}

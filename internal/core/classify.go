@@ -65,7 +65,10 @@ type Config struct {
 	DataBytesThreshold int64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field replaced by its default.
+// The batch classifier and the stream's online rules both apply it, so
+// they always agree on thresholds.
+func (c Config) WithDefaults() Config {
 	if c.CapabilityFrac == 0 {
 		c.CapabilityFrac = 0.5
 	}
@@ -94,7 +97,7 @@ type Classifier struct {
 
 // NewClassifier returns a classifier with the given configuration.
 func NewClassifier(cfg Config) *Classifier {
-	return &Classifier{cfg: cfg.withDefaults()}
+	return &Classifier{cfg: cfg.WithDefaults()}
 }
 
 // Classify processes the central database and returns one result per job
@@ -102,7 +105,7 @@ func NewClassifier(cfg Config) *Classifier {
 // the separation between measurement and generator truth is the point of
 // the validation experiments (and is enforced by a test).
 func (cl *Classifier) Classify(c *accounting.Central) []Result {
-	jobs := c.Jobs()
+	jobs, syms := c.Jobs(), c.Syms()
 	results := make([]Result, len(jobs))
 
 	// Index: jobs that have gateway end-user attribute records.
@@ -124,36 +127,36 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 		r := &jobs[i]
 		res := Result{JobID: r.JobID}
 		switch {
-		case r.QOS == "urgent":
+		case r.QOS == accounting.SymUrgent:
 			res.Modality, res.Source, res.Evidence = job.ModUrgent, SourceAccounting, EvQOSUrgent
-		case r.QOS == "interactive":
+		case r.QOS == accounting.SymInteractive:
 			res.Modality, res.Source, res.Evidence = job.ModInteractive, SourceAccounting, EvQOSInteractive
-		case r.GatewayID != "" || r.SubmitVia == "gateway" || gwAttr[r.JobID]:
+		case r.GatewayID != accounting.SymNone || r.SubmitVia == accounting.SymGateway || gwAttr[r.JobID]:
 			res.Modality, res.Source = job.ModGateway, SourceAttribute
 			switch {
-			case r.GatewayID != "":
+			case r.GatewayID != accounting.SymNone:
 				res.Evidence = EvGatewayID
-			case r.SubmitVia == "gateway":
+			case r.SubmitVia == accounting.SymGateway:
 				res.Evidence = EvSubmitVia
 			default:
 				res.Evidence = EvGatewayUserRec
 			}
-		case r.CoAllocID != "" || r.BrokerJobID != "" || r.SubmitVia == "metasched":
+		case r.CoAllocID != accounting.SymNone || r.BrokerJobID != accounting.SymNone || r.SubmitVia == accounting.SymMetasched:
 			res.Modality, res.Source = job.ModMetascheduled, SourceAttribute
 			switch {
-			case r.CoAllocID != "":
+			case r.CoAllocID != accounting.SymNone:
 				res.Evidence = EvCoAllocID
-			case r.BrokerJobID != "":
+			case r.BrokerJobID != accounting.SymNone:
 				res.Evidence = EvBrokerID
 			default:
 				res.Evidence = EvSubmitVia
 			}
-		case r.WorkflowID != "":
+		case r.WorkflowID != accounting.SymNone:
 			res.Modality, res.Source, res.Evidence = job.ModWorkflow, SourceAttribute, EvWorkflowID
-			res.CampaignID = r.WorkflowID
-		case r.EnsembleID != "":
+			res.CampaignID = syms.Str(r.WorkflowID)
+		case r.EnsembleID != accounting.SymNone:
 			res.Modality, res.Source, res.Evidence = job.ModEnsemble, SourceAttribute, EvEnsembleID
-			res.CampaignID = r.EnsembleID
+			res.CampaignID = syms.Str(r.EnsembleID)
 		case staged[r.JobID] >= cl.cfg.DataBytesThreshold:
 			res.Modality, res.Source, res.Evidence = job.ModDataCentric, SourceAccounting, EvStagedBytes
 		default:
@@ -163,8 +166,8 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 	}
 
 	// Pass 2: behavioral inference over the undecided remainder.
-	cl.inferEnsembles(jobs, results, undecided)
-	cl.inferChains(jobs, results, undecided)
+	cl.inferEnsembles(jobs, syms, results, undecided)
+	cl.inferChains(jobs, syms, results, undecided)
 
 	// Pass 3: size-based batch split for everything still undecided.
 	for _, i := range undecided {
@@ -186,10 +189,11 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 
 // inferEnsembles finds untagged parameter sweeps: bursts of ≥ MinJobs
 // submissions by one user with identical job name and core count, each gap
-// within the window.
-func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, results []Result, undecided []int) {
+// within the window. Groups are keyed by Sym but numbered in the order of
+// their strings, so campaign IDs do not depend on the table.
+func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *accounting.Symbols, results []Result, undecided []int) {
 	type key struct {
-		user, name string
+		user, name accounting.Sym
 		cores      int
 	}
 	groups := make(map[key][]int)
@@ -204,11 +208,11 @@ func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, results []Resu
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].user != keys[b].user {
-			return keys[a].user < keys[b].user
+		if ua, ub := syms.Str(keys[a].user), syms.Str(keys[b].user); ua != ub {
+			return ua < ub
 		}
-		if keys[a].name != keys[b].name {
-			return keys[a].name < keys[b].name
+		if na, nb := syms.Str(keys[a].name), syms.Str(keys[b].name); na != nb {
+			return na < nb
 		}
 		return keys[a].cores < keys[b].cores
 	})
@@ -258,20 +262,23 @@ func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, results []Resu
 // inferChains finds untagged workflows: per-user sequences where each next
 // job is submitted within ChainSlack after the previous job's end — the
 // signature of an external script driving dependencies. Jobs already
-// claimed by ensemble inference are skipped.
-func (cl *Classifier) inferChains(jobs []accounting.JobRecord, results []Result, undecided []int) {
-	byUser := make(map[string][]int)
+// claimed by ensemble inference are skipped. Users are visited in the
+// order of their names, so campaign IDs do not depend on the table.
+func (cl *Classifier) inferChains(jobs []accounting.JobRecord, syms *accounting.Symbols, results []Result, undecided []int) {
+	byUser := make(map[accounting.Sym][]int)
 	for _, i := range undecided {
 		if results[i].Modality != "" {
 			continue
 		}
 		byUser[jobs[i].User] = append(byUser[jobs[i].User], i)
 	}
-	usersSorted := make([]string, 0, len(byUser))
+	usersSorted := make([]accounting.Sym, 0, len(byUser))
 	for u := range byUser {
 		usersSorted = append(usersSorted, u)
 	}
-	sort.Strings(usersSorted)
+	sort.Slice(usersSorted, func(a, b int) bool {
+		return syms.Str(usersSorted[a]) < syms.Str(usersSorted[b])
+	})
 	campaignN := 0
 	for _, u := range usersSorted {
 		idxs := byUser[u]

@@ -51,12 +51,18 @@ func TestSourceString(t *testing.T) {
 	}
 }
 
+// testSyms is the table the package's test records index.
+var testSyms = accounting.NewSymbols()
+
+// sym interns s into testSyms.
+func sym(s string) accounting.Sym { return testSyms.Intern(s) }
+
 // central builds a database from records with sequenced packets.
 func central(t *testing.T, jobs []accounting.JobRecord, attrs []accounting.GatewayAttrRecord,
 	transfers []accounting.TransferRecord) *accounting.Central {
 	t.Helper()
-	c := accounting.NewCentral()
-	err := c.Ingest(&accounting.Packet{Site: "s", Seq: 1, Jobs: jobs,
+	c := accounting.NewCentral(testSyms)
+	err := c.Ingest(&accounting.Packet{Site: "s", Seq: 1, Jobs: jobs, Syms: testSyms,
 		GatewayAttrs: attrs, Transfers: transfers})
 	if err != nil {
 		t.Fatal(err)
@@ -66,11 +72,11 @@ func central(t *testing.T, jobs []accounting.JobRecord, attrs []accounting.Gatew
 
 func rec(id int64, mutate func(*accounting.JobRecord)) accounting.JobRecord {
 	r := accounting.JobRecord{
-		JobID: id, Name: "job", User: "u1", Project: "p", Site: "s",
-		Machine: "m", Cores: 16, SubmitTime: float64(id) * 10000,
+		JobID: id, Name: sym("job"), User: sym("u1"), Project: sym("p"), Site: sym("s"),
+		Machine: sym("m"), Cores: 16, SubmitTime: float64(id) * 10000,
 		StartTime: float64(id)*10000 + 100, EndTime: float64(id)*10000 + 1100,
-		WallSeconds: 1000, CoreSeconds: 16000, NUs: 10, QOS: "normal",
-		ExitStatus: "completed",
+		WallSeconds: 1000, CoreSeconds: 16000, NUs: 10, QOS: sym("normal"),
+		ExitStatus: sym("completed"),
 	}
 	if mutate != nil {
 		mutate(&r)
@@ -85,15 +91,15 @@ func classify(t *testing.T, c *accounting.Central) []Result {
 
 func TestDirectEvidencePrecedence(t *testing.T) {
 	jobs := []accounting.JobRecord{
-		rec(1, func(r *accounting.JobRecord) { r.QOS = "urgent" }),
-		rec(2, func(r *accounting.JobRecord) { r.QOS = "interactive" }),
-		rec(3, func(r *accounting.JobRecord) { r.GatewayID = "nanohub"; r.SubmitVia = "gateway" }),
-		rec(4, func(r *accounting.JobRecord) { r.BrokerJobID = "b-4" }),
-		rec(5, func(r *accounting.JobRecord) { r.WorkflowID = "wf-1" }),
-		rec(6, func(r *accounting.JobRecord) { r.EnsembleID = "ens-1" }),
+		rec(1, func(r *accounting.JobRecord) { r.QOS = sym("urgent") }),
+		rec(2, func(r *accounting.JobRecord) { r.QOS = sym("interactive") }),
+		rec(3, func(r *accounting.JobRecord) { r.GatewayID = sym("nanohub"); r.SubmitVia = sym("gateway") }),
+		rec(4, func(r *accounting.JobRecord) { r.BrokerJobID = sym("b-4") }),
+		rec(5, func(r *accounting.JobRecord) { r.WorkflowID = sym("wf-1") }),
+		rec(6, func(r *accounting.JobRecord) { r.EnsembleID = sym("ens-1") }),
 		rec(7, nil), // plain capacity batch
 		rec(8, func(r *accounting.JobRecord) { r.Cores = 1024 }), // capability
-		rec(9, func(r *accounting.JobRecord) { r.CoAllocID = "co-1" }),
+		rec(9, func(r *accounting.JobRecord) { r.CoAllocID = sym("co-1") }),
 	}
 	c := central(t, jobs, nil, nil)
 	res := classify(t, c)
@@ -147,7 +153,7 @@ func TestEnsembleInference(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		i := i
 		jobs = append(jobs, rec(int64(i+1), func(r *accounting.JobRecord) {
-			r.Name = "sweep"
+			r.Name = sym("sweep")
 			r.Cores = 4
 			r.SubmitTime = float64(i) * 60
 			r.StartTime = r.SubmitTime + 10
@@ -155,7 +161,7 @@ func TestEnsembleInference(t *testing.T) {
 		}))
 	}
 	// Plus one unrelated job by another user.
-	jobs = append(jobs, rec(100, func(r *accounting.JobRecord) { r.User = "other" }))
+	jobs = append(jobs, rec(100, func(r *accounting.JobRecord) { r.User = sym("other") }))
 	res := classify(t, central(t, jobs, nil, nil))
 	for i := 0; i < 8; i++ {
 		if res[i].Modality != job.ModEnsemble {
@@ -179,7 +185,7 @@ func TestEnsembleInferenceRespectsWindow(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		i := i
 		jobs = append(jobs, rec(int64(i+1), func(r *accounting.JobRecord) {
-			r.Name = "spread"
+			r.Name = sym("spread")
 			r.Cores = 4
 			r.SubmitTime = float64(i) * 86400
 		}))
@@ -200,7 +206,7 @@ func TestChainInference(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		jobs = append(jobs, rec(int64(i+1), func(r *accounting.JobRecord) {
-			r.Name = fmt.Sprintf("stage-%d", i)
+			r.Name = sym(fmt.Sprintf("stage-%d", i))
 			r.SubmitTime = tm
 			r.StartTime = tm + 30
 			r.EndTime = tm + 30 + 600
@@ -224,7 +230,7 @@ func TestChainInferenceNeedsTightGaps(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		jobs = append(jobs, rec(int64(i+1), func(r *accounting.JobRecord) {
-			r.Name = fmt.Sprintf("stage-%d", i)
+			r.Name = sym(fmt.Sprintf("stage-%d", i))
 			r.SubmitTime = tm
 			r.StartTime = tm + 30
 			r.EndTime = tm + 630
@@ -240,14 +246,14 @@ func TestChainInferenceNeedsTightGaps(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}.WithDefaults()
 	if cfg.CapabilityFrac != 0.5 || cfg.EnsembleMinJobs != 5 ||
 		cfg.EnsembleWindow != 3600 || cfg.ChainMinLinks != 3 ||
 		cfg.ChainSlack != 300 || cfg.DataBytesThreshold != 5<<30 {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 	// Explicit values survive.
-	cfg2 := Config{EnsembleMinJobs: 10}.withDefaults()
+	cfg2 := Config{EnsembleMinJobs: 10}.WithDefaults()
 	if cfg2.EnsembleMinJobs != 10 {
 		t.Error("explicit value overwritten")
 	}
@@ -255,9 +261,9 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestBuildReport(t *testing.T) {
 	jobs := []accounting.JobRecord{
-		rec(1, func(r *accounting.JobRecord) { r.QOS = "urgent"; r.NUs = 5 }),
-		rec(2, func(r *accounting.JobRecord) { r.GatewayID = "g"; r.User = "community"; r.NUs = 1 }),
-		rec(3, func(r *accounting.JobRecord) { r.GatewayID = "g"; r.User = "community"; r.NUs = 1 }),
+		rec(1, func(r *accounting.JobRecord) { r.QOS = sym("urgent"); r.NUs = 5 }),
+		rec(2, func(r *accounting.JobRecord) { r.GatewayID = sym("g"); r.User = sym("community"); r.NUs = 1 }),
+		rec(3, func(r *accounting.JobRecord) { r.GatewayID = sym("g"); r.User = sym("community"); r.NUs = 1 }),
 		rec(4, func(r *accounting.JobRecord) { r.NUs = 100 }),
 	}
 	attrs := []accounting.GatewayAttrRecord{
@@ -312,10 +318,10 @@ func TestBuildReport(t *testing.T) {
 
 func TestMechanismReport(t *testing.T) {
 	jobs := []accounting.JobRecord{
-		rec(1, func(r *accounting.JobRecord) { r.SubmitVia = "login"; r.NUs = 10 }),
-		rec(2, func(r *accounting.JobRecord) { r.SubmitVia = "login"; r.NUs = 20; r.User = "u2" }),
-		rec(3, func(r *accounting.JobRecord) { r.SubmitVia = "gateway"; r.NUs = 1 }),
-		rec(4, func(r *accounting.JobRecord) { r.SubmitVia = "" }),
+		rec(1, func(r *accounting.JobRecord) { r.SubmitVia = sym("login"); r.NUs = 10 }),
+		rec(2, func(r *accounting.JobRecord) { r.SubmitVia = sym("login"); r.NUs = 20; r.User = sym("u2") }),
+		rec(3, func(r *accounting.JobRecord) { r.SubmitVia = sym("gateway"); r.NUs = 1 }),
+		rec(4, func(r *accounting.JobRecord) { r.SubmitVia = sym("") }),
 	}
 	rows := MechanismReport(central(t, jobs, nil, nil))
 	if len(rows) != 3 {
@@ -332,9 +338,9 @@ func TestMechanismReport(t *testing.T) {
 
 func TestValidatePerfectOnDirectEvidence(t *testing.T) {
 	jobs := []accounting.JobRecord{
-		rec(1, func(r *accounting.JobRecord) { r.QOS = "urgent"; r.TruthModality = "urgent" }),
-		rec(2, func(r *accounting.JobRecord) { r.GatewayID = "g"; r.TruthModality = "gateway" }),
-		rec(3, func(r *accounting.JobRecord) { r.TruthModality = "batch-capacity" }),
+		rec(1, func(r *accounting.JobRecord) { r.QOS = sym("urgent"); r.TruthModality = sym("urgent") }),
+		rec(2, func(r *accounting.JobRecord) { r.GatewayID = sym("g"); r.TruthModality = sym("gateway") }),
+		rec(3, func(r *accounting.JobRecord) { r.TruthModality = sym("batch-capacity") }),
 	}
 	c := central(t, jobs, nil, nil)
 	conf := Validate(c, classify(t, c))
@@ -348,9 +354,9 @@ func TestValidatePerfectOnDirectEvidence(t *testing.T) {
 
 func TestMeasureGatewayVisibility(t *testing.T) {
 	jobs := []accounting.JobRecord{
-		rec(1, func(r *accounting.JobRecord) { r.GatewayID = "g1"; r.User = "c1" }),
-		rec(2, func(r *accounting.JobRecord) { r.GatewayID = "g1"; r.User = "c1" }),
-		rec(3, func(r *accounting.JobRecord) { r.GatewayID = "g2"; r.User = "c2" }),
+		rec(1, func(r *accounting.JobRecord) { r.GatewayID = sym("g1"); r.User = sym("c1") }),
+		rec(2, func(r *accounting.JobRecord) { r.GatewayID = sym("g1"); r.User = sym("c1") }),
+		rec(3, func(r *accounting.JobRecord) { r.GatewayID = sym("g2"); r.User = sym("c2") }),
 		rec(4, nil), // not a gateway job
 	}
 	attrs := []accounting.GatewayAttrRecord{
@@ -380,10 +386,10 @@ func TestClassifierNeverReadsTruth(t *testing.T) {
 
 func TestFieldReport(t *testing.T) {
 	jobs := []accounting.JobRecord{
-		rec(1, func(r *accounting.JobRecord) { r.ScienceField = "physics"; r.NUs = 100; r.Project = "p1" }),
-		rec(2, func(r *accounting.JobRecord) { r.ScienceField = "physics"; r.NUs = 50; r.Project = "p2" }),
-		rec(3, func(r *accounting.JobRecord) { r.ScienceField = "chemistry"; r.NUs = 70; r.Project = "p3" }),
-		rec(4, func(r *accounting.JobRecord) { r.ScienceField = ""; r.NUs = 1; r.Project = "p4" }),
+		rec(1, func(r *accounting.JobRecord) { r.ScienceField = sym("physics"); r.NUs = 100; r.Project = sym("p1") }),
+		rec(2, func(r *accounting.JobRecord) { r.ScienceField = sym("physics"); r.NUs = 50; r.Project = sym("p2") }),
+		rec(3, func(r *accounting.JobRecord) { r.ScienceField = sym("chemistry"); r.NUs = 70; r.Project = sym("p3") }),
+		rec(4, func(r *accounting.JobRecord) { r.ScienceField = sym(""); r.NUs = 1; r.Project = sym("p4") }),
 	}
 	rows := FieldReport(central(t, jobs, nil, nil))
 	if len(rows) != 3 {
@@ -401,12 +407,12 @@ func TestFieldReport(t *testing.T) {
 func TestServiceReport(t *testing.T) {
 	jobs := []accounting.JobRecord{
 		rec(1, func(r *accounting.JobRecord) {
-			r.QOS = "urgent"
+			r.QOS = sym("urgent")
 			r.SubmitTime, r.StartTime = 0, 5 // 5s wait
 		}),
 		rec(2, func(r *accounting.JobRecord) {
 			r.SubmitTime, r.StartTime = 0, 1000
-			r.ExitStatus = "killed"
+			r.ExitStatus = sym("killed")
 		}),
 		rec(3, func(r *accounting.JobRecord) {
 			r.SubmitTime, r.StartTime = 0, 3000
@@ -434,9 +440,9 @@ func TestServiceReport(t *testing.T) {
 
 func TestGatewayReport(t *testing.T) {
 	jobs := []accounting.JobRecord{
-		rec(1, func(r *accounting.JobRecord) { r.GatewayID = "g1"; r.NUs = 5 }),
-		rec(2, func(r *accounting.JobRecord) { r.GatewayID = "g1"; r.NUs = 3 }),
-		rec(3, func(r *accounting.JobRecord) { r.GatewayID = "g2"; r.NUs = 2 }),
+		rec(1, func(r *accounting.JobRecord) { r.GatewayID = sym("g1"); r.NUs = 5 }),
+		rec(2, func(r *accounting.JobRecord) { r.GatewayID = sym("g1"); r.NUs = 3 }),
+		rec(3, func(r *accounting.JobRecord) { r.GatewayID = sym("g2"); r.NUs = 2 }),
 		rec(4, nil), // not a gateway job
 	}
 	attrs := []accounting.GatewayAttrRecord{
@@ -463,10 +469,10 @@ func TestGatewayReport(t *testing.T) {
 
 func TestMeasureOverlap(t *testing.T) {
 	jobs := []accounting.JobRecord{
-		rec(1, func(r *accounting.JobRecord) { r.User = "a"; r.QOS = "urgent" }),
-		rec(2, func(r *accounting.JobRecord) { r.User = "a" }), // batch-capacity
-		rec(3, func(r *accounting.JobRecord) { r.User = "b" }), // batch only
-		rec(4, func(r *accounting.JobRecord) { r.User = "comm"; r.GatewayID = "g" }),
+		rec(1, func(r *accounting.JobRecord) { r.User = sym("a"); r.QOS = sym("urgent") }),
+		rec(2, func(r *accounting.JobRecord) { r.User = sym("a") }), // batch-capacity
+		rec(3, func(r *accounting.JobRecord) { r.User = sym("b") }), // batch only
+		rec(4, func(r *accounting.JobRecord) { r.User = sym("comm"); r.GatewayID = sym("g") }),
 	}
 	attrs := []accounting.GatewayAttrRecord{{GatewayID: "g", GatewayUser: "carol", JobID: 4}}
 	c := central(t, jobs, attrs, nil)
@@ -489,15 +495,15 @@ func TestMeasureOverlap(t *testing.T) {
 
 func TestEvidenceTags(t *testing.T) {
 	jobs := []accounting.JobRecord{
-		rec(1, func(r *accounting.JobRecord) { r.QOS = "urgent" }),
-		rec(2, func(r *accounting.JobRecord) { r.QOS = "interactive" }),
-		rec(3, func(r *accounting.JobRecord) { r.GatewayID = "nanohub" }),
-		rec(4, func(r *accounting.JobRecord) { r.SubmitVia = "gateway" }),
-		rec(5, func(r *accounting.JobRecord) { r.CoAllocID = "co-1" }),
-		rec(6, func(r *accounting.JobRecord) { r.BrokerJobID = "b-1" }),
-		rec(7, func(r *accounting.JobRecord) { r.SubmitVia = "metasched" }),
-		rec(8, func(r *accounting.JobRecord) { r.WorkflowID = "wf-1" }),
-		rec(9, func(r *accounting.JobRecord) { r.EnsembleID = "ens-1" }),
+		rec(1, func(r *accounting.JobRecord) { r.QOS = sym("urgent") }),
+		rec(2, func(r *accounting.JobRecord) { r.QOS = sym("interactive") }),
+		rec(3, func(r *accounting.JobRecord) { r.GatewayID = sym("nanohub") }),
+		rec(4, func(r *accounting.JobRecord) { r.SubmitVia = sym("gateway") }),
+		rec(5, func(r *accounting.JobRecord) { r.CoAllocID = sym("co-1") }),
+		rec(6, func(r *accounting.JobRecord) { r.BrokerJobID = sym("b-1") }),
+		rec(7, func(r *accounting.JobRecord) { r.SubmitVia = sym("metasched") }),
+		rec(8, func(r *accounting.JobRecord) { r.WorkflowID = sym("wf-1") }),
+		rec(9, func(r *accounting.JobRecord) { r.EnsembleID = sym("ens-1") }),
 		rec(10, nil),
 		rec(11, func(r *accounting.JobRecord) { r.Cores = 1024 }),
 	}
@@ -528,7 +534,7 @@ func TestEvidenceInferenceAndDefault(t *testing.T) {
 		}))
 	}
 	jobs = append(jobs, rec(6, func(r *accounting.JobRecord) {
-		r.Name = "other"
+		r.Name = sym("other")
 		r.SubmitTime = 1e7
 		r.StartTime = r.SubmitTime + 10
 		r.EndTime = r.StartTime + 100

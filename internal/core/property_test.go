@@ -18,13 +18,13 @@ func randomRecords(rng *simrand.Stream, n int) []accounting.JobRecord {
 	for i := 0; i < n; i++ {
 		r := accounting.JobRecord{
 			JobID:   int64(i + 1),
-			Name:    fmt.Sprintf("app-%d", rng.Intn(5)),
-			User:    fmt.Sprintf("u%d", rng.Intn(8)),
-			Project: "p", Site: "s", Machine: "m",
+			Name:    sym(fmt.Sprintf("app-%d", rng.Intn(5))),
+			User:    sym(fmt.Sprintf("u%d", rng.Intn(8))),
+			Project: sym("p"), Site: sym("s"), Machine: sym("m"),
 			Cores:      1 << uint(rng.Intn(10)),
 			SubmitTime: tm,
-			QOS:        "normal",
-			ExitStatus: "completed",
+			QOS:        sym("normal"),
+			ExitStatus: sym("completed"),
 			NUs:        float64(rng.Intn(100)),
 		}
 		r.StartTime = r.SubmitTime + float64(rng.Intn(500))
@@ -32,15 +32,15 @@ func randomRecords(rng *simrand.Stream, n int) []accounting.JobRecord {
 		r.WallSeconds = r.EndTime - r.StartTime
 		switch rng.Intn(8) {
 		case 0:
-			r.QOS = "urgent"
+			r.QOS = sym("urgent")
 		case 1:
-			r.GatewayID = "gw"
+			r.GatewayID = sym("gw")
 		case 2:
-			r.EnsembleID = fmt.Sprintf("ens-%d", rng.Intn(3))
+			r.EnsembleID = sym(fmt.Sprintf("ens-%d", rng.Intn(3)))
 		case 3:
-			r.WorkflowID = fmt.Sprintf("wf-%d", rng.Intn(3))
+			r.WorkflowID = sym(fmt.Sprintf("wf-%d", rng.Intn(3)))
 		case 4:
-			r.BrokerJobID = "b"
+			r.BrokerJobID = sym("b")
 		}
 		tm += float64(rng.Intn(600))
 		recs = append(recs, r)
@@ -57,7 +57,7 @@ func TestClassifyTotalAndStable(t *testing.T) {
 		recs := randomRecords(rng, 50+rng.Intn(150))
 
 		ingest := func(chunk int) *accounting.Central {
-			c := accounting.NewCentral()
+			c := accounting.NewCentral(testSyms)
 			seq := uint64(0)
 			for i := 0; i < len(recs); i += chunk {
 				end := i + chunk
@@ -65,7 +65,7 @@ func TestClassifyTotalAndStable(t *testing.T) {
 					end = len(recs)
 				}
 				seq++
-				if err := c.Ingest(&accounting.Packet{Site: "s", Seq: seq,
+				if err := c.Ingest(&accounting.Packet{Site: "s", Seq: seq, Syms: testSyms,
 					Jobs: recs[i:end]}); err != nil {
 					t.Fatal(err)
 				}
@@ -111,8 +111,8 @@ func TestClassifyOrderInvariant(t *testing.T) {
 			recs[i].SubmitTime = recs[i-1].SubmitTime
 		}
 		ingest := func(rs []accounting.JobRecord) *accounting.Central {
-			c := accounting.NewCentral()
-			if err := c.Ingest(&accounting.Packet{Site: "s", Seq: 1, Jobs: rs}); err != nil {
+			c := accounting.NewCentral(testSyms)
+			if err := c.Ingest(&accounting.Packet{Site: "s", Seq: 1, Jobs: rs, Syms: testSyms}); err != nil {
 				t.Fatal(err)
 			}
 			return c
@@ -146,8 +146,8 @@ func TestClassifyOrderInvariant(t *testing.T) {
 func TestClassifyIdempotent(t *testing.T) {
 	rng := simrand.New(99)
 	recs := randomRecords(rng, 200)
-	c := accounting.NewCentral()
-	if err := c.Ingest(&accounting.Packet{Site: "s", Seq: 1, Jobs: recs}); err != nil {
+	c := accounting.NewCentral(testSyms)
+	if err := c.Ingest(&accounting.Packet{Site: "s", Seq: 1, Jobs: recs, Syms: testSyms}); err != nil {
 		t.Fatal(err)
 	}
 	cl := NewClassifier(Config{LargestCores: 512})

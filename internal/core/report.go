@@ -42,7 +42,7 @@ func (r *Report) Row(m job.Modality) UsageRow {
 
 // BuildReport aggregates classification results into the usage report.
 func BuildReport(c *accounting.Central, results []Result) *Report {
-	jobs := c.Jobs()
+	jobs, syms := c.Jobs(), c.Syms()
 	// Gateway end-user attribute index.
 	gwUser := make(map[int64]string)
 	for _, a := range c.GatewayAttrs() {
@@ -51,7 +51,7 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 	type agg struct {
 		jobs     int
 		nus      float64
-		accounts map[string]bool
+		accounts map[accounting.Sym]bool
 		people   map[string]bool
 	}
 	byMod := make(map[job.Modality]*agg)
@@ -62,7 +62,7 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 		res := results[i]
 		a := byMod[res.Modality]
 		if a == nil {
-			a = &agg{accounts: make(map[string]bool), people: make(map[string]bool)}
+			a = &agg{accounts: make(map[accounting.Sym]bool), people: make(map[string]bool)}
 			byMod[res.Modality] = a
 		}
 		a.jobs++
@@ -71,7 +71,7 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 		if p, ok := gwUser[r.JobID]; ok {
 			a.people[p] = true
 		} else {
-			a.people[r.User] = true
+			a.people[syms.Str(r.User)] = true
 		}
 		bySource[res.Source]++
 		total += r.NUs
@@ -116,17 +116,18 @@ func MechanismReport(c *accounting.Central) []MechanismRow {
 	type agg struct {
 		jobs     int
 		nus      float64
-		accounts map[string]bool
+		accounts map[accounting.Sym]bool
 	}
 	byMech := make(map[string]*agg)
+	syms := c.Syms()
 	for _, r := range c.Jobs() {
-		mech := r.SubmitVia
+		mech := syms.Str(r.SubmitVia)
 		if mech == "" {
 			mech = "unknown"
 		}
 		a := byMech[mech]
 		if a == nil {
-			a = &agg{accounts: make(map[string]bool)}
+			a = &agg{accounts: make(map[accounting.Sym]bool)}
 			byMech[mech] = a
 		}
 		a.jobs++
@@ -172,7 +173,7 @@ func ServiceReport(c *accounting.Central, results []Result) []ServiceRow {
 		}
 		waits[m].Add(jobs[i].WaitSeconds())
 		counts[m]++
-		if jobs[i].ExitStatus == "killed" {
+		if jobs[i].ExitStatus == accounting.SymKilled {
 			killed[m]++
 		}
 	}
@@ -209,17 +210,18 @@ func FieldReport(c *accounting.Central) []FieldRow {
 	type agg struct {
 		jobs     int
 		nus      float64
-		projects map[string]bool
+		projects map[accounting.Sym]bool
 	}
 	byField := make(map[string]*agg)
+	syms := c.Syms()
 	for _, r := range c.Jobs() {
-		f := r.ScienceField
+		f := syms.Str(r.ScienceField)
 		if f == "" {
 			f = "unspecified"
 		}
 		a := byField[f]
 		if a == nil {
-			a = &agg{projects: make(map[string]bool)}
+			a = &agg{projects: make(map[accounting.Sym]bool)}
 			byField[f] = a
 		}
 		a.jobs++
@@ -253,9 +255,9 @@ func FieldReport(c *accounting.Central) []FieldRow {
 // This is the experiment the simulation substrate makes possible.
 func Validate(c *accounting.Central, results []Result) *metrics.Confusion {
 	conf := metrics.NewConfusion(ModalityLabels())
-	jobs := c.Jobs()
+	jobs, syms := c.Jobs(), c.Syms()
 	for i := range jobs {
-		truth := jobs[i].TruthModality
+		truth := syms.Str(jobs[i].TruthModality)
 		if truth == "" {
 			truth = string(job.ModUnknown)
 		}
@@ -289,14 +291,14 @@ type Overlap struct {
 // MeasureOverlap computes modality overlap per effective user: gateway
 // end users where attributes exist, charging accounts otherwise.
 func MeasureOverlap(c *accounting.Central, results []Result) Overlap {
-	jobs := c.Jobs()
+	jobs, syms := c.Jobs(), c.Syms()
 	gwUser := make(map[int64]string)
 	for _, a := range c.GatewayAttrs() {
 		gwUser[a.JobID] = a.GatewayID + "/" + a.GatewayUser
 	}
 	perUser := make(map[string]map[job.Modality]bool)
 	for i := range jobs {
-		u := jobs[i].User
+		u := syms.Str(jobs[i].User)
 		if p, ok := gwUser[jobs[i].JobID]; ok {
 			u = p
 		}
@@ -362,11 +364,12 @@ func GatewayReport(c *accounting.Central) []GatewayRow {
 		get(r.GatewayID).people[r.GatewayUser] = true
 		attributed[r.JobID] = true
 	}
+	syms := c.Syms()
 	for _, r := range c.Jobs() {
-		if r.GatewayID == "" {
+		if r.GatewayID == accounting.SymNone {
 			continue
 		}
-		a := get(r.GatewayID)
+		a := get(syms.Str(r.GatewayID))
 		a.jobs++
 		a.nus += r.NUs
 		if attributed[r.JobID] {
@@ -395,7 +398,7 @@ func GatewayReport(c *accounting.Central) []GatewayRow {
 // central database.
 func MeasureGatewayVisibility(c *accounting.Central) GatewayVisibility {
 	var v GatewayVisibility
-	accounts := make(map[string]bool)
+	accounts := make(map[accounting.Sym]bool)
 	people := make(map[string]bool)
 	attributed := make(map[int64]bool)
 	for _, a := range c.GatewayAttrs() {
@@ -403,7 +406,7 @@ func MeasureGatewayVisibility(c *accounting.Central) GatewayVisibility {
 		attributed[a.JobID] = true
 	}
 	for _, r := range c.Jobs() {
-		if r.GatewayID == "" && r.SubmitVia != "gateway" {
+		if r.GatewayID == accounting.SymNone && r.SubmitVia != accounting.SymGateway {
 			continue
 		}
 		v.GatewayJobs++

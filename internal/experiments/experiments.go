@@ -143,9 +143,10 @@ func T3ModalityUsage(seed uint64, sc Scale) (*report.Table, error) {
 	// Ground-truth NUs per modality for the comparison column.
 	truthNUs := map[string]float64{}
 	truthJobs := map[string]int{}
+	syms := res.Central.Syms()
 	for _, r := range res.Central.Jobs() {
-		truthNUs[r.TruthModality] += r.NUs
-		truthJobs[r.TruthModality]++
+		truthNUs[syms.Str(r.TruthModality)] += r.NUs
+		truthJobs[syms.Str(r.TruthModality)]++
 	}
 	t := report.NewTable("T3: NUs and users by usage modality (measured vs ground truth)",
 		"modality", "jobs", "NUs", "NU share", "accounts", "end users", "truth jobs", "truth NUs")
@@ -247,7 +248,7 @@ func F2GatewayGrowth(seed uint64, sc Scale) (*report.Figure, error) {
 		usersPer[b][a.GatewayID+"/"+a.GatewayUser] = true
 	}
 	for _, r := range res.Central.Jobs() {
-		if r.GatewayID != "" {
+		if r.GatewayID != accounting.SymNone {
 			jobsPer[int(r.SubmitTime/period)]++
 		}
 	}
@@ -280,7 +281,7 @@ func F6Transfers(seed uint64, sc Scale) (*report.Table, error) {
 	for _, tr := range res.Central.Transfers() {
 		mod := "unattributed"
 		if r, ok := res.Central.Job(tr.JobID); ok {
-			mod = r.TruthModality
+			mod = res.Central.Syms().Str(r.TruthModality)
 		}
 		byMod[mod] += float64(tr.Bytes)
 		count[mod]++
@@ -460,7 +461,7 @@ func MaintenanceTable(seed uint64, sc Scale) (*report.Table, error) {
 
 // usageSample collects per-user NU totals for concentration stats.
 func usageSample(res *scenario.Result) *metrics.Sample {
-	per := map[string]float64{}
+	per := map[accounting.Sym]float64{}
 	for _, r := range res.Central.Jobs() {
 		per[r.User] += r.NUs
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/tgsim/tgmod/internal/accounting"
 	"github.com/tgsim/tgmod/internal/fleet"
 	"github.com/tgsim/tgmod/internal/job"
 	"github.com/tgsim/tgmod/internal/report"
@@ -42,8 +43,9 @@ type ftSample struct {
 
 func ftInspect(_ uint64, res *scenario.Result) any {
 	s := &ftSample{ByModality: make(map[string]*ftModality)}
+	syms := res.Central.Syms()
 	for _, r := range res.Central.Jobs() {
-		mod := r.TruthModality
+		mod := syms.Str(r.TruthModality)
 		if mod == "" {
 			mod = string(job.ModUnknown)
 		}
@@ -54,7 +56,7 @@ func ftInspect(_ uint64, res *scenario.Result) any {
 		}
 		m.Jobs++
 		m.Wasted += r.WastedNUs
-		if r.ExitStatus == "completed" {
+		if r.ExitStatus == accounting.SymCompleted {
 			m.Completed++
 			m.Goodput += r.NUs
 		}

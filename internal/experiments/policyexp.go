@@ -68,6 +68,7 @@ func PXPolicyEngines(seed uint64, sc Scale) (*report.Table, error) {
 		waitN := make(map[job.Modality]int)
 		var allSum float64
 		var allN int
+		syms := res.Central.Syms()
 		for _, r := range res.Central.Jobs() {
 			w := r.StartTime - r.SubmitTime
 			if w < 0 {
@@ -75,7 +76,7 @@ func PXPolicyEngines(seed uint64, sc Scale) (*report.Table, error) {
 			}
 			allSum += w
 			allN++
-			mod := job.Modality(r.TruthModality)
+			mod := job.Modality(syms.Str(r.TruthModality))
 			waitSum[mod] += w
 			waitN[mod]++
 		}

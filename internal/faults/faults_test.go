@@ -112,7 +112,7 @@ func newRig(t *testing.T, seed uint64, cfg Config) *rig {
 	}
 	fabric := network.NewFabric(k, topo)
 	gw, err := gateway.New("gw1", "community", "proj-gw", "bio", 1.0,
-		k, simrand.Derive(seed, "gateway/gw1"), brokerSub{broker}, accounting.NewLedger("sA"))
+		k, simrand.Derive(seed, "gateway/gw1"), brokerSub{broker}, accounting.NewLedger("sA", accounting.NewSymbols()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestNewValidation(t *testing.T) {
 	k := des.New()
 	rng := simrand.New(1)
 	sub := &captureSubmitter{}
-	l := accounting.NewLedger("s")
+	l := accounting.NewLedger("s", accounting.NewSymbols())
 	if _, err := New("", "acct", "proj", "f", 1, k, rng, sub, l); err == nil {
 		t.Error("empty id accepted")
 	}
@@ -44,7 +44,7 @@ func TestNewValidation(t *testing.T) {
 func TestRequestRewritesIdentity(t *testing.T) {
 	k := des.New()
 	sub := &captureSubmitter{}
-	l := accounting.NewLedger("s")
+	l := accounting.NewLedger("s", accounting.NewSymbols())
 	g, err := New("nanohub", "nanohub-community", "TG-GATEWAY1", "nanoscience",
 		1.0, k, simrand.New(1), sub, l)
 	if err != nil {
@@ -77,7 +77,7 @@ func TestRequestRewritesIdentity(t *testing.T) {
 func TestCoverageControlsAttribution(t *testing.T) {
 	k := des.New()
 	sub := &captureSubmitter{}
-	l := accounting.NewLedger("s")
+	l := accounting.NewLedger("s", accounting.NewSymbols())
 	g, err := New("g", "acct", "proj", "f", 0.5, k, simrand.New(42), sub, l)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestCoverageControlsAttribution(t *testing.T) {
 func TestZeroCoverageEmitsNothing(t *testing.T) {
 	k := des.New()
 	sub := &captureSubmitter{}
-	l := accounting.NewLedger("s")
+	l := accounting.NewLedger("s", accounting.NewSymbols())
 	g, err := New("g", "acct", "proj", "f", 0, k, simrand.New(1), sub, l)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestZeroCoverageEmitsNothing(t *testing.T) {
 func TestFirstSeen(t *testing.T) {
 	k := des.New()
 	sub := &captureSubmitter{}
-	g, err := New("g", "acct", "proj", "f", 1, k, simrand.New(1), sub, accounting.NewLedger("s"))
+	g, err := New("g", "acct", "proj", "f", 1, k, simrand.New(1), sub, accounting.NewLedger("s", accounting.NewSymbols()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func LoadRunDirSelect(dir string, files ...string) (*Run, error) {
 
 	if want[AcctFile] {
 		if f, err := os.Open(filepath.Join(dir, AcctFile)); err == nil {
-			c := accounting.NewCentral()
+			c := accounting.NewCentral(nil)
 			err = c.Import(f)
 			f.Close()
 			if err != nil {

@@ -41,10 +41,10 @@ func acctSeries(r *Run, out map[string]float64) {
 		wait float64
 	}
 	byMod := make(map[string]*agg)
-	jobs := c.Jobs()
+	jobs, syms := c.Jobs(), c.Syms()
 	for i := range jobs {
 		rec := &jobs[i]
-		mod := rec.TruthModality
+		mod := syms.Str(rec.TruthModality)
 		if mod == "" {
 			mod = "unknown"
 		}

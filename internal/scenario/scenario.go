@@ -318,11 +318,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Accounting pipeline.
-	central := accounting.NewCentral()
+	// Accounting pipeline. The run's job records index one symbol table,
+	// shared by every ledger, the central database and each flushed packet.
+	syms := accounting.NewSymbols()
+	central := accounting.NewCentral(syms)
 	ledgers := make(map[string]*accounting.Ledger)
 	for _, s := range fed.Sites {
-		ledgers[s.ID] = accounting.NewLedger(s.ID)
+		ledgers[s.ID] = accounting.NewLedger(s.ID, syms)
 	}
 	stager.OnTransfer = func(tr *network.Transfer) {
 		l := ledgers[tr.Src]
@@ -357,7 +359,7 @@ func Run(cfg Config) (*Result, error) {
 			switch e.Kind {
 			case sched.EventFinished:
 				finished++
-				rec := accounting.RecordOf(e.Job, m)
+				rec := accounting.RecordOf(e.Job, m, syms)
 				ledgers[m.Site].AddJob(rec)
 				// Charge the allocation for actual usage; overdraft errors
 				// are operational noise, not simulation failures.

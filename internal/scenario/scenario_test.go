@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/tgsim/tgmod/internal/accounting"
 	"github.com/tgsim/tgmod/internal/core"
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
@@ -86,14 +87,14 @@ func TestRunProducesCoherentAccounting(t *testing.T) {
 		if r.Cores <= 0 || r.EndTime < r.StartTime || r.NUs < 0 {
 			t.Fatalf("malformed record: %+v", r)
 		}
-		if r.ExitStatus != "completed" && r.ExitStatus != "killed" {
-			t.Fatalf("unexpected exit status %q", r.ExitStatus)
+		if r.ExitStatus != accounting.SymCompleted && r.ExitStatus != accounting.SymKilled {
+			t.Fatalf("unexpected exit status %q", res.Central.Syms().Str(r.ExitStatus))
 		}
 	}
 	// All ground-truth modalities appear in a mixed workload.
 	seen := map[string]bool{}
 	for _, r := range jobs {
-		seen[r.TruthModality] = true
+		seen[res.Central.Syms().Str(r.TruthModality)] = true
 	}
 	for _, m := range job.AllModalities {
 		if !seen[string(m)] {

@@ -48,10 +48,11 @@ type online struct {
 
 	// Burst state for ensemble inference: per (user, name, cores), the
 	// submit time of the last undecided member and the current run length.
+	// Keyed by Sym: the state is only looked up, never iterated.
 	bursts map[burstKey]*burstState
 	// Chain state for workflow inference: per user, the end time of the
 	// last undecided job and the current link count.
-	chains map[string]*chainState
+	chains map[accounting.Sym]*chainState
 
 	// Per-modality decision tallies: count and confidence sum, for the
 	// mean-confidence column of the /modalities payload.
@@ -62,7 +63,7 @@ type online struct {
 }
 
 type burstKey struct {
-	user, name string
+	user, name accounting.Sym
 	cores      int
 }
 
@@ -78,38 +79,14 @@ type chainState struct {
 
 func newOnline(cfg core.Config) *online {
 	return &online{
-		cfg:     withClassifierDefaults(cfg),
+		cfg:     cfg.WithDefaults(),
 		gwAttr:  make(map[int64]bool),
 		staged:  make(map[int64]int64),
 		bursts:  make(map[burstKey]*burstState),
-		chains:  make(map[string]*chainState),
+		chains:  make(map[accounting.Sym]*chainState),
 		count:   make(map[job.Modality]int64),
 		confSum: make(map[job.Modality]float64),
 	}
-}
-
-// withClassifierDefaults mirrors core.Config's zero-value defaults so the
-// online rules and the batch classifier always agree on thresholds.
-func withClassifierDefaults(c core.Config) core.Config {
-	if c.CapabilityFrac == 0 {
-		c.CapabilityFrac = 0.5
-	}
-	if c.EnsembleMinJobs == 0 {
-		c.EnsembleMinJobs = 5
-	}
-	if c.EnsembleWindow == 0 {
-		c.EnsembleWindow = 3600
-	}
-	if c.ChainMinLinks == 0 {
-		c.ChainMinLinks = 3
-	}
-	if c.ChainSlack == 0 {
-		c.ChainSlack = 300
-	}
-	if c.DataBytesThreshold == 0 {
-		c.DataBytesThreshold = 5 << 30
-	}
-	return c
 }
 
 func (o *online) bind(reg *telemetry.Registry) {
@@ -150,25 +127,25 @@ func (o *online) decide(r *accounting.JobRecord) Decision {
 	// Tier 1: direct evidence, rule-for-rule the batch classifier's
 	// first pass.
 	switch {
-	case r.QOS == "urgent":
+	case r.QOS == accounting.SymUrgent:
 		return Decision{job.ModUrgent, core.SourceAccounting, core.EvQOSUrgent, confQOS}
-	case r.QOS == "interactive":
+	case r.QOS == accounting.SymInteractive:
 		return Decision{job.ModInteractive, core.SourceAccounting, core.EvQOSInteractive, confQOS}
-	case r.GatewayID != "":
+	case r.GatewayID != accounting.SymNone:
 		return Decision{job.ModGateway, core.SourceAttribute, core.EvGatewayID, confAttribute}
-	case r.SubmitVia == "gateway":
+	case r.SubmitVia == accounting.SymGateway:
 		return Decision{job.ModGateway, core.SourceAttribute, core.EvSubmitVia, confAttribute}
 	case o.gwAttr[r.JobID]:
 		return Decision{job.ModGateway, core.SourceAttribute, core.EvGatewayUserRec, confAttribute}
-	case r.CoAllocID != "":
+	case r.CoAllocID != accounting.SymNone:
 		return Decision{job.ModMetascheduled, core.SourceAttribute, core.EvCoAllocID, confAttribute}
-	case r.BrokerJobID != "":
+	case r.BrokerJobID != accounting.SymNone:
 		return Decision{job.ModMetascheduled, core.SourceAttribute, core.EvBrokerID, confAttribute}
-	case r.SubmitVia == "metasched":
+	case r.SubmitVia == accounting.SymMetasched:
 		return Decision{job.ModMetascheduled, core.SourceAttribute, core.EvSubmitVia, confAttribute}
-	case r.WorkflowID != "":
+	case r.WorkflowID != accounting.SymNone:
 		return Decision{job.ModWorkflow, core.SourceAttribute, core.EvWorkflowID, confAttribute}
-	case r.EnsembleID != "":
+	case r.EnsembleID != accounting.SymNone:
 		return Decision{job.ModEnsemble, core.SourceAttribute, core.EvEnsembleID, confAttribute}
 	case o.staged[r.JobID] >= o.cfg.DataBytesThreshold:
 		return Decision{job.ModDataCentric, core.SourceAccounting, core.EvStagedBytes, confStaged}

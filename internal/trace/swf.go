@@ -59,22 +59,22 @@ func (d *dense) id(s string) int {
 	return id
 }
 
-func queueNumber(qos string) int {
+func queueNumber(qos accounting.Sym) int {
 	switch qos {
-	case "urgent":
+	case accounting.SymUrgent:
 		return 2
-	case "interactive":
+	case accounting.SymInteractive:
 		return 3
 	default:
 		return 1
 	}
 }
 
-func statusCode(exit string) int {
+func statusCode(exit accounting.Sym) int {
 	switch exit {
-	case "completed":
+	case accounting.SymCompleted:
 		return 1
-	case "killed":
+	case accounting.SymKilled:
 		return 0
 	default:
 		return 5
@@ -83,8 +83,8 @@ func statusCode(exit string) int {
 
 // WriteSWF exports job records (sorted by submit time) as an SWF trace.
 // The header records the dense-id legends so the mapping is reversible by
-// humans.
-func WriteSWF(w io.Writer, jobs []accounting.JobRecord) error {
+// humans. syms is the table the records index.
+func WriteSWF(w io.Writer, jobs []accounting.JobRecord, syms *accounting.Symbols) error {
 	sorted := make([]accounting.JobRecord, len(jobs))
 	copy(sorted, jobs)
 	sort.Slice(sorted, func(i, j int) bool {
@@ -116,11 +116,11 @@ func WriteSWF(w io.Writer, jobs []accounting.JobRecord) error {
 			r.Cores,
 			int64(r.WallSeconds), // requested time ≈ used when request unknown
 			statusCode(r.ExitStatus),
-			users.id(r.User),
-			groups.id(r.Project),
-			execs.id(r.Name),
+			users.id(syms.Str(r.User)),
+			groups.id(syms.Str(r.Project)),
+			execs.id(syms.Str(r.Name)),
 			queueNumber(r.QOS),
-			parts.id(r.Machine),
+			parts.id(syms.Str(r.Machine)),
 		)
 	}
 	// Legends as trailing comments keep the body parseable by strict SWF
@@ -216,32 +216,32 @@ func ReadSWF(r io.Reader) ([]Job, error) {
 }
 
 // Records converts parsed SWF jobs back into accounting records with
-// synthesized string identities ("u<id>", "g<id>", "m<id>"). Status and
-// queue mappings invert WriteSWF's.
-func Records(jobs []Job) []accounting.JobRecord {
+// synthesized string identities ("u<id>", "g<id>", "m<id>"), interned
+// into syms. Status and queue mappings invert WriteSWF's.
+func Records(jobs []Job, syms *accounting.Symbols) []accounting.JobRecord {
 	out := make([]accounting.JobRecord, 0, len(jobs))
 	for _, j := range jobs {
-		exit := "failed"
+		exit := accounting.SymFailed
 		switch j.Status {
 		case 1:
-			exit = "completed"
+			exit = accounting.SymCompleted
 		case 0:
-			exit = "killed"
+			exit = accounting.SymKilled
 		}
-		qos := "normal"
+		qos := accounting.SymNormal
 		switch j.Queue {
 		case 2:
-			qos = "urgent"
+			qos = accounting.SymUrgent
 		case 3:
-			qos = "interactive"
+			qos = accounting.SymInteractive
 		}
 		out = append(out, accounting.JobRecord{
 			JobID:       j.Number,
-			Name:        fmt.Sprintf("exec%d", j.ExecID),
-			User:        fmt.Sprintf("u%d", j.UserID),
-			Project:     fmt.Sprintf("g%d", j.GroupID),
-			Machine:     fmt.Sprintf("m%d", j.Partition),
-			Site:        fmt.Sprintf("site%d", j.Partition),
+			Name:        syms.Intern(fmt.Sprintf("exec%d", j.ExecID)),
+			User:        syms.Intern(fmt.Sprintf("u%d", j.UserID)),
+			Project:     syms.Intern(fmt.Sprintf("g%d", j.GroupID)),
+			Machine:     syms.Intern(fmt.Sprintf("m%d", j.Partition)),
+			Site:        syms.Intern(fmt.Sprintf("site%d", j.Partition)),
 			Cores:       j.Procs,
 			SubmitTime:  j.Submit,
 			StartTime:   j.Submit + j.Wait,

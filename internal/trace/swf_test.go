@@ -10,23 +10,29 @@ import (
 	"github.com/tgsim/tgmod/internal/accounting"
 )
 
+// testSyms is the table the package's test records index.
+var testSyms = accounting.NewSymbols()
+
+// sym interns s into testSyms.
+func sym(s string) accounting.Sym { return testSyms.Intern(s) }
+
 func sampleRecords() []accounting.JobRecord {
 	return []accounting.JobRecord{
-		{JobID: 2, Name: "b", User: "bob", Project: "p2", Machine: "m2",
+		{JobID: 2, Name: sym("b"), User: sym("bob"), Project: sym("p2"), Machine: sym("m2"),
 			Cores: 64, SubmitTime: 500, StartTime: 600, EndTime: 1600,
-			WallSeconds: 1000, QOS: "urgent", ExitStatus: "completed"},
-		{JobID: 1, Name: "a", User: "alice", Project: "p1", Machine: "m1",
+			WallSeconds: 1000, QOS: sym("urgent"), ExitStatus: sym("completed")},
+		{JobID: 1, Name: sym("a"), User: sym("alice"), Project: sym("p1"), Machine: sym("m1"),
 			Cores: 8, SubmitTime: 100, StartTime: 150, EndTime: 450,
-			WallSeconds: 300, QOS: "normal", ExitStatus: "killed"},
-		{JobID: 3, Name: "a", User: "alice", Project: "p1", Machine: "m1",
+			WallSeconds: 300, QOS: sym("normal"), ExitStatus: sym("killed")},
+		{JobID: 3, Name: sym("a"), User: sym("alice"), Project: sym("p1"), Machine: sym("m1"),
 			Cores: 4, SubmitTime: 900, StartTime: 900, EndTime: 950,
-			WallSeconds: 50, QOS: "interactive", ExitStatus: "failed"},
+			WallSeconds: 50, QOS: sym("interactive"), ExitStatus: sym("failed")},
 	}
 }
 
 func TestWriteSWFSortedAndFormatted(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSWF(&buf, sampleRecords()); err != nil {
+	if err := WriteSWF(&buf, sampleRecords(), testSyms); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -57,7 +63,7 @@ func TestWriteSWFSortedAndFormatted(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSWF(&buf, sampleRecords()); err != nil {
+	if err := WriteSWF(&buf, sampleRecords(), testSyms); err != nil {
 		t.Fatal(err)
 	}
 	jobs, err := ReadSWF(&buf)
@@ -83,13 +89,13 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// Convert back to records and check the invertible fields.
-	recs := Records(jobs)
-	if recs[0].ExitStatus != "killed" || recs[1].ExitStatus != "completed" ||
-		recs[2].ExitStatus != "failed" {
+	recs := Records(jobs, testSyms)
+	if recs[0].ExitStatus != sym("killed") || recs[1].ExitStatus != sym("completed") ||
+		recs[2].ExitStatus != sym("failed") {
 		t.Errorf("status mapping wrong: %v %v %v",
 			recs[0].ExitStatus, recs[1].ExitStatus, recs[2].ExitStatus)
 	}
-	if recs[1].QOS != "urgent" || recs[2].QOS != "interactive" {
+	if recs[1].QOS != sym("urgent") || recs[2].QOS != sym("interactive") {
 		t.Error("queue mapping wrong")
 	}
 	if recs[0].CoreSeconds != 300*8 {
@@ -167,13 +173,13 @@ func FuzzReadSWF(f *testing.F) {
 				}
 			}
 		}
-		Records(jobs)
+		Records(jobs, testSyms)
 	})
 }
 
 func TestEmptyTrace(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSWF(&buf, nil); err != nil {
+	if err := WriteSWF(&buf, nil, testSyms); err != nil {
 		t.Fatal(err)
 	}
 	jobs, err := ReadSWF(&buf)

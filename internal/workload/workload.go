@@ -189,18 +189,17 @@ func PoissonArrivals(e *Env, rng *simrand.Stream, peakRate float64, name string,
 	// the name once at generator setup so tracer and profiler maps across
 	// all replications of a fleet share one backing string.
 	name = des.Intern(name)
-	var arm func()
-	arm = func() {
-		dt := des.Time(rng.Exp(peakRate))
-		e.K.ScheduleNamed(dt, name, func(k *des.Kernel) {
-			if k.Now() >= e.Horizon {
-				return
-			}
-			if rng.Bool(DiurnalRate(k.Now(), peakRate) / peakRate) {
-				fn()
-			}
-			arm()
-		})
+	// One tick closure per generator, rescheduled on every arrival. The
+	// draw order is fixed: horizon check, thinning draw, fn, next gap.
+	var tick func(*des.Kernel)
+	tick = func(k *des.Kernel) {
+		if k.Now() >= e.Horizon {
+			return
+		}
+		if rng.Bool(DiurnalRate(k.Now(), peakRate) / peakRate) {
+			fn()
+		}
+		k.ScheduleNamed(des.Time(rng.Exp(peakRate)), name, tick)
 	}
-	arm()
+	e.K.ScheduleNamed(des.Time(rng.Exp(peakRate)), name, tick)
 }

@@ -180,7 +180,7 @@ func testEnv(t *testing.T, seed uint64) *Env {
 	}
 	brk := metasched.New(k, metasched.LeastLoaded, simrand.Derive(seed, "brk"),
 		[]*sched.Scheduler{scheds["big"], scheds["small"]})
-	ledger := accounting.NewLedger("s2")
+	ledger := accounting.NewLedger("s2", accounting.NewSymbols())
 	gw, err := gateway.New("nanohub", "nano-comm", "TG-GW", "nano", 0.9,
 		k, simrand.Derive(seed, "gw"), submitTo(scheds["small"]), ledger)
 	if err != nil {
