@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/tgsim/tgmod/internal/accounting"
 	"github.com/tgsim/tgmod/internal/job"
@@ -167,7 +168,7 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 
 	// Pass 2: behavioral inference over the undecided remainder.
 	cl.inferEnsembles(jobs, syms, results, undecided)
-	cl.inferChains(jobs, syms, results, undecided)
+	undecided = cl.inferChains(jobs, syms, results, undecided)
 
 	// Pass 3: size-based batch split for everything still undecided.
 	for _, i := range undecided {
@@ -189,137 +190,124 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 
 // inferEnsembles finds untagged parameter sweeps: bursts of ≥ MinJobs
 // submissions by one user with identical job name and core count, each gap
-// within the window. Groups are keyed by Sym but numbered in the order of
-// their strings, so campaign IDs do not depend on the table.
+// within the window. It sorts undecided in place so that each (user, name,
+// cores) group is one run in time order; Syms are compared as numbers, which
+// only groups. The groups large enough to hold a burst are then numbered in
+// the order of their strings, so campaign IDs do not depend on the table.
 func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *accounting.Symbols, results []Result, undecided []int) {
-	type key struct {
-		user, name accounting.Sym
-		cores      int
-	}
-	groups := make(map[key][]int)
-	for _, i := range undecided {
-		r := &jobs[i]
-		k := key{r.User, r.Name, r.Cores}
-		groups[k] = append(groups[k], i)
-	}
-	// Deterministic group iteration.
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if ua, ub := syms.Str(keys[a].user), syms.Str(keys[b].user); ua != ub {
-			return ua < ub
+	slices.SortFunc(undecided, func(a, b int) int {
+		ja, jb := &jobs[a], &jobs[b]
+		if ja.User != jb.User {
+			return cmp.Compare(ja.User, jb.User)
 		}
-		if na, nb := syms.Str(keys[a].name), syms.Str(keys[b].name); na != nb {
-			return na < nb
+		if ja.Name != jb.Name {
+			return cmp.Compare(ja.Name, jb.Name)
 		}
-		return keys[a].cores < keys[b].cores
+		if ja.Cores != jb.Cores {
+			return cmp.Compare(ja.Cores, jb.Cores)
+		}
+		return bySubmit(ja, jb)
+	})
+	var groups []span
+	runs(undecided, func(a, b int) bool {
+		ja, jb := &jobs[a], &jobs[b]
+		return ja.User == jb.User && ja.Name == jb.Name && ja.Cores == jb.Cores
+	}, func(lo, hi int) {
+		if hi-lo >= cl.cfg.EnsembleMinJobs {
+			groups = append(groups, span{lo, hi})
+		}
+	})
+	slices.SortFunc(groups, func(a, b span) int {
+		ja, jb := &jobs[undecided[a.lo]], &jobs[undecided[b.lo]]
+		if c := cmp.Compare(syms.Str(ja.User), syms.Str(jb.User)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(syms.Str(ja.Name), syms.Str(jb.Name)); c != 0 {
+			return c
+		}
+		return cmp.Compare(ja.Cores, jb.Cores)
 	})
 	campaignN := 0
-	for _, k := range keys {
-		idxs := groups[k]
-		if len(idxs) < cl.cfg.EnsembleMinJobs {
-			continue
-		}
-		sort.Slice(idxs, func(a, b int) bool {
-			ja, jb := &jobs[idxs[a]], &jobs[idxs[b]]
-			if ja.SubmitTime != jb.SubmitTime {
-				return ja.SubmitTime < jb.SubmitTime
-			}
-			return ja.JobID < jb.JobID // ties broken by ID: record order must not matter
-		})
+	for _, g := range groups {
 		// Split into bursts at gaps larger than the window.
-		burst := []int{idxs[0]}
-		flush := func() {
-			if len(burst) >= cl.cfg.EnsembleMinJobs {
+		idxs := undecided[g.lo:g.hi]
+		runs(idxs, func(a, b int) bool {
+			return jobs[b].SubmitTime-jobs[a].SubmitTime <= cl.cfg.EnsembleWindow
+		}, func(lo, hi int) {
+			if hi-lo >= cl.cfg.EnsembleMinJobs {
 				campaignN++
-				id := inferredID("ens", campaignN)
-				for _, i := range burst {
-					results[i] = Result{
-						JobID:      jobs[i].JobID,
-						Modality:   job.ModEnsemble,
-						Source:     SourceInference,
-						Evidence:   EvBurst,
-						CampaignID: id,
-					}
-				}
+				claim(jobs, results, idxs[lo:hi], job.ModEnsemble, EvBurst, inferredID("ens", campaignN))
 			}
-		}
-		for _, i := range idxs[1:] {
-			gap := jobs[i].SubmitTime - jobs[burst[len(burst)-1]].SubmitTime
-			if gap <= cl.cfg.EnsembleWindow {
-				burst = append(burst, i)
-			} else {
-				flush()
-				burst = []int{i}
-			}
-		}
-		flush()
+		})
 	}
 }
 
 // inferChains finds untagged workflows: per-user sequences where each next
 // job is submitted within ChainSlack after the previous job's end — the
-// signature of an external script driving dependencies. Jobs already
-// claimed by ensemble inference are skipped. Users are visited in the
-// order of their names, so campaign IDs do not depend on the table.
-func (cl *Classifier) inferChains(jobs []accounting.JobRecord, syms *accounting.Symbols, results []Result, undecided []int) {
-	byUser := make(map[accounting.Sym][]int)
-	for _, i := range undecided {
-		if results[i].Modality != "" {
+// signature of an external script driving dependencies. It compacts
+// undecided in place to the jobs ensemble inference left unclaimed, sorts
+// them into one time-ordered run per user, and returns the compacted
+// slice. A chain is a stretch of its user's run; qualifying chains are
+// numbered in the order of their users' names (a stable sort keeps each
+// user's chains in time order), so campaign IDs do not depend on the table.
+func (cl *Classifier) inferChains(jobs []accounting.JobRecord, syms *accounting.Symbols, results []Result, undecided []int) []int {
+	undecided = slices.DeleteFunc(undecided, func(i int) bool { return results[i].Modality != "" })
+	slices.SortFunc(undecided, func(a, b int) int {
+		ja, jb := &jobs[a], &jobs[b]
+		if ja.User != jb.User {
+			return cmp.Compare(ja.User, jb.User)
+		}
+		return bySubmit(ja, jb)
+	})
+	var chains []span
+	runs(undecided, func(a, b int) bool {
+		gap := jobs[b].SubmitTime - jobs[a].EndTime
+		return jobs[a].User == jobs[b].User && gap >= 0 && gap <= cl.cfg.ChainSlack
+	}, func(lo, hi int) {
+		if hi-lo >= cl.cfg.ChainMinLinks {
+			chains = append(chains, span{lo, hi})
+		}
+	})
+	slices.SortStableFunc(chains, func(a, b span) int {
+		return cmp.Compare(syms.Str(jobs[undecided[a.lo]].User), syms.Str(jobs[undecided[b.lo]].User))
+	})
+	for n, c := range chains {
+		claim(jobs, results, undecided[c.lo:c.hi], job.ModWorkflow, EvChain, inferredID("wf", n+1))
+	}
+	return undecided
+}
+
+// runs calls emit(lo, hi) for each maximal run s[lo:hi] whose neighbours
+// all satisfy join(prev, next).
+func runs(s []int, join func(prev, next int) bool, emit func(lo, hi int)) {
+	lo := 0
+	for k := 1; k <= len(s); k++ {
+		if k < len(s) && join(s[k-1], s[k]) {
 			continue
 		}
-		byUser[jobs[i].User] = append(byUser[jobs[i].User], i)
+		emit(lo, k)
+		lo = k
 	}
-	usersSorted := make([]accounting.Sym, 0, len(byUser))
-	for u := range byUser {
-		usersSorted = append(usersSorted, u)
+}
+
+// span is the index range [lo, hi) of one inferred group in the sorted
+// undecided slice.
+type span struct{ lo, hi int }
+
+// bySubmit orders jobs by submission time, ties broken by ID: record order
+// must not matter.
+func bySubmit(a, b *accounting.JobRecord) int {
+	if c := cmp.Compare(a.SubmitTime, b.SubmitTime); c != 0 {
+		return c
 	}
-	sort.Slice(usersSorted, func(a, b int) bool {
-		return syms.Str(usersSorted[a]) < syms.Str(usersSorted[b])
-	})
-	campaignN := 0
-	for _, u := range usersSorted {
-		idxs := byUser[u]
-		sort.Slice(idxs, func(a, b int) bool {
-			ja, jb := &jobs[idxs[a]], &jobs[idxs[b]]
-			if ja.SubmitTime != jb.SubmitTime {
-				return ja.SubmitTime < jb.SubmitTime
-			}
-			return ja.JobID < jb.JobID // ties broken by ID: record order must not matter
-		})
-		var chain []int
-		flush := func() {
-			if len(chain) >= cl.cfg.ChainMinLinks {
-				campaignN++
-				id := inferredID("wf", campaignN)
-				for _, i := range chain {
-					results[i] = Result{
-						JobID:      jobs[i].JobID,
-						Modality:   job.ModWorkflow,
-						Source:     SourceInference,
-						Evidence:   EvChain,
-						CampaignID: id,
-					}
-				}
-			}
-		}
-		for _, i := range idxs {
-			if len(chain) == 0 {
-				chain = []int{i}
-				continue
-			}
-			prev := &jobs[chain[len(chain)-1]]
-			gap := jobs[i].SubmitTime - prev.EndTime
-			if gap >= 0 && gap <= cl.cfg.ChainSlack {
-				chain = append(chain, i)
-			} else {
-				flush()
-				chain = []int{i}
-			}
-		}
-		flush()
+	return cmp.Compare(a.JobID, b.JobID)
+}
+
+// claim records an inferred campaign's decision for each of its jobs.
+func claim(jobs []accounting.JobRecord, results []Result, idxs []int, m job.Modality, ev, id string) {
+	for _, i := range idxs {
+		results[i] = Result{JobID: jobs[i].JobID, Modality: m, Source: SourceInference,
+			Evidence: ev, CampaignID: id}
 	}
 }
 

@@ -42,17 +42,13 @@ func (r *Report) Row(m job.Modality) UsageRow {
 
 // BuildReport aggregates classification results into the usage report.
 func BuildReport(c *accounting.Central, results []Result) *Report {
-	jobs, syms := c.Jobs(), c.Syms()
-	// Gateway end-user attribute index.
-	gwUser := make(map[int64]string)
-	for _, a := range c.GatewayAttrs() {
-		gwUser[a.JobID] = a.GatewayID + "/" + a.GatewayUser
-	}
+	jobs := c.Jobs()
+	endUser, _ := endUsers(c.GatewayAttrs())
 	type agg struct {
 		jobs     int
 		nus      float64
 		accounts map[accounting.Sym]bool
-		people   map[string]bool
+		people   map[int64]bool
 	}
 	byMod := make(map[job.Modality]*agg)
 	bySource := make(map[Source]int)
@@ -62,17 +58,13 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 		res := results[i]
 		a := byMod[res.Modality]
 		if a == nil {
-			a = &agg{accounts: make(map[accounting.Sym]bool), people: make(map[string]bool)}
+			a = &agg{accounts: make(map[accounting.Sym]bool), people: make(map[int64]bool)}
 			byMod[res.Modality] = a
 		}
 		a.jobs++
 		a.nus += r.NUs
 		a.accounts[r.User] = true
-		if p, ok := gwUser[r.JobID]; ok {
-			a.people[p] = true
-		} else {
-			a.people[syms.Str(r.User)] = true
-		}
+		a.people[person(r, endUser)] = true
 		bySource[res.Source]++
 		total += r.NUs
 	}
@@ -99,6 +91,36 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 		emit(m)
 	}
 	return rep
+}
+
+// endUsers keys the people that gateway attribute records name: the i-th
+// distinct (gateway, end user) pair is person -1 - i. It maps each
+// attributed job to its person (the last record wins for a job with two)
+// and returns the number of distinct pairs.
+func endUsers(attrs []accounting.GatewayAttrRecord) (byJob map[int64]int64, people int) {
+	type pair struct{ gateway, user string }
+	keys := make(map[pair]int64)
+	byJob = make(map[int64]int64, len(attrs))
+	for _, a := range attrs {
+		p := pair{a.GatewayID, a.GatewayUser}
+		k, ok := keys[p]
+		if !ok {
+			k = -1 - int64(len(keys))
+			keys[p] = k
+		}
+		byJob[a.JobID] = k
+	}
+	return byJob, len(keys)
+}
+
+// person returns the key of the real person behind a job: its gateway end
+// user where an attribute record names one, else its charging account,
+// keyed by the account's Sym (≥ 0, so never an end user's key).
+func person(r *accounting.JobRecord, endUser map[int64]int64) int64 {
+	if k, ok := endUser[r.JobID]; ok {
+		return k
+	}
+	return int64(r.User)
 }
 
 // MechanismRow breaks usage down by submission mechanism — the measurement
@@ -291,17 +313,11 @@ type Overlap struct {
 // MeasureOverlap computes modality overlap per effective user: gateway
 // end users where attributes exist, charging accounts otherwise.
 func MeasureOverlap(c *accounting.Central, results []Result) Overlap {
-	jobs, syms := c.Jobs(), c.Syms()
-	gwUser := make(map[int64]string)
-	for _, a := range c.GatewayAttrs() {
-		gwUser[a.JobID] = a.GatewayID + "/" + a.GatewayUser
-	}
-	perUser := make(map[string]map[job.Modality]bool)
+	jobs := c.Jobs()
+	endUser, _ := endUsers(c.GatewayAttrs())
+	perUser := make(map[int64]map[job.Modality]bool)
 	for i := range jobs {
-		u := syms.Str(jobs[i].User)
-		if p, ok := gwUser[jobs[i].JobID]; ok {
-			u = p
-		}
+		u := person(&jobs[i], endUser)
 		if perUser[u] == nil {
 			perUser[u] = make(map[job.Modality]bool)
 		}
@@ -399,23 +415,18 @@ func GatewayReport(c *accounting.Central) []GatewayRow {
 func MeasureGatewayVisibility(c *accounting.Central) GatewayVisibility {
 	var v GatewayVisibility
 	accounts := make(map[accounting.Sym]bool)
-	people := make(map[string]bool)
-	attributed := make(map[int64]bool)
-	for _, a := range c.GatewayAttrs() {
-		people[a.GatewayID+"/"+a.GatewayUser] = true
-		attributed[a.JobID] = true
-	}
+	attributed, people := endUsers(c.GatewayAttrs())
 	for _, r := range c.Jobs() {
 		if r.GatewayID == accounting.SymNone && r.SubmitVia != accounting.SymGateway {
 			continue
 		}
 		v.GatewayJobs++
 		accounts[r.User] = true
-		if attributed[r.JobID] {
+		if _, ok := attributed[r.JobID]; ok {
 			v.AttributedJobs++
 		}
 	}
 	v.CommunityAccounts = len(accounts)
-	v.RecoveredEndUsers = len(people)
+	v.RecoveredEndUsers = people
 	return v
 }

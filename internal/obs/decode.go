@@ -9,11 +9,19 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
 	"github.com/tgsim/tgmod/internal/des"
 )
+
+// ErrBadJSONL is the typed error every ReadJSONL failure wraps: a line
+// that is not a JSON object, a phase that is not one byte, args that are
+// not an object of scalars, a line over the 1 MiB cap, or a read error.
+// ReadJSONL never panics on corrupt input; match with
+// errors.Is(err, ErrBadJSONL).
+var ErrBadJSONL = errors.New("obs: bad jsonl")
 
 // jsonlEnvelope mirrors one WriteJSONL line, args left raw so their key
 // order survives.
@@ -91,10 +99,10 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		}
 		var env jsonlEnvelope
 		if err := json.Unmarshal(line, &env); err != nil {
-			return nil, fmt.Errorf("obs: jsonl line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("%w: line %d: %w", ErrBadJSONL, lineNo, err)
 		}
 		if len(env.Ph) != 1 {
-			return nil, fmt.Errorf("obs: jsonl line %d: bad phase %q", lineNo, env.Ph)
+			return nil, fmt.Errorf("%w: line %d: bad phase %q", ErrBadJSONL, lineNo, env.Ph)
 		}
 		ev := Event{
 			At:    des.Time(env.T),
@@ -107,14 +115,14 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		if len(env.Args) > 0 {
 			args, err := decodeArgs(env.Args)
 			if err != nil {
-				return nil, fmt.Errorf("obs: jsonl line %d: %w", lineNo, err)
+				return nil, fmt.Errorf("%w: line %d: %w", ErrBadJSONL, lineNo, err)
 			}
 			ev.Args = args
 		}
 		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: jsonl: %w", err)
+		return nil, fmt.Errorf("%w: after line %d: %w", ErrBadJSONL, lineNo, err)
 	}
 	return out, nil
 }

@@ -4,6 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -273,15 +277,63 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json}\n")); err == nil {
-		t.Error("malformed line accepted")
+// failingReader returns one good line, then a read error.
+type failingReader struct{ sent bool }
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if r.sent {
+		return 0, errors.New("disk on fire")
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"t":1,"ph":"xy","cat":"c","name":"n","track":"t"}` + "\n")); err == nil {
-		t.Error("multi-byte phase accepted")
+	r.sent = true
+	return copy(p, `{"t":1,"ph":"i","cat":"c","name":"n","track":"t"}`+"\n"), nil
+}
+
+// TestReadJSONLRejectsGarbage: every kind of ReadJSONL failure wraps
+// ErrBadJSONL, the over-long line and the read error included.
+func TestReadJSONLRejectsGarbage(t *testing.T) {
+	long := `{"t":1,"ph":"i","cat":"c","name":"` + strings.Repeat("x", 1<<20) + `","track":"t"}`
+	for name, r := range map[string]io.Reader{
+		"malformed line":    strings.NewReader("{not json}\n"),
+		"multi-byte phase":  strings.NewReader(`{"t":1,"ph":"xy","cat":"c","name":"n","track":"t"}` + "\n"),
+		"args not object":   strings.NewReader(`{"t":1,"ph":"i","cat":"c","name":"n","track":"t","args":[1]}`),
+		"non-scalar arg":    strings.NewReader(`{"t":1,"ph":"i","cat":"c","name":"n","track":"t","args":{"k":{}}}`),
+		"unparsable number": strings.NewReader(`{"t":1,"ph":"i","cat":"c","name":"n","track":"t","args":{"k":1e999}}`),
+		"line over 1 MiB":   strings.NewReader(long),
+		"read error":        &failingReader{},
+	} {
+		if _, err := ReadJSONL(r); !errors.Is(err, ErrBadJSONL) {
+			t.Errorf("%s: error %v does not wrap ErrBadJSONL", name, err)
+		}
+	}
+	if _, err := ReadJSONL(strings.NewReader(long)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("line over 1 MiB: error %v does not wrap bufio.ErrTooLong", err)
 	}
 	events, err := ReadJSONL(strings.NewReader("\n\n"))
 	if err != nil || len(events) != 0 {
 		t.Errorf("blank input: %v, %d events", err, len(events))
 	}
+}
+
+// FuzzReadJSONL drives arbitrary bytes through the event-stream reader that
+// tgdiff points at run directories. ReadJSONL must never panic, and every
+// failure must wrap ErrBadJSONL.
+func FuzzReadJSONL(f *testing.F) {
+	real, err := os.ReadFile(filepath.Join("testdata", "quick-obs.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	for _, line := range bytes.SplitAfter(real, []byte("\n")) {
+		f.Add(line)
+	}
+	f.Add([]byte(`{"t":1,"ph":"i","cat":"c","name":"n","track":"t","args":{"a":null,"b":1.5,"c":-7}}` + "\r\n\n"))
+	f.Add([]byte(`{"t":1,"ph":"xy"}`))
+	f.Add([]byte(`{"args":{"k":[1]}}`))
+	f.Add([]byte("not json\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := ReadJSONL(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrBadJSONL) {
+			t.Fatalf("error %v does not wrap ErrBadJSONL", err)
+		}
+	})
 }
