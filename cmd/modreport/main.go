@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"github.com/tgsim/tgmod/internal/job"
 	"os"
 	"sort"
 
@@ -105,7 +106,7 @@ func run() error {
 	// Validation only when the trace carries truth labels.
 	hasTruth := false
 	for _, r := range central.Jobs() {
-		if r.TruthModality != accounting.SymNone {
+		if r.TruthModality != job.SymNone {
 			hasTruth = true
 			break
 		}

@@ -55,12 +55,13 @@ func main() {
 		k := des.New()
 		m := &grid.Machine{ID: "bench", Site: "s", Nodes: 512, CoresPerNode: 8,
 			GFlopsPerCore: 4, NUPerCoreHour: 1}
-		s := sched.MustNamed(k, m, pol)
+		syms := job.NewSymbols()
+		s := sched.MustNamed(k, syms, m, pol)
 		jobs := make([]*job.Job, n)
 		for i, spec := range specs {
 			jobs[i] = &job.Job{
-				ID: job.ID(i + 1), Name: "j", User: fmt.Sprintf("u%d", i%64),
-				Project: "p", Cores: spec.cores, RunTime: spec.run, ReqWalltime: spec.wall,
+				ID: job.ID(i + 1), Name: syms.Intern("j"), User: syms.Intern(fmt.Sprintf("u%d", i%64)),
+				Project: syms.Intern("p"), Cores: spec.cores, RunTime: spec.run, ReqWalltime: spec.wall,
 			}
 			jj := jobs[i]
 			k.At(spec.at, func(*des.Kernel) { s.Submit(jj) })

@@ -13,6 +13,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"github.com/tgsim/tgmod/internal/job"
 	"log"
 
 	"github.com/tgsim/tgmod/internal/accounting"
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	// Phase 1: record a month on a 4096-core machine under EASY.
-	syms := accounting.NewSymbols()
+	syms := job.NewSymbols()
 	original := record(syms)
 	fmt.Printf("recorded %d jobs on the original machine\n", len(original))
 
@@ -58,16 +59,16 @@ func main() {
 }
 
 // record simulates the original machine and returns its accounting
-// records, interning their strings into syms.
-func record(syms *accounting.Symbols) []accounting.JobRecord {
+// records, whose strings index syms.
+func record(syms *job.Symbols) []accounting.JobRecord {
 	k := des.New()
 	m := &grid.Machine{ID: "orig", Site: "s", Nodes: 512, CoresPerNode: 8,
 		GFlopsPerCore: 4, NUPerCoreHour: 1.5}
-	s := sched.MustNamed(k, m, "easy")
+	s := sched.MustNamed(k, syms, m, "easy")
 	var recs []accounting.JobRecord
 	s.Subscribe(func(e sched.Event) {
 		if e.Kind == sched.EventFinished {
-			recs = append(recs, accounting.RecordOf(e.Job, m, syms))
+			recs = append(recs, accounting.RecordOf(e.Job, m))
 		}
 	})
 	pop, err := users.Synthesize(users.Config{Projects: 20, UsersPerProjMu: 0.5,
@@ -76,7 +77,7 @@ func record(syms *accounting.Symbols) []accounting.JobRecord {
 		log.Fatal(err)
 	}
 	env := &workload.Env{
-		K: k, Seed: 5, Horizon: 30 * des.Day, Pop: pop,
+		K: k, Seed: 5, Horizon: 30 * des.Day, Syms: syms, Pop: pop,
 		Sched: map[string]*sched.Scheduler{"orig": s},
 	}
 	(&workload.BatchGen{JobsPerDay: 300, CapabilityFrac: 0.005,
@@ -90,7 +91,8 @@ func replay(parsed []trace.Job, pol string) (int, *metrics.Sample, float64) {
 	k := des.New()
 	m := &grid.Machine{ID: "half", Site: "s", Nodes: 256, CoresPerNode: 8,
 		GFlopsPerCore: 4, NUPerCoreHour: 1.5}
-	s := sched.MustNamed(k, m, pol)
+	syms := job.NewSymbols()
+	s := sched.MustNamed(k, syms, m, pol)
 	waits := &metrics.Sample{}
 	finished := 0
 	s.Subscribe(func(e sched.Event) {
@@ -99,7 +101,7 @@ func replay(parsed []trace.Job, pol string) (int, *metrics.Sample, float64) {
 			waits.Add(float64(e.Job.WaitTime()) / 3600)
 		}
 	})
-	env := &workload.Env{K: k, Horizon: 60 * des.Day,
+	env := &workload.Env{K: k, Horizon: 60 * des.Day, Syms: syms,
 		Sched: map[string]*sched.Scheduler{"half": s}}
 	(&workload.ReplayGen{Jobs: parsed, Machine: "half"}).Start(env)
 	k.Run()

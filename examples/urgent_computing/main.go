@@ -27,7 +27,8 @@ func main() {
 		ID: "mesa-ranger", Site: "mesa", Nodes: 512, CoresPerNode: 16, // 8192 cores
 		GFlopsPerCore: 2.3, NUPerCoreHour: 1.9, UrgentCapable: true,
 	}
-	s := sched.MustNamed(k, machine, "easy")
+	syms := job.NewSymbols()
+	s := sched.MustNamed(k, syms, machine, "easy")
 	rng := simrand.New(99)
 
 	// Background batch load at ~85% of capacity for two weeks.
@@ -38,7 +39,7 @@ func main() {
 		id++
 		run := des.Time(rng.LogNormal(8.3, 1.0)) // median ~1.1h
 		j := &job.Job{
-			ID: id, Name: "batch", User: fmt.Sprintf("u%d", int(id)%40), Project: "p",
+			ID: id, Name: syms.Intern("batch"), User: syms.Intern(fmt.Sprintf("u%d", int(id)%40)), Project: syms.Intern("p"),
 			Cores:   rng.PowerOfTwo(4, 10),
 			RunTime: run, ReqWalltime: des.Time(float64(run) * 1.7),
 		}
@@ -54,7 +55,7 @@ func main() {
 	for cycle := 0; cycle < 6; cycle++ {
 		id++
 		j := &job.Job{
-			ID: id, Name: "wrf-landfall", User: "noaa-urgent", Project: "TG-URGENT",
+			ID: id, Name: syms.Intern("wrf-landfall"), User: syms.Intern("noaa-urgent"), Project: syms.Intern("TG-URGENT"),
 			Cores: 2048, RunTime: 2 * des.Hour, ReqWalltime: 3 * des.Hour,
 			QOS: job.QOSUrgent,
 		}

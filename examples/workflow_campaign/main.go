@@ -41,17 +41,18 @@ func main() {
 	k := des.New()
 	m := &grid.Machine{ID: "hpc", Site: "s", Nodes: 256, CoresPerNode: 8,
 		GFlopsPerCore: 4, NUPerCoreHour: 1.4}
-	s := sched.MustNamed(k, m, "easy")
-	rng := simrand.New(7)
 	central := accounting.NewCentral(nil)
-	ledger := accounting.NewLedger("s", central.Syms())
+	syms := central.Syms()
+	s := sched.MustNamed(k, syms, m, "easy")
+	rng := simrand.New(7)
+	ledger := accounting.NewLedger("s", syms)
 
 	seen := make(map[job.ID]*workflow.Instance)
 	s.Subscribe(func(e sched.Event) {
 		if e.Kind != sched.EventFinished {
 			return
 		}
-		ledger.AddJob(accounting.RecordOf(e.Job, m, central.Syms()))
+		ledger.AddJob(accounting.RecordOf(e.Job, m))
 		if w, ok := seen[e.Job.ID]; ok {
 			w.TaskFinished(e.Job)
 		}
@@ -62,7 +63,7 @@ func main() {
 	mkJob := func(cores int, run des.Time) *job.Job {
 		nextID++
 		return &job.Job{
-			ID: nextID, Name: "cybershake-task", User: "scec", Project: "TG-SCEC",
+			ID: nextID, Name: syms.Intern("cybershake-task"), User: syms.Intern("scec"), Project: syms.Intern("TG-SCEC"),
 			Cores: cores, RunTime: run, ReqWalltime: run * 2,
 		}
 	}
@@ -80,7 +81,7 @@ func main() {
 		// instance needs the submitter at construction; bind after build.
 		sub := &schedSubmitter{s: s, seen: seen}
 		w, err := workflow.FanOutFanIn(fmt.Sprintf("hazard-site-%02d", site), engine,
-			tagged, k, sub, mkJob(32, 900), workers, mkJob(16, 600))
+			tagged, k, syms, sub, mkJob(32, 900), workers, mkJob(16, 600))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,21 +16,21 @@ func testMachine() *grid.Machine {
 		GFlopsPerCore: 4, NUPerCoreHour: 2}
 }
 
-func finishedJob(id int64) *job.Job {
+func finishedJob(syms *job.Symbols, id int64) *job.Job {
 	return &job.Job{
-		ID: job.ID(id), Name: "n", User: "alice", Project: "p",
-		Site: "s", Machine: "m", Cores: 10,
+		ID: job.ID(id), Name: syms.Intern("n"), User: syms.Intern("alice"), Project: syms.Intern("p"),
+		Site: syms.Intern("s"), Machine: syms.Intern("m"), Cores: 10,
 		ReqWalltime: 200, RunTime: 100,
 		SubmitTime: 0, StartTime: 50, EndTime: 150,
 		State: job.StateCompleted,
-		Attr:  job.Attributes{SubmitVia: "login", ScienceField: "physics"},
-		Truth: job.Truth{Modality: job.ModBatchCapacity},
+		Attr:  job.Attributes{SubmitVia: job.SymLogin, ScienceField: syms.Intern("physics")},
+		Truth: job.Truth{Modality: job.SymBatchCapacity},
 	}
 }
 
 func TestRecordOf(t *testing.T) {
-	syms := NewSymbols()
-	r := RecordOf(finishedJob(1), testMachine(), syms)
+	syms := job.NewSymbols()
+	r := RecordOf(finishedJob(syms, 1), testMachine())
 	if r.JobID != 1 || syms.Str(r.User) != "alice" || r.Cores != 10 {
 		t.Errorf("identity fields wrong: %+v", r)
 	}
@@ -42,13 +42,13 @@ func TestRecordOf(t *testing.T) {
 	if r.NUs != want {
 		t.Errorf("NUs = %v, want %v", r.NUs, want)
 	}
-	if r.ExitStatus != SymCompleted || r.QOS != SymNormal {
+	if r.ExitStatus != job.SymCompleted || r.QOS != job.SymNormal {
 		t.Errorf("status fields wrong: %+v", r)
 	}
-	if r.SubmitVia != SymLogin || syms.Str(r.ScienceField) != "physics" {
+	if r.SubmitVia != job.SymLogin || syms.Str(r.ScienceField) != "physics" {
 		t.Errorf("attributes not carried: %+v", r)
 	}
-	if r.TruthModality != SymBatchCapacity {
+	if r.TruthModality != job.SymBatchCapacity {
 		t.Errorf("truth not carried: %q", syms.Str(r.TruthModality))
 	}
 	if r.WaitSeconds() != 50 {
@@ -57,7 +57,7 @@ func TestRecordOf(t *testing.T) {
 }
 
 func TestLedgerFlush(t *testing.T) {
-	l := NewLedger("s", NewSymbols())
+	l := NewLedger("s", job.NewSymbols())
 	if p := l.Flush(0); p != nil {
 		t.Error("empty flush should return nil")
 	}
@@ -85,19 +85,19 @@ func TestLedgerFlush(t *testing.T) {
 }
 
 func TestPacketRoundTrip(t *testing.T) {
-	p := &Packet{Site: "s", Seq: 7, Jobs: []JobRecord{{JobID: 3, NUs: 1.5}}, Syms: NewSymbols()}
+	p := &Packet{Site: "s", Seq: 7, Jobs: []JobRecord{{JobID: 3, NUs: 1.5}}, Syms: job.NewSymbols()}
 	data, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePacket(data, NewSymbols())
+	got, err := DecodePacket(data, job.NewSymbols())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Site != "s" || got.Seq != 7 || len(got.Jobs) != 1 || got.Jobs[0].NUs != 1.5 {
 		t.Errorf("round trip lost data: %+v", got)
 	}
-	if _, err := DecodePacket([]byte("not json"), NewSymbols()); err == nil {
+	if _, err := DecodePacket([]byte("not json"), job.NewSymbols()); err == nil {
 		t.Error("garbage packet accepted")
 	}
 }
@@ -132,7 +132,7 @@ func TestCentralIngestIdempotent(t *testing.T) {
 // TestCentralIngestDecoded: a decoded packet ingests like the one encoded,
 // and Central borrows the decoded job slice.
 func TestCentralIngestDecoded(t *testing.T) {
-	data, err := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 5}}, Syms: NewSymbols()}).Encode()
+	data, err := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 5}}, Syms: job.NewSymbols()}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSizeBin(t *testing.T) {
 func TestIngestDedupProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := simrand.New(seed)
-		syms := NewSymbols()
+		syms := job.NewSymbols()
 		l := NewLedger("s", syms)
 		exactly := NewCentral(syms)
 		flaky := NewCentral(syms)

@@ -2,6 +2,7 @@ package accounting
 
 import (
 	"fmt"
+	"github.com/tgsim/tgmod/internal/job"
 	"sort"
 )
 
@@ -21,7 +22,7 @@ import (
 // records are pending. Once a read has sealed the records and no ingest
 // follows, any number of goroutines may read concurrently.
 type Central struct {
-	syms         *Symbols      // the table every held job record indexes
+	syms         *job.Symbols  // the table every held job record indexes
 	jobs         []JobRecord   // sealed records, in arrival order
 	segs         [][]JobRecord // borrowed runs of job records since the last seal
 	jobIndex     map[int64]int // JobID → arrival index across jobs, then segs
@@ -35,9 +36,9 @@ type Central struct {
 
 // NewCentral returns an empty central database whose job records index
 // syms, the run's table; nil gives the database a fresh table.
-func NewCentral(syms *Symbols) *Central {
+func NewCentral(syms *job.Symbols) *Central {
 	if syms == nil {
-		syms = NewSymbols()
+		syms = job.NewSymbols()
 	}
 	return &Central{
 		syms:     syms,
@@ -143,7 +144,7 @@ func (c *Central) index(id int64) bool {
 }
 
 // Syms returns the table the database's job records index.
-func (c *Central) Syms() *Symbols { return c.syms }
+func (c *Central) Syms() *job.Symbols { return c.syms }
 
 // Duplicates returns how many duplicate packets/records were skipped.
 func (c *Central) Duplicates() uint64 { return c.duplicates }
@@ -242,12 +243,12 @@ func (c *Central) CountBy(key func(*JobRecord) string) []KeyedCount {
 
 // DistinctUsersBy returns, per key, the number of distinct charging users.
 func (c *Central) DistinctUsersBy(key func(*JobRecord) string) []KeyedCount {
-	sets := make(map[string]map[Sym]bool)
+	sets := make(map[string]map[job.Sym]bool)
 	jobs := c.Jobs()
 	for i := range jobs {
 		k := key(&jobs[i])
 		if sets[k] == nil {
-			sets[k] = make(map[Sym]bool)
+			sets[k] = make(map[job.Sym]bool)
 		}
 		sets[k][jobs[i].User] = true
 	}
@@ -261,7 +262,7 @@ func (c *Central) DistinctUsersBy(key func(*JobRecord) string) []KeyedCount {
 
 // DistinctUsers counts distinct charging users across all records.
 func (c *Central) DistinctUsers() int {
-	s := make(map[Sym]bool)
+	s := make(map[job.Sym]bool)
 	jobs := c.Jobs()
 	for i := range jobs {
 		s[jobs[i].User] = true

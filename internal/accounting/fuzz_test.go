@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"github.com/tgsim/tgmod/internal/job"
 	"math"
 	"reflect"
 	"testing"
@@ -58,7 +59,7 @@ func TestDecodeTruncationsReturnTypedError(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < len(data); n++ {
-			_, derr := DecodePacket(data[:n], NewSymbols())
+			_, derr := DecodePacket(data[:n], job.NewSymbols())
 			if derr == nil {
 				t.Fatalf("decode of %d/%d-byte prefix succeeded", n, len(data))
 			}
@@ -79,7 +80,7 @@ func TestDecodeTruncationsReturnTypedError(t *testing.T) {
 func FuzzDecodePacket(f *testing.F) {
 	addWireSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodePacket(data, NewSymbols())
+		p, err := DecodePacket(data, job.NewSymbols())
 		if err != nil {
 			if !errors.Is(err, ErrBadPacket) {
 				t.Fatalf("error %v does not wrap ErrBadPacket", err)
@@ -91,7 +92,7 @@ func FuzzDecodePacket(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded packet failed: %v", err)
 		}
-		other := NewSymbols()
+		other := job.NewSymbols()
 		other.Intern("an earlier run's string")
 		q, err := DecodePacket(re, other)
 		if err != nil {
@@ -230,7 +231,7 @@ func FuzzIngestWire(f *testing.F) {
 		data, _ := p.Encode()
 		f.Add(data)
 	}
-	redelivery, _ := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 900}}, Syms: NewSymbols()}).Encode()
+	redelivery, _ := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 900}}, Syms: job.NewSymbols()}).Encode()
 	f.Add(redelivery)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"github.com/tgsim/tgmod/internal/job"
 	"io"
 )
 
@@ -62,7 +63,7 @@ type jobJSON struct {
 }
 
 // jobToJSON spells r's Syms out through t.
-func jobToJSON(r *JobRecord, t *Symbols) jobJSON {
+func jobToJSON(r *JobRecord, t *job.Symbols) jobJSON {
 	return jobJSON{
 		JobID: r.JobID, Name: t.Str(r.Name), User: t.Str(r.User), Project: t.Str(r.Project),
 		Site: t.Str(r.Site), Machine: t.Str(r.Machine), Queue: t.Str(r.Queue),
@@ -79,7 +80,7 @@ func jobToJSON(r *JobRecord, t *Symbols) jobJSON {
 }
 
 // record interns j's strings into t.
-func (j *jobJSON) record(t *Symbols) JobRecord {
+func (j *jobJSON) record(t *job.Symbols) JobRecord {
 	return JobRecord{
 		JobID: j.JobID, Name: t.Intern(j.Name), User: t.Intern(j.User), Project: t.Intern(j.Project),
 		Site: t.Intern(j.Site), Machine: t.Intern(j.Machine), Queue: t.Intern(j.Queue),

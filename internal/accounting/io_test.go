@@ -3,6 +3,7 @@ package accounting
 import (
 	"bytes"
 	"errors"
+	"github.com/tgsim/tgmod/internal/job"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +17,7 @@ func populated(t *testing.T) *Central {
 	err := c.Ingest(&Packet{
 		Site: "s", Seq: 1, Syms: s,
 		Jobs: []JobRecord{
-			{JobID: 1, User: s.Intern("a"), NUs: 10, Cores: 4, TruthModality: SymBatchCapacity},
+			{JobID: 1, User: s.Intern("a"), NUs: 10, Cores: 4, TruthModality: job.SymBatchCapacity},
 			{JobID: 2, User: s.Intern("b"), NUs: 20, Cores: 8, GatewayID: s.Intern("g")},
 		},
 		Transfers:    []TransferRecord{{TransferID: 9, Src: "x", Dst: "y", Bytes: 100, JobID: 1}},
@@ -47,7 +48,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if c2.TotalNUs() != 30 {
 		t.Errorf("TotalNUs = %v, want 30", c2.TotalNUs())
 	}
-	if r, ok := c2.Job(1); !ok || r.TruthModality != SymBatchCapacity {
+	if r, ok := c2.Job(1); !ok || r.TruthModality != job.SymBatchCapacity {
 		t.Error("truth label lost in round trip")
 	}
 }

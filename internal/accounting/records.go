@@ -15,16 +15,16 @@ import (
 // JobRecord is the per-job usage record a site reports centrally. It is
 // deliberately flat and serializable: this is the wire schema, not the
 // live simulation object. Its string fields are Syms into the run's
-// Symbols table, so a record holds no pointers and takes 160 bytes; the
-// wire codec and the JSON export write them as strings (Symbols.Str).
+// job.Symbols table, so a record holds no pointers and takes 160 bytes;
+// the wire codec and the JSON export write them as strings (Symbols.Str).
 type JobRecord struct {
 	JobID   int64
-	Name    Sym
-	User    Sym
-	Project Sym
-	Site    Sym
-	Machine Sym
-	Queue   Sym
+	Name    job.Sym
+	User    job.Sym
+	Project job.Sym
+	Site    job.Sym
+	Machine job.Sym
+	Queue   job.Sym
 
 	Cores       int
 	SubmitTime  float64
@@ -33,8 +33,8 @@ type JobRecord struct {
 	WallSeconds float64
 	CoreSeconds float64
 	NUs         float64
-	QOS         Sym
-	ExitStatus  Sym
+	QOS         job.Sym
+	ExitStatus  job.Sym
 	Preemptions int
 
 	// Wasted work: execution lost to unplanned failures (beyond the last
@@ -44,37 +44,36 @@ type JobRecord struct {
 	WastedNUs         float64
 
 	// Instrumentation attributes (may be empty depending on coverage).
-	SubmitVia      Sym
-	GatewayID      Sym
-	WorkflowID     Sym
-	WorkflowEngine Sym
-	EnsembleID     Sym
-	BrokerJobID    Sym
-	CoAllocID      Sym
-	ScienceField   Sym
+	SubmitVia      job.Sym
+	GatewayID      job.Sym
+	WorkflowID     job.Sym
+	WorkflowEngine job.Sym
+	EnsembleID     job.Sym
+	BrokerJobID    job.Sym
+	CoAllocID      job.Sym
+	ScienceField   job.Sym
 
 	// TruthModality and TruthCampaign carry the generator's ground truth
 	// for validation experiments. They are NEVER read by classifiers; the
 	// core package's tests enforce that separation.
-	TruthModality Sym
-	TruthCampaign Sym
+	TruthModality job.Sym
+	TruthCampaign job.Sym
 }
 
 // RecordOf converts a finished job into its usage record, charging NUs
-// according to the machine it ran on and interning its strings into syms.
-// QOS, exit state and truth modality map to pre-seeded Syms without a
-// lookup; once syms holds the job's other strings, RecordOf does not
-// allocate.
-func RecordOf(j *job.Job, m *grid.Machine, syms *Symbols) JobRecord {
+// according to the machine it ran on. The job's Syms index the run's
+// table already, so the strings are copied as they are and QOS and exit
+// state map to pre-seeded Syms: RecordOf interns and allocates nothing.
+func RecordOf(j *job.Job, m *grid.Machine) JobRecord {
 	cs := j.CoreSeconds()
 	return JobRecord{
 		JobID:       int64(j.ID),
-		Name:        syms.Intern(j.Name),
-		User:        syms.Intern(j.User),
-		Project:     syms.Intern(j.Project),
-		Site:        syms.Intern(j.Site),
-		Machine:     syms.Intern(j.Machine),
-		Queue:       syms.Intern(j.Queue),
+		Name:        j.Name,
+		User:        j.User,
+		Project:     j.Project,
+		Site:        j.Site,
+		Machine:     j.Machine,
+		Queue:       j.Queue,
 		Cores:       j.Cores,
 		SubmitTime:  float64(j.SubmitTime),
 		StartTime:   float64(j.StartTime),
@@ -82,24 +81,24 @@ func RecordOf(j *job.Job, m *grid.Machine, syms *Symbols) JobRecord {
 		WallSeconds: float64(j.Elapsed()),
 		CoreSeconds: cs,
 		NUs:         m.NUs(cs),
-		QOS:         syms.qos(j.QOS),
-		ExitStatus:  syms.state(j.State),
+		QOS:         j.QOS.Sym(),
+		ExitStatus:  j.State.Sym(),
 		Preemptions: j.Preemptions,
 
 		WastedCoreSeconds: j.WastedCoreSeconds,
 		WastedNUs:         m.NUs(j.WastedCoreSeconds),
 
-		SubmitVia:      syms.Intern(j.Attr.SubmitVia),
-		GatewayID:      syms.Intern(j.Attr.GatewayID),
-		WorkflowID:     syms.Intern(j.Attr.WorkflowID),
-		WorkflowEngine: syms.Intern(j.Attr.WorkflowEngine),
-		EnsembleID:     syms.Intern(j.Attr.EnsembleID),
-		BrokerJobID:    syms.Intern(j.Attr.BrokerJobID),
-		CoAllocID:      syms.Intern(j.Attr.CoAllocID),
-		ScienceField:   syms.Intern(j.Attr.ScienceField),
+		SubmitVia:      j.Attr.SubmitVia,
+		GatewayID:      j.Attr.GatewayID,
+		WorkflowID:     j.Attr.WorkflowID,
+		WorkflowEngine: j.Attr.WorkflowEngine,
+		EnsembleID:     j.Attr.EnsembleID,
+		BrokerJobID:    j.Attr.BrokerJobID,
+		CoAllocID:      j.Attr.CoAllocID,
+		ScienceField:   j.Attr.ScienceField,
 
-		TruthModality: syms.modality(j.Truth.Modality),
-		TruthCampaign: syms.Intern(j.Truth.CampaignID),
+		TruthModality: j.Truth.Modality,
+		TruthCampaign: j.Truth.CampaignID,
 	}
 }
 
@@ -156,7 +155,7 @@ type Packet struct {
 
 	// Syms is the table the job records' Syms index: the flushing
 	// ledger's, or the one DecodePacket decoded into.
-	Syms *Symbols `json:"-"`
+	Syms *job.Symbols `json:"-"`
 }
 
 // Encode serializes the packet to its wire form, the binary codec in
@@ -169,7 +168,7 @@ func (p *Packet) Encode() ([]byte, error) { return p.AppendWire(nil), nil }
 // end), mirroring how usage reporting lagged reality operationally.
 type Ledger struct {
 	Site         string
-	syms         *Symbols
+	syms         *job.Symbols
 	seq          uint64
 	jobs         []JobRecord
 	transfers    []TransferRecord
@@ -179,7 +178,7 @@ type Ledger struct {
 
 // NewLedger returns an empty ledger for a site whose job records index
 // syms, the run's table.
-func NewLedger(site string, syms *Symbols) *Ledger { return &Ledger{Site: site, syms: syms} }
+func NewLedger(site string, syms *job.Symbols) *Ledger { return &Ledger{Site: site, syms: syms} }
 
 // AddJob spools a job record.
 func (l *Ledger) AddJob(r JobRecord) { l.jobs = append(l.jobs, r) }

@@ -47,74 +47,26 @@ func TestJobRecordIsPointerFree(t *testing.T) {
 	}
 }
 
-// TestSeededSymbols: every table holds the fixed vocabularies at their
-// constant Syms, and RecordOf's constant mappings name the same strings
-// as the job package.
-func TestSeededSymbols(t *testing.T) {
-	syms := NewSymbols()
-	if syms.Str(SymNone) != "" || syms.Intern("") != SymNone {
-		t.Fatal(`Sym 0 is not ""`)
-	}
-	for i, s := range seeded {
-		if got := syms.Intern(s); got != Sym(i) {
-			t.Errorf("Intern(%q) = %d, want the seeded %d", s, got, i)
-		}
-	}
-	if syms.Len() != int(numSeeded) {
-		t.Fatalf("interning the seeded strings grew the table to %d, want %d", syms.Len(), numSeeded)
-	}
-	for q := job.QOSNormal; q <= job.QOSInteractive+1; q++ {
-		if got := syms.Str(syms.qos(q)); got != q.String() {
-			t.Errorf("QOS %d maps to %q, want %q", q, got, q.String())
-		}
-	}
-	for s := job.StatePending; s <= job.StateFailed+1; s++ {
-		if got := syms.Str(syms.state(s)); got != s.String() {
-			t.Errorf("state %d maps to %q, want %q", s, got, s.String())
-		}
-	}
-	for _, m := range append(job.AllModalities, job.ModUnknown, "", "other") {
-		if got := syms.Str(syms.modality(m)); got != string(m) {
-			t.Errorf("modality %q maps to %q", m, got)
-		}
-	}
-	for _, via := range []string{"login", "gram", "gateway", "metasched"} {
-		if id := syms.Intern(via); id >= numSeeded {
-			t.Errorf("submit_via %q is not pre-seeded (Sym %d)", via, id)
-		}
-	}
-}
-
-// TestInternBytes: a decoder's bytes intern to the Sym of the equal
-// string, without allocating once the table holds it, and a new string
-// does not alias the caller's buffer.
-func TestInternBytes(t *testing.T) {
-	syms := NewSymbols()
-	buf := []byte("alice")
-	a := syms.InternBytes(buf)
-	buf[0] = 'A'
-	if syms.Str(a) != "alice" || syms.Intern("alice") != a {
-		t.Fatalf("InternBytes kept %q for Sym %d", syms.Str(a), a)
-	}
-	buf[0] = 'a'
-	if n := testing.AllocsPerRun(100, func() { syms.InternBytes(buf) }); n != 0 {
-		t.Errorf("InternBytes of an interned string: %v allocs, want 0", n)
-	}
-}
-
 var recordSink JobRecord
 
-// TestRecordOfAllocations: once the table holds a job's strings,
-// RecordOf does not allocate.
-func TestRecordOfAllocations(t *testing.T) {
-	j := finishedJob(1)
-	j.Attr.GatewayID, j.Attr.WorkflowID, j.Attr.EnsembleID = "nanohub", "wf-1", "ens-1"
-	j.Attr.BrokerJobID, j.Attr.CoAllocID, j.Attr.WorkflowEngine = "bk-1", "ca-1", "pegasus"
-	j.Truth.CampaignID = "c-1"
-	m, syms := testMachine(), NewSymbols()
-	recordSink = RecordOf(j, m, syms)
-	if n := testing.AllocsPerRun(100, func() { recordSink = RecordOf(j, m, syms) }); n != 0 {
-		t.Errorf("RecordOf with every string interned: %v allocs, want 0", n)
+// TestRecordOfInternsNothing: RecordOf copies a fully tagged job's Syms
+// as they are, so it neither allocates nor adds to the run's table.
+func TestRecordOfInternsNothing(t *testing.T) {
+	syms := job.NewSymbols()
+	j := finishedJob(syms, 1)
+	j.Attr.GatewayID, j.Attr.GatewayUser = syms.Intern("nanohub"), syms.Intern("nanohub-user-00001")
+	j.Attr.WorkflowID, j.Attr.WorkflowEngine = syms.Intern("wf-1"), syms.Intern("pegasus")
+	j.Attr.EnsembleID, j.Attr.BrokerJobID = syms.Intern("ens-1"), syms.Intern("broker-1")
+	j.Attr.CoAllocID, j.Truth.CampaignID = syms.Intern("coalloc-1"), syms.Intern("wf-1")
+	m, n := testMachine(), syms.Len()
+	if a := testing.AllocsPerRun(100, func() { recordSink = RecordOf(j, m) }); a != 0 {
+		t.Errorf("RecordOf: %v allocs, want 0", a)
+	}
+	if got := syms.Len(); got != n {
+		t.Errorf("RecordOf grew the table from %d to %d strings", n, got)
+	}
+	if syms.Str(recordSink.GatewayID) != "nanohub" || recordSink.TruthCampaign != j.Truth.CampaignID {
+		t.Errorf("RecordOf did not carry the job's Syms: %+v", recordSink)
 	}
 }
 
@@ -122,7 +74,7 @@ func TestRecordOfAllocations(t *testing.T) {
 // records index another table, without admitting its sequence number.
 func TestIngestRejectsForeignTable(t *testing.T) {
 	c := NewCentral(nil)
-	for _, syms := range []*Symbols{NewSymbols(), nil} {
+	for _, syms := range []*job.Symbols{job.NewSymbols(), nil} {
 		p := &Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 1}}, Syms: syms}
 		if err := c.Ingest(p); err == nil || !strings.Contains(err.Error(), "symbol table") {
 			t.Fatalf("packet with table %p ingested into a database with table %p: %v", syms, c.Syms(), err)
@@ -145,7 +97,7 @@ func TestIngestRejectsForeignTable(t *testing.T) {
 // its strings.
 func TestRejectedWireLeavesTable(t *testing.T) {
 	enc := func(seq uint64, user string) []byte {
-		syms := NewSymbols()
+		syms := job.NewSymbols()
 		data, err := (&Packet{Site: "s", Seq: seq, Syms: syms,
 			Jobs: []JobRecord{{JobID: int64(seq), User: syms.Intern(user), Project: syms.Intern("p-" + user)}}}).Encode()
 		if err != nil {

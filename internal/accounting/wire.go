@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"github.com/tgsim/tgmod/internal/job"
 	"math"
 	"slices"
 )
@@ -58,8 +59,8 @@ type wireReader struct {
 	off     int
 	ver     byte
 	err     error
-	jobsOff int      // offset of the first job record
-	syms    *Symbols // the table job record strings intern into; nil checks them only
+	jobsOff int          // offset of the first job record
+	syms    *job.Symbols // the table job record strings intern into; nil checks them only
 }
 
 // newWireReader checks the packet header (magic and version) and returns
@@ -141,15 +142,15 @@ func (r *wireReader) str(what string) string { return string(r.raw(what)) }
 // sym reads a string into the reader's table; a string the table already
 // holds costs no allocation. Without a table it only checks the string
 // and returns SymNone.
-func (r *wireReader) sym(what string) Sym {
+func (r *wireReader) sym(what string) job.Sym {
 	b := r.raw(what)
 	if r.syms == nil {
-		return SymNone
+		return job.SymNone
 	}
 	return r.syms.InternBytes(b)
 }
 
-func appendSym(b []byte, t *Symbols, s Sym) []byte { return appendStr(b, t.Str(s)) }
+func appendSym(b []byte, t *job.Symbols, s job.Sym) []byte { return appendStr(b, t.Str(s)) }
 
 // count reads a record count and bounds it by the bytes left (every
 // record takes at least minSize bytes), so a corrupt count cannot drive a
@@ -166,7 +167,7 @@ func (r *wireReader) count(what string, minSize int) int {
 	return int(n)
 }
 
-func appendJobRecord(b []byte, j *JobRecord, ver byte, t *Symbols) []byte {
+func appendJobRecord(b []byte, j *JobRecord, ver byte, t *job.Symbols) []byte {
 	b = appendI64(b, j.JobID)
 	b = appendSym(b, t, j.Name)
 	b = appendSym(b, t, j.User)
@@ -293,7 +294,7 @@ func (r *wireReader) storageRecord(s *StorageRecord) {
 }
 
 // zeroSyms spells out Sym 0, the only Sym a zero record holds.
-var zeroSyms = &Symbols{strs: []string{""}}
+var zeroSyms = job.NewSymbols()
 
 // Smallest encoded record of each kind: a zero record, whose varints and
 // string lengths take one byte each. count bounds record counts by them.
@@ -355,7 +356,7 @@ func (p *Packet) AppendWire(dst []byte) []byte {
 // corrupt input: every failure wraps ErrBadPacket. It checks the whole
 // packet before it interns a string, so a packet that fails leaves syms
 // as it was.
-func DecodePacket(data []byte, syms *Symbols) (*Packet, error) {
+func DecodePacket(data []byte, syms *job.Symbols) (*Packet, error) {
 	p, r, err := checkPacket(data)
 	if err != nil {
 		return nil, err
@@ -380,7 +381,7 @@ func checkPacket(data []byte) (*Packet, *wireReader, error) {
 
 // intern reads the job records of the packet checkPacket decoded again,
 // this time interning their strings into syms.
-func (r *wireReader) intern(p *Packet, syms *Symbols) {
+func (r *wireReader) intern(p *Packet, syms *job.Symbols) {
 	r.off, r.syms = r.jobsOff, syms
 	for i := range p.Jobs {
 		r.jobRecord(&p.Jobs[i])

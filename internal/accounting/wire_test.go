@@ -1,6 +1,7 @@
 package accounting
 
 import (
+	"github.com/tgsim/tgmod/internal/job"
 	"reflect"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 // samplePacket returns a packet of every record kind, its job records
 // indexing a fresh table.
 func samplePacket() *Packet {
-	syms := NewSymbols()
+	syms := job.NewSymbols()
 	s := syms.Intern
 	return &Packet{
 		Site: "ridge", Seq: 42, SentAt: 86400.5, Syms: syms,
@@ -18,13 +19,13 @@ func samplePacket() *Packet {
 				Site: s("ridge"), Machine: s("ridge-xt"), Queue: s("batch"),
 				Cores: 65536, SubmitTime: 100, StartTime: 250.25, EndTime: 9999.75,
 				WallSeconds: 9749.5, CoreSeconds: 6.39e8, NUs: 514000.125,
-				QOS: SymNormal, ExitStatus: SymCompleted, Preemptions: 2,
-				SubmitVia: SymGateway, GatewayID: s("nanohub"), WorkflowID: s("wf-9"),
+				QOS: job.SymNormal, ExitStatus: job.SymCompleted, Preemptions: 2,
+				SubmitVia: job.SymGateway, GatewayID: s("nanohub"), WorkflowID: s("wf-9"),
 				WorkflowEngine: s("pegasus"), EnsembleID: s("ens-3"), BrokerJobID: s("bk-7"),
 				CoAllocID: s("ca-1"), ScienceField: s("nanoscience"),
-				TruthModality: SymGateway, TruthCampaign: s("c-12"),
+				TruthModality: job.SymGateway, TruthCampaign: s("c-12"),
 			},
-			{JobID: 2, Name: SymNone, User: s("bob"), Project: s("p"), Site: s("ridge"),
+			{JobID: 2, Name: job.SymNone, User: s("bob"), Project: s("p"), Site: s("ridge"),
 				Machine: s("ridge-xt"), Queue: s("batch"), Cores: 1},
 		},
 		Transfers: []TransferRecord{
@@ -60,7 +61,7 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireEmptyPacket(t *testing.T) {
-	p := &Packet{Site: "s", Seq: 1, SentAt: 0, Syms: NewSymbols()}
+	p := &Packet{Site: "s", Seq: 1, SentAt: 0, Syms: job.NewSymbols()}
 	data, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestDecodeCorruptPacket(t *testing.T) {
 		"huge count":  append(append([]byte(wireMagic), wireVersion, 0x01, 's'), 0xff, 0xff, 0xff, 0x7f),
 	}
 	for name, d := range cases {
-		if _, err := DecodePacket(d, NewSymbols()); err == nil {
+		if _, err := DecodePacket(d, job.NewSymbols()); err == nil {
 			t.Errorf("%s: decode succeeded on corrupt input", name)
 		}
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"github.com/tgsim/tgmod/internal/job"
 	"math"
 	"testing"
 
@@ -240,10 +241,10 @@ func TestDecomposeAggregatesPerModality(t *testing.T) {
 }
 
 // testSyms is the table the package's test records index.
-var testSyms = accounting.NewSymbols()
+var testSyms = job.NewSymbols()
 
 // sym interns s into testSyms.
-func sym(s string) accounting.Sym { return testSyms.Intern(s) }
+func sym(s string) job.Sym { return testSyms.Intern(s) }
 
 // mkRec builds a campaign member record.
 func mkRec(id int64, campaign, mod string, submit, start, end float64) accounting.JobRecord {

@@ -9,6 +9,7 @@
 package analysis
 
 import (
+	"github.com/tgsim/tgmod/internal/job"
 	"sort"
 
 	"github.com/tgsim/tgmod/internal/accounting"
@@ -45,11 +46,11 @@ func (p CampaignPath) CPShare() float64 {
 // campaignKey groups a record into its campaign: ground-truth campaign
 // when labeled, else the instrumented workflow/ensemble tags, so partially
 // instrumented traces still group what they can.
-func campaignKey(r *accounting.JobRecord) accounting.Sym {
+func campaignKey(r *accounting.JobRecord) job.Sym {
 	switch {
-	case r.TruthCampaign != accounting.SymNone:
+	case r.TruthCampaign != job.SymNone:
 		return r.TruthCampaign
-	case r.WorkflowID != accounting.SymNone:
+	case r.WorkflowID != job.SymNone:
 		return r.WorkflowID
 	default:
 		return r.EnsembleID
@@ -59,10 +60,10 @@ func campaignKey(r *accounting.JobRecord) accounting.Sym {
 // CriticalPaths extracts one CampaignPath per campaign with at least two
 // member jobs, sorted by descending makespan (ties by campaign ID). syms
 // is the table the records index.
-func CriticalPaths(recs []accounting.JobRecord, syms *accounting.Symbols) []CampaignPath {
-	groups := make(map[accounting.Sym][]*accounting.JobRecord)
+func CriticalPaths(recs []accounting.JobRecord, syms *job.Symbols) []CampaignPath {
+	groups := make(map[job.Sym][]*accounting.JobRecord)
 	for i := range recs {
-		if key := campaignKey(&recs[i]); key != accounting.SymNone {
+		if key := campaignKey(&recs[i]); key != job.SymNone {
 			groups[key] = append(groups[key], &recs[i])
 		}
 	}
@@ -85,7 +86,7 @@ func CriticalPaths(recs []accounting.JobRecord, syms *accounting.Symbols) []Camp
 // pathOf computes the critical path of one campaign with an O(n²) DP over
 // members sorted by end time: chain(j) = span(j) + max{chain(i) : i ended
 // by j's submission}. Campaigns are tens of jobs, so quadratic is fine.
-func pathOf(key string, members []*accounting.JobRecord, syms *accounting.Symbols) CampaignPath {
+func pathOf(key string, members []*accounting.JobRecord, syms *job.Symbols) CampaignPath {
 	sort.Slice(members, func(a, b int) bool {
 		if members[a].EndTime != members[b].EndTime {
 			return members[a].EndTime < members[b].EndTime

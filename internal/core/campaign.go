@@ -33,7 +33,7 @@ func CampaignReport(c *accounting.Central, results []Result) []CampaignStats {
 	jobs, syms := c.Jobs(), c.Syms()
 	type key struct {
 		mod job.Modality
-		id  accounting.Sym
+		id  job.Sym
 	}
 	// true campaign → measured campaign id → member count
 	members := make(map[key]map[string]int)
@@ -43,7 +43,7 @@ func CampaignReport(c *accounting.Central, results []Result) []CampaignStats {
 		if truthMod != job.ModEnsemble && truthMod != job.ModWorkflow {
 			continue
 		}
-		if jobs[i].TruthCampaign == accounting.SymNone {
+		if jobs[i].TruthCampaign == job.SymNone {
 			continue
 		}
 		k := key{truthMod, jobs[i].TruthCampaign}

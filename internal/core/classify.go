@@ -128,34 +128,34 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 		r := &jobs[i]
 		res := Result{JobID: r.JobID}
 		switch {
-		case r.QOS == accounting.SymUrgent:
+		case r.QOS == job.SymUrgent:
 			res.Modality, res.Source, res.Evidence = job.ModUrgent, SourceAccounting, EvQOSUrgent
-		case r.QOS == accounting.SymInteractive:
+		case r.QOS == job.SymInteractive:
 			res.Modality, res.Source, res.Evidence = job.ModInteractive, SourceAccounting, EvQOSInteractive
-		case r.GatewayID != accounting.SymNone || r.SubmitVia == accounting.SymGateway || gwAttr[r.JobID]:
+		case r.GatewayID != job.SymNone || r.SubmitVia == job.SymGateway || gwAttr[r.JobID]:
 			res.Modality, res.Source = job.ModGateway, SourceAttribute
 			switch {
-			case r.GatewayID != accounting.SymNone:
+			case r.GatewayID != job.SymNone:
 				res.Evidence = EvGatewayID
-			case r.SubmitVia == accounting.SymGateway:
+			case r.SubmitVia == job.SymGateway:
 				res.Evidence = EvSubmitVia
 			default:
 				res.Evidence = EvGatewayUserRec
 			}
-		case r.CoAllocID != accounting.SymNone || r.BrokerJobID != accounting.SymNone || r.SubmitVia == accounting.SymMetasched:
+		case r.CoAllocID != job.SymNone || r.BrokerJobID != job.SymNone || r.SubmitVia == job.SymMetasched:
 			res.Modality, res.Source = job.ModMetascheduled, SourceAttribute
 			switch {
-			case r.CoAllocID != accounting.SymNone:
+			case r.CoAllocID != job.SymNone:
 				res.Evidence = EvCoAllocID
-			case r.BrokerJobID != accounting.SymNone:
+			case r.BrokerJobID != job.SymNone:
 				res.Evidence = EvBrokerID
 			default:
 				res.Evidence = EvSubmitVia
 			}
-		case r.WorkflowID != accounting.SymNone:
+		case r.WorkflowID != job.SymNone:
 			res.Modality, res.Source, res.Evidence = job.ModWorkflow, SourceAttribute, EvWorkflowID
 			res.CampaignID = syms.Str(r.WorkflowID)
-		case r.EnsembleID != accounting.SymNone:
+		case r.EnsembleID != job.SymNone:
 			res.Modality, res.Source, res.Evidence = job.ModEnsemble, SourceAttribute, EvEnsembleID
 			res.CampaignID = syms.Str(r.EnsembleID)
 		case staged[r.JobID] >= cl.cfg.DataBytesThreshold:
@@ -194,7 +194,7 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 // cores) group is one run in time order; Syms are compared as numbers, which
 // only groups. The groups large enough to hold a burst are then numbered in
 // the order of their strings, so campaign IDs do not depend on the table.
-func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *accounting.Symbols, results []Result, undecided []int) {
+func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *job.Symbols, results []Result, undecided []int) {
 	slices.SortFunc(undecided, func(a, b int) int {
 		ja, jb := &jobs[a], &jobs[b]
 		if ja.User != jb.User {
@@ -250,7 +250,7 @@ func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *accounti
 // slice. A chain is a stretch of its user's run; qualifying chains are
 // numbered in the order of their users' names (a stable sort keeps each
 // user's chains in time order), so campaign IDs do not depend on the table.
-func (cl *Classifier) inferChains(jobs []accounting.JobRecord, syms *accounting.Symbols, results []Result, undecided []int) []int {
+func (cl *Classifier) inferChains(jobs []accounting.JobRecord, syms *job.Symbols, results []Result, undecided []int) []int {
 	undecided = slices.DeleteFunc(undecided, func(i int) bool { return results[i].Modality != "" })
 	slices.SortFunc(undecided, func(a, b int) int {
 		ja, jb := &jobs[a], &jobs[b]

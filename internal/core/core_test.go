@@ -52,10 +52,10 @@ func TestSourceString(t *testing.T) {
 }
 
 // testSyms is the table the package's test records index.
-var testSyms = accounting.NewSymbols()
+var testSyms = job.NewSymbols()
 
 // sym interns s into testSyms.
-func sym(s string) accounting.Sym { return testSyms.Intern(s) }
+func sym(s string) job.Sym { return testSyms.Intern(s) }
 
 // central builds a database from records with sequenced packets.
 func central(t *testing.T, jobs []accounting.JobRecord, attrs []accounting.GatewayAttrRecord,

@@ -105,9 +105,9 @@ func TestEnsembleGroupsNumberedInCoreOrder(t *testing.T) {
 func TestInferredIDsFollowStringOrder(t *testing.T) {
 	// A table that meets "zed" before "amy": campaign numbering must follow
 	// the names, not the Syms.
-	syms := accounting.NewSymbols()
+	syms := job.NewSymbols()
 	zed, amy := syms.Intern("zed"), syms.Intern("amy")
-	mk := func(id int64, user accounting.Sym, name string, submit float64) accounting.JobRecord {
+	mk := func(id int64, user job.Sym, name string, submit float64) accounting.JobRecord {
 		return accounting.JobRecord{JobID: id, User: user, Name: syms.Intern(name), Cores: 4,
 			SubmitTime: submit, StartTime: submit, EndTime: submit + 600, NUs: 1}
 	}
@@ -124,7 +124,7 @@ func TestInferredIDsFollowStringOrder(t *testing.T) {
 	if err := c.Ingest(&accounting.Packet{Site: "s", Seq: 1, Jobs: jobs, Syms: syms}); err != nil {
 		t.Fatal(err)
 	}
-	want := map[accounting.Sym][2]string{
+	want := map[job.Sym][2]string{
 		amy: {"inf-ens-00001", "inf-wf-00001"},
 		zed: {"inf-ens-00002", "inf-wf-00002"},
 	}

@@ -47,7 +47,7 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 	type agg struct {
 		jobs     int
 		nus      float64
-		accounts map[accounting.Sym]bool
+		accounts map[job.Sym]bool
 		people   map[int64]bool
 	}
 	byMod := make(map[job.Modality]*agg)
@@ -58,7 +58,7 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 		res := results[i]
 		a := byMod[res.Modality]
 		if a == nil {
-			a = &agg{accounts: make(map[accounting.Sym]bool), people: make(map[int64]bool)}
+			a = &agg{accounts: make(map[job.Sym]bool), people: make(map[int64]bool)}
 			byMod[res.Modality] = a
 		}
 		a.jobs++
@@ -138,7 +138,7 @@ func MechanismReport(c *accounting.Central) []MechanismRow {
 	type agg struct {
 		jobs     int
 		nus      float64
-		accounts map[accounting.Sym]bool
+		accounts map[job.Sym]bool
 	}
 	byMech := make(map[string]*agg)
 	syms := c.Syms()
@@ -149,7 +149,7 @@ func MechanismReport(c *accounting.Central) []MechanismRow {
 		}
 		a := byMech[mech]
 		if a == nil {
-			a = &agg{accounts: make(map[accounting.Sym]bool)}
+			a = &agg{accounts: make(map[job.Sym]bool)}
 			byMech[mech] = a
 		}
 		a.jobs++
@@ -195,7 +195,7 @@ func ServiceReport(c *accounting.Central, results []Result) []ServiceRow {
 		}
 		waits[m].Add(jobs[i].WaitSeconds())
 		counts[m]++
-		if jobs[i].ExitStatus == accounting.SymKilled {
+		if jobs[i].ExitStatus == job.SymKilled {
 			killed[m]++
 		}
 	}
@@ -232,7 +232,7 @@ func FieldReport(c *accounting.Central) []FieldRow {
 	type agg struct {
 		jobs     int
 		nus      float64
-		projects map[accounting.Sym]bool
+		projects map[job.Sym]bool
 	}
 	byField := make(map[string]*agg)
 	syms := c.Syms()
@@ -243,7 +243,7 @@ func FieldReport(c *accounting.Central) []FieldRow {
 		}
 		a := byField[f]
 		if a == nil {
-			a = &agg{projects: make(map[accounting.Sym]bool)}
+			a = &agg{projects: make(map[job.Sym]bool)}
 			byField[f] = a
 		}
 		a.jobs++
@@ -382,7 +382,7 @@ func GatewayReport(c *accounting.Central) []GatewayRow {
 	}
 	syms := c.Syms()
 	for _, r := range c.Jobs() {
-		if r.GatewayID == accounting.SymNone {
+		if r.GatewayID == job.SymNone {
 			continue
 		}
 		a := get(syms.Str(r.GatewayID))
@@ -414,10 +414,10 @@ func GatewayReport(c *accounting.Central) []GatewayRow {
 // central database.
 func MeasureGatewayVisibility(c *accounting.Central) GatewayVisibility {
 	var v GatewayVisibility
-	accounts := make(map[accounting.Sym]bool)
+	accounts := make(map[job.Sym]bool)
 	attributed, people := endUsers(c.GatewayAttrs())
 	for _, r := range c.Jobs() {
-		if r.GatewayID == accounting.SymNone && r.SubmitVia != accounting.SymGateway {
+		if r.GatewayID == job.SymNone && r.SubmitVia != job.SymGateway {
 			continue
 		}
 		v.GatewayJobs++

@@ -248,7 +248,7 @@ func F2GatewayGrowth(seed uint64, sc Scale) (*report.Figure, error) {
 		usersPer[b][a.GatewayID+"/"+a.GatewayUser] = true
 	}
 	for _, r := range res.Central.Jobs() {
-		if r.GatewayID != accounting.SymNone {
+		if r.GatewayID != job.SymNone {
 			jobsPer[int(r.SubmitTime/period)]++
 		}
 	}
@@ -461,7 +461,7 @@ func MaintenanceTable(seed uint64, sc Scale) (*report.Table, error) {
 
 // usageSample collects per-user NU totals for concentration stats.
 func usageSample(res *scenario.Result) *metrics.Sample {
-	per := map[accounting.Sym]float64{}
+	per := map[job.Sym]float64{}
 	for _, r := range res.Central.Jobs() {
 		per[r.User] += r.NUs
 	}

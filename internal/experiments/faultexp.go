@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/tgsim/tgmod/internal/accounting"
 	"github.com/tgsim/tgmod/internal/fleet"
 	"github.com/tgsim/tgmod/internal/job"
 	"github.com/tgsim/tgmod/internal/report"
@@ -56,7 +55,7 @@ func ftInspect(_ uint64, res *scenario.Result) any {
 		}
 		m.Jobs++
 		m.Wasted += r.WastedNUs
-		if r.ExitStatus == accounting.SymCompleted {
+		if r.ExitStatus == job.SymCompleted {
 			m.Completed++
 			m.Goodput += r.NUs
 		}

@@ -27,12 +27,13 @@ func F9Prediction(seed uint64, sc Scale) (*report.Table, error) {
 		"offered load", "probes", "median err", "P90 err", "early starts", "late starts")
 	for _, load := range []float64{0.6, 0.8, 0.95} {
 		k := des.New()
-		s, err := sched.NewNamed(k, schedulerMachine(), "easy")
+		syms := job.NewSymbols()
+		s, err := sched.NewNamed(k, syms, schedulerMachine(), "easy")
 		if err != nil {
 			return nil, err
 		}
 		rng := simrand.Derive(seed, fmt.Sprintf("f9-%v", load))
-		jobs := syntheticStream(k, s, rng, n, load)
+		jobs := syntheticStream(k, syms, s, rng, n, load)
 		// Record the estimate for every 20th job the instant it queues
 		// (the moment a resource-selection tool would have polled).
 		type probe struct {

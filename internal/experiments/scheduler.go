@@ -25,7 +25,7 @@ func schedulerMachine() *grid.Machine {
 // syntheticStream submits n jobs with lognormal runtimes and power-of-two
 // sizes at a Poisson rate scaled to the target offered load (fraction of
 // machine capacity).
-func syntheticStream(k *des.Kernel, s *sched.Scheduler, rng *simrand.Stream,
+func syntheticStream(k *des.Kernel, syms *job.Symbols, s *sched.Scheduler, rng *simrand.Stream,
 	n int, load float64) []*job.Job {
 	m := s.M
 	const medianRun = 3600.0
@@ -35,6 +35,7 @@ func syntheticStream(k *des.Kernel, s *sched.Scheduler, rng *simrand.Stream,
 	meanCores := 64.0
 	rate := load * float64(m.BatchCores()) / (meanRun * meanCores)
 	at := des.Time(0)
+	name, project := syms.Intern("synthetic"), syms.Intern("bench")
 	jobs := make([]*job.Job, 0, n)
 	for i := 0; i < n; i++ {
 		at += des.Time(rng.Exp(rate))
@@ -43,8 +44,8 @@ func syntheticStream(k *des.Kernel, s *sched.Scheduler, rng *simrand.Stream,
 			run = 60
 		}
 		j := &job.Job{
-			ID: job.ID(i + 1), Name: "synthetic", User: fmt.Sprintf("u%d", i%50),
-			Project: "bench", Cores: rng.PowerOfTwo(3, 9),
+			ID: job.ID(i + 1), Name: name, User: syms.Intern(fmt.Sprintf("u%d", i%50)),
+			Project: project, Cores: rng.PowerOfTwo(3, 9),
 			RunTime: run, ReqWalltime: des.Time(float64(run) * (1.2 + rng.Float64()*2)),
 		}
 		jobs = append(jobs, j)
@@ -67,12 +68,13 @@ func F3WaitBySize(seed uint64, sc Scale) (*report.Figure, error) {
 	f := report.NewFigure("F3: Mean queue wait (hours) by job size and policy", "size bin")
 	for _, pol := range []string{"fcfs", "easy", "conservative", "fairshare"} {
 		k := des.New()
-		s, err := sched.NewNamed(k, schedulerMachine(), pol)
+		syms := job.NewSymbols()
+		s, err := sched.NewNamed(k, syms, schedulerMachine(), pol)
 		if err != nil {
 			return nil, err
 		}
 		rng := simrand.Derive(seed, "f3-"+pol)
-		jobs := syntheticStream(k, s, rng, n, 0.9)
+		jobs := syntheticStream(k, syms, s, rng, n, 0.9)
 		k.Run()
 		waits := map[string]*metrics.Summary{}
 		for _, j := range jobs {
@@ -110,12 +112,13 @@ func F4Utilization(seed uint64, sc Scale) (*report.Figure, error) {
 		series := f.AddSeries(pol)
 		for _, load := range loads {
 			k := des.New()
-			s, err := sched.NewNamed(k, schedulerMachine(), pol)
+			syms := job.NewSymbols()
+			s, err := sched.NewNamed(k, syms, schedulerMachine(), pol)
 			if err != nil {
 				return nil, err
 			}
 			rng := simrand.Derive(seed, fmt.Sprintf("f4-%s-%v", pol, load))
-			jobs := syntheticStream(k, s, rng, n, load)
+			jobs := syntheticStream(k, syms, s, rng, n, load)
 			k.Run()
 			// Measure utilization over the span work was actually offered:
 			// from t=0 to the last submit (avoids the drain tail skewing
@@ -162,7 +165,8 @@ func F5Urgent(seed uint64, sc Scale) (*report.Table, error) {
 	for _, v := range variants {
 		perDay, ckpt := v.perDay, v.ckpt
 		k := des.New()
-		s, err := sched.NewNamed(k, schedulerMachine(), "easy")
+		syms := job.NewSymbols()
+		s, err := sched.NewNamed(k, syms, schedulerMachine(), "easy")
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +187,7 @@ func F5Urgent(seed uint64, sc Scale) (*report.Table, error) {
 			}
 			lostCoreHours += ran * float64(e.Job.Cores) / 3600
 		})
-		jobs := syntheticStream(k, s, rng, n, 0.85)
+		jobs := syntheticStream(k, syms, s, rng, n, 0.85)
 		// Urgent arrivals across the same span.
 		span := des.Time(float64(n) / (0.85 * float64(s.M.BatchCores()) / (3600 * 1.5 * 64)))
 		var urgents []*job.Job
@@ -194,7 +198,7 @@ func F5Urgent(seed uint64, sc Scale) (*report.Table, error) {
 				id++
 				run := des.Time(1800 + rng.Intn(3600))
 				u := &job.Job{
-					ID: id, Name: "urgent", User: "noaa", Project: "urgent",
+					ID: id, Name: syms.Intern("urgent"), User: syms.Intern("noaa"), Project: syms.Intern("urgent"),
 					Cores: 256, RunTime: run, ReqWalltime: run + 600,
 					QOS: job.QOSUrgent,
 				}

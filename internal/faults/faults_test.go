@@ -90,18 +90,19 @@ type rig struct {
 	gw     *gateway.Gateway
 	inj    *Injector
 	events []Event
+	syms   *job.Symbols
 }
 
 func newRig(t *testing.T, seed uint64, cfg Config) *rig {
 	t.Helper()
-	k := des.New()
+	k, syms := des.New(), job.NewSymbols()
 	m1 := &grid.Machine{ID: "m1", Site: "sA", Nodes: 8, CoresPerNode: 8,
 		GFlopsPerCore: 4, NUPerCoreHour: 1, UrgentCapable: true}
 	m2 := &grid.Machine{ID: "m2", Site: "sB", Nodes: 8, CoresPerNode: 8,
 		GFlopsPerCore: 4, NUPerCoreHour: 1}
-	s1 := sched.MustNamed(k, m1, "easy")
-	s2 := sched.MustNamed(k, m2, "easy")
-	broker := metasched.New(k, metasched.LeastLoaded, simrand.Derive(seed, "broker"),
+	s1 := sched.MustNamed(k, syms, m1, "easy")
+	s2 := sched.MustNamed(k, syms, m2, "easy")
+	broker := metasched.New(k, syms, metasched.LeastLoaded, simrand.Derive(seed, "broker"),
 		[]*sched.Scheduler{s1, s2})
 	topo := network.NewTopology()
 	if err := topo.AddSite("sA", 1); err != nil {
@@ -112,12 +113,12 @@ func newRig(t *testing.T, seed uint64, cfg Config) *rig {
 	}
 	fabric := network.NewFabric(k, topo)
 	gw, err := gateway.New("gw1", "community", "proj-gw", "bio", 1.0,
-		k, simrand.Derive(seed, "gateway/gw1"), brokerSub{broker}, accounting.NewLedger("sA", accounting.NewSymbols()))
+		k, syms, simrand.Derive(seed, "gateway/gw1"), brokerSub{broker}, accounting.NewLedger("sA", syms))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	r := &rig{k: k, scheds: []*sched.Scheduler{s1, s2}, broker: broker, fabric: fabric, gw: gw}
+	r := &rig{k: k, scheds: []*sched.Scheduler{s1, s2}, broker: broker, fabric: fabric, gw: gw, syms: syms}
 	r.inj = New(k, cfg, seed)
 	r.inj.AddMachines(s1, s2)
 	r.inj.SetBroker(broker)
@@ -147,7 +148,7 @@ func loadUntil(r *rig, horizon des.Time) {
 		r.k.AtNamed(at, "test-submit", func(*des.Kernel) {
 			nextID++
 			r.broker.Submit(&job.Job{
-				ID: nextID, Name: "t", User: "u", Project: "p",
+				ID: nextID, Name: r.syms.Intern("t"), User: r.syms.Intern("u"), Project: r.syms.Intern("p"),
 				Cores: 32, RunTime: 3000, ReqWalltime: 4000,
 			})
 		})
@@ -240,7 +241,7 @@ func TestGatewayFlapRetriesSubmissions(t *testing.T) {
 		r.k.AtNamed(at, "test-request", func(*des.Kernel) {
 			nextID++
 			r.gw.Request(fmt.Sprintf("user%d", nextID%7), &job.Job{
-				ID: nextID, Name: "g", User: "u", Project: "p",
+				ID: nextID, Name: r.syms.Intern("g"), User: r.syms.Intern("u"), Project: r.syms.Intern("p"),
 				Cores: 4, RunTime: 50, ReqWalltime: 100,
 			})
 		})
@@ -310,8 +311,9 @@ func TestCrashVictimRequeuedWhenNoHealthyMachine(t *testing.T) {
 	k := des.New()
 	m := &grid.Machine{ID: "solo", Site: "sA", Nodes: 8, CoresPerNode: 8,
 		GFlopsPerCore: 4, NUPerCoreHour: 1}
-	s := sched.MustNamed(k, m, "fcfs")
-	broker := metasched.New(k, metasched.LeastLoaded, simrand.Derive(1, "broker"),
+	syms := job.NewSymbols()
+	s := sched.MustNamed(k, syms, m, "fcfs")
+	broker := metasched.New(k, syms, metasched.LeastLoaded, simrand.Derive(1, "broker"),
 		[]*sched.Scheduler{s})
 	inj := New(k, crashOnlyConfig(), 1)
 	inj.AddMachines(s)
@@ -321,7 +323,7 @@ func TestCrashVictimRequeuedWhenNoHealthyMachine(t *testing.T) {
 	for at := des.Time(0); at < 20000; at += 400 {
 		k.AtNamed(at, "test-submit", func(*des.Kernel) {
 			nextID++
-			s.Submit(&job.Job{ID: nextID, Name: "t", User: "u", Project: "p",
+			s.Submit(&job.Job{ID: nextID, Name: syms.Intern("t"), User: syms.Intern("u"), Project: syms.Intern("p"),
 				Cores: 32, RunTime: 3000, ReqWalltime: 4000})
 		})
 	}

@@ -158,10 +158,12 @@ func (inj *Injector) armCrash(s *sched.Scheduler) {
 			victims := s.Crash(now + repair)
 			inj.stats.CrashKills += uint64(len(victims))
 			for _, j := range victims {
-				if inj.broker != nil && inj.broker.Failover(j) {
-					inj.stats.Failovers++
-					inj.emit(Event{Kind: EvFailover, Target: j.Machine, JobID: int64(j.ID)})
-					continue
+				if inj.broker != nil {
+					if to, ok := inj.broker.Failover(j); ok {
+						inj.stats.Failovers++
+						inj.emit(Event{Kind: EvFailover, Target: to, JobID: int64(j.ID)})
+						continue
+					}
 				}
 				s.Requeue(j)
 				inj.stats.Requeues++

@@ -49,6 +49,10 @@ type Gateway struct {
 	rng    *simrand.Stream
 	submit Submitter
 	ledger *accounting.Ledger
+	// syms is the run's symbol table; id, account, project and field are
+	// ID, CommunityAccount, Project and ScienceField in it.
+	syms                        *job.Symbols
+	id, account, project, field job.Sym
 
 	// Registered end users and activity counters.
 	available    bool
@@ -60,9 +64,10 @@ type Gateway struct {
 }
 
 // New returns a gateway that submits through s and spools attribute records
-// into ledger.
+// into ledger. syms is the run's symbol table, the one the submitted jobs'
+// Syms index.
 func New(id, account, project, field string, coverage float64,
-	k *des.Kernel, rng *simrand.Stream, s Submitter, ledger *accounting.Ledger) (*Gateway, error) {
+	k *des.Kernel, syms *job.Symbols, rng *simrand.Stream, s Submitter, ledger *accounting.Ledger) (*Gateway, error) {
 	if id == "" || account == "" || project == "" {
 		return nil, fmt.Errorf("gateway: id, account, and project are required")
 	}
@@ -72,6 +77,8 @@ func New(id, account, project, field string, coverage float64,
 	return &Gateway{
 		ID: id, CommunityAccount: account, Project: project, ScienceField: field,
 		AttrCoverage: coverage, k: k, rng: rng, submit: s, ledger: ledger,
+		syms: syms, id: syms.Intern(id), account: syms.Intern(account),
+		project: syms.Intern(project), field: syms.Intern(field),
 		available: true,
 		users:     make(map[string]bool), firstSeenAt: make(map[string]des.Time),
 	}, nil
@@ -120,16 +127,16 @@ func (g *Gateway) Request(endUser string, j *job.Job) {
 		g.firstSeenAt[endUser] = g.k.Now()
 	}
 	g.requests++
-	j.User = g.CommunityAccount
-	j.Project = g.Project
-	j.Attr.SubmitVia = "gateway"
-	j.Attr.GatewayID = g.ID
-	if j.Attr.ScienceField == "" {
-		j.Attr.ScienceField = g.ScienceField
+	j.User = g.account
+	j.Project = g.project
+	j.Attr.SubmitVia = job.SymGateway
+	j.Attr.GatewayID = g.id
+	if j.Attr.ScienceField == job.SymNone {
+		j.Attr.ScienceField = g.field
 	}
 	attributed := g.rng.Bool(g.AttrCoverage)
 	if attributed {
-		j.Attr.GatewayUser = endUser
+		j.Attr.GatewayUser = g.syms.Intern(endUser)
 		g.attributed++
 		g.ledger.AddGatewayAttr(accounting.GatewayAttrRecord{
 			GatewayID:   g.ID,

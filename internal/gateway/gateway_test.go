@@ -14,8 +14,8 @@ type captureSubmitter struct{ jobs []*job.Job }
 
 func (c *captureSubmitter) SubmitJob(j *job.Job) { c.jobs = append(c.jobs, j) }
 
-func mkJob(id int64) *job.Job {
-	return &job.Job{ID: job.ID(id), Name: "sim", User: "end", Project: "x",
+func mkJob(syms *job.Symbols, id int64) *job.Job {
+	return &job.Job{ID: job.ID(id), Name: syms.Intern("sim"), User: syms.Intern("end"), Project: syms.Intern("x"),
 		Cores: 4, ReqWalltime: 100, RunTime: 50}
 }
 
@@ -23,20 +23,21 @@ func TestNewValidation(t *testing.T) {
 	k := des.New()
 	rng := simrand.New(1)
 	sub := &captureSubmitter{}
-	l := accounting.NewLedger("s", accounting.NewSymbols())
-	if _, err := New("", "acct", "proj", "f", 1, k, rng, sub, l); err == nil {
+	syms := job.NewSymbols()
+	l := accounting.NewLedger("s", syms)
+	if _, err := New("", "acct", "proj", "f", 1, k, syms, rng, sub, l); err == nil {
 		t.Error("empty id accepted")
 	}
-	if _, err := New("g", "", "proj", "f", 1, k, rng, sub, l); err == nil {
+	if _, err := New("g", "", "proj", "f", 1, k, syms, rng, sub, l); err == nil {
 		t.Error("empty account accepted")
 	}
-	if _, err := New("g", "acct", "", "f", 1, k, rng, sub, l); err == nil {
+	if _, err := New("g", "acct", "", "f", 1, k, syms, rng, sub, l); err == nil {
 		t.Error("empty project accepted")
 	}
-	if _, err := New("g", "acct", "proj", "f", 1.5, k, rng, sub, l); err == nil {
+	if _, err := New("g", "acct", "proj", "f", 1.5, k, syms, rng, sub, l); err == nil {
 		t.Error("coverage > 1 accepted")
 	}
-	if _, err := New("g", "acct", "proj", "f", -0.1, k, rng, sub, l); err == nil {
+	if _, err := New("g", "acct", "proj", "f", -0.1, k, syms, rng, sub, l); err == nil {
 		t.Error("negative coverage accepted")
 	}
 }
@@ -44,28 +45,29 @@ func TestNewValidation(t *testing.T) {
 func TestRequestRewritesIdentity(t *testing.T) {
 	k := des.New()
 	sub := &captureSubmitter{}
-	l := accounting.NewLedger("s", accounting.NewSymbols())
+	syms := job.NewSymbols()
+	l := accounting.NewLedger("s", syms)
 	g, err := New("nanohub", "nanohub-community", "TG-GATEWAY1", "nanoscience",
-		1.0, k, simrand.New(1), sub, l)
+		1.0, k, syms, simrand.New(1), sub, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := mkJob(1)
+	j := mkJob(syms, 1)
 	g.Request("researcher-7", j)
 	if len(sub.jobs) != 1 {
 		t.Fatal("job not submitted")
 	}
-	if j.User != "nanohub-community" || j.Project != "TG-GATEWAY1" {
-		t.Errorf("community identity not applied: %s/%s", j.User, j.Project)
+	if syms.Str(j.User) != "nanohub-community" || syms.Str(j.Project) != "TG-GATEWAY1" {
+		t.Errorf("community identity not applied: %s/%s", syms.Str(j.User), syms.Str(j.Project))
 	}
-	if j.Attr.SubmitVia != "gateway" || j.Attr.GatewayID != "nanohub" {
+	if j.Attr.SubmitVia != job.SymGateway || syms.Str(j.Attr.GatewayID) != "nanohub" {
 		t.Errorf("gateway attributes missing: %+v", j.Attr)
 	}
-	if j.Attr.GatewayUser != "researcher-7" {
+	if syms.Str(j.Attr.GatewayUser) != "researcher-7" {
 		t.Errorf("end-user attribute missing at full coverage: %+v", j.Attr)
 	}
-	if j.Attr.ScienceField != "nanoscience" {
-		t.Errorf("science field not defaulted: %q", j.Attr.ScienceField)
+	if syms.Str(j.Attr.ScienceField) != "nanoscience" {
+		t.Errorf("science field not defaulted: %q", syms.Str(j.Attr.ScienceField))
 	}
 	// Attribute record spooled.
 	p := l.Flush(k.Now())
@@ -77,14 +79,15 @@ func TestRequestRewritesIdentity(t *testing.T) {
 func TestCoverageControlsAttribution(t *testing.T) {
 	k := des.New()
 	sub := &captureSubmitter{}
-	l := accounting.NewLedger("s", accounting.NewSymbols())
-	g, err := New("g", "acct", "proj", "f", 0.5, k, simrand.New(42), sub, l)
+	syms := job.NewSymbols()
+	l := accounting.NewLedger("s", syms)
+	g, err := New("g", "acct", "proj", "f", 0.5, k, syms, simrand.New(42), sub, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 2000
 	for i := 0; i < n; i++ {
-		g.Request(fmt.Sprintf("user-%d", i%100), mkJob(int64(i)))
+		g.Request(fmt.Sprintf("user-%d", i%100), mkJob(syms, int64(i)))
 	}
 	got := float64(g.Attributed()) / n
 	if got < 0.45 || got > 0.55 {
@@ -101,13 +104,14 @@ func TestCoverageControlsAttribution(t *testing.T) {
 func TestZeroCoverageEmitsNothing(t *testing.T) {
 	k := des.New()
 	sub := &captureSubmitter{}
-	l := accounting.NewLedger("s", accounting.NewSymbols())
-	g, err := New("g", "acct", "proj", "f", 0, k, simrand.New(1), sub, l)
+	syms := job.NewSymbols()
+	l := accounting.NewLedger("s", syms)
+	g, err := New("g", "acct", "proj", "f", 0, k, syms, simrand.New(1), sub, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		g.Request("u", mkJob(int64(i)))
+		g.Request("u", mkJob(syms, int64(i)))
 	}
 	if g.Attributed() != 0 {
 		t.Errorf("Attributed = %d at zero coverage", g.Attributed())
@@ -116,7 +120,7 @@ func TestZeroCoverageEmitsNothing(t *testing.T) {
 		t.Error("attribute records spooled at zero coverage")
 	}
 	// Jobs still tagged as gateway submissions (that attribute is free).
-	if sub.jobs[0].Attr.GatewayID != "g" || sub.jobs[0].Attr.GatewayUser != "" {
+	if syms.Str(sub.jobs[0].Attr.GatewayID) != "g" || sub.jobs[0].Attr.GatewayUser != job.SymNone {
 		t.Errorf("attribute state wrong: %+v", sub.jobs[0].Attr)
 	}
 }
@@ -124,12 +128,13 @@ func TestZeroCoverageEmitsNothing(t *testing.T) {
 func TestFirstSeen(t *testing.T) {
 	k := des.New()
 	sub := &captureSubmitter{}
-	g, err := New("g", "acct", "proj", "f", 1, k, simrand.New(1), sub, accounting.NewLedger("s", accounting.NewSymbols()))
+	syms := job.NewSymbols()
+	g, err := New("g", "acct", "proj", "f", 1, k, syms, simrand.New(1), sub, accounting.NewLedger("s", syms))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Schedule(100, func(*des.Kernel) { g.Request("alice", mkJob(1)) })
-	k.Schedule(200, func(*des.Kernel) { g.Request("alice", mkJob(2)) })
+	k.Schedule(100, func(*des.Kernel) { g.Request("alice", mkJob(syms, 1)) })
+	k.Schedule(200, func(*des.Kernel) { g.Request("alice", mkJob(syms, 2)) })
 	k.Run()
 	at, ok := g.FirstSeen("alice")
 	if !ok || at != 100 {

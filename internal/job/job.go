@@ -112,38 +112,44 @@ var AllModalities = []Modality{
 // the measurable signals available to the modality framework; depending on
 // deployment coverage, the workload generator may leave fields empty even
 // when the ground truth would warrant them (modeling partially deployed
-// instrumentation — the paper's "beginning to measure" state).
+// instrumentation — the paper's "beginning to measure" state). Every field
+// is a Sym into the run's Symbols table.
 type Attributes struct {
-	SubmitVia      string // "login", "gram", "gateway", "metasched"
-	GatewayID      string // community-account gateway identifier
-	GatewayUser    string // per-request end-user attribute (AAAA model)
-	WorkflowID     string // workflow-instance tag
-	WorkflowEngine string // engine name when tagged
-	EnsembleID     string // parameter-sweep campaign tag
-	BrokerJobID    string // metascheduler job tag
-	CoAllocID      string // co-allocation group tag
-	ScienceField   string // field-of-science code from the allocation
+	SubmitVia      Sym // "login", "gram", "gateway", "metasched"
+	GatewayID      Sym // community-account gateway identifier
+	GatewayUser    Sym // per-request end-user attribute (AAAA model)
+	WorkflowID     Sym // workflow-instance tag
+	WorkflowEngine Sym // engine name when tagged
+	EnsembleID     Sym // parameter-sweep campaign tag
+	BrokerJobID    Sym // metascheduler job tag
+	CoAllocID      Sym // co-allocation group tag
+	ScienceField   Sym // field-of-science code from the allocation
 }
 
 // Truth is the generator-assigned ground truth, invisible to classifiers.
 type Truth struct {
-	Modality   Modality
-	CampaignID string // ensemble/workflow campaign this job belongs to, if any
+	Modality   Sym // a pre-seeded modality Sym (SymEnsemble, ...)
+	CampaignID Sym // ensemble/workflow campaign this job belongs to, if any
 }
 
 // Job is a unit of computational work. Fields are written by the layer that
 // owns the corresponding phase of the lifecycle: the generator fills the
 // request, the scheduler fills the execution record.
+//
+// A Job holds no pointers: its strings are Syms into the run's Symbols
+// table, interned once when the job is created (or, for placement, when a
+// scheduler accepts it), so a job is one 176-byte object the garbage
+// collector never scans.
 type Job struct {
 	ID      ID
-	Name    string // user-chosen job name (script name); ensembles reuse names
-	User    string // account the job is charged to (community account for gateways)
-	Project string // allocation/project charged
+	Name    Sym // user-chosen job name (script name); ensembles reuse names
+	User    Sym // account the job is charged to (community account for gateways)
+	Project Sym // allocation/project charged
 
 	// Placement (set at submission or by the metascheduler).
-	Site    string
-	Machine string
-	Queue   string
+	Site    Sym
+	Machine Sym
+	Queue   Sym
 
 	// Request.
 	Cores       int
@@ -216,16 +222,12 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("job %d: non-positive walltime %v", j.ID, float64(j.ReqWalltime))
 	case j.RunTime <= 0:
 		return fmt.Errorf("job %d: non-positive runtime %v", j.ID, float64(j.RunTime))
-	case j.User == "":
+	case j.User == SymNone:
 		return fmt.Errorf("job %d: missing user", j.ID)
-	case j.Project == "":
+	case j.Project == SymNone:
 		return fmt.Errorf("job %d: missing project", j.ID)
+	case j.QOS.Sym() == SymUnknown:
+		return fmt.Errorf("job %d: unknown %s", j.ID, j.QOS)
 	}
 	return nil
-}
-
-// String renders a short human-readable description for traces.
-func (j *Job) String() string {
-	return fmt.Sprintf("job %d %s/%s cores=%d wall=%s qos=%s state=%s",
-		j.ID, j.User, j.Project, j.Cores, j.ReqWalltime, j.QOS, j.State)
 }

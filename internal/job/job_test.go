@@ -8,8 +8,9 @@ import (
 )
 
 func valid() *Job {
+	syms := NewSymbols()
 	return &Job{
-		ID: 1, Name: "run.sh", User: "alice", Project: "TG-MCA001",
+		ID: 1, Name: syms.Intern("run.sh"), User: syms.Intern("alice"), Project: syms.Intern("TG-MCA001"),
 		Cores: 64, ReqWalltime: 4 * des.Hour, RunTime: 3 * des.Hour,
 	}
 }
@@ -110,8 +111,9 @@ func TestValidate(t *testing.T) {
 		{func(j *Job) { j.Cores = 0 }, "cores"},
 		{func(j *Job) { j.ReqWalltime = 0 }, "walltime"},
 		{func(j *Job) { j.RunTime = 0 }, "runtime"},
-		{func(j *Job) { j.User = "" }, "user"},
-		{func(j *Job) { j.Project = "" }, "project"},
+		{func(j *Job) { j.User = SymNone }, "user"},
+		{func(j *Job) { j.Project = SymNone }, "project"},
+		{func(j *Job) { j.QOS = QOSInteractive + 1 }, "qos(3)"},
 	}
 	for _, c := range cases {
 		j := valid()
@@ -133,14 +135,5 @@ func TestAllModalitiesDistinct(t *testing.T) {
 	}
 	if len(AllModalities) != 9 {
 		t.Errorf("taxonomy has %d modalities, want 9", len(AllModalities))
-	}
-}
-
-func TestJobString(t *testing.T) {
-	s := valid().String()
-	for _, part := range []string{"job 1", "alice", "TG-MCA001", "cores=64", "qos=normal"} {
-		if !strings.Contains(s, part) {
-			t.Errorf("String() = %q missing %q", s, part)
-		}
 	}
 }

@@ -51,7 +51,10 @@ type StageCost func(fromSite, toSite string, bytes int64) float64
 
 // Broker is the metascheduler.
 type Broker struct {
-	K      *des.Kernel
+	K *des.Kernel
+	// syms is the run's symbol table, where the broker interns the tags it
+	// stamps on jobs.
+	syms   *job.Symbols
 	policy SelectPolicy
 	rng    *simrand.Stream
 	scheds []*sched.Scheduler // in machine-ID order
@@ -67,9 +70,9 @@ type Broker struct {
 	// TagCoverage is the probability a routed job carries its broker
 	// attribute (models partially deployed instrumentation).
 	TagCoverage float64
-	// DataHome maps a project to the site where its input data lives;
-	// used by the DataAware policy. Empty means no staging needed.
-	DataHome map[string]string
+	// DataHome maps a project's Sym to the site where its input data
+	// lives; used by the DataAware policy. Empty means no staging needed.
+	DataHome map[job.Sym]string
 	// Stage estimates staging cost for DataAware; nil disables the term.
 	Stage StageCost
 
@@ -89,14 +92,15 @@ type Broker struct {
 	unhealthyUntil map[string]des.Time
 }
 
-// New returns a broker over the given schedulers.
-func New(k *des.Kernel, policy SelectPolicy, rng *simrand.Stream, scheds []*sched.Scheduler) *Broker {
+// New returns a broker over the given schedulers. syms is the run's symbol
+// table, the one the submitted jobs' Syms index.
+func New(k *des.Kernel, syms *job.Symbols, policy SelectPolicy, rng *simrand.Stream, scheds []*sched.Scheduler) *Broker {
 	scheds = slices.Clone(scheds)
 	slices.SortFunc(scheds, func(a, b *sched.Scheduler) int { return cmp.Compare(a.M.ID, b.M.ID) })
 	return &Broker{
-		K: k, policy: policy, rng: rng, scheds: scheds,
+		K: k, syms: syms, policy: policy, rng: rng, scheds: scheds,
 		TagCoverage: 1.0,
-		DataHome:    make(map[string]string),
+		DataHome:    make(map[job.Sym]string),
 		perTarget:   make(map[string]uint64),
 	}
 }
@@ -189,12 +193,13 @@ func (b *Broker) selectFrom(cands []*sched.Scheduler, j *job.Job) *sched.Schedul
 // Failover re-places a job whose machine failed. The selection policy runs
 // over the currently healthy feasible machines, but unlike Submit the job
 // keeps its original attribution (no broker tag draw — failover is an
-// infrastructure action, not a user modality choice). Returns false when no
-// healthy machine fits; the caller decides what to do with the stranded job.
-func (b *Broker) Failover(j *job.Job) bool {
+// infrastructure action, not a user modality choice). It returns the
+// machine the job went to, or false when no healthy machine fits; the
+// caller decides what to do with the stranded job.
+func (b *Broker) Failover(j *job.Job) (string, bool) {
 	cands := b.feasible(j)
 	if len(cands) == 0 {
-		return false
+		return "", false
 	}
 	pick := b.selectFrom(cands, j)
 	b.failovers++
@@ -202,7 +207,7 @@ func (b *Broker) Failover(j *job.Job) bool {
 		b.OnFailover(j, pick.M.ID)
 	}
 	pick.Submit(j)
-	return true
+	return pick.M.ID, true
 }
 
 // bestBy returns the candidate with the least score, the earliest
@@ -298,9 +303,9 @@ func (b *Broker) earliest(cands []*sched.Scheduler, j *job.Job, staged bool) (*s
 
 func (b *Broker) route(j *job.Job, s *sched.Scheduler) {
 	if b.rng.Bool(b.TagCoverage) {
-		j.Attr.BrokerJobID = fmt.Sprintf("broker-%d", j.ID)
-		if j.Attr.SubmitVia == "" {
-			j.Attr.SubmitVia = "metasched"
+		j.Attr.BrokerJobID = b.syms.Intern(fmt.Sprintf("broker-%d", j.ID))
+		if j.Attr.SubmitVia == job.SymNone {
+			j.Attr.SubmitVia = job.SymMetasched
 		}
 	}
 	b.routed++
@@ -327,6 +332,7 @@ func (b *Broker) CoAllocate(parts []*job.Job) (des.Time, error) {
 	start := latest + 10*des.Minute
 	b.nextCoID++
 	coID := fmt.Sprintf("coalloc-%d", b.nextCoID)
+	coSym := b.syms.Intern(coID)
 	for i, s := range machines {
 		if err := s.Reserve(coID, parts[i].Cores, start, start+parts[i].ReqWalltime); err != nil {
 			for _, booked := range machines[:i] {
@@ -337,8 +343,8 @@ func (b *Broker) CoAllocate(parts []*job.Job) (des.Time, error) {
 	}
 	for i, s := range machines {
 		j := parts[i]
-		j.Attr.CoAllocID = coID
-		j.Attr.SubmitVia = "metasched"
+		j.Attr.CoAllocID = coSym
+		j.Attr.SubmitVia = job.SymMetasched
 		if err := s.ClaimReservation(coID, j); err != nil {
 			return 0, fmt.Errorf("metasched: claim failed: %w", err)
 		}

@@ -13,9 +13,13 @@ import (
 
 var nextID job.ID
 
+// testSyms is the symbol table of every job, scheduler and broker the
+// package's tests build.
+var testSyms = job.NewSymbols()
+
 func mkJob(cores int, run, wall des.Time) *job.Job {
 	nextID++
-	return &job.Job{ID: nextID, Name: "t", User: "u", Project: "p",
+	return &job.Job{ID: nextID, Name: testSyms.Intern("t"), User: testSyms.Intern("u"), Project: testSyms.Intern("p"),
 		Cores: cores, RunTime: run, ReqWalltime: wall}
 }
 
@@ -26,8 +30,8 @@ func twoMachines(k *des.Kernel) []*sched.Scheduler {
 	small := &grid.Machine{ID: "small", Site: "s2", Nodes: 8, CoresPerNode: 8,
 		GFlopsPerCore: 2, NUPerCoreHour: 1} // 64 cores
 	return []*sched.Scheduler{
-		sched.MustNamed(k, big, "easy"),
-		sched.MustNamed(k, small, "easy"),
+		sched.MustNamed(k, testSyms, big, "easy"),
+		sched.MustNamed(k, testSyms, small, "easy"),
 	}
 }
 
@@ -46,21 +50,21 @@ func TestPolicyString(t *testing.T) {
 
 func TestFeasibilityFiltering(t *testing.T) {
 	k := des.New()
-	b := New(k, Random, simrand.New(1), twoMachines(k))
+	b := New(k, testSyms, Random, simrand.New(1), twoMachines(k))
 	// 100 cores only fits "big".
 	j := mkJob(100, 10, 10)
 	b.Submit(j)
 	k.Run()
-	if j.Machine != "big" {
-		t.Errorf("100-core job routed to %q, want big", j.Machine)
+	if testSyms.Str(j.Machine) != "big" {
+		t.Errorf("100-core job routed to %q, want big", testSyms.Str(j.Machine))
 	}
 	// Urgent only fits urgent-capable "big".
 	u := mkJob(8, 10, 10)
 	u.QOS = job.QOSUrgent
 	b.Submit(u)
 	k.Run()
-	if u.Machine != "big" {
-		t.Errorf("urgent job routed to %q, want big", u.Machine)
+	if testSyms.Str(u.Machine) != "big" {
+		t.Errorf("urgent job routed to %q, want big", testSyms.Str(u.Machine))
 	}
 	// Nothing fits 10000 cores.
 	imp := mkJob(10000, 10, 10)
@@ -73,15 +77,15 @@ func TestFeasibilityFiltering(t *testing.T) {
 func TestLeastLoadedSpreads(t *testing.T) {
 	k := des.New()
 	scheds := twoMachines(k)
-	b := New(k, LeastLoaded, simrand.New(1), scheds)
+	b := New(k, testSyms, LeastLoaded, simrand.New(1), scheds)
 	// Saturate big with queued jobs so small becomes least loaded.
 	for i := 0; i < 3; i++ {
 		b.Submit(mkJob(512, 1000, 1000)) // only fits big; queue grows there
 	}
 	j := mkJob(32, 10, 10)
 	b.Submit(j)
-	if j.Machine != "small" {
-		t.Errorf("least-loaded routed to %q, want small", j.Machine)
+	if testSyms.Str(j.Machine) != "small" {
+		t.Errorf("least-loaded routed to %q, want small", testSyms.Str(j.Machine))
 	}
 	k.Run()
 }
@@ -89,14 +93,14 @@ func TestLeastLoadedSpreads(t *testing.T) {
 func TestBestEstimatedPicksIdleMachine(t *testing.T) {
 	k := des.New()
 	scheds := twoMachines(k)
-	b := New(k, BestEstimated, simrand.New(1), scheds)
+	b := New(k, testSyms, BestEstimated, simrand.New(1), scheds)
 	// Occupy big entirely for a long time.
 	b.Submit(mkJob(512, 5000, 5000))
 	b.Submit(mkJob(512, 5000, 5000))
 	j := mkJob(32, 10, 10)
 	b.Submit(j)
-	if j.Machine != "small" {
-		t.Errorf("best-estimated routed to %q, want idle small", j.Machine)
+	if testSyms.Str(j.Machine) != "small" {
+		t.Errorf("best-estimated routed to %q, want idle small", testSyms.Str(j.Machine))
 	}
 	k.Run()
 	if b.Routed() != 3 {
@@ -110,8 +114,8 @@ func TestBestEstimatedPicksIdleMachine(t *testing.T) {
 func TestDataAwarePrefersDataLocality(t *testing.T) {
 	k := des.New()
 	scheds := twoMachines(k)
-	b := New(k, DataAware, simrand.New(1), scheds)
-	b.DataHome["p"] = "s2"
+	b := New(k, testSyms, DataAware, simrand.New(1), scheds)
+	b.DataHome[testSyms.Intern("p")] = "s2"
 	// Staging to s1 is expensive, to s2 free.
 	b.Stage = func(from, to string, bytes int64) float64 {
 		if from == to {
@@ -122,26 +126,26 @@ func TestDataAwarePrefersDataLocality(t *testing.T) {
 	j := mkJob(32, 10, 10)
 	j.InputBytes = 1 << 30
 	b.Submit(j)
-	if j.Machine != "small" { // small is at site s2, next to the data
-		t.Errorf("data-aware routed to %q, want small (co-located with data)", j.Machine)
+	if testSyms.Str(j.Machine) != "small" { // small is at site s2, next to the data
+		t.Errorf("data-aware routed to %q, want small (co-located with data)", testSyms.Str(j.Machine))
 	}
 	k.Run()
 }
 
 func TestBrokerTagging(t *testing.T) {
 	k := des.New()
-	b := New(k, Random, simrand.New(1), twoMachines(k))
+	b := New(k, testSyms, Random, simrand.New(1), twoMachines(k))
 	j := mkJob(8, 10, 10)
 	b.Submit(j)
-	if j.Attr.BrokerJobID == "" || j.Attr.SubmitVia != "metasched" {
+	if j.Attr.BrokerJobID == job.SymNone || j.Attr.SubmitVia != job.SymMetasched {
 		t.Errorf("broker attributes missing: %+v", j.Attr)
 	}
 	// Partial coverage.
-	b2 := New(k, Random, simrand.New(7), twoMachines(k))
+	b2 := New(k, testSyms, Random, simrand.New(7), twoMachines(k))
 	b2.TagCoverage = 0
 	j2 := mkJob(8, 10, 10)
 	b2.Submit(j2)
-	if j2.Attr.BrokerJobID != "" {
+	if j2.Attr.BrokerJobID != job.SymNone {
 		t.Errorf("broker tag leaked at zero coverage: %+v", j2.Attr)
 	}
 	k.Run()
@@ -150,7 +154,7 @@ func TestBrokerTagging(t *testing.T) {
 func TestCoAllocate(t *testing.T) {
 	k := des.New()
 	scheds := twoMachines(k)
-	b := New(k, BestEstimated, simrand.New(1), scheds)
+	b := New(k, testSyms, BestEstimated, simrand.New(1), scheds)
 	p1 := mkJob(256, 100, 200)
 	p2 := mkJob(32, 100, 200)
 	start, err := b.CoAllocate([]*job.Job{p1, p2})
@@ -165,8 +169,8 @@ func TestCoAllocate(t *testing.T) {
 	if p1.Machine == p2.Machine {
 		t.Error("co-allocation placed both parts on one machine")
 	}
-	if p1.Attr.CoAllocID == "" || p1.Attr.CoAllocID != p2.Attr.CoAllocID {
-		t.Errorf("co-allocation ids wrong: %q vs %q", p1.Attr.CoAllocID, p2.Attr.CoAllocID)
+	if p1.Attr.CoAllocID == job.SymNone || p1.Attr.CoAllocID != p2.Attr.CoAllocID {
+		t.Errorf("co-allocation ids wrong: %q vs %q", testSyms.Str(p1.Attr.CoAllocID), testSyms.Str(p2.Attr.CoAllocID))
 	}
 	if b.CoAllocations() != 1 {
 		t.Errorf("CoAllocations = %d, want 1", b.CoAllocations())
@@ -178,7 +182,7 @@ func TestCoAllocate(t *testing.T) {
 
 func TestCoAllocateErrors(t *testing.T) {
 	k := des.New()
-	b := New(k, Random, simrand.New(1), twoMachines(k))
+	b := New(k, testSyms, Random, simrand.New(1), twoMachines(k))
 	if _, err := b.CoAllocate([]*job.Job{mkJob(1, 1, 1)}); err == nil {
 		t.Error("single-part co-allocation accepted")
 	}
@@ -198,7 +202,7 @@ func fourMachines(k *des.Kernel) []*sched.Scheduler {
 		id    string
 		nodes int
 	}{{"a", 8}, {"b", 8}, {"c", 16}, {"d", 4}} {
-		out = append(out, sched.MustNamed(k, &grid.Machine{ID: m.id, Site: "s-" + m.id,
+		out = append(out, sched.MustNamed(k, testSyms, &grid.Machine{ID: m.id, Site: "s-" + m.id,
 			Nodes: m.nodes, CoresPerNode: 8, GFlopsPerCore: 4, NUPerCoreHour: 1}, "easy"))
 	}
 	return out
@@ -217,7 +221,7 @@ func TestCoAllocatePinsChoice(t *testing.T) {
 	scheds[0].Submit(mkJob(64, 1000, 1000))
 	scheds[1].Submit(mkJob(32, 500, 500))
 	scheds[3].Submit(mkJob(32, 2000, 2000))
-	b := New(k, BestEstimated, simrand.New(1), scheds)
+	b := New(k, testSyms, BestEstimated, simrand.New(1), scheds)
 	parts := []*job.Job{mkJob(48, 100, 100), mkJob(32, 100, 100), mkJob(16, 100, 100)}
 	start, err := b.CoAllocate(parts)
 	if err != nil {
@@ -231,9 +235,9 @@ func TestCoAllocatePinsChoice(t *testing.T) {
 	}
 	k.Run()
 	for i, want := range []string{"c", "b", "a"} {
-		if p := parts[i]; p.Machine != want || p.StartTime != start {
+		if p := parts[i]; testSyms.Str(p.Machine) != want || p.StartTime != start {
 			t.Errorf("part %d (%d cores) on %q at %v, want %q at %v",
-				i, p.Cores, p.Machine, p.StartTime, want, start)
+				i, p.Cores, testSyms.Str(p.Machine), p.StartTime, want, start)
 		}
 	}
 }
@@ -247,11 +251,11 @@ func TestPrunedCountsSkippedEstimates(t *testing.T) {
 	scheds := fourMachines(k)
 	scheds[0].Submit(mkJob(64, 1000, 1000))
 	scheds[3].FailNodes(32, des.Forever)
-	b := New(k, BestEstimated, simrand.New(1), scheds)
+	b := New(k, testSyms, BestEstimated, simrand.New(1), scheds)
 	j := mkJob(48, 100, 100)
 	b.Submit(j) // a at 1000, b and c at 0: b wins the tie, a and c are skipped
-	if j.Machine != "b" || b.Pruned() != 2 {
-		t.Errorf("routed to %q with %d pruned, want b with 2 (a and c)", j.Machine, b.Pruned())
+	if testSyms.Str(j.Machine) != "b" || b.Pruned() != 2 {
+		t.Errorf("routed to %q with %d pruned, want b with 2 (a and c)", testSyms.Str(j.Machine), b.Pruned())
 	}
 	b.Submit(mkJob(4, 100, 100)) // b still has 16 cores free: 0 again, so c, a and d are skipped
 	if b.Routed() != 2 || b.Pruned() != 2+3 {

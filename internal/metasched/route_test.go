@@ -100,7 +100,7 @@ func twinWorlds(r *simrand.Stream, policy SelectPolicy) [2]*world {
 	submit := func(s [2]*sched.Scheduler, cores int, run, wall des.Time) {
 		id++
 		for i := range w {
-			s[i].Submit(&job.Job{ID: id, Name: "t", User: fmt.Sprintf("u%d", id%3), Project: "p",
+			s[i].Submit(&job.Job{ID: id, Name: testSyms.Intern("t"), User: testSyms.Intern(fmt.Sprintf("u%d", id%3)), Project: testSyms.Intern("p"),
 				Cores: cores, RunTime: run, ReqWalltime: wall})
 		}
 	}
@@ -127,7 +127,7 @@ func twinWorlds(r *simrand.Stream, policy SelectPolicy) [2]*world {
 		for m, p := range plans {
 			mach := &grid.Machine{ID: fmt.Sprintf("m%d", m), Site: fmt.Sprintf("s%d", p.site),
 				Nodes: p.nodes, CoresPerNode: 8, GFlopsPerCore: 4, NUPerCoreHour: 1}
-			w[i].scheds = append(w[i].scheds, sched.MustNamed(w[i].k, mach, p.engine))
+			w[i].scheds = append(w[i].scheds, sched.MustNamed(w[i].k, testSyms, mach, p.engine))
 		}
 	}
 	both := func(m int) [2]*sched.Scheduler { return [2]*sched.Scheduler{w[0].scheds[m], w[1].scheds[m]} }
@@ -190,8 +190,8 @@ func twinWorlds(r *simrand.Stream, policy SelectPolicy) [2]*world {
 		}
 	}
 	for i := range w {
-		w[i].b = New(w[i].k, policy, simrand.New(1), w[i].scheds)
-		w[i].b.DataHome["p"] = "s0"
+		w[i].b = New(w[i].k, testSyms, policy, simrand.New(1), w[i].scheds)
+		w[i].b.DataHome[testSyms.Intern("p")] = "s0"
 		w[i].b.Stage = stubStage
 	}
 	return w
@@ -239,7 +239,7 @@ func routeSequence(t *testing.T, r *simrand.Stream, w [2]*world, policy SelectPo
 		id++
 		var js [2]*job.Job
 		for i := range js {
-			js[i] = &job.Job{ID: id, Name: "a", User: "u", Project: "p",
+			js[i] = &job.Job{ID: id, Name: testSyms.Intern("a"), User: testSyms.Intern("u"), Project: testSyms.Intern("p"),
 				Cores: cores, RunTime: wall / 2, ReqWalltime: wall, InputBytes: bytes}
 		}
 		return js
@@ -341,11 +341,11 @@ func routeFederation(policy SelectPolicy) (*Broker, []*sched.Scheduler) {
 	var id job.ID
 	mk := func(cores int, wall des.Time) *job.Job {
 		id++
-		return &job.Job{ID: id, Name: "t", User: "u", Project: "p", Cores: cores, RunTime: wall, ReqWalltime: wall}
+		return &job.Job{ID: id, Name: testSyms.Intern("t"), User: testSyms.Intern("u"), Project: testSyms.Intern("p"), Cores: cores, RunTime: wall, ReqWalltime: wall}
 	}
 	r := simrand.New(1)
 	for m := 0; m < 8; m++ {
-		s := sched.MustNamed(k, &grid.Machine{ID: fmt.Sprintf("m%d", m), Site: fmt.Sprintf("s%d", m%3),
+		s := sched.MustNamed(k, testSyms, &grid.Machine{ID: fmt.Sprintf("m%d", m), Site: fmt.Sprintf("s%d", m%3),
 			Nodes: 16, CoresPerNode: 8, GFlopsPerCore: 4, NUPerCoreHour: 1}, "easy")
 		if m == 6 {
 			s.Submit(mk(64, 6*des.Hour))
@@ -358,8 +358,8 @@ func routeFederation(policy SelectPolicy) (*Broker, []*sched.Scheduler) {
 		}
 		scheds = append(scheds, s)
 	}
-	b := New(k, policy, simrand.New(1), scheds)
-	b.DataHome["p"] = "s0"
+	b := New(k, testSyms, policy, simrand.New(1), scheds)
+	b.DataHome[testSyms.Intern("p")] = "s0"
 	b.Stage = stubStage
 	return b, scheds
 }
@@ -410,7 +410,7 @@ func BenchmarkBrokerRoute(b *testing.B) {
 func TestBrokerRouteAllocationFree(t *testing.T) {
 	for _, policy := range []SelectPolicy{BestEstimated, DataAware} {
 		br, _ := routeFederation(policy)
-		j := &job.Job{ID: 1 << 30, Project: "p", Cores: 16, ReqWalltime: des.Hour, InputBytes: 1e9}
+		j := &job.Job{ID: 1 << 30, Project: testSyms.Intern("p"), Cores: 16, ReqWalltime: des.Hour, InputBytes: 1e9}
 		route := func() { br.selectFrom(br.feasible(j), j) }
 		route()
 		if n := testing.AllocsPerRun(20, route); n != 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"github.com/tgsim/tgmod/internal/job"
 	"io"
 	"strings"
 	"testing"
@@ -86,7 +87,7 @@ func TestReadMagic(t *testing.T) {
 // TestPacketFrameRoundTrip: the packet frame preserves both the flush
 // time and the accounting wire bytes exactly.
 func TestPacketFrameRoundTrip(t *testing.T) {
-	syms := accounting.NewSymbols()
+	syms := job.NewSymbols()
 	sym := syms.Intern
 	pkt := &accounting.Packet{Site: "ncsa-abe", Seq: 42, Syms: syms}
 	pkt.Jobs = append(pkt.Jobs, accounting.JobRecord{
@@ -101,7 +102,7 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := accounting.DecodePacket(wire, accounting.NewSymbols())
+	got, err := accounting.DecodePacket(wire, job.NewSymbols())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 func TestRejectedPacketLeavesRunTable(t *testing.T) {
 	rs := NewDaemon(Config{}).newRunState("r", 1, 512, 0, "test")
 	frame := func(seq uint64, user string) []byte {
-		syms := accounting.NewSymbols()
+		syms := job.NewSymbols()
 		payload, err := encodePacketFrame(float64(seq), &accounting.Packet{Site: "s", Seq: seq, Syms: syms,
 			Jobs: []accounting.JobRecord{{JobID: int64(seq), Cores: 1, EndTime: float64(seq), User: syms.Intern(user)}}})
 		if err != nil {

@@ -20,7 +20,7 @@ import (
 // machine's track: a "wait" span from queue entry to start, a "run" span
 // from start to a terminal state, instants for rejections, and
 // scheduler-decision/maintenance instants via the Probe seam.
-func installJobSpans(rec obs.Recorder, k *des.Kernel, s *sched.Scheduler) {
+func installJobSpans(rec obs.Recorder, k *des.Kernel, s *sched.Scheduler, syms *job.Symbols) {
 	track := s.M.ID
 	s.Subscribe(func(e sched.Event) {
 		now := k.Now()
@@ -28,14 +28,14 @@ func installJobSpans(rec obs.Recorder, k *des.Kernel, s *sched.Scheduler) {
 		switch e.Kind {
 		case sched.EventQueued:
 			obs.Begin(rec, now, "job", "wait", track, id,
-				obs.KV{Key: "user", Value: e.Job.User},
+				obs.KV{Key: "user", Value: syms.Str(e.Job.User)},
 				obs.KV{Key: "cores", Value: e.Job.Cores},
 				obs.KV{Key: "qos", Value: e.Job.QOS.String()},
-				obs.KV{Key: "mod", Value: string(e.Job.Truth.Modality)})
+				obs.KV{Key: "mod", Value: syms.Str(e.Job.Truth.Modality)})
 		case sched.EventStarted:
 			obs.End(rec, now, "job", "wait", track, id)
 			obs.Begin(rec, now, "job", "run", track, id,
-				obs.KV{Key: "user", Value: e.Job.User},
+				obs.KV{Key: "user", Value: syms.Str(e.Job.User)},
 				obs.KV{Key: "cores", Value: e.Job.Cores})
 		case sched.EventFinished:
 			obs.End(rec, now, "job", "run", track, id,
@@ -47,9 +47,9 @@ func installJobSpans(rec obs.Recorder, k *des.Kernel, s *sched.Scheduler) {
 			obs.End(rec, now, "job", "run", track, id,
 				obs.KV{Key: "state", Value: "preempted"})
 			obs.Begin(rec, now, "job", "wait", track, id,
-				obs.KV{Key: "user", Value: e.Job.User},
+				obs.KV{Key: "user", Value: syms.Str(e.Job.User)},
 				obs.KV{Key: "cores", Value: e.Job.Cores},
-				obs.KV{Key: "mod", Value: string(e.Job.Truth.Modality)},
+				obs.KV{Key: "mod", Value: syms.Str(e.Job.Truth.Modality)},
 				obs.KV{Key: "requeued", Value: true})
 		case sched.EventKilled:
 			// An unplanned kill only closes the run span: the fault layer
@@ -84,16 +84,16 @@ func installJobSpans(rec obs.Recorder, k *des.Kernel, s *sched.Scheduler) {
 // promise is about time to first execution; requeues are already punished
 // through the wait they added before that first start ever happened, and
 // the trace-analysis layer accounts restart costs separately.
-func installSLO(ev *slo.Evaluator, k *des.Kernel, s *sched.Scheduler) {
+func installSLO(ev *slo.Evaluator, k *des.Kernel, s *sched.Scheduler, syms *job.Symbols) {
 	s.Subscribe(func(e sched.Event) {
 		switch e.Kind {
 		case sched.EventStarted:
 			if e.Job.Preemptions == 0 {
 				now := k.Now()
-				ev.ObserveStart(now, e.Job.Truth.Modality, float64(now-e.Job.SubmitTime))
+				ev.ObserveStart(now, job.Modality(syms.Str(e.Job.Truth.Modality)), float64(now-e.Job.SubmitTime))
 			}
 		case sched.EventRejected:
-			ev.ObserveReject(k.Now(), e.Job.Truth.Modality)
+			ev.ObserveReject(k.Now(), job.Modality(syms.Str(e.Job.Truth.Modality)))
 		}
 	})
 }

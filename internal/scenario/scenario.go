@@ -318,9 +318,14 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Accounting pipeline. The run's job records index one symbol table,
-	// shared by every ledger, the central database and each flushed packet.
-	syms := accounting.NewSymbols()
+	// The run's one symbol table, made before anything creates a job: every
+	// job, and every record made from one, indexes it. The schedulers,
+	// broker, gateways and workload resolve their constant strings in it
+	// once; the ledgers, the central database and each flushed packet
+	// share it.
+	syms := job.NewSymbols()
+
+	// Accounting pipeline.
 	central := accounting.NewCentral(syms)
 	ledgers := make(map[string]*accounting.Ledger)
 	for _, s := range fed.Sites {
@@ -345,7 +350,7 @@ func Run(cfg Config) (*Result, error) {
 	archiveRNG := simrand.Derive(cfg.Seed, "archive")
 	for _, m := range fed.Machines() {
 		m := m
-		s, err := sched.NewNamed(k, m, cfg.Policy)
+		s, err := sched.NewNamed(k, syms, m, cfg.Policy)
 		if err != nil {
 			return nil, err
 		}
@@ -359,18 +364,18 @@ func Run(cfg Config) (*Result, error) {
 			switch e.Kind {
 			case sched.EventFinished:
 				finished++
-				rec := accounting.RecordOf(e.Job, m, syms)
+				rec := accounting.RecordOf(e.Job, m)
 				ledgers[m.Site].AddJob(rec)
 				// Charge the allocation for actual usage; overdraft errors
 				// are operational noise, not simulation failures.
-				_ = bank.Charge(e.Job.Project, rec.NUs)
+				_ = bank.Charge(syms.Str(e.Job.Project), rec.NUs)
 				// Data-centric jobs archive their outputs.
 				if e.Job.OutputBytes > 0 && e.Job.State == job.StateCompleted {
 					if a := archives[m.Site]; a != nil {
 						name := fmt.Sprintf("out-%d-%d", e.Job.ID, archiveRNG.Intn(1<<30))
 						_ = a.Store(&storage.File{
 							Name: name, Bytes: e.Job.OutputBytes,
-							Owner: e.Job.User, Project: e.Job.Project,
+							Owner: syms.Str(e.Job.User), Project: syms.Str(e.Job.Project),
 							Created: k.Now(), Replicas: []string{m.Site},
 						})
 					}
@@ -381,10 +386,10 @@ func Run(cfg Config) (*Result, error) {
 			}
 		})
 		if rec != nil {
-			installJobSpans(rec, k, s)
+			installJobSpans(rec, k, s, syms)
 		}
 		if att.SLO != nil {
-			installSLO(att.SLO, k, s)
+			installSLO(att.SLO, k, s, syms)
 		}
 	}
 	if rec != nil {
@@ -416,7 +421,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Metascheduler.
-	broker := metasched.New(k, cfg.BrokerPolicy, simrand.Derive(cfg.Seed, "broker"), schedList(scheds))
+	broker := metasched.New(k, syms, cfg.BrokerPolicy, simrand.Derive(cfg.Seed, "broker"), schedList(scheds))
 	broker.TagCoverage = cfg.BrokerTagCoverage
 	broker.Stage = func(from, to string, bytes int64) float64 {
 		if from == to {
@@ -440,7 +445,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		gw, err := gateway.New(gc.ID, account, project, gc.ScienceField, gc.AttrCoverage,
-			k, simrand.Derive(cfg.Seed, "gateway-"+gc.ID), submitterFor(target), ledgers[site])
+			k, syms, simrand.Derive(cfg.Seed, "gateway-"+gc.ID), submitterFor(target), ledgers[site])
 		if err != nil {
 			return nil, err
 		}
@@ -469,7 +474,7 @@ func Run(cfg Config) (*Result, error) {
 	// instrument wrappers compose with (never replace) the span recorders.
 	var th *telemetryHooks
 	if att.Registry != nil {
-		th = installTelemetry(att.Registry, k, fed, scheds, fabric,
+		th = installTelemetry(att.Registry, k, syms, fed, scheds, fabric,
 			gateways, bank, &finished, rec)
 	}
 
@@ -522,7 +527,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Data homes: each project's reference data lives at a deterministic
 	// random archive site.
-	dataHomes := make(map[string]string)
+	dataHomes := make(map[job.Sym]string)
 	var archiveSites []string
 	for _, s := range fed.Sites {
 		if s.ArchivePB > 0 {
@@ -531,13 +536,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	homeRNG := simrand.Derive(cfg.Seed, "data-homes")
 	for _, proj := range pop.Projects {
-		dataHomes[proj] = archiveSites[homeRNG.Intn(len(archiveSites))]
+		dataHomes[syms.Intern(proj)] = archiveSites[homeRNG.Intn(len(archiveSites))]
 	}
 	broker.DataHome = dataHomes
 
 	// Workload.
 	env := &workload.Env{
-		K: k, Seed: cfg.Seed, Horizon: cfg.Horizon,
+		K: k, Seed: cfg.Seed, Horizon: cfg.Horizon, Syms: syms,
 		Pop: pop, Sched: scheds, Broker: broker, Gateways: gateways,
 		Stager: stager, Archives: archives, DataHomeSite: dataHomes,
 		Tracker: tracker,

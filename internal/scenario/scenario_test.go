@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/tgsim/tgmod/internal/accounting"
 	"github.com/tgsim/tgmod/internal/core"
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
@@ -87,7 +86,7 @@ func TestRunProducesCoherentAccounting(t *testing.T) {
 		if r.Cores <= 0 || r.EndTime < r.StartTime || r.NUs < 0 {
 			t.Fatalf("malformed record: %+v", r)
 		}
-		if r.ExitStatus != accounting.SymCompleted && r.ExitStatus != accounting.SymKilled {
+		if r.ExitStatus != job.SymCompleted && r.ExitStatus != job.SymKilled {
 			t.Fatalf("unexpected exit status %q", res.Central.Syms().Str(r.ExitStatus))
 		}
 	}

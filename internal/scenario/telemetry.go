@@ -42,7 +42,7 @@ func (h *telemetryHooks) flushed(jobs, wireLen int) {
 // installTelemetry registers the standard metric families and hooks them
 // into the assembled simulation. Existing seam handlers (span recorders)
 // are wrapped, not replaced, so tracing and telemetry compose.
-func installTelemetry(reg *telemetry.Registry, k *des.Kernel, fed *grid.Federation,
+func installTelemetry(reg *telemetry.Registry, k *des.Kernel, syms *job.Symbols, fed *grid.Federation,
 	scheds map[string]*sched.Scheduler, fabric *network.Fabric,
 	gateways map[string]*gateway.Gateway, bank *alloc.Bank,
 	finished *int, rec obs.Recorder) *telemetryHooks {
@@ -65,9 +65,9 @@ func installTelemetry(reg *telemetry.Registry, k *des.Kernel, fed *grid.Federati
 	// hottest telemetry path at scale. The taxonomy is closed, so batching
 	// the lookups into one map walk per job is free of missed labels.
 	type modalityCounters struct{ jobs, nus *telemetry.Counter }
-	modCounters := make(map[job.Modality]modalityCounters, len(job.AllModalities)+1)
+	modCounters := make(map[job.Sym]modalityCounters, len(job.AllModalities)+1)
 	for _, mod := range append(append([]job.Modality(nil), job.AllModalities...), job.ModUnknown) {
-		modCounters[mod] = modalityCounters{
+		modCounters[syms.Intern(string(mod))] = modalityCounters{
 			jobs: modJobs.With(string(mod)),
 			nus:  modNUs.With(string(mod)),
 		}
@@ -118,8 +118,8 @@ func installTelemetry(reg *telemetry.Registry, k *des.Kernel, fed *grid.Federati
 			case sched.EventFinished:
 				finishedC.Inc()
 				mod := e.Job.Truth.Modality
-				if mod == "" {
-					mod = job.ModUnknown
+				if mod == job.SymNone {
+					mod = job.SymUnknown
 				}
 				mc := modCounters[mod]
 				mc.jobs.Inc()

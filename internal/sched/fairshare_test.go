@@ -13,15 +13,15 @@ func TestFairShareFavorsLightUsers(t *testing.T) {
 	k, s := newTestSched("fairshare")
 	// Heavy usage history for "hog": one full-machine run.
 	first := mkJob(112, 1000, 1000)
-	first.User = "hog"
+	first.User = testSyms.Intern("hog")
 	s.Submit(first)
 	// While it runs, hog queues another full-machine job...
 	second := mkJob(112, 100, 100)
-	second.User = "hog"
+	second.User = testSyms.Intern("hog")
 	k.Schedule(10, func(*des.Kernel) { s.Submit(second) })
 	// ...and later a light user queues one too.
 	light := mkJob(112, 100, 100)
-	light.User = "newcomer"
+	light.User = testSyms.Intern("newcomer")
 	k.Schedule(20, func(*des.Kernel) { s.Submit(light) })
 	k.Run()
 	if light.StartTime != 1000 {
@@ -38,17 +38,17 @@ func TestFairShareDecay(t *testing.T) {
 	k, s := newTestSched("fairshare")
 	s.FairShareHalfLife = des.Hour
 	first := mkJob(112, 1000, 1000)
-	first.User = "hog"
+	first.User = testSyms.Intern("hog")
 	s.Submit(first)
 	// A long time later (many half-lives), hog submits before newcomer;
 	// with decayed usage, submit order decides.
 	second := mkJob(112, 100, 100)
-	second.User = "hog"
+	second.User = testSyms.Intern("hog")
 	light := mkJob(112, 100, 100)
-	light.User = "newcomer"
+	light.User = testSyms.Intern("newcomer")
 	// Busy job occupies machine so both queue.
 	blocker := mkJob(112, 1000, 1000)
-	blocker.User = "other"
+	blocker.User = testSyms.Intern("other")
 	at := des.Time(100 * 3600)
 	k.At(at, func(*des.Kernel) { s.Submit(blocker) })
 	k.At(at+1, func(*des.Kernel) { s.Submit(second) })

@@ -21,9 +21,9 @@ func init() { RegisterEngine("gang", func() PolicyEngine { return &gangEngine{} 
 // peers, keeping the campaign contiguous for reassembly.
 type gangEngine struct {
 	fifoQueue
-	// asmKey tags the gang currently assembling at the head ("" = none);
+	// asmKey tags the gang currently assembling at the head (SymNone = none);
 	// held marks its members holding capacity claims.
-	asmKey string
+	asmKey job.Sym
 	held   map[job.ID]bool
 	stats  EngineStats
 	// scratch is fitsTogether's tentative profile, reused across calls.
@@ -36,11 +36,11 @@ func (e *gangEngine) EngineStats() EngineStats { return e.stats }
 
 // gangKey returns the campaign tag jobs gang on: explicit co-allocation
 // first, then ensemble, then workflow. Untagged jobs are singletons.
-func gangKey(j *job.Job) string {
-	if j.Attr.CoAllocID != "" {
+func gangKey(j *job.Job) job.Sym {
+	if j.Attr.CoAllocID != job.SymNone {
 		return j.Attr.CoAllocID
 	}
-	if j.Attr.EnsembleID != "" {
+	if j.Attr.EnsembleID != job.SymNone {
 		return j.Attr.EnsembleID
 	}
 	return j.Attr.WorkflowID
@@ -50,7 +50,7 @@ func gangKey(j *job.Job) string {
 // has any (campaign-aware requeue: the gang stays contiguous and reassembles
 // at its queue position), and at the true front otherwise.
 func (e *gangEngine) PushFront(j *job.Job) {
-	if key := gangKey(j); key != "" {
+	if key := gangKey(j); key != job.SymNone {
 		for i, q := range e.q {
 			if gangKey(q) == key {
 				e.q = append(e.q[:i], append([]*job.Job{j}, e.q[i:]...)...)
@@ -66,7 +66,7 @@ func (e *gangEngine) PushFront(j *job.Job) {
 // surviving partial hold would pin cores for a gang the disruption broke
 // up (or panic planning against an outage-blanked profile).
 func (e *gangEngine) Disrupted(*Scheduler) {
-	e.asmKey = ""
+	e.asmKey = job.SymNone
 	e.held = nil
 }
 
@@ -74,10 +74,10 @@ func (e *gangEngine) Disrupted(*Scheduler) {
 // member, preserving member queue order within each gang.
 func (e *gangEngine) gangs() [][]*job.Job {
 	var out [][]*job.Job
-	idx := make(map[string]int)
+	idx := make(map[job.Sym]int)
 	for _, j := range e.q {
 		k := gangKey(j)
-		if k == "" {
+		if k == job.SymNone {
 			out = append(out, []*job.Job{j})
 			continue
 		}
@@ -150,7 +150,7 @@ func (e *gangEngine) Schedule(s *Scheduler) {
 	for {
 		gangs := e.gangs()
 		if len(gangs) == 0 {
-			e.asmKey, e.held = "", nil
+			e.asmKey, e.held = job.SymNone, nil
 			return
 		}
 		head := gangs[0]
@@ -179,7 +179,7 @@ func (e *gangEngine) Schedule(s *Scheduler) {
 			return
 		}
 		e.startGang(s, p, head, false)
-		e.asmKey, e.held = "", nil
+		e.asmKey, e.held = job.SymNone, nil
 	}
 }
 
@@ -194,7 +194,7 @@ func (e *gangEngine) holdAndBackfill(s *Scheduler, p *profile, gangs [][]*job.Jo
 		// A different gang reached the head: prior holds are void.
 		e.asmKey, e.held = key, nil
 	}
-	if key != "" && gangCores(head) <= s.M.BatchCores() {
+	if key != job.SymNone && gangCores(head) <= s.M.BatchCores() {
 		if e.held == nil {
 			e.held = make(map[job.ID]bool)
 		}

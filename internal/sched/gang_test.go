@@ -10,14 +10,14 @@ import (
 // mkGangJob tags a job as a member of ensemble campaign key.
 func mkGangJob(key string, cores int, run, wall des.Time) *job.Job {
 	j := mkJob(cores, run, wall)
-	j.Attr.EnsembleID = key
+	j.Attr.EnsembleID = testSyms.Intern(key)
 	return j
 }
 
 func newGangSched() (*des.Kernel, *Scheduler, *gangEngine) {
 	k := des.New()
 	e := &gangEngine{}
-	return k, NewWith(k, testMachine(), e), e
+	return k, NewWith(k, testSyms, testMachine(), e), e
 }
 
 // TestGangAllOrNothing: once any member of a campaign is blocked, queued

@@ -50,7 +50,7 @@ func goldenTrace(t *testing.T, engineName string, faults bool) string {
 	mk := func(cores int, run, wall des.Time, user string) *job.Job {
 		id++
 		j := &job.Job{
-			ID: id, Name: "g", User: user, Project: "p",
+			ID: id, Name: testSyms.Intern("g"), User: testSyms.Intern(user), Project: testSyms.Intern("p"),
 			Cores: cores, RunTime: run, ReqWalltime: wall,
 		}
 		jobs = append(jobs, j)
@@ -184,7 +184,7 @@ func TestGoldenTraces(t *testing.T) {
 // newGoldenSched builds the scheduler under test from an engine name.
 func newGoldenSched(t *testing.T, k *des.Kernel, name string) *Scheduler {
 	t.Helper()
-	s, err := NewNamed(k, testMachine(), name)
+	s, err := NewNamed(k, testSyms, testMachine(), name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func planningSnapshot(tb testing.TB, engine string) *Scheduler {
 	k := des.New()
 	now := des.Time(1e6)
 	k.RunUntil(now)
-	s := MustNamed(k, testMachine(), engine)
+	s := MustNamed(k, testSyms, testMachine(), engine)
 	for i := 0; i < 100; i++ {
 		j := mkJob(1, 1, 1)
 		s.track(&running{j: j, endsBy: now + des.Time(300*(i+1))})
@@ -79,7 +79,7 @@ func BenchmarkBuildProfile(b *testing.B) {
 	now := des.Time(1e6)
 	k.RunUntil(now)
 	m := &grid.Machine{ID: "big", Site: "s", Nodes: 2048, CoresPerNode: 8, GFlopsPerCore: 4, NUPerCoreHour: 1}
-	s := MustNamed(k, m, "easy")
+	s := MustNamed(k, testSyms, m, "easy")
 	for i := 0; i < 4096; i++ {
 		j := mkJob(1+i%3, 1, 1)
 		s.track(&running{j: j, endsBy: now + des.Time(60*(1+i%1500))})

@@ -11,7 +11,7 @@ import (
 // capacity submissions once the machine frees up.
 func TestPriorityCapabilityFirst(t *testing.T) {
 	k := des.New()
-	s, err := NewNamed(k, testMachine(), "priority")
+	s, err := NewNamed(k, testSyms, testMachine(), "priority")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestPriorityCapabilityFirst(t *testing.T) {
 func TestPriorityAgingEscalation(t *testing.T) {
 	k := des.New()
 	e := &priorityEngine{MaxSkips: 2}
-	s := NewWith(k, testMachine(), e)
+	s := NewWith(k, testSyms, testMachine(), e)
 	var escalated []*job.Job
 	s.Probe = func(kind string, j *job.Job) {
 		if kind == ProbeAgeEscalate {
@@ -82,7 +82,7 @@ func TestPriorityAgingEscalation(t *testing.T) {
 // blocked capability head like EASY.
 func TestPriorityBackfillStillWorks(t *testing.T) {
 	k := des.New()
-	s, err := NewNamed(k, testMachine(), "priority")
+	s, err := NewNamed(k, testSyms, testMachine(), "priority")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestEngineRegistry(t *testing.T) {
 	if _, err := NewEngine("nope"); err == nil {
 		t.Error("unknown engine accepted")
 	}
-	if _, err := NewNamed(des.New(), testMachine(), "nope"); err == nil {
+	if _, err := NewNamed(des.New(), testSyms, testMachine(), "nope"); err == nil {
 		t.Error("NewNamed accepted unknown engine")
 	}
 }
@@ -134,7 +134,7 @@ func TestEngineRegistry(t *testing.T) {
 // TestOldestQueuedAge tracks the longest-waiting queued job.
 func TestOldestQueuedAge(t *testing.T) {
 	k := des.New()
-	s, err := NewNamed(k, testMachine(), "easy")
+	s, err := NewNamed(k, testSyms, testMachine(), "easy")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -372,7 +372,7 @@ func randomSchedState(r *simrand.Stream) *Scheduler {
 	k := des.New()
 	now := des.Time(r.Intn(1e6))
 	k.RunUntil(now)
-	s := MustNamed(k, testMachine(), "easy")
+	s := MustNamed(k, testSyms, testMachine(), "easy")
 	capacity := s.M.BatchCores()
 	ends := []des.Time{now - 10, now, now + 5e-10, now + 1, now + 100, now + 100, now + 250, des.Forever}
 	busy := 0
@@ -442,7 +442,7 @@ func TestBuildProfileMatchesReference(t *testing.T) {
 
 func TestBuildProfileOvercommitPanics(t *testing.T) {
 	k := des.New()
-	s := MustNamed(k, testMachine(), "easy")
+	s := MustNamed(k, testSyms, testMachine(), "easy")
 	j := mkJob(s.M.BatchCores()+1, 10, 10)
 	s.track(&running{j: j, endsBy: 10})
 	defer func() {
@@ -462,7 +462,7 @@ func TestBuildProfileSliverPast2To24(t *testing.T) {
 	}
 	k := des.New()
 	k.RunUntil(now)
-	s := MustNamed(k, testMachine(), "easy")
+	s := MustNamed(k, testSyms, testMachine(), "easy")
 	j := mkJob(40, 10, 10)
 	s.track(&running{j: j, endsBy: now})
 	p := s.buildProfile(new(profile), s.K.Now())
@@ -481,7 +481,7 @@ func TestBuildProfileSliverPast2To24(t *testing.T) {
 func TestSliverPast2To24HoldsCores(t *testing.T) {
 	end := des.Time(1 << 25)
 	k := des.New()
-	s := MustNamed(k, testMachine(), "easy")
+	s := MustNamed(k, testSyms, testMachine(), "easy")
 	first := mkJob(s.M.BatchCores(), 3600, 3600)
 	second := mkJob(s.M.BatchCores(), 60, 60)
 	// Armed before first starts, so it fires before first's end event.

@@ -138,6 +138,9 @@ type Scheduler struct {
 	K      *des.Kernel
 	M      *grid.Machine
 	engine PolicyEngine
+	// site and machine are M.Site and M.ID in the run's symbol table,
+	// stamped on every job the scheduler accepts.
+	site, machine job.Sym
 	// CheckpointRestart, when true, lets preempted jobs resume from a
 	// checkpoint: only work since the last checkpoint interval boundary is
 	// lost, instead of the whole run. Production urgent-computing
@@ -153,8 +156,9 @@ type Scheduler struct {
 	// (default 7 days): a user's past consumption halves every half-life,
 	// so a usage burst stops penalizing its owner after a few periods.
 	FairShareHalfLife des.Time
-	// fsUsage tracks decayed per-user core-seconds for fairshare ordering.
-	fsUsage map[string]*fsEntry
+	// fsUsage tracks decayed per-user core-seconds for fairshare ordering,
+	// keyed by the user's Sym; it is only ever looked up.
+	fsUsage map[job.Sym]*fsEntry
 
 	freeBatch int
 	freeViz   int
@@ -237,19 +241,20 @@ type fsEntry struct {
 }
 
 // NewNamed returns a scheduler for machine m driven by kernel k, running
-// the named policy engine from the registry.
-func NewNamed(k *des.Kernel, m *grid.Machine, engine string) (*Scheduler, error) {
+// the named policy engine from the registry. syms is the run's symbol
+// table, the one the submitted jobs' Syms index.
+func NewNamed(k *des.Kernel, syms *job.Symbols, m *grid.Machine, engine string) (*Scheduler, error) {
 	e, err := NewEngine(engine)
 	if err != nil {
 		return nil, err
 	}
-	return NewWith(k, m, e), nil
+	return NewWith(k, syms, m, e), nil
 }
 
 // MustNamed is NewNamed for compile-time-literal engine names; it panics
 // on an unknown name. Meant for examples and tests.
-func MustNamed(k *des.Kernel, m *grid.Machine, engine string) *Scheduler {
-	s, err := NewNamed(k, m, engine)
+func MustNamed(k *des.Kernel, syms *job.Symbols, m *grid.Machine, engine string) *Scheduler {
+	s, err := NewNamed(k, syms, m, engine)
 	if err != nil {
 		panic("sched: " + err.Error())
 	}
@@ -259,15 +264,17 @@ func MustNamed(k *des.Kernel, m *grid.Machine, engine string) *Scheduler {
 // NewWith returns a scheduler for machine m around a caller-built engine
 // instance (registered or not). The engine must not be shared between
 // schedulers.
-func NewWith(k *des.Kernel, m *grid.Machine, e PolicyEngine) *Scheduler {
+func NewWith(k *des.Kernel, syms *job.Symbols, m *grid.Machine, e PolicyEngine) *Scheduler {
 	return &Scheduler{
 		K:         k,
 		M:         m,
 		engine:    e,
+		site:      syms.Intern(m.Site),
+		machine:   syms.Intern(m.ID),
 		freeBatch: m.BatchCores(),
 		freeViz:   m.VizCores(),
 		running:   make(map[job.ID]*running),
-		fsUsage:   make(map[string]*fsEntry),
+		fsUsage:   make(map[job.Sym]*fsEntry),
 		// Version 0 is the estimate cache's "never pinned".
 		stateVersion: 1,
 	}
@@ -356,8 +363,8 @@ func (s *Scheduler) Submit(j *job.Job) {
 	if err := j.Validate(); err != nil {
 		panic("sched: " + err.Error())
 	}
-	j.Site = s.M.Site
-	j.Machine = s.M.ID
+	j.Site = s.site
+	j.Machine = s.machine
 	j.SubmitTime = s.K.Now()
 
 	switch j.QOS {
@@ -648,7 +655,7 @@ func (s *Scheduler) reschedule() {
 // ---- Fair share ----
 
 // fsDecayed returns a user's usage decayed to the current instant.
-func (s *Scheduler) fsDecayed(user string) float64 {
+func (s *Scheduler) fsDecayed(user job.Sym) float64 {
 	e, ok := s.fsUsage[user]
 	if !ok {
 		return 0
@@ -668,7 +675,7 @@ func (s *Scheduler) fsDecayed(user string) float64 {
 }
 
 // fsCharge folds finished usage into the user's decayed accumulator.
-func (s *Scheduler) fsCharge(user string, coreSeconds float64) {
+func (s *Scheduler) fsCharge(user job.Sym, coreSeconds float64) {
 	e := s.fsUsage[user]
 	if e == nil {
 		s.fsUsage[user] = &fsEntry{usage: coreSeconds, at: s.K.Now()}
@@ -1062,8 +1069,8 @@ func (s *Scheduler) ClaimReservation(id string, j *job.Job) error {
 				return fmt.Errorf("sched %s: job needs %d cores, reservation %s has %d",
 					s.M.ID, j.Cores, id, rv.cores)
 			}
-			j.Site = s.M.Site
-			j.Machine = s.M.ID
+			j.Site = s.site
+			j.Machine = s.machine
 			j.SubmitTime = s.K.Now()
 			j.State = job.StateQueued
 			rv.claim = j

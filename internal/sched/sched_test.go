@@ -12,10 +12,14 @@ import (
 
 var nextID job.ID
 
+// testSyms is the symbol table of every job and scheduler the package's
+// tests build.
+var testSyms = job.NewSymbols()
+
 func mkJob(cores int, run, wall des.Time) *job.Job {
 	nextID++
 	return &job.Job{
-		ID: nextID, Name: "t", User: "u", Project: "p",
+		ID: nextID, Name: testSyms.Intern("t"), User: testSyms.Intern("u"), Project: testSyms.Intern("p"),
 		Cores: cores, RunTime: run, ReqWalltime: wall,
 	}
 }
@@ -29,7 +33,7 @@ func testMachine() *grid.Machine {
 
 func newTestSched(engine string) (*des.Kernel, *Scheduler) {
 	k := des.New()
-	return k, MustNamed(k, testMachine(), engine)
+	return k, MustNamed(k, testSyms, testMachine(), engine)
 }
 
 func TestEventKindString(t *testing.T) {
@@ -244,7 +248,7 @@ func TestUrgentOnNonCapableMachineRejected(t *testing.T) {
 	k := des.New()
 	m := testMachine()
 	m.UrgentCapable = false
-	s := MustNamed(k, m, "easy")
+	s := MustNamed(k, testSyms, m, "easy")
 	u := mkJob(8, 10, 10)
 	u.QOS = job.QOSUrgent
 	s.Submit(u)
@@ -411,7 +415,7 @@ func TestNoOvercommitProperty(t *testing.T) {
 		f := func(seed uint64) bool {
 			r := simrand.New(seed)
 			k := des.New()
-			s := MustNamed(k, testMachine(), pol)
+			s := MustNamed(k, testSyms, testMachine(), pol)
 			minFree := 0
 			s.Subscribe(func(e Event) {
 				if s.FreeBatchCores() < minFree {
@@ -460,7 +464,7 @@ func TestBackfillNeverDelaysHead(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := simrand.New(seed)
 		k := des.New()
-		s := MustNamed(k, testMachine(), "easy")
+		s := MustNamed(k, testSyms, testMachine(), "easy")
 		// Fill the machine, then submit a known head job and random filler.
 		base := mkJob(112, 100, 100)
 		s.Submit(base)

@@ -52,7 +52,7 @@ type online struct {
 	bursts map[burstKey]*burstState
 	// Chain state for workflow inference: per user, the end time of the
 	// last undecided job and the current link count.
-	chains map[accounting.Sym]*chainState
+	chains map[job.Sym]*chainState
 
 	// Per-modality decision tallies: count and confidence sum, for the
 	// mean-confidence column of the /modalities payload.
@@ -63,7 +63,7 @@ type online struct {
 }
 
 type burstKey struct {
-	user, name accounting.Sym
+	user, name job.Sym
 	cores      int
 }
 
@@ -83,7 +83,7 @@ func newOnline(cfg core.Config) *online {
 		gwAttr:  make(map[int64]bool),
 		staged:  make(map[int64]int64),
 		bursts:  make(map[burstKey]*burstState),
-		chains:  make(map[accounting.Sym]*chainState),
+		chains:  make(map[job.Sym]*chainState),
 		count:   make(map[job.Modality]int64),
 		confSum: make(map[job.Modality]float64),
 	}
@@ -127,25 +127,25 @@ func (o *online) decide(r *accounting.JobRecord) Decision {
 	// Tier 1: direct evidence, rule-for-rule the batch classifier's
 	// first pass.
 	switch {
-	case r.QOS == accounting.SymUrgent:
+	case r.QOS == job.SymUrgent:
 		return Decision{job.ModUrgent, core.SourceAccounting, core.EvQOSUrgent, confQOS}
-	case r.QOS == accounting.SymInteractive:
+	case r.QOS == job.SymInteractive:
 		return Decision{job.ModInteractive, core.SourceAccounting, core.EvQOSInteractive, confQOS}
-	case r.GatewayID != accounting.SymNone:
+	case r.GatewayID != job.SymNone:
 		return Decision{job.ModGateway, core.SourceAttribute, core.EvGatewayID, confAttribute}
-	case r.SubmitVia == accounting.SymGateway:
+	case r.SubmitVia == job.SymGateway:
 		return Decision{job.ModGateway, core.SourceAttribute, core.EvSubmitVia, confAttribute}
 	case o.gwAttr[r.JobID]:
 		return Decision{job.ModGateway, core.SourceAttribute, core.EvGatewayUserRec, confAttribute}
-	case r.CoAllocID != accounting.SymNone:
+	case r.CoAllocID != job.SymNone:
 		return Decision{job.ModMetascheduled, core.SourceAttribute, core.EvCoAllocID, confAttribute}
-	case r.BrokerJobID != accounting.SymNone:
+	case r.BrokerJobID != job.SymNone:
 		return Decision{job.ModMetascheduled, core.SourceAttribute, core.EvBrokerID, confAttribute}
-	case r.SubmitVia == accounting.SymMetasched:
+	case r.SubmitVia == job.SymMetasched:
 		return Decision{job.ModMetascheduled, core.SourceAttribute, core.EvSubmitVia, confAttribute}
-	case r.WorkflowID != accounting.SymNone:
+	case r.WorkflowID != job.SymNone:
 		return Decision{job.ModWorkflow, core.SourceAttribute, core.EvWorkflowID, confAttribute}
-	case r.EnsembleID != accounting.SymNone:
+	case r.EnsembleID != job.SymNone:
 		return Decision{job.ModEnsemble, core.SourceAttribute, core.EvEnsembleID, confAttribute}
 	case o.staged[r.JobID] >= o.cfg.DataBytesThreshold:
 		return Decision{job.ModDataCentric, core.SourceAccounting, core.EvStagedBytes, confStaged}

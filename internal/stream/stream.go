@@ -36,6 +36,7 @@ import (
 	"github.com/tgsim/tgmod/internal/accounting"
 	"github.com/tgsim/tgmod/internal/core"
 	"github.com/tgsim/tgmod/internal/des"
+	"github.com/tgsim/tgmod/internal/job"
 	"github.com/tgsim/tgmod/internal/obs"
 	"github.com/tgsim/tgmod/internal/telemetry"
 )
@@ -64,7 +65,7 @@ type Config struct {
 // already rendered and published elsewhere.
 type Processor struct {
 	cfg    Config
-	syms   *accounting.Symbols // the run's table, adopted by bindSyms
+	syms   *job.Symbols // the run's table, adopted by bindSyms
 	inbox  inbox
 	now    des.Time
 	online *online
@@ -260,7 +261,7 @@ func (p *Processor) process(it item) {
 // bindSyms gives the processor t as its table if it has none yet, and
 // reports whether t is the processor's table. OfferPacket and Replay.Feed
 // bind the table of the records they offer; OfferJob's index Syms.
-func (p *Processor) bindSyms(t *accounting.Symbols) bool {
+func (p *Processor) bindSyms(t *job.Symbols) bool {
 	if p.syms == nil {
 		p.syms = t
 	}
@@ -269,9 +270,9 @@ func (p *Processor) bindSyms(t *accounting.Symbols) bool {
 
 // Syms returns the table the processor's job records index, giving the
 // processor a fresh one if it has none yet.
-func (p *Processor) Syms() *accounting.Symbols {
+func (p *Processor) Syms() *job.Symbols {
 	if p.syms == nil {
-		p.syms = accounting.NewSymbols()
+		p.syms = job.NewSymbols()
 	}
 	return p.syms
 }

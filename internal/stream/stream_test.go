@@ -20,7 +20,7 @@ import (
 // a mix of attribute evidence, bursts, and plain batch jobs (the core
 // property-test generator, duplicated to keep the packages decoupled),
 // indexing syms.
-func randomRecords(rng *simrand.Stream, n int, syms *accounting.Symbols) []accounting.JobRecord {
+func randomRecords(rng *simrand.Stream, n int, syms *job.Symbols) []accounting.JobRecord {
 	sym := syms.Intern
 	recs := make([]accounting.JobRecord, 0, n)
 	tm := 0.0
@@ -90,7 +90,7 @@ func TestInboxBackpressure(t *testing.T) {
 
 func TestOnlineDirectEvidence(t *testing.T) {
 	o := newOnline(core.Config{LargestCores: 1000})
-	sym := accounting.NewSymbols().Intern
+	sym := job.NewSymbols().Intern
 	cases := []struct {
 		rec  accounting.JobRecord
 		want job.Modality
@@ -128,7 +128,7 @@ func TestOnlineDirectEvidence(t *testing.T) {
 
 func TestOnlineBurstAndChain(t *testing.T) {
 	o := newOnline(core.Config{LargestCores: 100000})
-	sym := accounting.NewSymbols().Intern
+	sym := job.NewSymbols().Intern
 	// Five same-shape submissions inside the window: the fifth classifies
 	// as ensemble, the first four lag as batch (no retroactive relabel).
 	var got []job.Modality
@@ -177,7 +177,7 @@ func TestOnlineBurstAndChain(t *testing.T) {
 func TestOnlineNeverReadsTruth(t *testing.T) {
 	a := newOnline(core.Config{LargestCores: 512})
 	b := newOnline(core.Config{LargestCores: 512})
-	syms := accounting.NewSymbols()
+	syms := job.NewSymbols()
 	sym := syms.Intern
 	rng := simrand.New(5)
 	for _, r := range randomRecords(rng, 120, syms) {
@@ -529,7 +529,7 @@ func BenchmarkOfferFinalize(b *testing.B) {
 // database sharing its table.
 func TestProcessorSymbolTable(t *testing.T) {
 	p := New(Config{LargestCores: 512})
-	syms := accounting.NewSymbols()
+	syms := job.NewSymbols()
 	p.OfferPacket(10, &accounting.Packet{Site: "s", Seq: 1, Syms: syms,
 		Jobs: []accounting.JobRecord{{JobID: 1, Cores: 1, EndTime: 10, User: syms.Intern("u")}}})
 	if p.Syms() != syms {
@@ -541,7 +541,7 @@ func TestProcessorSymbolTable(t *testing.T) {
 				t.Error("a packet of another table was accepted")
 			}
 		}()
-		p.OfferPacket(20, &accounting.Packet{Site: "s", Seq: 2, Syms: accounting.NewSymbols(),
+		p.OfferPacket(20, &accounting.Packet{Site: "s", Seq: 2, Syms: job.NewSymbols(),
 			Jobs: []accounting.JobRecord{{JobID: 2, Cores: 1, EndTime: 20}}})
 	}()
 	rp := &Replay{Run: &regress.Run{Central: accounting.NewCentral(nil)}}

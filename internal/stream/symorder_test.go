@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"bytes"
+	"github.com/tgsim/tgmod/internal/job"
 	"reflect"
 	"testing"
 
@@ -63,12 +64,12 @@ func TestSymbolOrderInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := res.Central.Syms()
-	permuted := accounting.NewSymbols()
+	permuted := job.NewSymbols()
 	permuted.Intern("a string no record holds")
 	for _, i := range simrand.New(11).Perm(live.Len()) {
-		permuted.Intern(live.Str(accounting.Sym(i)))
+		permuted.Intern(live.Str(job.Sym(i)))
 	}
-	load := func(syms *accounting.Symbols) *accounting.Central {
+	load := func(syms *job.Symbols) *accounting.Central {
 		c := accounting.NewCentral(syms)
 		if err := c.Import(bytes.NewReader(export.Bytes())); err != nil {
 			t.Fatal(err)

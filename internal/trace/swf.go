@@ -32,6 +32,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"github.com/tgsim/tgmod/internal/job"
 	"io"
 	"math"
 	"sort"
@@ -59,22 +60,22 @@ func (d *dense) id(s string) int {
 	return id
 }
 
-func queueNumber(qos accounting.Sym) int {
+func queueNumber(qos job.Sym) int {
 	switch qos {
-	case accounting.SymUrgent:
+	case job.SymUrgent:
 		return 2
-	case accounting.SymInteractive:
+	case job.SymInteractive:
 		return 3
 	default:
 		return 1
 	}
 }
 
-func statusCode(exit accounting.Sym) int {
+func statusCode(exit job.Sym) int {
 	switch exit {
-	case accounting.SymCompleted:
+	case job.SymCompleted:
 		return 1
-	case accounting.SymKilled:
+	case job.SymKilled:
 		return 0
 	default:
 		return 5
@@ -84,7 +85,7 @@ func statusCode(exit accounting.Sym) int {
 // WriteSWF exports job records (sorted by submit time) as an SWF trace.
 // The header records the dense-id legends so the mapping is reversible by
 // humans. syms is the table the records index.
-func WriteSWF(w io.Writer, jobs []accounting.JobRecord, syms *accounting.Symbols) error {
+func WriteSWF(w io.Writer, jobs []accounting.JobRecord, syms *job.Symbols) error {
 	sorted := make([]accounting.JobRecord, len(jobs))
 	copy(sorted, jobs)
 	sort.Slice(sorted, func(i, j int) bool {
@@ -218,22 +219,22 @@ func ReadSWF(r io.Reader) ([]Job, error) {
 // Records converts parsed SWF jobs back into accounting records with
 // synthesized string identities ("u<id>", "g<id>", "m<id>"), interned
 // into syms. Status and queue mappings invert WriteSWF's.
-func Records(jobs []Job, syms *accounting.Symbols) []accounting.JobRecord {
+func Records(jobs []Job, syms *job.Symbols) []accounting.JobRecord {
 	out := make([]accounting.JobRecord, 0, len(jobs))
 	for _, j := range jobs {
-		exit := accounting.SymFailed
+		exit := job.SymFailed
 		switch j.Status {
 		case 1:
-			exit = accounting.SymCompleted
+			exit = job.SymCompleted
 		case 0:
-			exit = accounting.SymKilled
+			exit = job.SymKilled
 		}
-		qos := accounting.SymNormal
+		qos := job.SymNormal
 		switch j.Queue {
 		case 2:
-			qos = accounting.SymUrgent
+			qos = job.SymUrgent
 		case 3:
-			qos = accounting.SymInteractive
+			qos = job.SymInteractive
 		}
 		out = append(out, accounting.JobRecord{
 			JobID:       j.Number,

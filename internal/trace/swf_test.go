@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"github.com/tgsim/tgmod/internal/job"
 	"math"
 	"strings"
 	"testing"
@@ -11,10 +12,10 @@ import (
 )
 
 // testSyms is the table the package's test records index.
-var testSyms = accounting.NewSymbols()
+var testSyms = job.NewSymbols()
 
 // sym interns s into testSyms.
-func sym(s string) accounting.Sym { return testSyms.Intern(s) }
+func sym(s string) job.Sym { return testSyms.Intern(s) }
 
 func sampleRecords() []accounting.JobRecord {
 	return []accounting.JobRecord{

@@ -38,7 +38,7 @@ func TestRandomDAGProperty(t *testing.T) {
 		rng := simrand.New(seed)
 		k := des.New()
 		runner := &delayRunner{k: k, released: make(map[job.ID]int)}
-		w := NewInstance("prop", "engine", rng.Bool(0.5), k, runner)
+		w := NewInstance("prop", "engine", rng.Bool(0.5), k, testSyms, runner)
 		runner.w = w
 
 		layers := 2 + rng.Intn(4)
@@ -53,7 +53,7 @@ func TestRandomDAGProperty(t *testing.T) {
 				total++
 				name := fmt.Sprintf("t%d-%d", l, n)
 				jb := &job.Job{
-					ID: id, Name: name, User: "u", Project: "p", Cores: 1,
+					ID: id, Name: testSyms.Intern(name), User: testSyms.Intern("u"), Project: testSyms.Intern("p"), Cores: 1,
 					RunTime:     des.Time(1 + rng.Intn(100)),
 					ReqWalltime: des.Time(200),
 				}

@@ -39,6 +39,9 @@ type Instance struct {
 	// (modeling engines that do or do not emit workflow attributes).
 	Tagged bool
 
+	// id and engine are ID and Engine in the run's symbol table.
+	id, engine job.Sym
+
 	k      *des.Kernel
 	submit Submitter
 	tasks  map[string]*Task
@@ -53,10 +56,13 @@ type Instance struct {
 	running   bool
 }
 
-// NewInstance creates an empty workflow instance.
-func NewInstance(id, engine string, tagged bool, k *des.Kernel, s Submitter) *Instance {
+// NewInstance creates an empty workflow instance. syms is the run's symbol
+// table; the instance resolves its ID and engine name in it once, and
+// stamps them on every task it releases.
+func NewInstance(id, engine string, tagged bool, k *des.Kernel, syms *job.Symbols, s Submitter) *Instance {
 	return &Instance{
 		ID: id, Engine: engine, Tagged: tagged,
+		id: syms.Intern(id), engine: syms.Intern(engine),
 		k: k, submit: s, tasks: make(map[string]*Task),
 	}
 }
@@ -122,11 +128,11 @@ func (w *Instance) releaseReady() {
 		t.released = true
 		w.released++
 		if w.Tagged {
-			t.Job.Attr.WorkflowID = w.ID
-			t.Job.Attr.WorkflowEngine = w.Engine
+			t.Job.Attr.WorkflowID = w.id
+			t.Job.Attr.WorkflowEngine = w.engine
 		}
-		t.Job.Truth.Modality = job.ModWorkflow
-		t.Job.Truth.CampaignID = w.ID
+		t.Job.Truth.Modality = job.SymWorkflow
+		t.Job.Truth.CampaignID = w.id
 		w.submit.SubmitJob(t.Job)
 	}
 }
@@ -205,8 +211,8 @@ func (w *Instance) CriticalPathLength() des.Time {
 }
 
 // Chain builds a linear workflow: each stage depends on the previous one.
-func Chain(id, engine string, tagged bool, k *des.Kernel, s Submitter, jobs []*job.Job) (*Instance, error) {
-	w := NewInstance(id, engine, tagged, k, s)
+func Chain(id, engine string, tagged bool, k *des.Kernel, syms *job.Symbols, s Submitter, jobs []*job.Job) (*Instance, error) {
+	w := NewInstance(id, engine, tagged, k, syms, s)
 	prev := ""
 	for i, j := range jobs {
 		// Stage names repeat across every chain campaign in a run; intern
@@ -226,9 +232,9 @@ func Chain(id, engine string, tagged bool, k *des.Kernel, s Submitter, jobs []*j
 
 // FanOutFanIn builds the common split-process-merge shape: a setup task, n
 // parallel workers, and a merge task depending on all workers.
-func FanOutFanIn(id, engine string, tagged bool, k *des.Kernel, s Submitter,
+func FanOutFanIn(id, engine string, tagged bool, k *des.Kernel, syms *job.Symbols, s Submitter,
 	setup *job.Job, workers []*job.Job, merge *job.Job) (*Instance, error) {
-	w := NewInstance(id, engine, tagged, k, s)
+	w := NewInstance(id, engine, tagged, k, syms, s)
 	if err := w.AddTask("setup", setup); err != nil {
 		return nil, err
 	}

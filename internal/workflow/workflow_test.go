@@ -30,15 +30,19 @@ func (r *instantRunner) completeNext(w *Instance, state job.State) *job.Job {
 	return j
 }
 
+// testSyms is the symbol table of every job and instance the package's
+// tests build.
+var testSyms = job.NewSymbols()
+
 func mkJob(id int64, run des.Time) *job.Job {
-	return &job.Job{ID: job.ID(id), Name: "t", User: "u", Project: "p",
+	return &job.Job{ID: job.ID(id), Name: testSyms.Intern("t"), User: testSyms.Intern("u"), Project: testSyms.Intern("p"),
 		Cores: 8, ReqWalltime: run + 10, RunTime: run}
 }
 
 func TestAddTaskValidation(t *testing.T) {
 	k := des.New()
 	r := &instantRunner{k: k}
-	w := NewInstance("wf1", "engine", true, k, r)
+	w := NewInstance("wf1", "engine", true, k, testSyms, r)
 	if err := w.AddTask("", mkJob(1, 10)); err == nil {
 		t.Error("empty name accepted")
 	}
@@ -64,7 +68,7 @@ func TestAddTaskValidation(t *testing.T) {
 
 func TestEmptyWorkflowCannotStart(t *testing.T) {
 	k := des.New()
-	w := NewInstance("wf", "e", true, k, &instantRunner{k: k})
+	w := NewInstance("wf", "e", true, k, testSyms, &instantRunner{k: k})
 	if err := w.Start(); err == nil {
 		t.Error("empty workflow started")
 	}
@@ -73,7 +77,7 @@ func TestEmptyWorkflowCannotStart(t *testing.T) {
 func TestDependencyOrderAndTagging(t *testing.T) {
 	k := des.New()
 	r := &instantRunner{k: k}
-	w := NewInstance("wf1", "pegasus", true, k, r)
+	w := NewInstance("wf1", "pegasus", true, k, testSyms, r)
 	a, b, c := mkJob(1, 10), mkJob(2, 10), mkJob(3, 10)
 	if err := w.AddTask("a", a); err != nil {
 		t.Fatal(err)
@@ -90,10 +94,10 @@ func TestDependencyOrderAndTagging(t *testing.T) {
 	if len(r.pending) != 1 || r.pending[0] != a {
 		t.Fatalf("only the root should be released; pending=%d", len(r.pending))
 	}
-	if a.Attr.WorkflowID != "wf1" || a.Attr.WorkflowEngine != "pegasus" {
+	if testSyms.Str(a.Attr.WorkflowID) != "wf1" || testSyms.Str(a.Attr.WorkflowEngine) != "pegasus" {
 		t.Errorf("tags missing: %+v", a.Attr)
 	}
-	if a.Truth.Modality != job.ModWorkflow || a.Truth.CampaignID != "wf1" {
+	if a.Truth.Modality != job.SymWorkflow || testSyms.Str(a.Truth.CampaignID) != "wf1" {
 		t.Errorf("ground truth missing: %+v", a.Truth)
 	}
 	r.completeNext(w, job.StateCompleted) // a done → b released
@@ -116,7 +120,7 @@ func TestDependencyOrderAndTagging(t *testing.T) {
 func TestUntaggedWorkflowCarriesNoAttributes(t *testing.T) {
 	k := des.New()
 	r := &instantRunner{k: k}
-	w := NewInstance("wf2", "homegrown", false, k, r)
+	w := NewInstance("wf2", "homegrown", false, k, testSyms, r)
 	a := mkJob(1, 10)
 	if err := w.AddTask("a", a); err != nil {
 		t.Fatal(err)
@@ -124,11 +128,11 @@ func TestUntaggedWorkflowCarriesNoAttributes(t *testing.T) {
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Attr.WorkflowID != "" || a.Attr.WorkflowEngine != "" {
+	if a.Attr.WorkflowID != job.SymNone || a.Attr.WorkflowEngine != job.SymNone {
 		t.Errorf("untagged workflow leaked attributes: %+v", a.Attr)
 	}
 	// Ground truth is always present regardless of tagging.
-	if a.Truth.Modality != job.ModWorkflow {
+	if a.Truth.Modality != job.SymWorkflow {
 		t.Error("ground truth missing on untagged workflow")
 	}
 }
@@ -136,7 +140,7 @@ func TestUntaggedWorkflowCarriesNoAttributes(t *testing.T) {
 func TestFailureAborts(t *testing.T) {
 	k := des.New()
 	r := &instantRunner{k: k}
-	w := NewInstance("wf3", "e", true, k, r)
+	w := NewInstance("wf3", "e", true, k, testSyms, r)
 	a, b := mkJob(1, 10), mkJob(2, 10)
 	if err := w.AddTask("a", a); err != nil {
 		t.Fatal(err)
@@ -164,7 +168,7 @@ func TestFanOutFanIn(t *testing.T) {
 	setup := mkJob(1, 5)
 	workers := []*job.Job{mkJob(2, 20), mkJob(3, 30), mkJob(4, 10)}
 	merge := mkJob(5, 5)
-	w, err := FanOutFanIn("wf4", "e", true, k, r, setup, workers, merge)
+	w, err := FanOutFanIn("wf4", "e", true, k, testSyms, r, setup, workers, merge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +202,7 @@ func TestChain(t *testing.T) {
 	k := des.New()
 	r := &instantRunner{k: k}
 	jobs := []*job.Job{mkJob(1, 10), mkJob(2, 20), mkJob(3, 30)}
-	w, err := Chain("wf5", "e", true, k, r, jobs)
+	w, err := Chain("wf5", "e", true, k, testSyms, r, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +223,7 @@ func TestChain(t *testing.T) {
 func TestMakespan(t *testing.T) {
 	k := des.New()
 	r := &instantRunner{k: k}
-	w, err := Chain("wf6", "e", true, k, r, []*job.Job{mkJob(1, 10)})
+	w, err := Chain("wf6", "e", true, k, testSyms, r, []*job.Job{mkJob(1, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +242,7 @@ func TestMakespan(t *testing.T) {
 func TestTaskFinishedUnknownJobIgnored(t *testing.T) {
 	k := des.New()
 	r := &instantRunner{k: k}
-	w, err := Chain("wf7", "e", true, k, r, []*job.Job{mkJob(1, 10)})
+	w, err := Chain("wf7", "e", true, k, testSyms, r, []*job.Job{mkJob(1, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}

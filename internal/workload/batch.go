@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"fmt"
-
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
 	"github.com/tgsim/tgmod/internal/simrand"
-	"github.com/tgsim/tgmod/internal/users"
 )
 
 // BatchGen produces ordinary batch HPC usage — the bulk of NUs. It covers
@@ -27,29 +24,29 @@ func (g *BatchGen) Name() string { return "batch" }
 // Start implements Generator.
 func (g *BatchGen) Start(e *Env) {
 	rng := simrand.Derive(e.Seed, "gen-batch")
-	pick, err := users.NewWeightedPick(e.Pop.Users)
+	pop, err := e.cohort()
 	if err != nil {
 		panic("workload: batch generator needs a population: " + err.Error())
 	}
 	machines := e.Machines()
 	// Per-user favorite machine: direct submitters overwhelmingly stick
 	// to one or two resources.
-	favorite := make(map[string]string)
+	favorite := make(map[job.Sym]string)
 	rate := g.JobsPerDay / 86400
 	PoissonArrivals(e, rng, rate, "arrival-batch", func() {
-		u := pick.Pick(rng)
-		m, ok := favorite[u.Name]
+		u := pop.draw(rng)
+		m, ok := favorite[u.name]
 		if !ok {
 			m = machines[rng.Intn(len(machines))]
-			favorite[u.Name] = m
+			favorite[u.name] = m
 		}
 		s := e.Sched[m]
 		maxCores := s.M.BatchCores()
 		j := &job.Job{
 			ID:      e.NewJobID(),
-			User:    u.Name,
-			Project: u.Project,
-			Attr:    job.Attributes{ScienceField: u.Field},
+			User:    u.name,
+			Project: u.project,
+			Attr:    job.Attributes{ScienceField: u.field},
 		}
 		if rng.Bool(g.CapabilityFrac) {
 			// Hero run: ≥ half of the largest machine in the federation.
@@ -61,13 +58,13 @@ func (g *BatchGen) Start(e *Env) {
 				j.Cores = maxCores // full-machine run
 			}
 			j.RunTime = DrawRuntime(rng, 4*g.MedianRuntime, 0.8)
-			j.Name = fmt.Sprintf("hero-%s", u.Project)
-			j.Truth.Modality = job.ModBatchCapability
+			j.Name = e.internf("hero-%s", u.Project)
+			j.Truth.Modality = job.SymBatchCapability
 		} else {
 			j.Cores = DrawCores(rng, 0, 8, maxCores)
 			j.RunTime = DrawRuntime(rng, g.MedianRuntime, 1.2)
-			j.Name = fmt.Sprintf("run-%s-%02d", u.Name, rng.Intn(20))
-			j.Truth.Modality = job.ModBatchCapacity
+			j.Name = e.internf("run-%s-%02d", u.Name, rng.Intn(20))
+			j.Truth.Modality = job.SymBatchCapacity
 		}
 		j.ReqWalltime = DrawWalltime(rng, j.RunTime)
 		// 5% of users underestimate and get walltime-killed.
@@ -77,9 +74,9 @@ func (g *BatchGen) Start(e *Env) {
 				j.ReqWalltime = 30
 			}
 		}
-		via := "login"
+		via := job.SymLogin
 		if rng.Bool(0.25) {
-			via = "gram" // remote grid submission
+			via = job.SymGram // remote grid submission
 		}
 		if err := e.SubmitDirect(m, via, j); err != nil {
 			panic(err)
@@ -120,7 +117,7 @@ func (g *EnsembleGen) Name() string { return "ensemble" }
 // Start implements Generator.
 func (g *EnsembleGen) Start(e *Env) {
 	rng := simrand.Derive(e.Seed, "gen-ensemble")
-	pick, err := users.NewWeightedPick(e.Pop.Users)
+	pop, err := e.cohort()
 	if err != nil {
 		panic("workload: ensemble generator needs a population: " + err.Error())
 	}
@@ -128,28 +125,28 @@ func (g *EnsembleGen) Start(e *Env) {
 	campaignN := 0
 	rate := g.CampaignsPerDay / 86400
 	PoissonArrivals(e, rng, rate, "arrival-ensemble", func() {
-		u := pick.Pick(rng)
+		u := pop.draw(rng)
 		m := machines[rng.Intn(len(machines))]
 		maxCores := e.Sched[m].M.BatchCores()
 		campaignN++
-		campaign := fmt.Sprintf("ens-%05d", campaignN)
+		campaign := e.internf("ens-%05d", campaignN)
 		tagged := rng.Bool(g.TagCoverage)
 		n := 2 + rng.Intn(2*g.JobsPerCampaign) // width ∈ [2, 2·mean]
 		cores := DrawCores(rng, 0, 4, maxCores)
 		median := g.MedianRuntime
-		name := fmt.Sprintf("sweep-%s-%02d", u.Name, rng.Intn(10))
+		name := e.internf("sweep-%s-%02d", u.Name, rng.Intn(10))
 		wall := DrawWalltime(rng, DrawRuntime(rng, median, 0.3)*2)
 		for i := 0; i < n; i++ {
 			j := &job.Job{
 				ID:          e.NewJobID(),
 				Name:        name,
-				User:        u.Name,
-				Project:     u.Project,
+				User:        u.name,
+				Project:     u.project,
 				Cores:       cores,
 				RunTime:     DrawRuntime(rng, median, 0.3),
 				ReqWalltime: wall,
-				Attr:        job.Attributes{ScienceField: u.Field},
-				Truth:       job.Truth{Modality: job.ModEnsemble, CampaignID: campaign},
+				Attr:        job.Attributes{ScienceField: u.field},
+				Truth:       job.Truth{Modality: job.SymEnsemble, CampaignID: campaign},
 			}
 			if tagged {
 				j.Attr.EnsembleID = campaign
@@ -159,7 +156,7 @@ func (g *EnsembleGen) Start(e *Env) {
 			jj := j
 			mm := m
 			e.K.ScheduleNamed(delay, "ens-submit", func(*des.Kernel) {
-				if err := e.SubmitDirect(mm, "login", jj); err != nil {
+				if err := e.SubmitDirect(mm, job.SymLogin, jj); err != nil {
 					panic(err)
 				}
 			})
@@ -180,7 +177,7 @@ func (g *InteractiveGen) Name() string { return "interactive" }
 // Start implements Generator.
 func (g *InteractiveGen) Start(e *Env) {
 	rng := simrand.Derive(e.Seed, "gen-interactive")
-	pick, err := users.NewWeightedPick(e.Pop.Users)
+	pop, err := e.cohort()
 	if err != nil {
 		panic("workload: interactive generator needs a population: " + err.Error())
 	}
@@ -196,7 +193,7 @@ func (g *InteractiveGen) Start(e *Env) {
 	}
 	rate := g.SessionsPerDay / 86400
 	PoissonArrivals(e, rng, rate, "arrival-interactive", func() {
-		u := pick.Pick(rng)
+		u := pop.draw(rng)
 		m := vizMachines[rng.Intn(len(vizMachines))]
 		run := DrawRuntime(rng, g.MedianSession, 0.7)
 		if run > 8*des.Hour {
@@ -204,17 +201,17 @@ func (g *InteractiveGen) Start(e *Env) {
 		}
 		j := &job.Job{
 			ID:          e.NewJobID(),
-			Name:        fmt.Sprintf("viz-%s", u.Name),
-			User:        u.Name,
-			Project:     u.Project,
+			Name:        e.internf("viz-%s", u.Name),
+			User:        u.name,
+			Project:     u.project,
 			Cores:       DrawCores(rng, 0, 3, e.Sched[m].M.VizCores()),
 			RunTime:     run,
 			ReqWalltime: run + des.Hour, // sessions reserve generous time
 			QOS:         job.QOSInteractive,
-			Attr:        job.Attributes{ScienceField: u.Field},
-			Truth:       job.Truth{Modality: job.ModInteractive},
+			Attr:        job.Attributes{ScienceField: u.field},
+			Truth:       job.Truth{Modality: job.SymInteractive},
 		}
-		if err := e.SubmitDirect(m, "login", j); err != nil {
+		if err := e.SubmitDirect(m, job.SymLogin, j); err != nil {
 			panic(err)
 		}
 	})
@@ -234,7 +231,7 @@ func (g *UrgentGen) Name() string { return "urgent" }
 // Start implements Generator.
 func (g *UrgentGen) Start(e *Env) {
 	rng := simrand.Derive(e.Seed, "gen-urgent")
-	pick, err := users.NewWeightedPick(e.Pop.Users)
+	pop, err := e.cohort()
 	if err != nil {
 		panic("workload: urgent generator needs a population: " + err.Error())
 	}
@@ -247,24 +244,25 @@ func (g *UrgentGen) Start(e *Env) {
 	if len(capable) == 0 {
 		return
 	}
+	name := e.Syms.Intern("urgent-response")
 	rate := g.EventsPerWeek / float64(des.Week)
 	PoissonArrivals(e, rng, rate, "arrival-urgent", func() {
-		u := pick.Pick(rng)
+		u := pop.draw(rng)
 		m := capable[rng.Intn(len(capable))]
 		run := DrawRuntime(rng, g.MedianRuntime, 0.5)
 		j := &job.Job{
 			ID:          e.NewJobID(),
-			Name:        "urgent-response",
-			User:        u.Name,
-			Project:     u.Project,
+			Name:        name,
+			User:        u.name,
+			Project:     u.project,
 			Cores:       DrawCores(rng, 5, 9, e.Sched[m].M.BatchCores()),
 			RunTime:     run,
 			ReqWalltime: DrawWalltime(rng, run),
 			QOS:         job.QOSUrgent,
-			Attr:        job.Attributes{ScienceField: u.Field},
-			Truth:       job.Truth{Modality: job.ModUrgent},
+			Attr:        job.Attributes{ScienceField: u.field},
+			Truth:       job.Truth{Modality: job.SymUrgent},
 		}
-		if err := e.SubmitDirect(m, "gram", j); err != nil {
+		if err := e.SubmitDirect(m, job.SymGram, j); err != nil {
 			panic(err)
 		}
 	})

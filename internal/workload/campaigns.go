@@ -6,7 +6,6 @@ import (
 
 	"github.com/tgsim/tgmod/internal/job"
 	"github.com/tgsim/tgmod/internal/simrand"
-	"github.com/tgsim/tgmod/internal/users"
 	"github.com/tgsim/tgmod/internal/workflow"
 )
 
@@ -30,7 +29,7 @@ func (g *WorkflowGen) Name() string { return "workflow" }
 // Start implements Generator.
 func (g *WorkflowGen) Start(e *Env) {
 	rng := simrand.Derive(e.Seed, "gen-workflow")
-	pick, err := users.NewWeightedPick(e.Pop.Users)
+	pop, err := e.cohort()
 	if err != nil {
 		panic("workload: workflow generator needs a population: " + err.Error())
 	}
@@ -38,7 +37,7 @@ func (g *WorkflowGen) Start(e *Env) {
 	n := 0
 	rate := g.CampaignsPerDay / 86400
 	PoissonArrivals(e, rng, rate, "arrival-workflow", func() {
-		u := pick.Pick(rng)
+		u := pop.draw(rng)
 		m := machines[rng.Intn(len(machines))]
 		s := e.Sched[m]
 		maxCores := s.M.BatchCores()
@@ -53,16 +52,16 @@ func (g *WorkflowGen) Start(e *Env) {
 			run := DrawRuntime(rng, g.MedianTask, sigma)
 			return &job.Job{
 				ID:          e.NewJobID(),
-				Name:        fmt.Sprintf("wf-task-%s", u.Name),
-				User:        u.Name,
-				Project:     u.Project,
+				Name:        e.internf("wf-task-%s", u.Name),
+				User:        u.name,
+				Project:     u.project,
 				Cores:       DrawCores(rng, 0, coresHi, maxCores),
 				RunTime:     run,
 				ReqWalltime: DrawWalltime(rng, run),
-				Attr:        job.Attributes{ScienceField: u.Field},
+				Attr:        job.Attributes{ScienceField: u.field},
 			}
 		}
-		submitter := &directSubmitter{e: e, machine: m, via: "gram"}
+		submitter := &directSubmitter{e: e, machine: m, via: job.SymGram}
 		var w *workflow.Instance
 		if rng.Bool(0.5) {
 			// Linear chain of 3–8 stages.
@@ -71,7 +70,7 @@ func (g *WorkflowGen) Start(e *Env) {
 			for i := range jobs {
 				jobs[i] = mkTask(0.6, 5)
 			}
-			w, err = workflow.Chain(id, engine, tagged, e.K, submitter, jobs)
+			w, err = workflow.Chain(id, engine, tagged, e.K, e.Syms, submitter, jobs)
 		} else {
 			// Fan-out/fan-in with 2·Workers max width.
 			width := 2 + rng.Intn(2*g.Workers)
@@ -79,7 +78,7 @@ func (g *WorkflowGen) Start(e *Env) {
 			for i := range workers {
 				workers[i] = mkTask(0.4, 3)
 			}
-			w, err = workflow.FanOutFanIn(id, engine, tagged, e.K, submitter,
+			w, err = workflow.FanOutFanIn(id, engine, tagged, e.K, e.Syms, submitter,
 				mkTask(0.3, 2), workers, mkTask(0.3, 2))
 		}
 		if err != nil {
@@ -100,7 +99,7 @@ func (g *WorkflowGen) Start(e *Env) {
 type directSubmitter struct {
 	e       *Env
 	machine string
-	via     string
+	via     job.Sym
 	w       *workflow.Instance
 }
 
@@ -146,6 +145,7 @@ func (g *GatewayGen) Start(e *Env) {
 	}
 	// Zipf over the end-user population: a few power users, a long tail.
 	zipf := simrand.NewZipf(g.EndUsers, 1.1)
+	name := e.Syms.Intern(g.Gateway + "-app")
 	peak := g.RequestsPerDay / 86400
 	PoissonArrivals(e, rng, peak, "arrival-"+g.Name(), func() {
 		// Linear ramp: early in the horizon most arrivals are thinned out,
@@ -163,11 +163,11 @@ func (g *GatewayGen) Start(e *Env) {
 		run := DrawRuntime(rng, g.MedianRuntime, 0.8)
 		j := &job.Job{
 			ID:          e.NewJobID(),
-			Name:        fmt.Sprintf("%s-app", g.Gateway),
+			Name:        name,
 			Cores:       DrawCores(rng, 0, 3, 64),
 			RunTime:     run,
 			ReqWalltime: DrawWalltime(rng, run),
-			Truth:       job.Truth{Modality: job.ModGateway},
+			Truth:       job.Truth{Modality: job.SymGateway},
 			// User/Project are set by the gateway (community account).
 		}
 		gw.Request(endUser, j)
@@ -192,14 +192,14 @@ func (g *DataCentricGen) Name() string { return "data-centric" }
 // Start implements Generator.
 func (g *DataCentricGen) Start(e *Env) {
 	rng := simrand.Derive(e.Seed, "gen-data")
-	pick, err := users.NewWeightedPick(e.Pop.Users)
+	pop, err := e.cohort()
 	if err != nil {
 		panic("workload: data generator needs a population: " + err.Error())
 	}
 	machines := e.Machines()
 	rate := g.JobsPerDay / 86400
 	PoissonArrivals(e, rng, rate, "arrival-data", func() {
-		u := pick.Pick(rng)
+		u := pop.draw(rng)
 		m := machines[rng.Intn(len(machines))]
 		s := e.Sched[m]
 		run := DrawRuntime(rng, g.MedianRuntime, 0.6)
@@ -207,18 +207,18 @@ func (g *DataCentricGen) Start(e *Env) {
 		outBytes := inBytes / 2
 		j := &job.Job{
 			ID:          e.NewJobID(),
-			Name:        fmt.Sprintf("analysis-%s", u.Name),
-			User:        u.Name,
-			Project:     u.Project,
+			Name:        e.internf("analysis-%s", u.Name),
+			User:        u.name,
+			Project:     u.project,
 			Cores:       DrawCores(rng, 2, 6, s.M.BatchCores()),
 			RunTime:     run,
 			ReqWalltime: DrawWalltime(rng, run),
 			InputBytes:  inBytes,
 			OutputBytes: outBytes,
-			Attr:        job.Attributes{ScienceField: u.Field},
-			Truth:       job.Truth{Modality: job.ModDataCentric},
+			Attr:        job.Attributes{ScienceField: u.field},
+			Truth:       job.Truth{Modality: job.SymDataCentric},
 		}
-		home := e.DataHomeSite[u.Project]
+		home := e.DataHomeSite[u.project]
 		if home == "" {
 			home = s.M.Site
 		}
@@ -227,14 +227,14 @@ func (g *DataCentricGen) Start(e *Env) {
 		if e.Stager != nil {
 			if err := e.Stager.Stage(home, s.M.Site, inBytes, u.Name, u.Project,
 				int64(j.ID), func() {
-					if err := e.SubmitDirect(m, "gram", j); err != nil {
+					if err := e.SubmitDirect(m, job.SymGram, j); err != nil {
 						panic(err)
 					}
 				}); err != nil {
 				panic(err)
 			}
 		} else {
-			if err := e.SubmitDirect(m, "gram", j); err != nil {
+			if err := e.SubmitDirect(m, job.SymGram, j); err != nil {
 				panic(err)
 			}
 		}
@@ -263,7 +263,7 @@ func (g *MetaschedGen) Name() string { return "metasched" }
 // Start implements Generator.
 func (g *MetaschedGen) Start(e *Env) {
 	rng := simrand.Derive(e.Seed, "gen-metasched")
-	pick, err := users.NewWeightedPick(e.Pop.Users)
+	pop, err := e.cohort()
 	if err != nil {
 		panic("workload: metasched generator needs a population: " + err.Error())
 	}
@@ -272,19 +272,19 @@ func (g *MetaschedGen) Start(e *Env) {
 	}
 	rate := g.JobsPerDay / 86400
 	PoissonArrivals(e, rng, rate, "arrival-metasched", func() {
-		u := pick.Pick(rng)
+		u := pop.draw(rng)
 		mk := func(coresHi int) *job.Job {
 			run := DrawRuntime(rng, g.MedianRuntime, 0.8)
 			return &job.Job{
 				ID:          e.NewJobID(),
-				Name:        fmt.Sprintf("grid-%s", u.Name),
-				User:        u.Name,
-				Project:     u.Project,
+				Name:        e.internf("grid-%s", u.Name),
+				User:        u.name,
+				Project:     u.project,
 				Cores:       DrawCores(rng, 2, coresHi, 1<<14),
 				RunTime:     run,
 				ReqWalltime: DrawWalltime(rng, run),
-				Attr:        job.Attributes{ScienceField: u.Field},
-				Truth:       job.Truth{Modality: job.ModMetascheduled},
+				Attr:        job.Attributes{ScienceField: u.field},
+				Truth:       job.Truth{Modality: job.SymMetascheduled},
 			}
 		}
 		if rng.Bool(g.CoAllocFrac) {

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
 	"github.com/tgsim/tgmod/internal/trace"
@@ -52,21 +50,21 @@ func (g *ReplayGen) Start(e *Env) {
 		}
 		j := &job.Job{
 			ID:          e.NewJobID(),
-			Name:        fmt.Sprintf("exec%d", tj.ExecID),
-			User:        fmt.Sprintf("u%d", tj.UserID),
-			Project:     fmt.Sprintf("g%d", tj.GroupID),
+			Name:        e.internf("exec%d", tj.ExecID),
+			User:        e.internf("u%d", tj.UserID),
+			Project:     e.internf("g%d", tj.GroupID),
 			Cores:       tj.Procs,
 			RunTime:     run,
 			ReqWalltime: wall,
-			Truth:       job.Truth{Modality: job.ModBatchCapacity},
+			Truth:       job.Truth{Modality: job.SymBatchCapacity},
 		}
 		switch tj.Queue {
 		case 2:
 			j.QOS = job.QOSUrgent
-			j.Truth.Modality = job.ModUrgent
+			j.Truth.Modality = job.SymUrgent
 		case 3:
 			j.QOS = job.QOSInteractive
-			j.Truth.Modality = job.ModInteractive
+			j.Truth.Modality = job.SymInteractive
 		}
 		m := g.Machine
 		if m == "" {
@@ -90,7 +88,7 @@ func (g *ReplayGen) Start(e *Env) {
 		}
 		jj, mm := j, m
 		e.K.AtNamed(at, "replay-submit", func(*des.Kernel) {
-			if err := e.SubmitDirect(mm, "login", jj); err != nil {
+			if err := e.SubmitDirect(mm, job.SymLogin, jj); err != nil {
 				panic(err)
 			}
 		})

@@ -126,8 +126,9 @@ func TestTracker(t *testing.T) {
 	k := des.New()
 	tr := NewTracker()
 	sub := &nullSubmitter{}
-	w, err := workflow.Chain("wf", "e", true, k, sub, []*job.Job{
-		{ID: 1, Name: "a", User: "u", Project: "p", Cores: 1, RunTime: 10, ReqWalltime: 20},
+	syms := job.NewSymbols()
+	w, err := workflow.Chain("wf", "e", true, k, syms, sub, []*job.Job{
+		{ID: 1, Name: syms.Intern("a"), User: syms.Intern("u"), Project: syms.Intern("p"), Cores: 1, RunTime: 10, ReqWalltime: 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,30 +165,30 @@ func (n *nullSubmitter) grab(t *testing.T, w *workflow.Instance) *job.Job {
 // testEnv builds a two-machine environment with all substrates.
 func testEnv(t *testing.T, seed uint64) *Env {
 	t.Helper()
-	k := des.New()
+	k, syms := des.New(), job.NewSymbols()
 	big := &grid.Machine{ID: "big", Site: "s1", Nodes: 128, CoresPerNode: 8,
 		GFlopsPerCore: 4, NUPerCoreHour: 2, UrgentCapable: true, VizNodes: 8}
 	small := &grid.Machine{ID: "small", Site: "s2", Nodes: 32, CoresPerNode: 8,
 		GFlopsPerCore: 2, NUPerCoreHour: 1}
 	scheds := map[string]*sched.Scheduler{
-		"big":   sched.MustNamed(k, big, "easy"),
-		"small": sched.MustNamed(k, small, "easy"),
+		"big":   sched.MustNamed(k, syms, big, "easy"),
+		"small": sched.MustNamed(k, syms, small, "easy"),
 	}
 	pop, err := users.Synthesize(users.Config{Projects: 10, UsersPerProjMu: 0.5,
 		UsersPerProjSd: 0.5, ActivityAlpha: 1.5}, simrand.Derive(seed, "pop"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	brk := metasched.New(k, metasched.LeastLoaded, simrand.Derive(seed, "brk"),
+	brk := metasched.New(k, syms, metasched.LeastLoaded, simrand.Derive(seed, "brk"),
 		[]*sched.Scheduler{scheds["big"], scheds["small"]})
-	ledger := accounting.NewLedger("s2", accounting.NewSymbols())
+	ledger := accounting.NewLedger("s2", syms)
 	gw, err := gateway.New("nanohub", "nano-comm", "TG-GW", "nano", 0.9,
-		k, simrand.Derive(seed, "gw"), submitTo(scheds["small"]), ledger)
+		k, syms, simrand.Derive(seed, "gw"), submitTo(scheds["small"]), ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &Env{
-		K: k, Seed: seed, Horizon: 7 * des.Day,
+		K: k, Seed: seed, Horizon: 7 * des.Day, Syms: syms,
 		Pop:   pop,
 		Sched: scheds, Broker: brk,
 		Gateways: map[string]*gateway.Gateway{"nanohub": gw},
@@ -207,7 +208,8 @@ func drain(e *Env) map[job.Modality][]*job.Job {
 	for _, s := range e.Sched {
 		s.Subscribe(func(ev sched.Event) {
 			if ev.Kind == sched.EventFinished {
-				byMod[ev.Job.Truth.Modality] = append(byMod[ev.Job.Truth.Modality], ev.Job)
+				mod := job.Modality(e.Syms.Str(ev.Job.Truth.Modality))
+				byMod[mod] = append(byMod[mod], ev.Job)
 				e.Tracker.JobFinished(ev.Job)
 			}
 		})
@@ -230,15 +232,15 @@ func TestBatchGen(t *testing.T) {
 		if j.Cores < e.Sched["big"].M.BatchCores()/2 {
 			t.Errorf("capability job with %d cores; too small", j.Cores)
 		}
-		if j.Machine != "big" {
-			t.Errorf("capability job on %s, want the largest machine", j.Machine)
+		if e.Syms.Str(j.Machine) != "big" {
+			t.Errorf("capability job on %s, want the largest machine", e.Syms.Str(j.Machine))
 		}
 	}
 	for _, j := range byMod[job.ModBatchCapacity] {
-		if j.Attr.SubmitVia != "login" && j.Attr.SubmitVia != "gram" {
-			t.Errorf("batch job via %q", j.Attr.SubmitVia)
+		if j.Attr.SubmitVia != job.SymLogin && j.Attr.SubmitVia != job.SymGram {
+			t.Errorf("batch job via %q", e.Syms.Str(j.Attr.SubmitVia))
 		}
-		if j.Attr.ScienceField == "" {
+		if j.Attr.ScienceField == job.SymNone {
 			t.Error("batch job missing science field")
 		}
 	}
@@ -253,11 +255,11 @@ func TestEnsembleGenBurstsAndCoverage(t *testing.T) {
 	if len(members) < 30 {
 		t.Fatalf("ensemble members = %d, want many", len(members))
 	}
-	campaigns := map[string][]*job.Job{}
+	campaigns := map[job.Sym][]*job.Job{}
 	tagged := 0
 	for _, j := range members {
 		campaigns[j.Truth.CampaignID] = append(campaigns[j.Truth.CampaignID], j)
-		if j.Attr.EnsembleID != "" {
+		if j.Attr.EnsembleID != job.SymNone {
 			if j.Attr.EnsembleID != j.Truth.CampaignID {
 				t.Error("tag does not match campaign")
 			}
@@ -270,12 +272,12 @@ func TestEnsembleGenBurstsAndCoverage(t *testing.T) {
 	}
 	for id, js := range campaigns {
 		if len(js) < 2 {
-			t.Errorf("campaign %s has %d members", id, len(js))
+			t.Errorf("campaign %s has %d members", e.Syms.Str(id), len(js))
 		}
 		// All members share name and cores (the inference signature).
 		for _, j := range js[1:] {
 			if j.Name != js[0].Name || j.Cores != js[0].Cores {
-				t.Errorf("campaign %s members differ in name/cores", id)
+				t.Errorf("campaign %s members differ in name/cores", e.Syms.Str(id))
 			}
 		}
 	}
@@ -291,12 +293,12 @@ func TestWorkflowGenRunsToCompletion(t *testing.T) {
 	}
 	taggedSeen, untaggedSeen := false, false
 	for _, j := range wf {
-		if j.Attr.WorkflowID != "" {
+		if j.Attr.WorkflowID != job.SymNone {
 			taggedSeen = true
 		} else {
 			untaggedSeen = true
 		}
-		if j.Truth.CampaignID == "" {
+		if j.Truth.CampaignID == job.SymNone {
 			t.Error("workflow task missing campaign truth")
 		}
 	}
@@ -314,10 +316,10 @@ func TestGatewayGen(t *testing.T) {
 		t.Fatalf("gateway jobs = %d, want many", len(gwj))
 	}
 	for _, j := range gwj {
-		if j.User != "nano-comm" || j.Project != "TG-GW" {
-			t.Fatalf("gateway job has identity %s/%s, want community account", j.User, j.Project)
+		if e.Syms.Str(j.User) != "nano-comm" || e.Syms.Str(j.Project) != "TG-GW" {
+			t.Fatalf("gateway job has identity %s/%s, want community account", e.Syms.Str(j.User), e.Syms.Str(j.Project))
 		}
-		if j.Attr.GatewayID != "nanohub" {
+		if e.Syms.Str(j.Attr.GatewayID) != "nanohub" {
 			t.Fatal("gateway job missing gateway attribute")
 		}
 	}
@@ -335,8 +337,8 @@ func TestUrgentAndInteractiveGens(t *testing.T) {
 		t.Error("no urgent jobs")
 	}
 	for _, j := range byMod[job.ModUrgent] {
-		if j.QOS != job.QOSUrgent || j.Machine != "big" {
-			t.Errorf("urgent job misrouted: qos=%v machine=%s", j.QOS, j.Machine)
+		if j.QOS != job.QOSUrgent || e.Syms.Str(j.Machine) != "big" {
+			t.Errorf("urgent job misrouted: qos=%v machine=%s", j.QOS, e.Syms.Str(j.Machine))
 		}
 	}
 	if len(byMod[job.ModInteractive]) == 0 {
@@ -346,8 +348,8 @@ func TestUrgentAndInteractiveGens(t *testing.T) {
 		if j.QOS != job.QOSInteractive {
 			t.Error("interactive session with wrong QOS")
 		}
-		if j.Machine != "big" { // only machine with viz nodes
-			t.Errorf("viz session on %s", j.Machine)
+		if e.Syms.Str(j.Machine) != "big" { // only machine with viz nodes
+			t.Errorf("viz session on %s", e.Syms.Str(j.Machine))
 		}
 	}
 }
@@ -362,9 +364,9 @@ func TestMetaschedGen(t *testing.T) {
 	}
 	coalloc := 0
 	for _, j := range ms {
-		if j.Attr.CoAllocID != "" {
+		if j.Attr.CoAllocID != job.SymNone {
 			coalloc++
-		} else if j.Attr.BrokerJobID == "" {
+		} else if j.Attr.BrokerJobID == job.SymNone {
 			t.Error("metascheduled job carries no broker evidence at full coverage")
 		}
 	}
@@ -379,9 +381,9 @@ func TestDataCentricGenStages(t *testing.T) {
 	topo := networkTopo(t)
 	fabric := networkFabric(e.K, topo)
 	e.Stager = storage.NewStager(e.K, fabric)
-	e.DataHomeSite = map[string]string{}
+	e.DataHomeSite = map[job.Sym]string{}
 	for _, p := range e.Pop.Projects {
-		e.DataHomeSite[p] = "s1"
+		e.DataHomeSite[e.Syms.Intern(p)] = "s1"
 	}
 	(&DataCentricGen{JobsPerDay: 10, MedianInputGB: 5, MedianRuntime: 600}).Start(e)
 	byMod := drain(e)
@@ -424,12 +426,12 @@ func TestEnvHelpers(t *testing.T) {
 	if id2 != id1+1 || e.JobsCreated() != 2 {
 		t.Error("job ID allocation wrong")
 	}
-	j := &job.Job{ID: 1, Name: "x", User: "u", Project: "p", Cores: 1,
+	j := &job.Job{ID: 1, Name: e.Syms.Intern("x"), User: e.Syms.Intern("u"), Project: e.Syms.Intern("p"), Cores: 1,
 		RunTime: 10, ReqWalltime: 20}
-	if err := e.SubmitDirect("nope", "login", j); err == nil {
+	if err := e.SubmitDirect("nope", job.SymLogin, j); err == nil {
 		t.Error("unknown machine accepted")
 	}
-	if err := e.SubmitDirect("big", "login", j); err != nil {
+	if err := e.SubmitDirect("big", job.SymLogin, j); err != nil {
 		t.Error(err)
 	}
 	e.K.Run()
