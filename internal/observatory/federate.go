@@ -2,10 +2,15 @@ package observatory
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"github.com/tgsim/tgmod/internal/stream"
 )
+
+// ErrBadModalities is the typed error every ParseModalities failure wraps.
+// Match with errors.Is(err, ErrBadModalities).
+var ErrBadModalities = errors.New("observatory: bad modalities document")
 
 // ParseModalities decodes an exported per-run /modalities document (what
 // the daemon writes to FinalDir as <id>.modalities.json) for offline
@@ -13,7 +18,7 @@ import (
 func ParseModalities(data []byte) (*stream.ModalitiesPayload, error) {
 	p := &stream.ModalitiesPayload{}
 	if err := json.Unmarshal(data, p); err != nil {
-		return nil, fmt.Errorf("observatory: parse modalities: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrBadModalities, err)
 	}
 	return p, nil
 }

@@ -15,7 +15,9 @@ package regress
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -51,6 +53,20 @@ type Manifest struct {
 
 // ManifestSchema is the current manifest schema version.
 const ManifestSchema = 1
+
+// ErrBadManifest is the typed error every malformed manifest.json wraps.
+// Match with errors.Is(err, ErrBadManifest).
+var ErrBadManifest = errors.New("regress: bad manifest")
+
+// decodeManifest decodes a manifest document. A JSON null decodes to a nil
+// manifest, as an absent file does.
+func decodeManifest(r io.Reader) (*Manifest, error) {
+	var m *Manifest
+	if err := json.NewDecoder(r).Decode(&m); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadManifest, err)
+	}
+	return m, nil
+}
 
 // Run is one loaded run directory.
 type Run struct {
@@ -89,7 +105,7 @@ func LoadRunDirSelect(dir string, files ...string) (*Run, error) {
 	found := 0
 
 	if f, err := os.Open(filepath.Join(dir, ManifestFile)); err == nil {
-		err = json.NewDecoder(f).Decode(&r.Manifest)
+		r.Manifest, err = decodeManifest(f)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("regress: %s/%s: %w", dir, ManifestFile, err)
