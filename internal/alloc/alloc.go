@@ -6,6 +6,7 @@
 package alloc
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -127,9 +128,13 @@ func (b *Bank) CanCharge(id string, nus float64) bool {
 	return ok && p.Remaining() >= nus
 }
 
+// ErrExhausted is Charge's report that the charged project has no balance
+// left. It is one value, not built per charge: a run overdraws often.
+var ErrExhausted = errors.New("alloc: project exhausted")
+
 // Charge debits NUs from a project. Overdraft is permitted for a single
 // charge (the job already ran — operational accounting charged the actual
-// usage and let the balance go negative), but the error return tells the
+// usage and let the balance go negative), but ErrExhausted tells the
 // caller the project is now exhausted.
 func (b *Bank) Charge(id string, nus float64) error {
 	p, ok := b.projects[id]
@@ -142,7 +147,7 @@ func (b *Bank) Charge(id string, nus float64) error {
 	p.usedNUs += nus
 	b.charges++
 	if p.Exhausted() {
-		return fmt.Errorf("alloc: project %s exhausted (balance %.1f NUs)", id, p.Remaining())
+		return ErrExhausted
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package alloc
 
 import (
-	"strings"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -67,7 +67,7 @@ func TestChargeAndExhaustion(t *testing.T) {
 	}
 	// Overdraft allowed but reported.
 	err := b.Charge("p", 60)
-	if err == nil || !strings.Contains(err.Error(), "exhausted") {
+	if !errors.Is(err, ErrExhausted) {
 		t.Errorf("overdraft not reported: %v", err)
 	}
 	p, _ := b.Project("p")

@@ -42,53 +42,119 @@ const (
 	EvDefaultCapacity = "acct:default"
 )
 
+// Fixed classifier thresholds. The ensemble window and the chain slack
+// are Config fields because the sensitivity experiment sweeps them.
+const (
+	// EnsembleMinJobs is the minimum burst size for ensemble inference.
+	EnsembleMinJobs = 5
+	// ChainMinLinks is the minimum count of dependency-shaped links for
+	// workflow inference.
+	ChainMinLinks = 3
+	// capabilityFrac: a job using at least this fraction of the largest
+	// machine's cores is capability-class.
+	capabilityFrac = 0.5
+	// dataBytesThreshold: a job that moved at least this many bytes
+	// through staging is data-centric.
+	dataBytesThreshold = 5 << 30
+)
+
 // Config tunes the classifier. Zero values are replaced by defaults.
 type Config struct {
-	// CapabilityFrac: a job using at least this fraction of the largest
-	// machine's cores is capability-class. Default 0.5.
-	CapabilityFrac float64
 	// LargestCores is the batch-core count of the federation's largest
 	// machine; required (no sane default exists without topology).
 	LargestCores int
-	// EnsembleMinJobs: minimum burst size for ensemble inference. Default 5.
-	EnsembleMinJobs int
 	// EnsembleWindow: maximum gap (seconds) between successive submissions
 	// inside one burst. Default 3600.
 	EnsembleWindow float64
-	// ChainMinLinks: minimum dependency-shaped links for workflow
-	// inference. Default 3.
-	ChainMinLinks int
 	// ChainSlack: a successor submitted within this many seconds after a
 	// predecessor's end looks dependency-driven. Default 300.
 	ChainSlack float64
-	// DataBytesThreshold: jobs that moved at least this many bytes through
-	// staging are data-centric. Default 5 GB.
-	DataBytesThreshold int64
 }
 
 // WithDefaults returns c with every zero field replaced by its default.
 // The batch classifier and the stream's online rules both apply it, so
 // they always agree on thresholds.
 func (c Config) WithDefaults() Config {
-	if c.CapabilityFrac == 0 {
-		c.CapabilityFrac = 0.5
-	}
-	if c.EnsembleMinJobs == 0 {
-		c.EnsembleMinJobs = 5
-	}
 	if c.EnsembleWindow == 0 {
 		c.EnsembleWindow = 3600
-	}
-	if c.ChainMinLinks == 0 {
-		c.ChainMinLinks = 3
 	}
 	if c.ChainSlack == 0 {
 		c.ChainSlack = 300
 	}
-	if c.DataBytesThreshold == 0 {
-		c.DataBytesThreshold = 5 << 30
-	}
 	return c
+}
+
+// EvidenceIndex holds the direct evidence about jobs that arrives in
+// records other than the job's own: the jobs with a gateway end-user
+// attribute record, and the bytes staged per job. The batch classifier
+// fills it from the central database, the stream as records arrive.
+type EvidenceIndex struct {
+	gwAttr map[int64]bool
+	staged map[int64]int64
+}
+
+// NewEvidenceIndex returns an empty index sized for attrs gateway
+// attribute records.
+func NewEvidenceIndex(attrs int) *EvidenceIndex {
+	return &EvidenceIndex{gwAttr: make(map[int64]bool, attrs), staged: make(map[int64]int64)}
+}
+
+// AddGatewayAttr indexes a gateway end-user attribute record.
+func (x *EvidenceIndex) AddGatewayAttr(r *accounting.GatewayAttrRecord) { x.gwAttr[r.JobID] = true }
+
+// AddTransfer adds a transfer's bytes to the job it references, if any.
+func (x *EvidenceIndex) AddTransfer(r *accounting.TransferRecord) {
+	if r.JobID != 0 {
+		x.staged[r.JobID] += r.Bytes
+	}
+}
+
+// Direct applies the direct-evidence rules (tier 1) to r: QOS, deployed
+// attributes and the evidence indexed so far. It reports false when none
+// fires. The result's CampaignID is left empty.
+func (x *EvidenceIndex) Direct(r *accounting.JobRecord) (Result, bool) {
+	// Deployed attributes are the common source; QOS and staged bytes are
+	// ordinary accounting fields.
+	res := Result{JobID: r.JobID, Source: SourceAttribute}
+	switch {
+	case r.QOS == job.SymUrgent:
+		res.Modality, res.Source, res.Evidence = job.ModUrgent, SourceAccounting, EvQOSUrgent
+	case r.QOS == job.SymInteractive:
+		res.Modality, res.Source, res.Evidence = job.ModInteractive, SourceAccounting, EvQOSInteractive
+	case r.GatewayID != job.SymNone:
+		res.Modality, res.Evidence = job.ModGateway, EvGatewayID
+	case r.SubmitVia == job.SymGateway:
+		res.Modality, res.Evidence = job.ModGateway, EvSubmitVia
+	case x.gwAttr[r.JobID]:
+		res.Modality, res.Evidence = job.ModGateway, EvGatewayUserRec
+	case r.CoAllocID != job.SymNone:
+		res.Modality, res.Evidence = job.ModMetascheduled, EvCoAllocID
+	case r.BrokerJobID != job.SymNone:
+		res.Modality, res.Evidence = job.ModMetascheduled, EvBrokerID
+	case r.SubmitVia == job.SymMetasched:
+		res.Modality, res.Evidence = job.ModMetascheduled, EvSubmitVia
+	case r.WorkflowID != job.SymNone:
+		res.Modality, res.Evidence = job.ModWorkflow, EvWorkflowID
+	case r.EnsembleID != job.SymNone:
+		res.Modality, res.Evidence = job.ModEnsemble, EvEnsembleID
+	case x.staged[r.JobID] >= dataBytesThreshold:
+		res.Modality, res.Source, res.Evidence = job.ModDataCentric, SourceAccounting, EvStagedBytes
+	default:
+		return Result{}, false
+	}
+	return res, true
+}
+
+// SizeSplit applies the size-based batch split (tier 3) to a job no other
+// rule decided: capability when it uses at least half of the largest
+// machine's cores, capacity otherwise.
+func SizeSplit(r *accounting.JobRecord, largestCores int) Result {
+	if largestCores > 0 && float64(r.Cores) >= capabilityFrac*float64(largestCores) {
+		return Result{JobID: r.JobID, Modality: job.ModBatchCapability,
+			Source: SourceAccounting, Evidence: EvCapabilitySize}
+	}
+	return Result{JobID: r.JobID, Modality: job.ModBatchCapacity,
+		Source: SourceAccounting, Evidence: EvDefaultCapacity}
 }
 
 // Classifier assigns usage modalities to accounting records.
@@ -109,59 +175,27 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 	jobs, syms := c.Jobs(), c.Syms()
 	results := make([]Result, len(jobs))
 
-	// Index: jobs that have gateway end-user attribute records.
-	gwAttr := make(map[int64]bool, len(c.GatewayAttrs()))
-	for _, a := range c.GatewayAttrs() {
-		gwAttr[a.JobID] = true
+	attrs, transfers := c.GatewayAttrs(), c.Transfers()
+	ev := NewEvidenceIndex(len(attrs))
+	for i := range attrs {
+		ev.AddGatewayAttr(&attrs[i])
 	}
-	// Index: bytes staged per job (transfer records referencing jobs).
-	staged := make(map[int64]int64)
-	for _, tr := range c.Transfers() {
-		if tr.JobID != 0 {
-			staged[tr.JobID] += tr.Bytes
-		}
+	for i := range transfers {
+		ev.AddTransfer(&transfers[i])
 	}
 
-	// Pass 1: direct evidence.
+	// Pass 1: direct evidence. A tagged campaign's ID is its tag.
 	undecided := make([]int, 0, len(jobs))
 	for i := range jobs {
 		r := &jobs[i]
-		res := Result{JobID: r.JobID}
+		res, ok := ev.Direct(r)
 		switch {
-		case r.QOS == job.SymUrgent:
-			res.Modality, res.Source, res.Evidence = job.ModUrgent, SourceAccounting, EvQOSUrgent
-		case r.QOS == job.SymInteractive:
-			res.Modality, res.Source, res.Evidence = job.ModInteractive, SourceAccounting, EvQOSInteractive
-		case r.GatewayID != job.SymNone || r.SubmitVia == job.SymGateway || gwAttr[r.JobID]:
-			res.Modality, res.Source = job.ModGateway, SourceAttribute
-			switch {
-			case r.GatewayID != job.SymNone:
-				res.Evidence = EvGatewayID
-			case r.SubmitVia == job.SymGateway:
-				res.Evidence = EvSubmitVia
-			default:
-				res.Evidence = EvGatewayUserRec
-			}
-		case r.CoAllocID != job.SymNone || r.BrokerJobID != job.SymNone || r.SubmitVia == job.SymMetasched:
-			res.Modality, res.Source = job.ModMetascheduled, SourceAttribute
-			switch {
-			case r.CoAllocID != job.SymNone:
-				res.Evidence = EvCoAllocID
-			case r.BrokerJobID != job.SymNone:
-				res.Evidence = EvBrokerID
-			default:
-				res.Evidence = EvSubmitVia
-			}
-		case r.WorkflowID != job.SymNone:
-			res.Modality, res.Source, res.Evidence = job.ModWorkflow, SourceAttribute, EvWorkflowID
-			res.CampaignID = syms.Str(r.WorkflowID)
-		case r.EnsembleID != job.SymNone:
-			res.Modality, res.Source, res.Evidence = job.ModEnsemble, SourceAttribute, EvEnsembleID
-			res.CampaignID = syms.Str(r.EnsembleID)
-		case staged[r.JobID] >= cl.cfg.DataBytesThreshold:
-			res.Modality, res.Source, res.Evidence = job.ModDataCentric, SourceAccounting, EvStagedBytes
-		default:
+		case !ok:
 			undecided = append(undecided, i)
+		case res.Evidence == EvWorkflowID:
+			res.CampaignID = syms.Str(r.WorkflowID)
+		case res.Evidence == EvEnsembleID:
+			res.CampaignID = syms.Str(r.EnsembleID)
 		}
 		results[i] = res
 	}
@@ -172,17 +206,8 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 
 	// Pass 3: size-based batch split for everything still undecided.
 	for _, i := range undecided {
-		if results[i].Modality != "" {
-			continue
-		}
-		r := &jobs[i]
-		if cl.cfg.LargestCores > 0 &&
-			float64(r.Cores) >= cl.cfg.CapabilityFrac*float64(cl.cfg.LargestCores) {
-			results[i] = Result{JobID: r.JobID, Modality: job.ModBatchCapability,
-				Source: SourceAccounting, Evidence: EvCapabilitySize}
-		} else {
-			results[i] = Result{JobID: r.JobID, Modality: job.ModBatchCapacity,
-				Source: SourceAccounting, Evidence: EvDefaultCapacity}
+		if results[i].Modality == "" {
+			results[i] = SizeSplit(&jobs[i], cl.cfg.LargestCores)
 		}
 	}
 	return results
@@ -213,7 +238,7 @@ func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *job.Symb
 		ja, jb := &jobs[a], &jobs[b]
 		return ja.User == jb.User && ja.Name == jb.Name && ja.Cores == jb.Cores
 	}, func(lo, hi int) {
-		if hi-lo >= cl.cfg.EnsembleMinJobs {
+		if hi-lo >= EnsembleMinJobs {
 			groups = append(groups, span{lo, hi})
 		}
 	})
@@ -234,7 +259,7 @@ func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *job.Symb
 		runs(idxs, func(a, b int) bool {
 			return jobs[b].SubmitTime-jobs[a].SubmitTime <= cl.cfg.EnsembleWindow
 		}, func(lo, hi int) {
-			if hi-lo >= cl.cfg.EnsembleMinJobs {
+			if hi-lo >= EnsembleMinJobs {
 				campaignN++
 				claim(jobs, results, idxs[lo:hi], job.ModEnsemble, EvBurst, inferredID("ens", campaignN))
 			}
@@ -264,7 +289,7 @@ func (cl *Classifier) inferChains(jobs []accounting.JobRecord, syms *job.Symbols
 		gap := jobs[b].SubmitTime - jobs[a].EndTime
 		return jobs[a].User == jobs[b].User && gap >= 0 && gap <= cl.cfg.ChainSlack
 	}, func(lo, hi int) {
-		if hi-lo >= cl.cfg.ChainMinLinks {
+		if hi-lo >= ChainMinLinks {
 			chains = append(chains, span{lo, hi})
 		}
 	})

@@ -247,14 +247,12 @@ func TestChainInferenceNeedsTightGaps(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.WithDefaults()
-	if cfg.CapabilityFrac != 0.5 || cfg.EnsembleMinJobs != 5 ||
-		cfg.EnsembleWindow != 3600 || cfg.ChainMinLinks != 3 ||
-		cfg.ChainSlack != 300 || cfg.DataBytesThreshold != 5<<30 {
+	if cfg.EnsembleWindow != 3600 || cfg.ChainSlack != 300 {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 	// Explicit values survive.
-	cfg2 := Config{EnsembleMinJobs: 10}.WithDefaults()
-	if cfg2.EnsembleMinJobs != 10 {
+	cfg2 := Config{ChainSlack: 10}.WithDefaults()
+	if cfg2.ChainSlack != 10 {
 		t.Error("explicit value overwritten")
 	}
 }

@@ -1,7 +1,9 @@
 // Package metrics provides the small statistics toolkit the analysis and
 // experiment layers share: streaming summaries, exact-percentile samples,
 // time series with period bucketing, Gini coefficients for usage
-// concentration, and confusion matrices for classifier validation.
+// concentration, confusion matrices for classifier validation, and the
+// trailing virtual-time rings behind the SLO burn rates and the stream's
+// windowed usage and drift.
 package metrics
 
 import (

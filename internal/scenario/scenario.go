@@ -366,8 +366,9 @@ func Run(cfg Config) (*Result, error) {
 				finished++
 				rec := accounting.RecordOf(e.Job, m)
 				ledgers[m.Site].AddJob(rec)
-				// Charge the allocation for actual usage; overdraft errors
-				// are operational noise, not simulation failures.
+				// Charge the allocation for actual usage; an overdraft
+				// (alloc.ErrExhausted) is operational noise, not a
+				// simulation failure.
 				_ = bank.Charge(syms.Str(e.Job.Project), rec.NUs)
 				// Data-centric jobs archive their outputs.
 				if e.Job.OutputBytes > 0 && e.Job.State == job.StateCompleted {

@@ -22,6 +22,7 @@ import (
 
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
+	"github.com/tgsim/tgmod/internal/metrics"
 	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
@@ -70,31 +71,16 @@ func DefaultObjectives() []Objective {
 	}
 }
 
-// burnWindows are the burn-rate evaluation horizons in virtual time. The
-// multi-window pairing (short detects, long confirms) follows standard
-// burn-rate alerting practice.
-var burnWindows = []struct {
-	label string
-	width des.Time // bucket width; window = width × burnBuckets
-}{
-	{"1h", 5 * 60},
-	{"6h", 30 * 60},
-	{"24h", 2 * 3600},
-}
-
-// burnBuckets is the ring length for every window.
-const burnBuckets = 12
-
 // objState is the accumulated evaluation state of one objective.
 type objState struct {
 	obj   Objective
 	good  int64
 	bad   int64
-	rings []*ring
+	rings [len(metrics.TrailingWindows)]*metrics.Ring[metrics.GoodBad]
 	// peak tracks the worst burn rate seen per window, for the conformance
 	// table (the lifetime compliance can look fine while a 6h window
 	// burned hard mid-run).
-	peak []float64
+	peak [len(metrics.TrailingWindows)]float64
 	// goodC/badC mirror observations into telemetry when Bind was called;
 	// nil (and so no-ops) otherwise.
 	goodC, badC *telemetry.Counter
@@ -110,7 +96,7 @@ func (s *objState) observe(now des.Time, good bool) {
 		s.badC.Inc()
 	}
 	for i, r := range s.rings {
-		r.add(now, good)
+		r.At(now).Add(good)
 		if br := s.burnRate(i, now); br > s.peak[i] {
 			s.peak[i] = br
 		}
@@ -130,12 +116,7 @@ func (s *objState) compliance() float64 {
 // burnRate returns window i's current burn rate at time now: the in-window
 // bad fraction divided by the error budget.
 func (s *objState) burnRate(i int, now des.Time) float64 {
-	good, bad := s.rings[i].totals(now)
-	total := good + bad
-	if total == 0 {
-		return 0
-	}
-	return (float64(bad) / float64(total)) / (1 - s.obj.Target)
+	return s.rings[i].Total(now).BadFrac() / (1 - s.obj.Target)
 }
 
 // met reports whether lifetime compliance reached target.
@@ -168,9 +149,9 @@ func New(objectives ...Objective) (*Evaluator, error) {
 			return nil, fmt.Errorf("slo: duplicate objective name %s", obj.Name)
 		}
 		seen[obj.Name] = true
-		st := &objState{obj: obj, peak: make([]float64, len(burnWindows))}
-		for _, w := range burnWindows {
-			st.rings = append(st.rings, newRing(w.width, burnBuckets))
+		st := &objState{obj: obj}
+		for i, w := range metrics.TrailingWindows {
+			st.rings[i] = metrics.NewWindowRing[metrics.GoodBad](w)
 		}
 		e.states = append(e.states, st)
 		e.byMod[obj.Modality] = append(e.byMod[obj.Modality], st)

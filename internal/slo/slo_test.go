@@ -7,6 +7,7 @@ import (
 
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
+	"github.com/tgsim/tgmod/internal/metrics"
 	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
@@ -67,28 +68,6 @@ func TestComplianceAndMet(t *testing.T) {
 	}
 }
 
-func TestRingExpiry(t *testing.T) {
-	r := newRing(60, 10) // 10-minute window, 1-minute buckets
-	r.add(0, false)
-	if good, bad := r.totals(0); good != 0 || bad != 1 {
-		t.Fatalf("totals = %d/%d, want 0/1", good, bad)
-	}
-	// Still in-window 9 buckets later.
-	if _, bad := r.totals(9 * 60); bad != 1 {
-		t.Error("observation expired early")
-	}
-	// Gone once the clock laps its bucket.
-	if _, bad := r.totals(10 * 60); bad != 0 {
-		t.Error("observation failed to expire")
-	}
-	// A huge jump clears everything without wrapping trouble.
-	r.add(11*60, true)
-	r.add(1e9, false)
-	if good, bad := r.totals(1e9); good != 0 || bad != 1 {
-		t.Errorf("after lap: totals = %d/%d, want 0/1", good, bad)
-	}
-}
-
 func TestBurnRateWindows(t *testing.T) {
 	e, err := New(Objective{Name: "u", Modality: job.ModUrgent, WaitThreshold: 60, Target: 0.9})
 	if err != nil {
@@ -99,12 +78,12 @@ func TestBurnRateWindows(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.ObserveStart(des.Time(i*30), job.ModUrgent, 1e6)
 	}
-	for i := range burnWindows {
+	for i, w := range metrics.TrailingWindows {
 		if br := st.burnRate(i, 150); math.Abs(br-10) > 1e-9 {
-			t.Errorf("window %s: burn = %v, want 10", burnWindows[i].label, br)
+			t.Errorf("window %s: burn = %v, want 10", w.Label, br)
 		}
 		if math.Abs(st.peak[i]-10) > 1e-9 {
-			t.Errorf("window %s: peak = %v, want 10", burnWindows[i].label, st.peak[i])
+			t.Errorf("window %s: peak = %v, want 10", w.Label, st.peak[i])
 		}
 	}
 	// An hour of good traffic later, the 1h window has recovered (bad

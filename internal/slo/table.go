@@ -3,6 +3,7 @@
 package slo
 
 import (
+	"github.com/tgsim/tgmod/internal/metrics"
 	"github.com/tgsim/tgmod/internal/report"
 	"github.com/tgsim/tgmod/internal/telemetry"
 )
@@ -38,10 +39,9 @@ func (e *Evaluator) Bind(reg *telemetry.Registry) {
 		st.goodC = events.With(st.obj.Name, "good")
 		st.badC = events.With(st.obj.Name, "bad")
 		compliance.Func(st.compliance, st.obj.Name)
-		for i := range burnWindows {
-			i := i
+		for i, w := range metrics.TrailingWindows {
 			burn.Func(func() float64 { return st.burnRate(i, e.now()) },
-				st.obj.Name, burnWindows[i].label)
+				st.obj.Name, w.Label)
 		}
 	}
 }

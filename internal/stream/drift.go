@@ -3,6 +3,7 @@ package stream
 import (
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
+	"github.com/tgsim/tgmod/internal/metrics"
 	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
@@ -19,7 +20,7 @@ import (
 // campaigns) pushes the short windows up first — exactly the burn-rate
 // alerting shape the SLO layer uses.
 type driftMonitor struct {
-	rings [numWindows]*driftRing
+	rings [numWindows]*metrics.Ring[metrics.GoodBad]
 	peaks [numWindows]float64
 
 	agree    int64
@@ -41,64 +42,10 @@ type driftCell struct {
 	Disagree int64 `json:"disagree"`
 }
 
-// driftRing is a good/bad ring over one trailing window (the slo ring
-// shape, duplicated here to keep the packages decoupled).
-type driftRing struct {
-	width   des.Time
-	buckets []struct{ good, bad int64 }
-	lastIdx int64
-	primed  bool
-}
-
-func newDriftRing(width des.Time, n int) *driftRing {
-	return &driftRing{width: width, buckets: make([]struct{ good, bad int64 }, n)}
-}
-
-func (r *driftRing) idx(t des.Time) int64 { return int64(t / r.width) }
-
-func (r *driftRing) advance(now des.Time) {
-	i := r.idx(now)
-	if !r.primed {
-		r.primed = true
-		r.lastIdx = i
-		return
-	}
-	if i <= r.lastIdx {
-		return
-	}
-	steps := i - r.lastIdx
-	if steps > int64(len(r.buckets)) {
-		steps = int64(len(r.buckets))
-	}
-	for s := int64(1); s <= steps; s++ {
-		r.buckets[(r.lastIdx+s)%int64(len(r.buckets))] = struct{ good, bad int64 }{}
-	}
-	r.lastIdx = i
-}
-
-func (r *driftRing) add(now des.Time, good bool) {
-	r.advance(now)
-	b := &r.buckets[r.idx(now)%int64(len(r.buckets))]
-	if good {
-		b.good++
-	} else {
-		b.bad++
-	}
-}
-
-func (r *driftRing) totals(now des.Time) (good, bad int64) {
-	r.advance(now)
-	for _, b := range r.buckets {
-		good += b.good
-		bad += b.bad
-	}
-	return good, bad
-}
-
 func newDriftMonitor() *driftMonitor {
 	d := &driftMonitor{}
-	for i, w := range streamWindows {
-		d.rings[i] = newDriftRing(w.bucket, int(w.span/w.bucket))
+	for i, w := range metrics.TrailingWindows {
+		d.rings[i] = metrics.NewWindowRing[metrics.GoodBad](w)
 	}
 	return d
 }
@@ -115,10 +62,9 @@ func (d *driftMonitor) bind(reg *telemetry.Registry, now func() des.Time) {
 		"Classifier drift (disagreement fraction) per trailing virtual-time window.", "window")
 	peak := reg.Gauge("tg_drift_peak",
 		"Worst in-window classifier drift observed so far.", "window")
-	for i := range streamWindows {
-		i := i
-		rate.Func(func() float64 { return d.windowRate(i, now()) }, streamWindows[i].label)
-		peak.Func(func() float64 { return d.peaks[i] }, streamWindows[i].label)
+	for i, w := range metrics.TrailingWindows {
+		rate.Func(func() float64 { return d.windowRate(i, now()) }, w.Label)
+		peak.Func(func() float64 { return d.peaks[i] }, w.Label)
 	}
 }
 
@@ -138,7 +84,7 @@ func (d *driftMonitor) observe(at des.Time, measured job.Modality, truth string)
 		d.cDisagree.Inc()
 	}
 	for i := range d.rings {
-		d.rings[i].add(at, good)
+		d.rings[i].At(at).Add(good)
 		if r := d.windowRate(i, at); r > d.peaks[i] {
 			d.peaks[i] = r
 		}
@@ -165,11 +111,7 @@ func (d *driftMonitor) recordHistory(at des.Time, good bool) {
 // windowRate returns the disagreement fraction in window w as of now
 // (0 when the window is empty).
 func (d *driftMonitor) windowRate(w int, now des.Time) float64 {
-	good, bad := d.rings[w].totals(now)
-	if good+bad == 0 {
-		return 0
-	}
-	return float64(bad) / float64(good+bad)
+	return d.rings[w].Total(now).BadFrac()
 }
 
 // lifetimeRate returns the run-wide disagreement fraction.

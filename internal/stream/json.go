@@ -1,6 +1,10 @@
 package stream
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"github.com/tgsim/tgmod/internal/metrics"
+)
 
 // The console payloads. Field order is fixed by the struct definitions,
 // row order by the canonical taxonomy, and every number is a pure
@@ -42,8 +46,8 @@ func (p *Processor) Modalities() *ModalitiesPayload {
 		Ingested: p.ingested,
 		Dropped:  p.inbox.dropped,
 	}
-	for w := range streamWindows {
-		win := ModalityWindow{Window: streamWindows[w].label}
+	for w, tw := range metrics.TrailingWindows {
+		win := ModalityWindow{Window: tw.Label}
 		for _, m := range mods {
 			jobs, nus := p.usage.windowTotals(w, m, now)
 			win.TotalJobs += jobs
@@ -52,7 +56,7 @@ func (p *Processor) Modalities() *ModalitiesPayload {
 				Modality:   string(m),
 				Jobs:       jobs,
 				NUs:        nus,
-				Confidence: p.online.meanConfidence(m),
+				Confidence: p.usage.meanConfidence(m),
 			})
 		}
 		out.Windows = append(out.Windows, win)
@@ -65,7 +69,7 @@ func (p *Processor) Modalities() *ModalitiesPayload {
 			Modality:   string(m),
 			Jobs:       p.usage.lifeJobs[m],
 			NUs:        p.usage.lifeNUs[m],
-			Confidence: p.online.meanConfidence(m),
+			Confidence: p.usage.meanConfidence(m),
 		})
 	}
 	out.Lifetime = life
@@ -108,12 +112,12 @@ func (p *Processor) Drift() *DriftPayload {
 		Disagree: d.disagree,
 		Rate:     d.lifetimeRate(),
 	}
-	for w := range streamWindows {
-		good, bad := d.rings[w].totals(now)
+	for w, tw := range metrics.TrailingWindows {
+		t := d.rings[w].Total(now)
 		out.Windows = append(out.Windows, DriftWindow{
-			Window:   streamWindows[w].label,
-			Events:   good + bad,
-			Disagree: bad,
+			Window:   tw.Label,
+			Events:   t.Good + t.Bad,
+			Disagree: t.Bad,
 			Rate:     d.windowRate(w, now),
 			Peak:     d.peaks[w],
 		})

@@ -47,10 +47,6 @@ type Config struct {
 	// machine, required by the capability/capacity size split (same role
 	// as core.Config.LargestCores).
 	LargestCores int
-	// Classifier tunes the online rules; zero values take the same
-	// defaults as the batch classifier. LargestCores above wins over
-	// Classifier.LargestCores when both are set.
-	Classifier core.Config
 	// InboxCap bounds the ingest spool (0 = unbounded). Records offered
 	// past the cap are dropped and counted, never silently lost.
 	InboxCap int
@@ -73,8 +69,8 @@ type Processor struct {
 	drift  *driftMonitor
 
 	// Accepted records, in arrival order, for the end-of-stream report.
-	// Job records are kept as pointers into the offered packets (which
-	// never change) or to the copies OfferJob made.
+	// Job records are kept as pointers into the offered packets or loaded
+	// replay records, which never change.
 	jobs         []*accounting.JobRecord
 	transfers    []accounting.TransferRecord
 	gatewayAttrs []accounting.GatewayAttrRecord
@@ -91,14 +87,10 @@ type Processor struct {
 
 // New returns a processor for the given configuration.
 func New(cfg Config) *Processor {
-	ccfg := cfg.Classifier
-	if cfg.LargestCores > 0 {
-		ccfg.LargestCores = cfg.LargestCores
-	}
 	p := &Processor{
 		cfg:    cfg,
 		inbox:  inbox{cap: cfg.InboxCap},
-		online: newOnline(ccfg),
+		online: newOnline(core.Config{LargestCores: cfg.LargestCores}),
 		usage:  newUsageWindows(),
 		drift:  newDriftMonitor(),
 	}
@@ -161,22 +153,6 @@ func (p *Processor) OfferPacket(at des.Time, pkt *accounting.Packet) {
 	}
 	p.Advance(at)
 }
-
-// OfferJob spools one job usage record, whose Syms index the processor's
-// table (Syms). It copies r to the heap once.
-func (p *Processor) OfferJob(r accounting.JobRecord) { p.offerJob(&r) }
-
-// OfferTransfer spools one data-transfer record. It copies r to the heap
-// once.
-func (p *Processor) OfferTransfer(r accounting.TransferRecord) { p.offerTransfer(&r) }
-
-// OfferGatewayAttr spools one gateway end-user attribute record. It copies
-// r to the heap once.
-func (p *Processor) OfferGatewayAttr(r accounting.GatewayAttrRecord) { p.offerGatewayAttr(&r) }
-
-// OfferStorage spools one storage snapshot record. It copies r to the heap
-// once.
-func (p *Processor) OfferStorage(r accounting.StorageRecord) { p.offerStorage(&r) }
 
 // offerJob, offerTransfer, offerGatewayAttr and offerStorage spool a
 // record the processor may keep: r must not change afterwards.
@@ -244,15 +220,15 @@ func (p *Processor) process(it item) {
 	case kindJob:
 		r := it.job
 		p.jobs = append(p.jobs, r)
-		d := p.online.classify(r)
-		p.usage.observe(at, d.Modality, r.NUs, d.Confidence)
-		p.drift.observe(at, d.Modality, p.Syms().Str(r.TruthModality))
+		res := p.online.classify(r)
+		p.usage.observe(at, res.Modality, r.NUs, confidence[res.Evidence])
+		p.drift.observe(at, res.Modality, p.Syms().Str(r.TruthModality))
 	case kindTransfer:
 		p.transfers = append(p.transfers, *it.transfer)
-		p.online.noteTransfer(it.transfer)
+		p.online.ev.AddTransfer(it.transfer)
 	case kindGateway:
 		p.gatewayAttrs = append(p.gatewayAttrs, *it.gateway)
-		p.online.noteGatewayAttr(it.gateway)
+		p.online.ev.AddGatewayAttr(it.gateway)
 	case kindStorage:
 		p.storage = append(p.storage, *it.storage)
 	}
@@ -260,7 +236,7 @@ func (p *Processor) process(it item) {
 
 // bindSyms gives the processor t as its table if it has none yet, and
 // reports whether t is the processor's table. OfferPacket and Replay.Feed
-// bind the table of the records they offer; OfferJob's index Syms.
+// bind the table of the records they offer.
 func (p *Processor) bindSyms(t *job.Symbols) bool {
 	if p.syms == nil {
 		p.syms = t
@@ -328,10 +304,6 @@ func (p *Processor) Finalize() (*Final, error) {
 	if err := c.Ingest(pkt); err != nil {
 		return nil, err
 	}
-	ccfg := p.cfg.Classifier
-	if p.cfg.LargestCores > 0 {
-		ccfg.LargestCores = p.cfg.LargestCores
-	}
-	results := core.NewClassifier(ccfg).Classify(c)
+	results := core.NewClassifier(core.Config{LargestCores: p.cfg.LargestCores}).Classify(c)
 	return &Final{Central: c, Results: results, Report: core.BuildReport(c, results)}, nil
 }

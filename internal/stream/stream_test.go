@@ -61,7 +61,7 @@ func TestInboxBackpressure(t *testing.T) {
 	p := New(Config{LargestCores: 512, InboxCap: 3})
 	sym := p.Syms().Intern
 	for i := 1; i <= 5; i++ {
-		p.OfferJob(accounting.JobRecord{JobID: int64(i), Cores: 1, NUs: 1,
+		p.offerJob(&accounting.JobRecord{JobID: int64(i), Cores: 1, NUs: 1,
 			EndTime: float64(i), ExitStatus: sym("completed")})
 	}
 	if got := p.Dropped(); got != 2 {
@@ -82,7 +82,7 @@ func TestInboxBackpressure(t *testing.T) {
 		t.Errorf("accepted jobs = %+v, want IDs 1..3", jobs)
 	}
 	// Drained capacity is reusable.
-	p.OfferJob(accounting.JobRecord{JobID: 6, Cores: 1, EndTime: 11})
+	p.offerJob(&accounting.JobRecord{JobID: 6, Cores: 1, EndTime: 11})
 	if p.Dropped() != 2 {
 		t.Errorf("post-drain offer dropped; dropped = %d", p.Dropped())
 	}
@@ -96,31 +96,31 @@ func TestOnlineDirectEvidence(t *testing.T) {
 		want job.Modality
 		conf float64
 	}{
-		{accounting.JobRecord{JobID: 1, QOS: sym("urgent")}, job.ModUrgent, confQOS},
-		{accounting.JobRecord{JobID: 2, QOS: sym("interactive")}, job.ModInteractive, confQOS},
-		{accounting.JobRecord{JobID: 3, GatewayID: sym("nanohub")}, job.ModGateway, confAttribute},
-		{accounting.JobRecord{JobID: 4, SubmitVia: sym("gateway")}, job.ModGateway, confAttribute},
-		{accounting.JobRecord{JobID: 5, CoAllocID: sym("co")}, job.ModMetascheduled, confAttribute},
-		{accounting.JobRecord{JobID: 6, BrokerJobID: sym("b")}, job.ModMetascheduled, confAttribute},
-		{accounting.JobRecord{JobID: 7, WorkflowID: sym("wf")}, job.ModWorkflow, confAttribute},
-		{accounting.JobRecord{JobID: 8, EnsembleID: sym("e")}, job.ModEnsemble, confAttribute},
-		{accounting.JobRecord{JobID: 9, Cores: 600}, job.ModBatchCapability, confSizeCap},
-		{accounting.JobRecord{JobID: 10, Cores: 4}, job.ModBatchCapacity, confSizeDef},
+		{accounting.JobRecord{JobID: 1, QOS: sym("urgent")}, job.ModUrgent, 0.99},
+		{accounting.JobRecord{JobID: 2, QOS: sym("interactive")}, job.ModInteractive, 0.99},
+		{accounting.JobRecord{JobID: 3, GatewayID: sym("nanohub")}, job.ModGateway, 0.97},
+		{accounting.JobRecord{JobID: 4, SubmitVia: sym("gateway")}, job.ModGateway, 0.97},
+		{accounting.JobRecord{JobID: 5, CoAllocID: sym("co")}, job.ModMetascheduled, 0.97},
+		{accounting.JobRecord{JobID: 6, BrokerJobID: sym("b")}, job.ModMetascheduled, 0.97},
+		{accounting.JobRecord{JobID: 7, WorkflowID: sym("wf")}, job.ModWorkflow, 0.97},
+		{accounting.JobRecord{JobID: 8, EnsembleID: sym("e")}, job.ModEnsemble, 0.97},
+		{accounting.JobRecord{JobID: 9, Cores: 600}, job.ModBatchCapability, 0.60},
+		{accounting.JobRecord{JobID: 10, Cores: 4}, job.ModBatchCapacity, 0.55},
 	}
 	for _, c := range cases {
 		d := o.classify(&c.rec)
-		if d.Modality != c.want || d.Confidence != c.conf {
+		if d.Modality != c.want || confidence[d.Evidence] != c.conf {
 			t.Errorf("job %d: got (%s, %.2f), want (%s, %.2f)",
-				c.rec.JobID, d.Modality, d.Confidence, c.want, c.conf)
+				c.rec.JobID, d.Modality, confidence[d.Evidence], c.want, c.conf)
 		}
 	}
 	// Gateway attribute records reclassify later jobs by the same ID.
-	o.noteGatewayAttr(&accounting.GatewayAttrRecord{JobID: 11})
+	o.ev.AddGatewayAttr(&accounting.GatewayAttrRecord{JobID: 11})
 	if d := o.classify(&accounting.JobRecord{JobID: 11, Cores: 4}); d.Modality != job.ModGateway {
 		t.Errorf("attr-evidenced job: %s, want gateway", d.Modality)
 	}
 	// Staged bytes past the threshold mark data-centric.
-	o.noteTransfer(&accounting.TransferRecord{JobID: 12, Bytes: 6 << 30})
+	o.ev.AddTransfer(&accounting.TransferRecord{JobID: 12, Bytes: 6 << 30})
 	if d := o.classify(&accounting.JobRecord{JobID: 12, Cores: 4}); d.Modality != job.ModDataCentric {
 		t.Errorf("staged job: %s, want data-centric", d.Modality)
 	}
@@ -210,7 +210,7 @@ func TestFinalizeMatchesBatch(t *testing.T) {
 	// submission), as the live tap would.
 	perm := rng.Perm(len(recs))
 	for _, i := range perm {
-		p.OfferJob(recs[i])
+		p.offerJob(&recs[i])
 	}
 	p.Advance(des.Time(1 << 30))
 	fin, err := p.Finalize()
@@ -243,7 +243,7 @@ func TestDriftDetectsDisagreement(t *testing.T) {
 	// Phase 1: a day of plain capacity jobs, correctly labeled.
 	for i := 0; i < 200; i++ {
 		at += 6 * des.Minute
-		p.OfferJob(accounting.JobRecord{
+		p.offerJob(&accounting.JobRecord{
 			JobID: int64(i + 1), User: sym(fmt.Sprintf("u%d", i%20)), Name: sym(fmt.Sprintf("a%d", i%17)),
 			Cores: 4, SubmitTime: float64(at), EndTime: float64(at) + 60,
 			NUs: 1, TruthModality: sym(string(job.ModBatchCapacity)),
@@ -257,7 +257,7 @@ func TestDriftDetectsDisagreement(t *testing.T) {
 	// the online classifier cannot see their modality.
 	for i := 0; i < 100; i++ {
 		at += 2 * des.Minute
-		p.OfferJob(accounting.JobRecord{
+		p.offerJob(&accounting.JobRecord{
 			JobID: int64(1000 + i), User: sym(fmt.Sprintf("g%d", i%30)), Name: sym(fmt.Sprintf("t%d", i%23)),
 			Cores: 2, SubmitTime: float64(at), EndTime: float64(at) + 30,
 			NUs: 1, TruthModality: sym(string(job.ModGateway)),
@@ -292,7 +292,7 @@ func TestDriftDetectsDisagreement(t *testing.T) {
 func TestWindowExpiry(t *testing.T) {
 	p := New(Config{LargestCores: 512})
 	sym := p.Syms().Intern
-	p.OfferJob(accounting.JobRecord{JobID: 1, Cores: 4, EndTime: 60, NUs: 5,
+	p.offerJob(&accounting.JobRecord{JobID: 1, Cores: 4, EndTime: 60, NUs: 5,
 		TruthModality: sym(string(job.ModBatchCapacity))})
 	p.Advance(des.Minute)
 	if jobs, _ := p.usage.windowTotals(0, job.ModBatchCapacity, des.Minute); jobs != 1 {
@@ -318,7 +318,7 @@ func TestStreamMetricsExposed(t *testing.T) {
 	p := New(Config{LargestCores: 512, InboxCap: 2, Registry: reg})
 	sym := p.Syms().Intern
 	for i := 0; i < 4; i++ {
-		p.OfferJob(accounting.JobRecord{JobID: int64(i + 1), Cores: 4,
+		p.offerJob(&accounting.JobRecord{JobID: int64(i + 1), Cores: 4,
 			EndTime: float64(i + 1), NUs: 1, TruthModality: sym(string(job.ModBatchCapacity))})
 	}
 	p.Advance(10)
@@ -360,7 +360,7 @@ func TestJobStorePointers(t *testing.T) {
 	const n = 2*256 + 7
 	for i := 0; i < n; i++ {
 		// Descending IDs, so canonical order reverses arrival order.
-		p.OfferJob(accounting.JobRecord{JobID: int64(n - i), Cores: 1, NUs: 1,
+		p.offerJob(&accounting.JobRecord{JobID: int64(n - i), Cores: 1, NUs: 1,
 			EndTime: float64(i), ExitStatus: sym("completed")})
 	}
 	p.Advance(des.Time(n))
@@ -384,28 +384,6 @@ func TestJobStorePointers(t *testing.T) {
 		if r.JobID != int64(i+1) {
 			t.Fatalf("finalize job %d has ID %d, want %d", i, r.JobID, i+1)
 		}
-	}
-}
-
-// TestOfferJobCopiesArgument: OfferJob keeps its own copy of the record,
-// so offering one reused variable n times keeps n distinct records.
-func TestOfferJobCopiesArgument(t *testing.T) {
-	p := New(Config{LargestCores: 512})
-	sym := p.Syms().Intern
-	const n = 50
-	r := accounting.JobRecord{Cores: 1, NUs: 1, ExitStatus: sym("completed")}
-	for i := 1; i <= n; i++ {
-		r.JobID, r.EndTime = int64(i), float64(i)
-		p.OfferJob(r)
-	}
-	p.Advance(n)
-	for i, got := range acceptedJobs(p) {
-		if got.JobID != int64(i+1) {
-			t.Fatalf("accepted job %d has ID %d, want %d", i, got.JobID, i+1)
-		}
-	}
-	if len(p.jobs) != n {
-		t.Fatalf("store holds %d jobs, want %d", len(p.jobs), n)
 	}
 }
 
@@ -475,7 +453,7 @@ func TestFinalizeKeepsFirstDuplicate(t *testing.T) {
 	for second := 0; second < 2; second++ {
 		for i := 0; i < ids; i++ {
 			// The first copy of every JobID has even NUs, the second odd.
-			p.OfferJob(accounting.JobRecord{JobID: int64(i*7919%ids + 1), Cores: 1,
+			p.offerJob(&accounting.JobRecord{JobID: int64(i*7919%ids + 1), Cores: 1,
 				NUs: float64(2*i + second), EndTime: float64(i), ExitStatus: sym("completed")})
 		}
 	}
@@ -515,7 +493,8 @@ func BenchmarkOfferFinalize(b *testing.B) {
 			NUs: 1, ExitStatus: sym("completed"), SubmitVia: sym("login")}
 		for j := 0; j < n; j++ {
 			r.JobID, r.Cores, r.EndTime = int64(n-j), 1+j%64, float64(j)
-			p.OfferJob(r)
+			rec := r // the processor keeps a pointer to each record
+			p.offerJob(&rec)
 		}
 		p.Advance(des.Time(n))
 		if _, err := p.Finalize(); err != nil {

@@ -3,24 +3,11 @@ package stream
 import (
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
+	"github.com/tgsim/tgmod/internal/metrics"
 )
 
-// numWindows is the count of trailing windows below (array sizing).
-const numWindows = 3
-
-// streamWindows are the trailing virtual-time windows the observatory
-// reports over, mirroring the SLO layer's burn-rate windows: each window
-// is covered by twelve absolute-indexed buckets so state stays O(buckets)
-// at any event rate.
-var streamWindows = [numWindows]struct {
-	label  string
-	span   des.Time
-	bucket des.Time
-}{
-	{"1h", des.Hour, 5 * des.Minute},
-	{"6h", 6 * des.Hour, 30 * des.Minute},
-	{"24h", 24 * des.Hour, 2 * des.Hour},
-}
+// numWindows is the count of trailing windows (array sizing).
+const numWindows = len(metrics.TrailingWindows)
 
 // usageCell is one bucket of one modality's usage ring.
 type usageCell struct {
@@ -28,91 +15,57 @@ type usageCell struct {
 	nus  float64
 }
 
-// usageRing tracks one modality's job/NU totals over one trailing window.
-// Buckets are absolute-indexed (bucket i covers [i·width, (i+1)·width)),
-// so advancing just zeroes the buckets the clock skipped.
-type usageRing struct {
-	width   des.Time
-	buckets []usageCell
-	lastIdx int64
-	primed  bool
-}
-
-func newUsageRing(width des.Time, n int) *usageRing {
-	return &usageRing{width: width, buckets: make([]usageCell, n)}
-}
-
-func (r *usageRing) idx(t des.Time) int64 { return int64(t / r.width) }
-
-func (r *usageRing) advance(now des.Time) {
-	i := r.idx(now)
-	if !r.primed {
-		r.primed = true
-		r.lastIdx = i
-		return
-	}
-	if i <= r.lastIdx {
-		return
-	}
-	steps := i - r.lastIdx
-	if steps > int64(len(r.buckets)) {
-		steps = int64(len(r.buckets))
-	}
-	for s := int64(1); s <= steps; s++ {
-		r.buckets[(r.lastIdx+s)%int64(len(r.buckets))] = usageCell{}
-	}
-	r.lastIdx = i
-}
-
-func (r *usageRing) add(now des.Time, nus float64) {
-	r.advance(now)
-	b := &r.buckets[r.idx(now)%int64(len(r.buckets))]
-	b.jobs++
-	b.nus += nus
-}
-
-func (r *usageRing) totals(now des.Time) (jobs int64, nus float64) {
-	r.advance(now)
-	for _, b := range r.buckets {
-		jobs += b.jobs
-		nus += b.nus
-	}
-	return jobs, nus
-}
+// Plus returns the bucket-wise sum.
+func (c usageCell) Plus(o usageCell) usageCell { return usageCell{c.jobs + o.jobs, c.nus + o.nus} }
 
 // usageWindows maintains the windowed per-modality usage view: one ring
 // per (window, modality), created lazily, plus lifetime totals.
 type usageWindows struct {
-	rings [numWindows]map[job.Modality]*usageRing
-	// Lifetime totals, for the report denominators and the modality list.
+	rings [numWindows]map[job.Modality]*metrics.Ring[usageCell]
+	// Lifetime totals, for the report denominators and the modality list,
+	// and the decision confidence sum for the mean-confidence column.
 	lifeJobs map[job.Modality]int64
 	lifeNUs  map[job.Modality]float64
+	confSum  map[job.Modality]float64
 }
 
 func newUsageWindows() *usageWindows {
 	u := &usageWindows{
 		lifeJobs: make(map[job.Modality]int64),
 		lifeNUs:  make(map[job.Modality]float64),
+		confSum:  make(map[job.Modality]float64),
 	}
 	for i := range u.rings {
-		u.rings[i] = make(map[job.Modality]*usageRing)
+		u.rings[i] = make(map[job.Modality]*metrics.Ring[usageCell])
 	}
 	return u
 }
 
 // observe accounts one classified job at its visibility time.
-func (u *usageWindows) observe(at des.Time, m job.Modality, nus, confidence float64) {
-	_ = confidence // tracked per modality by the online classifier
+func (u *usageWindows) observe(at des.Time, m job.Modality, nus, conf float64) {
 	u.lifeJobs[m]++
 	u.lifeNUs[m] += nus
-	for i, w := range streamWindows {
+	u.confSum[m] += conf
+	for i, w := range metrics.TrailingWindows {
 		ring := u.rings[i][m]
 		if ring == nil {
-			ring = newUsageRing(w.bucket, int(w.span/w.bucket))
+			ring = metrics.NewWindowRing[usageCell](w)
 			u.rings[i][m] = ring
 		}
-		ring.add(at, nus)
+		c := ring.At(at)
+		c.jobs++
+		c.nus += nus
 	}
+}
+
+// meanConfidence returns the mean decision confidence for a modality (0
+// when it has no decisions yet).
+func (u *usageWindows) meanConfidence(m job.Modality) float64 {
+	n := u.lifeJobs[m]
+	if n == 0 {
+		return 0
+	}
+	return u.confSum[m] / float64(n)
 }
 
 // modalities returns every modality with lifetime usage, in canonical
@@ -148,5 +101,6 @@ func (u *usageWindows) windowTotals(w int, m job.Modality, now des.Time) (int64,
 	if ring == nil {
 		return 0, 0
 	}
-	return ring.totals(now)
+	t := ring.Total(now)
+	return t.jobs, t.nus
 }
