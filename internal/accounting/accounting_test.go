@@ -86,10 +86,7 @@ func TestLedgerFlush(t *testing.T) {
 
 func TestPacketRoundTrip(t *testing.T) {
 	p := &Packet{Site: "s", Seq: 7, Jobs: []JobRecord{{JobID: 3, NUs: 1.5}}, Syms: job.NewSymbols()}
-	data, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := p.AppendWire(nil)
 	got, err := DecodePacket(data, job.NewSymbols())
 	if err != nil {
 		t.Fatal(err)
@@ -132,10 +129,7 @@ func TestCentralIngestIdempotent(t *testing.T) {
 // TestCentralIngestDecoded: a decoded packet ingests like the one encoded,
 // and Central borrows the decoded job slice.
 func TestCentralIngestDecoded(t *testing.T) {
-	data, err := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 5}}, Syms: job.NewSymbols()}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 5}}, Syms: job.NewSymbols()}).AppendWire(nil)
 	c := NewCentral(nil)
 	p, err := DecodePacket(data, c.Syms())
 	if err != nil {

@@ -20,10 +20,7 @@ func wastedPacket() *Packet {
 
 func TestWireV2RoundTrip(t *testing.T) {
 	p := wastedPacket()
-	data, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := p.AppendWire(nil)
 	if data[len(wireMagic)] != wireVersion2 {
 		t.Fatalf("packet with wasted work encoded as version %d, want %d",
 			data[len(wireMagic)], wireVersion2)
@@ -40,10 +37,7 @@ func TestWireV2RoundTrip(t *testing.T) {
 func TestWireV1ByteStableWithoutWaste(t *testing.T) {
 	// Fault-free packets (all wasted fields zero) must keep the exact v1
 	// encoding: the determinism gate compares wire byte counters across runs.
-	data, err := samplePacket().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := samplePacket().AppendWire(nil)
 	if data[len(wireMagic)] != wireVersion {
 		t.Fatalf("fault-free packet encoded as version %d, want %d",
 			data[len(wireMagic)], wireVersion)
@@ -54,10 +48,7 @@ func TestWireV1ByteStableWithoutWaste(t *testing.T) {
 // a panic, never a silent success.
 func TestDecodeTruncationsReturnTypedError(t *testing.T) {
 	for _, p := range []*Packet{samplePacket(), wastedPacket()} {
-		data, err := p.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := p.AppendWire(nil)
 		for n := 0; n < len(data); n++ {
 			_, derr := DecodePacket(data[:n], job.NewSymbols())
 			if derr == nil {
@@ -88,10 +79,7 @@ func FuzzDecodePacket(f *testing.F) {
 			return
 		}
 		// Successful decode: the packet must survive a re-encode round trip.
-		re, err := p.Encode()
-		if err != nil {
-			t.Fatalf("re-encode of decoded packet failed: %v", err)
-		}
+		re := p.AppendWire(nil)
 		other := job.NewSymbols()
 		other.Intern("an earlier run's string")
 		q, err := DecodePacket(re, other)
@@ -107,17 +95,17 @@ func FuzzDecodePacket(f *testing.F) {
 // addWireSeeds seeds a packet fuzzer with valid packets of both versions,
 // repeated JobIDs, a NaN field, and truncated, trailing and garbage inputs.
 func addWireSeeds(f *testing.F) {
-	v1, _ := samplePacket().Encode()
-	v2, _ := wastedPacket().Encode()
+	v1 := samplePacket().AppendWire(nil)
+	v2 := wastedPacket().AppendWire(nil)
 	withNaN := samplePacket()
 	// JobID 77 is not in priorCentral, so FuzzIngestWire keeps the record.
 	withNaN.Jobs[1].JobID, withNaN.Jobs[1].CoreSeconds = 77, math.NaN()
-	nan, _ := withNaN.Encode()
+	nan := withNaN.AppendWire(nil)
 	f.Add(nan)
 	repeat := samplePacket()
 	repeat.Jobs = append(repeat.Jobs, repeat.Jobs[0])
-	rep, _ := repeat.Encode()
-	empty, _ := (&Packet{Site: "s", Seq: 1}).Encode()
+	rep := repeat.AppendWire(nil)
+	empty := (&Packet{Site: "s", Seq: 1}).AppendWire(nil)
 	f.Add(v1)
 	f.Add(v2)
 	f.Add(rep)
@@ -228,10 +216,10 @@ func FuzzIngestWire(f *testing.F) {
 	for _, seq := range []uint64{1, 3, 41, 43, 50} {
 		p := samplePacket()
 		p.Seq = seq
-		data, _ := p.Encode()
+		data := p.AppendWire(nil)
 		f.Add(data)
 	}
-	redelivery, _ := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 900}}, Syms: job.NewSymbols()}).Encode()
+	redelivery := (&Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 900}}, Syms: job.NewSymbols()}).AppendWire(nil)
 	f.Add(redelivery)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -158,11 +158,6 @@ type Packet struct {
 	Syms *job.Symbols `json:"-"`
 }
 
-// Encode serializes the packet to its wire form, the binary codec in
-// wire.go, in a fresh buffer. Hot paths encode with AppendWire into a
-// buffer they reuse.
-func (p *Packet) Encode() ([]byte, error) { return p.AppendWire(nil), nil }
-
 // Ledger is a site's local spool of unreported records. Sites flush their
 // ledgers to the central database on a reporting interval (or at simulation
 // end), mirroring how usage reporting lagged reality operationally.

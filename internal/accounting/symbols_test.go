@@ -98,12 +98,8 @@ func TestIngestRejectsForeignTable(t *testing.T) {
 func TestRejectedWireLeavesTable(t *testing.T) {
 	enc := func(seq uint64, user string) []byte {
 		syms := job.NewSymbols()
-		data, err := (&Packet{Site: "s", Seq: seq, Syms: syms,
-			Jobs: []JobRecord{{JobID: int64(seq), User: syms.Intern(user), Project: syms.Intern("p-" + user)}}}).Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return (&Packet{Site: "s", Seq: seq, Syms: syms,
+			Jobs: []JobRecord{{JobID: int64(seq), User: syms.Intern(user), Project: syms.Intern("p-" + user)}}}).AppendWire(nil)
 	}
 	c := NewCentral(nil)
 	n := c.Syms().Len()

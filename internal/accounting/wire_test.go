@@ -43,10 +43,7 @@ func samplePacket() *Packet {
 
 func TestWireRoundTrip(t *testing.T) {
 	p := samplePacket()
-	data, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := p.AppendWire(nil)
 	n := p.Syms.Len()
 	got, err := DecodePacket(data, p.Syms)
 	if err != nil {
@@ -62,10 +59,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 func TestWireEmptyPacket(t *testing.T) {
 	p := &Packet{Site: "s", Seq: 1, SentAt: 0, Syms: job.NewSymbols()}
-	data, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := p.AppendWire(nil)
 	got, err := DecodePacket(data, p.Syms)
 	if err != nil {
 		t.Fatal(err)
@@ -76,15 +70,15 @@ func TestWireEmptyPacket(t *testing.T) {
 }
 
 func TestWireDeterministic(t *testing.T) {
-	a, _ := samplePacket().Encode()
-	b, _ := samplePacket().Encode()
+	a := samplePacket().AppendWire(nil)
+	b := samplePacket().AppendWire(nil)
 	if string(a) != string(b) {
 		t.Fatal("identical packets encoded differently")
 	}
 }
 
 func TestDecodeCorruptPacket(t *testing.T) {
-	data, _ := samplePacket().Encode()
+	data := samplePacket().AppendWire(nil)
 	cases := map[string][]byte{
 		"empty":       {},
 		"bad magic":   []byte("XXX\x01rest"),
@@ -110,10 +104,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := p.Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
+		data := p.AppendWire(nil)
 		if _, err := DecodePacket(data, p.Syms); err != nil {
 			b.Fatal(err)
 		}

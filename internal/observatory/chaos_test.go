@@ -87,8 +87,8 @@ func TestChaosDropHeavy(t *testing.T) {
 	if proxy.Cuts() == 0 {
 		t.Fatal("chaos proxy injected no cuts — the schedule exercised nothing")
 	}
-	if p.Stats().Reconnects == 0 {
-		t.Fatalf("no reconnects despite %d cuts (%+v)", proxy.Cuts(), p.Stats())
+	if st := p.Stats(); st.Reconnects == 0 || st.Replayed == 0 {
+		t.Fatalf("no reconnect replayed a frame despite %d cuts (%+v)", proxy.Cuts(), st)
 	}
 	assertDaemonMatchesProducer(t, d, p, res)
 

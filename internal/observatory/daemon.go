@@ -53,8 +53,9 @@ type Config struct {
 // database outright — the same single-writer discipline the in-process
 // observatory uses. Everything the HTTP side serves is an immutable
 // payload published through an atomic pointer by the owning goroutine.
-// The daemon's own bookkeeping is plain atomics folded into a fresh
-// registry at scrape time, so ingest and scrape never contend.
+// The daemon's own bookkeeping is plain atomics that the scrape renders
+// as OpenMetrics text directly (writeMetaMetrics), so ingest and scrape
+// never contend.
 type Daemon struct {
 	cfg Config
 
@@ -111,7 +112,7 @@ type runState struct {
 	proc    *stream.Processor
 	central *accounting.Central
 	reg     *telemetry.Registry
-	wal     *runWAL // nil when journaling is off or the disk failed
+	wal     *frameLog // nil when journaling is off or the disk failed
 
 	// curConn lets a resume takeover force-close a half-open previous
 	// connection so its handler releases ownership.
@@ -202,30 +203,10 @@ func (d *Daemon) acceptLoop(ln net.Listener) {
 // Close stops all listeners and the HTTP console. In-flight runs keep
 // their published state; their connections are closed by their peers.
 func (d *Daemon) Close() error {
-	if d.closed.Swap(true) {
+	if !d.stopListening() {
 		return nil
 	}
-	d.mu.Lock()
-	lns := d.listeners
-	d.listeners = nil
-	srv := d.httpSrv
-	d.httpSrv = nil
-	d.mu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
-		if ua, ok := ln.Addr().(*net.UnixAddr); ok {
-			os.Remove(ua.Name)
-		}
-	}
-	d.lnWG.Wait()
-	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			return srv.Close()
-		}
-	}
-	return nil
+	return d.stopConsole(false)
 }
 
 // Shutdown stops the daemon gracefully: listeners close first (no new
@@ -236,44 +217,18 @@ func (d *Daemon) Close() error {
 // artifacts at finalize time; a graceful exit therefore loses nothing
 // that was ever acked.
 func (d *Daemon) Shutdown(grace time.Duration) error {
-	if d.closed.Swap(true) {
+	if !d.stopListening() {
 		return nil
 	}
-	d.mu.Lock()
-	lns := d.listeners
-	d.listeners = nil
-	d.mu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
-		if ua, ok := ln.Addr().(*net.UnixAddr); ok {
-			os.Remove(ua.Name)
-		}
-	}
-	d.lnWG.Wait()
 	deadline := time.Now().Add(grace)
 	d.mu.Lock()
 	for c := range d.conns {
 		c.SetReadDeadline(deadline)
 	}
-	srv := d.httpSrv
-	d.httpSrv = nil
 	d.mu.Unlock()
 	d.connWG.Wait()
-	// No handlers left: WAL ownership is free.
-	for _, rs := range d.runList() {
-		if rs.wal != nil {
-			rs.wal.close(true)
-			rs.wal = nil
-		}
-	}
-	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			return srv.Close()
-		}
-	}
-	return nil
+	d.closeWALs(true)
+	return d.stopConsole(false)
 }
 
 // Kill simulates a hard crash for tests: listeners and live connections
@@ -283,18 +238,29 @@ func (d *Daemon) Shutdown(grace time.Duration) error {
 // directory.
 func (d *Daemon) Kill() {
 	d.killed.Store(true)
-	if d.closed.Swap(true) {
+	if !d.stopListening() {
 		return
+	}
+	d.mu.Lock()
+	for c := range d.conns {
+		c.Close()
+	}
+	d.mu.Unlock()
+	d.connWG.Wait()
+	d.closeWALs(false) // the crash loses the unflushed tail
+	d.stopConsole(true)
+}
+
+// stopListening marks the daemon closed, closes every listener (removing
+// Unix socket files), and waits for the accept loops to exit. It reports
+// false when the daemon was already closed.
+func (d *Daemon) stopListening() bool {
+	if d.closed.Swap(true) {
+		return false
 	}
 	d.mu.Lock()
 	lns := d.listeners
 	d.listeners = nil
-	conns := make([]net.Conn, 0, len(d.conns))
-	for c := range d.conns {
-		conns = append(conns, c)
-	}
-	srv := d.httpSrv
-	d.httpSrv = nil
 	d.mu.Unlock()
 	for _, ln := range lns {
 		ln.Close()
@@ -302,20 +268,38 @@ func (d *Daemon) Kill() {
 			os.Remove(ua.Name)
 		}
 	}
-	for _, c := range conns {
-		c.Close()
-	}
 	d.lnWG.Wait()
-	d.connWG.Wait()
+	return true
+}
+
+// closeWALs closes every run's WAL, syncing first unless a crash is being
+// simulated. Call only once no handler is left: WAL ownership is free.
+func (d *Daemon) closeWALs(sync bool) {
 	for _, rs := range d.runList() {
-		if rs.wal != nil {
-			rs.wal.close(false) // close without flushing: the crash loses the tail
-			rs.wal = nil
-		}
+		rs.wal.close(sync)
+		rs.wal = nil
 	}
-	if srv != nil {
-		srv.Close()
+}
+
+// stopConsole takes the HTTP console down: gracefully within 2 s, or at
+// once when hard.
+func (d *Daemon) stopConsole(hard bool) error {
+	d.mu.Lock()
+	srv := d.httpSrv
+	d.httpSrv = nil
+	d.mu.Unlock()
+	if srv == nil {
+		return nil
 	}
+	if hard {
+		return srv.Close()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		return srv.Close()
+	}
+	return nil
 }
 
 // Recover rebuilds run state from the WAL directory after a crash: each
@@ -334,25 +318,36 @@ func (d *Daemon) Recover() (int, error) {
 	}
 	n := 0
 	for _, path := range paths {
-		meta, recs, goodLen, err := readWAL(path)
+		var rs *runState
+		var applyErr error
+		goodLen, err := readFrameLog(path, func(typ byte, payload []byte) error {
+			if rs == nil {
+				var meta walMeta
+				if err := unmarshalStrictless(payload, &meta); err != nil {
+					return err
+				}
+				rs = d.newRunState(meta.ID, meta.Seed, meta.LargestCores, meta.EndTimeS, meta.Source)
+				return nil
+			}
+			rs.frames.Add(1)
+			if applyErr == nil {
+				applyErr = d.applyRecovered(rs, typ, payload)
+			}
+			return nil
+		})
 		if err != nil {
 			d.logf("tgobsd: recovery: skipping %s: %v", path, err)
 			continue
+		}
+		if applyErr != nil {
+			d.logf("tgobsd: recovery: run %s: stopping replay at seq %d: %v",
+				rs.ID, rs.haveSeq.Load(), applyErr)
 		}
 		if st, err := os.Stat(path); err == nil && st.Size() > goodLen {
 			if err := os.Truncate(path, goodLen); err != nil {
 				d.logf("tgobsd: recovery: truncate %s: %v", path, err)
 			}
 		}
-		rs := d.newRunState(meta.ID, meta.Seed, meta.LargestCores, meta.EndTimeS, meta.Source)
-		for _, rec := range recs {
-			if err := d.applyRecovered(rs, rec); err != nil {
-				d.logf("tgobsd: recovery: run %s: stopping replay at seq %d: %v",
-					rs.ID, rs.haveSeq.Load(), err)
-				break
-			}
-		}
-		rs.frames.Add(uint64(len(recs)))
 		rs.publish(true)
 		d.mu.Lock()
 		if _, taken := d.runs[rs.ID]; taken {
@@ -370,16 +365,17 @@ func (d *Daemon) Recover() (int, error) {
 	return n, nil
 }
 
-// applyRecovered replays one WAL record through the live apply path.
-func (d *Daemon) applyRecovered(rs *runState, rec walRecord) error {
-	seq, body, err := splitSeq(rec.payload)
+// applyRecovered replays one WAL record frame through the live apply
+// path.
+func (d *Daemon) applyRecovered(rs *runState, typ byte, payload []byte) error {
+	seq, body, err := splitSeq(payload)
 	if err != nil {
 		return err
 	}
 	if seq <= rs.haveSeq.Load() {
 		return nil // duplicate landed in the journal; harmless
 	}
-	switch rec.typ {
+	switch typ {
 	case framePacket:
 		return rs.applyPacket(seq, body)
 	case frameFinal:
@@ -390,7 +386,7 @@ func (d *Daemon) applyRecovered(rs *runState, rec walRecord) error {
 		rs.haveSeq.Store(seq)
 		return d.finalizeRun(rs, end)
 	default:
-		return fmt.Errorf("%w: unexpected WAL frame %q", ErrBadFrame, rec.typ)
+		return fmt.Errorf("%w: unexpected WAL frame %q", ErrBadFrame, typ)
 	}
 }
 
@@ -514,10 +510,7 @@ func (d *Daemon) handleConn(conn net.Conn) {
 	rs.curConn.Store(&conn)
 	rs.connected.Store(true)
 	if d.cfg.WALDir != "" && rs.wal == nil && !rs.finalized.Load() {
-		wal, err := openRunWAL(d.cfg.WALDir, walMeta{
-			ID: rs.ID, Seed: rs.Seed, LargestCores: rs.Largest,
-			EndTimeS: rs.EndTimeS, Source: rs.Source,
-		})
+		wal, err := d.openWAL(rs)
 		if err != nil {
 			d.logf("tgobsd: run %s: WAL open failed, journaling off: %v", rs.ID, err)
 		} else {
@@ -566,6 +559,21 @@ func (d *Daemon) handleConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// openWAL opens (appending) or creates a run's write-ahead log.
+func (d *Daemon) openWAL(rs *runState) (*frameLog, error) {
+	if err := os.MkdirAll(d.cfg.WALDir, 0o755); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(walPath(d.cfg.WALDir, rs.ID), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return newFrameLog(f, walMeta{
+		ID: rs.ID, Seed: rs.Seed, LargestCores: rs.Largest,
+		EndTimeS: rs.EndTimeS, Source: rs.Source,
+	}, true)
 }
 
 // applyFrame applies one decoded frame to the run. It runs on the run's
@@ -631,12 +639,9 @@ func (d *Daemon) applyFrame(rs *runState, conn net.Conn, typ byte, payload []byt
 		if err != nil {
 			return err
 		}
+		// The log syncs a final frame before the ack below releases the
+		// producer from its delivery obligation.
 		d.walAppend(rs, frameFinal, payload)
-		if rs.wal != nil {
-			// The final must be durable before the ack releases the
-			// producer from its delivery obligation.
-			rs.wal.sync()
-		}
 		rs.haveSeq.Store(seq)
 		if err := d.finalizeRun(rs, end); err != nil {
 			return err
@@ -649,9 +654,10 @@ func (d *Daemon) applyFrame(rs *runState, conn net.Conn, typ byte, payload []byt
 }
 
 // walAppend journals one record frame ahead of processing. A disk
-// failure degrades the run to non-journaled (logged once) rather than
-// killing the connection: availability over durability, and the
-// producer's journal still covers the replay.
+// failure — a failed write, or the fsync a final frame forces — degrades
+// the run to non-journaled (logged once) rather than killing the
+// connection: availability over durability, and the producer's journal
+// still covers the replay.
 func (d *Daemon) walAppend(rs *runState, typ byte, payload []byte) {
 	if rs.wal == nil {
 		return

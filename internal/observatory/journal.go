@@ -11,172 +11,34 @@ import (
 	"strings"
 )
 
-// This file holds the two durability layers of the fault-tolerant push
-// path.
+// This file holds the one durable store of the fault-tolerant push path:
+// the frame log, an append-only file of record frames exactly as they
+// cross the wire. Both ends of a push keep one.
 //
-// Producer side: a bounded in-memory replay window backed by a disk
-// spill journal. Every record frame (packet, final) is retained until
-// the run finishes, because a reconnect may have to replay from any
-// point the daemon has not applied — the daemon's resume offset is only
-// learned at reconnect time. Recent frames replay from memory; anything
-// older than the window is re-read from the spill file.
+// Producer side: the spill journal. Every record frame (packet, final)
+// is logged before its first write attempt and kept until the run
+// finishes, because a reconnect may have to replay from any point the
+// daemon has not applied — the daemon's resume offset is only learned at
+// reconnect time. The journal is never synced: a producer crash ends the
+// run anyway.
 //
 // Daemon side: a per-run write-ahead log. Every record frame is appended
 // (fsync batched) *before* it is applied to the run's processor and
-// accounting database, so a daemon crash loses at most the unflushed
+// accounting database, so a daemon crash loses at most the unsynced
 // tail — and whatever the tail loses, the producer still holds and
 // replays, because the recovered resume offset tells it exactly where
 // the daemon's durable state ends.
 
-// journalFrame is one retained record frame: the wire type plus the
-// sealed payload (sequence number already prepended).
-type journalFrame struct {
-	typ    byte
-	seq    uint64
-	sealed []byte
-}
-
-// replayWindow keeps the most recent record frames in memory, bounded at
-// cap frames; older entries are evicted (the spill journal still has
-// them).
-type replayWindow struct {
-	frames []journalFrame
-	limit  int
-}
-
-func newReplayWindow(limit int) *replayWindow {
-	if limit < 1 {
-		limit = 1
-	}
-	return &replayWindow{limit: limit}
-}
-
-func (w *replayWindow) add(f journalFrame) {
-	if len(w.frames) >= w.limit {
-		// Shift rather than ring-index: the window is small and replay
-		// wants the frames in slice order anyway.
-		copy(w.frames, w.frames[1:])
-		w.frames = w.frames[:len(w.frames)-1]
-	}
-	w.frames = append(w.frames, f)
-}
-
-// covers reports whether every frame with sequence > haveSeq is still in
-// memory.
-func (w *replayWindow) covers(haveSeq uint64) bool {
-	if len(w.frames) == 0 {
-		return true
-	}
-	return w.frames[0].seq <= haveSeq+1
-}
-
-// from returns the retained frames with sequence > haveSeq, in order.
-func (w *replayWindow) from(haveSeq uint64) []journalFrame {
-	for i, f := range w.frames {
-		if f.seq > haveSeq {
-			return w.frames[i:]
-		}
-	}
-	return nil
-}
-
-// spillJournal is the producer's on-disk copy of every record frame of
-// the current push session. It is owned by the writer goroutine: appends
-// and replays never race. Durability is not the point (a producer crash
-// ends the run anyway) — the journal exists so the bounded window can
-// evict without losing the ability to replay arbitrarily far back.
-type spillJournal struct {
-	path    string
-	own     bool // created by us (temp file) → removed on close
-	f       *os.File
-	w       *bufio.Writer
-	nBytes  uint64
-	nFrames uint64
-}
-
-// newSpillJournal opens the spill journal at path, or a private temp
-// file when path is empty.
-func newSpillJournal(path string) (*spillJournal, error) {
-	var f *os.File
-	var err error
-	own := false
-	if path == "" {
-		f, err = os.CreateTemp("", "tgpush-*.spill")
-		own = true
-	} else {
-		f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("observatory: spill journal: %w", err)
-	}
-	return &spillJournal{path: f.Name(), own: own, f: f, w: bufio.NewWriter(f)}, nil
-}
-
-func (j *spillJournal) append(f journalFrame) error {
-	if err := writeFrame(j.w, f.typ, f.sealed); err != nil {
-		return err
-	}
-	j.nBytes += uint64(5 + len(f.sealed))
-	j.nFrames++
-	return nil
-}
-
-// replay streams every journaled frame with sequence > haveSeq to emit,
-// in append order.
-func (j *spillJournal) replay(haveSeq uint64, emit func(journalFrame) error) error {
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	r, err := os.Open(j.path)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	br := bufio.NewReader(r)
-	for {
-		typ, payload, err := readFrame(br)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		seq, _, err := splitSeq(payload)
-		if err != nil {
-			return err
-		}
-		if seq <= haveSeq {
-			continue
-		}
-		if err := emit(journalFrame{typ: typ, seq: seq, sealed: payload}); err != nil {
-			return err
-		}
-	}
-}
-
-// close flushes and removes the journal (the session is over; nothing
-// left to replay).
-func (j *spillJournal) close() {
-	if j == nil {
-		return
-	}
-	j.w.Flush()
-	j.f.Close()
-	if j.own || j.path != "" {
-		os.Remove(j.path)
-	}
-}
-
-// walMagic brands a daemon write-ahead log file.
+// walMagic brands a frame log file.
 const walMagic = "TGOWAL1\n"
 
-// walSyncEvery batches fsyncs: the WAL file is synced after this many
-// appended frames (and always at finalize and handler exit). A crash
+// walSyncEvery batches fsyncs: a durable log is synced after this many
+// appended frames, on every final frame, and at handler exit. A crash
 // loses at most walSyncEvery frames of tail — which the producer's
 // journal replays on reconnect.
 const walSyncEvery = 256
 
-// walMeta is the run identity persisted in the WAL header frame, enough
+// walMeta is the run identity persisted in the log's hello frame, enough
 // to rebuild the runState on recovery.
 type walMeta struct {
 	ID           string  `json:"id"`
@@ -186,15 +48,73 @@ type walMeta struct {
 	Source       string  `json:"source,omitempty"`
 }
 
-// runWAL is one run's write-ahead log: the magic, a hello frame holding
-// the run meta, then every record frame exactly as it arrived on the
-// wire (sequence numbers included). Owned by the run's connection
-// goroutine under the same single-writer discipline as the processor.
-type runWAL struct {
+// frameLog is one run's frame log: the magic, a hello frame holding the
+// run meta, then record frames exactly as they cross the wire (sequence
+// numbers included). It is owned by one goroutine — the pusher's writer,
+// or the run's connection handler — so appends, syncs and replays never
+// race.
+type frameLog struct {
 	path     string
 	f        *os.File
 	w        *bufio.Writer
+	durable  bool // fsync every walSyncEvery frames and on every final frame
 	unsynced int
+}
+
+// newFrameLog wraps an open file, writing the header when the file is
+// empty (a durable log syncs it at once). Appends go to the file's end.
+func newFrameLog(f *os.File, meta walMeta, durable bool) (*frameLog, error) {
+	l := &frameLog{path: f.Name(), f: f, w: bufio.NewWriter(f), durable: durable}
+	st, err := f.Stat()
+	if err == nil && st.Size() == 0 {
+		if _, err = l.w.WriteString(walMagic); err == nil {
+			err = writeFrame(l.w, frameHello, marshalJSON(&meta))
+		}
+		if err == nil && durable {
+			err = l.sync()
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return l, nil
+}
+
+// append logs one record frame, syncing a durable log on the batch
+// cadence and on the final frame.
+func (l *frameLog) append(typ byte, payload []byte) error {
+	if err := writeFrame(l.w, typ, payload); err != nil {
+		return err
+	}
+	if !l.durable {
+		return nil
+	}
+	l.unsynced++
+	if l.unsynced >= walSyncEvery || typ == frameFinal {
+		return l.sync()
+	}
+	return nil
+}
+
+// sync flushes the buffer and fsyncs the file.
+func (l *frameLog) sync() error {
+	if err := l.w.Flush(); err != nil {
+		return err
+	}
+	l.unsynced = 0
+	return l.f.Sync()
+}
+
+// close syncs (unless a crash is being simulated) and closes the file.
+func (l *frameLog) close(sync bool) {
+	if l == nil {
+		return
+	}
+	if sync {
+		l.sync()
+	}
+	l.f.Close()
 }
 
 // walPath returns the WAL file for a run ID. IDs are pre-validated
@@ -203,110 +123,39 @@ func walPath(dir, id string) string {
 	return filepath.Join(dir, id+".wal")
 }
 
-// openRunWAL opens (appending) or creates the WAL for a run.
-func openRunWAL(dir string, meta walMeta) (*runWAL, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	path := walPath(dir, meta.ID)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	wal := &runWAL{path: path, f: f, w: bufio.NewWriter(f)}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if st.Size() == 0 {
-		if _, err := wal.w.WriteString(walMagic); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := writeFrame(wal.w, frameHello, marshalJSON(&meta)); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := wal.sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return wal, nil
-}
-
-// append logs one record frame ahead of processing, syncing on the batch
-// cadence.
-func (w *runWAL) append(typ byte, payload []byte) error {
-	if err := writeFrame(w.w, typ, payload); err != nil {
-		return err
-	}
-	w.unsynced++
-	if w.unsynced >= walSyncEvery {
-		return w.sync()
-	}
-	return nil
-}
-
-// sync flushes the buffer and fsyncs the file.
-func (w *runWAL) sync() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	w.unsynced = 0
-	return w.f.Sync()
-}
-
-// close syncs (unless crashing is being simulated) and closes the file.
-func (w *runWAL) close(sync bool) {
-	if w == nil {
-		return
-	}
-	if sync {
-		w.sync()
-	}
-	w.f.Close()
-}
-
-// walRecord is one recovered frame.
-type walRecord struct {
-	typ     byte
-	payload []byte
-}
-
-// readWAL parses one WAL file, tolerating a torn tail: a crash can cut
-// the file mid-frame, so parsing stops at the first malformed frame and
-// reports how many bytes were good. Everything before the tear is valid
-// by construction (frames are appended whole before processing).
-func readWAL(path string) (meta walMeta, recs []walRecord, goodLen int64, err error) {
+// readFrameLog parses a frame log, feeding the hello frame and then each
+// record frame to each, in order. It tolerates a torn tail: a crash can
+// cut the file mid-frame, so parsing stops quietly at the first malformed
+// frame — everything before the tear is whole by construction (frames
+// are appended whole). goodLen is the length of the header plus every
+// frame each accepted; an error from each stops the read and is
+// returned.
+func readFrameLog(path string, each func(typ byte, payload []byte) error) (goodLen int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return meta, nil, 0, err
+		return 0, err
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
 	magic := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
-		return meta, nil, 0, fmt.Errorf("%w: not a WAL file: %s", ErrBadFrame, path)
+		return 0, fmt.Errorf("%w: not a frame log: %s", ErrBadFrame, path)
 	}
 	typ, payload, err := readFrame(br)
 	if err != nil || typ != frameHello {
-		return meta, nil, 0, fmt.Errorf("%w: WAL %s missing meta header", ErrBadFrame, path)
+		return 0, fmt.Errorf("%w: frame log %s missing meta header", ErrBadFrame, path)
 	}
-	if err := unmarshalStrictless(payload, &meta); err != nil {
-		return meta, nil, 0, err
-	}
-	goodLen = int64(len(walMagic) + 5 + len(payload))
+	goodLen = int64(len(walMagic))
 	for {
-		typ, payload, err := readFrame(br)
-		if err != nil {
+		if err := each(typ, payload); err != nil {
+			return goodLen, err
+		}
+		goodLen += int64(5 + len(payload))
+		if typ, payload, err = readFrame(br); err != nil {
 			// io.EOF is a clean end; anything else is the torn tail of a
 			// crash — recovery keeps what parsed and truncates the rest.
-			return meta, recs, goodLen, nil
+			return goodLen, nil
 		}
-		recs = append(recs, walRecord{typ: typ, payload: payload})
-		goodLen += int64(5 + len(payload))
 	}
 }
 

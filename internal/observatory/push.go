@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,13 +34,13 @@ import (
 // full they are dropped and counted, never blocking the run.
 //
 // Fault tolerance: the writer goroutine owns the connection end to end.
-// Record frames (packets, final) are sequence-numbered, retained in a
-// bounded in-memory replay window, and spilled to a disk journal before
-// they ever touch the wire. On a wire error the writer reconnects with
-// exponential backoff and deterministic jitter (faults.RetryPolicy
-// semantics on the wall clock), re-handshakes with Resume set, learns the
-// daemon's resume offset from the hello ack, and replays exactly the
-// frames the daemon never applied. Only after the retry budget is
+// Record frames (packets, final) are sequence-numbered and spilled to a
+// disk journal (a frame log, see journal.go) before they ever touch the
+// wire. On a wire error the writer reconnects with exponential backoff
+// and deterministic jitter (faults.RetryPolicy semantics on the wall
+// clock), re-handshakes with Resume set, learns the daemon's resume
+// offset from the hello ack, and replays exactly the frames the daemon
+// never applied from the journal. Only after the retry budget is
 // exhausted does the pusher break: subsequent packet frames are counted
 // in PacketsLost instead of blocking forever, and Finish reports the
 // error. tgsim -strict-obs turns a broken push into a non-zero exit,
@@ -58,10 +59,9 @@ type Pusher struct {
 	errVal atomic.Pointer[pushErr]
 
 	// Writer-owned delivery state.
-	journal *spillJournal
-	jbroken bool // spill append failed; window-only replay from here on
-	window  *replayWindow
-	nextSeq uint64
+	spill    *frameLog
+	spillErr error // first failed spill append; replay is impossible from here on
+	nextSeq  uint64
 
 	finalAcked atomic.Bool
 
@@ -94,7 +94,7 @@ type PushStats struct {
 	Metrics      uint64 // metrics frames enqueued
 	Bytes        uint64 // payload bytes written to the wire
 	Reconnects   uint64 // successful reconnect+resume handshakes
-	Replayed     uint64 // record frames re-sent from the window/journal
+	Replayed     uint64 // record frames re-sent from the spill journal
 	SpilledBytes uint64 // bytes appended to the disk spill journal
 }
 
@@ -110,9 +110,6 @@ type PushOptions struct {
 	// SpillPath places the disk spill journal; empty uses a private
 	// temp file. The journal is removed when the session ends.
 	SpillPath string
-	// JitterSeed seeds the deterministic backoff jitter stream; zero
-	// falls back to the hello seed.
-	JitterSeed uint64
 }
 
 // DefaultPushOptions is the default reconnect profile: a dozen attempts
@@ -133,10 +130,6 @@ func DefaultPushOptions() PushOptions {
 // pushOutbox is the outbox depth. Packet frames block (never drop) when
 // it fills, so it only bounds memory, not fidelity.
 const pushOutbox = 256
-
-// pushWindowFrames bounds the in-memory replay window; reconnects that
-// must reach further back replay from the spill journal.
-const pushWindowFrames = 1024
 
 // handshakeTimeout bounds the hello and final acks so a wedged daemon
 // cannot hang a producer forever.
@@ -172,17 +165,12 @@ func DialPush(addr string, h Hello, opts PushOptions) (*Pusher, error) {
 	h.Schema = helloSchema
 	h.Resume = false
 	p := &Pusher{
-		addr:   addr,
-		hello:  h,
-		opts:   opts,
-		out:    make(chan outFrame, pushOutbox),
-		window: newReplayWindow(pushWindowFrames),
+		addr:  addr,
+		hello: h,
+		opts:  opts,
+		out:   make(chan outFrame, pushOutbox),
+		rng:   simrand.Derive(h.Seed, "observatory/push-retry"),
 	}
-	seed := opts.JitterSeed
-	if seed == 0 {
-		seed = h.Seed
-	}
-	p.rng = simrand.Derive(seed, "observatory/push-retry")
 	for attempt := 1; ; attempt++ {
 		conn, ack, err := p.dialAndHello(false)
 		if err == nil {
@@ -199,15 +187,32 @@ func DialPush(addr string, h Hello, opts PushOptions) (*Pusher, error) {
 		}
 		time.Sleep(d)
 	}
-	journal, err := newSpillJournal(opts.SpillPath)
+	spill, err := p.openSpill()
 	if err != nil {
 		p.conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("observatory: spill journal: %w", err)
 	}
-	p.journal = journal
+	p.spill = spill
 	p.wg.Add(1)
 	go p.writer()
 	return p, nil
+}
+
+// openSpill starts the spill journal afresh at opts.SpillPath, or in a
+// private temp file when the path is empty.
+func (p *Pusher) openSpill() (*frameLog, error) {
+	var f *os.File
+	var err error
+	if p.opts.SpillPath == "" {
+		f, err = os.CreateTemp("", "tgpush-*.spill")
+	} else {
+		f, err = os.OpenFile(p.opts.SpillPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	}
+	if err != nil {
+		return nil, err
+	}
+	h := p.hello
+	return newFrameLog(f, walMeta{ID: h.Run, Seed: h.Seed, LargestCores: h.LargestCores, EndTimeS: h.EndTimeS, Source: h.Source}, false)
 }
 
 // dialAndHello performs one connect + handshake attempt.
@@ -263,7 +268,8 @@ func (p *Pusher) retryDelay(attempt int) (time.Duration, bool) {
 func (p *Pusher) RunID() string { return p.run }
 
 // Err returns the permanent push error, if any (set only after the
-// reconnect budget gave up, or on an encode failure).
+// reconnect budget gave up, or when a replay found the spill journal
+// failed).
 func (p *Pusher) Err() error {
 	if e := p.errVal.Load(); e != nil {
 		return e.err
@@ -312,43 +318,41 @@ func (p *Pusher) AppendOpenMetrics(b []byte) []byte {
 	add("tg_push_packets_total", "Accounting packet frames handed to the push writer.", st.Packets)
 	add("tg_push_packets_lost_total", "Packet frames abandoned after the reconnect budget gave up.", st.PacketsLost)
 	add("tg_push_reconnects_total", "Successful reconnect+resume handshakes.", st.Reconnects)
-	add("tg_push_replayed_frames_total", "Record frames re-sent from the replay window or spill journal.", st.Replayed)
+	add("tg_push_replayed_frames_total", "Record frames re-sent from the spill journal.", st.Replayed)
 	add("tg_push_spilled_bytes_total", "Bytes appended to the disk spill journal.", st.SpilledBytes)
 	add("tg_push_bytes_total", "Payload bytes written to the wire.", st.Bytes)
 	return b
 }
 
 // writer drains the outbox onto the wire. It is the sole owner of the
-// connection, the sequence counter, the replay window, and the spill
-// journal. Record frames are sealed with the next sequence number and
-// journaled *before* the first write attempt, so a failed write (or a
-// whole daemon restart) is recoverable by replay. After the pusher
-// breaks permanently it keeps draining (so blocking senders never
-// deadlock) but discards frames.
+// connection, the sequence counter, and the spill journal. Record frames
+// are stamped with the next sequence number and journaled *before* the
+// first write attempt, so a failed write (or a whole daemon restart) is
+// recoverable by replay. After the pusher breaks permanently it keeps
+// draining (so blocking senders never deadlock) but discards frames.
 func (p *Pusher) writer() {
 	defer p.wg.Done()
 	for f := range p.out {
 		switch f.typ {
 		case framePacket, frameFinal:
 			p.nextSeq++
-			jf := journalFrame{typ: f.typ, seq: p.nextSeq, sealed: sealSeq(p.nextSeq, f.payload)}
-			if p.journal != nil && !p.jbroken {
-				if err := p.journal.append(jf); err != nil {
-					// Disk trouble degrades replay reach to the in-memory
-					// window; the push itself continues.
-					p.jbroken = true
+			stampSeq(f.payload, p.nextSeq)
+			if p.spillErr == nil {
+				// Disk trouble leaves the live session running; only a
+				// reconnect that needs replay breaks the push.
+				if err := p.spill.append(f.typ, f.payload); err != nil {
+					p.spillErr = err
 				} else {
-					p.spilled.Add(uint64(5 + 8 + len(f.payload)))
+					p.spilled.Add(uint64(5 + len(f.payload)))
 				}
 			}
-			p.window.add(jf)
 			if p.Err() != nil {
 				if f.typ == framePacket {
 					p.packetsLost.Add(1)
 				}
 				continue
 			}
-			if err := writeFrame(p.conn, f.typ, jf.sealed); err != nil {
+			if err := writeFrame(p.conn, f.typ, f.payload); err != nil {
 				if !p.reconnect() {
 					p.fail(fmt.Errorf("observatory: write: %w", err))
 					if f.typ == framePacket {
@@ -356,10 +360,10 @@ func (p *Pusher) writer() {
 					}
 					continue
 				}
-				// The reconnect replayed every unapplied frame, jf
-				// included — this frame is delivered.
+				// The reconnect replayed every unapplied frame, this one
+				// included — it is delivered.
 			}
-			p.bytes.Add(uint64(len(jf.sealed)))
+			p.bytes.Add(uint64(len(f.payload)))
 			if f.typ == frameFinal {
 				p.awaitFinalAck()
 			}
@@ -386,7 +390,8 @@ func (p *Pusher) writer() {
 // connection, back off per the retry policy (deterministic jitter), dial
 // and re-handshake with Resume set, then replay every record frame above
 // the daemon's resume offset. Returns false when the budget is exhausted
-// or resume is impossible (identity lost, seed mismatch).
+// or resume is impossible (identity lost, seed mismatch, spill journal
+// failed).
 func (p *Pusher) reconnect() bool {
 	p.conn.Close()
 	for attempt := 1; ; attempt++ {
@@ -418,36 +423,44 @@ func (p *Pusher) reconnect() bool {
 		}
 		if err := p.replayFrom(ack.HaveSeq); err != nil {
 			p.conn.Close()
+			if p.spillErr != nil {
+				p.fail(err) // the frames to replay are gone; retrying cannot help
+				return false
+			}
 			continue
 		}
 		return true
 	}
 }
 
-// replayFrom re-sends every record frame with sequence > haveSeq, from
-// the in-memory window when it reaches back far enough, otherwise from
-// the spill journal.
+// replayFrom re-sends every record frame with sequence > haveSeq from
+// the spill journal, in order.
 func (p *Pusher) replayFrom(haveSeq uint64) error {
-	emit := func(f journalFrame) error {
-		if err := writeFrame(p.conn, f.typ, f.sealed); err != nil {
+	if haveSeq >= p.nextSeq {
+		return nil
+	}
+	if p.spillErr == nil {
+		p.spillErr = p.spill.w.Flush()
+	}
+	if p.spillErr != nil {
+		return fmt.Errorf("observatory: replay from seq %d: spill journal failed: %w", haveSeq+1, p.spillErr)
+	}
+	_, err := readFrameLog(p.spill.path, func(typ byte, payload []byte) error {
+		if typ == frameHello {
+			return nil
+		}
+		seq, _, err := splitSeq(payload)
+		if err != nil || seq <= haveSeq {
+			return err
+		}
+		if err := writeFrame(p.conn, typ, payload); err != nil {
 			return err
 		}
 		p.replayed.Add(1)
-		p.bytes.Add(uint64(len(f.sealed)))
+		p.bytes.Add(uint64(len(payload)))
 		return nil
-	}
-	if p.window.covers(haveSeq) {
-		for _, f := range p.window.from(haveSeq) {
-			if err := emit(f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if p.journal == nil || p.jbroken {
-		return fmt.Errorf("observatory: replay window evicted seq %d and spill journal is unavailable", haveSeq+1)
-	}
-	return p.journal.replay(haveSeq, emit)
+	})
+	return err
 }
 
 // awaitFinalAck reads the daemon's final ack after the final frame went
@@ -478,7 +491,7 @@ func (p *Pusher) awaitFinalAck() {
 }
 
 // Observer returns the scenario observer that mounts the pusher on a run:
-// every flushed accounting packet is re-encoded with the accounting wire
+// every flushed accounting packet is encoded with the accounting wire
 // codec and shipped, and every progress snapshot is shipped (conflated
 // under backpressure) together with the registry's OpenMetrics exposition
 // when reg is non-nil. The observer composes with any snapshot sink that
@@ -486,13 +499,7 @@ func (p *Pusher) awaitFinalAck() {
 func (p *Pusher) Observer(reg *telemetry.Registry) scenario.Observer {
 	return scenario.ObserverFunc(func(a *scenario.Attachment) {
 		a.Packets = append(a.Packets, func(at des.Time, pkt *accounting.Packet) {
-			payload, err := encodePacketFrame(float64(at), pkt)
-			if err != nil {
-				p.fail(err)
-				p.packetsLost.Add(1)
-				return
-			}
-			p.sendBlocking(framePacket, payload)
+			p.sendBlocking(framePacket, pkt.AppendWire(recordFrame(float64(at))))
 		})
 		prev := a.Snapshots
 		a.Snapshots = func(s *telemetry.Snapshot) {
@@ -552,13 +559,10 @@ func (p *Pusher) Finish(end float64) error {
 		return p.Err()
 	}
 	p.finished = true
-	p.sendBlocking(frameFinal, encodeFinalFrame(end))
+	p.sendBlocking(frameFinal, recordFrame(end))
 	close(p.out)
 	p.wg.Wait()
-	defer func() {
-		p.conn.Close()
-		p.journal.close()
-	}()
+	defer p.Abort() // only the teardown is left to do
 	if err := p.Err(); err != nil {
 		return fmt.Errorf("observatory: push: %w", err)
 	}
@@ -578,5 +582,6 @@ func (p *Pusher) Abort() {
 		p.wg.Wait()
 	}
 	p.conn.Close()
-	p.journal.close()
+	p.spill.close(false)
+	os.Remove(p.spill.path)
 }

@@ -1,17 +1,23 @@
 package observatory
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/tgsim/tgmod/internal/accounting"
+	"github.com/tgsim/tgmod/internal/job"
 )
 
 // TestFinishAbortIdempotence: Finish and Abort are safe in either order
 // and on repeat — the error paths that call them cannot know what already
-// ran.
+// ran — and either one removes the spill journal.
 func TestFinishAbortIdempotence(t *testing.T) {
 	_, addr := startDaemon(t)
 
@@ -25,6 +31,9 @@ func TestFinishAbortIdempotence(t *testing.T) {
 	}
 	p.Abort()
 	p.Abort()
+	if _, err := os.Stat(p.spill.path); err == nil {
+		t.Fatalf("spill journal %s still exists after Finish", p.spill.path)
+	}
 
 	// Abort, then Finish: Finish must not re-drive the session, only
 	// report its (absent) error.
@@ -33,6 +42,9 @@ func TestFinishAbortIdempotence(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Abort()
+	if _, err := os.Stat(q.spill.path); err == nil {
+		t.Fatalf("spill journal %s still exists after Abort", q.spill.path)
+	}
 	if err := q.Finish(100); err != nil {
 		t.Fatalf("finish after abort: %v", err)
 	}
@@ -120,53 +132,104 @@ func TestResumeSeedMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestReplayWindow: eviction keeps the newest frames and coverage
-// reports exactly when replay can stay in memory.
-func TestReplayWindow(t *testing.T) {
-	w := newReplayWindow(3)
-	if !w.covers(0) {
-		t.Fatal("empty window must cover everything")
-	}
-	for seq := uint64(1); seq <= 5; seq++ {
-		w.add(journalFrame{typ: framePacket, seq: seq, sealed: sealSeq(seq, nil)})
-	}
-	if w.covers(1) {
-		t.Fatal("window holding 3..5 claims to cover a resume at 1")
-	}
-	if !w.covers(2) {
-		t.Fatal("window holding 3..5 must cover a resume at 2")
-	}
-	got := w.from(3)
-	if len(got) != 2 || got[0].seq != 4 || got[1].seq != 5 {
-		t.Fatalf("from(3) = %v, want seqs [4 5]", got)
-	}
+// bufConn is a net.Conn whose writes land in a buffer.
+type bufConn struct {
+	net.Conn
+	buf bytes.Buffer
 }
 
-// TestSpillJournalReplay: the journal replays exactly the frames above
-// the resume offset, in order, and removes its file on close.
+func (c *bufConn) Write(b []byte) (int, error) { return c.buf.Write(b) }
+
+// TestSpillJournalReplay: the spill journal starts afresh over whatever
+// its path held, and replay re-sends exactly the frames above the resume
+// offset, in order and byte for byte.
 func TestSpillJournalReplay(t *testing.T) {
-	j, err := newSpillJournal("")
+	path := filepath.Join(t.TempDir(), "run.spill")
+	if err := os.WriteFile(path, []byte("stale bytes from an earlier session"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	conn := &bufConn{}
+	p := &Pusher{hello: Hello{Run: "spill", Seed: 3}, opts: PushOptions{SpillPath: path}, conn: conn}
+	spill, err := p.openSpill()
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.spill = spill
+	var sent [][]byte
 	for seq := uint64(1); seq <= 6; seq++ {
-		if err := j.append(journalFrame{typ: framePacket, seq: seq, sealed: sealSeq(seq, []byte{byte(seq)})}); err != nil {
+		payload := recordFrame(float64(seq))
+		stampSeq(payload, seq)
+		if err := p.spill.append(framePacket, payload); err != nil {
 			t.Fatal(err)
 		}
+		sent = append(sent, payload)
+		p.nextSeq = seq
 	}
-	var got []uint64
-	if err := j.replay(4, func(f journalFrame) error {
-		got = append(got, f.seq)
-		return nil
-	}); err != nil {
+	if err := p.replayFrom(4); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != 5 || got[1] != 6 {
-		t.Fatalf("replay(4) visited %v, want [5 6]", got)
+	for _, want := range sent[4:] {
+		typ, got, err := readFrame(&conn.buf)
+		if err != nil || typ != framePacket || !bytes.Equal(got, want) {
+			t.Fatalf("replayed frame = (%q, %v, %v), want (%q, %v, nil)", typ, got, err, framePacket, want)
+		}
 	}
-	path := j.path
-	j.close()
-	if _, err := os.Stat(path); err == nil {
-		t.Fatalf("spill journal %s still exists after close", path)
+	if conn.buf.Len() != 0 || p.Stats().Replayed != 2 {
+		t.Fatalf("replay(4) sent %d extra bytes and counted %d frames, want 0 and 2", conn.buf.Len(), p.Stats().Replayed)
+	}
+	p.spill.close(false)
+}
+
+// brokenSpillPush dials a pusher, closes its spill journal's file (and,
+// with cut, its connection), and sends one packet frame larger than the
+// journal's write buffer, so the spill append fails at once.
+func brokenSpillPush(t *testing.T, addr, id string, cut bool) *Pusher {
+	t.Helper()
+	opts := DefaultPushOptions()
+	opts.Retry = testRetry()
+	p, err := DialPush(addr, Hello{Run: id, Seed: 5, LargestCores: 512, EndTimeS: 100, Source: "test"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.spill.f.Close()
+	if cut {
+		p.conn.Close() // the packet's write fails; the reconnect must replay it
+	}
+	syms := job.NewSymbols()
+	pkt := &accounting.Packet{Site: "s", Seq: 1, Syms: syms}
+	for i := 0; i < 400; i++ {
+		pkt.Jobs = append(pkt.Jobs, accounting.JobRecord{JobID: int64(i + 1), Cores: 1, EndTime: 50,
+			User: syms.Intern(fmt.Sprintf("user-%03d", i)), Project: syms.Intern("TG-spill")})
+	}
+	p.sendBlocking(framePacket, pkt.AppendWire(recordFrame(50)))
+	return p
+}
+
+// TestSpillFailureBreaksOnlyReplay: a failed spill append leaves the live
+// session running — a push that never reconnects finishes cleanly — but
+// a later reconnect that needs replay breaks the push for good, and the
+// run reads as lossy.
+func TestSpillFailureBreaksOnlyReplay(t *testing.T) {
+	_, addr := startDaemon(t)
+
+	p := brokenSpillPush(t, addr, "spill-live", false)
+	if err := p.Finish(100); err != nil {
+		t.Fatalf("finish with a broken spill journal and no reconnect: %v", err)
+	}
+	if p.spillErr == nil {
+		t.Fatal("the spill append did not fail; the test exercised nothing")
+	}
+	if st := p.Stats(); p.Lossy() || st.Reconnects != 0 {
+		t.Fatalf("no-reconnect push: lossy %v, %+v; want clean", p.Lossy(), st)
+	}
+
+	q := brokenSpillPush(t, addr, "spill-replay", true)
+	err := q.Finish(100)
+	if err == nil || q.Err() == nil || !q.Lossy() {
+		t.Fatalf("replay over a broken spill journal: Finish %v, Err %v, Lossy %v; want an error and a lossy run",
+			err, q.Err(), q.Lossy())
+	}
+	if !strings.Contains(err.Error(), "spill journal failed") {
+		t.Fatalf("error does not name the spill journal: %v", err)
 	}
 }

@@ -2,8 +2,10 @@ package observatory
 
 import (
 	"bytes"
+	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"github.com/tgsim/tgmod/internal/core"
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/faults"
+	"github.com/tgsim/tgmod/internal/job"
 	"github.com/tgsim/tgmod/internal/scenario"
 )
 
@@ -21,17 +24,26 @@ func testRetry() faults.RetryPolicy {
 	return faults.RetryPolicy{MaxAttempts: 60, Base: 0.01, MaxDelay: 0.1, Multiplier: 1.5, Jitter: 0.2}
 }
 
+// sequenced returns a record-frame payload: seq stamped, then body.
+func sequenced(seq uint64, body ...byte) []byte {
+	payload := append(make([]byte, 8), body...)
+	stampSeq(payload, seq)
+	return payload
+}
+
 // TestWALTornTail: a WAL cut mid-frame by a crash parses up to the tear,
 // and goodLen points at the last whole frame so recovery can truncate.
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
+	d := NewDaemon(Config{WALDir: dir})
+	rs := d.newRunState("torn", 7, 4096, 100, "test")
 	meta := walMeta{ID: "torn", Seed: 7, LargestCores: 4096, EndTimeS: 100, Source: "test"}
-	w, err := openRunWAL(dir, meta)
+	w, err := d.openWAL(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 10; seq++ {
-		if err := w.append(framePacket, sealSeq(seq, []byte{byte(seq)})); err != nil {
+		if err := w.append(framePacket, sequenced(seq, byte(seq))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,10 +66,21 @@ func TestWALTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	gotMeta, recs, goodLen, err := readWAL(path)
-	if err != nil {
-		t.Fatal(err)
+	read := func() (gotMeta walMeta, recs [][]byte, goodLen int64) {
+		t.Helper()
+		goodLen, err := readFrameLog(path, func(typ byte, payload []byte) error {
+			if typ == frameHello {
+				return unmarshalStrictless(payload, &gotMeta)
+			}
+			recs = append(recs, payload)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gotMeta, recs, goodLen
 	}
+	gotMeta, recs, goodLen := read()
 	if gotMeta != meta {
 		t.Fatalf("meta = %+v, want %+v", gotMeta, meta)
 	}
@@ -68,7 +91,7 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatalf("goodLen = %d, want %d (size before the torn tail)", goodLen, wholeLen)
 	}
 	for i, rec := range recs {
-		seq, body, err := splitSeq(rec.payload)
+		seq, body, err := splitSeq(rec)
 		if err != nil || seq != uint64(i+1) || len(body) != 1 || body[0] != byte(i+1) {
 			t.Fatalf("frame %d did not round-trip: seq=%d body=%v err=%v", i, seq, body, err)
 		}
@@ -79,16 +102,78 @@ func TestWALTornTail(t *testing.T) {
 	if err := os.Truncate(path, goodLen); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := openRunWAL(dir, meta)
+	w2, err := d.openWAL(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.append(framePacket, sealSeq(11, []byte{11})); err != nil {
+	if err := w2.append(framePacket, sequenced(11, 11)); err != nil {
 		t.Fatal(err)
 	}
 	w2.close(true)
-	if _, recs, _, err = readWAL(path); err != nil || len(recs) != 11 {
-		t.Fatalf("after truncate+append: %d frames, err %v; want 11, nil", len(recs), err)
+	if _, recs, _ = read(); len(recs) != 11 {
+		t.Fatalf("after truncate+append: %d frames, want 11", len(recs))
+	}
+}
+
+// lockedBuffer is a log sink safe to read while handlers still write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestWALFinalSyncFailure: when the fsync a final frame forces fails,
+// the daemon logs it and turns journaling off for the run — the same
+// handling as any WAL append failure — and still finalizes and acks.
+func TestWALFinalSyncFailure(t *testing.T) {
+	var logs lockedBuffer
+	d := NewDaemon(Config{WALDir: t.TempDir(), Log: log.New(&logs, "", 0)})
+	addr, err := d.ListenIngest("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	p, err := Dial(addr, Hello{Run: "nosync", Seed: 9, LargestCores: 512, EndTimeS: 100, Source: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := &accounting.Packet{Site: "s", Seq: 1, Syms: job.NewSymbols(), Jobs: []accounting.JobRecord{{JobID: 1, Cores: 1, EndTime: 10}}}
+	p.sendBlocking(framePacket, pkt.AppendWire(recordFrame(10)))
+	rs := d.run("nosync")
+	deadline := time.Now().Add(10 * time.Second)
+	for rs.haveSeq.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the daemon never applied the packet")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rs.wal.f.Close() // the handler is idle between frames
+
+	if err := p.Finish(100); err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	rs.ownMu.Lock() // waits for the handler to let go of the run
+	wal := rs.wal
+	rs.ownMu.Unlock()
+	if wal != nil {
+		t.Fatal("journaling is still on after the final frame's sync failed")
+	}
+	if !strings.Contains(logs.String(), "WAL append failed, journaling off") {
+		t.Fatalf("the sync failure was not logged:\n%s", logs.String())
+	}
+	if d.RunReport("nosync") == nil {
+		t.Fatal("the run did not finalize")
 	}
 }
 

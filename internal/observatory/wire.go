@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"github.com/tgsim/tgmod/internal/accounting"
 )
 
 // ErrBadFrame is the typed error every malformed-frame failure wraps:
@@ -209,11 +207,10 @@ func readMagic(r io.Reader) error {
 // or below its high-water mark, and reports that mark as the resume
 // offset in the hello ack.
 
-// sealSeq prepends the sequence number to a record-frame payload.
-func sealSeq(seq uint64, inner []byte) []byte {
-	out := make([]byte, 8, 8+len(inner))
-	binary.LittleEndian.PutUint64(out, seq)
-	return append(out, inner...)
+// stampSeq writes the sequence number into the 8 bytes a record-frame
+// payload reserves for it at the front.
+func stampSeq(payload []byte, seq uint64) {
+	binary.LittleEndian.PutUint64(payload, seq)
 }
 
 // splitSeq peels the sequence number off a record-frame payload.
@@ -224,22 +221,22 @@ func splitSeq(payload []byte) (seq uint64, inner []byte, err error) {
 	return binary.LittleEndian.Uint64(payload), payload[8:], nil
 }
 
-// encodePacketFrame builds a packet-frame payload body: the flush virtual
-// time (8 bytes, little-endian float64 bits) followed by the accounting
-// wire encoding — the same bytes the simulated AMIE wire carries. The
-// writer seals the sequence number on when the frame is dequeued.
-func encodePacketFrame(at float64, pkt *accounting.Packet) ([]byte, error) {
-	wire, err := pkt.Encode()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 8, 8+len(wire))
-	binary.LittleEndian.PutUint64(out, math.Float64bits(at))
-	return append(out, wire...), nil
+// recordFrame starts a record-frame payload: 8 bytes reserved for the
+// sequence number (stampSeq fills them when the writer dequeues the
+// frame), then a virtual time as little-endian float64 bits. A final
+// frame's time is the end of the run and the payload ends there; a packet
+// frame's is the flush time, and the caller appends the packet's
+// accounting wire encoding — the same bytes the simulated AMIE wire
+// carries — into the same buffer.
+func recordFrame(t float64) []byte {
+	out := make([]byte, 16)
+	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(t))
+	return out
 }
 
-// splitPacketFrame splits a packet-frame payload into the flush time and
-// the packet's wire bytes, which it leaves undecoded.
+// splitPacketFrame splits a packet-frame body (the payload past the
+// sequence number) into the flush time and the packet's wire bytes,
+// which it leaves undecoded.
 func splitPacketFrame(payload []byte) (at float64, wire []byte, err error) {
 	if len(payload) < 8 {
 		return 0, nil, fmt.Errorf("%w: short packet frame", ErrBadFrame)
@@ -247,15 +244,9 @@ func splitPacketFrame(payload []byte) (at float64, wire []byte, err error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(payload)), payload[8:], nil
 }
 
-// encodeFinalFrame builds a final-frame payload: the end-of-run virtual
-// time the daemon advances the stream clock to before finalizing.
-func encodeFinalFrame(end float64) []byte {
-	var out [8]byte
-	binary.LittleEndian.PutUint64(out[:], math.Float64bits(end))
-	return out[:]
-}
-
-// decodeFinalFrame parses a final-frame payload.
+// decodeFinalFrame parses a final-frame body (the payload past the
+// sequence number): the end-of-run virtual time the daemon advances the
+// stream clock to before finalizing.
 func decodeFinalFrame(payload []byte) (float64, error) {
 	if len(payload) != 8 {
 		return 0, fmt.Errorf("%w: final frame wants 8 bytes, got %d", ErrBadFrame, len(payload))

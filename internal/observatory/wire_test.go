@@ -20,7 +20,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		framePacket:   {1, 2, 3, 4, 5, 6, 7, 8, 9},
 		frameSnapshot: []byte(`{"progress":0.5}`),
 		frameMetrics:  []byte("# EOF\n"),
-		frameFinal:    encodeFinalFrame(432000),
+		frameFinal:    recordFrame(432000),
 		frameHelloAck: []byte(`{"run":"a"}`),
 		frameFinalAck: nil,
 	}
@@ -94,9 +94,11 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 		JobID: 1, User: sym("u1"), Project: sym("TG-1"), Site: sym("ncsa-abe"),
 		Cores: 64, WallSeconds: 3600, NUs: 12.5,
 	})
-	payload, err := encodePacketFrame(86400.5, pkt)
-	if err != nil {
-		t.Fatal(err)
+	stamped := pkt.AppendWire(recordFrame(86400.5))
+	stampSeq(stamped, 42)
+	seq, payload, err := splitSeq(stamped)
+	if err != nil || seq != 42 {
+		t.Fatalf("splitSeq = (%d, %v), want (42, nil)", seq, err)
 	}
 	at, wire, err := splitPacketFrame(payload)
 	if err != nil {
@@ -125,12 +127,9 @@ func TestRejectedPacketLeavesRunTable(t *testing.T) {
 	rs := NewDaemon(Config{}).newRunState("r", 1, 512, 0, "test")
 	frame := func(seq uint64, user string) []byte {
 		syms := job.NewSymbols()
-		payload, err := encodePacketFrame(float64(seq), &accounting.Packet{Site: "s", Seq: seq, Syms: syms,
-			Jobs: []accounting.JobRecord{{JobID: int64(seq), Cores: 1, EndTime: float64(seq), User: syms.Intern(user)}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return payload
+		pkt := &accounting.Packet{Site: "s", Seq: seq, Syms: syms,
+			Jobs: []accounting.JobRecord{{JobID: int64(seq), Cores: 1, EndTime: float64(seq), User: syms.Intern(user)}}}
+		return pkt.AppendWire(recordFrame(float64(seq)))[8:]
 	}
 	n := rs.central.Syms().Len()
 	good := frame(1, "alice")
@@ -153,7 +152,7 @@ func TestRejectedPacketLeavesRunTable(t *testing.T) {
 
 // TestFinalFrameRoundTrip: the end-of-run clock survives the frame.
 func TestFinalFrameRoundTrip(t *testing.T) {
-	end, err := decodeFinalFrame(encodeFinalFrame(432000))
+	end, err := decodeFinalFrame(recordFrame(432000)[8:])
 	if err != nil || end != 432000 {
 		t.Fatalf("final frame: got (%v, %v), want (432000, nil)", end, err)
 	}
@@ -162,12 +161,14 @@ func TestFinalFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSeqSeal: record-frame sequencing round-trips, and short sequenced
+// TestSeqSeal: a sequence number stamped into a payload's reserved
+// bytes round-trips without touching the body, and short sequenced
 // payloads are typed bad frames.
 func TestSeqSeal(t *testing.T) {
 	inner := []byte("record-body")
-	sealed := sealSeq(987654321, inner)
-	seq, body, err := splitSeq(sealed)
+	payload := append(make([]byte, 8), inner...)
+	stampSeq(payload, 987654321)
+	seq, body, err := splitSeq(payload)
 	if err != nil || seq != 987654321 || !bytes.Equal(body, inner) {
 		t.Fatalf("splitSeq = (%d, %q, %v), want (987654321, %q, nil)", seq, body, err, inner)
 	}
@@ -208,9 +209,13 @@ func TestReadFrameLimited(t *testing.T) {
 // that do parse must re-encode to a prefix of the input.
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	writeFrame(&seed, framePacket, sealSeq(1, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}))
+	packet := append(make([]byte, 8), 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	stampSeq(packet, 1)
+	writeFrame(&seed, framePacket, packet)
 	f.Add(seed.Bytes())
-	writeFrame(&seed, frameFinal, sealSeq(2, encodeFinalFrame(432000)))
+	final := recordFrame(432000)
+	stampSeq(final, 2)
+	writeFrame(&seed, frameFinal, final)
 	f.Add(seed.Bytes())
 	f.Add(seed.Bytes()[:seed.Len()-3]) // torn mid-payload
 	f.Add([]byte{})

@@ -8,11 +8,18 @@ package regress
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
+
+// ErrBadOpenMetrics is the typed error every ParseOpenMetrics failure
+// wraps: a sample line with no value, a value that is not a float, a
+// duplicate series, or a scanner failure (a line over 1 MiB, a read
+// error). Match with errors.Is(err, ErrBadOpenMetrics).
+var ErrBadOpenMetrics = errors.New("regress: bad OpenMetrics")
 
 // ParseOpenMetrics reads a text exposition into series → value. Comment
 // lines (# HELP/# TYPE/# EOF) are skipped.
@@ -32,17 +39,20 @@ func ParseOpenMetrics(r io.Reader) (map[string]float64, error) {
 		// separates the float value.
 		cut := strings.LastIndexByte(line, ' ')
 		if cut <= 0 || cut == len(line)-1 {
-			return nil, fmt.Errorf("openmetrics line %d: no value in %q", lineNo, line)
+			return nil, fmt.Errorf("%w: line %d: no value in %q", ErrBadOpenMetrics, lineNo, line)
 		}
 		key, valStr := line[:cut], line[cut+1:]
 		v, err := strconv.ParseFloat(valStr, 64)
 		if err != nil {
-			return nil, fmt.Errorf("openmetrics line %d: bad value %q: %v", lineNo, valStr, err)
+			return nil, fmt.Errorf("%w: line %d: bad value %q: %w", ErrBadOpenMetrics, lineNo, valStr, err)
 		}
 		if _, dup := out[key]; dup {
-			return nil, fmt.Errorf("openmetrics line %d: duplicate series %s", lineNo, key)
+			return nil, fmt.Errorf("%w: line %d: duplicate series %s", ErrBadOpenMetrics, lineNo, key)
 		}
 		out[key] = v
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadOpenMetrics, err)
+	}
+	return out, nil
 }

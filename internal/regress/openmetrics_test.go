@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -113,8 +114,8 @@ func TestParseOpenMetricsMalformed(t *testing.T) {
 			t.Errorf("%s: %q parsed without error", c.name, c.in)
 			continue
 		}
-		if !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("%s: error %q does not name %q", c.name, err, c.wantErr)
+		if !errors.Is(err, ErrBadOpenMetrics) || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error %q does not wrap ErrBadOpenMetrics or name %q", c.name, err, c.wantErr)
 		}
 	}
 	// Errors carry the offending line number.
@@ -138,6 +139,9 @@ func FuzzParseOpenMetrics(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		series, err := ParseOpenMetrics(strings.NewReader(in))
 		if err != nil {
+			if !errors.Is(err, ErrBadOpenMetrics) {
+				t.Fatalf("error %v does not wrap ErrBadOpenMetrics", err)
+			}
 			return
 		}
 		keys := make([]string, 0, len(series))

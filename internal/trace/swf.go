@@ -160,9 +160,15 @@ type Job struct {
 // wraps it with the line and field number.
 var ErrNonFinite = errors.New("non-finite value")
 
+// ErrShortLine marks an SWF job line with fewer than the five fields a
+// job needs. ReadSWF wraps it with the line number.
+var ErrShortLine = errors.New("too few fields")
+
 // ReadSWF parses an SWF trace, tolerating comments anywhere and missing
-// trailing fields (filled with -1 per SWF convention). A field that is not
-// a finite number is an error naming its line and field.
+// trailing fields (filled with -1 per SWF convention). A short line wraps
+// ErrShortLine; a field that is not a number wraps strconv's ErrSyntax or
+// ErrRange, and a NaN or ±Inf field ErrNonFinite, each naming its line
+// and field.
 func ReadSWF(r io.Reader) ([]Job, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -176,7 +182,7 @@ func ReadSWF(r io.Reader) ([]Job, error) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 5 {
-			return nil, fmt.Errorf("trace: line %d: only %d fields", lineNo, len(fields))
+			return nil, fmt.Errorf("trace: line %d: %w (%d, want at least 5)", lineNo, ErrShortLine, len(fields))
 		}
 		get := func(i int) (float64, error) {
 			if i >= len(fields) {

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"github.com/tgsim/tgmod/internal/job"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -132,11 +134,11 @@ func TestReadSWFTolerance(t *testing.T) {
 }
 
 func TestReadSWFErrors(t *testing.T) {
-	if _, err := ReadSWF(strings.NewReader("1 2 3\n")); err == nil {
-		t.Error("short line accepted")
+	if _, err := ReadSWF(strings.NewReader("1 2 3\n")); !errors.Is(err, ErrShortLine) {
+		t.Errorf("short line: err = %v, want ErrShortLine", err)
 	}
-	if _, err := ReadSWF(strings.NewReader("a b c d e\n")); err == nil {
-		t.Error("non-numeric accepted")
+	if _, err := ReadSWF(strings.NewReader("a b c d e\n")); !errors.Is(err, strconv.ErrSyntax) {
+		t.Errorf("non-numeric: err = %v, want strconv.ErrSyntax", err)
 	}
 	// A non-finite field is a typed error naming its line and field.
 	for _, in := range []string{"1 0 10 100 4\n2 0 NaN 100 4\n", "2 0 10 +Inf 4\n", "2 0 10 100 4 -1 -1 4 -inf\n"} {
@@ -147,8 +149,8 @@ func TestReadSWFErrors(t *testing.T) {
 	}
 }
 
-// FuzzReadSWF: arbitrary input never panics the reader, and every job it
-// accepts carries finite times.
+// FuzzReadSWF: arbitrary input never panics the reader, every failure
+// is typed, and every job it accepts carries finite times.
 func FuzzReadSWF(f *testing.F) {
 	for _, seed := range []string{
 		"; comment\n1 0 10 100 4 -1 -1 4 200 -1 1 1 1 1 1 1 -1 -1\n",
@@ -165,7 +167,12 @@ func FuzzReadSWF(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		jobs, err := ReadSWF(strings.NewReader(in))
 		if err != nil {
-			return
+			for _, typed := range []error{ErrShortLine, ErrNonFinite, strconv.ErrSyntax, strconv.ErrRange, bufio.ErrTooLong} {
+				if errors.Is(err, typed) {
+					return
+				}
+			}
+			t.Fatalf("untyped error %v from %q", err, in)
 		}
 		for _, j := range jobs {
 			for _, v := range []float64{j.Submit, j.Wait, j.Run, j.ReqTime} {
