@@ -181,22 +181,6 @@ func TestCentralQueries(t *testing.T) {
 	}
 }
 
-func TestGatewayUserOf(t *testing.T) {
-	c := NewCentral(nil)
-	err := c.Ingest(&Packet{Site: "s", Seq: 1,
-		GatewayAttrs: []GatewayAttrRecord{{GatewayID: "g", GatewayUser: "u9", JobID: 42}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, ok := c.GatewayUserOf(42)
-	if !ok || r.GatewayUser != "u9" {
-		t.Errorf("GatewayUserOf = %+v,%v", r, ok)
-	}
-	if _, ok := c.GatewayUserOf(1); ok {
-		t.Error("attribute for unknown job found")
-	}
-}
-
 func TestQuarterOf(t *testing.T) {
 	q := 365.0 * 24 * 3600 / 4
 	cases := []struct {

@@ -191,18 +191,6 @@ func (c *Central) Job(id int64) (JobRecord, bool) {
 	return c.Jobs()[i], true
 }
 
-// GatewayUserOf returns the gateway end-user attribute for a job, if any.
-// Linear scan is avoided by building the map lazily would complicate
-// invalidation; the analysis layer builds its own index once.
-func (c *Central) GatewayUserOf(jobID int64) (GatewayAttrRecord, bool) {
-	for _, r := range c.gatewayAttrs {
-		if r.JobID == jobID {
-			return r, true
-		}
-	}
-	return GatewayAttrRecord{}, false
-}
-
 // ---- Aggregation queries ----
 
 // TotalNUs sums normalized units across all job records.

@@ -9,6 +9,10 @@ func init() {
 // starts now can delay anything queued ahead of it.
 type conservativeEngine struct {
 	fifoQueue
+	// started is Schedule's scratch list of queue indexes to start. The
+	// scheduler's rescheduling guard keeps passes from nesting, so one
+	// buffer serves every pass.
+	started []int
 }
 
 func (e *conservativeEngine) Name() string { return "conservative" }
@@ -23,7 +27,7 @@ func (e *conservativeEngine) Schedule(s *Scheduler) {
 	// anyway without jumping earlier jobs, so skipping the bookkeeping
 	// preserves behavior while bounding reschedule cost under backlog.
 	const maxPlan = 128
-	var started []int
+	started := e.started[:0]
 	pl := planner{p: p, origin: now}
 	for idx, j := range e.q {
 		if idx >= maxPlan {
@@ -33,11 +37,12 @@ func (e *conservativeEngine) Schedule(s *Scheduler) {
 			started = append(started, idx)
 		}
 	}
+	e.started = started
 	// Remove started jobs from the queue back-to-front to keep indexes valid.
 	for i := len(started) - 1; i >= 0; i-- {
 		idx := started[i]
 		j := e.q[idx]
-		e.q = append(e.q[:idx], e.q[idx+1:]...)
+		e.removeAt(idx)
 		s.startBatch(j, "")
 	}
 }

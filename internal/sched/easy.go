@@ -1,7 +1,5 @@
 package sched
 
-import "github.com/tgsim/tgmod/internal/job"
-
 func init() { RegisterEngine("easy", func() PolicyEngine { return &easyEngine{} }) }
 
 // easyEngine implements aggressive (EASY) backfill: jobs start in order
@@ -13,24 +11,24 @@ type easyEngine struct {
 
 func (e *easyEngine) Name() string { return "easy" }
 
-func (e *easyEngine) Schedule(s *Scheduler) { easyPass(s, &e.q) }
+func (e *easyEngine) Schedule(s *Scheduler) { easyPass(s, &e.fifoQueue) }
 
 // easyPass is the EASY scheduling pass over queue q, shared by the easy and
 // fairshare engines (fairshare is purely an ordering refinement on top).
-func easyPass(s *Scheduler, q *[]*job.Job) {
+func easyPass(s *Scheduler, q *fifoQueue) {
 	now := s.K.Now()
 	p := s.passProfile()
 	// Start jobs in order while they fit.
-	for len(*q) > 0 {
-		head := (*q)[0]
+	for q.Len() > 0 {
+		head := q.q[0]
 		if !s.startableNow(p, head) {
 			break
 		}
-		*q = (*q)[1:]
+		q.popFront()
 		s.startBatch(head, "")
 		p.subtract(now, now+head.ReqWalltime, head.Cores)
 	}
-	if len(*q) == 0 {
+	if q.Len() == 0 {
 		return
 	}
 	if s.freeBatch == 0 {
@@ -42,20 +40,20 @@ func easyPass(s *Scheduler, q *[]*job.Job) {
 	// queue positions almost never fit, and bounding the scan keeps
 	// reschedule cost flat under heavy backlog.
 	const maxBackfillScan = 256
-	head := (*q)[0]
+	head := q.q[0]
 	p.place(now, head.Cores, head.ReqWalltime)
 	i := 1
 	scanned := 0
-	for i < len(*q) && scanned < maxBackfillScan {
+	for i < q.Len() && scanned < maxBackfillScan {
 		scanned++
-		cand := (*q)[i]
+		cand := q.q[i]
 		// Cheap rejection before the profile query.
 		if cand.Cores > s.freeBatch {
 			i++
 			continue
 		}
 		if s.startableNow(p, cand) {
-			*q = append((*q)[:i], (*q)[i+1:]...)
+			q.removeAt(i)
 			s.probe(ProbeBackfill, cand)
 			s.startBatch(cand, "")
 			p.subtract(now, now+cand.ReqWalltime, cand.Cores)

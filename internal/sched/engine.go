@@ -103,16 +103,92 @@ func EngineNames() []string {
 	return names
 }
 
-// fifoQueue is the queue base engines embed: a plain FIFO slice with no-op
+// fifoQueue is the queue base engines embed: a FIFO slice with no-op
 // accounting and disruption hooks. Embedders override what they refine.
+//
+// The queue keeps its backing array. q is the window buf[off:off+len(q)]:
+// popping the head leaves slack in front of the window, which PushFront
+// refills and Push reclaims by sliding the window back to the front of buf
+// once the tail reaches the end. A new array is made only when the queue
+// outgrows the old one, so a queue that stays below its high-water mark
+// never allocates. Engines read q freely but change it only through these
+// methods, and sort it in place.
 type fifoQueue struct {
-	q []*job.Job
+	q   []*job.Job
+	buf []*job.Job // q's backing array, len(buf) == cap(buf)
+	off int        // free slots in buf ahead of q
 }
 
-func (f *fifoQueue) Push(j *job.Job)      { f.q = append(f.q, j) }
-func (f *fifoQueue) PushFront(j *job.Job) { f.q = append([]*job.Job{j}, f.q...) }
-func (f *fifoQueue) Len() int             { return len(f.q) }
-func (f *fifoQueue) Queued() []*job.Job   { return f.q }
+func (f *fifoQueue) Len() int           { return len(f.q) }
+func (f *fifoQueue) Queued() []*job.Job { return f.q }
+
+// Push appends j at the tail.
+func (f *fifoQueue) Push(j *job.Job) { f.insert(len(f.q), j) }
+
+// PushFront puts j at the head, into the front slack when there is any.
+func (f *fifoQueue) PushFront(j *job.Job) {
+	if f.off == 0 {
+		f.insert(0, j)
+		return
+	}
+	f.off--
+	f.buf[f.off] = j
+	f.q = f.buf[f.off : f.off+len(f.q)+1]
+}
+
+// insert puts j at position i of the queue, shifting the jobs behind it
+// one slot towards the tail.
+func (f *fifoQueue) insert(i int, j *job.Job) {
+	n := len(f.q)
+	if f.off+n == len(f.buf) {
+		f.makeRoom()
+	}
+	f.q = f.buf[f.off : f.off+n+1]
+	copy(f.q[i+1:], f.q[i:n])
+	f.q[i] = j
+}
+
+// makeRoom frees at least one slot behind the tail. When a quarter or more
+// of buf is front slack the window slides back to the front in place: the
+// copy moves at most three jobs per slot it frees. Otherwise the queue moves
+// to an array of twice the size.
+func (f *fifoQueue) makeRoom() {
+	n := len(f.q)
+	if f.off > 0 && f.off*4 >= len(f.buf) {
+		copy(f.buf, f.q)
+		clear(f.buf[n:])
+	} else {
+		buf := make([]*job.Job, max(8, 2*len(f.buf)))
+		copy(buf, f.q)
+		f.buf = buf
+	}
+	f.off = 0
+	f.q = f.buf[:n]
+}
+
+// popFront removes the head job. An emptied queue restarts at the front of
+// buf.
+func (f *fifoQueue) popFront() {
+	f.q[0] = nil
+	f.q = f.q[1:]
+	f.off++
+	if len(f.q) == 0 {
+		f.off = 0
+		f.q = f.buf[:0]
+	}
+}
+
+// removeAt removes the job at position i, closing the gap from the tail.
+func (f *fifoQueue) removeAt(i int) {
+	if i == 0 {
+		f.popFront()
+		return
+	}
+	n := len(f.q)
+	copy(f.q[i:], f.q[i+1:])
+	f.q[n-1] = nil
+	f.q = f.q[:n-1]
+}
 
 func (f *fifoQueue) JobFinished(*Scheduler, *job.Job) {}
 func (f *fifoQueue) Disrupted(*Scheduler)             {}

@@ -28,7 +28,7 @@ func (e *fairshareEngine) Schedule(s *Scheduler) {
 		}
 		return e.q[a].SubmitTime < e.q[b].SubmitTime
 	})
-	easyPass(s, &e.q)
+	easyPass(s, &e.fifoQueue)
 }
 
 func (e *fairshareEngine) JobFinished(s *Scheduler, j *job.Job) {

@@ -17,7 +17,7 @@ func (e *fcfsEngine) Schedule(s *Scheduler) {
 		if !s.startableNow(p, head) {
 			return
 		}
-		e.q = e.q[1:]
+		e.popFront()
 		s.startBatch(head, "")
 		p.subtract(s.K.Now(), s.K.Now()+head.ReqWalltime, head.Cores)
 	}

@@ -53,12 +53,12 @@ func (e *gangEngine) PushFront(j *job.Job) {
 	if key := gangKey(j); key != job.SymNone {
 		for i, q := range e.q {
 			if gangKey(q) == key {
-				e.q = append(e.q[:i], append([]*job.Job{j}, e.q[i:]...)...)
+				e.insert(i, j)
 				return
 			}
 		}
 	}
-	e.q = append([]*job.Job{j}, e.q...)
+	e.fifoQueue.PushFront(j)
 }
 
 // Disrupted releases every assembly hold atomically: after a crash or
@@ -137,7 +137,7 @@ func (e *gangEngine) startGang(s *Scheduler, p *profile, g []*job.Job, backfille
 func (e *gangEngine) remove(j *job.Job) {
 	for i, q := range e.q {
 		if q == j {
-			e.q = append(e.q[:i], e.q[i+1:]...)
+			e.removeAt(i)
 			return
 		}
 	}

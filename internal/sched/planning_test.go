@@ -5,6 +5,7 @@ import (
 
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/grid"
+	"github.com/tgsim/tgmod/internal/job"
 )
 
 // planningSnapshot returns a scheduler running the named engine at t=1e6 s
@@ -123,6 +124,59 @@ func TestPlanningAllocationFree(t *testing.T) {
 		s := planningSnapshot(t, name)
 		if n := testing.AllocsPerRun(20, s.reschedule); n != 0 {
 			t.Errorf("warm %s pass: %v allocs, want 0", name, n)
+		}
+	}
+}
+
+// startFinishCycle returns one start→finish cycle on an idle scheduler
+// running engine: submit a job of the given QOS, which starts at once, and
+// run the kernel until it finishes. The same job is resubmitted every
+// cycle, so after the first one the run record, the queue, the release
+// list and the kernel's event nodes all come from warm storage.
+func startFinishCycle(tb testing.TB, engine string, qos job.QOS) func() {
+	tb.Helper()
+	k := des.New()
+	s := MustNamed(k, testSyms, testMachine(), engine)
+	j := mkJob(8, 60, 120)
+	j.QOS = qos
+	return func() {
+		s.Submit(j)
+		if err := k.Run(); err != nil {
+			tb.Fatal(err)
+		}
+		if j.State != job.StateCompleted || s.RunningCount() != 0 {
+			tb.Fatalf("cycle ended with the job %v and %d running", j.State, s.RunningCount())
+		}
+	}
+}
+
+// BenchmarkStartFinish measures one warm batch start→finish cycle under
+// EASY: submit, pass, start, job-end event, finish and the follow-up pass.
+func BenchmarkStartFinish(b *testing.B) {
+	cycle := startFinishCycle(b, "easy", job.QOSNormal)
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
+// TestStartFinishAllocationFree pins a warm start→finish cycle at zero
+// allocations: a batch job under the easy and conservative engines, and an
+// interactive session on the viz partition.
+func TestStartFinishAllocationFree(t *testing.T) {
+	for _, tc := range []struct {
+		engine string
+		qos    job.QOS
+	}{
+		{"easy", job.QOSNormal},
+		{"conservative", job.QOSNormal},
+		{"easy", job.QOSInteractive},
+	} {
+		cycle := startFinishCycle(t, tc.engine, tc.qos)
+		if n := testing.AllocsPerRun(20, cycle); n != 0 {
+			t.Errorf("warm %s %s start→finish: %v allocs, want 0", tc.engine, tc.qos, n)
 		}
 	}
 }

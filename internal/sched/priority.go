@@ -97,7 +97,7 @@ func (e *priorityEngine) Schedule(s *Scheduler) {
 		if !s.startableNow(p, head) {
 			break
 		}
-		e.q = e.q[1:]
+		e.popFront()
 		e.forget(head)
 		s.startBatch(head, "")
 		p.subtract(now, now+head.ReqWalltime, head.Cores)
@@ -136,7 +136,7 @@ func (e *priorityEngine) Schedule(s *Scheduler) {
 		}
 		if s.startableNow(p, cand) {
 			e.chargeSkips(s, e.q[:i], reserved)
-			e.q = append(e.q[:i], e.q[i+1:]...)
+			e.removeAt(i)
 			e.forget(cand)
 			s.probe(ProbeBackfill, cand)
 			s.startBatch(cand, "")

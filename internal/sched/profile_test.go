@@ -497,9 +497,13 @@ func TestSliverPast2To24HoldsCores(t *testing.T) {
 }
 
 // checkReleases fails the test unless the release list holds exactly the
-// running batch jobs, sorted by guaranteed end and then job ID.
+// running batch jobs, sorted by guaranteed end and then job ID, and every
+// running job holds one pooled run record.
 func checkReleases(t *testing.T, s *Scheduler, step string) {
 	t.Helper()
+	if s.liveRecords() != len(s.running) {
+		t.Fatalf("%s: %d live run records, %d running", step, s.liveRecords(), len(s.running))
+	}
 	var want []profileRelease
 	for _, r := range s.running {
 		if r.j.QOS != job.QOSInteractive {

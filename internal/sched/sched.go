@@ -125,12 +125,19 @@ type reservation struct {
 	claim *job.Job
 }
 
-// running tracks an executing job.
+// running tracks an executing job. Records are pooled per scheduler (see
+// acquire and release): a record is made once, with its end handler bound
+// to it, and reused for every later start, so a warm start→finish cycle
+// allocates nothing.
 type running struct {
-	j         *job.Job
-	endTimer  des.Timer
-	endsBy    des.Time // guaranteed end: start + requested walltime
-	fromResID string   // non-empty if the job runs inside a reservation
+	j        *job.Job // nil while the record is in the pool
+	endTimer des.Timer
+	endsBy   des.Time // guaranteed end: start + requested walltime
+	// end finishes this record; bound once, when the record is made.
+	end    des.Handler
+	pos    int32 // index in Scheduler.running
+	killed bool  // the end event is a walltime kill
+	inResv bool  // the job runs inside a reservation
 }
 
 // Scheduler is the batch system of one machine.
@@ -163,11 +170,16 @@ type Scheduler struct {
 	freeBatch int
 	freeViz   int
 
-	vizQueue   []*job.Job // interactive partition queue
-	running    map[job.ID]*running
+	vizQueue   fifoQueue  // interactive partition queue
+	running    []*running // in no order; each record knows its pos
 	resvs      []*reservation
 	outages    []*outage
 	nodeLosses []*capLoss
+
+	// free is the pool of released run records; made counts every record
+	// ever allocated, so made-len(free) are live.
+	free []*running
+	made int
 
 	listeners []Listener
 	// Probe, when non-nil, observes scheduler-internal decisions.
@@ -273,7 +285,6 @@ func NewWith(k *des.Kernel, syms *job.Symbols, m *grid.Machine, e PolicyEngine) 
 		machine:   syms.Intern(m.ID),
 		freeBatch: m.BatchCores(),
 		freeViz:   m.VizCores(),
-		running:   make(map[job.ID]*running),
 		fsUsage:   make(map[job.Sym]*fsEntry),
 		// Version 0 is the estimate cache's "never pinned".
 		stateVersion: 1,
@@ -374,7 +385,7 @@ func (s *Scheduler) Submit(j *job.Job) {
 			return
 		}
 		j.State = job.StateQueued
-		s.vizQueue = append(s.vizQueue, j)
+		s.vizQueue.Push(j)
 		s.emit(EventQueued, j)
 		s.dispatchViz()
 	case job.QOSUrgent:
@@ -404,11 +415,44 @@ func (s *Scheduler) reject(j *job.Job) {
 
 // ---- Batch partition ----
 
+// acquire returns a run record for j from the pool, making one (and binding
+// its end handler) only when the pool is empty.
+func (s *Scheduler) acquire(j *job.Job, endsBy des.Time, inResv, killed bool) *running {
+	var r *running
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		r = &running{}
+		r.end = func(*des.Kernel) { s.finish(r) }
+		s.made++
+	}
+	r.j, r.endsBy, r.inResv, r.killed = j, endsBy, inResv, killed
+	return r
+}
+
+// release returns a record to the pool; untrack calls it, so every exit
+// path (finish, preempt, kill) releases exactly once. Callers read what
+// they need from the record first: it may back the next start before they
+// return.
+func (s *Scheduler) release(r *running) {
+	if r.j == nil {
+		panic(fmt.Sprintf("sched %s: run record released twice", s.M.ID))
+	}
+	*r = running{end: r.end}
+	s.free = append(s.free, r)
+}
+
+// liveRecords returns the number of pooled records out of the pool.
+func (s *Scheduler) liveRecords() int { return s.made - len(s.free) }
+
 // track records r as running. A batch job also enters the release list at
 // its guaranteed end; interactive sessions hold viz cores, which the batch
 // profile never plans.
 func (s *Scheduler) track(r *running) {
-	s.running[r.j.ID] = r
+	r.pos = int32(len(s.running))
+	s.running = append(s.running, r)
 	if r.j.QOS == job.QOSInteractive {
 		return
 	}
@@ -417,18 +461,26 @@ func (s *Scheduler) track(r *running) {
 	s.releases = slices.Insert(s.releases, i, rel)
 }
 
-// untrack removes r from the running set and from the release list.
+// untrack removes r from the running set and from the release list, and
+// returns it to the pool.
 func (s *Scheduler) untrack(r *running) {
-	delete(s.running, r.j.ID)
-	if r.j.QOS == job.QOSInteractive {
-		return
+	last := int32(len(s.running) - 1)
+	if r.pos > last || s.running[r.pos] != r {
+		panic(fmt.Sprintf("sched %s: run record not in the running set", s.M.ID))
 	}
-	i, ok := slices.BinarySearchFunc(s.releases,
-		profileRelease{end: r.endsBy, id: r.j.ID}, compareReleases)
-	if !ok {
-		panic(fmt.Sprintf("sched %s: job %d missing from the release list", s.M.ID, r.j.ID))
+	moved := s.running[last]
+	s.running[r.pos], moved.pos = moved, r.pos
+	s.running[last] = nil
+	s.running = s.running[:last]
+	if r.j.QOS != job.QOSInteractive {
+		i, ok := slices.BinarySearchFunc(s.releases,
+			profileRelease{end: r.endsBy, id: r.j.ID}, compareReleases)
+		if !ok {
+			panic(fmt.Sprintf("sched %s: job %d missing from the release list", s.M.ID, r.j.ID))
+		}
+		s.releases = slices.Delete(s.releases, i, i+1)
 	}
-	s.releases = slices.Delete(s.releases, i, i+1)
+	s.release(r)
 }
 
 // compareReleases orders releases by end, then by job ID.
@@ -716,18 +768,16 @@ func (s *Scheduler) startBatch(j *job.Job, fromResID string) {
 		dur = j.ReqWalltime
 		killed = true
 	}
-	r := &running{j: j, endsBy: now + j.ReqWalltime, fromResID: fromResID}
-	r.endTimer = s.K.ScheduleNamed(dur, "job-end", func(*des.Kernel) {
-		s.finish(r, killed)
-	})
+	r := s.acquire(j, now+j.ReqWalltime, fromResID != "", killed)
+	r.endTimer = s.K.ScheduleNamed(dur, "job-end", r.end)
 	s.track(r)
 	s.stats.Started++
 	s.emit(EventStarted, j)
 }
 
 // finish completes a running batch or viz job.
-func (s *Scheduler) finish(r *running, killed bool) {
-	j := r.j
+func (s *Scheduler) finish(r *running) {
+	j, killed := r.j, r.killed
 	s.untrack(r)
 	j.EndTime = s.K.Now()
 	if killed {
@@ -763,7 +813,7 @@ func (s *Scheduler) startUrgent(j *job.Job) {
 		// (minimizes lost work), deterministic tie-break by job ID.
 		var victims []*running
 		for _, r := range s.running {
-			if r.j.QOS == job.QOSNormal && r.fromResID == "" {
+			if r.j.QOS == job.QOSNormal && !r.inResv {
 				victims = append(victims, r)
 			}
 		}
@@ -777,8 +827,8 @@ func (s *Scheduler) startUrgent(j *job.Job) {
 			if need <= 0 {
 				break
 			}
-			s.preempt(v)
 			need -= v.j.Cores
+			s.preempt(v)
 		}
 	}
 	if j.Cores > s.freeBatch {
@@ -894,9 +944,9 @@ func (s *Scheduler) Crash(until des.Time) []*job.Job {
 	sort.Slice(victims, func(a, b int) bool { return victims[a].j.ID < victims[b].j.ID })
 	out := make([]*job.Job, 0, len(victims))
 	for _, v := range victims {
+		out = append(out, v.j)
 		s.killRunning(v, ProbeCrashKill)
 		s.stats.CrashKills++
-		out = append(out, v.j)
 	}
 	s.addOutage(now, until)
 	s.reschedule()
@@ -976,10 +1026,10 @@ func (s *Scheduler) FailNodes(cores int, until des.Time) []*job.Job {
 			if busy <= surviving {
 				break
 			}
-			s.killRunning(v, ProbeNodeKill)
-			s.stats.NodeKills++
 			busy -= v.j.Cores
 			victims = append(victims, v.j)
+			s.killRunning(v, ProbeNodeKill)
+			s.stats.NodeKills++
 		}
 		sort.Slice(victims, func(a, b int) bool { return victims[a].ID < victims[b].ID })
 		// Push front in reverse so the lowest job ID ends up at the head.
@@ -998,12 +1048,12 @@ func (s *Scheduler) FailNodes(cores int, until des.Time) []*job.Job {
 // ---- Interactive / visualization partition ----
 
 func (s *Scheduler) dispatchViz() {
-	for len(s.vizQueue) > 0 {
-		head := s.vizQueue[0]
+	for s.vizQueue.Len() > 0 {
+		head := s.vizQueue.q[0]
 		if head.Cores > s.freeViz {
 			return
 		}
-		s.vizQueue = s.vizQueue[1:]
+		s.vizQueue.popFront()
 		s.freeViz -= head.Cores
 		now := s.K.Now()
 		head.State = job.StateRunning
@@ -1014,10 +1064,8 @@ func (s *Scheduler) dispatchViz() {
 			dur = head.ReqWalltime
 			killed = true
 		}
-		r := &running{j: head, endsBy: now + head.ReqWalltime}
-		r.endTimer = s.K.ScheduleNamed(dur, "viz-end", func(*des.Kernel) {
-			s.finish(r, killed)
-		})
+		r := s.acquire(head, now+head.ReqWalltime, false, killed)
+		r.endTimer = s.K.ScheduleNamed(dur, "viz-end", r.end)
 		s.track(r)
 		s.stats.Started++
 		s.emit(EventStarted, head)
