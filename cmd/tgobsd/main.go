@@ -36,7 +36,6 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("tgobsd", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:9310", "push ingest address (host:port, or unix:PATH)")
 	httpAddr := fs.String("http", "127.0.0.1:9311", "console HTTP address")
-	streamBuf := fs.Int("stream-buf", 0, "per-run stream inbox capacity (0 = unbounded)")
 	finalOut := fs.String("final-out", "", "directory for per-run final artifacts (<id>.modality.txt, <id>.modalities.json)")
 	walDir := fs.String("wal", "", "directory for per-run write-ahead journals; on startup, runs found there are recovered")
 	grace := fs.Duration("grace", 10*time.Second, "drain window for in-flight connections on SIGINT/SIGTERM")
@@ -60,7 +59,6 @@ func run(args []string) int {
 		logger = nil
 	}
 	d := observatory.NewDaemon(observatory.Config{
-		InboxCap: *streamBuf,
 		FinalDir: *finalOut,
 		WALDir:   *walDir,
 		Pprof:    *pprofFlag,

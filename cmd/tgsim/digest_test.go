@@ -35,9 +35,9 @@ func TestRunDirDigests(t *testing.T) {
 			"metrics.om":   "7d8531ca7638f04237a5dd73e53f8ca88c74bfa422a093bdffe010fd6f33d77a",
 		}, nil},
 		{"quick-seed7-stream-slo", []string{"-scale", "quick", "-seed", "7", "-stream", "-slo"}, map[string]string{
-			"metrics.om": "ee31d288b6af9562af1f298a40958b4c9af65bb74825c6da6d64816f0068051f",
+			"metrics.om": "956ca5017a84f380c35e7721b4ab566361e2cc53c7dec4cb77750c2f5cbfd0d9",
 		}, map[string]string{
-			"modalities.json": "1e128de39517d799b354b2ebc462f06b374b6ca83040b493efcad7dd55df87c6",
+			"modalities.json": "2f8755fbbbf47cdfd12bcfea5976dfb2e56739fbb85c09e9e0b2bc549ef018e8",
 			"drift.json":      "7e6e47bcf0cdc30088a8bf954859242d590f83900f0a514b9795491112257259",
 		}},
 	}

@@ -7,8 +7,8 @@ import "errors"
 //	0  success (tgdiff: no differences)
 //	1  difference found (tgdiff regressions; replay-equivalence mismatch)
 //	2  usage, load, or runtime error
-//	3  observability loss under -strict-obs (span-buffer drop, stream-inbox
-//	   drop, or a lossy/broken -push)
+//	3  observability loss under -strict-obs (span-buffer drop or a
+//	   lossy/broken -push)
 //	4  fleet partial failure (one or more replications errored)
 //
 // tgsim itself never exits 1: byte-equivalence is always checked by an

@@ -32,7 +32,7 @@ func TestExitCode(t *testing.T) {
 // TestWithCodePreservesChain ensures tagging does not hide the underlying
 // error from errors.Is.
 func TestWithCodePreservesChain(t *testing.T) {
-	base := errors.New("inbox overflow")
+	base := errors.New("span buffer overflow")
 	tagged := withCode(exitObsLoss, fmt.Errorf("-strict-obs: %w", base))
 	if !errors.Is(tagged, base) {
 		t.Fatal("withCode broke the error chain")

@@ -14,7 +14,7 @@
 //	      [-cpuprofile f.pprof] [-memprofile f.pprof] [-pprof]
 //	      [-slo] [-analysis] [-export DIR]
 //	      [-http :PORT] [-http-hold] [-progress]
-//	      [-stream] [-stream-buf N]
+//	      [-stream]
 //	      [-replay DIR] [-replay-speed X]
 //	      [-reps N] [-parallel P]
 //
@@ -88,7 +88,7 @@ type options struct {
 	policy, scale, config, dumpConfig, csvDir, export, trace, chromeTrace, obsJSONL    string
 	obsCSV, http, cpuProfile, memProfile, replay, push, pushID, pushSpill              string
 	quiet, profile, slo, analysis, strictObs, progress, httpHold, pprof, stream        bool
-	obsMaxEvents, streamBuf, reps, parallel, pushRetry                                 int
+	obsMaxEvents, reps, parallel, pushRetry                                            int
 }
 
 // parseFlags parses the command line and rejects every flag the selected
@@ -120,14 +120,13 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.slo, "slo", false, "evaluate per-modality virtual-time SLOs and print the conformance table")
 	fs.BoolVar(&o.analysis, "analysis", false, "reconstruct job timelines and print wait-decomposition and critical-path tables")
 	fs.StringVar(&o.export, "export", "", "write the run's exports (metrics.om, obs.jsonl, acct.jsonl, modality.txt) into this directory for tgdiff")
-	fs.BoolVar(&o.strictObs, "strict-obs", false, "exit non-zero when the span buffer, the stream inbox, or a push lost data")
+	fs.BoolVar(&o.strictObs, "strict-obs", false, "exit non-zero when the span buffer or a push lost data")
 	fs.IntVar(&o.reps, "reps", 1, "run a replication fleet of N seeds (seed, seed+1, ...) and report mean ± 95% CI tables")
 	fs.IntVar(&o.parallel, "parallel", 0, "fleet worker count (with -reps; 0 = GOMAXPROCS)")
 	fs.Float64Var(&o.faults, "faults", 0, "enable deterministic fault injection at this intensity (1 = nominal MTBFs, 2 = twice as often; 0 = off)")
 	fs.Float64Var(&o.mtbf, "mtbf", 0, "override the machine crash MTBF in days (with -faults; 0 keeps the default)")
 	fs.Float64Var(&o.checkpoint, "checkpoint", 0, "checkpoint/restart every N minutes: killed and preempted jobs resume from the last checkpoint (0 = off)")
 	fs.BoolVar(&o.stream, "stream", false, "attach the streaming modality observatory: live windowed usage, online classification, and drift served at /modalities and /drift")
-	fs.IntVar(&o.streamBuf, "stream-buf", 0, "cap the streaming ingest inbox at N records (0 = unbounded); overflow is counted, dropped, and fails -strict-obs")
 	fs.StringVar(&o.replay, "replay", "", "replay an exported run directory through the streaming pipeline instead of simulating")
 	fs.Float64Var(&o.replaySpeed, "replay-speed", 0, "replay pacing in virtual seconds per wall second (0 = as fast as possible)")
 	fs.StringVar(&o.push, "push", "", "stream telemetry to an observatory daemon (tgobsd) at host:port or unix:PATH; same-seed runs stay byte-identical with or without it")
@@ -165,14 +164,13 @@ func parseFlags(args []string) (*options, error) {
 		{set["scale"], "with -scale (it sets the horizon)", "days"},
 		{!fleetMode, "without -reps above 1", "parallel"},
 		{!set["replay"], "without -replay", "replay-speed"},
-		{!set["stream"] && !set["replay"], "without -stream or -replay", "stream-buf"},
 		{!set["push"], "without -push", "push-id push-retry push-spill"},
 		{!set["http"], "without -http", "http-hold pprof"},
 		{!set["obs-csv"], "without -obs-csv", "obs-sample-hours"},
 		{!set["faults"], "without -faults", "mtbf"},
 		{!set["maintenance-every"], "without -maintenance-every", "maintenance-hours"},
 		{!spans, "without a span consumer (-export, -analysis, -chrome-trace, -obs-jsonl)", "obs-max-events"},
-		{!spans && !set["stream"] && !set["push"], "without a span consumer, -stream or -push", "strict-obs"},
+		{!spans && !set["push"], "without a span consumer or -push", "strict-obs"},
 	} {
 		for _, name := range strings.Fields(r.ignored) {
 			if r.on && set[name] {
@@ -327,9 +325,7 @@ func runSingle(o *options, cfg scenario.Config) error {
 		if err != nil {
 			return err
 		}
-		proc = stream.New(stream.Config{
-			LargestCores: largest, InboxCap: o.streamBuf, Registry: reg,
-		})
+		proc = stream.New(stream.Config{LargestCores: largest, Registry: reg})
 		cfg.Observers = append(cfg.Observers, stream.Tap(proc))
 	}
 	if o.http != "" {
@@ -512,10 +508,6 @@ func runSingle(o *options, cfg scenario.Config) error {
 		return withCode(exitObsLoss,
 			fmt.Errorf("-strict-obs: span buffer dropped %d events", spans.Dropped()))
 	}
-	if o.strictObs && proc != nil && proc.Dropped() > 0 {
-		return withCode(exitObsLoss,
-			fmt.Errorf("-strict-obs: stream inbox dropped %d records (raise -stream-buf or use 0 for unbounded)", proc.Dropped()))
-	}
 	return pushVerdict(pushLoss, o.strictObs)
 }
 
@@ -545,10 +537,8 @@ func printReport(out *tableSink, withAnalysis bool, res *scenario.Result, result
 	// Streaming observatory summary (only on -stream runs).
 	if proc != nil {
 		dr := proc.Drift()
-		snap := proc.Snap()
-		fmt.Printf("Stream: %d records ingested, %d dropped (inbox high water %d); "+
-			"online drift %.3f over %d scored jobs\n\n",
-			snap.Ingested, snap.Dropped, snap.HighWater, dr.Rate, dr.Events)
+		fmt.Printf("Stream: %d records ingested; online drift %.3f over %d scored jobs\n\n",
+			proc.Ingested(), dr.Rate, dr.Events)
 	}
 
 	// Validation against ground truth.

@@ -53,7 +53,7 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		{"-parallel", "2"},
 		{"-reps", "1", "-parallel", "2"},
 		{"-replay-speed", "2"},
-		{"-stream-buf", "10"},
+		{"-stream", "-strict-obs"},
 		{"-push-id", "a7"},
 		{"-push-retry", "3"},
 		{"-pprof"},

@@ -10,7 +10,6 @@ import (
 	"github.com/tgsim/tgmod/internal/regress"
 	"github.com/tgsim/tgmod/internal/report"
 	"github.com/tgsim/tgmod/internal/stream"
-	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
 // runReplay implements tgsim -replay DIR: the exported run directory is
@@ -46,10 +45,7 @@ func runReplay(o *options) error {
 		}
 	}
 
-	reg := telemetry.New()
-	proc := stream.New(stream.Config{
-		LargestCores: largest, InboxCap: o.streamBuf, Registry: reg,
-	})
+	proc := stream.New(stream.Config{LargestCores: largest})
 	rp := &stream.Replay{Run: run, Speed: o.replaySpeed, EndTime: endTime}
 	records, spans, err := rp.Feed(proc)
 	if err != nil {
@@ -88,16 +84,14 @@ func runReplay(o *options) error {
 		fmt.Fprintf(os.Stderr, "tgsim: replay exported to %s\n", o.export)
 	}
 
-	snap := proc.Snap()
 	if o.quiet {
-		fmt.Printf("replayed records=%d obs=%d ingested=%d dropped=%d jobs=%d NUs=%.0f\n",
-			records, spans, snap.Ingested, snap.Dropped,
-			len(run.Central.Jobs()), run.Central.TotalNUs())
+		fmt.Printf("replayed records=%d obs=%d ingested=%d jobs=%d NUs=%.0f\n",
+			records, spans, proc.Ingested(), len(run.Central.Jobs()), run.Central.TotalNUs())
 		return nil
 	}
 
 	fmt.Printf("tgsim: replay of %s: %d records + %d obs events through the stream "+
-		"(%d ingested, %d dropped)\n\n", o.replay, records, spans, snap.Ingested, snap.Dropped)
+		"(%d ingested)\n\n", o.replay, records, spans, proc.Ingested())
 	out := newTableSink(o.csvDir)
 	out.table("modality", mod)
 	fmt.Println()

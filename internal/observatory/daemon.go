@@ -25,9 +25,6 @@ import (
 
 // Config parameterizes a Daemon.
 type Config struct {
-	// InboxCap bounds each run's streaming ingest inbox (0 = unbounded).
-	// Overflow is dropped and counted per run (tg_obsd_dropped_total).
-	InboxCap int
 	// FinalDir, when set, receives per-run final artifacts as each run
 	// finalizes: <id>.modality.txt (the byte-exact usage-by-modality
 	// table) and <id>.modalities.json (the final /modalities payload).
@@ -133,7 +130,6 @@ type runState struct {
 	report     atomic.Pointer[[]byte] // final usage-by-modality table text
 	modPayload atomic.Pointer[stream.ModalitiesPayload]
 	dftPayload atomic.Pointer[stream.DriftPayload]
-	streamSnap atomic.Pointer[telemetry.StreamSnap]
 
 	// Shared bookkeeping.
 	connected    atomic.Bool
@@ -404,7 +400,6 @@ func (d *Daemon) newRunState(id string, seed uint64, largest int, endTimeS float
 	}
 	rs.proc = stream.New(stream.Config{
 		LargestCores: largest,
-		InboxCap:     d.cfg.InboxCap,
 		Registry:     rs.reg,
 	})
 	return rs
@@ -714,8 +709,6 @@ func (rs *runState) publish(force bool) {
 	rs.drift.Store(&dj)
 	rs.modPayload.Store(mp)
 	rs.dftPayload.Store(dp)
-	snap := rs.proc.Snap()
-	rs.streamSnap.Store(&snap)
 	var buf bytes.Buffer
 	if err := rs.reg.WriteOpenMetrics(&buf); err == nil {
 		om := buf.Bytes()

@@ -37,7 +37,6 @@ type FleetModalities struct {
 	Runs     []string                `json:"runs"`
 	At       float64                 `json:"at"` // max per-run stream clock
 	Ingested uint64                  `json:"ingested"`
-	Dropped  uint64                  `json:"dropped"`
 	Windows  []stream.ModalityWindow `json:"windows"`
 	Lifetime stream.ModalityWindow   `json:"lifetime"`
 }
@@ -101,7 +100,6 @@ func MergeModalities(ids []string, payloads []*stream.ModalitiesPayload) *FleetM
 			out.At = p.At
 		}
 		out.Ingested += p.Ingested
-		out.Dropped += p.Dropped
 		for i := range p.Windows {
 			fold(&p.Windows[i])
 		}

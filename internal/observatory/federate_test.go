@@ -13,7 +13,7 @@ import (
 // that parse back to the same document.
 func FuzzParseModalities(f *testing.F) {
 	f.Add(stream.MarshalPayload(&stream.ModalitiesPayload{
-		At: 86400, Ingested: 12, Dropped: 1,
+		At: 86400, Ingested: 12,
 		Windows: []stream.ModalityWindow{{Window: "1d", TotalJobs: 12, TotalNUs: 340.5,
 			Rows: []stream.ModalityRow{{Modality: "gateway", Jobs: 7, NUs: 20, Confidence: 0.9}}}},
 		Lifetime: stream.ModalityWindow{Window: "lifetime", TotalJobs: 12, TotalNUs: 340.5},

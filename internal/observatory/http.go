@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
 // RunInfo is one row of the /runs listing: identity, liveness, ingest
@@ -27,10 +25,6 @@ type RunInfo struct {
 	Packets    uint64  `json:"packets"`
 	Bytes      uint64  `json:"bytes"`
 	Reconnects uint64  `json:"reconnects"`
-	// Backlog / HighWater / Dropped mirror the run's stream inbox.
-	Backlog   int    `json:"backlog"`
-	HighWater int    `json:"high_water"`
-	Dropped   uint64 `json:"dropped"`
 	// Progress / SimTime / Done come from the producer's latest snapshot
 	// (absent until one arrives).
 	Progress float64 `json:"progress,omitempty"`
@@ -52,11 +46,6 @@ func (rs *runState) info(now time.Time) RunInfo {
 	}
 	if uns := rs.lastFrameUNS.Load(); uns > 0 {
 		ri.LagSeconds = now.Sub(time.Unix(0, uns)).Seconds()
-	}
-	if ss := rs.streamSnap.Load(); ss != nil {
-		ri.Backlog = ss.Depth
-		ri.HighWater = ss.HighWater
-		ri.Dropped = ss.Dropped
 	}
 	if s := rs.lastSnap.Load(); s != nil {
 		ri.Progress = s.Progress
@@ -275,26 +264,6 @@ func (d *Daemon) writeMetaMetrics(w http.ResponseWriter) {
 				rs.ID, now.Sub(time.Unix(0, uns)).Seconds())
 		}
 	}
-	// One loop per family: OpenMetrics wants each family's samples
-	// together under that family's own TYPE and HELP lines.
-	for _, fam := range []struct {
-		name, typ, sample, help string
-		value                   func(*telemetry.StreamSnap) uint64
-	}{
-		{"tg_obsd_backlog", "gauge", "tg_obsd_backlog", "Records spooled in each run's stream inbox.",
-			func(ss *telemetry.StreamSnap) uint64 { return uint64(ss.Depth) }},
-		{"tg_obsd_backlog_high_water", "gauge", "tg_obsd_backlog_high_water", "Maximum spool depth seen per run.",
-			func(ss *telemetry.StreamSnap) uint64 { return uint64(ss.HighWater) }},
-		{"tg_obsd_dropped", "counter", "tg_obsd_dropped_total", "Records lost to inbox overflow per run.",
-			func(ss *telemetry.StreamSnap) uint64 { return ss.Dropped }},
-	} {
-		fmt.Fprintf(w, "# TYPE %s %s\n# HELP %s %s\n", fam.name, fam.typ, fam.name, fam.help)
-		for _, rs := range runs {
-			if ss := rs.streamSnap.Load(); ss != nil {
-				fmt.Fprintf(w, "%s{run=%q} %d\n", fam.sample, rs.ID, fam.value(ss))
-			}
-		}
-	}
 	// Splice the daemon's own Go runtime families (tg_runtime_*) in before
 	// the terminator. The daemon's "event" analog for the throughput gauge
 	// is frames ingested across all runs. Meta-metrics are wall-clock-only
@@ -326,7 +295,7 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
 <h1>tgobsd fleet console</h1>
 <table id="runs"><thead>
 <tr><th>run</th><th class="num">seed</th><th>state</th><th class="num">progress</th>
-<th class="num">packets</th><th class="num">lag</th><th class="num">backlog</th><th class="num">dropped</th></tr>
+<th class="num">packets</th><th class="num">lag</th></tr>
 </thead><tbody></tbody></table>
 <h1>Fleet modalities (lifetime)</h1>
 <table id="fleet"><thead>
@@ -348,8 +317,7 @@ async function tick() {
       const state = r.finalized ? 'finalized' : (r.connected ? 'live' : 'disconnected');
       const link = '<a href="/runs/' + r.id + '/modalities"><code>' + r.id + '</code></a>';
       const cells = [link, r.seed, state, (100 * (r.progress || 0)).toFixed(1) + '%',
-        r.packets, r.lag_seconds >= 0 ? r.lag_seconds.toFixed(1) + 's' : '—',
-        r.backlog, r.dropped];
+        r.packets, r.lag_seconds >= 0 ? r.lag_seconds.toFixed(1) + 's' : '—'];
       cells.forEach((v, i) => {
         const td = document.createElement('td');
         if (i === 0) td.innerHTML = v; else td.textContent = v;

@@ -322,8 +322,6 @@ func TestConcurrentRunsAndFederation(t *testing.T) {
 		"tg_obsd_frames_total{kind=\"packet\"}",
 		"tg_obsd_runs{state=\"finalized\"} 2",
 		"tg_obsd_ingest_lag_seconds{run=\"fed-a\"}",
-		"tg_obsd_backlog{run=\"fed-b\"}",
-		"tg_obsd_dropped_total{run=\"fed-a\"} 0",
 	} {
 		if !strings.Contains(om, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, om)

@@ -100,9 +100,11 @@ func TestRecordConservation(t *testing.T) {
 			cfg := scenario.New(7, append(experiments.StandardOptions(experiments.Quick), tc.opts...)...)
 			proc := stream.New(stream.Config{LargestCores: largest})
 			var tapped []accounting.JobRecord
+			var tappedRecords uint64 // records of all four kinds
 			cfg.Observers = append(cfg.Observers, stream.Tap(proc),
 				scenario.TapPackets(func(_ des.Time, p *accounting.Packet) {
 					tapped = append(tapped, p.Jobs...)
+					tappedRecords += uint64(len(p.Jobs) + len(p.Transfers) + len(p.GatewayAttrs) + len(p.Storage))
 				}))
 			res, err := scenario.Run(cfg)
 			if err != nil {
@@ -135,6 +137,10 @@ func TestRecordConservation(t *testing.T) {
 			results := core.NewClassifier(core.Config{LargestCores: res.LargestCores}).Classify(res.Central)
 			if rep := core.BuildReport(res.Central, results); rep.TotalNUs != packetNUs {
 				t.Errorf("batch report NUs %v, packets %v", rep.TotalNUs, packetNUs)
+			}
+			// The stream applies every record it is offered.
+			if proc.Ingested() != tappedRecords {
+				t.Errorf("stream ingested %d records, packets carried %d", proc.Ingested(), tappedRecords)
 			}
 			checkAgreement(t, proc, results, tc.gap)
 

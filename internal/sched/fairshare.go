@@ -1,8 +1,10 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
 )
 
@@ -16,18 +18,32 @@ func init() { RegisterEngine("fairshare", func() PolicyEngine { return &fairshar
 // half-life without reaching into the engine.
 type fairshareEngine struct {
 	fifoQueue
+	// keys is the pass's sort scratch: one key per queued job, so each
+	// user's decayed usage is computed once per job, not per comparison.
+	keys []fsKey
+}
+
+// fsKey is one queued job's fair-share sort key.
+type fsKey struct {
+	usage  float64
+	submit des.Time
+	j      *job.Job
 }
 
 func (e *fairshareEngine) Name() string { return "fairshare" }
 
 func (e *fairshareEngine) Schedule(s *Scheduler) {
-	sort.SliceStable(e.q, func(a, b int) bool {
-		ua, ub := s.fsDecayed(e.q[a].User), s.fsDecayed(e.q[b].User)
-		if ua != ub {
-			return ua < ub
-		}
-		return e.q[a].SubmitTime < e.q[b].SubmitTime
+	keys := e.keys[:0]
+	for _, j := range e.q {
+		keys = append(keys, fsKey{s.fsDecayed(j.User), j.SubmitTime, j})
+	}
+	slices.SortStableFunc(keys, func(a, b fsKey) int {
+		return cmp.Or(cmp.Compare(a.usage, b.usage), cmp.Compare(a.submit, b.submit))
 	})
+	for i := range keys {
+		e.q[i] = keys[i].j
+	}
+	e.keys = keys
 	easyPass(s, &e.fifoQueue)
 }
 

@@ -1,6 +1,10 @@
 package sched
 
-import "github.com/tgsim/tgmod/internal/job"
+import (
+	"slices"
+
+	"github.com/tgsim/tgmod/internal/job"
+)
 
 func init() { RegisterEngine("gang", func() PolicyEngine { return &gangEngine{} }) }
 
@@ -28,6 +32,10 @@ type gangEngine struct {
 	stats  EngineStats
 	// scratch is fitsTogether's tentative profile, reused across calls.
 	scratch profile
+	// groups and groupIdx are gangs()'s storage, reused across calls: a
+	// grouping lives until the next gangs() call.
+	groups   [][]*job.Job
+	groupIdx map[job.Sym]int
 }
 
 func (e *gangEngine) Name() string { return "gang" }
@@ -71,23 +79,29 @@ func (e *gangEngine) Disrupted(*Scheduler) {
 }
 
 // gangs groups the queue into gangs ordered by each gang's earliest queued
-// member, preserving member queue order within each gang.
+// member, preserving member queue order within each gang. The grouping is
+// valid until the next call, which reuses its storage.
 func (e *gangEngine) gangs() [][]*job.Job {
-	var out [][]*job.Job
-	idx := make(map[job.Sym]int)
+	if e.groupIdx == nil {
+		e.groupIdx = make(map[job.Sym]int)
+	}
+	clear(e.groupIdx)
+	out := e.groups[:0]
 	for _, j := range e.q {
 		k := gangKey(j)
-		if k == job.SymNone {
-			out = append(out, []*job.Job{j})
-			continue
+		if k != job.SymNone {
+			if i, ok := e.groupIdx[k]; ok {
+				out[i] = append(out[i], j)
+				continue
+			}
+			e.groupIdx[k] = len(out)
 		}
-		if i, ok := idx[k]; ok {
-			out[i] = append(out[i], j)
-			continue
-		}
-		idx[k] = len(out)
-		out = append(out, []*job.Job{j})
+		// Open a group, reusing a previous call's member array if any.
+		n := len(out)
+		out = slices.Grow(out, 1)[:n+1]
+		out[n] = append(out[n][:0], j)
 	}
+	e.groups = out
 	return out
 }
 

@@ -97,9 +97,9 @@ func BenchmarkBuildProfile(b *testing.B) {
 }
 
 // TestPlanningAllocationFree pins the planning kernel's steady state at
-// zero allocations: once the scheduler's profile buffers are warm, neither
-// a profile build, an estimate or bound rebuild nor an easy or
-// conservative pass allocates.
+// zero allocations: once the scheduler's profile buffers and the engines'
+// sort and grouping scratch are warm, neither a profile build, an estimate
+// or bound rebuild nor any engine's pass allocates.
 func TestPlanningAllocationFree(t *testing.T) {
 	s := planningSnapshot(t, "easy")
 	build := func() { s.buildProfile(&s.pass, s.K.Now()) }
@@ -120,7 +120,7 @@ func TestPlanningAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(20, bound); n != 0 {
 		t.Errorf("warm EstimateBound rebuild: %v allocs, want 0", n)
 	}
-	for _, name := range []string{"easy", "conservative"} {
+	for _, name := range EngineNames() {
 		s := planningSnapshot(t, name)
 		if n := testing.AllocsPerRun(20, s.reschedule); n != 0 {
 			t.Errorf("warm %s pass: %v allocs, want 0", name, n)

@@ -1,8 +1,10 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
 )
 
@@ -34,6 +36,19 @@ type priorityEngine struct {
 	skips     map[job.ID]int
 	escalated map[job.ID]bool
 	stats     EngineStats
+	// keys is sortQueue's scratch: one key per queued job, computed once
+	// per pass rather than per comparison.
+	keys []priorityKey
+}
+
+// priorityKey is one queued job's priority sort key. rank is the class,
+// raised by 3 for an escalated job, so escalated jobs sort ahead of every
+// class and by class among themselves.
+type priorityKey struct {
+	rank   int
+	submit des.Time
+	id     job.ID
+	j      *job.Job
 }
 
 func (e *priorityEngine) Name() string { return "priority" }
@@ -47,11 +62,11 @@ func (e *priorityEngine) maxSkips() int {
 	return DefaultMaxSkips
 }
 
-// class buckets a job's core request into a priority class: half the
-// machine and up is capability (2), an eighth and up is mid-range (1),
+// class buckets a job's request against the machine's batch cores: half
+// the machine and up is capability (2), an eighth and up is mid-range (1),
 // the rest capacity (0). Bigger runs first.
-func (e *priorityEngine) class(s *Scheduler, j *job.Job) int {
-	switch cores := s.M.BatchCores(); {
+func class(j *job.Job, cores int) int {
+	switch {
 	case j.Cores*2 >= cores:
 		return 2
 	case j.Cores*8 >= cores:
@@ -61,24 +76,25 @@ func (e *priorityEngine) class(s *Scheduler, j *job.Job) int {
 	}
 }
 
-// sortQueue realizes the priority order: escalated jobs first (oldest
-// submit first), then descending class, then submit order, then ID.
+// sortQueue realizes the priority order: escalated jobs first, and within
+// each group descending class, then submit order, then ID.
 func (e *priorityEngine) sortQueue(s *Scheduler) {
-	sort.SliceStable(e.q, func(a, b int) bool {
-		ja, jb := e.q[a], e.q[b]
-		ea, eb := e.escalated[ja.ID], e.escalated[jb.ID]
-		if ea != eb {
-			return ea
+	cores := s.M.BatchCores()
+	keys := e.keys[:0]
+	for _, j := range e.q {
+		rank := class(j, cores)
+		if e.escalated[j.ID] {
+			rank += 3
 		}
-		ca, cb := e.class(s, ja), e.class(s, jb)
-		if ca != cb {
-			return ca > cb
-		}
-		if ja.SubmitTime != jb.SubmitTime {
-			return ja.SubmitTime < jb.SubmitTime
-		}
-		return ja.ID < jb.ID
+		keys = append(keys, priorityKey{rank, j.SubmitTime, j.ID, j})
+	}
+	slices.SortStableFunc(keys, func(a, b priorityKey) int {
+		return cmp.Or(cmp.Compare(b.rank, a.rank), cmp.Compare(a.submit, b.submit), cmp.Compare(a.id, b.id))
 	})
+	for i := range keys {
+		e.q[i] = keys[i].j
+	}
+	e.keys = keys
 }
 
 // forget drops a started job's aging state.

@@ -31,7 +31,6 @@ type ModalityWindow struct {
 type ModalitiesPayload struct {
 	At       float64          `json:"at"` // stream clock, virtual seconds
 	Ingested uint64           `json:"ingested"`
-	Dropped  uint64           `json:"dropped"`
 	Windows  []ModalityWindow `json:"windows"`
 	Lifetime ModalityWindow   `json:"lifetime"`
 }
@@ -44,7 +43,6 @@ func (p *Processor) Modalities() *ModalitiesPayload {
 	out := &ModalitiesPayload{
 		At:       float64(now),
 		Ingested: p.ingested,
-		Dropped:  p.inbox.dropped,
 	}
 	for w, tw := range metrics.TrailingWindows {
 		win := ModalityWindow{Window: tw.Label}

@@ -86,7 +86,8 @@ func (rp *Replay) Feed(p *Processor) (records, spans int, err error) {
 
 // merge builds the unified timeline: gateway attributes, transfers and
 // storage snapshots at their record timestamps ahead of jobs at their
-// completion times, interleaved with obs span events, stably ordered by
+// completion times, interleaved with obs span events (which only move the
+// clock), stably ordered by
 // (time, kind, original index) so the stream is deterministic for a
 // given export. The records are offered as pointers into the loaded
 // database, which nothing changes while the replay runs.
@@ -113,15 +114,12 @@ func (rp *Replay) merge() []replayItem {
 	for i := range jobs {
 		r := &jobs[i]
 		items = append(items, replayItem{at: des.Time(r.EndTime), prio: 3, seq: i,
-			feed: func(p *Processor) {
-				p.offerJob(r)
-				p.Advance(p.now) // drain immediately: replay depth mirrors live per-flush drains
-			}})
+			feed: func(p *Processor) { p.offerJob(r) }})
 	}
 	for i := range rp.Run.Events {
-		ev := rp.Run.Events[i]
-		items = append(items, replayItem{at: ev.At, prio: 4, seq: i,
-			feed: func(p *Processor) { p.OfferObs(ev) }})
+		at := rp.Run.Events[i].At
+		items = append(items, replayItem{at: at, prio: 4, seq: i,
+			feed: func(p *Processor) { p.Advance(at) }})
 	}
 	sort.SliceStable(items, func(i, j int) bool {
 		a, b := &items[i], &items[j]

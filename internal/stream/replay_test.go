@@ -75,9 +75,6 @@ func TestTapSeesEveryRecord(t *testing.T) {
 	if int(proc.Ingested()) != wantRecords {
 		t.Errorf("stream ingested %d records, central holds %d", proc.Ingested(), wantRecords)
 	}
-	if proc.Dropped() != 0 {
-		t.Errorf("unbounded inbox dropped %d", proc.Dropped())
-	}
 	if jobs := acceptedJobs(proc); len(jobs) != len(c.Jobs()) {
 		t.Errorf("stream accepted %d jobs, central %d", len(jobs), len(c.Jobs()))
 	}

@@ -17,10 +17,9 @@
 //     (acct.jsonl + obs.jsonl) at configurable speed, reproducing the
 //     live pipeline's view from cold storage.
 //
-// Records pass through a bounded inbox (the backpressure model): offers
-// spool, Advance drains. When the inbox cap is exceeded the record is
-// dropped and counted — surfaced as tg_stream_dropped_total, in the
-// console /status payload, and by tgsim -strict-obs.
+// Each offered record is applied to the online layers in the call that
+// offers it, so the stream sees every record the accounting database sees
+// and holds no spool of its own.
 //
 // Replay equivalence: the online layer is windowed and approximate by
 // design, but the end-of-stream report is not. Finalize rebuilds an
@@ -37,7 +36,6 @@ import (
 	"github.com/tgsim/tgmod/internal/core"
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
-	"github.com/tgsim/tgmod/internal/obs"
 	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
@@ -47,9 +45,6 @@ type Config struct {
 	// machine, required by the capability/capacity size split (same role
 	// as core.Config.LargestCores).
 	LargestCores int
-	// InboxCap bounds the ingest spool (0 = unbounded). Records offered
-	// past the cap are dropped and counted, never silently lost.
-	InboxCap int
 	// Registry, when non-nil, receives the tg_stream_* and tg_drift_*
 	// families. Only ever touched from the goroutine driving the offers.
 	Registry *telemetry.Registry
@@ -62,7 +57,6 @@ type Config struct {
 type Processor struct {
 	cfg    Config
 	syms   *job.Symbols // the run's table, adopted by bindSyms
-	inbox  inbox
 	now    des.Time
 	online *online
 	usage  *usageWindows
@@ -76,20 +70,17 @@ type Processor struct {
 	gatewayAttrs []accounting.GatewayAttrRecord
 	storage      []accounting.StorageRecord
 
-	ingested  uint64 // records accepted into the inbox
-	obsEvents uint64 // obs events counted past the pipeline (not spooled)
+	ingested uint64 // records offered
 
-	// Pre-resolved instruments (nil without a registry; all nil-safe).
-	cIngested map[itemKind]*telemetry.Counter
-	cObs      *telemetry.Counter
-	cDropped  *telemetry.Counter
+	// Pre-resolved tg_stream_ingested_total series by record kind (nil
+	// without a registry; all nil-safe).
+	cJobs, cTransfers, cGatewayAttrs, cStorage *telemetry.Counter
 }
 
 // New returns a processor for the given configuration.
 func New(cfg Config) *Processor {
 	p := &Processor{
 		cfg:    cfg,
-		inbox:  inbox{cap: cfg.InboxCap},
 		online: newOnline(core.Config{LargestCores: cfg.LargestCores}),
 		usage:  newUsageWindows(),
 		drift:  newDriftMonitor(),
@@ -105,27 +96,16 @@ func (p *Processor) bind(reg *telemetry.Registry) {
 	}
 	ing := reg.Counter("tg_stream_ingested_total",
 		"Records accepted into the streaming ingest pipeline by kind.", "kind")
-	p.cIngested = map[itemKind]*telemetry.Counter{
-		kindJob:      ing.With("job"),
-		kindTransfer: ing.With("transfer"),
-		kindGateway:  ing.With("gateway_attr"),
-		kindStorage:  ing.With("storage"),
-	}
-	p.cObs = ing.With("obs")
-	p.cDropped = reg.Counter("tg_stream_dropped_total",
-		"Records dropped by the streaming inbox under backpressure.").With()
-	depth := reg.Gauge("tg_stream_inbox_depth",
-		"Records currently spooled in the streaming inbox.")
-	depth.Func(func() float64 { return float64(p.inbox.depth()) })
-	hw := reg.Gauge("tg_stream_inbox_high_water",
-		"Maximum streaming inbox depth observed.")
-	hw.Func(func() float64 { return float64(p.inbox.highWater) })
+	p.cJobs = ing.With("job")
+	p.cTransfers = ing.With("transfer")
+	p.cGatewayAttrs = ing.With("gateway_attr")
+	p.cStorage = ing.With("storage")
 	p.drift.bind(reg, func() des.Time { return p.now })
 	p.online.bind(reg)
 }
 
-// OfferPacket spools every record of a freshly flushed accounting packet
-// and drains the inbox at the flush time. Attribute and transfer records
+// OfferPacket applies every record of a freshly flushed accounting packet
+// and advances the clock to the flush time. Attribute and transfer records
 // are offered before the job records they evidence, so an online decision
 // never misses same-packet evidence. The processor keeps pointers into
 // the packet's records, so the caller must not change them afterwards; a
@@ -154,83 +134,50 @@ func (p *Processor) OfferPacket(at des.Time, pkt *accounting.Packet) {
 	p.Advance(at)
 }
 
-// offerJob, offerTransfer, offerGatewayAttr and offerStorage spool a
-// record the processor may keep: r must not change afterwards.
+// offerJob, offerTransfer, offerGatewayAttr and offerStorage apply one
+// record to every online layer at its visibility time (job end, transfer
+// end, attribute timestamp), the time the online windows bucket it under,
+// independent of when the site ledger happened to flush it. The processor
+// keeps r or a copy of it: r must not change afterwards.
 func (p *Processor) offerJob(r *accounting.JobRecord) {
-	p.offer(item{kind: kindJob, at: des.Time(r.EndTime), job: r})
+	at := des.Time(r.EndTime)
+	p.accept(at, p.cJobs)
+	p.jobs = append(p.jobs, r)
+	res := p.online.classify(r)
+	p.usage.observe(at, res.Modality, r.NUs, confidence[res.Evidence])
+	p.drift.observe(at, res.Modality, p.Syms().Str(r.TruthModality))
 }
 
 func (p *Processor) offerTransfer(r *accounting.TransferRecord) {
-	p.offer(item{kind: kindTransfer, at: des.Time(r.End), transfer: r})
+	p.accept(des.Time(r.End), p.cTransfers)
+	p.transfers = append(p.transfers, *r)
+	p.online.ev.AddTransfer(r)
 }
 
 func (p *Processor) offerGatewayAttr(r *accounting.GatewayAttrRecord) {
-	p.offer(item{kind: kindGateway, at: des.Time(r.At), gateway: r})
+	p.accept(des.Time(r.At), p.cGatewayAttrs)
+	p.gatewayAttrs = append(p.gatewayAttrs, *r)
+	p.online.ev.AddGatewayAttr(r)
 }
 
 func (p *Processor) offerStorage(r *accounting.StorageRecord) {
-	p.offer(item{kind: kindStorage, at: des.Time(r.At), storage: r})
+	p.accept(des.Time(r.At), p.cStorage)
+	p.storage = append(p.storage, *r)
 }
 
-// OfferObs counts one obs span event through the pipeline. Span events
-// carry no accounting state, so they advance the stream clock and the
-// ingest counters without touching the classifier.
-func (p *Processor) OfferObs(ev obs.Event) {
-	p.obsEvents++
-	p.cObs.Inc()
-	if ev.At > p.now {
-		p.now = ev.At
-	}
-}
-
-func (p *Processor) offer(it item) {
-	if !p.inbox.push(it) {
-		p.cDropped.Inc()
-		return
-	}
+// accept counts one offered record and moves the clock to its
+// visibility time.
+func (p *Processor) accept(at des.Time, c *telemetry.Counter) {
 	p.ingested++
-	if c := p.cIngested[it.kind]; c != nil {
-		c.Inc()
-	}
+	c.Inc()
+	p.Advance(at)
 }
 
-// Advance moves the stream clock to now and drains the inbox: every
-// spooled record is classified, windowed, and scored for drift. Time
-// never moves backwards (late offers land in the current bucket).
+// Advance moves the stream clock to now. Time never moves backwards (late
+// offers land in the current bucket).
 func (p *Processor) Advance(now des.Time) {
 	if now > p.now {
 		p.now = now
-	}
-	for {
-		it, ok := p.inbox.pop()
-		if !ok {
-			return
-		}
-		p.process(it)
-	}
-}
-
-// process applies one accepted record to every online layer.
-func (p *Processor) process(it item) {
-	at := it.at
-	if at > p.now {
-		p.now = at
-	}
-	switch it.kind {
-	case kindJob:
-		r := it.job
-		p.jobs = append(p.jobs, r)
-		res := p.online.classify(r)
-		p.usage.observe(at, res.Modality, r.NUs, confidence[res.Evidence])
-		p.drift.observe(at, res.Modality, p.Syms().Str(r.TruthModality))
-	case kindTransfer:
-		p.transfers = append(p.transfers, *it.transfer)
-		p.online.ev.AddTransfer(it.transfer)
-	case kindGateway:
-		p.gatewayAttrs = append(p.gatewayAttrs, *it.gateway)
-		p.online.ev.AddGatewayAttr(it.gateway)
-	case kindStorage:
-		p.storage = append(p.storage, *it.storage)
 	}
 }
 
@@ -253,24 +200,18 @@ func (p *Processor) Syms() *job.Symbols {
 	return p.syms
 }
 
-// Now returns the stream clock: the latest virtual time offered or
-// advanced to. Deterministic — the processor never reads the wall clock.
-func (p *Processor) Now() des.Time { return p.now }
-
-// Ingested returns how many records the pipeline accepted.
+// Ingested returns how many records the pipeline accepted: every record
+// offered.
 func (p *Processor) Ingested() uint64 { return p.ingested }
 
-// Dropped returns how many records the inbox dropped under backpressure.
-func (p *Processor) Dropped() uint64 { return p.inbox.dropped }
+// Dropped returns 0: the processor applies every offered record. It stays
+// because bench/tgbench reads it, and the bench sources are frozen so its
+// numbers stay comparable across builds.
+func (p *Processor) Dropped() uint64 { return 0 }
 
 // Snap returns the ingest-state slice of a progress snapshot.
 func (p *Processor) Snap() telemetry.StreamSnap {
-	return telemetry.StreamSnap{
-		Ingested:  p.ingested,
-		Dropped:   p.inbox.dropped,
-		Depth:     p.inbox.depth(),
-		HighWater: p.inbox.highWater,
-	}
+	return telemetry.StreamSnap{Ingested: p.ingested}
 }
 
 // Final is the end-of-stream batch view: the accepted records as an
@@ -282,8 +223,7 @@ type Final struct {
 	Report  *core.Report
 }
 
-// Finalize closes the stream (draining anything still spooled) and runs
-// the unchanged batch classifier over every accepted record, rebuilt as
+// Finalize closes the stream and runs the unchanged batch classifier over every accepted record, rebuilt as
 // an accounting database in canonical record order. Because the batch
 // classifier is record-order-invariant, the per-job classifications equal
 // what a post-run Classify over the live database produces, no matter
@@ -291,7 +231,6 @@ type Final struct {
 // JobID the database keeps the first accepted, as a live Central does.
 // The database shares the processor's symbol table.
 func (p *Processor) Finalize() (*Final, error) {
-	p.Advance(p.now)
 	syms := p.Syms()
 	c := accounting.NewCentral(syms)
 	pkt := &accounting.Packet{

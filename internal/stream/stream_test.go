@@ -57,37 +57,6 @@ func randomRecords(rng *simrand.Stream, n int, syms *job.Symbols) []accounting.J
 	return recs
 }
 
-func TestInboxBackpressure(t *testing.T) {
-	p := New(Config{LargestCores: 512, InboxCap: 3})
-	sym := p.Syms().Intern
-	for i := 1; i <= 5; i++ {
-		p.offerJob(&accounting.JobRecord{JobID: int64(i), Cores: 1, NUs: 1,
-			EndTime: float64(i), ExitStatus: sym("completed")})
-	}
-	if got := p.Dropped(); got != 2 {
-		t.Errorf("dropped = %d, want 2 (cap 3, offered 5)", got)
-	}
-	if got := p.Ingested(); got != 3 {
-		t.Errorf("ingested = %d, want 3", got)
-	}
-	if hw := p.inbox.highWater; hw != 3 {
-		t.Errorf("high water = %d, want 3", hw)
-	}
-	p.Advance(10)
-	if d := p.inbox.depth(); d != 0 {
-		t.Errorf("depth after drain = %d, want 0", d)
-	}
-	// Only the accepted records survive, in FIFO order.
-	if jobs := acceptedJobs(p); len(jobs) != 3 || jobs[0].JobID != 1 || jobs[2].JobID != 3 {
-		t.Errorf("accepted jobs = %+v, want IDs 1..3", jobs)
-	}
-	// Drained capacity is reusable.
-	p.offerJob(&accounting.JobRecord{JobID: 6, Cores: 1, EndTime: 11})
-	if p.Dropped() != 2 {
-		t.Errorf("post-drain offer dropped; dropped = %d", p.Dropped())
-	}
-}
-
 func TestOnlineDirectEvidence(t *testing.T) {
 	o := newOnline(core.Config{LargestCores: 1000})
 	sym := job.NewSymbols().Intern
@@ -315,7 +284,7 @@ func TestWindowExpiry(t *testing.T) {
 // the OpenMetrics exposition with deterministic values.
 func TestStreamMetricsExposed(t *testing.T) {
 	reg := telemetry.New()
-	p := New(Config{LargestCores: 512, InboxCap: 2, Registry: reg})
+	p := New(Config{LargestCores: 512, Registry: reg})
 	sym := p.Syms().Intern
 	for i := 0; i < 4; i++ {
 		p.offerJob(&accounting.JobRecord{JobID: int64(i + 1), Cores: 4,
@@ -328,12 +297,9 @@ func TestStreamMetricsExposed(t *testing.T) {
 	}
 	om := sb.String()
 	for _, want := range []string{
-		`tg_stream_ingested_total{kind="job"} 2`,
-		`tg_stream_dropped_total 2`,
-		`tg_stream_inbox_depth 0`,
-		`tg_stream_inbox_high_water 2`,
-		`tg_stream_classified_total{modality="batch-capacity",source="accounting"} 2`,
-		`tg_drift_events_total{result="agree"} 2`,
+		`tg_stream_ingested_total{kind="job"} 4`,
+		`tg_stream_classified_total{modality="batch-capacity",source="accounting"} 4`,
+		`tg_drift_events_total{result="agree"} 4`,
 		`tg_drift_rate{window="1h"} 0`,
 	} {
 		if !strings.Contains(om, want) {
@@ -480,23 +446,33 @@ func TestFinalizeKeepsFirstDuplicate(t *testing.T) {
 	}
 }
 
-// BenchmarkOfferFinalize times a stream's life over 5000 job records: the
-// offers, the online layers, and Finalize's rebuild of the accepted records
-// into a central database plus the batch classify.
+// BenchmarkOfferFinalize times a stream's life over 5000 job records in
+// packets of 100, offered through OfferPacket as every mount offers them:
+// the online layers, and Finalize's rebuild of the accepted records into a
+// central database plus the batch classify. A flushed packet never
+// changes, so every iteration offers the same packets.
 func BenchmarkOfferFinalize(b *testing.B) {
-	const n = 5000
+	const n, perPacket = 5000, 100
+	syms := job.NewSymbols()
+	sym := syms.Intern
+	recs := make([]accounting.JobRecord, n)
+	for j := range recs {
+		recs[j] = accounting.JobRecord{JobID: int64(n - j), Cores: 1 + j%64, EndTime: float64(j),
+			User: sym("u"), Project: sym("p"), Site: sym("s"), Machine: sym("m"),
+			NUs: 1, ExitStatus: sym("completed"), SubmitVia: sym("login")}
+	}
+	var packets []*accounting.Packet
+	for j := 0; j < n; j += perPacket {
+		packets = append(packets, &accounting.Packet{Site: "s", Seq: uint64(j/perPacket + 1),
+			Syms: syms, Jobs: recs[j : j+perPacket : j+perPacket]})
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := New(Config{LargestCores: 512})
-		sym := p.Syms().Intern
-		r := accounting.JobRecord{User: sym("u"), Project: sym("p"), Site: sym("s"), Machine: sym("m"),
-			NUs: 1, ExitStatus: sym("completed"), SubmitVia: sym("login")}
-		for j := 0; j < n; j++ {
-			r.JobID, r.Cores, r.EndTime = int64(n-j), 1+j%64, float64(j)
-			rec := r // the processor keeps a pointer to each record
-			p.offerJob(&rec)
+		for _, pkt := range packets {
+			p.OfferPacket(des.Time(pkt.Jobs[len(pkt.Jobs)-1].EndTime), pkt)
 		}
-		p.Advance(des.Time(n))
 		if _, err := p.Finalize(); err != nil {
 			b.Fatal(err)
 		}

@@ -10,8 +10,7 @@ import (
 // Tap returns an Observer that mounts the processor on a live run: every
 // accounting packet a site ledger flushes is offered to the stream right
 // after central ingest (same records, same deterministic order), and
-// every progress snapshot is decorated with the stream's ingest state so
-// /status surfaces backpressure and drops.
+// every progress snapshot carries the stream's ingested count.
 //
 // The tap rides existing kernel events only — it schedules nothing and
 // perturbs nothing, so same-seed runs stay byte-identical with or

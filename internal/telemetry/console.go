@@ -259,8 +259,7 @@ async function tick() {
       (s.done ? '  ·  done' : (s.eta_seconds ? '  ·  eta ' + Math.round(s.eta_seconds) + 's' : ''));
     if (s.stream) {
       document.getElementById('stream').textContent =
-        '· ingested ' + s.stream.ingested.toLocaleString() +
-        (s.stream.dropped ? ' · DROPPED ' + s.stream.dropped : '');
+        '· ingested ' + s.stream.ingested.toLocaleString();
     }
     const tb = document.querySelector('#machines tbody');
     tb.innerHTML = '';

@@ -64,13 +64,9 @@ type RuntimeSnap struct {
 }
 
 // StreamSnap is the stream-processor slice of a snapshot: how much the
-// live ingest pipeline has consumed and whether backpressure dropped any
-// records.
+// live ingest pipeline has consumed.
 type StreamSnap struct {
-	Ingested  uint64 `json:"ingested"`   // records accepted into the pipeline
-	Dropped   uint64 `json:"dropped"`    // records lost to inbox overflow
-	Depth     int    `json:"depth"`      // records currently spooled
-	HighWater int    `json:"high_water"` // maximum spool depth seen
+	Ingested uint64 `json:"ingested"` // records applied by the pipeline
 }
 
 // Line renders the snapshot as a one-line progress report for stderr.
