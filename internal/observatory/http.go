@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
 // RunInfo is one row of the /runs listing: identity, liveness, ingest
@@ -71,23 +72,7 @@ func (rs *runState) info(now time.Time) RunInfo {
 //	/debug/pprof/     net/http/pprof (only with Config.Pprof)
 func (d *Daemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Path
-	if strings.HasPrefix(path, "/debug/pprof/") {
-		if !d.cfg.Pprof {
-			http.NotFound(w, r)
-			return
-		}
-		switch path {
-		case "/debug/pprof/cmdline":
-			pprof.Cmdline(w, r)
-		case "/debug/pprof/profile":
-			pprof.Profile(w, r)
-		case "/debug/pprof/symbol":
-			pprof.Symbol(w, r)
-		case "/debug/pprof/trace":
-			pprof.Trace(w, r)
-		default:
-			pprof.Index(w, r)
-		}
+	if telemetry.ServePprof(w, r, d.cfg.Pprof) {
 		return
 	}
 	switch path {

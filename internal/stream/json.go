@@ -76,7 +76,7 @@ func (p *Processor) Modalities() *ModalitiesPayload {
 
 // ModalitiesJSON renders the /modalities document.
 func (p *Processor) ModalitiesJSON() []byte {
-	return marshalPayload(p.Modalities())
+	return MarshalPayload(p.Modalities())
 }
 
 // DriftWindow is the drift summary over one trailing window.
@@ -126,7 +126,7 @@ func (p *Processor) Drift() *DriftPayload {
 
 // DriftJSON renders the /drift document.
 func (p *Processor) DriftJSON() []byte {
-	return marshalPayload(p.Drift())
+	return MarshalPayload(p.Drift())
 }
 
 // DriftHistory exposes the hourly agreement history (shared slice;
@@ -149,15 +149,10 @@ type DriftHistoryCell struct {
 
 // MarshalPayload renders a console payload (ModalitiesPayload,
 // DriftPayload, or a federated aggregate of them) with the console's
-// indentation style. Exported so the observatory daemon's per-run and
-// fleet documents are byte-compatible with the in-process console's.
-func MarshalPayload(v any) []byte {
-	return marshalPayload(v)
-}
-
-// marshalPayload renders a payload with the console's indentation style;
+// indentation style, so the observatory daemon's per-run and fleet
+// documents are byte-compatible with the in-process console's.
 // encoding/json output is deterministic for struct types.
-func marshalPayload(v any) []byte {
+func MarshalPayload(v any) []byte {
 	data, err := json.MarshalIndent(v, "", " ")
 	if err != nil {
 		// Payload types contain no unmarshalable values; a failure here is

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/tgsim/tgmod/internal/accounting"
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/obs"
 	"github.com/tgsim/tgmod/internal/regress"
@@ -40,15 +41,20 @@ type replayItem struct {
 }
 
 // Feed streams the export through the processor in virtual-time order
-// and returns the number of records and span events offered. The caller
-// finalizes (or queries) the processor afterwards.
+// and returns the number of records and span events offered. The
+// processor keeps the loaded database, in its ingestion order, as one
+// packet for Finalize. The caller finalizes (or queries) the processor
+// afterwards.
 func (rp *Replay) Feed(p *Processor) (records, spans int, err error) {
 	if rp.Run == nil || rp.Run.Central == nil {
 		return 0, 0, fmt.Errorf("stream: replay needs an export with %s", regress.AcctFile)
 	}
-	if !p.bindSyms(rp.Run.Central.Syms()) {
+	c := rp.Run.Central
+	if !p.bindSyms(c.Syms()) {
 		return 0, 0, fmt.Errorf("stream: replay into a processor with another symbol table")
 	}
+	p.packets = append(p.packets, &accounting.Packet{Site: "replay", Seq: 1, Syms: c.Syms(),
+		Jobs: c.Jobs(), Transfers: c.Transfers(), GatewayAttrs: c.GatewayAttrs(), Storage: c.StorageRecords()})
 	items := rp.merge()
 	sleep := rp.Sleep
 	if sleep == nil {

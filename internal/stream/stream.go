@@ -18,17 +18,18 @@
 //     live pipeline's view from cold storage.
 //
 // Each offered record is applied to the online layers in the call that
-// offers it, so the stream sees every record the accounting database sees
-// and holds no spool of its own.
+// offers it. The processor keeps the offered packets themselves, which
+// every mount already holds, and no copy of their records.
 //
 // Replay equivalence: the online layer is windowed and approximate by
-// design, but the end-of-stream report is not. Finalize rebuilds an
-// accounting database from the accepted records in canonical order and
-// runs the unchanged batch classifier, which is record-order-invariant;
-// cmd/tgsim's -replay path goes one step further and classifies the
-// loaded export directly (imports preserve ingestion order), so a
-// replayed run reproduces the live post-run modality report
-// byte-identically.
+// design, but the end-of-stream report is not. Finalize ingests the
+// offered packets, in the order they were offered, into a fresh
+// accounting database and runs the unchanged batch classifier: every
+// mount offers packets in the order its own database ingested them, so
+// the report is the batch report over the same records in the same
+// order, bit for bit. A replay offers its loaded export as one packet,
+// and an export keeps the live ingestion order, so a replayed run
+// reproduces the live post-run modality report byte-identically.
 package stream
 
 import (
@@ -62,13 +63,10 @@ type Processor struct {
 	usage  *usageWindows
 	drift  *driftMonitor
 
-	// Accepted records, in arrival order, for the end-of-stream report.
-	// Job records are kept as pointers into the offered packets or loaded
-	// replay records, which never change.
-	jobs         []*accounting.JobRecord
-	transfers    []accounting.TransferRecord
-	gatewayAttrs []accounting.GatewayAttrRecord
-	storage      []accounting.StorageRecord
+	// The offered packets, in offer order, for the end-of-stream report:
+	// the callers' packets, not copies, since a flushed packet never
+	// changes.
+	packets []*accounting.Packet
 
 	ingested uint64 // records offered
 
@@ -107,11 +105,11 @@ func (p *Processor) bind(reg *telemetry.Registry) {
 // OfferPacket applies every record of a freshly flushed accounting packet
 // and advances the clock to the flush time. Attribute and transfer records
 // are offered before the job records they evidence, so an online decision
-// never misses same-packet evidence. The processor keeps pointers into
-// the packet's records, so the caller must not change them afterwards; a
-// flushed packet never changes. The first packet with a table gives the
-// processor its table if it has none; a packet whose job records index
-// another table panics, since one run's records index one table.
+// never misses same-packet evidence. The processor keeps the packet for
+// Finalize, so the caller must not change it afterwards; a flushed packet
+// never changes. The first packet with a table gives the processor its
+// table if it has none; a packet whose job records index another table
+// panics, since one run's records index one table.
 func (p *Processor) OfferPacket(at des.Time, pkt *accounting.Packet) {
 	if pkt == nil {
 		return
@@ -131,18 +129,17 @@ func (p *Processor) OfferPacket(at des.Time, pkt *accounting.Packet) {
 	for i := range pkt.Jobs {
 		p.offerJob(&pkt.Jobs[i])
 	}
+	p.packets = append(p.packets, pkt)
 	p.Advance(at)
 }
 
 // offerJob, offerTransfer, offerGatewayAttr and offerStorage apply one
 // record to every online layer at its visibility time (job end, transfer
 // end, attribute timestamp), the time the online windows bucket it under,
-// independent of when the site ledger happened to flush it. The processor
-// keeps r or a copy of it: r must not change afterwards.
+// independent of when the site ledger happened to flush it.
 func (p *Processor) offerJob(r *accounting.JobRecord) {
 	at := des.Time(r.EndTime)
 	p.accept(at, p.cJobs)
-	p.jobs = append(p.jobs, r)
 	res := p.online.classify(r)
 	p.usage.observe(at, res.Modality, r.NUs, confidence[res.Evidence])
 	p.drift.observe(at, res.Modality, p.Syms().Str(r.TruthModality))
@@ -150,19 +147,16 @@ func (p *Processor) offerJob(r *accounting.JobRecord) {
 
 func (p *Processor) offerTransfer(r *accounting.TransferRecord) {
 	p.accept(des.Time(r.End), p.cTransfers)
-	p.transfers = append(p.transfers, *r)
 	p.online.ev.AddTransfer(r)
 }
 
 func (p *Processor) offerGatewayAttr(r *accounting.GatewayAttrRecord) {
 	p.accept(des.Time(r.At), p.cGatewayAttrs)
-	p.gatewayAttrs = append(p.gatewayAttrs, *r)
 	p.online.ev.AddGatewayAttr(r)
 }
 
 func (p *Processor) offerStorage(r *accounting.StorageRecord) {
 	p.accept(des.Time(r.At), p.cStorage)
-	p.storage = append(p.storage, *r)
 }
 
 // accept counts one offered record and moves the clock to its
@@ -214,7 +208,7 @@ func (p *Processor) Snap() telemetry.StreamSnap {
 	return telemetry.StreamSnap{Ingested: p.ingested}
 }
 
-// Final is the end-of-stream batch view: the accepted records as an
+// Final is the end-of-stream batch view: the offered packets as an
 // accounting database, the batch classifier's results over them, and the
 // aggregated usage report.
 type Final struct {
@@ -223,25 +217,19 @@ type Final struct {
 	Report  *core.Report
 }
 
-// Finalize closes the stream and runs the unchanged batch classifier over every accepted record, rebuilt as
-// an accounting database in canonical record order. Because the batch
-// classifier is record-order-invariant, the per-job classifications equal
-// what a post-run Classify over the live database produces, no matter
-// what order the stream saw the records in. Of several records with one
-// JobID the database keeps the first accepted, as a live Central does.
-// The database shares the processor's symbol table.
+// Finalize closes the stream: it ingests every offered packet, in offer
+// order, into a fresh accounting database sharing the processor's symbol
+// table, and runs the unchanged batch classifier and report over it. That
+// is the database each mount's own Central holds, so the report equals the
+// batch report over it bit for bit. Of several records with one JobID the
+// database keeps the first, and a re-offered packet is skipped, as in any
+// Central.
 func (p *Processor) Finalize() (*Final, error) {
-	syms := p.Syms()
-	c := accounting.NewCentral(syms)
-	pkt := &accounting.Packet{
-		Site: "stream", Seq: 1, SentAt: float64(p.now), Syms: syms,
-		Jobs:         canonicalJobs(p.jobs),
-		Transfers:    canonicalTransfers(p.transfers),
-		GatewayAttrs: canonicalGatewayAttrs(p.gatewayAttrs),
-		Storage:      canonicalStorage(p.storage),
-	}
-	if err := c.Ingest(pkt); err != nil {
-		return nil, err
+	c := accounting.NewCentral(p.Syms())
+	for _, pkt := range p.packets {
+		if err := c.Ingest(pkt); err != nil {
+			return nil, err
+		}
 	}
 	results := core.NewClassifier(core.Config{LargestCores: p.cfg.LargestCores}).Classify(c)
 	return &Final{Central: c, Results: results, Report: core.BuildReport(c, results)}, nil

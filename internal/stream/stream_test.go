@@ -160,46 +160,49 @@ func TestOnlineNeverReadsTruth(t *testing.T) {
 	}
 }
 
-// TestFinalizeMatchesBatch: no matter what order records stream in, the
-// end-of-stream batch view classifies every job exactly as a post-run
-// Classify over the live accounting database does.
+// packetsOf cuts recs into packets of site s, numbered from 1, with n
+// records each except the last.
+func packetsOf(recs []accounting.JobRecord, n int, syms *job.Symbols) []*accounting.Packet {
+	var out []*accounting.Packet
+	for i := 0; i < len(recs); i += n {
+		j := min(i+n, len(recs))
+		out = append(out, &accounting.Packet{Site: "s", Seq: uint64(len(out) + 1), Syms: syms, Jobs: recs[i:j:j]})
+	}
+	return out
+}
+
+// TestFinalizeMatchesBatch: offered the packets the live database
+// ingested, in the same order, the end-of-stream batch view is the live
+// database's batch view: the same records in the same order, the same
+// per-job results and the same report, bit for bit.
 func TestFinalizeMatchesBatch(t *testing.T) {
 	p := New(Config{LargestCores: 512})
 	rng := simrand.New(42)
 	recs := randomRecords(rng, 250, p.Syms())
+	// Records flush in completion order, not JobID order.
+	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 
-	// The live database ingests in record order.
 	live := accounting.NewCentral(p.Syms())
-	if err := live.Ingest(&accounting.Packet{Site: "s", Seq: 1, Jobs: recs, Syms: p.Syms()}); err != nil {
-		t.Fatal(err)
+	for _, pkt := range packetsOf(recs, 40, p.Syms()) {
+		if err := live.Ingest(pkt); err != nil {
+			t.Fatal(err)
+		}
+		p.OfferPacket(des.Time(pkt.Jobs[len(pkt.Jobs)-1].EndTime), pkt)
 	}
 	want := core.NewClassifier(core.Config{LargestCores: 512}).Classify(live)
-
-	// The stream sees them in completion order (shuffled relative to
-	// submission), as the live tap would.
-	perm := rng.Perm(len(recs))
-	for _, i := range perm {
-		p.offerJob(&recs[i])
-	}
-	p.Advance(des.Time(1 << 30))
 	fin, err := p.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fin.Results) != len(want) {
-		t.Fatalf("finalize classified %d jobs, want %d", len(fin.Results), len(want))
+	if !reflect.DeepEqual(fin.Central.Jobs(), live.Jobs()) {
+		t.Error("finalize database differs from the live one")
 	}
-	byID := make(map[int64]job.Modality, len(want))
-	for _, r := range want {
-		byID[r.JobID] = r.Modality
+	if !reflect.DeepEqual(fin.Results, want) {
+		t.Error("finalize results differ from the live batch classification")
 	}
-	for _, r := range fin.Results {
-		if byID[r.JobID] != r.Modality {
-			t.Errorf("job %d: stream finalize %s, batch %s", r.JobID, r.Modality, byID[r.JobID])
-		}
-	}
-	if fin.Report.TotalNUs != live.TotalNUs() {
-		t.Errorf("finalize total NUs %.3f, live %.3f", fin.Report.TotalNUs, live.TotalNUs())
+	if !reflect.DeepEqual(fin.Report, core.BuildReport(live, want)) {
+		t.Errorf("finalize report differs from the live batch report: NUs %v vs %v",
+			fin.Report.TotalNUs, live.TotalNUs())
 	}
 }
 
@@ -308,35 +311,35 @@ func TestStreamMetricsExposed(t *testing.T) {
 	}
 }
 
-// acceptedJobs copies the processor's accepted job records out, in
-// arrival order.
+// acceptedJobs copies the job records of the processor's offered
+// packets out, in offer order.
 func acceptedJobs(p *Processor) []accounting.JobRecord {
-	out := make([]accounting.JobRecord, len(p.jobs))
-	for i, r := range p.jobs {
-		out[i] = *r
+	var out []accounting.JobRecord
+	for _, pkt := range p.packets {
+		out = append(out, pkt.Jobs...)
 	}
 	return out
 }
 
-// TestJobStorePointers: the pointer store keeps arrival order, and
-// Finalize rebuilds every record in JobID order into an exact-size slice.
+// TestJobStorePointers: the processor keeps the offered packets
+// themselves, in offer order, and Finalize rebuilds every record in that
+// order into an exact-size slice.
 func TestJobStorePointers(t *testing.T) {
 	p := New(Config{LargestCores: 512})
 	sym := p.Syms().Intern
 	const n = 2*256 + 7
-	for i := 0; i < n; i++ {
-		// Descending IDs, so canonical order reverses arrival order.
-		p.offerJob(&accounting.JobRecord{JobID: int64(n - i), Cores: 1, NUs: 1,
-			EndTime: float64(i), ExitStatus: sym("completed")})
+	recs := make([]accounting.JobRecord, n)
+	for i := range recs {
+		// Descending IDs: arrival order is not JobID order.
+		recs[i] = accounting.JobRecord{JobID: int64(n - i), Cores: 1, NUs: 1,
+			EndTime: float64(i), ExitStatus: sym("completed")}
 	}
-	p.Advance(des.Time(n))
-	if len(p.jobs) != n {
-		t.Fatalf("store holds %d jobs, want %d", len(p.jobs), n)
+	packets := packetsOf(recs, 100, p.Syms())
+	for _, pkt := range packets {
+		p.OfferPacket(des.Time(pkt.Jobs[len(pkt.Jobs)-1].EndTime), pkt)
 	}
-	for i, r := range acceptedJobs(p) {
-		if r.JobID != int64(n-i) {
-			t.Fatalf("accepted job %d has ID %d, want %d", i, r.JobID, n-i)
-		}
+	if !slices.Equal(p.packets, packets) {
+		t.Fatalf("processor holds %d packets, not the %d offered", len(p.packets), len(packets))
 	}
 	fin, err := p.Finalize()
 	if err != nil {
@@ -347,15 +350,15 @@ func TestJobStorePointers(t *testing.T) {
 		t.Fatalf("finalize central holds %d jobs (cap %d), want %d", len(jobs), cap(jobs), n)
 	}
 	for i, r := range jobs {
-		if r.JobID != int64(i+1) {
-			t.Fatalf("finalize job %d has ID %d, want %d", i, r.JobID, i+1)
+		if r.JobID != int64(n-i) {
+			t.Fatalf("finalize job %d has ID %d, want %d", i, r.JobID, n-i)
 		}
 	}
 }
 
-// TestOfferPacketBorrows: the processor keeps pointers into the offered
-// packets instead of copies, never changes them, and Finalize's database
-// holds records of its own.
+// TestOfferPacketBorrows: the processor keeps the offered packets instead
+// of copies of their records, and neither offering nor Finalize changes
+// them.
 func TestOfferPacketBorrows(t *testing.T) {
 	p := New(Config{LargestCores: 512})
 	recs := randomRecords(simrand.New(5), 300, p.Syms())
@@ -370,27 +373,18 @@ func TestOfferPacketBorrows(t *testing.T) {
 		clones = append(clones, clonePacket(pkt))
 		p.OfferPacket(des.Time(recs[i+99].EndTime), pkt)
 	}
-	if len(p.jobs) != len(recs) || p.jobs[0] != &packets[0].Jobs[0] {
-		t.Fatal("the job store does not point into the offered packet")
+	if !slices.Equal(p.packets, packets) {
+		t.Fatal("the processor does not hold the offered packets")
 	}
 	fin, err := p.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	borrowed := map[*accounting.JobRecord]bool{}
-	for _, pkt := range packets {
-		for i := range pkt.Jobs {
-			borrowed[&pkt.Jobs[i]] = true
-		}
+	if !reflect.DeepEqual(fin.Central.Jobs(), recs) {
+		t.Fatalf("finalize central holds %d jobs, not the %d offered in order", len(fin.Central.Jobs()), len(recs))
 	}
-	jobs := fin.Central.Jobs()
-	if len(jobs) != len(recs) {
-		t.Fatalf("finalize central holds %d jobs, want %d", len(jobs), len(recs))
-	}
-	for i := range jobs {
-		if borrowed[&jobs[i]] {
-			t.Fatalf("finalize record %d aliases an offered packet", i)
-		}
+	if got := len(fin.Central.Transfers()) + len(fin.Central.GatewayAttrs()) + len(fin.Central.StorageRecords()); got != 3*len(packets) {
+		t.Fatalf("finalize central holds %d evidence records, want %d", got, 3*len(packets))
 	}
 	for i := range packets {
 		if !reflect.DeepEqual(packets[i], clones[i]) {
@@ -409,21 +403,26 @@ func clonePacket(p *accounting.Packet) *accounting.Packet {
 	return &q
 }
 
-// TestFinalizeKeepsFirstDuplicate: of several accepted records with one
-// JobID, Finalize keeps the first, as a live Central does, whatever the
-// sort does with equal JobIDs.
+// TestFinalizeKeepsFirstDuplicate: of several offered records with one
+// JobID, Finalize keeps the first, as a live Central does, whether the
+// later copy comes in the same packet or a later one.
 func TestFinalizeKeepsFirstDuplicate(t *testing.T) {
 	p := New(Config{LargestCores: 512})
 	sym := p.Syms().Intern
 	const ids = 2500
+	recs := make([]accounting.JobRecord, 0, 2*ids)
 	for second := 0; second < 2; second++ {
 		for i := 0; i < ids; i++ {
 			// The first copy of every JobID has even NUs, the second odd.
-			p.offerJob(&accounting.JobRecord{JobID: int64(i*7919%ids + 1), Cores: 1,
+			recs = append(recs, accounting.JobRecord{JobID: int64(i*7919%ids + 1), Cores: 1,
 				NUs: float64(2*i + second), EndTime: float64(i), ExitStatus: sym("completed")})
 		}
 	}
-	p.Advance(des.Time(ids))
+	// The first packet carries both copies of 500 IDs, the second the later
+	// copies of the rest.
+	for _, pkt := range packetsOf(recs, 3000, p.Syms()) {
+		p.OfferPacket(des.Time(ids), pkt)
+	}
 	fin, err := p.Finalize()
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +447,7 @@ func TestFinalizeKeepsFirstDuplicate(t *testing.T) {
 
 // BenchmarkOfferFinalize times a stream's life over 5000 job records in
 // packets of 100, offered through OfferPacket as every mount offers them:
-// the online layers, and Finalize's rebuild of the accepted records into a
+// the online layers, and Finalize's ingest of the offered packets into a
 // central database plus the batch classify. A flushed packet never
 // changes, so every iteration offers the same packets.
 func BenchmarkOfferFinalize(b *testing.B) {

@@ -89,6 +89,31 @@ func (c *Console) PublishPage(path, contentType string, payload []byte) {
 // them cannot perturb deterministic output (golden-tested).
 func (c *Console) EnablePprof() { c.pprofOn.Store(true) }
 
+// ServePprof serves r and reports true when its path is under
+// /debug/pprof/: from the net/http/pprof handlers when on, else as not
+// found. It reports false, writing nothing, for any other path. Every
+// console that can serve profiles routes them through it.
+func ServePprof(w http.ResponseWriter, r *http.Request, on bool) bool {
+	if !strings.HasPrefix(r.URL.Path, "/debug/pprof/") {
+		return false
+	}
+	switch {
+	case !on:
+		http.NotFound(w, r)
+	case r.URL.Path == "/debug/pprof/cmdline":
+		pprof.Cmdline(w, r)
+	case r.URL.Path == "/debug/pprof/profile":
+		pprof.Profile(w, r)
+	case r.URL.Path == "/debug/pprof/symbol":
+		pprof.Symbol(w, r)
+	case r.URL.Path == "/debug/pprof/trace":
+		pprof.Trace(w, r)
+	default:
+		pprof.Index(w, r)
+	}
+	return true
+}
+
 // ServeHTTP implements http.Handler, routing the three console endpoints.
 func (c *Console) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
@@ -104,23 +129,7 @@ func (c *Console) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		w.Write([]byte(dashboardHTML))
 	default:
-		if strings.HasPrefix(r.URL.Path, "/debug/pprof/") {
-			if !c.pprofOn.Load() {
-				http.NotFound(w, r)
-				return
-			}
-			switch r.URL.Path {
-			case "/debug/pprof/cmdline":
-				pprof.Cmdline(w, r)
-			case "/debug/pprof/profile":
-				pprof.Profile(w, r)
-			case "/debug/pprof/symbol":
-				pprof.Symbol(w, r)
-			case "/debug/pprof/trace":
-				pprof.Trace(w, r)
-			default:
-				pprof.Index(w, r)
-			}
+		if ServePprof(w, r, c.pprofOn.Load()) {
 			return
 		}
 		if p, ok := c.pages.Load(r.URL.Path); ok {
