@@ -1,7 +1,6 @@
-// Package tgmod's root benchmarks time the evaluation's experiments
-// (EXPERIMENTS.md) at Quick scale, one per experiment, plus the kernel
-// anchor and throughput-floor check BenchmarkStandardKernel; run
-// cmd/benchtab -scale full for the published numbers.
+// Package tgmod's root benchmark is the kernel anchor and throughput-floor
+// check BenchmarkStandardKernel. The evaluation's experiments
+// (EXPERIMENTS.md) run through cmd/benchtab (-only ID for one of them).
 package tgmod
 
 import (
@@ -49,98 +48,5 @@ func BenchmarkStandardKernel(b *testing.B) {
 	b.ReportMetric(eps, "events/s")
 	if eps < standardFloorPS {
 		b.Fatalf("kernel throughput %.0f events/s is below the floor %d", eps, standardFloorPS)
-	}
-}
-
-func BenchmarkT1Taxonomy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if t := experiments.T1Taxonomy(); t.Rows() == 0 {
-			b.Fatal("empty taxonomy")
-		}
-	}
-}
-
-func BenchmarkT2Mechanism(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.T2Mechanism(benchSeed, experiments.Quick)
-		benchErr(b, err)
-	}
-}
-
-func BenchmarkT3ModalityUsage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.T3ModalityUsage(benchSeed, experiments.Quick)
-		benchErr(b, err)
-	}
-}
-
-func BenchmarkT4Coverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.T4Coverage(benchSeed, experiments.Quick)
-		benchErr(b, err)
-	}
-}
-
-func BenchmarkF1JobSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.F1JobSize(benchSeed, experiments.Quick)
-		benchErr(b, err)
-	}
-}
-
-func BenchmarkF2GatewayGrowth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.F2GatewayGrowth(benchSeed, experiments.Quick)
-		benchErr(b, err)
-	}
-}
-
-func BenchmarkF3WaitBySize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.F3WaitBySize(benchSeed, experiments.Quick)
-		benchErr(b, err)
-	}
-}
-
-func BenchmarkF4Utilization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.F4Utilization(benchSeed, experiments.Quick)
-		benchErr(b, err)
-	}
-}
-
-func BenchmarkF5Urgent(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.F5Urgent(benchSeed, experiments.Quick)
-		benchErr(b, err)
-	}
-}
-
-func BenchmarkF6Transfers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.F6Transfers(benchSeed, experiments.Quick)
-		benchErr(b, err)
-	}
-}
-
-func BenchmarkF7Kernel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if t := experiments.F7Kernel(experiments.Quick); t.Rows() == 0 {
-			b.Fatal("empty kernel table")
-		}
-	}
-}
-
-func BenchmarkF8Inference(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.F8Inference(benchSeed, experiments.Quick)
-		benchErr(b, err)
-	}
-}
-
-func BenchmarkF9Prediction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.F9Prediction(benchSeed, experiments.Quick)
-		benchErr(b, err)
 	}
 }

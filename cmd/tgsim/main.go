@@ -7,10 +7,10 @@
 //
 //	tgsim [-seed N] [-days D] [-scale quick|full] [-policy fcfs|easy|conservative|fairshare]
 //	      [-trace out.jsonl] [-csv-dir DIR] [-config cfg.json] [-dump-config cfg.json]
-//	      [-maintenance-every D] [-quiet]
+//	      [-quiet]
 //	      [-faults X] [-mtbf DAYS] [-checkpoint MINUTES]
 //	      [-chrome-trace t.json] [-obs-jsonl t.jsonl] [-obs-csv DIR]
-//	      [-obs-sample-hours H] [-obs-max-events N] [-strict-obs] [-profile]
+//	      [-obs-max-events N] [-strict-obs] [-profile]
 //	      [-cpuprofile f.pprof] [-memprofile f.pprof] [-pprof]
 //	      [-slo] [-analysis] [-export DIR]
 //	      [-http :PORT] [-http-hold] [-progress]
@@ -83,12 +83,12 @@ const openMetricsType = "application/openmetrics-text; version=1.0.0; charset=ut
 // options is the parsed command line, one field per flag (parseFlags
 // documents each); every mode reads it directly.
 type options struct {
-	seed                                                                               uint64
-	days, maintDays, maintHours, faults, mtbf, checkpoint, obsSampleHours, replaySpeed float64
-	policy, scale, config, dumpConfig, csvDir, export, trace, chromeTrace, obsJSONL    string
-	obsCSV, http, cpuProfile, memProfile, replay, push, pushID, pushSpill              string
-	quiet, profile, slo, analysis, strictObs, progress, httpHold, pprof, stream        bool
-	obsMaxEvents, reps, parallel, pushRetry                                            int
+	seed                                                                            uint64
+	days, faults, mtbf, checkpoint, replaySpeed                                     float64
+	policy, scale, config, dumpConfig, csvDir, export, trace, chromeTrace, obsJSONL string
+	obsCSV, http, cpuProfile, memProfile, replay, push, pushID, pushSpill           string
+	quiet, profile, slo, analysis, strictObs, progress, httpHold, pprof, stream     bool
+	obsMaxEvents, reps, parallel, pushRetry                                         int
 }
 
 // parseFlags parses the command line and rejects every flag the selected
@@ -102,15 +102,12 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.policy, "policy", "easy", "batch policy engine: fcfs, easy, conservative, fairshare, gang, priority")
 	fs.StringVar(&o.trace, "trace", "", "write the accounting trace (JSON lines) to this file")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress tables; print one summary line")
-	fs.Float64Var(&o.maintDays, "maintenance-every", 0, "schedule recurring maintenance every N days (0 = none)")
-	fs.Float64Var(&o.maintHours, "maintenance-hours", 8, "maintenance window length in hours")
 	fs.StringVar(&o.csvDir, "csv-dir", "", "also write every report as CSV into this directory")
 	fs.StringVar(&o.config, "config", "", "load the scenario from a JSON config file (replaces the other scenario flags)")
 	fs.StringVar(&o.dumpConfig, "dump-config", "", "write the effective scenario config as JSON and exit")
 	fs.StringVar(&o.chromeTrace, "chrome-trace", "", "write a Chrome trace-event JSON file of job/transfer/gateway spans (open in Perfetto)")
 	fs.StringVar(&o.obsJSONL, "obs-jsonl", "", "write the span event stream as JSON lines to this file")
-	fs.StringVar(&o.obsCSV, "obs-csv", "", "write virtual-time metric CSVs (queue depth, utilization, ...) into this directory")
-	fs.Float64Var(&o.obsSampleHours, "obs-sample-hours", 1, "metric sampling period in virtual hours (with -obs-csv)")
+	fs.StringVar(&o.obsCSV, "obs-csv", "", "write hourly virtual-time metric CSVs (queue depth, utilization, ...) into this directory")
 	fs.IntVar(&o.obsMaxEvents, "obs-max-events", 0, "cap the in-memory span buffer at N events (0 = unbounded); overflow is counted and dropped")
 	fs.BoolVar(&o.profile, "profile", false, "print the kernel self-profile (wall-clock cost per event name) after the run")
 	fs.StringVar(&o.http, "http", "", "serve the live run console (dashboard /, /status JSON, /metrics OpenMetrics) on this address, e.g. :8080")
@@ -152,11 +149,11 @@ func parseFlags(args []string) (*options, error) {
 		where   string
 		ignored string // flags the mode never reads
 	}{
-		{set["replay"], "with -replay", "seed days scale policy config dump-config maintenance-every faults checkpoint " +
+		{set["replay"], "with -replay", "seed days scale policy config dump-config faults checkpoint " +
 			"trace chrome-trace obs-jsonl obs-csv obs-max-events strict-obs profile http progress slo analysis stream reps push"},
 		{fleetMode, "with -reps above 1", "trace dump-config chrome-trace obs-jsonl obs-csv obs-max-events profile http slo analysis stream"},
 		{fleetMode && !set["push"], "with -reps above 1 but no -push", "strict-obs"},
-		{set["config"], "with -config (the file holds the scenario)", "days scale policy maintenance-every faults checkpoint"},
+		{set["config"], "with -config (the file holds the scenario)", "days scale policy faults checkpoint"},
 		{set["config"] && !fleetMode, "with -config (the file holds the seed)", "seed"},
 		{set["dump-config"], "with -dump-config (nothing runs)", "quiet csv-dir trace export chrome-trace obs-jsonl obs-csv " +
 			"obs-max-events strict-obs profile http progress slo analysis stream push"},
@@ -166,9 +163,7 @@ func parseFlags(args []string) (*options, error) {
 		{!set["replay"], "without -replay", "replay-speed"},
 		{!set["push"], "without -push", "push-id push-retry push-spill"},
 		{!set["http"], "without -http", "http-hold pprof"},
-		{!set["obs-csv"], "without -obs-csv", "obs-sample-hours"},
 		{!set["faults"], "without -faults", "mtbf"},
-		{!set["maintenance-every"], "without -maintenance-every", "maintenance-hours"},
 		{!spans, "without a span consumer (-export, -analysis, -chrome-trace, -obs-jsonl)", "obs-max-events"},
 		{!spans && !set["push"], "without a span consumer or -push", "strict-obs"},
 	} {
@@ -255,10 +250,6 @@ func (o *options) scenarioConfig(seed uint64) (scenario.Config, error) {
 		return scenario.Config{}, fmt.Errorf("unknown -scale %q (want quick or full)", o.scale)
 	}
 	cfg.Policy = pol
-	if o.maintDays > 0 {
-		cfg.MaintenanceEvery = des.Time(o.maintDays) * des.Day
-		cfg.MaintenanceLength = des.Time(o.maintHours) * des.Hour
-	}
 	if o.faults > 0 {
 		fc := faults.DefaultConfig()
 		fc.Intensity = o.faults
@@ -293,10 +284,7 @@ func runSingle(o *options, cfg scenario.Config) error {
 		cfg.Observers = append(cfg.Observers, scenario.EvaluateSLO(sloEval))
 	}
 	if o.obsCSV != "" {
-		if o.obsSampleHours <= 0 {
-			return fmt.Errorf("non-positive -obs-sample-hours")
-		}
-		cfg.Observers = append(cfg.Observers, scenario.SampleEvery(des.Time(o.obsSampleHours)*des.Hour))
+		cfg.Observers = append(cfg.Observers, scenario.SampleEvery(des.Hour))
 	}
 	// -profile attaches the phase-attribution profiler (internal/perf): it
 	// splits the wall clock across FEL/handler/accounting/classify phases,

@@ -57,9 +57,7 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		{"-push-id", "a7"},
 		{"-push-retry", "3"},
 		{"-pprof"},
-		{"-obs-sample-hours", "2"},
 		{"-mtbf", "5"},
-		{"-maintenance-hours", "4"},
 		{"-obs-max-events", "10"},
 		{"-strict-obs"},
 	} {

@@ -161,18 +161,6 @@ func TestCentralQueries(t *testing.T) {
 	if c.TotalNUs() != 35 {
 		t.Errorf("TotalNUs = %v, want 35", c.TotalNUs())
 	}
-	byMachine := c.NUsBy(func(r *JobRecord) string { return s.Str(r.Machine) })
-	if len(byMachine) != 2 || byMachine[0].Key != "m1" || byMachine[0].Value != 15 {
-		t.Errorf("NUsBy machine = %v", byMachine)
-	}
-	counts := c.CountBy(func(r *JobRecord) string { return SizeBin(r.Cores) })
-	if len(counts) != 3 {
-		t.Errorf("CountBy size = %v", counts)
-	}
-	users := c.DistinctUsersBy(func(r *JobRecord) string { return s.Str(r.Machine) })
-	if users[0].Key != "m1" || users[0].Count != 2 || users[1].Count != 1 {
-		t.Errorf("DistinctUsersBy = %v", users)
-	}
 	if c.DistinctUsers() != 2 {
 		t.Errorf("DistinctUsers = %d, want 2", c.DistinctUsers())
 	}

@@ -3,7 +3,6 @@ package accounting
 import (
 	"fmt"
 	"github.com/tgsim/tgmod/internal/job"
-	"sort"
 )
 
 // Central is the federation-wide accounting database (the TGCDB analogue).
@@ -16,8 +15,8 @@ import (
 // Central borrows job records: Ingest keeps the runs of a packet's jobs it
 // accepts as segments instead of copying them, which is sound because a
 // flushed packet never changes again. The first read after an ingest seals
-// the segments into one slice (jobs): Jobs, Job, TotalNUs, NUsBy, CountBy,
-// DistinctUsers, DistinctUsersBy and Export all seal first. A read
+// the segments into one slice (jobs): Jobs, Job, TotalNUs, DistinctUsers
+// and Export all seal first. A read
 // therefore writes once, and Central is not safe for concurrent use while
 // records are pending. Once a read has sealed the records and no ingest
 // follows, any number of goroutines may read concurrently.
@@ -203,51 +202,6 @@ func (c *Central) TotalNUs() float64 {
 	return t
 }
 
-// NUsBy aggregates NUs by an arbitrary key function, returning a
-// deterministic key-sorted slice.
-func (c *Central) NUsBy(key func(*JobRecord) string) []KeyedValue {
-	agg := make(map[string]float64)
-	jobs := c.Jobs()
-	for i := range jobs {
-		agg[key(&jobs[i])] += jobs[i].NUs
-	}
-	return sortKeyed(agg)
-}
-
-// CountBy counts job records by an arbitrary key function.
-func (c *Central) CountBy(key func(*JobRecord) string) []KeyedCount {
-	agg := make(map[string]int)
-	jobs := c.Jobs()
-	for i := range jobs {
-		agg[key(&jobs[i])]++
-	}
-	out := make([]KeyedCount, 0, len(agg))
-	for k, v := range agg {
-		out = append(out, KeyedCount{Key: k, Count: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// DistinctUsersBy returns, per key, the number of distinct charging users.
-func (c *Central) DistinctUsersBy(key func(*JobRecord) string) []KeyedCount {
-	sets := make(map[string]map[job.Sym]bool)
-	jobs := c.Jobs()
-	for i := range jobs {
-		k := key(&jobs[i])
-		if sets[k] == nil {
-			sets[k] = make(map[job.Sym]bool)
-		}
-		sets[k][jobs[i].User] = true
-	}
-	out := make([]KeyedCount, 0, len(sets))
-	for k, s := range sets {
-		out = append(out, KeyedCount{Key: k, Count: len(s)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
 // DistinctUsers counts distinct charging users across all records.
 func (c *Central) DistinctUsers() int {
 	s := make(map[job.Sym]bool)
@@ -256,27 +210,6 @@ func (c *Central) DistinctUsers() int {
 		s[jobs[i].User] = true
 	}
 	return len(s)
-}
-
-// KeyedValue is a (key, float) aggregation row.
-type KeyedValue struct {
-	Key   string
-	Value float64
-}
-
-// KeyedCount is a (key, int) aggregation row.
-type KeyedCount struct {
-	Key   string
-	Count int
-}
-
-func sortKeyed(m map[string]float64) []KeyedValue {
-	out := make([]KeyedValue, 0, len(m))
-	for k, v := range m {
-		out = append(out, KeyedValue{Key: k, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 // QuarterOf maps a simulation timestamp (seconds) to a quarter index

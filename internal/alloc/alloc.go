@@ -28,9 +28,6 @@ type Project struct {
 // Remaining returns the unspent balance in NUs.
 func (p *Project) Remaining() float64 { return p.AwardedNUs - p.usedNUs + p.refundedNUs }
 
-// Used returns the gross NUs charged.
-func (p *Project) Used() float64 { return p.usedNUs }
-
 // Exhausted reports whether the project has no balance left.
 func (p *Project) Exhausted() bool { return p.Remaining() <= 0 }
 
@@ -47,9 +44,6 @@ func (p *Project) Users() []string {
 // Bank manages all projects and charging.
 type Bank struct {
 	projects map[string]*Project
-	// charges and refunds counters for audit.
-	charges uint64
-	refunds uint64
 }
 
 // NewBank returns an empty allocations bank.
@@ -99,12 +93,6 @@ func (b *Bank) AddUser(id, user string) error {
 	return nil
 }
 
-// Authorized reports whether user may charge project id.
-func (b *Bank) Authorized(id, user string) bool {
-	p, ok := b.projects[id]
-	return ok && p.users[user]
-}
-
 // Project looks up a project.
 func (b *Bank) Project(id string) (*Project, bool) {
 	p, ok := b.projects[id]
@@ -119,13 +107,6 @@ func (b *Bank) Projects() []*Project {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// CanCharge reports whether the project exists and has balance for the
-// estimated NUs. Schedulers consult this before starting work.
-func (b *Bank) CanCharge(id string, nus float64) bool {
-	p, ok := b.projects[id]
-	return ok && p.Remaining() >= nus
 }
 
 // ErrExhausted is Charge's report that the charged project has no balance
@@ -145,7 +126,6 @@ func (b *Bank) Charge(id string, nus float64) error {
 		return fmt.Errorf("alloc: negative charge %v to %s", nus, id)
 	}
 	p.usedNUs += nus
-	b.charges++
 	if p.Exhausted() {
 		return ErrExhausted
 	}
@@ -166,7 +146,6 @@ func (b *Bank) Refund(id string, nus float64) error {
 		return fmt.Errorf("alloc: refund to %s exceeds charges", id)
 	}
 	p.refundedNUs += nus
-	b.refunds++
 	return nil
 }
 

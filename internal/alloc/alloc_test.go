@@ -23,12 +23,9 @@ func TestAwardAndLookup(t *testing.T) {
 	if _, ok := b.Project("nope"); ok {
 		t.Error("lookup of missing project succeeded")
 	}
-	// PI is automatically authorized.
-	if !b.Authorized("TG-MCA001", "smith") {
-		t.Error("PI not authorized")
-	}
-	if b.Authorized("TG-MCA001", "eve") {
-		t.Error("stranger authorized")
+	// PI is automatically a project user.
+	if u := p.Users(); len(u) != 1 || u[0] != "smith" {
+		t.Errorf("Users = %v, want [smith]", u)
 	}
 }
 
@@ -56,14 +53,8 @@ func TestChargeAndExhaustion(t *testing.T) {
 	if _, err := b.Award("p", "pi", "f", 100, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !b.CanCharge("p", 60) {
-		t.Error("CanCharge(60) = false with balance 100")
-	}
 	if err := b.Charge("p", 60); err != nil {
 		t.Fatal(err)
-	}
-	if b.CanCharge("p", 60) {
-		t.Error("CanCharge(60) = true with balance 40")
 	}
 	// Overdraft allowed but reported.
 	err := b.Charge("p", 60)

@@ -436,35 +436,6 @@ func TestServiceReport(t *testing.T) {
 	}
 }
 
-func TestGatewayReport(t *testing.T) {
-	jobs := []accounting.JobRecord{
-		rec(1, func(r *accounting.JobRecord) { r.GatewayID = sym("g1"); r.NUs = 5 }),
-		rec(2, func(r *accounting.JobRecord) { r.GatewayID = sym("g1"); r.NUs = 3 }),
-		rec(3, func(r *accounting.JobRecord) { r.GatewayID = sym("g2"); r.NUs = 2 }),
-		rec(4, nil), // not a gateway job
-	}
-	attrs := []accounting.GatewayAttrRecord{
-		{GatewayID: "g1", GatewayUser: "alice", JobID: 1},
-		{GatewayID: "g2", GatewayUser: "bob", JobID: 3},
-		{GatewayID: "g2", GatewayUser: "carol", JobID: 99}, // attr without job record
-	}
-	rows := GatewayReport(central(t, jobs, attrs, nil))
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	g1 := rows[0]
-	if g1.GatewayID != "g1" || g1.Jobs != 2 || g1.NUs != 8 || g1.EndUsers != 1 {
-		t.Errorf("g1 = %+v", g1)
-	}
-	if g1.AttributedFrac != 0.5 {
-		t.Errorf("g1 attributed = %v, want 0.5", g1.AttributedFrac)
-	}
-	g2 := rows[1]
-	if g2.EndUsers != 2 || g2.Jobs != 1 {
-		t.Errorf("g2 = %+v", g2)
-	}
-}
-
 func TestMeasureOverlap(t *testing.T) {
 	jobs := []accounting.JobRecord{
 		rec(1, func(r *accounting.JobRecord) { r.User = sym("a"); r.QOS = sym("urgent") }),

@@ -348,68 +348,6 @@ func MeasureOverlap(c *accounting.Central, results []Result) Overlap {
 	return ov
 }
 
-// GatewayRow summarizes one gateway's activity.
-type GatewayRow struct {
-	GatewayID      string
-	Jobs           int
-	NUs            float64
-	EndUsers       int
-	AttributedFrac float64
-}
-
-// GatewayReport breaks gateway usage down per gateway, combining job
-// records with end-user attribute records.
-func GatewayReport(c *accounting.Central) []GatewayRow {
-	type agg struct {
-		jobs       int
-		nus        float64
-		people     map[string]bool
-		attributed int
-	}
-	byGW := make(map[string]*agg)
-	get := func(id string) *agg {
-		a := byGW[id]
-		if a == nil {
-			a = &agg{people: make(map[string]bool)}
-			byGW[id] = a
-		}
-		return a
-	}
-	attributed := make(map[int64]bool)
-	for _, r := range c.GatewayAttrs() {
-		get(r.GatewayID).people[r.GatewayUser] = true
-		attributed[r.JobID] = true
-	}
-	syms := c.Syms()
-	for _, r := range c.Jobs() {
-		if r.GatewayID == job.SymNone {
-			continue
-		}
-		a := get(syms.Str(r.GatewayID))
-		a.jobs++
-		a.nus += r.NUs
-		if attributed[r.JobID] {
-			a.attributed++
-		}
-	}
-	ids := make([]string, 0, len(byGW))
-	for id := range byGW {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]GatewayRow, 0, len(ids))
-	for _, id := range ids {
-		a := byGW[id]
-		frac := 0.0
-		if a.jobs > 0 {
-			frac = float64(a.attributed) / float64(a.jobs)
-		}
-		out = append(out, GatewayRow{GatewayID: id, Jobs: a.jobs, NUs: a.nus,
-			EndUsers: len(a.people), AttributedFrac: frac})
-	}
-	return out
-}
-
 // MeasureGatewayVisibility computes gateway end-user visibility from the
 // central database.
 func MeasureGatewayVisibility(c *accounting.Central) GatewayVisibility {

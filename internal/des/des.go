@@ -228,9 +228,6 @@ func (k *Kernel) SetTracer(tr Tracer) {
 // error. A limit of zero (the default) disables the check.
 func (k *Kernel) SetPendingLimit(limit int) { k.pendingLimit = limit }
 
-// PendingLimit returns the configured future-event-list bound (0 = none).
-func (k *Kernel) PendingLimit() int { return k.pendingLimit }
-
 // Err returns the sticky kernel error (a *BacklogError), or nil.
 func (k *Kernel) Err() error { return k.err }
 

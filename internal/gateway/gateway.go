@@ -90,9 +90,6 @@ func New(id, account, project, field string, coverage float64,
 // requests that do get through.
 func (g *Gateway) SetAvailable(up bool) { g.available = up }
 
-// Available reports whether the endpoint currently accepts submissions.
-func (g *Gateway) Available() bool { return g.available }
-
 // RejectedDown returns how many requests were turned away while down.
 func (g *Gateway) RejectedDown() uint64 { return g.rejectedDown }
 

@@ -156,7 +156,7 @@ type Job struct {
 	ReqWalltime des.Time
 	QOS         QOS
 	InputBytes  int64 // data staged in before the job can start
-	OutputBytes int64 // data produced (archived for data-centric usage)
+	OutputBytes int64 // data produced
 
 	// Execution (set by the scheduler).
 	RunTime     des.Time // actual execution need; capped at ReqWalltime

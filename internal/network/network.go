@@ -122,15 +122,6 @@ type Transfer struct {
 // Duration returns the wall-clock time the transfer took (valid once done).
 func (tr *Transfer) Duration() des.Time { return tr.EndedAt - tr.StartedAt }
 
-// EffectiveBps returns the achieved mean throughput (valid once done).
-func (tr *Transfer) EffectiveBps() float64 {
-	d := float64(tr.Duration())
-	if d <= 0 {
-		return 0
-	}
-	return float64(tr.Bytes) / d
-}
-
 // Fabric executes transfers over a topology under max-min fair sharing.
 type Fabric struct {
 	K *des.Kernel

@@ -66,10 +66,10 @@ func pushRun(t *testing.T, addr string, seed uint64, id string) (*scenario.Resul
 	t.Helper()
 	cfg := smallConfig(seed)
 	end := float64(cfg.Horizon + cfg.DrainTime)
-	p, err := Dial(addr, Hello{
+	p, err := DialPush(addr, Hello{
 		Run: id, Seed: seed, LargestCores: largestCores(t),
 		EndTimeS: end, Source: "test",
-	})
+	}, DefaultPushOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +174,10 @@ func TestPusherChainsExistingSnapshotSink(t *testing.T) {
 	d, addr := startDaemon(t)
 	cfg := smallConfig(5)
 	end := float64(cfg.Horizon + cfg.DrainTime)
-	p, err := Dial(addr, Hello{
+	p, err := DialPush(addr, Hello{
 		Run: "chain", Seed: 5, LargestCores: largestCores(t),
 		EndTimeS: end, Source: "test",
-	})
+	}, DefaultPushOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestConcurrentRunsAndFederation(t *testing.T) {
 			defer wg.Done()
 			cfg := smallConfig(seed)
 			end := float64(cfg.Horizon + cfg.DrainTime)
-			p, err := Dial(addr, Hello{Run: id, Seed: seed, LargestCores: 4096, EndTimeS: end})
+			p, err := DialPush(addr, Hello{Run: id, Seed: seed, LargestCores: 4096, EndTimeS: end}, DefaultPushOptions())
 			if err != nil {
 				t.Error(err)
 				return
@@ -355,12 +355,12 @@ func TestConcurrentRunsAndFederation(t *testing.T) {
 // gets a #2-suffixed identity instead of corrupting the first run.
 func TestRunIDUniquified(t *testing.T) {
 	_, addr := startDaemon(t)
-	a, err := Dial(addr, Hello{Run: "dup", Seed: 1})
+	a, err := DialPush(addr, Hello{Run: "dup", Seed: 1}, DefaultPushOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Abort()
-	b, err := Dial(addr, Hello{Run: "dup", Seed: 2})
+	b, err := DialPush(addr, Hello{Run: "dup", Seed: 2}, DefaultPushOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

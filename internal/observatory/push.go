@@ -150,11 +150,6 @@ func splitPushAddr(addr string) (network, target string) {
 	return "tcp", addr
 }
 
-// Dial connects with the default fault-tolerance options.
-func Dial(addr string, h Hello) (*Pusher, error) {
-	return DialPush(addr, h, DefaultPushOptions())
-}
-
 // DialPush connects to an observatory daemon, performs the hello
 // handshake, and returns a pusher ready to attach to a run. The initial
 // dial uses the same retry budget as mid-run reconnects (a producer may

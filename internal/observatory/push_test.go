@@ -22,7 +22,7 @@ func TestFinishAbortIdempotence(t *testing.T) {
 	_, addr := startDaemon(t)
 
 	// Finish, then Abort twice: the pusher is already torn down.
-	p, err := Dial(addr, Hello{Run: "idem-a", Seed: 1})
+	p, err := DialPush(addr, Hello{Run: "idem-a", Seed: 1}, DefaultPushOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFinishAbortIdempotence(t *testing.T) {
 
 	// Abort, then Finish: Finish must not re-drive the session, only
 	// report its (absent) error.
-	q, err := Dial(addr, Hello{Run: "idem-b", Seed: 1})
+	q, err := DialPush(addr, Hello{Run: "idem-b", Seed: 1}, DefaultPushOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFinishAbortIdempotence(t *testing.T) {
 func TestHelloRejectsBadRunID(t *testing.T) {
 	d, addr := startDaemon(t)
 	start := time.Now()
-	_, err := Dial(addr, Hello{Run: "../etc/evil", Seed: 1})
+	_, err := DialPush(addr, Hello{Run: "../etc/evil", Seed: 1}, DefaultPushOptions())
 	if !errors.Is(err, ErrBadHello) {
 		t.Fatalf("bad run ID: want ErrBadHello, got %v", err)
 	}
@@ -104,7 +104,7 @@ func TestHelloRejectsOversize(t *testing.T) {
 // both.
 func TestResumeSeedMismatchRejected(t *testing.T) {
 	_, addr := startDaemon(t)
-	p, err := Dial(addr, Hello{Run: "owner", Seed: 7})
+	p, err := DialPush(addr, Hello{Run: "owner", Seed: 7}, DefaultPushOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestWALFinalSyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	p, err := Dial(addr, Hello{Run: "nosync", Seed: 9, LargestCores: 512, EndTimeS: 100, Source: "test"})
+	p, err := DialPush(addr, Hello{Run: "nosync", Seed: 9, LargestCores: 512, EndTimeS: 100, Source: "test"}, DefaultPushOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,36 +50,51 @@ func TestConfigFileRoundTrip(t *testing.T) {
 }
 
 func TestConfigFileRunsIdenticallyToCode(t *testing.T) {
-	code := smallConfig(5)
-	cf, err := FromConfig(code)
-	if err != nil {
-		t.Fatal(err)
+	maint := smallConfig(5)
+	WithMaintenance(3*des.Day, 4*des.Hour)(&maint)
+	var executed []uint64
+	for _, code := range []Config{smallConfig(5), maint} {
+		cf, err := FromConfig(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := cf.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := DecodeConfigFile(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromFile, err := parsed.ToConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Run(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(fromFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accA, accB bytes.Buffer
+		if err := a.Central.Export(&accA); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Central.Export(&accB); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(accA.Bytes(), accB.Bytes()) || a.Kernel.Executed() != b.Kernel.Executed() {
+			t.Errorf("maintenance every %v: file round trip changed the simulation: %v/%d/%d vs %v/%d/%d",
+				code.MaintenanceEvery, a.Central.TotalNUs(), len(a.Central.Jobs()), a.Kernel.Executed(),
+				b.Central.TotalNUs(), len(b.Central.Jobs()), b.Kernel.Executed())
+		}
+		executed = append(executed, a.Kernel.Executed())
 	}
-	var buf bytes.Buffer
-	if err := cf.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := DecodeConfigFile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := parsed.ToConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Run(code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(fromFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Central.TotalNUs() != b.Central.TotalNUs() ||
-		len(a.Central.Jobs()) != len(b.Central.Jobs()) {
-		t.Errorf("file round trip changed the simulation: %v/%d vs %v/%d",
-			a.Central.TotalNUs(), len(a.Central.Jobs()),
-			b.Central.TotalNUs(), len(b.Central.Jobs()))
+	// The maintenance input must reach the run, or its round trip shows nothing.
+	if executed[0] == executed[1] {
+		t.Errorf("maintenance left the run unchanged: %d events both ways", executed[0])
 	}
 }
 

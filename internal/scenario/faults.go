@@ -20,13 +20,6 @@ import (
 	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
-// WithFaults enables the fault injector with the given configuration.
-// Use faults.DefaultConfig() for the standard unplanned-failure mix and
-// scale it with Config.Intensity.
-func WithFaults(fc faults.Config) Option {
-	return func(c *Config) { c.Faults = fc }
-}
-
 // WithFaultIntensity enables the default fault mix at the given intensity
 // multiplier (1 = nominal MTBFs; 2 = failures twice as often). The chaos
 // experiments sweep this knob.

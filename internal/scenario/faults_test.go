@@ -143,10 +143,4 @@ func TestWithFaultOptions(t *testing.T) {
 	if !cfg.CheckpointRestart || cfg.CheckpointInterval != 600 || cfg.CheckpointOverhead != 30 {
 		t.Errorf("WithCheckpointRestart: %+v", cfg)
 	}
-	fc := faults.DefaultConfig()
-	fc.MachineMTBF = 123
-	cfg = New(1, WithFaults(fc))
-	if cfg.Faults.MachineMTBF != 123 {
-		t.Errorf("WithFaults did not apply: %+v", cfg.Faults)
-	}
 }

@@ -1,16 +1,13 @@
-// Functional options for building a Config. scenario.New replaces the
-// struct-poking construction style (take DefaultConfig, mutate fields)
-// that examples and experiments accreted: options compose, document their
-// intent at the call site, and give the fleet a natural way to rebuild a
-// per-seed Config from one shared option list. The Config struct and
-// DefaultConfig remain exported as a deprecated shim so existing callers
-// keep compiling.
+// Functional options for building a Config. Options compose, document
+// their intent at the call site, and give the fleet a natural way to
+// rebuild a per-seed Config from one shared option list. Config is the
+// scenario's one description: Run, fleet.Spec.Build and the benchmark all
+// take it. New with options is one way to build it; setting fields on
+// DefaultConfig is the other.
 package scenario
 
 import (
 	"github.com/tgsim/tgmod/internal/des"
-	"github.com/tgsim/tgmod/internal/grid"
-	"github.com/tgsim/tgmod/internal/metasched"
 	"github.com/tgsim/tgmod/internal/users"
 	"github.com/tgsim/tgmod/internal/workload"
 )
@@ -37,12 +34,6 @@ func New(seed uint64, opts ...Option) Config {
 	return cfg
 }
 
-// WithSeed overrides the master seed (useful when replaying a shared
-// option list across fleet replications).
-func WithSeed(seed uint64) Option {
-	return func(c *Config) { c.Seed = seed }
-}
-
 // WithHorizon sets the simulated horizon.
 func WithHorizon(h des.Time) Option {
 	return func(c *Config) { c.Horizon = h }
@@ -58,11 +49,6 @@ func WithPolicy(name string) Option {
 	return func(c *Config) { c.Policy = name }
 }
 
-// WithBrokerPolicy sets the metascheduler's selection policy.
-func WithBrokerPolicy(p metasched.SelectPolicy) Option {
-	return func(c *Config) { c.BrokerPolicy = p }
-}
-
 // WithBrokerTagCoverage sets the probability broker jobs carry their tag.
 func WithBrokerTagCoverage(f float64) Option {
 	return func(c *Config) { c.BrokerTagCoverage = f }
@@ -71,16 +57,6 @@ func WithBrokerTagCoverage(f float64) Option {
 // WithUsers sets the population sizing.
 func WithUsers(u users.Config) Option {
 	return func(c *Config) { c.Users = u }
-}
-
-// WithAwardNUs sets the mean allocation size.
-func WithAwardNUs(nus float64) Option {
-	return func(c *Config) { c.AwardNUs = nus }
-}
-
-// WithGateways replaces the gateway set.
-func WithGateways(gws ...GatewayConfig) Option {
-	return func(c *Config) { c.Gateways = gws }
 }
 
 // WithGatewayCoverage sets AttrCoverage on every configured gateway — the
@@ -100,11 +76,6 @@ func WithGenerators(gens ...workload.Generator) Option {
 	return func(c *Config) { c.Generators = gens }
 }
 
-// WithReportInterval sets how often site ledgers flush to the central DB.
-func WithReportInterval(t des.Time) Option {
-	return func(c *Config) { c.ReportInterval = t }
-}
-
 // WithMaintenance schedules recurring maintenance outages of the given
 // length on every machine, staggered by site.
 func WithMaintenance(every, length des.Time) Option {
@@ -112,18 +83,6 @@ func WithMaintenance(every, length des.Time) Option {
 		c.MaintenanceEvery = every
 		c.MaintenanceLength = length
 	}
-}
-
-// WithFederation overrides the standard TG9 federation.
-func WithFederation(f *grid.Federation) Option {
-	return func(c *Config) { c.Federation = f }
-}
-
-// WithEventLimit bounds the kernel's future-event list: a run whose
-// pending count exceeds n fails with des.ErrEventBacklog instead of
-// draining a hot loop. Zero (the default) disables the bound.
-func WithEventLimit(n int) Option {
-	return func(c *Config) { c.EventLimit = n }
 }
 
 // WithObserver registers observers on the consolidated observability seam

@@ -118,8 +118,8 @@ type Config struct {
 	// run that exceeds it fails with des.ErrEventBacklog. Fleet workers use
 	// this to fail a runaway replication cleanly.
 	EventLimit int
-	// Faults configures the deterministic fault injector (WithFaults /
-	// WithFaultIntensity). The zero value disables it entirely: no injector
+	// Faults configures the deterministic fault injector
+	// (WithFaultIntensity). The zero value disables it entirely: no injector
 	// is built, no fault streams are derived, and the run is byte-identical
 	// to a pre-fault build.
 	Faults faults.Config
@@ -194,7 +194,6 @@ type Result struct {
 	Broker     *metasched.Broker
 	Gateways   map[string]*gateway.Gateway
 	Fabric     *network.Fabric
-	Archives   map[string]*storage.Archive
 	Population *users.Population
 	// Finished counts jobs that reached a terminal state.
 	Finished int
@@ -283,12 +282,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	fabric := network.NewFabric(k, topo)
 	stager := storage.NewStager(k, fabric)
-	archives := make(map[string]*storage.Archive)
-	for _, s := range fed.Sites {
-		if s.ArchivePB > 0 {
-			archives[s.ID] = storage.NewArchive(s.ID, s.ArchivePB)
-		}
-	}
 
 	// Population and allocations.
 	pop, err := users.Synthesize(cfg.Users, simrand.Derive(cfg.Seed, "population"))
@@ -347,7 +340,6 @@ func Run(cfg Config) (*Result, error) {
 	tracker := workload.NewTracker()
 	scheds := make(map[string]*sched.Scheduler)
 	finished := 0
-	archiveRNG := simrand.Derive(cfg.Seed, "archive")
 	for _, m := range fed.Machines() {
 		m := m
 		s, err := sched.NewNamed(k, syms, m, cfg.Policy)
@@ -370,17 +362,6 @@ func Run(cfg Config) (*Result, error) {
 				// (alloc.ErrExhausted) is operational noise, not a
 				// simulation failure.
 				_ = bank.Charge(syms.Str(e.Job.Project), rec.NUs)
-				// Data-centric jobs archive their outputs.
-				if e.Job.OutputBytes > 0 && e.Job.State == job.StateCompleted {
-					if a := archives[m.Site]; a != nil {
-						name := fmt.Sprintf("out-%d-%d", e.Job.ID, archiveRNG.Intn(1<<30))
-						_ = a.Store(&storage.File{
-							Name: name, Bytes: e.Job.OutputBytes,
-							Owner: syms.Str(e.Job.User), Project: syms.Str(e.Job.Project),
-							Created: k.Now(), Replicas: []string{m.Site},
-						})
-					}
-				}
 				tracker.JobFinished(e.Job)
 			case sched.EventRejected:
 				tracker.JobFinished(e.Job)
@@ -545,7 +526,7 @@ func Run(cfg Config) (*Result, error) {
 	env := &workload.Env{
 		K: k, Seed: cfg.Seed, Horizon: cfg.Horizon, Syms: syms,
 		Pop: pop, Sched: scheds, Broker: broker, Gateways: gateways,
-		Stager: stager, Archives: archives, DataHomeSite: dataHomes,
+		Stager: stager, DataHomeSite: dataHomes,
 		Tracker: tracker,
 	}
 	for _, g := range cfg.Generators {
@@ -626,7 +607,7 @@ func Run(cfg Config) (*Result, error) {
 	return &Result{
 		Config: cfg, Kernel: k, Federation: fed, Central: central, Bank: bank,
 		Schedulers: scheds, Broker: broker, Gateways: gateways, Fabric: fabric,
-		Archives: archives, Population: pop, Finished: finished,
+		Population: pop, Finished: finished,
 		LargestCores: largestBatchCores(fed), Sampler: sampler, Phases: att.Phases,
 		Faults: injector,
 	}, nil

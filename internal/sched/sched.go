@@ -291,9 +291,6 @@ func NewWith(k *des.Kernel, syms *job.Symbols, m *grid.Machine, e PolicyEngine) 
 	}
 }
 
-// EngineName returns the active policy engine's registry name.
-func (s *Scheduler) EngineName() string { return s.engine.Name() }
-
 // Subscribe registers a lifecycle listener.
 func (s *Scheduler) Subscribe(l Listener) { s.listeners = append(s.listeners, l) }
 

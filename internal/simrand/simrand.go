@@ -141,14 +141,6 @@ func (r *Stream) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Exp returns an exponential variate with the given rate (mean 1/rate).
 func (r *Stream) Exp(rate float64) float64 {
 	if rate <= 0 {

@@ -159,15 +159,6 @@ func New(objectives ...Objective) (*Evaluator, error) {
 	return e, nil
 }
 
-// Objectives returns the evaluated objectives in declaration order.
-func (e *Evaluator) Objectives() []Objective {
-	out := make([]Objective, len(e.states))
-	for i, s := range e.states {
-		out[i] = s.obj
-	}
-	return out
-}
-
 // ObserveStart scores a job's first start: wait at or under each matching
 // objective's threshold is good, over is bad. Restarts after preemption
 // are not re-scored — the user-visible promise is about time to first

@@ -1,172 +1,11 @@
-// Package storage models the federation's persistent data systems: per-site
-// archival storage (the HPSS-class tape systems behind data-centric usage)
-// and a centralized wide-area filesystem mounted at every site (the
-// Data-Capacitor/GPFS-WAN style resource). It also provides the staging
-// helper that moves a job's input and output between sites via the network
-// fabric.
+// Package storage provides the staging helper that moves job data between
+// sites via the network fabric.
 package storage
 
 import (
-	"fmt"
-	"sort"
-
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/network"
 )
-
-// File is an entry in a catalog.
-type File struct {
-	Name    string
-	Bytes   int64
-	Owner   string
-	Project string
-	Created des.Time
-	// Replicas lists the sites holding a copy, sorted; the first entry is
-	// the primary.
-	Replicas []string
-}
-
-// Archive is a site's archival store with a capacity quota.
-type Archive struct {
-	Site       string
-	CapacityPB float64
-	used       int64
-	files      map[string]*File
-	ingests    uint64
-	retrievals uint64
-}
-
-// NewArchive returns an empty archive for the given site.
-func NewArchive(site string, capacityPB float64) *Archive {
-	return &Archive{Site: site, CapacityPB: capacityPB, files: make(map[string]*File)}
-}
-
-// Used returns bytes currently stored.
-func (a *Archive) Used() int64 { return a.used }
-
-// Files returns the number of stored files.
-func (a *Archive) Files() int { return len(a.files) }
-
-// Ingests and Retrievals return lifetime operation counts.
-func (a *Archive) Ingests() uint64    { return a.ingests }
-func (a *Archive) Retrievals() uint64 { return a.retrievals }
-
-// Store catalogs a file; it fails when the quota would be exceeded or the
-// name already exists.
-func (a *Archive) Store(f *File) error {
-	if f.Bytes <= 0 {
-		return fmt.Errorf("storage: archive %s: non-positive size for %s", a.Site, f.Name)
-	}
-	if _, dup := a.files[f.Name]; dup {
-		return fmt.Errorf("storage: archive %s: duplicate file %s", a.Site, f.Name)
-	}
-	capacity := int64(a.CapacityPB * 1e15)
-	if a.used+f.Bytes > capacity {
-		return fmt.Errorf("storage: archive %s: quota exceeded (%d + %d > %d)",
-			a.Site, a.used, f.Bytes, capacity)
-	}
-	a.files[f.Name] = f
-	a.used += f.Bytes
-	a.ingests++
-	return nil
-}
-
-// Retrieve looks a file up, counting the access.
-func (a *Archive) Retrieve(name string) (*File, bool) {
-	f, ok := a.files[name]
-	if ok {
-		a.retrievals++
-	}
-	return f, ok
-}
-
-// Delete removes a file, returning whether it existed.
-func (a *Archive) Delete(name string) bool {
-	f, ok := a.files[name]
-	if !ok {
-		return false
-	}
-	delete(a.files, name)
-	a.used -= f.Bytes
-	return true
-}
-
-// WideArea is the centralized wide-area filesystem: a single catalog whose
-// files can be replicated to multiple sites, with reads served from the
-// nearest replica. It models the "centralized filesystem on the TeraGrid"
-// usage pattern that lets the same dataset be produced at one site and
-// analyzed at another without explicit staging.
-type WideArea struct {
-	Home  string // site hosting the primary storage
-	files map[string]*File
-	// QuotaBytes per project; 0 means unlimited.
-	QuotaBytes int64
-	usedBy     map[string]int64
-}
-
-// NewWideArea returns an empty wide-area filesystem homed at the site.
-func NewWideArea(home string, quotaBytes int64) *WideArea {
-	return &WideArea{Home: home, files: make(map[string]*File), QuotaBytes: quotaBytes,
-		usedBy: make(map[string]int64)}
-}
-
-// Create adds a file with its primary replica at the home site.
-func (w *WideArea) Create(name string, bytes int64, owner, project string, now des.Time) (*File, error) {
-	if bytes <= 0 {
-		return nil, fmt.Errorf("storage: widearea: non-positive size for %s", name)
-	}
-	if _, dup := w.files[name]; dup {
-		return nil, fmt.Errorf("storage: widearea: duplicate file %s", name)
-	}
-	if w.QuotaBytes > 0 && w.usedBy[project]+bytes > w.QuotaBytes {
-		return nil, fmt.Errorf("storage: widearea: project %s over quota", project)
-	}
-	f := &File{Name: name, Bytes: bytes, Owner: owner, Project: project,
-		Created: now, Replicas: []string{w.Home}}
-	w.files[name] = f
-	w.usedBy[project] += bytes
-	return f, nil
-}
-
-// Lookup returns the file entry.
-func (w *WideArea) Lookup(name string) (*File, bool) {
-	f, ok := w.files[name]
-	return f, ok
-}
-
-// Used returns the bytes attributed to a project.
-func (w *WideArea) Used(project string) int64 { return w.usedBy[project] }
-
-// AddReplica records that site now holds a copy of the file.
-func (w *WideArea) AddReplica(name, site string) error {
-	f, ok := w.files[name]
-	if !ok {
-		return fmt.Errorf("storage: widearea: no file %s", name)
-	}
-	for _, r := range f.Replicas {
-		if r == site {
-			return nil
-		}
-	}
-	f.Replicas = append(f.Replicas, site)
-	sort.Strings(f.Replicas[1:]) // keep primary first, rest sorted
-	return nil
-}
-
-// NearestReplica returns the replica site to read from: the requesting site
-// itself when it holds a copy, otherwise the primary.
-func (w *WideArea) NearestReplica(name, from string) (string, error) {
-	f, ok := w.files[name]
-	if !ok {
-		return "", fmt.Errorf("storage: widearea: no file %s", name)
-	}
-	for _, r := range f.Replicas {
-		if r == from {
-			return r, nil
-		}
-	}
-	return f.Replicas[0], nil
-}
 
 // Stager moves job inputs and outputs over the network fabric and invokes a
 // completion callback, recording per-transfer metadata for accounting.

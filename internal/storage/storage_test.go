@@ -1,109 +1,11 @@
 package storage
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/network"
 )
-
-func TestArchiveStoreRetrieveDelete(t *testing.T) {
-	a := NewArchive("s1", 0.001) // 1 TB
-	f := &File{Name: "run1.h5", Bytes: 1 << 30, Owner: "alice", Project: "p1"}
-	if err := a.Store(f); err != nil {
-		t.Fatal(err)
-	}
-	if a.Used() != 1<<30 || a.Files() != 1 || a.Ingests() != 1 {
-		t.Errorf("Used/Files/Ingests = %d/%d/%d", a.Used(), a.Files(), a.Ingests())
-	}
-	got, ok := a.Retrieve("run1.h5")
-	if !ok || got != f || a.Retrievals() != 1 {
-		t.Error("Retrieve failed")
-	}
-	if _, ok := a.Retrieve("none"); ok {
-		t.Error("retrieved non-existent file")
-	}
-	if !a.Delete("run1.h5") {
-		t.Error("Delete failed")
-	}
-	if a.Delete("run1.h5") {
-		t.Error("double delete succeeded")
-	}
-	if a.Used() != 0 {
-		t.Errorf("Used after delete = %d", a.Used())
-	}
-}
-
-func TestArchiveErrors(t *testing.T) {
-	a := NewArchive("s1", 5e-15) // 5 bytes
-	if err := a.Store(&File{Name: "x", Bytes: 0}); err == nil {
-		t.Error("zero-byte store accepted")
-	}
-	if err := a.Store(&File{Name: "big", Bytes: 10}); err == nil || !strings.Contains(err.Error(), "quota") {
-		t.Errorf("quota not enforced: %v", err)
-	}
-	a2 := NewArchive("s1", 1)
-	if err := a2.Store(&File{Name: "f", Bytes: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a2.Store(&File{Name: "f", Bytes: 10}); err == nil {
-		t.Error("duplicate store accepted")
-	}
-}
-
-func TestWideAreaCreateQuota(t *testing.T) {
-	w := NewWideArea("iu", 100)
-	if _, err := w.Create("a", 60, "u", "p1", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Create("b", 60, "u", "p1", 0); err == nil {
-		t.Error("quota not enforced")
-	}
-	if _, err := w.Create("c", 60, "u", "p2", 0); err != nil {
-		t.Errorf("independent project hit quota: %v", err)
-	}
-	if _, err := w.Create("a", 1, "u", "p2", 0); err == nil {
-		t.Error("duplicate name accepted")
-	}
-	if _, err := w.Create("z", 0, "u", "p2", 0); err == nil {
-		t.Error("zero-byte file accepted")
-	}
-	if w.Used("p1") != 60 {
-		t.Errorf("Used(p1) = %d, want 60", w.Used("p1"))
-	}
-}
-
-func TestWideAreaReplicas(t *testing.T) {
-	w := NewWideArea("iu", 0)
-	if _, err := w.Create("data", 10, "u", "p", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddReplica("data", "sdsc"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddReplica("data", "sdsc"); err != nil {
-		t.Errorf("idempotent replica add failed: %v", err)
-	}
-	if err := w.AddReplica("none", "x"); err == nil {
-		t.Error("replica of missing file accepted")
-	}
-	// Reads from the replica site are local.
-	if site, err := w.NearestReplica("data", "sdsc"); err != nil || site != "sdsc" {
-		t.Errorf("NearestReplica from sdsc = %v,%v", site, err)
-	}
-	// Other sites read from the primary.
-	if site, err := w.NearestReplica("data", "ncsa"); err != nil || site != "iu" {
-		t.Errorf("NearestReplica from ncsa = %v,%v", site, err)
-	}
-	if _, err := w.NearestReplica("none", "x"); err == nil {
-		t.Error("NearestReplica of missing file accepted")
-	}
-	f, ok := w.Lookup("data")
-	if !ok || len(f.Replicas) != 2 || f.Replicas[0] != "iu" {
-		t.Errorf("Lookup/replica order wrong: %+v", f)
-	}
-}
 
 func newStager(t *testing.T) (*des.Kernel, *Stager) {
 	t.Helper()

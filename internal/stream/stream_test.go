@@ -180,7 +180,10 @@ func TestFinalizeMatchesBatch(t *testing.T) {
 	rng := simrand.New(42)
 	recs := randomRecords(rng, 250, p.Syms())
 	// Records flush in completion order, not JobID order.
-	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+	for i := len(recs) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		recs[i], recs[j] = recs[j], recs[i]
+	}
 
 	live := accounting.NewCentral(p.Syms())
 	for _, pkt := range packetsOf(recs, 40, p.Syms()) {

@@ -48,15 +48,6 @@ func (r *Registry) Merge(src *Registry) {
 	}
 }
 
-// MergeRegistries merges each src, in order, into a fresh registry.
-func MergeRegistries(srcs ...*Registry) *Registry {
-	out := New()
-	for _, s := range srcs {
-		out.Merge(s)
-	}
-	return out
-}
-
 // Merge adds src's observations to h: bucket counts, observation count, and
 // sum accumulate; min/max take the combined extremes. Histograms share one
 // fixed bucket geometry, so the merge is exact. Nil-safe on both sides.

@@ -25,7 +25,9 @@ func TestMergeAddsValues(t *testing.T) {
 	if err := mustSameSchema(a, b); err != nil {
 		t.Fatal(err)
 	}
-	m := MergeRegistries(a, b)
+	m := New()
+	m.Merge(a)
+	m.Merge(b)
 
 	if got := m.Counter("tg_jobs_total", "jobs", "modality").With("batch").Value(); got != 30 {
 		t.Errorf("merged counter = %v, want 30", got)
@@ -54,7 +56,10 @@ func TestMergeOrderIndependentOfWorkerOrder(t *testing.T) {
 	// byte-identical exposition no matter how the reps were scheduled. Here
 	// the same ordered merge is done twice from independently built inputs.
 	expose := func() []byte {
-		m := MergeRegistries(buildRepRegistry(1), buildRepRegistry(2), buildRepRegistry(3))
+		m := New()
+		for _, scale := range []float64{1, 2, 3} {
+			m.Merge(buildRepRegistry(scale))
+		}
 		var buf bytes.Buffer
 		if err := m.WriteOpenMetrics(&buf); err != nil {
 			t.Fatal(err)

@@ -175,15 +175,12 @@ func (g *GatewayGen) Start(e *Env) {
 }
 
 // DataCentricGen produces data-dominated usage: jobs whose inputs are
-// staged from the project's data home site, and whose large outputs are
-// archived after completion. Compute is modest; the WAN and archive do the
-// work.
+// staged from the project's data home site. Compute is modest; the WAN
+// does the work.
 type DataCentricGen struct {
 	JobsPerDay    float64
 	MedianInputGB float64
 	MedianRuntime float64
-	// ArchiveSite receives outputs ("" = job's own site).
-	ArchiveSite string
 }
 
 // Name implements Generator.
@@ -222,8 +219,7 @@ func (g *DataCentricGen) Start(e *Env) {
 		if home == "" {
 			home = s.M.Site
 		}
-		// Stage input, then submit; archive output on completion is wired
-		// by the scenario layer via scheduler events.
+		// Stage input, then submit.
 		if e.Stager != nil {
 			if err := e.Stager.Stage(home, s.M.Site, inBytes, u.Name, u.Project,
 				int64(j.ID), func() {

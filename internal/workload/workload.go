@@ -39,7 +39,6 @@ type Env struct {
 	Broker   *metasched.Broker
 	Gateways map[string]*gateway.Gateway
 	Stager   *storage.Stager
-	Archives map[string]*storage.Archive
 	// DataHomeSite maps a project's Sym to where its reference data lives.
 	DataHomeSite map[job.Sym]string
 
