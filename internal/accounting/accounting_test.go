@@ -169,19 +169,6 @@ func TestCentralQueries(t *testing.T) {
 	}
 }
 
-func TestQuarterOf(t *testing.T) {
-	q := 365.0 * 24 * 3600 / 4
-	cases := []struct {
-		s    float64
-		want int
-	}{{0, 0}, {q - 1, 0}, {q, 1}, {3.5 * q, 3}, {-5, 0}}
-	for _, c := range cases {
-		if got := QuarterOf(c.s); got != c.want {
-			t.Errorf("QuarterOf(%v) = %d, want %d", c.s, got, c.want)
-		}
-	}
-}
-
 func TestSizeBin(t *testing.T) {
 	cases := map[int]string{
 		1: "1", 2: "2-16", 16: "2-16", 17: "17-128", 128: "17-128",

@@ -30,7 +30,6 @@ type Central struct {
 	storage      []StorageRecord
 	seen         map[string]uint64 // per-site highest contiguous seq ingested
 	duplicates   uint64
-	outOfOrder   uint64
 }
 
 // NewCentral returns an empty central database whose job records index
@@ -122,7 +121,6 @@ func (c *Central) admit(site string, seq uint64) (bool, error) {
 		c.duplicates++
 		return false, nil
 	case seq != last+1:
-		c.outOfOrder++
 		return false, fmt.Errorf("accounting: site %s packet gap: got seq %d, want %d", site, seq, last+1)
 	}
 	c.seen[site] = seq
@@ -210,16 +208,6 @@ func (c *Central) DistinctUsers() int {
 		s[jobs[i].User] = true
 	}
 	return len(s)
-}
-
-// QuarterOf maps a simulation timestamp (seconds) to a quarter index
-// (0-based, 91.25-day quarters).
-func QuarterOf(seconds float64) int {
-	const quarter = 365.0 * 24 * 3600 / 4
-	if seconds < 0 {
-		return 0
-	}
-	return int(seconds / quarter)
 }
 
 // SizeBin buckets a core count into the standard job-size bins used in

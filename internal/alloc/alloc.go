@@ -9,8 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"github.com/tgsim/tgmod/internal/des"
 )
 
 // Project is an allocation award.
@@ -20,13 +18,11 @@ type Project struct {
 	ScienceField string
 	AwardedNUs   float64
 	usedNUs      float64
-	refundedNUs  float64
 	users        map[string]bool
-	Created      des.Time
 }
 
 // Remaining returns the unspent balance in NUs.
-func (p *Project) Remaining() float64 { return p.AwardedNUs - p.usedNUs + p.refundedNUs }
+func (p *Project) Remaining() float64 { return p.AwardedNUs - p.usedNUs }
 
 // Exhausted reports whether the project has no balance left.
 func (p *Project) Exhausted() bool { return p.Remaining() <= 0 }
@@ -52,7 +48,7 @@ func NewBank() *Bank {
 }
 
 // Award creates a project with the given NU balance.
-func (b *Bank) Award(id, pi, field string, nus float64, now des.Time) (*Project, error) {
+func (b *Bank) Award(id, pi, field string, nus float64) (*Project, error) {
 	if id == "" || pi == "" {
 		return nil, fmt.Errorf("alloc: award needs project id and PI")
 	}
@@ -64,23 +60,10 @@ func (b *Bank) Award(id, pi, field string, nus float64, now des.Time) (*Project,
 	}
 	p := &Project{
 		ID: id, PI: pi, ScienceField: field, AwardedNUs: nus,
-		users: map[string]bool{pi: true}, Created: now,
+		users: map[string]bool{pi: true},
 	}
 	b.projects[id] = p
 	return p, nil
-}
-
-// Supplement adds NUs to an existing project (a supplemental award).
-func (b *Bank) Supplement(id string, nus float64) error {
-	p, ok := b.projects[id]
-	if !ok {
-		return fmt.Errorf("alloc: no project %s", id)
-	}
-	if nus <= 0 {
-		return fmt.Errorf("alloc: project %s: non-positive supplement", id)
-	}
-	p.AwardedNUs += nus
-	return nil
 }
 
 // AddUser authorizes a user on a project.
@@ -129,23 +112,6 @@ func (b *Bank) Charge(id string, nus float64) error {
 	if p.Exhausted() {
 		return ErrExhausted
 	}
-	return nil
-}
-
-// Refund credits NUs back (e.g. for jobs lost to preemption or system
-// faults), never exceeding what was charged.
-func (b *Bank) Refund(id string, nus float64) error {
-	p, ok := b.projects[id]
-	if !ok {
-		return fmt.Errorf("alloc: no project %s", id)
-	}
-	if nus < 0 {
-		return fmt.Errorf("alloc: negative refund %v to %s", nus, id)
-	}
-	if p.refundedNUs+nus > p.usedNUs {
-		return fmt.Errorf("alloc: refund to %s exceeds charges", id)
-	}
-	p.refundedNUs += nus
 	return nil
 }
 

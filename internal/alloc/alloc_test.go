@@ -10,7 +10,7 @@ import (
 
 func TestAwardAndLookup(t *testing.T) {
 	b := NewBank()
-	p, err := b.Award("TG-MCA001", "smith", "astronomy", 1e6, 0)
+	p, err := b.Award("TG-MCA001", "smith", "astronomy", 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,26 +31,26 @@ func TestAwardAndLookup(t *testing.T) {
 
 func TestAwardErrors(t *testing.T) {
 	b := NewBank()
-	if _, err := b.Award("", "pi", "f", 1, 0); err == nil {
+	if _, err := b.Award("", "pi", "f", 1); err == nil {
 		t.Error("empty id accepted")
 	}
-	if _, err := b.Award("p", "", "f", 1, 0); err == nil {
+	if _, err := b.Award("p", "", "f", 1); err == nil {
 		t.Error("empty PI accepted")
 	}
-	if _, err := b.Award("p", "pi", "f", 0, 0); err == nil {
+	if _, err := b.Award("p", "pi", "f", 0); err == nil {
 		t.Error("zero award accepted")
 	}
-	if _, err := b.Award("p", "pi", "f", 1, 0); err != nil {
+	if _, err := b.Award("p", "pi", "f", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Award("p", "pi", "f", 1, 0); err == nil {
+	if _, err := b.Award("p", "pi", "f", 1); err == nil {
 		t.Error("duplicate project accepted")
 	}
 }
 
 func TestChargeAndExhaustion(t *testing.T) {
 	b := NewBank()
-	if _, err := b.Award("p", "pi", "f", 100, 0); err != nil {
+	if _, err := b.Award("p", "pi", "f", 100); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Charge("p", 60); err != nil {
@@ -76,50 +76,12 @@ func TestChargeAndExhaustion(t *testing.T) {
 	}
 }
 
-func TestRefund(t *testing.T) {
-	b := NewBank()
-	if _, err := b.Award("p", "pi", "f", 100, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Charge("p", 50); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Refund("p", 20); err != nil {
-		t.Fatal(err)
-	}
-	p, _ := b.Project("p")
-	if p.Remaining() != 70 {
-		t.Errorf("Remaining after refund = %v, want 70", p.Remaining())
-	}
-	if err := b.Refund("p", 40); err == nil {
-		t.Error("refund beyond charges accepted")
-	}
-	if err := b.Refund("none", 1); err == nil {
-		t.Error("refund to missing project accepted")
-	}
-	if err := b.Refund("p", -1); err == nil {
-		t.Error("negative refund accepted")
-	}
-}
-
 func TestSupplementAndUsers(t *testing.T) {
 	b := NewBank()
-	if _, err := b.Award("p", "pi", "f", 100, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Supplement("p", 50); err != nil {
+	if _, err := b.Award("p", "pi", "f", 100); err != nil {
 		t.Fatal(err)
 	}
 	p, _ := b.Project("p")
-	if p.Remaining() != 150 {
-		t.Errorf("Remaining after supplement = %v, want 150", p.Remaining())
-	}
-	if err := b.Supplement("p", 0); err == nil {
-		t.Error("zero supplement accepted")
-	}
-	if err := b.Supplement("none", 1); err == nil {
-		t.Error("supplement to missing project accepted")
-	}
 	if err := b.AddUser("p", "bob"); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +98,7 @@ func TestBankAggregates(t *testing.T) {
 	b := NewBank()
 	for i, nus := range []float64{100, 200, 300} {
 		id := string(rune('a' + i))
-		if _, err := b.Award(id, "pi", "f", nus, 0); err != nil {
+		if _, err := b.Award(id, "pi", "f", nus); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,8 +120,8 @@ func TestBankAggregates(t *testing.T) {
 	}
 }
 
-// TestConservation: for any sequence of awards/charges/refunds the bank
-// balances: remaining = awarded - used + refunded, and refunds ≤ charges.
+// TestConservation: for any sequence of awards and charges the bank
+// balances: remaining = awarded - charged, and never exceeds the award.
 func TestConservation(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := simrand.New(seed)
@@ -168,25 +130,23 @@ func TestConservation(t *testing.T) {
 		awarded := make([]float64, n)
 		for i := 0; i < n; i++ {
 			awarded[i] = float64(100 + r.Intn(1000))
-			if _, err := b.Award(string(rune('a'+i)), "pi", "f", awarded[i], 0); err != nil {
+			if _, err := b.Award(string(rune('a'+i)), "pi", "f", awarded[i]); err != nil {
 				return false
 			}
 		}
+		charged := make([]float64, n)
 		for op := 0; op < 200; op++ {
-			id := string(rune('a' + r.Intn(n)))
+			i := r.Intn(n)
 			amt := float64(r.Intn(50))
-			if r.Bool(0.7) {
-				_ = b.Charge(id, amt) // overdraft errors are fine
-			} else {
-				_ = b.Refund(id, amt) // over-refund errors are rejected internally
-			}
+			_ = b.Charge(string(rune('a'+i)), amt) // overdraft errors are fine
+			charged[i] += amt
 		}
 		for i, p := range b.Projects() {
 			if p.AwardedNUs != awarded[i] {
 				return false
 			}
-			if p.Remaining() > p.AwardedNUs {
-				return false // refunds exceeded charges
+			if p.Remaining() > p.AwardedNUs || p.Remaining() != awarded[i]-charged[i] {
+				return false
 			}
 		}
 		return true

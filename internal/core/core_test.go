@@ -32,16 +32,6 @@ func TestTaxonomyCoversAllModalities(t *testing.T) {
 	}
 }
 
-func TestInfoFor(t *testing.T) {
-	info, ok := InfoFor(job.ModGateway)
-	if !ok || info.Source != SourceAttribute {
-		t.Errorf("InfoFor(gateway) = %+v,%v", info, ok)
-	}
-	if _, ok := InfoFor("nope"); ok {
-		t.Error("InfoFor accepted unknown modality")
-	}
-}
-
 func TestSourceString(t *testing.T) {
 	if SourceAccounting.String() != "accounting" ||
 		SourceAttribute.String() != "attribute" ||

@@ -116,16 +116,6 @@ func Taxonomy() []Info {
 	}
 }
 
-// InfoFor returns the taxonomy entry for a modality.
-func InfoFor(m job.Modality) (Info, bool) {
-	for _, i := range Taxonomy() {
-		if i.ID == m {
-			return i, true
-		}
-	}
-	return Info{}, false
-}
-
 // ModalityLabels returns the taxonomy IDs as strings, in canonical order,
 // for use as confusion-matrix labels.
 func ModalityLabels() []string {

@@ -35,7 +35,6 @@ type ftModality struct {
 type ftSample struct {
 	ByModality map[string]*ftModality
 	Crashes    uint64
-	Flaps      uint64
 	Failovers  uint64
 	Retries    uint64
 }
@@ -63,7 +62,6 @@ func ftInspect(_ uint64, res *scenario.Result) any {
 	if res.Faults != nil {
 		st := res.Faults.Stats()
 		s.Crashes = st.MachineCrashes
-		s.Flaps = st.GatewayFlaps
 		s.Failovers = st.Failovers
 		s.Retries = st.GatewayRetries + st.TransferRestarts
 	}

@@ -27,8 +27,6 @@ type Submitter interface {
 // Gateway is one science gateway.
 type Gateway struct {
 	ID string
-	// CommunityAccount is the shared account all gateway jobs charge.
-	CommunityAccount string
 	// Project is the community allocation.
 	Project string
 	// ScienceField tags the gateway's domain.
@@ -49,8 +47,9 @@ type Gateway struct {
 	rng    *simrand.Stream
 	submit Submitter
 	ledger *accounting.Ledger
-	// syms is the run's symbol table; id, account, project and field are
-	// ID, CommunityAccount, Project and ScienceField in it.
+	// syms is the run's symbol table; id, project and field are ID, Project
+	// and ScienceField in it, and account is the community account all
+	// gateway jobs charge.
 	syms                        *job.Symbols
 	id, account, project, field job.Sym
 
@@ -75,7 +74,7 @@ func New(id, account, project, field string, coverage float64,
 		return nil, fmt.Errorf("gateway %s: coverage %v out of [0,1]", id, coverage)
 	}
 	return &Gateway{
-		ID: id, CommunityAccount: account, Project: project, ScienceField: field,
+		ID: id, Project: project, ScienceField: field,
 		AttrCoverage: coverage, k: k, rng: rng, submit: s, ledger: ledger,
 		syms: syms, id: syms.Intern(id), account: syms.Intern(account),
 		project: syms.Intern(project), field: syms.Intern(field),

@@ -138,7 +138,7 @@ type Truth struct {
 //
 // A Job holds no pointers: its strings are Syms into the run's Symbols
 // table, interned once when the job is created (or, for placement, when a
-// scheduler accepts it), so a job is one 176-byte object the garbage
+// scheduler accepts it), so a job is one 168-byte object the garbage
 // collector never scans.
 type Job struct {
 	ID      ID
@@ -156,7 +156,6 @@ type Job struct {
 	ReqWalltime des.Time
 	QOS         QOS
 	InputBytes  int64 // data staged in before the job can start
-	OutputBytes int64 // data produced
 
 	// Execution (set by the scheduler).
 	RunTime     des.Time // actual execution need; capped at ReqWalltime

@@ -28,14 +28,13 @@ func pointerFields(t reflect.Type, path string) []string {
 }
 
 // TestJobIsPointerFree pins the job layout: no field holds a pointer, so a
-// job is a no-scan object, and a job takes at most 176 bytes (the 176-B
-// size class).
+// job is a no-scan object, and a job takes at most 168 bytes.
 func TestJobIsPointerFree(t *testing.T) {
 	if got := pointerFields(reflect.TypeOf(Job{}), "Job"); len(got) > 0 {
 		t.Errorf("Job fields hold pointers: %s", strings.Join(got, ", "))
 	}
-	if n := unsafe.Sizeof(Job{}); n > 176 {
-		t.Errorf("unsafe.Sizeof(Job{}) = %d, want at most 176", n)
+	if n := unsafe.Sizeof(Job{}); n > 168 {
+		t.Errorf("unsafe.Sizeof(Job{}) = %d, want at most 168", n)
 	}
 }
 

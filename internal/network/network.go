@@ -13,6 +13,7 @@ package network
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/tgsim/tgmod/internal/des"
@@ -20,9 +21,12 @@ import (
 
 // Link is a directed capacity constraint, in bytes/second.
 type Link struct {
-	ID   string
-	Bps  float64
-	used float64
+	ID  string
+	Bps float64
+	// Progressive-filling state, reset by every reshare: the capacity not
+	// yet handed out and the number of unfixed flows still crossing.
+	rem   float64
+	flows int
 }
 
 // Topology is a star WAN: every site has an ingress and egress access link
@@ -115,6 +119,7 @@ type Transfer struct {
 
 	remaining float64
 	rate      float64 // current fluid rate, bytes/s
+	fixed     bool    // rate settled in the current reshare
 	done      func(*Transfer)
 	links     []*Link
 }
@@ -134,33 +139,36 @@ type Fabric struct {
 	// OnAbort, when non-nil, observes transfers killed by a partition
 	// (see AbortSite), after Aborted/EndedAt are set.
 	OnAbort func(*Transfer)
-	active  map[int64]*Transfer
-	nextID  int64
+	// active holds the flows past connection setup in ascending ID order,
+	// so completions and abort victims come out in that order by
+	// construction; finished is advance's reused completion buffer.
+	active   []*Transfer
+	finished []*Transfer
+	nextID   int64
 	// linkScale maps a link to its current capacity factor during a fault
 	// window: (0,1) degraded, 0 partitioned. Absent means full capacity.
 	// Lazily allocated so fault-free fabrics carry no extra state.
 	linkScale map[*Link]float64
 	// recompute event bookkeeping: at most one pending completion event;
 	// when rates change the event is re-derived.
-	wake des.Timer
+	wake   des.Timer
+	onWake des.Handler
 	// Statistics.
-	completed     uint64
-	aborted       uint64
-	bytesMoved    float64
-	intraSite     uint64
-	lastAccumAt   des.Time
-	lastAdvance   des.Time           // last instant flow progress was integrated
-	busyIntegrals map[string]float64 // per egress link: byte-seconds of use
+	completed   uint64
+	aborted     uint64
+	bytesMoved  float64
+	lastAdvance des.Time // last instant flow progress was integrated
 }
 
 // NewFabric returns a fabric over topology t driven by kernel k.
 func NewFabric(k *des.Kernel, t *Topology) *Fabric {
-	return &Fabric{
-		K:             k,
-		T:             t,
-		active:        make(map[int64]*Transfer),
-		busyIntegrals: make(map[string]float64),
+	f := &Fabric{K: k, T: t}
+	f.onWake = func(*des.Kernel) {
+		f.wake = des.Timer{}
+		f.advance()
+		f.reshare()
 	}
+	return f
 }
 
 // Active returns the number of in-flight transfers.
@@ -175,32 +183,6 @@ func (f *Fabric) Aborted() uint64 { return f.aborted }
 // BytesMoved returns total bytes delivered across all finished and
 // in-flight transfers.
 func (f *Fabric) BytesMoved() float64 { return f.bytesMoved }
-
-// LinkUtilization returns the time-averaged utilization of a site's egress
-// link since simulation start.
-func (f *Fabric) LinkUtilization(site string) float64 {
-	l, ok := f.T.egress[site]
-	if !ok {
-		return 0
-	}
-	f.accumulate()
-	total := l.Bps * float64(f.K.Now())
-	if total == 0 {
-		return 0
-	}
-	return f.busyIntegrals[site] / total
-}
-
-func (f *Fabric) accumulate() {
-	now := f.K.Now()
-	dt := float64(now - f.lastAccumAt)
-	if dt > 0 {
-		for site, l := range f.T.egress {
-			f.busyIntegrals[site] += l.used * dt
-		}
-	}
-	f.lastAccumAt = now
-}
 
 // Start begins a transfer; done (may be nil) is invoked at completion.
 // Intra-site transfers complete after a fixed local-copy time derived from
@@ -234,7 +216,6 @@ func (f *Fabric) StartOwned(src, dst string, bytes int64, streams int, own Owner
 		User: own.User, Project: own.Project, JobID: own.JobID,
 	}
 	if src == dst {
-		f.intraSite++
 		if f.OnStart != nil {
 			f.OnStart(tr)
 		}
@@ -273,7 +254,9 @@ func (f *Fabric) StartOwned(src, dst string, bytes int64, streams int, own Owner
 	setup := des.Time(3 * f.T.RTT(src, dst))
 	f.K.ScheduleNamed(setup, "xfer-start", func(*des.Kernel) {
 		f.advance()
-		f.active[tr.ID] = tr
+		// Setup time depends on RTT, so a later ID can join first.
+		i := sort.Search(len(f.active), func(i int) bool { return f.active[i].ID > tr.ID })
+		f.active = slices.Insert(f.active, i, tr)
 		f.reshare()
 	})
 	return tr, nil
@@ -294,53 +277,34 @@ func (f *Fabric) streamCap(tr *Transfer) float64 {
 // reshare recomputes all flow rates (max-min fair progressive filling) and
 // re-arms the next-completion event.
 func (f *Fabric) reshare() {
-	// Reset link loads.
-	for _, l := range f.T.egress {
-		l.used = 0
-	}
-	for _, l := range f.T.ingress {
-		l.used = 0
-	}
-	if f.T.backbone != nil {
-		f.T.backbone.used = 0
-	}
-	unfixed := make([]*Transfer, 0, len(f.active))
 	for _, tr := range f.active {
-		tr.rate = 0
-		unfixed = append(unfixed, tr)
-	}
-	sort.Slice(unfixed, func(i, j int) bool { return unfixed[i].ID < unfixed[j].ID })
-
-	// Progressive filling: repeatedly find the bottleneck link (smallest
-	// fair share), fix its flows at that share, remove the link, repeat.
-	// Flows may also be fixed at their per-stream TCP ceiling.
-	remCap := make(map[*Link]float64)
-	flowsOn := make(map[*Link][]*Transfer)
-	for _, tr := range unfixed {
+		tr.rate, tr.fixed = 0, false
 		for _, l := range tr.links {
-			flowsOn[l] = append(flowsOn[l], tr)
-			remCap[l] = l.Bps * f.scaleOf(l)
+			l.rem, l.flows = l.Bps*f.scaleOf(l), 0
 		}
 	}
-	fixed := make(map[*Transfer]bool)
-	for len(fixed) < len(unfixed) {
-		// Fair share per link over its unfixed flows.
+	for _, tr := range f.active {
+		for _, l := range tr.links {
+			l.flows++
+		}
+	}
+	// Progressive filling: repeatedly find the bottleneck link (smallest
+	// fair share over its unfixed flows, lower link ID on ties), fix its
+	// flows at that share, repeat. Flows may also be fixed at their
+	// per-stream TCP ceiling. Flows are fixed in ID order, so each link's
+	// remaining capacity is reduced in that order.
+	for {
 		var bottleneck *Link
 		share := math.Inf(1)
-		for l, flows := range flowsOn {
-			n := 0
-			for _, tr := range flows {
-				if !fixed[tr] {
-					n++
-				}
-			}
-			if n == 0 {
+		for _, tr := range f.active {
+			if tr.fixed {
 				continue
 			}
-			s := remCap[l] / float64(n)
-			if s < share || (s == share && (bottleneck == nil || l.ID < bottleneck.ID)) {
-				share = s
-				bottleneck = l
+			for _, l := range tr.links {
+				s := l.rem / float64(l.flows)
+				if s < share || (s == share && (bottleneck == nil || l.ID < bottleneck.ID)) {
+					share, bottleneck = s, l
+				}
 			}
 		}
 		if bottleneck == nil {
@@ -349,71 +313,55 @@ func (f *Fabric) reshare() {
 		// Any unfixed flow whose TCP ceiling is below the share is capped
 		// there instead; handle those first (they free capacity).
 		capped := false
-		for _, tr := range unfixed {
-			if fixed[tr] {
+		for _, tr := range f.active {
+			if tr.fixed {
 				continue
 			}
 			if c := f.streamCap(tr); c < share {
-				tr.rate = c
-				fixed[tr] = true
-				for _, l := range tr.links {
-					remCap[l] -= c
-				}
+				tr.fix(c)
 				capped = true
 			}
 		}
 		if capped {
 			continue // shares changed; recompute
 		}
-		for _, tr := range flowsOn[bottleneck] {
-			if fixed[tr] {
-				continue
-			}
-			tr.rate = share
-			fixed[tr] = true
-			for _, l := range tr.links {
-				remCap[l] -= share
+		for _, tr := range f.active {
+			if !tr.fixed && slices.Contains(tr.links, bottleneck) {
+				tr.fix(share)
 			}
 		}
 	}
-	for _, tr := range unfixed {
-		for _, l := range tr.links {
-			l.used += tr.rate
-		}
-	}
-	// De-duplicate: each flow uses one egress and one ingress; "used" on
-	// each is the sum of its flows' rates — computed above by adding each
-	// flow to both links, which double-counts per link set but not per
-	// link. (Each link sees each of its flows once.)
 	f.rearm()
+}
+
+// fix settles tr at rate and takes the rate off every link it crosses.
+func (tr *Transfer) fix(rate float64) {
+	tr.rate, tr.fixed = rate, true
+	for _, l := range tr.links {
+		l.rem -= rate
+		l.flows--
+	}
 }
 
 // advance progresses all active flows to the current instant.
 func (f *Fabric) advance() {
-	f.accumulate()
 	now := f.K.Now()
 	dt := float64(now - f.lastAdvance)
+	f.lastAdvance = now
 	if dt <= 0 {
-		f.lastAdvance = now
 		return
 	}
 	// Integrate progress first, then fire completions in transfer-ID order:
 	// two flows finishing in the same advance must invoke their callbacks
 	// (which can submit jobs and consume random draws) in a deterministic
-	// order, not map order.
-	var finished []*Transfer
-	for id, tr := range f.active {
+	// order.
+	for _, tr := range f.active {
 		tr.remaining -= tr.rate * dt
 		f.bytesMoved += tr.rate * dt
-		// Sub-byte residues are float rounding, not data: complete them.
-		if tr.remaining < 0.5 {
-			delete(f.active, id)
-			finished = append(finished, tr)
-		}
 	}
-	f.lastAdvance = now
-	sort.Slice(finished, func(i, j int) bool { return finished[i].ID < finished[j].ID })
-	for _, tr := range finished {
+	// Sub-byte residues are float rounding, not data: complete them.
+	f.finished = f.take(f.finished[:0], func(tr *Transfer) bool { return tr.remaining < 0.5 })
+	for _, tr := range f.finished {
 		tr.EndedAt = now
 		f.completed++
 		if f.OnComplete != nil {
@@ -423,6 +371,23 @@ func (f *Fabric) advance() {
 			tr.done(tr)
 		}
 	}
+	clear(f.finished)
+}
+
+// take moves the active flows that match onto out, in ID order, and keeps
+// the rest in place.
+func (f *Fabric) take(out []*Transfer, match func(*Transfer) bool) []*Transfer {
+	kept := f.active[:0]
+	for _, tr := range f.active {
+		if match(tr) {
+			out = append(out, tr)
+		} else {
+			kept = append(kept, tr)
+		}
+	}
+	clear(f.active[len(kept):])
+	f.active = kept
+	return out
 }
 
 // ---- Fault windows (injection interface) ----
@@ -475,16 +440,9 @@ func (f *Fabric) SetSiteDegraded(site string, factor float64) error {
 // not yet active and simply stall once they join a partitioned link.
 func (f *Fabric) AbortSite(site string) []*Transfer {
 	f.advance()
-	var victims []*Transfer
-	for _, tr := range f.active {
-		if tr.Src == site || tr.Dst == site {
-			victims = append(victims, tr)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
+	victims := f.take(nil, func(tr *Transfer) bool { return tr.Src == site || tr.Dst == site })
 	now := f.K.Now()
 	for _, tr := range victims {
-		delete(f.active, tr.ID)
 		tr.Aborted = true
 		tr.EndedAt = now
 		f.aborted++
@@ -517,9 +475,6 @@ func (f *Fabric) rearm() {
 		f.K.Cancel(f.wake)
 	}
 	f.wake = des.Timer{}
-	if len(f.active) == 0 {
-		return
-	}
 	soonest := des.Forever
 	for _, tr := range f.active {
 		if tr.rate <= 0 {
@@ -546,9 +501,5 @@ func (f *Fabric) rearm() {
 	if soonest <= now+minStep {
 		soonest = now + minStep
 	}
-	f.wake = f.K.AtNamed(soonest, "xfer-complete", func(*des.Kernel) {
-		f.wake = des.Timer{}
-		f.advance()
-		f.reshare()
-	})
+	f.wake = f.K.AtNamed(soonest, "xfer-complete", f.onWake)
 }

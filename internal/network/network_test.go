@@ -197,20 +197,60 @@ func TestStartErrors(t *testing.T) {
 	}
 }
 
-func TestLinkUtilization(t *testing.T) {
+// outOfOrderFabric starts three transfers on disjoint links whose RTTs
+// make them join in ID order 2, 3, 1, sized so that at full link speed
+// (1.25 GB/s) all three finish at t = 1.3 s.
+func outOfOrderFabric(t *testing.T, scale int64) (*des.Kernel, *Fabric) {
+	t.Helper()
+	tp := topo(t)
+	tp.SetRTT("a", "b", 0.1)  // joins at 0.3 s
+	tp.SetRTT("b", "c", 0.05) // joins at 0.15 s
 	k := des.New()
-	f := NewFabric(k, topo(t))
-	if _, err := f.Start("a", "b", 1_250_000_000, 1, nil); err != nil {
-		t.Fatal(err)
+	f := NewFabric(k, tp)
+	for _, x := range []struct {
+		src, dst string
+		bytes    int64
+	}{{"a", "b", 1_250_000_000}, {"c", "a", 1_625_000_000}, {"b", "c", 1_437_500_000}} {
+		if _, err := f.Start(x.src, x.dst, scale*x.bytes, 200, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	k.Run()       // busy 1 s at 100%
-	k.RunUntil(2) // idle 1 s
-	got := f.LinkUtilization("a")
-	if math.Abs(got-0.5) > 0.01 {
-		t.Errorf("egress utilization = %v, want 0.5", got)
+	return k, f
+}
+
+func TestOutOfOrderJoinsCompleteInIDOrder(t *testing.T) {
+	k, f := outOfOrderFabric(t, 1)
+	var ids []int64
+	var ends []des.Time
+	f.OnComplete = func(tr *Transfer) {
+		ids = append(ids, tr.ID)
+		ends = append(ends, tr.EndedAt)
 	}
-	if f.LinkUtilization("nope") != 0 {
-		t.Error("unknown site utilization should be 0")
+	k.Run()
+	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
+		t.Fatalf("OnComplete order %v, want [1 2 3]", ids)
+	}
+	for _, e := range ends {
+		if e != ends[0] || math.Abs(float64(e)-1.3) > 1e-6 {
+			t.Fatalf("ends %v, want all at the same instant 1.3 s", ends)
+		}
+	}
+}
+
+func TestAbortSiteVictimsInIDOrder(t *testing.T) {
+	k, f := outOfOrderFabric(t, 100)
+	var aborted []int64
+	f.OnAbort = func(tr *Transfer) { aborted = append(aborted, tr.ID) }
+	k.RunUntil(1) // all three joined, none finished
+	victims := f.AbortSite("a")
+	if len(victims) != 2 || victims[0].ID != 1 || victims[1].ID != 2 {
+		t.Fatalf("victims %v, want transfers 1 and 2", victims)
+	}
+	if len(aborted) != 2 || aborted[0] != 1 || aborted[1] != 2 {
+		t.Errorf("OnAbort order %v, want [1 2]", aborted)
+	}
+	if f.Active() != 1 || f.active[0].ID != 3 || f.Aborted() != 2 {
+		t.Errorf("after abort: %d active, %d aborted; want transfer 3 left", f.Active(), f.Aborted())
 	}
 }
 

@@ -101,7 +101,6 @@ type Profiler struct {
 	byName map[string]*phaseStat
 
 	events    uint64    // completed events
-	pendingHW int       // largest FEL length seen at an event boundary
 	wallStart time.Time // first event's Event-callback stamp
 
 	evStart    time.Time     // this event's Event-callback stamp
@@ -169,14 +168,10 @@ func (p *Profiler) Event(at des.Time, name string) {
 	p.evStart = now
 }
 
-// AfterEvent implements des.StepObserver: charge the closed windows and
-// track the future-event-list high-water mark.
+// AfterEvent implements des.StepObserver: charge the closed windows.
 func (p *Profiler) AfterEvent(at des.Time, name string, pending int) {
 	now := time.Now()
 	p.events++
-	if pending > p.pendingHW {
-		p.pendingHW = pending
-	}
 	h := now.Sub(p.evStart) - p.handlerFEL
 	if h < 0 {
 		h = 0
@@ -212,15 +207,13 @@ func (p *Profiler) EventsPerSec() float64 {
 	return float64(p.events) / w
 }
 
-// FELHighWater returns the largest pending-event count observed at any
-// event boundary (or the kernel's own high-water mark, if larger).
+// FELHighWater returns the kernel's future-event-list high-water mark, the
+// largest number of simultaneously pending events (0 before Bind).
 func (p *Profiler) FELHighWater() int {
-	if p.k != nil {
-		if hw := p.k.MaxPending(); hw > p.pendingHW {
-			return hw
-		}
+	if p.k == nil {
+		return 0
 	}
-	return p.pendingHW
+	return p.k.MaxPending()
 }
 
 // Summary returns the one-line profile header.

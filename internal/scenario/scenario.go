@@ -301,7 +301,7 @@ func Run(cfg Config) (*Result, error) {
 		if pi != nil {
 			piName = pi.Name
 		}
-		if _, err := bank.Award(proj, piName, field, nus, 0); err != nil {
+		if _, err := bank.Award(proj, piName, field, nus); err != nil {
 			return nil, err
 		}
 		for _, u := range pop.Team(proj) {
@@ -423,7 +423,7 @@ func Run(cfg Config) (*Result, error) {
 		site := target.M.Site
 		project := "TG-GW-" + gc.ID
 		account := gc.ID + "-community"
-		if _, err := bank.Award(project, account, gc.ScienceField, cfg.AwardNUs*5, 0); err != nil {
+		if _, err := bank.Award(project, account, gc.ScienceField, cfg.AwardNUs*5); err != nil {
 			return nil, err
 		}
 		gw, err := gateway.New(gc.ID, account, project, gc.ScienceField, gc.AttrCoverage,

@@ -7,7 +7,6 @@ package users
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/tgsim/tgmod/internal/simrand"
 )
@@ -191,29 +190,3 @@ func NewWeightedPick(users []*User) (*WeightedPick, error) {
 // Pick draws one user and returns its index in the slice the sampler was
 // built over.
 func (w *WeightedPick) Pick(rng *simrand.Stream) int { return w.emp.Sample(rng) }
-
-// TopShare returns the fraction of total activity held by the top k users —
-// a quick concentration diagnostic.
-func TopShare(us []*User, k int) float64 {
-	if len(us) == 0 || k <= 0 {
-		return 0
-	}
-	acts := make([]float64, len(us))
-	total := 0.0
-	for i, u := range us {
-		acts[i] = u.Activity
-		total += u.Activity
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(acts)))
-	if k > len(acts) {
-		k = len(acts)
-	}
-	top := 0.0
-	for _, a := range acts[:k] {
-		top += a
-	}
-	if total == 0 {
-		return 0
-	}
-	return top / total
-}

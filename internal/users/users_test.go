@@ -116,24 +116,6 @@ func TestWeightedPickFavorsActive(t *testing.T) {
 	}
 }
 
-func TestTopShare(t *testing.T) {
-	us := []*User{
-		{Activity: 70}, {Activity: 10}, {Activity: 10}, {Activity: 10},
-	}
-	if got := TopShare(us, 1); got != 0.7 {
-		t.Errorf("TopShare(1) = %v, want 0.7", got)
-	}
-	if got := TopShare(us, 4); got != 1 {
-		t.Errorf("TopShare(all) = %v, want 1", got)
-	}
-	if got := TopShare(us, 100); got != 1 {
-		t.Errorf("TopShare(k>n) = %v, want 1", got)
-	}
-	if TopShare(nil, 1) != 0 || TopShare(us, 0) != 0 {
-		t.Error("degenerate TopShare not 0")
-	}
-}
-
 func TestFieldCode(t *testing.T) {
 	cases := map[string]string{
 		"molecular-biosciences": "MBX",

@@ -201,7 +201,6 @@ func (g *DataCentricGen) Start(e *Env) {
 		s := e.Sched[m]
 		run := DrawRuntime(rng, g.MedianRuntime, 0.6)
 		inBytes := int64(rng.LogNormal(logOf(g.MedianInputGB*1e9), 1.0))
-		outBytes := inBytes / 2
 		j := &job.Job{
 			ID:          e.NewJobID(),
 			Name:        e.internf("analysis-%s", u.Name),
@@ -211,7 +210,6 @@ func (g *DataCentricGen) Start(e *Env) {
 			RunTime:     run,
 			ReqWalltime: DrawWalltime(rng, run),
 			InputBytes:  inBytes,
-			OutputBytes: outBytes,
 			Attr:        job.Attributes{ScienceField: u.field},
 			Truth:       job.Truth{Modality: job.SymDataCentric},
 		}
