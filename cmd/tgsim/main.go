@@ -10,7 +10,7 @@
 //	      [-quiet]
 //	      [-faults X] [-mtbf DAYS] [-checkpoint MINUTES]
 //	      [-chrome-trace t.json] [-obs-jsonl t.jsonl] [-obs-csv DIR]
-//	      [-obs-max-events N] [-strict-obs] [-profile]
+//	      [-strict-obs] [-profile]
 //	      [-cpuprofile f.pprof] [-memprofile f.pprof] [-pprof]
 //	      [-slo] [-analysis] [-export DIR]
 //	      [-http :PORT] [-http-hold] [-progress]
@@ -88,7 +88,7 @@ type options struct {
 	policy, scale, config, dumpConfig, csvDir, export, trace, chromeTrace, obsJSONL string
 	obsCSV, http, cpuProfile, memProfile, replay, push, pushID, pushSpill           string
 	quiet, profile, slo, analysis, strictObs, progress, httpHold, pprof, stream     bool
-	obsMaxEvents, reps, parallel, pushRetry                                         int
+	reps, parallel, pushRetry                                                       int
 }
 
 // parseFlags parses the command line and rejects every flag the selected
@@ -108,7 +108,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.chromeTrace, "chrome-trace", "", "write a Chrome trace-event JSON file of job/transfer/gateway spans (open in Perfetto)")
 	fs.StringVar(&o.obsJSONL, "obs-jsonl", "", "write the span event stream as JSON lines to this file")
 	fs.StringVar(&o.obsCSV, "obs-csv", "", "write hourly virtual-time metric CSVs (queue depth, utilization, ...) into this directory")
-	fs.IntVar(&o.obsMaxEvents, "obs-max-events", 0, "cap the in-memory span buffer at N events (0 = unbounded); overflow is counted and dropped")
 	fs.BoolVar(&o.profile, "profile", false, "print the kernel self-profile (wall-clock cost per event name) after the run")
 	fs.StringVar(&o.http, "http", "", "serve the live run console (dashboard /, /status JSON, /metrics OpenMetrics) on this address, e.g. :8080")
 	fs.BoolVar(&o.httpHold, "http-hold", false, "with -http: keep serving the final snapshot after the run until interrupted")
@@ -117,7 +116,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.slo, "slo", false, "evaluate per-modality virtual-time SLOs and print the conformance table")
 	fs.BoolVar(&o.analysis, "analysis", false, "reconstruct job timelines and print wait-decomposition and critical-path tables")
 	fs.StringVar(&o.export, "export", "", "write the run's exports (metrics.om, obs.jsonl, acct.jsonl, modality.txt) into this directory for tgdiff")
-	fs.BoolVar(&o.strictObs, "strict-obs", false, "exit non-zero when the span buffer or a push lost data")
+	fs.BoolVar(&o.strictObs, "strict-obs", false, "with -push: exit non-zero when the push lost data")
 	fs.IntVar(&o.reps, "reps", 1, "run a replication fleet of N seeds (seed, seed+1, ...) and report mean ± 95% CI tables")
 	fs.IntVar(&o.parallel, "parallel", 0, "fleet worker count (with -reps; 0 = GOMAXPROCS)")
 	fs.Float64Var(&o.faults, "faults", 0, "enable deterministic fault injection at this intensity (1 = nominal MTBFs, 2 = twice as often; 0 = off)")
@@ -143,29 +142,25 @@ func parseFlags(args []string) (*options, error) {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	fleetMode := o.reps > 1
-	spans := set["export"] || set["analysis"] || set["chrome-trace"] || set["obs-jsonl"]
 	for _, r := range []struct {
 		on      bool
 		where   string
 		ignored string // flags the mode never reads
 	}{
 		{set["replay"], "with -replay", "seed days scale policy config dump-config faults checkpoint " +
-			"trace chrome-trace obs-jsonl obs-csv obs-max-events strict-obs profile http progress slo analysis stream reps push"},
-		{fleetMode, "with -reps above 1", "trace dump-config chrome-trace obs-jsonl obs-csv obs-max-events profile http slo analysis stream"},
-		{fleetMode && !set["push"], "with -reps above 1 but no -push", "strict-obs"},
+			"trace chrome-trace obs-jsonl obs-csv strict-obs profile http progress slo analysis stream reps push"},
+		{fleetMode, "with -reps above 1", "trace dump-config chrome-trace obs-jsonl obs-csv profile http slo analysis stream"},
 		{set["config"], "with -config (the file holds the scenario)", "days scale policy faults checkpoint"},
 		{set["config"] && !fleetMode, "with -config (the file holds the seed)", "seed"},
 		{set["dump-config"], "with -dump-config (nothing runs)", "quiet csv-dir trace export chrome-trace obs-jsonl obs-csv " +
-			"obs-max-events strict-obs profile http progress slo analysis stream push"},
+			"strict-obs profile http progress slo analysis stream push"},
 		{set["quiet"], "with -quiet (no tables are printed)", "csv-dir"},
 		{set["scale"], "with -scale (it sets the horizon)", "days"},
 		{!fleetMode, "without -reps above 1", "parallel"},
 		{!set["replay"], "without -replay", "replay-speed"},
-		{!set["push"], "without -push", "push-id push-retry push-spill"},
+		{!set["push"], "without -push", "push-id push-retry push-spill strict-obs"},
 		{!set["http"], "without -http", "http-hold pprof"},
 		{!set["faults"], "without -faults", "mtbf"},
-		{!spans, "without a span consumer (-export, -analysis, -chrome-trace, -obs-jsonl)", "obs-max-events"},
-		{!spans && !set["push"], "without a span consumer or -push", "strict-obs"},
 	} {
 		for _, name := range strings.Fields(r.ignored) {
 			if r.on && set[name] {
@@ -272,7 +267,7 @@ func runSingle(o *options, cfg scenario.Config) error {
 	// exports, timeline analysis, and the tgdiff run-dir export.
 	var spans *obs.Buffer
 	if o.chromeTrace != "" || o.obsJSONL != "" || o.analysis || o.export != "" {
-		spans = obs.NewBufferCap(o.obsMaxEvents)
+		spans = obs.NewBuffer()
 		cfg.Observers = append(cfg.Observers, scenario.RecordSpans(spans))
 	}
 	var sloEval *slo.Evaluator
@@ -344,8 +339,8 @@ func runSingle(o *options, cfg scenario.Config) error {
 	// push transport counters; assigned when -push dials below.
 	var pusher *observatory.Pusher
 	if reg != nil {
-		// Appended before the pusher's observer below, which forwards to
-		// whatever snapshot sink is already attached.
+		// Appended before the pusher's observer below, so the console sees
+		// each snapshot before the pusher ships it.
 		cfg.Observers = append(cfg.Observers, scenario.StreamSnapshots(func(s *telemetry.Snapshot) {
 			if console != nil {
 				var buf bytes.Buffer
@@ -413,16 +408,7 @@ func runSingle(o *options, cfg scenario.Config) error {
 	endClassify()
 	mod := core.ModalityTable(rep)
 
-	// Observability exports. A truncated span buffer silently invalidates
-	// every event-stream consumer (traces, analysis, tgdiff exports), so
-	// dropping is loud; -strict-obs upgrades it to a failure.
-	if spans != nil && spans.Dropped() > 0 {
-		fmt.Fprintln(os.Stderr, strings.Repeat("*", 70))
-		fmt.Fprintf(os.Stderr, "* WARNING: observability buffer overflowed: %d events DROPPED.\n", spans.Dropped())
-		fmt.Fprintln(os.Stderr, "* Exported traces and analyses below are built from a truncated")
-		fmt.Fprintln(os.Stderr, "* stream. Raise -obs-max-events (or use 0 for unbounded).")
-		fmt.Fprintln(os.Stderr, strings.Repeat("*", 70))
-	}
+	// Observability exports.
 	for _, f := range []struct {
 		path  string
 		write func(io.Writer) error
@@ -491,10 +477,6 @@ func runSingle(o *options, cfg scenario.Config) error {
 		if err := console.Close(2 * time.Second); err != nil {
 			return err
 		}
-	}
-	if o.strictObs && spans != nil && spans.Dropped() > 0 {
-		return withCode(exitObsLoss,
-			fmt.Errorf("-strict-obs: span buffer dropped %d events", spans.Dropped()))
 	}
 	return pushVerdict(pushLoss, o.strictObs)
 }
@@ -634,8 +616,7 @@ func runFleet(o *options, cfg scenario.Config) error {
 	if o.progress || pushes != nil {
 		spec.Observe = func(rep int, seed uint64, reg *telemetry.Registry) []scenario.Observer {
 			var obs []scenario.Observer
-			// Progress first, pusher second: the pusher composes with (never
-			// replaces) an existing snapshot sink, so both see every snapshot.
+			// Both sinks see every snapshot: progress first, pusher second.
 			if o.progress {
 				obs = append(obs, scenario.StreamSnapshots(func(s *telemetry.Snapshot) {
 					progressMu.Lock()

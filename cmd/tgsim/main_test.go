@@ -58,7 +58,7 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		{"-push-retry", "3"},
 		{"-pprof"},
 		{"-mtbf", "5"},
-		{"-obs-max-events", "10"},
+		{"-analysis", "-strict-obs"},
 		{"-strict-obs"},
 	} {
 		err := run(args)

@@ -16,7 +16,7 @@ type streamBuilder struct{ buf *obs.Buffer }
 func newStream() *streamBuilder { return &streamBuilder{buf: obs.NewBuffer()} }
 
 func (s *streamBuilder) queue(at float64, id int64, machine, mod string, cores int) {
-	obs.Begin(s.buf, obsTime(at), "job", "wait", machine, id,
+	s.buf.Begin(obsTime(at), "job", "wait", machine, id,
 		obs.KV{Key: "user", Value: "u"},
 		obs.KV{Key: "cores", Value: cores},
 		obs.KV{Key: "qos", Value: "normal"},
@@ -24,19 +24,19 @@ func (s *streamBuilder) queue(at float64, id int64, machine, mod string, cores i
 }
 
 func (s *streamBuilder) start(at float64, id int64, machine string) {
-	obs.End(s.buf, obsTime(at), "job", "wait", machine, id)
-	obs.Begin(s.buf, obsTime(at), "job", "run", machine, id)
+	s.buf.End(obsTime(at), "job", "wait", machine, id)
+	s.buf.Begin(obsTime(at), "job", "run", machine, id)
 }
 
 func (s *streamBuilder) finish(at float64, id int64, machine, state string) {
-	obs.End(s.buf, obsTime(at), "job", "run", machine, id,
+	s.buf.End(obsTime(at), "job", "run", machine, id,
 		obs.KV{Key: "state", Value: state})
 }
 
 func (s *streamBuilder) preempt(at float64, id int64, machine, mod string, cores int) {
-	obs.End(s.buf, obsTime(at), "job", "run", machine, id,
+	s.buf.End(obsTime(at), "job", "run", machine, id,
 		obs.KV{Key: "state", Value: "preempted"})
-	obs.Begin(s.buf, obsTime(at), "job", "wait", machine, id,
+	s.buf.Begin(obsTime(at), "job", "wait", machine, id,
 		obs.KV{Key: "user", Value: "u"},
 		obs.KV{Key: "cores", Value: cores},
 		obs.KV{Key: "mod", Value: mod},
@@ -123,14 +123,14 @@ func TestReconstructPreemptionRequeue(t *testing.T) {
 func TestReconstructTransferAttribution(t *testing.T) {
 	s := newStream()
 	// Stage-in completes before the job is submitted (data-centric shape).
-	obs.Begin(s.buf, 5, "net", "transfer", "wan", 900,
+	s.buf.Begin(5, "net", "transfer", "wan", 900,
 		obs.KV{Key: "src", Value: "harbor"}, obs.KV{Key: "dst", Value: "mesa"},
 		obs.KV{Key: "bytes", Value: int64(1 << 30)}, obs.KV{Key: "job", Value: int64(3)})
-	obs.End(s.buf, 45, "net", "transfer", "wan", 900)
+	s.buf.End(45, "net", "transfer", "wan", 900)
 	// An unbound transfer.
-	obs.Begin(s.buf, 6, "net", "transfer", "wan", 901,
+	s.buf.Begin(6, "net", "transfer", "wan", 901,
 		obs.KV{Key: "bytes", Value: int64(10)}, obs.KV{Key: "job", Value: int64(0)})
-	obs.End(s.buf, 7, "net", "transfer", "wan", 901)
+	s.buf.End(7, "net", "transfer", "wan", 901)
 	s.queue(50, 3, "m2", "data-centric", 4)
 	s.start(60, 3, "m2")
 	s.finish(100, 3, "m2", "completed")
@@ -159,7 +159,7 @@ func TestReconstructTruncatedAndRejected(t *testing.T) {
 	s.queue(0, 4, "m1", "ensemble", 1)
 	s.start(5, 4, "m1")                // run never ends: truncated trace
 	s.queue(1, 5, "m1", "ensemble", 1) // still waiting
-	obs.Instant(s.buf, 2, "job", "reject", "m1", obs.KV{Key: "job", Value: int64(6)})
+	s.buf.Instant(2, "job", "reject", "m1", obs.KV{Key: "job", Value: int64(6)})
 	ts, err := Reconstruct(s.buf.Events())
 	if err != nil {
 		t.Fatal(err)
@@ -178,20 +178,20 @@ func TestReconstructTruncatedAndRejected(t *testing.T) {
 func TestReconstructRejectsMalformedStreams(t *testing.T) {
 	// End with no begin.
 	b := obs.NewBuffer()
-	obs.End(b, 1, "job", "wait", "m1", 9)
+	b.End(1, "job", "wait", "m1", 9)
 	if _, err := Reconstruct(b.Events()); err == nil {
 		t.Error("dangling end accepted")
 	}
 	// Run begin with no wait.
 	b2 := obs.NewBuffer()
-	obs.Begin(b2, 1, "job", "run", "m1", 9)
+	b2.Begin(1, "job", "run", "m1", 9)
 	if _, err := Reconstruct(b2.Events()); err == nil {
 		t.Error("run-without-wait accepted")
 	}
 	// Nested begin inside an open segment.
 	b3 := obs.NewBuffer()
-	obs.Begin(b3, 1, "job", "wait", "m1", 9)
-	obs.Begin(b3, 2, "job", "run", "m1", 9)
+	b3.Begin(1, "job", "wait", "m1", 9)
+	b3.Begin(2, "job", "run", "m1", 9)
 	if _, err := Reconstruct(b3.Events()); err == nil {
 		t.Error("begin inside open segment accepted")
 	}

@@ -150,33 +150,27 @@ type Tracer interface {
 	Event(at Time, name string)
 }
 
-// TracerFunc adapts a function to the Tracer interface.
-type TracerFunc func(at Time, name string)
-
-// Event implements Tracer.
-func (f TracerFunc) Event(at Time, name string) { f(at, name) }
-
-// StepObserver is an optional Tracer extension. When the installed tracer
+// StepObserver is an optional Tracer extension. When an attached tracer
 // also implements it, the kernel calls AfterEvent once the event's handler
 // has returned, passing the pending-event count — enough to measure
 // per-event wall-clock cost and future-event-list pressure from outside
-// the kernel. The implementation check happens once, at SetTracer time, so
-// the per-event cost for plain tracers is a single nil comparison.
+// the kernel. The implementation check happens once, at AddTracer time, so
+// a kernel with only plain tracers never calls AfterEvent.
 type StepObserver interface {
 	AfterEvent(at Time, name string, pending int)
 }
 
 // OpProfiler is an optional Tracer extension for kernel self-profiling at
-// phase granularity. When the installed tracer also implements it, the
+// phase granularity. When an attached tracer also implements it, the
 // kernel reports the wall-clock cost of its own bookkeeping separately
 // from handler execution: BeforeStep fires when the kernel begins retiring
 // an event (before the future-event-list pop, so the window from
 // BeforeStep to Tracer.Event is pure FEL/dispatch cost), and FELOp reports
 // the measured duration of each heap mutation a Schedule/At/Cancel call
 // performs. Like StepObserver the implementation check happens once, at
-// SetTracer time; uninstrumented runs pay one nil comparison per schedule
+// AddTracer time; uninstrumented runs pay one length check per schedule
 // and per step. Timing FEL ops costs two clock reads per heap mutation, so
-// an installed OpProfiler slows the kernel — it is a profiling tool, not a
+// an attached OpProfiler slows the kernel — it is a profiling tool, not a
 // production tracer — but it never touches virtual time or event order,
 // so profiled runs stay byte-identical to plain ones.
 type OpProfiler interface {
@@ -195,9 +189,9 @@ type Kernel struct {
 	free         []*eventNode // recycled nodes awaiting reuse
 	executed     uint64
 	stopped      bool
-	tracer       Tracer
-	after        StepObserver
-	ops          OpProfiler
+	tracers      []Tracer
+	after        []StepObserver
+	ops          []OpProfiler
 	maxPending   int
 	pendingLimit int   // 0 = unlimited
 	err          error // sticky; set on backlog breach
@@ -206,19 +200,21 @@ type Kernel struct {
 // New returns a ready-to-run kernel with the clock at zero.
 func New() *Kernel { return &Kernel{} }
 
-// SetTracer installs tr as the kernel's event tracer. Passing nil disables
-// tracing. If tr also implements StepObserver, AfterEvent fires after each
-// handler returns; if it also implements OpProfiler, the kernel times its
-// own FEL operations and reports them.
-func (k *Kernel) SetTracer(tr Tracer) {
-	k.tracer = tr
-	k.after = nil
-	k.ops = nil
+// AddTracer attaches tr to the kernel's event tracers; a nil tr is
+// ignored. Tracers are called in the order they were added. If tr also
+// implements StepObserver, AfterEvent fires after each handler returns; if
+// it also implements OpProfiler, the kernel times its own FEL operations
+// and reports each duration to every attached profiler.
+func (k *Kernel) AddTracer(tr Tracer) {
+	if tr == nil {
+		return
+	}
+	k.tracers = append(k.tracers, tr)
 	if so, ok := tr.(StepObserver); ok {
-		k.after = so
+		k.after = append(k.after, so)
 	}
 	if op, ok := tr.(OpProfiler); ok {
-		k.ops = op
+		k.ops = append(k.ops, op)
 	}
 }
 
@@ -306,10 +302,10 @@ func (k *Kernel) AtNamed(t Time, name string, fn Handler) Timer {
 	n.fn = fn
 	n.name = name
 	k.seq++
-	if k.ops != nil {
+	if len(k.ops) > 0 {
 		t0 := time.Now()
 		k.heapPush(n)
-		k.ops.FELOp(time.Since(t0))
+		k.felOp(time.Since(t0))
 	} else {
 		k.heapPush(n)
 	}
@@ -330,15 +326,22 @@ func (k *Kernel) Cancel(t Timer) bool {
 	if !t.Pending() {
 		return false
 	}
-	if k.ops != nil {
+	if len(k.ops) > 0 {
 		t0 := time.Now()
 		k.heapRemove(int(t.n.index))
-		k.ops.FELOp(time.Since(t0))
+		k.felOp(time.Since(t0))
 	} else {
 		k.heapRemove(int(t.n.index))
 	}
 	k.recycle(t.n)
 	return true
+}
+
+// felOp reports one timed heap mutation to every attached profiler.
+func (k *Kernel) felOp(d time.Duration) {
+	for _, op := range k.ops {
+		op.FELOp(d)
+	}
 }
 
 // Step executes the single next event, advancing the clock to its time.
@@ -347,8 +350,8 @@ func (k *Kernel) Step() bool {
 	if len(k.heap) == 0 {
 		return false
 	}
-	if k.ops != nil {
-		k.ops.BeforeStep()
+	for _, op := range k.ops {
+		op.BeforeStep()
 	}
 	n := k.heapPopMin()
 	k.now = n.at
@@ -358,12 +361,12 @@ func (k *Kernel) Step() bool {
 	// whatever the handler schedules next.
 	k.recycle(n)
 	k.executed++
-	if k.tracer != nil {
-		k.tracer.Event(k.now, name)
+	for _, tr := range k.tracers {
+		tr.Event(k.now, name)
 	}
 	fn(k)
-	if k.after != nil {
-		k.after.AfterEvent(k.now, name, len(k.heap))
+	for _, so := range k.after {
+		so.AfterEvent(k.now, name, len(k.heap))
 	}
 	return true
 }

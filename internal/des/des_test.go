@@ -162,7 +162,7 @@ func TestTicker(t *testing.T) {
 func TestTracer(t *testing.T) {
 	k := New()
 	var names []string
-	k.SetTracer(TracerFunc(func(at Time, name string) { names = append(names, name) }))
+	k.AddTracer(tracerFunc(func(at Time, name string) { names = append(names, name) }))
 	k.ScheduleNamed(1, "a", func(*Kernel) {})
 	k.ScheduleNamed(2, "b", func(*Kernel) {})
 	k.Run()

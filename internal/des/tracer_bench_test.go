@@ -22,10 +22,10 @@ func stepping(k *Kernel, n int) {
 	k.Schedule(1, fn)
 }
 
-// BenchmarkStep compares Kernel.Step with no tracer installed against the
+// BenchmarkStep compares Kernel.Step with no tracer attached against the
 // same workload with a minimal tracer. The NilTracer case must not be
 // measurably slower than it was before the tracing seam existed: the only
-// cost a disabled tracer is allowed to add is one pointer comparison.
+// cost an empty tracer list is allowed to add is one length check.
 func BenchmarkStep(b *testing.B) {
 	b.Run("NilTracer", func(b *testing.B) {
 		k := New()
@@ -36,7 +36,7 @@ func BenchmarkStep(b *testing.B) {
 	})
 	b.Run("CountingTracer", func(b *testing.B) {
 		k := New()
-		k.SetTracer(&countingTracer{})
+		k.AddTracer(&countingTracer{})
 		stepping(k, b.N)
 		b.ResetTimer()
 		for k.Step() {
@@ -44,9 +44,9 @@ func BenchmarkStep(b *testing.B) {
 	})
 	b.Run("Profiled", func(b *testing.B) {
 		// A tracer that also implements StepObserver, exercising the
-		// AfterEvent hook path cached at SetTracer time.
+		// AfterEvent hook path sorted out at AddTracer time.
 		k := New()
-		k.SetTracer(&observingTracer{})
+		k.AddTracer(&observingTracer{})
 		stepping(k, b.N)
 		b.ResetTimer()
 		for k.Step() {
@@ -67,7 +67,7 @@ func (o *observingTracer) AfterEvent(at Time, name string, pending int) {
 func TestStepObserverSeesPending(t *testing.T) {
 	k := New()
 	o := &observingTracer{}
-	k.SetTracer(o)
+	k.AddTracer(o)
 	for i := 1; i <= 5; i++ {
 		k.Schedule(Time(i), func(*Kernel) {})
 	}
@@ -86,7 +86,7 @@ func TestStepObserverSeesPending(t *testing.T) {
 func TestEveryNamed(t *testing.T) {
 	k := New()
 	var names []string
-	k.SetTracer(tracerFunc(func(at Time, name string) { names = append(names, name) }))
+	k.AddTracer(tracerFunc(func(at Time, name string) { names = append(names, name) }))
 	n := 0
 	tk := k.EveryNamed(10, "tick", func(*Kernel) { n++ })
 	k.RunUntil(35)

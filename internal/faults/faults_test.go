@@ -124,7 +124,7 @@ func newRig(t *testing.T, seed uint64, cfg Config) *rig {
 	r.inj.SetBroker(broker)
 	r.inj.SetFabric(fabric)
 	r.inj.AddGateways(gw)
-	r.inj.OnEvent = func(ev Event) { r.events = append(r.events, ev) }
+	r.inj.OnEvent = append(r.inj.OnEvent, func(ev Event) { r.events = append(r.events, ev) })
 	r.inj.Start()
 	return r
 }

@@ -26,9 +26,10 @@ const repairSigma = 0.6
 type Injector struct {
 	k   *des.Kernel
 	cfg Config
-	// OnEvent, when non-nil, observes every injected fault and resilience
-	// action (telemetry counters, span instants).
-	OnEvent func(Event)
+	// OnEvent observes every injected fault and resilience action
+	// (telemetry counters, span instants). Observers append to it; it is
+	// called in append order.
+	OnEvent []func(Event)
 
 	seed     uint64
 	scheds   []*sched.Scheduler
@@ -78,8 +79,8 @@ func (inj *Injector) AddGateways(gws ...*gateway.Gateway) {
 }
 
 func (inj *Injector) emit(ev Event) {
-	if inj.OnEvent != nil {
-		inj.OnEvent(ev)
+	for _, fn := range inj.OnEvent {
+		fn(ev)
 	}
 }
 
@@ -282,16 +283,12 @@ func (inj *Injector) armGatewayFlap(gw *gateway.Gateway) {
 	arm(inj.ttf(rng, inj.cfg.GatewayMTBF))
 }
 
-// wireGatewayRetry chains retry/give-up handling onto the gateway's
+// wireGatewayRetry adds retry/give-up handling to the gateway's
 // down-rejection and request hooks. Retries re-enter Request, so a request
 // that keeps meeting a down endpoint backs off until MaxAttempts, then the
 // job fails with its retry state cleared.
 func (inj *Injector) wireGatewayRetry(gw *gateway.Gateway) {
-	prevDown := gw.OnDown
-	gw.OnDown = func(endUser string, j *job.Job) {
-		if prevDown != nil {
-			prevDown(endUser, j)
-		}
+	gw.OnDown = append(gw.OnDown, func(endUser string, j *job.Job) {
 		attempt := inj.gwAttempts[j.ID] + 1
 		inj.gwAttempts[j.ID] = attempt
 		delay, ok := inj.cfg.Retry.Delay(attempt, inj.retryRNG)
@@ -307,13 +304,9 @@ func (inj *Injector) wireGatewayRetry(gw *gateway.Gateway) {
 		inj.k.ScheduleNamed(delay, "fault-retry-gateway", func(*des.Kernel) {
 			gw.Request(endUser, j)
 		})
-	}
-	prevReq := gw.OnRequest
-	gw.OnRequest = func(endUser string, j *job.Job, attributed bool) {
+	})
+	gw.OnRequest = append(gw.OnRequest, func(endUser string, j *job.Job, attributed bool) {
 		// The request got through; forget its retry history.
 		delete(inj.gwAttempts, j.ID)
-		if prevReq != nil {
-			prevReq(endUser, j, attributed)
-		}
-	}
+	})
 }

@@ -34,14 +34,15 @@ type Gateway struct {
 	// AttrCoverage is the probability a submission carries its gateway
 	// end-user attribute record (1.0 = fully instrumented AAAA deployment).
 	AttrCoverage float64
-	// OnRequest, when non-nil, observes every gateway submission just
-	// before it is handed to the submitter. attributed reports whether the
-	// request carried its end-user attribute record.
-	OnRequest func(endUser string, j *job.Job, attributed bool)
-	// OnDown, when non-nil, observes every request rejected because the
-	// gateway endpoint is unavailable (see SetAvailable). The fault layer
-	// hooks this to schedule deterministic retries.
-	OnDown func(endUser string, j *job.Job)
+	// OnRequest observes every gateway submission just before it is
+	// handed to the submitter. attributed reports whether the request
+	// carried its end-user attribute record.
+	OnRequest []func(endUser string, j *job.Job, attributed bool)
+	// OnDown observes every request rejected because the gateway endpoint
+	// is unavailable (see SetAvailable). The fault layer hooks this to
+	// schedule deterministic retries. Observers append to both lists; each
+	// list is called in append order.
+	OnDown []func(endUser string, j *job.Job)
 
 	k      *des.Kernel
 	rng    *simrand.Stream
@@ -113,8 +114,8 @@ func (g *Gateway) FirstSeen(user string) (des.Time, bool) {
 func (g *Gateway) Request(endUser string, j *job.Job) {
 	if !g.available {
 		g.rejectedDown++
-		if g.OnDown != nil {
-			g.OnDown(endUser, j)
+		for _, fn := range g.OnDown {
+			fn(endUser, j)
 		}
 		return
 	}
@@ -141,8 +142,8 @@ func (g *Gateway) Request(endUser string, j *job.Job) {
 			At:          float64(g.k.Now()),
 		})
 	}
-	if g.OnRequest != nil {
-		g.OnRequest(endUser, j, attributed)
+	for _, fn := range g.OnRequest {
+		fn(endUser, j, attributed)
 	}
 	g.submit.SubmitJob(j)
 }

@@ -185,9 +185,6 @@ func (ts *TimeSeries) Counts() []int { return ts.counts }
 // Len returns the number of periods observed.
 func (ts *TimeSeries) Len() int { return len(ts.buckets) }
 
-// Period returns the bucket width in seconds.
-func (ts *TimeSeries) Period() float64 { return ts.period }
-
 // Count returns the event count of bucket i (0 when out of range).
 func (ts *TimeSeries) Count(i int) int {
 	if i < 0 || i >= len(ts.counts) {

@@ -131,14 +131,15 @@ func (tr *Transfer) Duration() des.Time { return tr.EndedAt - tr.StartedAt }
 type Fabric struct {
 	K *des.Kernel
 	T *Topology
-	// OnStart and OnComplete, when non-nil, observe transfer lifecycle:
-	// OnStart fires when a transfer is accepted (before any data moves),
-	// OnComplete when the last byte lands, before the caller's done hook.
-	OnStart    func(*Transfer)
-	OnComplete func(*Transfer)
-	// OnAbort, when non-nil, observes transfers killed by a partition
-	// (see AbortSite), after Aborted/EndedAt are set.
-	OnAbort func(*Transfer)
+	// OnStart and OnComplete observe transfer lifecycle: OnStart fires when
+	// a transfer is accepted (before any data moves), OnComplete when the
+	// last byte lands, before the caller's done hook. OnAbort observes
+	// transfers killed by a partition (see AbortSite), after
+	// Aborted/EndedAt are set. Observers append to these lists; each list
+	// is called in append order.
+	OnStart    []func(*Transfer)
+	OnComplete []func(*Transfer)
+	OnAbort    []func(*Transfer)
 	// active holds the flows past connection setup in ascending ID order,
 	// so completions and abort victims come out in that order by
 	// construction; finished is advance's reused completion buffer.
@@ -169,6 +170,13 @@ func NewFabric(k *des.Kernel, t *Topology) *Fabric {
 		f.reshare()
 	}
 	return f
+}
+
+// notify calls each lifecycle observer in hooks with tr, in order.
+func notify(hooks []func(*Transfer), tr *Transfer) {
+	for _, fn := range hooks {
+		fn(tr)
+	}
 }
 
 // Active returns the number of in-flight transfers.
@@ -216,18 +224,14 @@ func (f *Fabric) StartOwned(src, dst string, bytes int64, streams int, own Owner
 		User: own.User, Project: own.Project, JobID: own.JobID,
 	}
 	if src == dst {
-		if f.OnStart != nil {
-			f.OnStart(tr)
-		}
+		notify(f.OnStart, tr)
 		const localBps = 2e9
 		dur := des.Time(float64(bytes) / localBps)
 		f.K.ScheduleNamed(dur, "xfer-local", func(*des.Kernel) {
 			tr.EndedAt = f.K.Now()
 			f.completed++
 			f.bytesMoved += float64(bytes)
-			if f.OnComplete != nil {
-				f.OnComplete(tr)
-			}
+			notify(f.OnComplete, tr)
 			if tr.done != nil {
 				tr.done(tr)
 			}
@@ -246,9 +250,7 @@ func (f *Fabric) StartOwned(src, dst string, bytes int64, streams int, own Owner
 	if f.T.backbone != nil {
 		tr.links = append(tr.links, f.T.backbone)
 	}
-	if f.OnStart != nil {
-		f.OnStart(tr)
-	}
+	notify(f.OnStart, tr)
 	// Startup latency: control-channel setup plus striping negotiation,
 	// a few RTTs. After it elapses the flow joins the fluid model.
 	setup := des.Time(3 * f.T.RTT(src, dst))
@@ -364,9 +366,7 @@ func (f *Fabric) advance() {
 	for _, tr := range f.finished {
 		tr.EndedAt = now
 		f.completed++
-		if f.OnComplete != nil {
-			f.OnComplete(tr)
-		}
+		notify(f.OnComplete, tr)
 		if tr.done != nil {
 			tr.done(tr)
 		}
@@ -446,9 +446,7 @@ func (f *Fabric) AbortSite(site string) []*Transfer {
 		tr.Aborted = true
 		tr.EndedAt = now
 		f.aborted++
-		if f.OnAbort != nil {
-			f.OnAbort(tr)
-		}
+		notify(f.OnAbort, tr)
 	}
 	if len(victims) > 0 {
 		f.reshare()

@@ -1,7 +1,9 @@
 package network
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/tgsim/tgmod/internal/des"
@@ -222,10 +224,10 @@ func TestOutOfOrderJoinsCompleteInIDOrder(t *testing.T) {
 	k, f := outOfOrderFabric(t, 1)
 	var ids []int64
 	var ends []des.Time
-	f.OnComplete = func(tr *Transfer) {
+	f.OnComplete = append(f.OnComplete, func(tr *Transfer) {
 		ids = append(ids, tr.ID)
 		ends = append(ends, tr.EndedAt)
-	}
+	})
 	k.Run()
 	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
 		t.Fatalf("OnComplete order %v, want [1 2 3]", ids)
@@ -239,18 +241,29 @@ func TestOutOfOrderJoinsCompleteInIDOrder(t *testing.T) {
 
 func TestAbortSiteVictimsInIDOrder(t *testing.T) {
 	k, f := outOfOrderFabric(t, 100)
-	var aborted []int64
-	f.OnAbort = func(tr *Transfer) { aborted = append(aborted, tr.ID) }
+	// Two observers on each lifecycle hook: both must fire, in append order.
+	var log []string
+	for _, who := range []string{"x", "y"} {
+		f.OnStart = append(f.OnStart, func(tr *Transfer) { log = append(log, fmt.Sprintf("start:%s:%d", who, tr.ID)) })
+		f.OnComplete = append(f.OnComplete, func(tr *Transfer) { log = append(log, fmt.Sprintf("done:%s:%d", who, tr.ID)) })
+		f.OnAbort = append(f.OnAbort, func(tr *Transfer) { log = append(log, fmt.Sprintf("abort:%s:%d", who, tr.ID)) })
+	}
 	k.RunUntil(1) // all three joined, none finished
 	victims := f.AbortSite("a")
 	if len(victims) != 2 || victims[0].ID != 1 || victims[1].ID != 2 {
 		t.Fatalf("victims %v, want transfers 1 and 2", victims)
 	}
-	if len(aborted) != 2 || aborted[0] != 1 || aborted[1] != 2 {
-		t.Errorf("OnAbort order %v, want [1 2]", aborted)
-	}
 	if f.Active() != 1 || f.active[0].ID != 3 || f.Aborted() != 2 {
 		t.Errorf("after abort: %d active, %d aborted; want transfer 3 left", f.Active(), f.Aborted())
+	}
+	if _, err := f.Restart(victims[0]); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	want := []string{"abort:x:1", "abort:y:1", "abort:x:2", "abort:y:2",
+		"start:x:4", "start:y:4", "done:x:4", "done:y:4", "done:x:3", "done:y:3"}
+	if !slices.Equal(log, want) {
+		t.Errorf("hook calls %v, want %v", log, want)
 	}
 }
 

@@ -5,8 +5,8 @@
 // metrics.TimeSeries with CSV export. Wall-clock kernel profiling lives in
 // internal/perf.
 //
-// The layer is strictly opt-in: every hook in the simulation nil-checks its
-// recorder, so a run without observability configured pays nothing.
+// The layer is strictly opt-in: a run without a span buffer attached
+// installs no span hooks, so it pays nothing.
 package obs
 
 import (
@@ -116,69 +116,39 @@ func (ev Event) ArgBool(key string) bool {
 	return b
 }
 
-// Recorder receives observability events. Implementations must be cheap:
-// recorders run inline with kernel event execution.
-type Recorder interface {
-	Record(ev Event)
-}
-
-// Begin records an async span begin. A nil recorder is a no-op, so call
-// sites do not need their own guards.
-func Begin(r Recorder, at des.Time, cat, name, track string, id int64, args ...KV) {
-	if r == nil {
-		return
-	}
-	r.Record(Event{At: at, Phase: PhaseBegin, Cat: cat, Name: name, Track: track, ID: id, Args: args})
-}
-
-// End records an async span end matching a prior Begin with the same
-// (cat, name, id).
-func End(r Recorder, at des.Time, cat, name, track string, id int64, args ...KV) {
-	if r == nil {
-		return
-	}
-	r.Record(Event{At: at, Phase: PhaseEnd, Cat: cat, Name: name, Track: track, ID: id, Args: args})
-}
-
-// Instant records a zero-duration event.
-func Instant(r Recorder, at des.Time, cat, name, track string, args ...KV) {
-	if r == nil {
-		return
-	}
-	r.Record(Event{At: at, Phase: PhaseInstant, Cat: cat, Name: name, Track: track, Args: args})
-}
-
-// Buffer is the standard in-memory Recorder. Events are appended in
-// execution order, which the single-threaded kernel makes deterministic.
-// An optional capacity bounds memory on long traced runs: once full, new
-// events are counted as dropped instead of retained, so the kept prefix
-// stays contiguous (a prefix truncates spans cleanly; sampling would tear
-// begin/end pairs apart).
+// Buffer is the in-memory span sink. Events are appended in execution
+// order, which the single-threaded kernel makes deterministic. A nil
+// *Buffer records nothing, so call sites need no guards of their own.
 type Buffer struct {
-	events  []Event
-	max     int
-	dropped uint64
+	events []Event
 }
 
-// NewBuffer returns an unbounded buffer.
+// NewBuffer returns an empty buffer.
 func NewBuffer() *Buffer { return &Buffer{} }
 
-// NewBufferCap returns a buffer that retains at most max events (max <= 0
-// means unbounded). Events beyond the cap increment the dropped counter.
-func NewBufferCap(max int) *Buffer { return &Buffer{max: max} }
-
-// Record implements Recorder.
+// Record appends ev. Recording into a nil buffer is a no-op.
 func (b *Buffer) Record(ev Event) {
-	if b.max > 0 && len(b.events) >= b.max {
-		b.dropped++
+	if b == nil {
 		return
 	}
 	b.events = append(b.events, ev)
 }
 
-// Dropped returns the number of events discarded because the buffer was at
-// capacity.
-func (b *Buffer) Dropped() uint64 { return b.dropped }
+// Begin records an async span begin.
+func (b *Buffer) Begin(at des.Time, cat, name, track string, id int64, args ...KV) {
+	b.Record(Event{At: at, Phase: PhaseBegin, Cat: cat, Name: name, Track: track, ID: id, Args: args})
+}
+
+// End records an async span end matching a prior Begin with the same
+// (cat, name, id).
+func (b *Buffer) End(at des.Time, cat, name, track string, id int64, args ...KV) {
+	b.Record(Event{At: at, Phase: PhaseEnd, Cat: cat, Name: name, Track: track, ID: id, Args: args})
+}
+
+// Instant records a zero-duration event.
+func (b *Buffer) Instant(at des.Time, cat, name, track string, args ...KV) {
+	b.Record(Event{At: at, Phase: PhaseInstant, Cat: cat, Name: name, Track: track, Args: args})
+}
 
 // Len returns the number of recorded events.
 func (b *Buffer) Len() int { return len(b.events) }
@@ -186,13 +156,3 @@ func (b *Buffer) Len() int { return len(b.events) }
 // Events returns the recorded events in execution order. The slice is the
 // buffer's backing store; callers must not mutate it.
 func (b *Buffer) Events() []Event { return b.events }
-
-// Multi fans one event stream out to several recorders.
-type Multi []Recorder
-
-// Record implements Recorder.
-func (m Multi) Record(ev Event) {
-	for _, r := range m {
-		r.Record(ev)
-	}
-}

@@ -16,21 +16,23 @@ import (
 
 func sampleEvents() *Buffer {
 	b := NewBuffer()
-	Begin(b, 0.5, "job", "wait", "m1", 1, KV{Key: "user", Value: "alice"}, KV{Key: "cores", Value: 8})
-	End(b, 2, "job", "wait", "m1", 1)
-	Begin(b, 2, "job", "run", "m1", 1, KV{Key: "cores", Value: 8})
-	End(b, 10.25, "job", "run", "m1", 1, KV{Key: "state", Value: "completed"})
-	Begin(b, 3, "net", "transfer", "wan", 7, KV{Key: "src", Value: "a"}, KV{Key: "dst", Value: "b"}, KV{Key: "bytes", Value: int64(1 << 30)})
-	End(b, 9, "net", "transfer", "wan", 7)
-	Instant(b, 4, "gateway", "request", "nanohub", KV{Key: "user", Value: `quo"ted`}, KV{Key: "attributed", Value: true})
+	b.Begin(0.5, "job", "wait", "m1", 1, KV{Key: "user", Value: "alice"}, KV{Key: "cores", Value: 8})
+	b.End(2, "job", "wait", "m1", 1)
+	b.Begin(2, "job", "run", "m1", 1, KV{Key: "cores", Value: 8})
+	b.End(10.25, "job", "run", "m1", 1, KV{Key: "state", Value: "completed"})
+	b.Begin(3, "net", "transfer", "wan", 7, KV{Key: "src", Value: "a"}, KV{Key: "dst", Value: "b"}, KV{Key: "bytes", Value: int64(1 << 30)})
+	b.End(9, "net", "transfer", "wan", 7)
+	b.Instant(4, "gateway", "request", "nanohub", KV{Key: "user", Value: `quo"ted`}, KV{Key: "attributed", Value: true})
 	return b
 }
 
 func TestNilRecorderIsNoOp(t *testing.T) {
-	// Must not panic.
-	Begin(nil, 1, "job", "wait", "m", 1)
-	End(nil, 1, "job", "wait", "m", 1)
-	Instant(nil, 1, "job", "x", "m")
+	// A nil buffer records nothing and must not panic.
+	var b *Buffer
+	b.Begin(1, "job", "wait", "m", 1)
+	b.End(1, "job", "wait", "m", 1)
+	b.Instant(1, "job", "x", "m")
+	b.Record(Event{At: 1, Phase: PhaseInstant})
 }
 
 func TestChromeTraceRoundTrips(t *testing.T) {
@@ -143,41 +145,6 @@ func TestSampler(t *testing.T) {
 	}
 }
 
-func TestBufferCap(t *testing.T) {
-	b := NewBufferCap(3)
-	for i := 0; i < 10; i++ {
-		Instant(b, des.Time(i), "job", "ev", "m1")
-	}
-	if b.Len() != 3 {
-		t.Errorf("Len = %d, want 3", b.Len())
-	}
-	if b.Dropped() != 7 {
-		t.Errorf("Dropped = %d, want 7", b.Dropped())
-	}
-	// The kept prefix is the first three events, in order.
-	for i, ev := range b.Events() {
-		if ev.At != des.Time(i) {
-			t.Errorf("event %d at %v, want %v (prefix must be contiguous)", i, ev.At, des.Time(i))
-		}
-	}
-	// Unbounded buffers never drop.
-	u := NewBuffer()
-	for i := 0; i < 10; i++ {
-		Instant(u, des.Time(i), "job", "ev", "m1")
-	}
-	if u.Len() != 10 || u.Dropped() != 0 {
-		t.Errorf("unbounded: Len=%d Dropped=%d", u.Len(), u.Dropped())
-	}
-	// NewBufferCap(0) means unbounded too.
-	z := NewBufferCap(0)
-	for i := 0; i < 10; i++ {
-		Instant(z, des.Time(i), "job", "ev", "m1")
-	}
-	if z.Len() != 10 || z.Dropped() != 0 {
-		t.Errorf("cap 0: Len=%d Dropped=%d", z.Len(), z.Dropped())
-	}
-}
-
 func TestTypedArgAccessors(t *testing.T) {
 	ev := Event{Args: []KV{
 		{Key: "user", Value: "alice"},
@@ -225,21 +192,21 @@ func TestTypedArgAccessors(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	b := NewBuffer()
-	Begin(b, 1.5, "job", "wait", "m1", 42,
+	b.Begin(1.5, "job", "wait", "m1", 42,
 		KV{Key: "user", Value: "alice"},
 		KV{Key: "cores", Value: 64},
 		KV{Key: "qos", Value: "normal"},
 		KV{Key: "mod", Value: "workflow"})
-	End(b, 2.25, "job", "wait", "m1", 42)
-	Begin(b, 2.25, "job", "run", "m1", 42, KV{Key: "user", Value: "alice"})
-	End(b, 10, "job", "run", "m1", 42, KV{Key: "state", Value: "completed"})
-	Instant(b, 3, "gateway", "request", "nanohub",
+	b.End(2.25, "job", "wait", "m1", 42)
+	b.Begin(2.25, "job", "run", "m1", 42, KV{Key: "user", Value: "alice"})
+	b.End(10, "job", "run", "m1", 42, KV{Key: "state", Value: "completed"})
+	b.Instant(3, "gateway", "request", "nanohub",
 		KV{Key: "attributed", Value: true},
 		KV{Key: "job", Value: int64(7)})
-	Begin(b, 4, "net", "transfer", "wan", 9,
+	b.Begin(4, "net", "transfer", "wan", 9,
 		KV{Key: "src", Value: "harbor"}, KV{Key: "dst", Value: "mesa"},
 		KV{Key: "bytes", Value: int64(1 << 33)}, KV{Key: "job", Value: int64(0)})
-	End(b, 5, "net", "transfer", "wan", 9)
+	b.End(5, "net", "transfer", "wan", 9)
 
 	var out bytes.Buffer
 	if err := b.WriteJSONL(&out); err != nil {

@@ -43,9 +43,6 @@ func NewSampler(period des.Time) *Sampler {
 	return &Sampler{period: period, byName: make(map[string]*samplerGroup)}
 }
 
-// Period returns the sampling period.
-func (s *Sampler) Period() des.Time { return s.period }
-
 // Samples returns the number of sampling ticks taken so far.
 func (s *Sampler) Samples() int { return s.samples }
 

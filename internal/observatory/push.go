@@ -489,18 +489,14 @@ func (p *Pusher) awaitFinalAck() {
 // every flushed accounting packet is encoded with the accounting wire
 // codec and shipped, and every progress snapshot is shipped (conflated
 // under backpressure) together with the registry's OpenMetrics exposition
-// when reg is non-nil. The observer composes with any snapshot sink that
-// is already attached instead of replacing it.
+// when reg is non-nil. It appends to the run's packet taps and snapshot
+// sinks, so sinks attached before it see every snapshot first.
 func (p *Pusher) Observer(reg *telemetry.Registry) scenario.Observer {
 	return scenario.ObserverFunc(func(a *scenario.Attachment) {
 		a.Packets = append(a.Packets, func(at des.Time, pkt *accounting.Packet) {
 			p.sendBlocking(framePacket, pkt.AppendWire(recordFrame(float64(at))))
 		})
-		prev := a.Snapshots
-		a.Snapshots = func(s *telemetry.Snapshot) {
-			if prev != nil {
-				prev(s)
-			}
+		a.Snapshots = append(a.Snapshots, func(s *telemetry.Snapshot) {
 			p.snaps.Add(1)
 			p.sendDroppable(frameSnapshot, marshalJSON(s))
 			if reg != nil {
@@ -510,7 +506,7 @@ func (p *Pusher) Observer(reg *telemetry.Registry) scenario.Observer {
 					p.sendDroppable(frameMetrics, buf.Bytes())
 				}
 			}
-		}
+		})
 	})
 }
 

@@ -80,9 +80,9 @@ type phaseStat struct {
 // Profiler is the phase-attribution profiler. It implements des.Tracer,
 // des.StepObserver and des.OpProfiler, so the kernel feeds it every event
 // boundary plus the timing of its own heap operations, and it reports
-// throughput and the FEL high-water mark alongside the phase split. Install
-// it on the tracer seam (scenario.ProfilePhases, or Install for a bare
-// kernel).
+// throughput and the FEL high-water mark alongside the phase split. Attach
+// it on the tracer seam (scenario.ProfilePhases, or Kernel.AddTracer for a
+// bare kernel).
 //
 // The attribution model: for event i, the window from the previous
 // AfterEvent to this Event is FEL/dispatch cost (heap pop plus tracer
@@ -122,9 +122,6 @@ func New(k *des.Kernel) *Profiler {
 // Bind attaches (or replaces) the kernel, for profilers constructed before
 // the kernel existed.
 func (p *Profiler) Bind(k *des.Kernel) { p.k = k }
-
-// Install makes the profiler the kernel's tracer.
-func (p *Profiler) Install() { p.k.SetTracer(p) }
 
 // BeforeStep implements des.OpProfiler. The FEL window is measured from the
 // previous AfterEvent (so kernel loop overhead lands in PhaseFEL too);

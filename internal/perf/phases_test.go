@@ -63,7 +63,7 @@ func TestPhaseSumMatchesWallSeconds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k := des.New()
 			p := New(k)
-			p.Install()
+			k.AddTracer(p)
 			tc.script(k)
 			if err := k.Run(); err != nil {
 				t.Fatal(err)
@@ -97,7 +97,7 @@ func TestPhaseSumMatchesWallSeconds(t *testing.T) {
 func TestKernelCountersAndSummary(t *testing.T) {
 	k := des.New()
 	p := New(k)
-	p.Install()
+	k.AddTracer(p)
 	for i := 0; i < 50; i++ {
 		k.ScheduleNamed(des.Time(i), "tick", func(*des.Kernel) {
 			time.Sleep(10 * time.Microsecond)
@@ -138,7 +138,7 @@ func TestKernelCountersAndSummary(t *testing.T) {
 func TestSetupPhaseExcludedFromLoop(t *testing.T) {
 	k := des.New()
 	p := New(k)
-	p.Install()
+	k.AddTracer(p)
 	for i := 0; i < 5000; i++ {
 		k.ScheduleNamed(des.Time(i), "pre", func(*des.Kernel) {})
 	}
@@ -175,7 +175,7 @@ func TestRegions(t *testing.T) {
 func TestTablesRender(t *testing.T) {
 	k := des.New()
 	p := New(k)
-	p.Install()
+	k.AddTracer(p)
 	k.ScheduleNamed(1, "alpha", func(k *des.Kernel) { spin(50 * time.Microsecond) })
 	k.ScheduleNamed(2, "beta", func(k *des.Kernel) { spin(50 * time.Microsecond) })
 	if err := k.Run(); err != nil {

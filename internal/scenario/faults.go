@@ -66,15 +66,11 @@ func buildInjector(cfg Config, k *des.Kernel, scheds map[string]*sched.Scheduler
 }
 
 // installFaultSpans mirrors every fault and resilience event onto the
-// recorder as an instant in the "fault" category, on the target's track, so
-// trace views line crashes and retries up against the job spans they
-// disrupt.
-func installFaultSpans(rec obs.Recorder, k *des.Kernel, inj *faults.Injector) {
-	prev := inj.OnEvent
-	inj.OnEvent = func(ev faults.Event) {
-		if prev != nil {
-			prev(ev)
-		}
+// span buffer as an instant in the "fault" category, on the target's
+// track, so trace views line crashes and retries up against the job spans
+// they disrupt.
+func installFaultSpans(spans *obs.Buffer, k *des.Kernel, inj *faults.Injector) {
+	inj.OnEvent = append(inj.OnEvent, func(ev faults.Event) {
 		kvs := make([]obs.KV, 0, 2)
 		if ev.Until > 0 {
 			kvs = append(kvs, obs.KV{Key: "until", Value: float64(ev.Until)})
@@ -82,8 +78,8 @@ func installFaultSpans(rec obs.Recorder, k *des.Kernel, inj *faults.Injector) {
 		if ev.JobID != 0 {
 			kvs = append(kvs, obs.KV{Key: "job", Value: int64(ev.JobID)})
 		}
-		obs.Instant(rec, k.Now(), "fault", ev.Kind, ev.Target, kvs...)
-	}
+		spans.Instant(k.Now(), "fault", ev.Kind, ev.Target, kvs...)
+	})
 }
 
 // installFaultTelemetry registers the tg_fault_*/tg_retry_* families and
@@ -96,11 +92,7 @@ func installFaultTelemetry(reg *telemetry.Registry, inj *faults.Injector) {
 		"Retry attempts scheduled by the resilience layer.", "class")
 	giveups := reg.Counter("tg_retry_giveups_total",
 		"Operations abandoned after exhausting their retry budget.", "class")
-	prev := inj.OnEvent
-	inj.OnEvent = func(ev faults.Event) {
-		if prev != nil {
-			prev(ev)
-		}
+	inj.OnEvent = append(inj.OnEvent, func(ev faults.Event) {
 		switch ev.Kind {
 		case faults.EvRetry:
 			retries.With(ev.Class).Inc()
@@ -108,5 +100,5 @@ func installFaultTelemetry(reg *telemetry.Registry, inj *faults.Injector) {
 			giveups.With(ev.Class).Inc()
 		}
 		events.With(ev.Kind, ev.Target).Inc()
-	}
+	})
 }

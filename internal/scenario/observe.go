@@ -18,35 +18,35 @@ import (
 
 // installJobSpans emits the per-job lifecycle as async spans on the
 // machine's track: a "wait" span from queue entry to start, a "run" span
-// from start to a terminal state, instants for rejections, and
-// scheduler-decision/maintenance instants via the Probe seam.
-func installJobSpans(rec obs.Recorder, k *des.Kernel, s *sched.Scheduler, syms *job.Symbols) {
+// from start to a terminal state, and instants for rejections. It returns
+// the Probe handler that records scheduler-decision/maintenance instants.
+func installJobSpans(spans *obs.Buffer, k *des.Kernel, s *sched.Scheduler, syms *job.Symbols) func(kind string, j *job.Job) {
 	track := s.M.ID
 	s.Subscribe(func(e sched.Event) {
 		now := k.Now()
 		id := int64(e.Job.ID)
 		switch e.Kind {
 		case sched.EventQueued:
-			obs.Begin(rec, now, "job", "wait", track, id,
+			spans.Begin(now, "job", "wait", track, id,
 				obs.KV{Key: "user", Value: syms.Str(e.Job.User)},
 				obs.KV{Key: "cores", Value: e.Job.Cores},
 				obs.KV{Key: "qos", Value: e.Job.QOS.String()},
 				obs.KV{Key: "mod", Value: syms.Str(e.Job.Truth.Modality)})
 		case sched.EventStarted:
-			obs.End(rec, now, "job", "wait", track, id)
-			obs.Begin(rec, now, "job", "run", track, id,
+			spans.End(now, "job", "wait", track, id)
+			spans.Begin(now, "job", "run", track, id,
 				obs.KV{Key: "user", Value: syms.Str(e.Job.User)},
 				obs.KV{Key: "cores", Value: e.Job.Cores})
 		case sched.EventFinished:
-			obs.End(rec, now, "job", "run", track, id,
+			spans.End(now, "job", "run", track, id,
 				obs.KV{Key: "state", Value: e.Job.State.String()})
 		case sched.EventPreempted:
 			// The run span ends preempted; the requeue opens a fresh wait
 			// span, matching the scheduler placing the victim back at the
 			// queue head.
-			obs.End(rec, now, "job", "run", track, id,
+			spans.End(now, "job", "run", track, id,
 				obs.KV{Key: "state", Value: "preempted"})
-			obs.Begin(rec, now, "job", "wait", track, id,
+			spans.Begin(now, "job", "wait", track, id,
 				obs.KV{Key: "user", Value: syms.Str(e.Job.User)},
 				obs.KV{Key: "cores", Value: e.Job.Cores},
 				obs.KV{Key: "mod", Value: syms.Str(e.Job.Truth.Modality)},
@@ -56,23 +56,21 @@ func installJobSpans(rec obs.Recorder, k *des.Kernel, s *sched.Scheduler, syms *
 			// routes the victim next, and that re-entry (Requeue here or a
 			// failover Submit elsewhere) emits the EventQueued that opens
 			// the new wait span — possibly on a different machine's track.
-			obs.End(rec, now, "job", "run", track, id,
+			spans.End(now, "job", "run", track, id,
 				obs.KV{Key: "state", Value: "killed"})
 		case sched.EventRejected:
-			obs.Instant(rec, now, "job", "reject", track,
+			spans.Instant(now, "job", "reject", track,
 				obs.KV{Key: "job", Value: id},
 				obs.KV{Key: "cores", Value: e.Job.Cores})
 		}
 	})
-	s.Probe = func(kind string, j *job.Job) {
-		cat := "sched"
+	return func(kind string, j *job.Job) {
 		if j == nil {
 			// Machine-level events (maintenance windows) carry no job.
-			cat = "maint"
-			obs.Instant(rec, k.Now(), cat, kind, track)
+			spans.Instant(k.Now(), "maint", kind, track)
 			return
 		}
-		obs.Instant(rec, k.Now(), cat, kind, track,
+		spans.Instant(k.Now(), "sched", kind, track,
 			obs.KV{Key: "job", Value: int64(j.ID)},
 			obs.KV{Key: "cores", Value: j.Cores})
 	}
@@ -99,31 +97,36 @@ func installSLO(ev *slo.Evaluator, k *des.Kernel, s *sched.Scheduler, syms *job.
 }
 
 // installTransferSpans emits every WAN transfer as an async span on the
-// shared "wan" track.
-func installTransferSpans(rec obs.Recorder, k *des.Kernel, f *network.Fabric) {
-	f.OnStart = func(tr *network.Transfer) {
+// shared "wan" track. A transfer killed by a partition ends its span with
+// state=aborted.
+func installTransferSpans(spans *obs.Buffer, k *des.Kernel, f *network.Fabric) {
+	f.OnStart = append(f.OnStart, func(tr *network.Transfer) {
 		// The job id (0 when the transfer is not job-bound) lets the
 		// analysis layer attribute staging time to job timelines.
-		obs.Begin(rec, k.Now(), "net", "transfer", "wan", tr.ID,
+		spans.Begin(k.Now(), "net", "transfer", "wan", tr.ID,
 			obs.KV{Key: "src", Value: tr.Src},
 			obs.KV{Key: "dst", Value: tr.Dst},
 			obs.KV{Key: "bytes", Value: tr.Bytes},
 			obs.KV{Key: "job", Value: tr.JobID})
-	}
-	f.OnComplete = func(tr *network.Transfer) {
-		obs.End(rec, k.Now(), "net", "transfer", "wan", tr.ID)
-	}
+	})
+	f.OnComplete = append(f.OnComplete, func(tr *network.Transfer) {
+		spans.End(k.Now(), "net", "transfer", "wan", tr.ID)
+	})
+	f.OnAbort = append(f.OnAbort, func(tr *network.Transfer) {
+		spans.End(k.Now(), "net", "transfer", "wan", tr.ID,
+			obs.KV{Key: "state", Value: "aborted"})
+	})
 }
 
 // installGatewaySpans emits each gateway request as an instant on the
 // gateway's own track.
-func installGatewaySpans(rec obs.Recorder, k *des.Kernel, gw *gateway.Gateway) {
-	gw.OnRequest = func(endUser string, j *job.Job, attributed bool) {
-		obs.Instant(rec, k.Now(), "gateway", "request", gw.ID,
+func installGatewaySpans(spans *obs.Buffer, k *des.Kernel, gw *gateway.Gateway) {
+	gw.OnRequest = append(gw.OnRequest, func(endUser string, j *job.Job, attributed bool) {
+		spans.Instant(k.Now(), "gateway", "request", gw.ID,
 			obs.KV{Key: "user", Value: endUser},
 			obs.KV{Key: "job", Value: int64(j.ID)},
 			obs.KV{Key: "attributed", Value: attributed})
-	}
+	})
 }
 
 // buildSampler registers the standard virtual-time gauges: per-machine

@@ -1,7 +1,5 @@
 // The observability seam: each Observer contributes to a single Attachment
-// during assembly, and Run wires whatever the merged attachment asks for
-// (folding des.CombineTracers behind the seam, so callers never manage
-// tracer composition).
+// during assembly, and Run wires whatever the merged attachment asks for.
 package scenario
 
 import (
@@ -16,13 +14,13 @@ import (
 // Attachment is the single mount point observers write into. Run builds
 // one empty Attachment per simulation, offers it to every registered
 // Observer in order, and then installs exactly what the merged result
-// requests. Scalar slots (Recorder, Registry, Snapshots, SLO) follow a
-// last-writer-wins rule; Tracers accumulate and are combined with
-// des.CombineTracers internally.
+// requests. Scalar slots (Spans, SamplePeriod, Phases, Registry, SLO)
+// follow a last-writer-wins rule; list slots accumulate in observer order
+// and are called in that order.
 type Attachment struct {
-	// Recorder receives job-lifecycle, scheduler-decision, data-transfer,
+	// Spans receives job-lifecycle, scheduler-decision, data-transfer,
 	// gateway-session, and maintenance spans. Nil disables span tracing.
-	Recorder obs.Recorder
+	Spans *obs.Buffer
 	// SamplePeriod, when positive, samples per-machine queue depth and
 	// utilization plus federation-wide gauges every period of virtual time.
 	SamplePeriod des.Time
@@ -33,14 +31,14 @@ type Attachment struct {
 	Phases *perf.Profiler
 	// Registry, when non-nil, receives live labeled metrics.
 	Registry *telemetry.Registry
-	// Snapshots, when non-nil, receives wall-throttled progress snapshots
-	// plus one final snapshot after the run completes.
-	Snapshots func(*telemetry.Snapshot)
+	// Snapshots receive wall-throttled progress snapshots plus one final
+	// snapshot after the run completes.
+	Snapshots []func(*telemetry.Snapshot)
 	// SLO, when non-nil, scores job starts and rejections against
 	// virtual-time service-level objectives.
 	SLO *slo.Evaluator
-	// Tracers are additional raw kernel tracers; Run folds them together
-	// with the profiler and snapshot publisher via des.CombineTracers.
+	// Tracers are additional raw kernel tracers; Run attaches them after
+	// the profiler and the snapshot publisher.
 	Tracers []des.Tracer
 	// Packets receive every accounting packet at the moment a site ledger
 	// flushes it to the central database — the live ingest seam the
@@ -66,11 +64,11 @@ type ObserverFunc func(a *Attachment)
 // Attach implements Observer.
 func (f ObserverFunc) Attach(a *Attachment) { f(a) }
 
-// RecordSpans returns an Observer that installs rec as the run's span
-// recorder (job lifecycles, scheduler decisions, transfers, gateway
-// sessions, maintenance windows).
-func RecordSpans(rec obs.Recorder) Observer {
-	return ObserverFunc(func(a *Attachment) { a.Recorder = rec })
+// RecordSpans returns an Observer that records the run's spans (job
+// lifecycles, scheduler decisions, transfers, gateway sessions,
+// maintenance windows) into buf.
+func RecordSpans(buf *obs.Buffer) Observer {
+	return ObserverFunc(func(a *Attachment) { a.Spans = buf })
 }
 
 // SampleEvery returns an Observer that samples machine and federation
@@ -103,7 +101,11 @@ func LiveTelemetry(reg *telemetry.Registry) Observer {
 // StreamSnapshots returns an Observer that delivers wall-throttled
 // progress snapshots to sink during the run (plus one final snapshot).
 func StreamSnapshots(sink func(*telemetry.Snapshot)) Observer {
-	return ObserverFunc(func(a *Attachment) { a.Snapshots = sink })
+	return ObserverFunc(func(a *Attachment) {
+		if sink != nil {
+			a.Snapshots = append(a.Snapshots, sink)
+		}
+	})
 }
 
 // EvaluateSLO returns an Observer that scores the run against ev's
@@ -114,7 +116,7 @@ func EvaluateSLO(ev *slo.Evaluator) Observer {
 }
 
 // TraceKernel returns an Observer that adds tr as a raw kernel tracer,
-// composed with whatever other tracers the run installs.
+// called after whatever tracers the run attaches itself.
 func TraceKernel(tr des.Tracer) Observer {
 	return ObserverFunc(func(a *Attachment) {
 		if tr != nil {

@@ -260,7 +260,7 @@ func Run(cfg Config) (*Result, error) {
 	// Merge the registered Observers into the single attachment the rest
 	// of assembly wires from.
 	att := cfg.attachment()
-	rec := att.Recorder
+	spans := att.Spans
 	if ev := att.SLO; ev != nil {
 		// The evaluator reads the kernel clock for burn-rate exposition and
 		// surfaces tg_slo_* families when a registry is configured.
@@ -336,9 +336,12 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	// Schedulers + event wiring.
+	// Schedulers + event wiring. A scheduler has a single Probe field, so
+	// installers append their decision-probe handlers to probes, by
+	// machine ID, and each Probe is assigned once below.
 	tracker := workload.NewTracker()
 	scheds := make(map[string]*sched.Scheduler)
+	probes := make(map[string][]func(string, *job.Job))
 	finished := 0
 	for _, m := range fed.Machines() {
 		m := m
@@ -367,15 +370,15 @@ func Run(cfg Config) (*Result, error) {
 				tracker.JobFinished(e.Job)
 			}
 		})
-		if rec != nil {
-			installJobSpans(rec, k, s, syms)
+		if spans != nil {
+			probes[m.ID] = append(probes[m.ID], installJobSpans(spans, k, s, syms))
 		}
 		if att.SLO != nil {
 			installSLO(att.SLO, k, s, syms)
 		}
 	}
-	if rec != nil {
-		installTransferSpans(rec, k, fabric)
+	if spans != nil {
+		installTransferSpans(spans, k, fabric)
 	}
 
 	// Recurring preventive maintenance, staggered per machine.
@@ -431,8 +434,8 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rec != nil {
-			installGatewaySpans(rec, k, gw)
+		if spans != nil {
+			installGatewaySpans(spans, k, gw)
 		}
 		gateways[gc.ID] = gw
 	}
@@ -443,8 +446,8 @@ func Run(cfg Config) (*Result, error) {
 	var injector *faults.Injector
 	if cfg.Faults.Enabled {
 		injector = buildInjector(cfg, k, scheds, broker, fabric, gateways)
-		if rec != nil {
-			installFaultSpans(rec, k, injector)
+		if spans != nil {
+			installFaultSpans(spans, k, injector)
 		}
 		if att.Registry != nil {
 			installFaultTelemetry(att.Registry, injector)
@@ -452,12 +455,19 @@ func Run(cfg Config) (*Result, error) {
 		injector.Start()
 	}
 
-	// Live telemetry, installed after every seam handler exists so the
-	// instrument wrappers compose with (never replace) the span recorders.
+	// Live telemetry, then each scheduler's one Probe, now that every
+	// installer has appended its handlers.
 	var th *telemetryHooks
 	if att.Registry != nil {
 		th = installTelemetry(att.Registry, k, syms, fed, scheds, fabric,
-			gateways, bank, &finished, rec)
+			gateways, bank, &finished, spans, probes)
+	}
+	for id, ps := range probes {
+		scheds[id].Probe = func(kind string, j *job.Job) {
+			for _, p := range ps {
+				p(kind, j)
+			}
+		}
 	}
 
 	// Periodic accounting reporting over the simulated wire. Packet taps
@@ -541,46 +551,28 @@ func Run(cfg Config) (*Result, error) {
 		sampler.Start(k)
 	}
 
-	// Progress snapshots ride the tracer seam (no kernel events), combined
-	// with the profiler when both are on.
+	// Kernel tracers, in order: the profiler, the progress-snapshot
+	// publisher (it rides the tracer seam, scheduling no kernel events),
+	// then any raw TraceKernel tracers.
+	if att.Phases != nil {
+		k.AddTracer(att.Phases)
+	}
 	var pub *telemetry.Publisher
-	if att.Snapshots != nil {
-		build := snapshotBuilder(fed, scheds, &finished, cfg.Horizon+cfg.DrainTime)
-		// Decorate each snapshot with span-buffer drop counts and whatever
-		// observer extras are attached (stream ingest state, etc.).
-		obsBuf, _ := rec.(*obs.Buffer)
-		if obsBuf != nil || len(att.SnapshotExtras) > 0 {
-			inner := build
-			extras := att.SnapshotExtras
-			build = func(at des.Time, events uint64, pending int) *telemetry.Snapshot {
-				s := inner(at, events, pending)
-				if obsBuf != nil {
-					s.ObsDropped = obsBuf.Dropped()
-				}
-				for _, fn := range extras {
+	if sinks := att.Snapshots; len(sinks) > 0 {
+		// Observer extras (stream ingest state, etc.) decorate each
+		// snapshot after its deterministic fields are built.
+		pub = &telemetry.Publisher{
+			Build: snapshotBuilder(fed, scheds, &finished, cfg.Horizon+cfg.DrainTime, att.SnapshotExtras),
+			Sink: func(s *telemetry.Snapshot) {
+				for _, fn := range sinks {
 					fn(s)
 				}
-				return s
-			}
+			},
 		}
-		pub = &telemetry.Publisher{
-			Build: build,
-			Sink:  att.Snapshots,
-		}
+		k.AddTracer(pub)
 	}
-	// Tracer composition is folded behind the Observer seam: the profiler,
-	// the snapshot publisher, and any raw TraceKernel tracers combine here,
-	// invisibly to callers.
-	var tracers []des.Tracer
-	if att.Phases != nil {
-		tracers = append(tracers, att.Phases)
-	}
-	if pub != nil {
-		tracers = append(tracers, pub)
-	}
-	tracers = append(tracers, att.Tracers...)
-	if tr := des.CombineTracers(tracers...); tr != nil {
-		k.SetTracer(tr)
+	for _, tr := range att.Tracers {
+		k.AddTracer(tr)
 	}
 
 	// Run to the horizon plus drain, then final flush. A backlog breach

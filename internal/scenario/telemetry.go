@@ -40,12 +40,12 @@ func (h *telemetryHooks) flushed(jobs, wireLen int) {
 }
 
 // installTelemetry registers the standard metric families and hooks them
-// into the assembled simulation. Existing seam handlers (span recorders)
-// are wrapped, not replaced, so tracing and telemetry compose.
+// into the assembled simulation, appending to each seam's handler list and
+// to probes, each machine's decision-probe handlers.
 func installTelemetry(reg *telemetry.Registry, k *des.Kernel, syms *job.Symbols, fed *grid.Federation,
 	scheds map[string]*sched.Scheduler, fabric *network.Fabric,
 	gateways map[string]*gateway.Gateway, bank *alloc.Bank,
-	finished *int, rec obs.Recorder) *telemetryHooks {
+	finished *int, spans *obs.Buffer, probes map[string][]func(string, *job.Job)) *telemetryHooks {
 
 	// Per-machine gauges read scheduler state on demand at exposition time.
 	queueDepth := reg.Gauge("tg_queue_depth", "Jobs waiting in the batch queue.", "machine")
@@ -141,11 +141,7 @@ func installTelemetry(reg *telemetry.Registry, k *des.Kernel, syms *job.Symbols,
 			sched.ProbeOutageBegin:   decC.With(m.ID, sched.ProbeOutageBegin),
 			sched.ProbeOutageEnd:     decC.With(m.ID, sched.ProbeOutageEnd),
 		}
-		prevProbe := s.Probe
-		s.Probe = func(kind string, j *job.Job) {
-			if prevProbe != nil {
-				prevProbe(kind, j)
-			}
+		probes[m.ID] = append(probes[m.ID], func(kind string, j *job.Job) {
 			if c := decisions[kind]; c != nil {
 				c.Inc()
 				return
@@ -156,7 +152,7 @@ func installTelemetry(reg *telemetry.Registry, k *des.Kernel, syms *job.Symbols,
 			c := decC.With(m.ID, kind)
 			decisions[kind] = c
 			c.Inc()
-		}
+		})
 	}
 
 	// WAN transfers, via the fabric hooks.
@@ -167,22 +163,21 @@ func installTelemetry(reg *telemetry.Registry, k *des.Kernel, syms *job.Symbols,
 	reg.Gauge("tg_active_transfers", "Transfers currently in flight.").Func(func() float64 {
 		return float64(fabric.Active())
 	})
-	prevStart := fabric.OnStart
-	fabric.OnStart = func(tr *network.Transfer) {
-		if prevStart != nil {
-			prevStart(tr)
-		}
-		xferStart.Inc()
-	}
-	prevDone := fabric.OnComplete
-	fabric.OnComplete = func(tr *network.Transfer) {
-		if prevDone != nil {
-			prevDone(tr)
-		}
+	fabric.OnStart = append(fabric.OnStart, func(*network.Transfer) { xferStart.Inc() })
+	fabric.OnComplete = append(fabric.OnComplete, func(tr *network.Transfer) {
 		xferDone.Inc()
 		xferBytes.Add(float64(tr.Bytes))
 		xferDur.Observe(float64(tr.Duration()))
-	}
+	})
+	// Registered on the first abort, like the fault-layer decision probes,
+	// so a run without aborts exposes no aborted family.
+	var xferAborted *telemetry.Counter
+	fabric.OnAbort = append(fabric.OnAbort, func(*network.Transfer) {
+		if xferAborted == nil {
+			xferAborted = reg.Counter("tg_transfers_aborted_total", "Transfers killed by a partition.").With()
+		}
+		xferAborted.Inc()
+	})
 
 	// Gateway requests, split by whether the AAAA attribute fired.
 	gwReq := reg.Counter("tg_gateway_requests_total", "Gateway submissions.", "gateway", "attributed")
@@ -190,17 +185,13 @@ func installTelemetry(reg *telemetry.Registry, k *des.Kernel, syms *job.Symbols,
 		gw := gw
 		withAttr := gwReq.With(gw.ID, "yes")
 		without := gwReq.With(gw.ID, "no")
-		prevReq := gw.OnRequest
-		gw.OnRequest = func(endUser string, j *job.Job, attributed bool) {
-			if prevReq != nil {
-				prevReq(endUser, j, attributed)
-			}
+		gw.OnRequest = append(gw.OnRequest, func(endUser string, j *job.Job, attributed bool) {
 			if attributed {
 				withAttr.Inc()
 			} else {
 				without.Inc()
 			}
-		}
+		})
 	}
 
 	// Kernel and federation-wide gauges.
@@ -217,14 +208,9 @@ func installTelemetry(reg *telemetry.Registry, k *des.Kernel, syms *job.Symbols,
 		return bank.TotalAwarded() - bank.TotalUsed()
 	})
 
-	// The span recorder multiplexes into the registry: buffer occupancy and
-	// the dropped-event count (satellite of the obs.Buffer memory bound).
-	if buf, ok := rec.(*obs.Buffer); ok {
+	if spans != nil {
 		reg.Gauge("tg_obs_buffer_events", "Span events retained by the obs buffer.").Func(func() float64 {
-			return float64(buf.Len())
-		})
-		reg.Gauge("tg_obs_dropped_events", "Span events dropped at the obs buffer cap.").Func(func() float64 {
-			return float64(buf.Dropped())
+			return float64(spans.Len())
 		})
 	}
 
@@ -236,10 +222,10 @@ func installTelemetry(reg *telemetry.Registry, k *des.Kernel, syms *job.Symbols,
 }
 
 // snapshotBuilder returns the deterministic half of run snapshots: sim
-// time, progress against the run's end time, and the per-machine view.
-// The publisher fills the wall-clock half.
+// time, progress against the run's end time, and the per-machine view,
+// then applies extras in order. The publisher fills the wall-clock half.
 func snapshotBuilder(fed *grid.Federation, scheds map[string]*sched.Scheduler,
-	finished *int, endTime des.Time) func(at des.Time, events uint64, pending int) *telemetry.Snapshot {
+	finished *int, endTime des.Time, extras []func(*telemetry.Snapshot)) func(at des.Time, events uint64, pending int) *telemetry.Snapshot {
 	machines := fed.Machines()
 	return func(at des.Time, events uint64, pending int) *telemetry.Snapshot {
 		s := &telemetry.Snapshot{
@@ -270,6 +256,9 @@ func snapshotBuilder(fed *grid.Federation, scheds map[string]*sched.Scheduler,
 				Running:     sc.RunningCount(),
 				Utilization: util,
 			})
+		}
+		for _, fn := range extras {
+			fn(s)
 		}
 		return s
 	}

@@ -63,7 +63,7 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 }
 
 func TestTelemetryTraceByteIdenticalWithRegistry(t *testing.T) {
-	// Span tracing composes with telemetry through the wrapped seams: the
+	// Span and telemetry handlers share the seams' handler lists: the
 	// Chrome trace with a registry installed matches the trace without one.
 	_, noReg := observedRun(t, 13)
 
@@ -138,32 +138,5 @@ func TestTelemetryFamiliesPopulated(t *testing.T) {
 	if len(last.Machines) != len(res.Federation.Machines()) {
 		t.Errorf("snapshot has %d machines, federation %d",
 			len(last.Machines), len(res.Federation.Machines()))
-	}
-}
-
-func TestObsBufferCapBoundsMemory(t *testing.T) {
-	cfg := smallConfig(17)
-	buf := obs.NewBufferCap(500)
-	reg := telemetry.New()
-	cfg.Observers = []Observer{RecordSpans(buf), LiveTelemetry(reg)}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 500 {
-		t.Errorf("capped buffer holds %d events, want exactly 500", buf.Len())
-	}
-	if buf.Dropped() == 0 {
-		t.Error("a busy week dropped no events at cap 500")
-	}
-	// The drop counter is surfaced as a metric.
-	var om bytes.Buffer
-	if err := reg.WriteOpenMetrics(&om); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(om.String(), "tg_obs_dropped_events ") {
-		t.Error("tg_obs_dropped_events not exposed")
-	}
-	if !strings.Contains(om.String(), "tg_obs_buffer_events 500") {
-		t.Errorf("tg_obs_buffer_events not 500 in exposition")
 	}
 }

@@ -74,7 +74,7 @@ func BenchmarkTelemetry(b *testing.B) {
 			Sink:    func(*Snapshot) {},
 			MinWall: time.Hour, // isolate the steady-state stride cost
 		}
-		k.SetTracer(p)
+		k.AddTracer(p)
 		stepping(k, b.N)
 		b.ResetTimer()
 		for k.Step() {

@@ -38,9 +38,6 @@ type Snapshot struct {
 	EventsPerSec float64       `json:"events_per_sec"`
 	ETASeconds   float64       `json:"eta_seconds"`
 	Done         bool          `json:"done"`
-	// ObsDropped counts span events the obs buffer overflowed and lost;
-	// non-zero means every event-stream consumer below is truncated.
-	ObsDropped uint64 `json:"obs_dropped,omitempty"`
 	// Stream is the streaming-observatory ingest state (nil when no stream
 	// processor is attached).
 	Stream *StreamSnap `json:"stream,omitempty"`
