@@ -69,13 +69,13 @@ func run() error {
 			return err
 		}
 	}
-	if len(central.Jobs()) == 0 {
+	if central.Len() == 0 {
 		return fmt.Errorf("trace holds no job records")
 	}
 
 	lc := *largest
 	if lc == 0 {
-		for _, r := range central.Jobs() {
+		for _, r := range central.JobRecords() {
 			if r.Cores > lc {
 				lc = r.Cores
 			}
@@ -105,7 +105,7 @@ func run() error {
 
 	// Validation only when the trace carries truth labels.
 	hasTruth := false
-	for _, r := range central.Jobs() {
+	for _, r := range central.JobRecords() {
 		if r.TruthModality != job.SymNone {
 			hasTruth = true
 			break

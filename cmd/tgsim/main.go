@@ -449,7 +449,7 @@ func runSingle(o *options, cfg scenario.Config) error {
 	out := newTableSink(o.csvDir)
 	if o.quiet {
 		fmt.Printf("jobs=%d NUs=%.0f users=%d events=%d\n",
-			len(res.Central.Jobs()), res.Central.TotalNUs(),
+			res.Central.Len(), res.Central.TotalNUs(),
 			res.Central.DistinctUsers(), res.Kernel.Executed())
 	} else if err := printReport(out, o.analysis, res, results, mod, proc, spans, sloEval); err != nil {
 		return err
@@ -573,7 +573,7 @@ func printReport(out *tableSink, withAnalysis bool, res *scenario.Result, result
 				ts.Incomplete, ts.UnattributedTransfers)
 		}
 		fmt.Println()
-		out.table("critical_paths", analysis.CriticalPathTable(analysis.CriticalPaths(res.Central.Jobs(), res.Central.Syms()), 10))
+		out.table("critical_paths", analysis.CriticalPathTable(analysis.CriticalPaths(res.Central.JobRecords(), res.Central.Syms()), 10))
 	}
 
 	// SLO conformance.

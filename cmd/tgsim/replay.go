@@ -40,7 +40,7 @@ func runReplay(o *options) error {
 	if largest == 0 {
 		// Pre-manifest export: fall back to the biggest job seen, the same
 		// inference a post-hoc analysis of a real accounting dump would use.
-		for _, j := range run.Central.Jobs() {
+		for _, j := range run.Central.JobRecords() {
 			largest = max(largest, j.Cores)
 		}
 	}
@@ -86,7 +86,7 @@ func runReplay(o *options) error {
 
 	if o.quiet {
 		fmt.Printf("replayed records=%d obs=%d ingested=%d jobs=%d NUs=%.0f\n",
-			records, spans, proc.Ingested(), len(run.Central.Jobs()), run.Central.TotalNUs())
+			records, spans, proc.Ingested(), run.Central.Len(), run.Central.TotalNUs())
 		return nil
 	}
 

@@ -77,7 +77,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := trace.WriteSWF(sf, res.Central.Jobs(), res.Central.Syms()); err != nil {
+		if err := trace.WriteSWF(sf, res.Central.JobRecords(), res.Central.Syms()); err != nil {
 			sf.Close()
 			return err
 		}
@@ -87,7 +87,7 @@ func run() error {
 		fmt.Printf("wlgen: wrote SWF trace to %s\n", *swfPath)
 	}
 	fmt.Printf("wlgen: wrote %d job records, %d transfers, %d gateway attributes to %s\n",
-		len(res.Central.Jobs()), len(res.Central.Transfers()),
-		len(res.Central.GatewayAttrs()), *out)
+		res.Central.Len(), res.Central.Transfers().Len(),
+		res.Central.GatewayAttrs().Len(), *out)
 	return nil
 }

@@ -60,15 +60,16 @@ func main() {
 
 // record simulates the original machine and returns its accounting
 // records, whose strings index syms.
-func record(syms *job.Symbols) []accounting.JobRecord {
+func record(syms *job.Symbols) []*accounting.JobRecord {
 	k := des.New()
 	m := &grid.Machine{ID: "orig", Site: "s", Nodes: 512, CoresPerNode: 8,
 		GFlopsPerCore: 4, NUPerCoreHour: 1.5}
 	s := sched.MustNamed(k, syms, m, "easy")
-	var recs []accounting.JobRecord
+	var recs []*accounting.JobRecord
 	s.Subscribe(func(e sched.Event) {
 		if e.Kind == sched.EventFinished {
-			recs = append(recs, accounting.RecordOf(e.Job, m))
+			r := accounting.RecordOf(e.Job, m)
+			recs = append(recs, &r)
 		}
 	})
 	pop, err := users.Synthesize(users.Config{Projects: 20, UsersPerProjMu: 0.5,

@@ -112,8 +112,8 @@ func TestCentralIngestIdempotent(t *testing.T) {
 	if c.Duplicates() != 1 {
 		t.Errorf("Duplicates = %d, want 1", c.Duplicates())
 	}
-	if len(c.Jobs()) != 1 || c.TotalNUs() != 10 {
-		t.Errorf("duplicate ingest changed state: %d jobs, %v NUs", len(c.Jobs()), c.TotalNUs())
+	if c.Len() != 1 || c.TotalNUs() != 10 {
+		t.Errorf("duplicate ingest changed state: %d jobs, %v NUs", c.Len(), c.TotalNUs())
 	}
 	// Gap detection.
 	p3 := &Packet{Site: "s", Seq: 3}
@@ -138,7 +138,7 @@ func TestCentralIngestDecoded(t *testing.T) {
 	if err := c.Ingest(p); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Job(5); !ok || &c.Jobs()[0] != &p.Jobs[0] {
+	if _, ok := c.Job(5); !ok || c.At(0) != &p.Jobs[0] {
 		t.Error("decoded job not found, or copied")
 	}
 	if _, err := DecodePacket([]byte("{"), c.Syms()); err == nil {
@@ -229,7 +229,7 @@ func TestIngestDedupProperty(t *testing.T) {
 			}
 		}
 		return exactly.TotalNUs() == flaky.TotalNUs() &&
-			len(exactly.Jobs()) == len(flaky.Jobs())
+			exactly.Len() == flaky.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -2,6 +2,7 @@ package accounting
 
 import (
 	"fmt"
+
 	"github.com/tgsim/tgmod/internal/job"
 )
 
@@ -12,24 +13,86 @@ import (
 // Its job records index one symbol table (Syms), the run's: every packet
 // with job records it ingests must carry that table.
 //
-// Central borrows job records: Ingest keeps the runs of a packet's jobs it
-// accepts as segments instead of copying them, which is sound because a
-// flushed packet never changes again. The first read after an ingest seals
-// the segments into one slice (jobs): Jobs, Job, TotalNUs, DistinctUsers
-// and Export all seal first. A read
-// therefore writes once, and Central is not safe for concurrent use while
-// records are pending. Once a read has sealed the records and no ingest
-// follows, any number of goroutines may read concurrently.
+// Central borrows every record it holds: a flushed packet never changes
+// again, so Ingest keeps the runs of a packet's records it accepts in the
+// packet's own arrays instead of copying them, and files a pointer to each
+// job record it keeps under the record's arrival position. Every read
+// (Len, At, JobRecords, Job, the record runs, TotalNUs, DistinctUsers,
+// Export) reads those arrays in place and writes nothing, so any number of
+// goroutines may read a Central concurrently while no ingest runs.
 type Central struct {
-	syms         *job.Symbols  // the table every held job record indexes
-	jobs         []JobRecord   // sealed records, in arrival order
-	segs         [][]JobRecord // borrowed runs of job records since the last seal
-	jobIndex     map[int64]int // JobID → arrival index across jobs, then segs
-	transfers    []TransferRecord
-	gatewayAttrs []GatewayAttrRecord
-	storage      []StorageRecord
+	syms         *job.Symbols // the table every held job record indexes
+	recs         []*JobRecord // job records in arrival order, in borrowed arrays
+	jobRuns      Runs[JobRecord]
+	ids          idIndex // JobID → arrival position in recs
+	transfers    Runs[TransferRecord]
+	gatewayAttrs Runs[GatewayAttrRecord]
+	storage      Runs[StorageRecord]
 	seen         map[string]uint64 // per-site highest contiguous seq ingested
 	duplicates   uint64
+}
+
+// Runs is a read-only view of one kind of record a Central holds: the runs
+// of records it borrowed from the packets it ingested (or the blocks Import
+// decoded into), in arrival order. Callers change neither the runs nor the
+// records.
+type Runs[T any] [][]T
+
+// Len returns the number of records in the runs.
+func (rs Runs[T]) Len() int {
+	n := 0
+	for _, r := range rs {
+		n += len(r)
+	}
+	return n
+}
+
+// add keeps a non-empty run. The full slice expression caps it at its
+// length, so an append to a run a caller was handed reallocates instead of
+// writing into the spare capacity of the array the run shares.
+func (rs *Runs[T]) add(s []T) {
+	if len(s) > 0 {
+		*rs = append(*rs, s[:len(s):len(s)])
+	}
+}
+
+// idIndex maps JobIDs to arrival positions. In-process JobIDs count up
+// from 1 (workload.Env.NewJobID), so an ID within denseReach of four times
+// the records held is a slot of a slice of positions; any other ID, which
+// only wire or imported input carries, goes to a map. No input can make
+// the slice outgrow the records it indexes by more than that margin.
+type idIndex struct {
+	dense []int32 // dense[id] is the position of JobID id plus one; 0 if absent
+	far   map[int64]int
+}
+
+// denseReach is the slack past four slots per held record within which a
+// JobID still goes into the dense slice (16 KiB of slots).
+const denseReach = 4096
+
+func (x *idIndex) get(id int64) (int, bool) {
+	if id >= 0 && id < int64(len(x.dense)) && x.dense[id] != 0 {
+		return int(x.dense[id]) - 1, true
+	}
+	// An ID filed in the map before the slice grew past it is still there.
+	pos, ok := x.far[id]
+	return pos, ok
+}
+
+func (x *idIndex) add(id int64, pos int) {
+	if id >= 0 && id < 4*int64(pos)+denseReach {
+		if n := int(id) + 1 - len(x.dense); n > 0 {
+			// The new slots read 0: grow's spare capacity is zeroed, and
+			// the slice never shrinks.
+			x.dense = grow(x.dense, n)[:id+1]
+		}
+		x.dense[id] = int32(pos + 1)
+		return
+	}
+	if x.far == nil {
+		x.far = make(map[int64]int)
+	}
+	x.far[id] = pos
 }
 
 // NewCentral returns an empty central database whose job records index
@@ -38,21 +101,17 @@ func NewCentral(syms *job.Symbols) *Central {
 	if syms == nil {
 		syms = job.NewSymbols()
 	}
-	return &Central{
-		syms:     syms,
-		jobIndex: make(map[int64]int),
-		seen:     make(map[string]uint64),
-	}
+	return &Central{syms: syms, seen: make(map[string]uint64)}
 }
 
 // Ingest applies a packet. Packets must arrive in per-site sequence order;
 // re-delivery of an already-ingested sequence is counted and skipped, and a
 // gap is an error (the transport below is reliable in simulation, so a gap
-// indicates a bug). Central borrows the job records: it keeps the runs of
-// p.Jobs between duplicate JobIDs as segments and never writes to them, so
-// the caller must not change p.Jobs afterwards. The other kinds are
-// copied, growing once per packet. A packet whose job records index
-// another table than the database's is an error, and is not admitted.
+// indicates a bug). Central borrows the records: it keeps the runs of
+// p.Jobs between duplicate JobIDs, and p's other record slices, in place
+// and never writes to them, so the caller must not change p afterwards. A
+// packet whose job records index another table than the database's is an
+// error, and is not admitted.
 func (c *Central) Ingest(p *Packet) error {
 	if p == nil {
 		return nil
@@ -90,25 +149,17 @@ func (c *Central) IngestWire(data []byte) (*Packet, error) {
 func (c *Central) keep(p *Packet) {
 	from := 0
 	for i := range p.Jobs {
-		if !c.index(p.Jobs[i].JobID) {
-			c.borrow(p.Jobs[from:i])
-			from = i + 1
+		if c.unseen(p.Jobs[i].JobID) {
+			c.hold(&p.Jobs[i])
+			continue
 		}
+		c.jobRuns.add(p.Jobs[from:i])
+		from = i + 1
 	}
-	c.borrow(p.Jobs[from:])
-	c.transfers = append(c.transfers, p.Transfers...)
-	c.gatewayAttrs = append(c.gatewayAttrs, p.GatewayAttrs...)
-	c.storage = append(c.storage, p.Storage...)
-}
-
-// borrow keeps a non-empty run of job records as a pending segment. The
-// full slice expression caps it at its length, so an append to a sealed
-// slice that adopted it reallocates instead of writing into the array the
-// segment shares.
-func (c *Central) borrow(s []JobRecord) {
-	if len(s) > 0 {
-		c.segs = append(c.segs, s[:len(s):len(s)])
-	}
+	c.jobRuns.add(p.Jobs[from:])
+	c.transfers.add(p.Transfers)
+	c.gatewayAttrs.add(p.GatewayAttrs)
+	c.storage.add(p.Storage)
 }
 
 // admit applies the per-site sequence rule to a packet header. It reports
@@ -127,17 +178,34 @@ func (c *Central) admit(site string, seq uint64) (bool, error) {
 	return true, nil
 }
 
-// index files the next job record's JobID under the next arrival index,
-// which is the index's size: it holds one entry per record kept. It reports
-// false, and counts a duplicate, when the JobID is already present:
-// Central keeps the first record of each JobID.
-func (c *Central) index(id int64) bool {
-	if _, dup := c.jobIndex[id]; dup {
+// unseen reports whether no held job record has JobID id. It counts a
+// duplicate when one has: Central keeps the first record of each JobID.
+func (c *Central) unseen(id int64) bool {
+	if _, dup := c.ids.get(id); dup {
 		c.duplicates++
 		return false
 	}
-	c.jobIndex[id] = len(c.jobIndex)
 	return true
+}
+
+// hold files an unseen job record, in an array Central keeps, under the
+// next arrival position.
+func (c *Central) hold(r *JobRecord) {
+	c.ids.add(r.JobID, len(c.recs))
+	c.recs = append(grow(c.recs, 1), r)
+}
+
+// grow returns s with room for n more elements. When it reallocates it
+// doubles the capacity (or fits n), so a table grown record by record
+// allocates about twice its final size in all; append's growth of a large
+// slice, by a quarter at a time, allocates about five times.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), len(s)+n))
+	copy(t, s)
+	return t
 }
 
 // Syms returns the table the database's job records index.
@@ -146,46 +214,52 @@ func (c *Central) Syms() *job.Symbols { return c.syms }
 // Duplicates returns how many duplicate packets/records were skipped.
 func (c *Central) Duplicates() uint64 { return c.duplicates }
 
-// Jobs returns all ingested job records in arrival order (shared slice;
-// callers must not modify). Every read of the job records goes through it:
-// it seals the pending segments onto the end of the sealed slice. A lone
-// segment in an empty Central becomes the sealed slice as it is;
-// otherwise the first seal allocates the slice at its exact size, and
-// later seals append.
+// Len returns the number of job records held.
+func (c *Central) Len() int { return len(c.recs) }
+
+// At returns the i-th job record in arrival order, in the array Central
+// borrowed it from. Callers must not change it.
+func (c *Central) At(i int) *JobRecord { return c.recs[i] }
+
+// JobRecords returns the job records in arrival order, each pointing into
+// the array Central borrowed it from (shared; callers change neither the
+// slice nor the records).
+func (c *Central) JobRecords() []*JobRecord { return c.recs }
+
+// JobRuns returns the runs of job records Central holds, in arrival order:
+// the kept parts of the packets it ingested or the blocks Import decoded.
+func (c *Central) JobRuns() Runs[JobRecord] { return c.jobRuns }
+
+// Jobs returns a copy of the job records in arrival order, or nil when
+// there are none. It is a convenience for callers that want one slice;
+// the reads above copy nothing.
 func (c *Central) Jobs() []JobRecord {
-	switch {
-	case len(c.segs) == 0:
-		return c.jobs
-	case len(c.jobs) == 0 && len(c.segs) == 1:
-		c.jobs = c.segs[0]
-	default:
-		if len(c.jobs) == 0 {
-			c.jobs = make([]JobRecord, 0, len(c.jobIndex))
-		}
-		for _, s := range c.segs {
-			c.jobs = append(c.jobs, s...)
-		}
+	if len(c.recs) == 0 {
+		return nil
 	}
-	c.segs = nil
-	return c.jobs
+	out := make([]JobRecord, len(c.recs))
+	for i, r := range c.recs {
+		out[i] = *r
+	}
+	return out
 }
 
-// Transfers returns all ingested transfer records.
-func (c *Central) Transfers() []TransferRecord { return c.transfers }
+// Transfers returns the ingested transfer records.
+func (c *Central) Transfers() Runs[TransferRecord] { return c.transfers }
 
-// GatewayAttrs returns all ingested gateway attribute records.
-func (c *Central) GatewayAttrs() []GatewayAttrRecord { return c.gatewayAttrs }
+// GatewayAttrs returns the ingested gateway attribute records.
+func (c *Central) GatewayAttrs() Runs[GatewayAttrRecord] { return c.gatewayAttrs }
 
-// StorageRecords returns all ingested storage snapshots.
-func (c *Central) StorageRecords() []StorageRecord { return c.storage }
+// StorageRecords returns the ingested storage snapshots.
+func (c *Central) StorageRecords() Runs[StorageRecord] { return c.storage }
 
 // Job looks a job record up by ID.
 func (c *Central) Job(id int64) (JobRecord, bool) {
-	i, ok := c.jobIndex[id]
+	i, ok := c.ids.get(id)
 	if !ok {
 		return JobRecord{}, false
 	}
-	return c.Jobs()[i], true
+	return *c.recs[i], true
 }
 
 // ---- Aggregation queries ----
@@ -193,9 +267,8 @@ func (c *Central) Job(id int64) (JobRecord, bool) {
 // TotalNUs sums normalized units across all job records.
 func (c *Central) TotalNUs() float64 {
 	t := 0.0
-	jobs := c.Jobs()
-	for i := range jobs {
-		t += jobs[i].NUs
+	for _, r := range c.recs {
+		t += r.NUs
 	}
 	return t
 }
@@ -203,9 +276,8 @@ func (c *Central) TotalNUs() float64 {
 // DistinctUsers counts distinct charging users across all records.
 func (c *Central) DistinctUsers() int {
 	s := make(map[job.Sym]bool)
-	jobs := c.Jobs()
-	for i := range jobs {
-		s[jobs[i].User] = true
+	for _, r := range c.recs {
+		s[r.User] = true
 	}
 	return len(s)
 }

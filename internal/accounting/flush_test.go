@@ -2,10 +2,12 @@ package accounting
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"github.com/tgsim/tgmod/internal/des"
+	"github.com/tgsim/tgmod/internal/job"
 )
 
 // sampleJob is a job record with every string field set; its Syms index
@@ -92,9 +94,10 @@ func TestFlushIngestAllocations(t *testing.T) {
 		t.Errorf("steady-state flush: %v allocs, want 5 (packet + 4 record kinds)", n)
 	}
 
-	// Ingest borrows the job records, so once the index has room for every
-	// JobID its allocations do not depend on the packet's size: a 60-job
-	// and a 600-job packet cost the same, at most one segment-list growth.
+	// Ingest borrows the job records, so once the position table and the
+	// index have room for every record its allocations do not depend on the
+	// packet's size: a 60-job and a 600-job packet cost the same, at most
+	// one run-list growth.
 	const runs = 20
 	allocs := map[int]float64{}
 	for _, jobs := range []int{60, 600} {
@@ -108,7 +111,8 @@ func TestFlushIngestAllocations(t *testing.T) {
 			}
 		}
 		c := NewCentral(sampleSyms)
-		c.jobIndex = make(map[int64]int, len(packets)*jobs)
+		c.recs = make([]*JobRecord, 0, len(packets)*jobs)
+		c.ids.dense = make([]int32, 0, len(packets)*jobs)
 		next := 0
 		allocs[jobs] = testing.AllocsPerRun(runs, func() {
 			if err := c.Ingest(packets[next]); err != nil {
@@ -116,8 +120,8 @@ func TestFlushIngestAllocations(t *testing.T) {
 			}
 			next++
 		})
-		if got := len(c.Jobs()); got != len(packets)*jobs || cap(c.Jobs()) != got {
-			t.Fatalf("ingested %d jobs (cap %d), want %d at exact size", got, cap(c.Jobs()), len(packets)*jobs)
+		if got := c.Len(); got != len(packets)*jobs || len(c.ids.far) != 0 {
+			t.Fatalf("ingested %d jobs (%d IDs in the map), want %d, all in the dense slice", got, len(c.ids.far), len(packets)*jobs)
 		}
 	}
 	if allocs[60] != allocs[600] || allocs[600] > 1 {
@@ -138,5 +142,49 @@ func BenchmarkFlushIngest(b *testing.B) {
 		if err := c.Ingest(l.Flush(des.Time(i))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCentralIngest times filling a fresh database from a run's
+// packets: 100 flushes of 60 jobs (JobIDs counting up from 1, as in a run)
+// and one record of every other kind, taken as flushed packets (Ingest) or
+// as their wire form (IngestWire, which also decodes and interns). It
+// reports the heap bytes per record ingested.
+func BenchmarkCentralIngest(b *testing.B) {
+	l := NewLedger("ridge", sampleSyms)
+	var packets []*Packet
+	var wire [][]byte
+	records := 0
+	for i := 0; i < 100; i++ {
+		spoolOne(l, int64(i*60+1), 60)
+		p := l.Flush(des.Time(i))
+		packets = append(packets, p)
+		wire = append(wire, p.AppendWire(nil))
+		records += len(p.Jobs) + len(p.Transfers) + len(p.GatewayAttrs) + len(p.Storage)
+	}
+	for _, bc := range []struct {
+		name   string
+		syms   *job.Symbols // the fresh database's table; nil for a new one
+		ingest func(c *Central, i int) error
+	}{
+		{"Ingest", sampleSyms, func(c *Central, i int) error { return c.Ingest(packets[i]) }},
+		{"IngestWire", nil, func(c *Central, i int) error { _, err := c.IngestWire(wire[i]); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for n := 0; n < b.N; n++ {
+				c := NewCentral(bc.syms)
+				for i := range packets {
+					if err := bc.ingest(c, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*records), "B/record")
+		})
 	}
 }

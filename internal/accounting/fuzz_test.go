@@ -159,8 +159,8 @@ func (m *refCentral) ingest(p *Packet) error {
 // with its reference and the packets ingested: site "ridge" up to seq 41,
 // so the seed packets (seq 42) are next in sequence; site "s" up to seq
 // 3, so a seq-1 packet is a re-delivery; and JobID 1, which the seed
-// packets repeat. Reads after seq 10 and 30 seal the records so far, so the
-// database ends with a sealed prefix and pending borrowed segments.
+// packets repeat. Seqs 20 and 30 carry a negative and a far JobID, so the
+// index holds IDs both in its dense slice and in its map.
 func priorCentral(t testing.TB) (*Central, *refCentral, []*Packet) {
 	c := NewCentral(nil)
 	syms := c.Syms()
@@ -168,8 +168,15 @@ func priorCentral(t testing.TB) (*Central, *refCentral, []*Packet) {
 	ref.records.Syms = syms
 	var packets []*Packet
 	for seq := uint64(1); seq <= 41; seq++ {
+		id := int64(seq) % 40
+		switch seq {
+		case 20:
+			id = -20
+		case 30:
+			id = 1 << 40
+		}
 		packets = append(packets, &Packet{Site: "ridge", Seq: seq, Syms: syms, Jobs: []JobRecord{
-			{JobID: int64(seq) % 40, Site: syms.Intern("ridge"), Machine: syms.Intern("ridge-xt"), NUs: float64(seq)},
+			{JobID: id, Site: syms.Intern("ridge"), Machine: syms.Intern("ridge-xt"), NUs: float64(seq)},
 		}})
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
@@ -183,12 +190,9 @@ func priorCentral(t testing.TB) (*Central, *refCentral, []*Packet) {
 		if err := ref.ingest(p); err != nil {
 			t.Fatal(err)
 		}
-		if p.Seq == 10 || p.Seq == 30 {
-			c.Jobs()
-		}
 	}
-	if len(c.jobs) == 0 || len(c.segs) == 0 {
-		t.Fatalf("prior state has %d sealed records and %d pending segments, want both", len(c.jobs), len(c.segs))
+	if len(c.ids.dense) == 0 || len(c.ids.far) != 2 {
+		t.Fatalf("prior index has %d dense slots and %d map entries, want some and 2", len(c.ids.dense), len(c.ids.far))
 	}
 	return c, ref, packets
 }
@@ -199,16 +203,30 @@ func priorCentral(t testing.TB) (*Central, *refCentral, []*Packet) {
 func sameBits(a, b *Packet) bool { return bytes.Equal(a.AppendWire(nil), b.AppendWire(nil)) }
 
 // recordsOf gathers everything Central stores into one packet, read
-// through Jobs (which seals the pending segments).
+// through At and the record runs.
 func recordsOf(c *Central) *Packet {
-	return &Packet{Jobs: c.Jobs(), Transfers: c.transfers, GatewayAttrs: c.gatewayAttrs, Storage: c.storage, Syms: c.syms}
+	p := &Packet{Transfers: flat(c.Transfers()), GatewayAttrs: flat(c.GatewayAttrs()),
+		Storage: flat(c.StorageRecords()), Syms: c.syms}
+	for i := 0; i < c.Len(); i++ {
+		p.Jobs = append(p.Jobs, *c.At(i))
+	}
+	return p
+}
+
+// flat joins runs into one slice, nil when they hold no record.
+func flat[T any](rs Runs[T]) []T {
+	var out []T
+	for _, r := range rs {
+		out = append(out, r...)
+	}
+	return out
 }
 
 // FuzzIngestWire is the differential check of the borrowing ingest of
 // wire input: for any packet DecodePacket accepts, Ingest into a Central
 // with prior state must return the reference's error, keep the
 // reference's records bit for bit, and never change the packet it
-// borrowed from, neither on ingest nor on the seal. IngestWire of the same
+// borrowed from, neither on ingest nor on a read. IngestWire of the same
 // bytes must agree with Ingest, and leave the table as it was when it
 // rejects them or skips them as a re-delivery.
 func FuzzIngestWire(f *testing.F) {
@@ -259,13 +277,13 @@ func FuzzIngestWire(f *testing.F) {
 			t.Fatalf("Central holds other records than the reference:\ngot:  %+v\nwant: %+v", recordsOf(c), &ref.records)
 		}
 		if !sameBits(p, q) {
-			t.Fatal("the seal changed the packet")
+			t.Fatal("reading the records changed the packet")
 		}
 		if c.Duplicates() != ref.duplicates {
 			t.Fatalf("Duplicates = %d, reference %d", c.Duplicates(), ref.duplicates)
 		}
 		for i, r := range ref.records.Jobs {
-			if j, ok := c.jobIndex[r.JobID]; !ok || j != i {
+			if j, ok := c.ids.get(r.JobID); !ok || j != i {
 				t.Fatalf("JobID %d indexed at %d (%v), want %d", r.JobID, j, ok, i)
 			}
 		}

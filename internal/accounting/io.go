@@ -114,32 +114,37 @@ func (c *Central) Export(w io.Writer) error {
 		}
 		return bw.WriteByte('\n')
 	}
-	jobs := c.Jobs()
-	for i := range jobs {
-		if err := write("job", jobToJSON(&jobs[i], c.syms)); err != nil {
+	for _, r := range c.recs {
+		if err := write("job", jobToJSON(r, c.syms)); err != nil {
 			return err
 		}
 	}
-	for i := range c.transfers {
-		if err := write("transfer", &c.transfers[i]); err != nil {
-			return err
-		}
+	if err := writeRuns(write, "transfer", c.transfers); err != nil {
+		return err
 	}
-	for i := range c.gatewayAttrs {
-		if err := write("gateway_attr", &c.gatewayAttrs[i]); err != nil {
-			return err
-		}
+	if err := writeRuns(write, "gateway_attr", c.gatewayAttrs); err != nil {
+		return err
 	}
-	for i := range c.storage {
-		if err := write("storage", &c.storage[i]); err != nil {
-			return err
-		}
+	if err := writeRuns(write, "storage", c.storage); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// importBlock is the number of job records per block Import decodes into
-// (40 KiB).
+// writeRuns writes every record of rs as a line of the given kind.
+func writeRuns[T any](write func(kind string, v any) error, kind string, rs Runs[T]) error {
+	for _, run := range rs {
+		for i := range run {
+			if err := write(kind, &run[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// importBlock is the number of records per block Import decodes into
+// (40 KiB of job records).
 const importBlock = 256
 
 // Import reads a JSON-lines export into an empty central database,
@@ -149,14 +154,24 @@ const importBlock = 256
 // ErrBadImport; the records of the lines before a failing one stay
 // imported.
 func (c *Central) Import(r io.Reader) error {
-	if len(c.jobIndex)+len(c.transfers)+len(c.gatewayAttrs)+len(c.storage) > 0 {
+	if len(c.recs)+c.transfers.Len()+c.gatewayAttrs.Len()+c.storage.Len() > 0 {
 		return fmt.Errorf("%w: import into non-empty database", ErrBadImport)
 	}
-	// Job records go into blocks that Central keeps as segments, so none
-	// is copied to grow before the seal. The last block is kept on every
-	// return, so the index never names a record Central does not hold.
-	var block []JobRecord
-	defer func() { c.borrow(block) }()
+	// Records go into fixed-size blocks that Central keeps as runs, so none
+	// is copied to grow. The open blocks are kept on every return, so the
+	// runs hold every record the database holds.
+	var (
+		jobs      []JobRecord
+		transfers []TransferRecord
+		attrs     []GatewayAttrRecord
+		storage   []StorageRecord
+	)
+	defer func() {
+		c.jobRuns.add(jobs)
+		c.transfers.add(transfers)
+		c.gatewayAttrs.add(attrs)
+		c.storage.add(storage)
+	}()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<20) // lines up to 1 MiB, from a 4 KiB start
 	lineNo := 0
@@ -169,44 +184,50 @@ func (c *Central) Import(r io.Reader) error {
 		if err := json.Unmarshal(sc.Bytes(), &tl); err != nil {
 			return fmt.Errorf("%w: line %d: %w", ErrBadImport, lineNo, err)
 		}
+		var err error
 		switch tl.Kind {
 		case "job":
 			var rec jobJSON
-			if err := json.Unmarshal(tl.Data, &rec); err != nil {
-				return fmt.Errorf("%w: line %d: %w", ErrBadImport, lineNo, err)
+			if err = json.Unmarshal(tl.Data, &rec); err == nil && c.unseen(rec.JobID) {
+				c.hold(appendBlock(&c.jobRuns, &jobs, rec.record(c.syms)))
 			}
-			if !c.index(rec.JobID) {
-				continue
-			}
-			if len(block) == cap(block) {
-				c.borrow(block)
-				block = make([]JobRecord, 0, importBlock)
-			}
-			block = append(block, rec.record(c.syms))
 		case "transfer":
-			var rec TransferRecord
-			if err := json.Unmarshal(tl.Data, &rec); err != nil {
-				return fmt.Errorf("%w: line %d: %w", ErrBadImport, lineNo, err)
-			}
-			c.transfers = append(c.transfers, rec)
+			err = decodeInto(tl.Data, &c.transfers, &transfers)
 		case "gateway_attr":
-			var rec GatewayAttrRecord
-			if err := json.Unmarshal(tl.Data, &rec); err != nil {
-				return fmt.Errorf("%w: line %d: %w", ErrBadImport, lineNo, err)
-			}
-			c.gatewayAttrs = append(c.gatewayAttrs, rec)
+			err = decodeInto(tl.Data, &c.gatewayAttrs, &attrs)
 		case "storage":
-			var rec StorageRecord
-			if err := json.Unmarshal(tl.Data, &rec); err != nil {
-				return fmt.Errorf("%w: line %d: %w", ErrBadImport, lineNo, err)
-			}
-			c.storage = append(c.storage, rec)
+			err = decodeInto(tl.Data, &c.storage, &storage)
 		default:
 			return fmt.Errorf("%w: line %d: unknown kind %q", ErrBadImport, lineNo, tl.Kind)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: line %d: %w", ErrBadImport, lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("%w: after line %d: %w", ErrBadImport, lineNo, err)
 	}
 	return nil
+}
+
+// decodeInto decodes one record into the open block.
+func decodeInto[T any](data []byte, rs *Runs[T], block *[]T) error {
+	var rec T
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return err
+	}
+	appendBlock(rs, block, rec)
+	return nil
+}
+
+// appendBlock appends r to the open block and returns its place there. A
+// full block is kept in rs first and a new one of importBlock records
+// opened, so a block's array never moves.
+func appendBlock[T any](rs *Runs[T], block *[]T, r T) *T {
+	if len(*block) == cap(*block) {
+		rs.add(*block)
+		*block = make([]T, 0, importBlock)
+	}
+	*block = append(*block, r)
+	return &(*block)[len(*block)-1]
 }

@@ -40,10 +40,10 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err := c2.Import(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(c2.Jobs()) != 2 || len(c2.Transfers()) != 1 ||
-		len(c2.GatewayAttrs()) != 1 || len(c2.StorageRecords()) != 1 {
+	if c2.Len() != 2 || c2.Transfers().Len() != 1 ||
+		c2.GatewayAttrs().Len() != 1 || c2.StorageRecords().Len() != 1 {
 		t.Fatalf("round trip lost records: %d/%d/%d/%d",
-			len(c2.Jobs()), len(c2.Transfers()), len(c2.GatewayAttrs()), len(c2.StorageRecords()))
+			c2.Len(), c2.Transfers().Len(), c2.GatewayAttrs().Len(), c2.StorageRecords().Len())
 	}
 	if c2.TotalNUs() != 30 {
 		t.Errorf("TotalNUs = %v, want 30", c2.TotalNUs())
@@ -76,8 +76,8 @@ func TestImportDuplicateJobsSkipped(t *testing.T) {
 	if err := c2.Import(bytes.NewReader(doubled)); err != nil {
 		t.Fatal(err)
 	}
-	if len(c2.Jobs()) != 2 {
-		t.Errorf("duplicate import produced %d jobs, want 2", len(c2.Jobs()))
+	if c2.Len() != 2 {
+		t.Errorf("duplicate import produced %d jobs, want 2", c2.Len())
 	}
 	if c2.Duplicates() != 2 {
 		t.Errorf("Duplicates = %d, want 2", c2.Duplicates())

@@ -86,8 +86,8 @@ func TestIngestRejectsForeignTable(t *testing.T) {
 	if err := c.Ingest(&Packet{Site: "s", Seq: 2, Jobs: []JobRecord{{JobID: 1}}, Syms: c.Syms()}); err != nil {
 		t.Fatalf("the next packet of the database's table: %v", err)
 	}
-	if len(c.Jobs()) != 1 || c.Duplicates() != 0 {
-		t.Fatalf("%d jobs and %d duplicates after the rejected packets", len(c.Jobs()), c.Duplicates())
+	if c.Len() != 1 || c.Duplicates() != 0 {
+		t.Fatalf("%d jobs and %d duplicates after the rejected packets", c.Len(), c.Duplicates())
 	}
 }
 
@@ -122,7 +122,7 @@ func TestRejectedWireLeavesTable(t *testing.T) {
 	if err != nil || p == nil || p.Syms != c.Syms() {
 		t.Fatalf("IngestWire of the next packet: %v, %v", p, err)
 	}
-	if got := c.Syms().Len(); got != n+2 || c.Syms().Str(c.Jobs()[0].User) != "first" {
+	if got := c.Syms().Len(); got != n+2 || c.Syms().Str(c.At(0).User) != "first" {
 		t.Fatalf("admitted packet: table holds %d strings, want %d", got, n+2)
 	}
 	if p, err := c.IngestWire(enc(1, "again")); p != nil || err != nil || c.Duplicates() != 1 {

@@ -247,8 +247,8 @@ var testSyms = job.NewSymbols()
 func sym(s string) job.Sym { return testSyms.Intern(s) }
 
 // mkRec builds a campaign member record.
-func mkRec(id int64, campaign, mod string, submit, start, end float64) accounting.JobRecord {
-	return accounting.JobRecord{
+func mkRec(id int64, campaign, mod string, submit, start, end float64) *accounting.JobRecord {
+	return &accounting.JobRecord{
 		JobID: id, TruthCampaign: sym(campaign), TruthModality: sym(mod),
 		SubmitTime: submit, StartTime: start, EndTime: end,
 		WallSeconds: end - start, Cores: 1, User: sym("u"), Project: sym("p"),
@@ -258,7 +258,7 @@ func mkRec(id int64, campaign, mod string, submit, start, end float64) accountin
 func TestCriticalPathChain(t *testing.T) {
 	// A diamond: a → (b ∥ c) → d, plus queue gaps. Spans (submit→end):
 	// a: 0→100, b: 100→250, c: 100→180, d: 250→400.
-	recs := []accounting.JobRecord{
+	recs := []*accounting.JobRecord{
 		mkRec(1, "wf-1", "workflow", 0, 10, 100),
 		mkRec(2, "wf-1", "workflow", 100, 130, 250),
 		mkRec(3, "wf-1", "workflow", 100, 110, 180),
@@ -289,7 +289,7 @@ func TestCriticalPathChain(t *testing.T) {
 }
 
 func TestCriticalPathsGroupingAndOrder(t *testing.T) {
-	recs := []accounting.JobRecord{
+	recs := []*accounting.JobRecord{
 		// Ensemble of 3 fully parallel jobs: CP = one span.
 		mkRec(10, "ens-1", "ensemble", 0, 5, 100),
 		mkRec(11, "ens-1", "ensemble", 0, 6, 90),

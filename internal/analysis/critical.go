@@ -60,11 +60,11 @@ func campaignKey(r *accounting.JobRecord) job.Sym {
 // CriticalPaths extracts one CampaignPath per campaign with at least two
 // member jobs, sorted by descending makespan (ties by campaign ID). syms
 // is the table the records index.
-func CriticalPaths(recs []accounting.JobRecord, syms *job.Symbols) []CampaignPath {
+func CriticalPaths(recs []*accounting.JobRecord, syms *job.Symbols) []CampaignPath {
 	groups := make(map[job.Sym][]*accounting.JobRecord)
-	for i := range recs {
-		if key := campaignKey(&recs[i]); key != job.SymNone {
-			groups[key] = append(groups[key], &recs[i])
+	for _, r := range recs {
+		if key := campaignKey(r); key != job.SymNone {
+			groups[key] = append(groups[key], r)
 		}
 	}
 	var out []CampaignPath

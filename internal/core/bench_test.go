@@ -1,32 +1,58 @@
 package core_test
 
 import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
+	"github.com/tgsim/tgmod/internal/accounting"
 	"github.com/tgsim/tgmod/internal/core"
+	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/experiments"
 	"github.com/tgsim/tgmod/internal/scenario"
 )
 
 // quickSeed7 runs quick seed 7's standard scenario, whose central database
-// holds 5,129 job records.
-func quickSeed7(tb testing.TB) *scenario.Result {
+// holds 5,129 job records, and returns it with the packets its ledgers
+// flushed, in ingest order.
+func quickSeed7(tb testing.TB) (*scenario.Result, []*accounting.Packet) {
 	tb.Helper()
-	res, err := scenario.Run(experiments.StandardConfig(7, experiments.Quick))
+	cfg := experiments.StandardConfig(7, experiments.Quick)
+	var packets []*accounting.Packet
+	cfg.Observers = append(cfg.Observers, scenario.TapPackets(func(_ des.Time, p *accounting.Packet) {
+		packets = append(packets, p)
+	}))
+	res, err := scenario.Run(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if n := len(res.Central.Jobs()); n != 5129 {
+	if n := res.Central.Len(); n != 5129 {
 		tb.Fatalf("quick seed 7 holds %d job records, want 5129", n)
 	}
-	return res
+	return res, packets
+}
+
+// ingested returns a fresh database holding packets, which nothing has
+// read yet.
+func ingested(tb testing.TB, res *scenario.Result, packets []*accounting.Packet) *accounting.Central {
+	tb.Helper()
+	c := accounting.NewCentral(res.Central.Syms())
+	for _, p := range packets {
+		if err := c.Ingest(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
 }
 
 // BenchmarkClassify times the batch classifier over quick seed 7's
 // central database, the classify layer of every modality report. The
-// simulation and the database's seal run before the timer starts.
+// simulation runs before the timer starts; the classifier reads the
+// database as the run left it, ingested and never read.
 func BenchmarkClassify(b *testing.B) {
-	res := quickSeed7(b)
+	res, _ := quickSeed7(b)
 	cl := core.NewClassifier(core.Config{LargestCores: res.LargestCores})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -40,7 +66,7 @@ func BenchmarkClassify(b *testing.B) {
 // BenchmarkBuildReport times the usage-by-modality aggregation over quick
 // seed 7's classified records.
 func BenchmarkBuildReport(b *testing.B) {
-	res := quickSeed7(b)
+	res, _ := quickSeed7(b)
 	results := core.NewClassifier(core.Config{LargestCores: res.LargestCores}).Classify(res.Central)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -59,9 +85,75 @@ const maxClassifyAllocs = 300
 // TestClassifyAllocs pins that classification allocates per campaign, not
 // per job.
 func TestClassifyAllocs(t *testing.T) {
-	res := quickSeed7(t)
+	res, _ := quickSeed7(t)
 	cl := core.NewClassifier(core.Config{LargestCores: res.LargestCores})
 	if n := testing.AllocsPerRun(5, func() { cl.Classify(res.Central) }); n > maxClassifyAllocs {
 		t.Errorf("Classify made %.0f allocations on 5,129 records, want at most %d", n, maxClassifyAllocs)
+	}
+}
+
+// TestReportReadsInPlace pins that the modality report reads the database
+// in place: on a freshly ingested quick seed-7 database, one Classify and
+// one BuildReport together allocate fewer bytes than one copy of its job
+// records (5,129 × 160 B).
+func TestReportReadsInPlace(t *testing.T) {
+	res, packets := quickSeed7(t)
+	c := ingested(t, res, packets)
+	cl := core.NewClassifier(core.Config{LargestCores: res.LargestCores})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := core.BuildReport(c, cl.Classify(c))
+	runtime.ReadMemStats(&after)
+	if len(rep.Rows) == 0 {
+		t.Fatal("empty report")
+	}
+	const recordCopy = 5129 * 160
+	if got := after.TotalAlloc - before.TotalAlloc; got >= recordCopy {
+		t.Errorf("Classify + BuildReport allocated %d B, want less than one record copy (%d B)", got, recordCopy)
+	}
+}
+
+// TestConcurrentClassifyAndExport: reads write nothing, so goroutines may
+// classify, report and export a database that has just been ingested and
+// never read, all at once, and each gets what it gets alone. Run it with
+// -race.
+func TestConcurrentClassifyAndExport(t *testing.T) {
+	res, packets := quickSeed7(t)
+	cl := core.NewClassifier(core.Config{LargestCores: res.LargestCores})
+	wantResults := cl.Classify(res.Central)
+	wantReport := core.BuildReport(res.Central, wantResults)
+	var wantExport bytes.Buffer
+	if err := res.Central.Export(&wantExport); err != nil {
+		t.Fatal(err)
+	}
+
+	c := ingested(t, res, packets)
+	var (
+		wg      sync.WaitGroup
+		results [2][]core.Result
+		reports [2]*core.Report
+		exports [2]bytes.Buffer
+		errs    [2]error
+	)
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g] = cl.Classify(c)
+			reports[g] = core.BuildReport(c, results[g])
+			errs[g] = c.Export(&exports[g])
+		}()
+	}
+	wg.Wait()
+	for g := range 2 {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !reflect.DeepEqual(results[g], wantResults) || !reflect.DeepEqual(reports[g], wantReport) {
+			t.Errorf("goroutine %d: concurrent classification differs from the serial one", g)
+		}
+		if !bytes.Equal(exports[g].Bytes(), wantExport.Bytes()) {
+			t.Errorf("goroutine %d: concurrent export differs from the serial one", g)
+		}
 	}
 }

@@ -30,7 +30,7 @@ type CampaignStats struct {
 // workflow modalities from classified records. Ground truth comes from the
 // records' generator labels, used only for grading.
 func CampaignReport(c *accounting.Central, results []Result) []CampaignStats {
-	jobs, syms := c.Jobs(), c.Syms()
+	syms := c.Syms()
 	type key struct {
 		mod job.Modality
 		id  job.Sym
@@ -38,15 +38,15 @@ func CampaignReport(c *accounting.Central, results []Result) []CampaignStats {
 	// true campaign → measured campaign id → member count
 	members := make(map[key]map[string]int)
 	measuredSet := make(map[job.Modality]map[string]bool)
-	for i := range jobs {
-		truthMod := job.Modality(syms.Str(jobs[i].TruthModality))
+	for i, r := range c.JobRecords() {
+		truthMod := job.Modality(syms.Str(r.TruthModality))
 		if truthMod != job.ModEnsemble && truthMod != job.ModWorkflow {
 			continue
 		}
-		if jobs[i].TruthCampaign == job.SymNone {
+		if r.TruthCampaign == job.SymNone {
 			continue
 		}
-		k := key{truthMod, jobs[i].TruthCampaign}
+		k := key{truthMod, r.TruthCampaign}
 		if members[k] == nil {
 			members[k] = make(map[string]int)
 		}

@@ -172,22 +172,25 @@ func NewClassifier(cfg Config) *Classifier {
 // the separation between measurement and generator truth is the point of
 // the validation experiments (and is enforced by a test).
 func (cl *Classifier) Classify(c *accounting.Central) []Result {
-	jobs, syms := c.Jobs(), c.Syms()
+	jobs, syms := c.JobRecords(), c.Syms()
 	results := make([]Result, len(jobs))
 
-	attrs, transfers := c.GatewayAttrs(), c.Transfers()
-	ev := NewEvidenceIndex(len(attrs))
-	for i := range attrs {
-		ev.AddGatewayAttr(&attrs[i])
+	attrs := c.GatewayAttrs()
+	ev := NewEvidenceIndex(attrs.Len())
+	for _, run := range attrs {
+		for i := range run {
+			ev.AddGatewayAttr(&run[i])
+		}
 	}
-	for i := range transfers {
-		ev.AddTransfer(&transfers[i])
+	for _, run := range c.Transfers() {
+		for i := range run {
+			ev.AddTransfer(&run[i])
+		}
 	}
 
 	// Pass 1: direct evidence. A tagged campaign's ID is its tag.
 	undecided := make([]int, 0, len(jobs))
-	for i := range jobs {
-		r := &jobs[i]
+	for i, r := range jobs {
 		res, ok := ev.Direct(r)
 		switch {
 		case !ok:
@@ -207,7 +210,7 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 	// Pass 3: size-based batch split for everything still undecided.
 	for _, i := range undecided {
 		if results[i].Modality == "" {
-			results[i] = SizeSplit(&jobs[i], cl.cfg.LargestCores)
+			results[i] = SizeSplit(jobs[i], cl.cfg.LargestCores)
 		}
 	}
 	return results
@@ -219,9 +222,9 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 // cores) group is one run in time order; Syms are compared as numbers, which
 // only groups. The groups large enough to hold a burst are then numbered in
 // the order of their strings, so campaign IDs do not depend on the table.
-func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *job.Symbols, results []Result, undecided []int) {
+func (cl *Classifier) inferEnsembles(jobs []*accounting.JobRecord, syms *job.Symbols, results []Result, undecided []int) {
 	slices.SortFunc(undecided, func(a, b int) int {
-		ja, jb := &jobs[a], &jobs[b]
+		ja, jb := jobs[a], jobs[b]
 		if ja.User != jb.User {
 			return cmp.Compare(ja.User, jb.User)
 		}
@@ -235,7 +238,7 @@ func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *job.Symb
 	})
 	var groups []span
 	runs(undecided, func(a, b int) bool {
-		ja, jb := &jobs[a], &jobs[b]
+		ja, jb := jobs[a], jobs[b]
 		return ja.User == jb.User && ja.Name == jb.Name && ja.Cores == jb.Cores
 	}, func(lo, hi int) {
 		if hi-lo >= EnsembleMinJobs {
@@ -243,7 +246,7 @@ func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *job.Symb
 		}
 	})
 	slices.SortFunc(groups, func(a, b span) int {
-		ja, jb := &jobs[undecided[a.lo]], &jobs[undecided[b.lo]]
+		ja, jb := jobs[undecided[a.lo]], jobs[undecided[b.lo]]
 		if c := cmp.Compare(syms.Str(ja.User), syms.Str(jb.User)); c != 0 {
 			return c
 		}
@@ -275,10 +278,10 @@ func (cl *Classifier) inferEnsembles(jobs []accounting.JobRecord, syms *job.Symb
 // slice. A chain is a stretch of its user's run; qualifying chains are
 // numbered in the order of their users' names (a stable sort keeps each
 // user's chains in time order), so campaign IDs do not depend on the table.
-func (cl *Classifier) inferChains(jobs []accounting.JobRecord, syms *job.Symbols, results []Result, undecided []int) []int {
+func (cl *Classifier) inferChains(jobs []*accounting.JobRecord, syms *job.Symbols, results []Result, undecided []int) []int {
 	undecided = slices.DeleteFunc(undecided, func(i int) bool { return results[i].Modality != "" })
 	slices.SortFunc(undecided, func(a, b int) int {
-		ja, jb := &jobs[a], &jobs[b]
+		ja, jb := jobs[a], jobs[b]
 		if ja.User != jb.User {
 			return cmp.Compare(ja.User, jb.User)
 		}
@@ -329,7 +332,7 @@ func bySubmit(a, b *accounting.JobRecord) int {
 }
 
 // claim records an inferred campaign's decision for each of its jobs.
-func claim(jobs []accounting.JobRecord, results []Result, idxs []int, m job.Modality, ev, id string) {
+func claim(jobs []*accounting.JobRecord, results []Result, idxs []int, m job.Modality, ev, id string) {
 	for _, i := range idxs {
 		results[i] = Result{JobID: jobs[i].JobID, Modality: m, Source: SourceInference,
 			Evidence: ev, CampaignID: id}

@@ -42,7 +42,6 @@ func (r *Report) Row(m job.Modality) UsageRow {
 
 // BuildReport aggregates classification results into the usage report.
 func BuildReport(c *accounting.Central, results []Result) *Report {
-	jobs := c.Jobs()
 	endUser, _ := endUsers(c.GatewayAttrs())
 	type agg struct {
 		jobs     int
@@ -53,8 +52,7 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 	byMod := make(map[job.Modality]*agg)
 	bySource := make(map[Source]int)
 	total := 0.0
-	for i := range jobs {
-		r := &jobs[i]
+	for i, r := range c.JobRecords() {
 		res := results[i]
 		a := byMod[res.Modality]
 		if a == nil {
@@ -97,18 +95,21 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 // distinct (gateway, end user) pair is person -1 - i. It maps each
 // attributed job to its person (the last record wins for a job with two)
 // and returns the number of distinct pairs.
-func endUsers(attrs []accounting.GatewayAttrRecord) (byJob map[int64]int64, people int) {
+func endUsers(attrs accounting.Runs[accounting.GatewayAttrRecord]) (byJob map[int64]int64, people int) {
 	type pair struct{ gateway, user string }
 	keys := make(map[pair]int64)
-	byJob = make(map[int64]int64, len(attrs))
-	for _, a := range attrs {
-		p := pair{a.GatewayID, a.GatewayUser}
-		k, ok := keys[p]
-		if !ok {
-			k = -1 - int64(len(keys))
-			keys[p] = k
+	byJob = make(map[int64]int64, attrs.Len())
+	for _, run := range attrs {
+		for i := range run {
+			a := &run[i]
+			p := pair{a.GatewayID, a.GatewayUser}
+			k, ok := keys[p]
+			if !ok {
+				k = -1 - int64(len(keys))
+				keys[p] = k
+			}
+			byJob[a.JobID] = k
 		}
-		byJob[a.JobID] = k
 	}
 	return byJob, len(keys)
 }
@@ -142,7 +143,7 @@ func MechanismReport(c *accounting.Central) []MechanismRow {
 	}
 	byMech := make(map[string]*agg)
 	syms := c.Syms()
-	for _, r := range c.Jobs() {
+	for _, r := range c.JobRecords() {
 		mech := syms.Str(r.SubmitVia)
 		if mech == "" {
 			mech = "unknown"
@@ -184,18 +185,17 @@ type ServiceRow struct {
 // records: the "are the modalities we want to encourage being served
 // well?" question operators would ask next, once measurement exists.
 func ServiceReport(c *accounting.Central, results []Result) []ServiceRow {
-	jobs := c.Jobs()
 	waits := make(map[job.Modality]*metrics.Sample)
 	counts := make(map[job.Modality]int)
 	killed := make(map[job.Modality]int)
-	for i := range jobs {
+	for i, r := range c.JobRecords() {
 		m := results[i].Modality
 		if waits[m] == nil {
 			waits[m] = &metrics.Sample{}
 		}
-		waits[m].Add(jobs[i].WaitSeconds())
+		waits[m].Add(r.WaitSeconds())
 		counts[m]++
-		if jobs[i].ExitStatus == job.SymKilled {
+		if r.ExitStatus == job.SymKilled {
 			killed[m]++
 		}
 	}
@@ -236,7 +236,7 @@ func FieldReport(c *accounting.Central) []FieldRow {
 	}
 	byField := make(map[string]*agg)
 	syms := c.Syms()
-	for _, r := range c.Jobs() {
+	for _, r := range c.JobRecords() {
 		f := syms.Str(r.ScienceField)
 		if f == "" {
 			f = "unspecified"
@@ -277,9 +277,9 @@ func FieldReport(c *accounting.Central) []FieldRow {
 // This is the experiment the simulation substrate makes possible.
 func Validate(c *accounting.Central, results []Result) *metrics.Confusion {
 	conf := metrics.NewConfusion(ModalityLabels())
-	jobs, syms := c.Jobs(), c.Syms()
-	for i := range jobs {
-		truth := syms.Str(jobs[i].TruthModality)
+	syms := c.Syms()
+	for i, r := range c.JobRecords() {
+		truth := syms.Str(r.TruthModality)
 		if truth == "" {
 			truth = string(job.ModUnknown)
 		}
@@ -313,11 +313,10 @@ type Overlap struct {
 // MeasureOverlap computes modality overlap per effective user: gateway
 // end users where attributes exist, charging accounts otherwise.
 func MeasureOverlap(c *accounting.Central, results []Result) Overlap {
-	jobs := c.Jobs()
 	endUser, _ := endUsers(c.GatewayAttrs())
 	perUser := make(map[int64]map[job.Modality]bool)
-	for i := range jobs {
-		u := person(&jobs[i], endUser)
+	for i, r := range c.JobRecords() {
+		u := person(r, endUser)
 		if perUser[u] == nil {
 			perUser[u] = make(map[job.Modality]bool)
 		}
@@ -354,7 +353,7 @@ func MeasureGatewayVisibility(c *accounting.Central) GatewayVisibility {
 	var v GatewayVisibility
 	accounts := make(map[job.Sym]bool)
 	attributed, people := endUsers(c.GatewayAttrs())
-	for _, r := range c.Jobs() {
+	for _, r := range c.JobRecords() {
 		if r.GatewayID == job.SymNone && r.SubmitVia != job.SymGateway {
 			continue
 		}

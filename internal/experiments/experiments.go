@@ -144,7 +144,7 @@ func T3ModalityUsage(seed uint64, sc Scale) (*report.Table, error) {
 	truthNUs := map[string]float64{}
 	truthJobs := map[string]int{}
 	syms := res.Central.Syms()
-	for _, r := range res.Central.Jobs() {
+	for _, r := range res.Central.JobRecords() {
 		truthNUs[syms.Str(r.TruthModality)] += r.NUs
 		truthJobs[syms.Str(r.TruthModality)]++
 	}
@@ -207,7 +207,7 @@ func F1JobSize(seed uint64, sc Scale) (*report.Figure, error) {
 	}
 	jobsBySize := map[string]float64{}
 	nusBySize := map[string]float64{}
-	for _, r := range res.Central.Jobs() {
+	for _, r := range res.Central.JobRecords() {
 		b := accounting.SizeBin(r.Cores)
 		jobsBySize[b]++
 		nusBySize[b] += r.NUs
@@ -240,14 +240,16 @@ func F2GatewayGrowth(seed uint64, sc Scale) (*report.Figure, error) {
 	type bucketSet map[int]map[string]bool
 	usersPer := bucketSet{}
 	jobsPer := map[int]int{}
-	for _, a := range res.Central.GatewayAttrs() {
-		b := int(a.At / period)
-		if usersPer[b] == nil {
-			usersPer[b] = map[string]bool{}
+	for _, run := range res.Central.GatewayAttrs() {
+		for _, a := range run {
+			b := int(a.At / period)
+			if usersPer[b] == nil {
+				usersPer[b] = map[string]bool{}
+			}
+			usersPer[b][a.GatewayID+"/"+a.GatewayUser] = true
 		}
-		usersPer[b][a.GatewayID+"/"+a.GatewayUser] = true
 	}
-	for _, r := range res.Central.Jobs() {
+	for _, r := range res.Central.JobRecords() {
 		if r.GatewayID != job.SymNone {
 			jobsPer[int(r.SubmitTime/period)]++
 		}
@@ -278,13 +280,15 @@ func F6Transfers(seed uint64, sc Scale) (*report.Table, error) {
 	// Transfer records reference jobs; group bytes by the job's truth.
 	byMod := map[string]float64{}
 	count := map[string]int{}
-	for _, tr := range res.Central.Transfers() {
-		mod := "unattributed"
-		if r, ok := res.Central.Job(tr.JobID); ok {
-			mod = res.Central.Syms().Str(r.TruthModality)
+	for _, run := range res.Central.Transfers() {
+		for _, tr := range run {
+			mod := "unattributed"
+			if r, ok := res.Central.Job(tr.JobID); ok {
+				mod = res.Central.Syms().Str(r.TruthModality)
+			}
+			byMod[mod] += float64(tr.Bytes)
+			count[mod]++
 		}
-		byMod[mod] += float64(tr.Bytes)
-		count[mod]++
 	}
 	t := report.NewTable("F6: WAN transfer volume by modality",
 		"modality", "transfers", "bytes")
@@ -447,13 +451,13 @@ func MaintenanceTable(seed uint64, sc Scale) (*report.Table, error) {
 		}
 		var wait metrics.Summary
 		preempted := 0
-		for _, r := range res.Central.Jobs() {
+		for _, r := range res.Central.JobRecords() {
 			wait.Add(r.WaitSeconds() / 3600)
 			if r.Preemptions > 0 {
 				preempted++
 			}
 		}
-		t.AddRowf(v.label, len(res.Central.Jobs()), res.Central.TotalNUs(),
+		t.AddRowf(v.label, res.Central.Len(), res.Central.TotalNUs(),
 			wait.Mean(), preempted)
 	}
 	return t, nil
@@ -462,7 +466,7 @@ func MaintenanceTable(seed uint64, sc Scale) (*report.Table, error) {
 // usageSample collects per-user NU totals for concentration stats.
 func usageSample(res *scenario.Result) *metrics.Sample {
 	per := map[job.Sym]float64{}
-	for _, r := range res.Central.Jobs() {
+	for _, r := range res.Central.JobRecords() {
 		per[r.User] += r.NUs
 	}
 	var s metrics.Sample

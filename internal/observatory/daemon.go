@@ -740,7 +740,7 @@ func (d *Daemon) finalizeRun(rs *runState, end float64) error {
 	rs.publish(true)
 	rs.finalized.Store(true)
 	d.logf("tgobsd: run %s finalized (%d jobs, %d packets)",
-		rs.ID, len(rs.central.Jobs()), rs.packets.Load())
+		rs.ID, rs.central.Len(), rs.packets.Load())
 	if d.cfg.FinalDir != "" {
 		if err := os.MkdirAll(d.cfg.FinalDir, 0o755); err != nil {
 			return err
@@ -804,8 +804,7 @@ func (d *Daemon) RunCentralExport(id string, w io.Writer) error {
 	// Safe: after finalize the owning goroutine no longer mutates the
 	// database (applyFrame rejects record frames past the final, and a
 	// resumed connection to a finalized run only ever re-acks, so no
-	// decode interns into its symbol table), and finalizeRun's classify
-	// sealed its records, so Export only reads.
+	// decode interns into its symbol table), and Export only reads.
 	return rs.central.Export(w)
 }
 

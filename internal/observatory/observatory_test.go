@@ -143,10 +143,9 @@ func TestDaemonReportByteMatch(t *testing.T) {
 	}
 }
 
-// TestConcurrentCentralExport: reads of a Central seal its live records,
-// so they write once. Finalize reads the run's database before it marks
-// the run finalized, so concurrent exports of a finalized run only read
-// (run under -race) and agree byte for byte.
+// TestConcurrentCentralExport: no read of a Central writes, and nothing
+// ingests into a run once it is finalized, so concurrent exports of a
+// finalized run only read (run under -race) and agree byte for byte.
 func TestConcurrentCentralExport(t *testing.T) {
 	d, addr := startDaemon(t)
 	_, p, _ := pushRun(t, addr, 5, "concurrent")

@@ -31,8 +31,8 @@ func (r *Run) Series() (map[string]float64, error) {
 // acctSeries derives aggregates from the accounting database.
 func acctSeries(r *Run, out map[string]float64) {
 	c := r.Central
-	out["acct:jobs_total"] = float64(len(c.Jobs()))
-	out["acct:transfers_total"] = float64(len(c.Transfers()))
+	out["acct:jobs_total"] = float64(c.Len())
+	out["acct:transfers_total"] = float64(c.Transfers().Len())
 	out["acct:nus_total"] = c.TotalNUs()
 	out["acct:distinct_users"] = float64(c.DistinctUsers())
 	type agg struct {
@@ -41,9 +41,8 @@ func acctSeries(r *Run, out map[string]float64) {
 		wait float64
 	}
 	byMod := make(map[string]*agg)
-	jobs, syms := c.Jobs(), c.Syms()
-	for i := range jobs {
-		rec := &jobs[i]
+	syms := c.Syms()
+	for _, rec := range c.JobRecords() {
 		mod := syms.Str(rec.TruthModality)
 		if mod == "" {
 			mod = "unknown"

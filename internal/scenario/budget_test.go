@@ -1,0 +1,92 @@
+//go:build !race
+
+package scenario_test
+
+import (
+	"runtime"
+	"testing"
+
+	"github.com/tgsim/tgmod/internal/accounting"
+	"github.com/tgsim/tgmod/internal/core"
+	"github.com/tgsim/tgmod/internal/des"
+	"github.com/tgsim/tgmod/internal/experiments"
+	"github.com/tgsim/tgmod/internal/scenario"
+	"github.com/tgsim/tgmod/internal/stream"
+)
+
+// TestQuickRunAllocBudget is the tier-1 allocation budget of quick seed 7
+// (14,210 events, 5,129 jobs): heap bytes and allocations per finished job
+// for a bare run, a run with the stream tap, and a run whose packets are
+// then ingested into a fresh database, classified and reported. Allocation
+// counts repeat to within map-growth noise, so each ceiling sits a little
+// above the measured value: a change that allocates more per job must
+// raise its ceiling on purpose. The race build allocates more, and leaves
+// the test out.
+func TestQuickRunAllocBudget(t *testing.T) {
+	fed, err := scenario.TG9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	for _, m := range fed.Machines() {
+		largest = max(largest, m.BatchCores())
+	}
+	for _, tc := range []struct {
+		name          string
+		bytes, allocs float64 // ceilings per finished job
+		run           func(t *testing.T, cfg scenario.Config) *scenario.Result
+	}{
+		{"bare", 680, 3.85, run},
+		{"stream tap", 780, 4.35, func(t *testing.T, cfg scenario.Config) *scenario.Result {
+			proc := stream.New(stream.Config{LargestCores: largest})
+			cfg.Observers = append(cfg.Observers, stream.Tap(proc))
+			res := run(t, cfg)
+			proc.Advance(cfg.Horizon + cfg.DrainTime)
+			return res
+		}},
+		{"ingest classify report", 845, 3.92, func(t *testing.T, cfg scenario.Config) *scenario.Result {
+			var packets []*accounting.Packet
+			cfg.Observers = append(cfg.Observers, scenario.TapPackets(func(_ des.Time, p *accounting.Packet) {
+				packets = append(packets, p)
+			}))
+			res := run(t, cfg)
+			c := accounting.NewCentral(res.Central.Syms())
+			for _, p := range packets {
+				if err := c.Ingest(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep := core.BuildReport(c, core.NewClassifier(core.Config{LargestCores: res.LargestCores}).Classify(c))
+			if rep.TotalNUs != res.Central.TotalNUs() {
+				t.Fatalf("report NUs %v, central %v", rep.TotalNUs, res.Central.TotalNUs())
+			}
+			return res
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res := tc.run(t, experiments.StandardConfig(7, experiments.Quick))
+			runtime.ReadMemStats(&after)
+			if ev := res.Kernel.Executed(); ev != 14210 || res.Finished != 5129 || res.Central.Len() != 5129 {
+				t.Fatalf("events/jobs = %d/%d, want the quick seed-7 anchors 14210/5129", ev, res.Finished)
+			}
+			jobs := float64(res.Finished)
+			b := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+			a := float64(after.Mallocs-before.Mallocs) / jobs
+			t.Logf("%.1f B/job, %.2f allocs/job", b, a)
+			if b > tc.bytes || a > tc.allocs {
+				t.Errorf("%.1f B/job and %.2f allocs/job, budget %.0f and %.2f", b, a, tc.bytes, tc.allocs)
+			}
+		})
+	}
+}
+
+func run(t *testing.T, cfg scenario.Config) *scenario.Result {
+	t.Helper()
+	res, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}

@@ -87,8 +87,8 @@ func TestConfigFileRunsIdenticallyToCode(t *testing.T) {
 		}
 		if !bytes.Equal(accA.Bytes(), accB.Bytes()) || a.Kernel.Executed() != b.Kernel.Executed() {
 			t.Errorf("maintenance every %v: file round trip changed the simulation: %v/%d/%d vs %v/%d/%d",
-				code.MaintenanceEvery, a.Central.TotalNUs(), len(a.Central.Jobs()), a.Kernel.Executed(),
-				b.Central.TotalNUs(), len(b.Central.Jobs()), b.Kernel.Executed())
+				code.MaintenanceEvery, a.Central.TotalNUs(), a.Central.Len(), a.Kernel.Executed(),
+				b.Central.TotalNUs(), b.Central.Len(), b.Kernel.Executed())
 		}
 		executed = append(executed, a.Kernel.Executed())
 	}

@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tgsim/tgmod/internal/accounting"
@@ -99,24 +100,27 @@ func TestRecordConservation(t *testing.T) {
 			cfg := scenario.New(7, append(experiments.StandardOptions(experiments.Quick), tc.opts...)...)
 			proc := stream.New(stream.Config{LargestCores: largest})
 			var tapped []accounting.JobRecord
-			var tappedRecords uint64 // records of all four kinds
+			var flushed []*accounting.JobRecord // the packets' own records
+			var tappedRecords uint64            // records of all four kinds
 			cfg.Observers = append(cfg.Observers, stream.Tap(proc),
 				scenario.TapPackets(func(_ des.Time, p *accounting.Packet) {
 					tapped = append(tapped, p.Jobs...)
+					for i := range p.Jobs {
+						flushed = append(flushed, &p.Jobs[i])
+					}
 					tappedRecords += uint64(len(p.Jobs) + len(p.Transfers) + len(p.GatewayAttrs) + len(p.Storage))
 				}))
 			res, err := scenario.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.name == "easy" && (res.Kernel.Executed() != 14210 || len(res.Central.Jobs()) != 5129) {
+			if tc.name == "easy" && (res.Kernel.Executed() != 14210 || res.Central.Len() != 5129) {
 				t.Errorf("events/jobs = %d/%d, want the quick seed-7 anchors 14210/5129",
-					res.Kernel.Executed(), len(res.Central.Jobs()))
+					res.Kernel.Executed(), res.Central.Len())
 			}
-			// The first read seals the live records at their exact size:
-			// a Result keeps no growth slack.
-			if jobs := res.Central.Jobs(); cap(jobs) != len(jobs) {
-				t.Errorf("central jobs cap %d, want exact size %d", cap(jobs), len(jobs))
+			// Central reads the flushed packets' records in place.
+			if !slices.Equal(res.Central.JobRecords(), flushed) {
+				t.Errorf("central job records are not the %d flushed records in place", len(flushed))
 			}
 
 			packetNUs, packetWasted := sumNUs(tapped)
@@ -153,7 +157,7 @@ func TestRecordConservation(t *testing.T) {
 			}
 			if !reflect.DeepEqual(fin.Central.Jobs(), res.Central.Jobs()) {
 				t.Errorf("stream finalize database differs from the central one (%d vs %d records)",
-					len(fin.Central.Jobs()), len(res.Central.Jobs()))
+					fin.Central.Len(), res.Central.Len())
 			}
 			if !reflect.DeepEqual(fin.Report, rep) {
 				t.Errorf("stream finalize report differs from the batch report: NUs %v vs %v",

@@ -21,7 +21,7 @@ func TestQuarterSeed7Anchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, jobs, nus := res.Kernel.Executed(), len(res.Central.Jobs()), int64(math.Round(res.Central.TotalNUs()))
+	events, jobs, nus := res.Kernel.Executed(), res.Central.Len(), int64(math.Round(res.Central.TotalNUs()))
 	if events != 254275 || jobs != 91908 || nus != 263778435 {
 		t.Errorf("events/jobs/NUs = %d/%d/%d, want 254275/91908/263778435", events, jobs, nus)
 	}

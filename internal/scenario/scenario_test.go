@@ -111,8 +111,8 @@ func TestRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Central.Jobs()) != len(b.Central.Jobs()) {
-		t.Fatalf("job counts differ: %d vs %d", len(a.Central.Jobs()), len(b.Central.Jobs()))
+	if a.Central.Len() != b.Central.Len() {
+		t.Fatalf("job counts differ: %d vs %d", a.Central.Len(), b.Central.Len())
 	}
 	if a.Central.TotalNUs() != b.Central.TotalNUs() {
 		t.Errorf("NUs differ: %v vs %v", a.Central.TotalNUs(), b.Central.TotalNUs())
@@ -163,8 +163,8 @@ func TestEndToEndClassification(t *testing.T) {
 	for _, row := range rep.Rows {
 		totJobs += row.Jobs
 	}
-	if totJobs != len(res.Central.Jobs()) {
-		t.Errorf("report rows sum to %d jobs, central has %d", totJobs, len(res.Central.Jobs()))
+	if totJobs != res.Central.Len() {
+		t.Errorf("report rows sum to %d jobs, central has %d", totJobs, res.Central.Len())
 	}
 	if rep.TotalNUs != res.Central.TotalNUs() {
 		t.Errorf("report NUs %v != central %v", rep.TotalNUs, res.Central.TotalNUs())
@@ -224,8 +224,8 @@ func TestMaintenanceWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Central.Jobs()) < 300 {
-		t.Fatalf("too few jobs with maintenance: %d", len(res.Central.Jobs()))
+	if res.Central.Len() < 300 {
+		t.Fatalf("too few jobs with maintenance: %d", res.Central.Len())
 	}
 	// Usage still coherent: records match bank charges.
 	if diff := res.Bank.TotalUsed() - res.Central.TotalNUs(); diff > 1e-6 || diff < -1e-6 {

@@ -169,14 +169,6 @@ func (r *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// Weibull returns a Weibull variate with the given shape and scale.
-func (r *Stream) Weibull(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("simrand: Weibull with non-positive parameter")
-	}
-	return scale * math.Pow(-math.Log(1-r.Float64()), 1/shape)
-}
-
 // Pareto returns a Pareto variate with the given minimum xm and tail index
 // alpha. Heavy-tailed file sizes and run times use this.
 func (r *Stream) Pareto(xm, alpha float64) float64 {
@@ -223,21 +215,6 @@ func (r *Stream) HyperExp(p, r1, r2 float64) float64 {
 		return r.Exp(r1)
 	}
 	return r.Exp(r2)
-}
-
-// TruncNormal returns a normal variate clamped by rejection to [lo, hi].
-// If the interval is improbable (>64 rejections) it falls back to clamping.
-func (r *Stream) TruncNormal(mean, stddev, lo, hi float64) float64 {
-	if hi < lo {
-		panic("simrand: TruncNormal with hi < lo")
-	}
-	for i := 0; i < 64; i++ {
-		v := r.Normal(mean, stddev)
-		if v >= lo && v <= hi {
-			return v
-		}
-	}
-	return math.Min(hi, math.Max(lo, mean))
 }
 
 // Zipf samples integers in [1, n] with probability proportional to

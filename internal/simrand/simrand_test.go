@@ -155,14 +155,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestWeibullShape1IsExponential(t *testing.T) {
-	r := New(7)
-	mean, _ := moments(200000, func() float64 { return r.Weibull(1, 3) })
-	if math.Abs(mean-3) > 0.07 {
-		t.Errorf("Weibull(1,3) mean = %v, want ~3 (exponential)", mean)
-	}
-}
-
 func TestParetoBounds(t *testing.T) {
 	r := New(8)
 	mean, _ := moments(400000, func() float64 { return r.Pareto(1, 3) })
@@ -200,21 +192,6 @@ func TestHyperExpMean(t *testing.T) {
 	mean, _ := moments(300000, func() float64 { return r.HyperExp(0.3, 1, 0.1) })
 	if math.Abs(mean-7.3) > 0.2 {
 		t.Errorf("HyperExp mean = %v, want ~7.3", mean)
-	}
-}
-
-func TestTruncNormalBounds(t *testing.T) {
-	r := New(11)
-	for i := 0; i < 50000; i++ {
-		v := r.TruncNormal(0, 10, -1, 1)
-		if v < -1 || v > 1 {
-			t.Fatalf("TruncNormal out of bounds: %v", v)
-		}
-	}
-	// Degenerate: interval far in the tail falls back to clamping.
-	v := r.TruncNormal(0, 0.001, 5, 6)
-	if v < 5 || v > 6 {
-		t.Errorf("TruncNormal fallback out of bounds: %v", v)
 	}
 }
 
@@ -271,14 +248,12 @@ func TestPanics(t *testing.T) {
 		"Intn(0)":        func() { r.Intn(0) },
 		"IntRange rev":   func() { r.IntRange(3, 2) },
 		"Exp(0)":         func() { r.Exp(0) },
-		"Weibull":        func() { r.Weibull(0, 1) },
 		"Pareto":         func() { r.Pareto(0, 1) },
 		"Gamma":          func() { r.Gamma(-1, 1) },
 		"Zipf n=0":       func() { NewZipf(0, 1) },
 		"Empirical nil":  func() { NewEmpirical(nil) },
 		"Empirical neg":  func() { NewEmpirical([]float64{-1}) },
 		"Empirical zero": func() { NewEmpirical([]float64{0, 0}) },
-		"TruncNormal":    func() { r.TruncNormal(0, 1, 2, 1) },
 		"PowerOfTwo rev": func() { r.PowerOfTwo(5, 4) },
 	}
 	for name, fn := range cases {

@@ -42,9 +42,9 @@ type replayItem struct {
 
 // Feed streams the export through the processor in virtual-time order
 // and returns the number of records and span events offered. The
-// processor keeps the loaded database, in its ingestion order, as one
-// packet for Finalize. The caller finalizes (or queries) the processor
-// afterwards.
+// processor keeps the loaded database for Finalize as one packet per run
+// of records it holds (Import's blocks), in its ingestion order. The
+// caller finalizes (or queries) the processor afterwards.
 func (rp *Replay) Feed(p *Processor) (records, spans int, err error) {
 	if rp.Run == nil || rp.Run.Central == nil {
 		return 0, 0, fmt.Errorf("stream: replay needs an export with %s", regress.AcctFile)
@@ -53,8 +53,25 @@ func (rp *Replay) Feed(p *Processor) (records, spans int, err error) {
 	if !p.bindSyms(c.Syms()) {
 		return 0, 0, fmt.Errorf("stream: replay into a processor with another symbol table")
 	}
-	p.packets = append(p.packets, &accounting.Packet{Site: "replay", Seq: 1, Syms: c.Syms(),
-		Jobs: c.Jobs(), Transfers: c.Transfers(), GatewayAttrs: c.GatewayAttrs(), Storage: c.StorageRecords()})
+	seq := uint64(0)
+	packet := func() *accounting.Packet {
+		seq++
+		pkt := &accounting.Packet{Site: "replay", Seq: seq, Syms: c.Syms()}
+		p.packets = append(p.packets, pkt)
+		return pkt
+	}
+	for _, run := range c.JobRuns() {
+		packet().Jobs = run
+	}
+	for _, run := range c.Transfers() {
+		packet().Transfers = run
+	}
+	for _, run := range c.GatewayAttrs() {
+		packet().GatewayAttrs = run
+	}
+	for _, run := range c.StorageRecords() {
+		packet().Storage = run
+	}
 	items := rp.merge()
 	sleep := rp.Sleep
 	if sleep == nil {
@@ -99,29 +116,16 @@ func (rp *Replay) Feed(p *Processor) (records, spans int, err error) {
 // database, which nothing changes while the replay runs.
 func (rp *Replay) merge() []replayItem {
 	c := rp.Run.Central
-	jobs, transfers, attrs, storage := c.Jobs(), c.Transfers(), c.GatewayAttrs(), c.StorageRecords()
-	items := make([]replayItem, 0,
-		len(jobs)+len(transfers)+len(attrs)+len(storage)+len(rp.Run.Events))
-	for i := range attrs {
-		r := &attrs[i]
-		items = append(items, replayItem{at: des.Time(r.At), prio: 0, seq: i,
-			feed: func(p *Processor) { p.offerGatewayAttr(r) }})
-	}
-	for i := range transfers {
-		r := &transfers[i]
-		items = append(items, replayItem{at: des.Time(r.End), prio: 1, seq: i,
-			feed: func(p *Processor) { p.offerTransfer(r) }})
-	}
-	for i := range storage {
-		r := &storage[i]
-		items = append(items, replayItem{at: des.Time(r.At), prio: 2, seq: i,
-			feed: func(p *Processor) { p.offerStorage(r) }})
-	}
-	for i := range jobs {
-		r := &jobs[i]
-		items = append(items, replayItem{at: des.Time(r.EndTime), prio: 3, seq: i,
-			feed: func(p *Processor) { p.offerJob(r) }})
-	}
+	items := make([]replayItem, 0, c.Len()+c.Transfers().Len()+
+		c.GatewayAttrs().Len()+c.StorageRecords().Len()+len(rp.Run.Events))
+	items = addRuns(items, c.GatewayAttrs(), 0,
+		func(r *accounting.GatewayAttrRecord) des.Time { return des.Time(r.At) }, (*Processor).offerGatewayAttr)
+	items = addRuns(items, c.Transfers(), 1,
+		func(r *accounting.TransferRecord) des.Time { return des.Time(r.End) }, (*Processor).offerTransfer)
+	items = addRuns(items, c.StorageRecords(), 2,
+		func(r *accounting.StorageRecord) des.Time { return des.Time(r.At) }, (*Processor).offerStorage)
+	items = addRuns(items, c.JobRuns(), 3,
+		func(r *accounting.JobRecord) des.Time { return des.Time(r.EndTime) }, (*Processor).offerJob)
 	for i := range rp.Run.Events {
 		at := rp.Run.Events[i].At
 		items = append(items, replayItem{at: at, prio: 4, seq: i,
@@ -137,6 +141,22 @@ func (rp *Replay) merge() []replayItem {
 		}
 		return a.seq < b.seq
 	})
+	return items
+}
+
+// addRuns appends one timeline entry per record of rs at the given kind
+// priority, numbered in arrival order.
+func addRuns[T any](items []replayItem, rs accounting.Runs[T], prio int,
+	at func(*T) des.Time, offer func(*Processor, *T)) []replayItem {
+	seq := 0
+	for _, run := range rs {
+		for i := range run {
+			r := &run[i]
+			items = append(items, replayItem{at: at(r), prio: prio, seq: seq,
+				feed: func(p *Processor) { offer(p, r) }})
+			seq++
+		}
+	}
 	return items
 }
 

@@ -71,12 +71,12 @@ func runTapped(t *testing.T, seed uint64) (*scenario.Result, *Processor, scenari
 func TestTapSeesEveryRecord(t *testing.T) {
 	res, proc, _ := runTapped(t, 11)
 	c := res.Central
-	wantRecords := len(c.Jobs()) + len(c.Transfers()) + len(c.GatewayAttrs()) + len(c.StorageRecords())
+	wantRecords := c.Len() + c.Transfers().Len() + c.GatewayAttrs().Len() + c.StorageRecords().Len()
 	if int(proc.Ingested()) != wantRecords {
 		t.Errorf("stream ingested %d records, central holds %d", proc.Ingested(), wantRecords)
 	}
-	if jobs := acceptedJobs(proc); len(jobs) != len(c.Jobs()) {
-		t.Errorf("stream accepted %d jobs, central %d", len(jobs), len(c.Jobs()))
+	if jobs := acceptedJobs(proc); len(jobs) != c.Len() {
+		t.Errorf("stream accepted %d jobs, central %d", len(jobs), c.Len())
 	}
 }
 

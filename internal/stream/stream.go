@@ -27,9 +27,10 @@
 // accounting database and runs the unchanged batch classifier: every
 // mount offers packets in the order its own database ingested them, so
 // the report is the batch report over the same records in the same
-// order, bit for bit. A replay offers its loaded export as one packet,
-// and an export keeps the live ingestion order, so a replayed run
-// reproduces the live post-run modality report byte-identically.
+// order, bit for bit. A replay offers its loaded export as one packet per
+// block of records the import decoded, in order, and an export keeps the
+// live ingestion order, so a replayed run reproduces the live post-run
+// modality report byte-identically.
 package stream
 
 import (

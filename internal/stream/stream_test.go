@@ -384,9 +384,9 @@ func TestOfferPacketBorrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fin.Central.Jobs(), recs) {
-		t.Fatalf("finalize central holds %d jobs, not the %d offered in order", len(fin.Central.Jobs()), len(recs))
+		t.Fatalf("finalize central holds %d jobs, not the %d offered in order", fin.Central.Len(), len(recs))
 	}
-	if got := len(fin.Central.Transfers()) + len(fin.Central.GatewayAttrs()) + len(fin.Central.StorageRecords()); got != 3*len(packets) {
+	if got := fin.Central.Transfers().Len() + fin.Central.GatewayAttrs().Len() + fin.Central.StorageRecords().Len(); got != 3*len(packets) {
 		t.Fatalf("finalize central holds %d evidence records, want %d", got, 3*len(packets))
 	}
 	for i := range packets {
@@ -509,7 +509,7 @@ func TestProcessorSymbolTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fin.Central.Syms() != syms || len(fin.Central.Jobs()) != 1 {
-		t.Fatalf("finalized database: %d jobs, shares the table %v", len(fin.Central.Jobs()), fin.Central.Syms() == syms)
+	if fin.Central.Syms() != syms || fin.Central.Len() != 1 {
+		t.Fatalf("finalized database: %d jobs, shares the table %v", fin.Central.Len(), fin.Central.Syms() == syms)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"github.com/tgsim/tgmod/internal/job"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,9 +86,8 @@ func statusCode(exit job.Sym) int {
 // WriteSWF exports job records (sorted by submit time) as an SWF trace.
 // The header records the dense-id legends so the mapping is reversible by
 // humans. syms is the table the records index.
-func WriteSWF(w io.Writer, jobs []accounting.JobRecord, syms *job.Symbols) error {
-	sorted := make([]accounting.JobRecord, len(jobs))
-	copy(sorted, jobs)
+func WriteSWF(w io.Writer, jobs []*accounting.JobRecord, syms *job.Symbols) error {
+	sorted := slices.Clone(jobs)
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].SubmitTime != sorted[j].SubmitTime {
 			return sorted[i].SubmitTime < sorted[j].SubmitTime

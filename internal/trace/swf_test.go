@@ -19,8 +19,8 @@ var testSyms = job.NewSymbols()
 // sym interns s into testSyms.
 func sym(s string) job.Sym { return testSyms.Intern(s) }
 
-func sampleRecords() []accounting.JobRecord {
-	return []accounting.JobRecord{
+func sampleRecords() []*accounting.JobRecord {
+	return []*accounting.JobRecord{
 		{JobID: 2, Name: sym("b"), User: sym("bob"), Project: sym("p2"), Machine: sym("m2"),
 			Cores: 64, SubmitTime: 500, StartTime: 600, EndTime: 1600,
 			WallSeconds: 1000, QOS: sym("urgent"), ExitStatus: sym("completed")},
