@@ -75,7 +75,7 @@ func run() error {
 
 	lc := *largest
 	if lc == 0 {
-		for _, r := range central.JobRecords() {
+		for _, r := range central.Jobs() {
 			if r.Cores > lc {
 				lc = r.Cores
 			}
@@ -105,7 +105,7 @@ func run() error {
 
 	// Validation only when the trace carries truth labels.
 	hasTruth := false
-	for _, r := range central.JobRecords() {
+	for _, r := range central.Jobs() {
 		if r.TruthModality != job.SymNone {
 			hasTruth = true
 			break
@@ -126,24 +126,24 @@ func run() error {
 			v.GatewayJobs, v.CommunityAccounts, v.RecoveredEndUsers)
 	}
 	if *explain {
-		writeExplain(os.Stdout, results)
+		writeExplain(os.Stdout, results, central.Syms())
 	}
 	return nil
 }
 
 // writeExplain prints per-job provenance (which evidence rule classified
 // each record) followed by an aggregate firing-count table sorted by count.
-func writeExplain(w *os.File, results []core.Result) {
+func writeExplain(w *os.File, results []core.Result, syms *job.Symbols) {
 	fmt.Fprintf(w, "\nClassification provenance (%d jobs)\n", len(results))
 	counts := map[string]int{}
 	for _, res := range results {
 		camp := ""
-		if res.CampaignID != "" {
-			camp = "  campaign=" + res.CampaignID
+		if id := res.CampaignID(syms); id != "" {
+			camp = "  campaign=" + id
 		}
 		fmt.Fprintf(w, "  job %-8d %-18s source=%-10s evidence=%s%s\n",
-			res.JobID, res.Modality, res.Source, res.Evidence, camp)
-		counts[res.Evidence]++
+			res.JobID, res.Rule.Modality(), res.Rule.Source(), res.Rule, camp)
+		counts[res.Rule.String()]++
 	}
 	rules := make([]string, 0, len(counts))
 	for r := range counts {

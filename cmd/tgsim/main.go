@@ -573,7 +573,7 @@ func printReport(out *tableSink, withAnalysis bool, res *scenario.Result, result
 				ts.Incomplete, ts.UnattributedTransfers)
 		}
 		fmt.Println()
-		out.table("critical_paths", analysis.CriticalPathTable(analysis.CriticalPaths(res.Central.JobRecords(), res.Central.Syms()), 10))
+		out.table("critical_paths", analysis.CriticalPathTable(analysis.CriticalPaths(res.Central.Jobs(), res.Central.Syms()), 10))
 	}
 
 	// SLO conformance.

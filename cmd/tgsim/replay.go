@@ -40,7 +40,7 @@ func runReplay(o *options) error {
 	if largest == 0 {
 		// Pre-manifest export: fall back to the biggest job seen, the same
 		// inference a post-hoc analysis of a real accounting dump would use.
-		for _, j := range run.Central.JobRecords() {
+		for _, j := range run.Central.Jobs() {
 			largest = max(largest, j.Cores)
 		}
 	}

@@ -77,7 +77,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := trace.WriteSWF(sf, res.Central.JobRecords(), res.Central.Syms()); err != nil {
+		if err := trace.WriteSWF(sf, res.Central.Jobs(), res.Central.Syms()); err != nil {
 			sf.Close()
 			return err
 		}

@@ -17,7 +17,7 @@ import (
 // again, so Ingest keeps the runs of a packet's records it accepts in the
 // packet's own arrays instead of copying them, and files a pointer to each
 // job record it keeps under the record's arrival position. Every read
-// (Len, At, JobRecords, Job, the record runs, TotalNUs, DistinctUsers,
+// (Len, At, Jobs, Job, the record runs, TotalNUs, DistinctUsers,
 // Export) reads those arrays in place and writes nothing, so any number of
 // goroutines may read a Central concurrently while no ingest runs.
 type Central struct {
@@ -221,28 +221,14 @@ func (c *Central) Len() int { return len(c.recs) }
 // borrowed it from. Callers must not change it.
 func (c *Central) At(i int) *JobRecord { return c.recs[i] }
 
-// JobRecords returns the job records in arrival order, each pointing into
-// the array Central borrowed it from (shared; callers change neither the
-// slice nor the records).
-func (c *Central) JobRecords() []*JobRecord { return c.recs }
+// Jobs returns the job records in arrival order, each pointing into the
+// array Central borrowed it from (shared; callers change neither the slice
+// nor the records).
+func (c *Central) Jobs() []*JobRecord { return c.recs }
 
 // JobRuns returns the runs of job records Central holds, in arrival order:
 // the kept parts of the packets it ingested or the blocks Import decoded.
 func (c *Central) JobRuns() Runs[JobRecord] { return c.jobRuns }
-
-// Jobs returns a copy of the job records in arrival order, or nil when
-// there are none. It is a convenience for callers that want one slice;
-// the reads above copy nothing.
-func (c *Central) Jobs() []JobRecord {
-	if len(c.recs) == 0 {
-		return nil
-	}
-	out := make([]JobRecord, len(c.recs))
-	for i, r := range c.recs {
-		out[i] = *r
-	}
-	return out
-}
 
 // Transfers returns the ingested transfer records.
 func (c *Central) Transfers() Runs[TransferRecord] { return c.transfers }

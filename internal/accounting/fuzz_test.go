@@ -222,6 +222,15 @@ func flat[T any](rs Runs[T]) []T {
 	return out
 }
 
+// values copies the records a pointer table points at.
+func values(rs []*JobRecord) []JobRecord {
+	var out []JobRecord
+	for _, r := range rs {
+		out = append(out, *r)
+	}
+	return out
+}
+
 // FuzzIngestWire is the differential check of the borrowing ingest of
 // wire input: for any packet DecodePacket accepts, Ingest into a Central
 // with prior state must return the reference's error, keep the

@@ -136,12 +136,6 @@ func rejectOp(n int) readOp {
 	}
 }
 
-func jobsOp(t *testing.T, m *readModel) {
-	if !reflect.DeepEqual(m.c.Jobs(), m.ref) {
-		t.Fatal("Jobs differs from the reference")
-	}
-}
-
 func jobOp(t *testing.T, m *readModel) {
 	for _, want := range m.ref {
 		if got, ok := m.c.Job(want.JobID); !ok || got != want {
@@ -170,7 +164,7 @@ func exportOp(t *testing.T, m *readModel) {
 	if err := back.Import(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.Jobs(), m.ref) || !reflect.DeepEqual(flat(back.JobRuns()), m.ref) {
+	if !reflect.DeepEqual(values(back.Jobs()), m.ref) || !reflect.DeepEqual(flat(back.JobRuns()), m.ref) {
 		t.Fatal("exported jobs differ from the reference")
 	}
 	if !reflect.DeepEqual(flat(back.Transfers()), m.transfers) {
@@ -180,7 +174,7 @@ func exportOp(t *testing.T, m *readModel) {
 
 // TestSealInterleaved checks that reads need no seal: it alternates
 // ingests that keep one or two job runs, rejected packets and every kind
-// of read. After every step At, JobRecords and the job runs must equal a
+// of read. After every step At, Jobs and the job runs must equal a
 // plain append-only reference, the transfer runs the reference's
 // transfers, and every packet offered must still equal its copy.
 func TestSealInterleaved(t *testing.T) {
@@ -198,7 +192,7 @@ func TestSealInterleaved(t *testing.T) {
 			{splitOp(300), rejectOp(1)}, {splitOp(2), rejectOp(300)}, {rejectOp(2)}, {ingestOp(1)}, {totalOp, jobOp},
 		}},
 		{"many small seals", [][]readOp{
-			{ingestOp(1)}, {splitOp(2), jobsOp}, {ingestOp(3), jobOp}, {splitOp(4), totalOp}, {ingestOp(5), exportOp}, {splitOp(6)},
+			{ingestOp(1)}, {splitOp(2)}, {ingestOp(3), jobOp}, {splitOp(4), totalOp}, {ingestOp(5), exportOp}, {splitOp(6)},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -207,10 +201,10 @@ func TestSealInterleaved(t *testing.T) {
 				for _, op := range step {
 					op(t, m)
 				}
-				if m.c.Len() != len(m.ref) || len(m.c.JobRecords()) != len(m.ref) {
+				if m.c.Len() != len(m.ref) || len(m.c.Jobs()) != len(m.ref) {
 					t.Fatalf("step %d: Central holds %d records, reference %d", i, m.c.Len(), len(m.ref))
 				}
-				for j, r := range m.c.JobRecords() {
+				for j, r := range m.c.Jobs() {
 					if r != m.c.At(j) || *r != m.ref[j] {
 						t.Fatalf("step %d: record %d differs from the reference", i, j)
 					}
@@ -292,7 +286,7 @@ func TestAtPointsIntoPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Len() != 3 || c.At(0) != &split[0] || c.At(1) != &split[1] || c.At(2) != &split[3] {
-		t.Fatalf("split packet reads back as %+v", c.Jobs())
+		t.Fatalf("split packet reads back as %+v", values(c.Jobs()))
 	}
 	if got := flat(c.JobRuns()); !reflect.DeepEqual(got, []JobRecord{{JobID: 3, NUs: 1}, {JobID: 1}, {JobID: 2}}) {
 		t.Fatalf("split packet's runs hold %+v", got)

@@ -58,8 +58,7 @@ func TestWaitDecompositionMatchesAccounting(t *testing.T) {
 	type sums struct{ analysis, accounting float64 }
 	byMod := make(map[string]*sums)
 	validated, preempted := 0, 0
-	for i := range recs {
-		r := &recs[i]
+	for _, r := range recs {
 		tl := ts.Job(r.JobID)
 		if tl == nil {
 			t.Fatalf("job %d has an accounting record but no timeline", r.JobID)

@@ -99,15 +99,15 @@ func TestDirectEvidencePrecedence(t *testing.T) {
 		job.ModBatchCapability, job.ModMetascheduled,
 	}
 	for i, w := range want {
-		if res[i].Modality != w {
-			t.Errorf("job %d classified %q, want %q", i+1, res[i].Modality, w)
+		if res[i].Rule.Modality() != w {
+			t.Errorf("job %d classified %q, want %q", i+1, res[i].Rule.Modality(), w)
 		}
 	}
 	// Attribute-tier evidence recorded as such.
-	if res[2].Source != SourceAttribute || res[0].Source != SourceAccounting {
+	if res[2].Rule.Source() != SourceAttribute || res[0].Rule.Source() != SourceAccounting {
 		t.Errorf("sources wrong: %+v %+v", res[2], res[0])
 	}
-	if res[4].CampaignID != "wf-1" || res[5].CampaignID != "ens-1" {
+	if res[4].CampaignID(testSyms) != "wf-1" || res[5].CampaignID(testSyms) != "ens-1" {
 		t.Error("campaign IDs not carried")
 	}
 }
@@ -117,8 +117,8 @@ func TestGatewayByAttrRecordOnly(t *testing.T) {
 	jobs := []accounting.JobRecord{rec(1, nil)}
 	attrs := []accounting.GatewayAttrRecord{{GatewayID: "g", GatewayUser: "alice", JobID: 1}}
 	res := classify(t, central(t, jobs, attrs, nil))
-	if res[0].Modality != job.ModGateway {
-		t.Errorf("classified %q, want gateway (via attribute record)", res[0].Modality)
+	if res[0].Rule.Modality() != job.ModGateway {
+		t.Errorf("classified %q, want gateway (via attribute record)", res[0].Rule.Modality())
 	}
 }
 
@@ -129,11 +129,11 @@ func TestDataCentricByTransfers(t *testing.T) {
 		{TransferID: 2, JobID: 2, Bytes: 1 << 20}, // 1 MB for job 2
 	}
 	res := classify(t, central(t, jobs, nil, transfers))
-	if res[0].Modality != job.ModDataCentric {
-		t.Errorf("big-staging job classified %q, want data-centric", res[0].Modality)
+	if res[0].Rule.Modality() != job.ModDataCentric {
+		t.Errorf("big-staging job classified %q, want data-centric", res[0].Rule.Modality())
 	}
-	if res[1].Modality != job.ModBatchCapacity {
-		t.Errorf("small-staging job classified %q, want batch-capacity", res[1].Modality)
+	if res[1].Rule.Modality() != job.ModBatchCapacity {
+		t.Errorf("small-staging job classified %q, want batch-capacity", res[1].Rule.Modality())
 	}
 }
 
@@ -154,17 +154,17 @@ func TestEnsembleInference(t *testing.T) {
 	jobs = append(jobs, rec(100, func(r *accounting.JobRecord) { r.User = sym("other") }))
 	res := classify(t, central(t, jobs, nil, nil))
 	for i := 0; i < 8; i++ {
-		if res[i].Modality != job.ModEnsemble {
-			t.Errorf("sweep member %d classified %q, want ensemble", i, res[i].Modality)
+		if res[i].Rule.Modality() != job.ModEnsemble {
+			t.Errorf("sweep member %d classified %q, want ensemble", i, res[i].Rule.Modality())
 		}
-		if res[i].Source != SourceInference {
-			t.Errorf("sweep member %d source %v, want inference", i, res[i].Source)
+		if res[i].Rule.Source() != SourceInference {
+			t.Errorf("sweep member %d source %v, want inference", i, res[i].Rule.Source())
 		}
-		if res[i].CampaignID != res[0].CampaignID {
+		if res[i].CampaignID(testSyms) != res[0].CampaignID(testSyms) {
 			t.Error("sweep members not grouped into one campaign")
 		}
 	}
-	if res[8].Modality == job.ModEnsemble {
+	if res[8].Rule.Modality() == job.ModEnsemble {
 		t.Error("unrelated job swept into ensemble")
 	}
 }
@@ -182,7 +182,7 @@ func TestEnsembleInferenceRespectsWindow(t *testing.T) {
 	}
 	res := classify(t, central(t, jobs, nil, nil))
 	for i := range jobs {
-		if res[i].Modality == job.ModEnsemble {
+		if res[i].Rule.Modality() == job.ModEnsemble {
 			t.Errorf("day-spread job %d inferred as ensemble", i)
 		}
 	}
@@ -205,11 +205,11 @@ func TestChainInference(t *testing.T) {
 	}
 	res := classify(t, central(t, jobs, nil, nil))
 	for i := range jobs {
-		if res[i].Modality != job.ModWorkflow {
-			t.Errorf("chain link %d classified %q, want workflow", i, res[i].Modality)
+		if res[i].Rule.Modality() != job.ModWorkflow {
+			t.Errorf("chain link %d classified %q, want workflow", i, res[i].Rule.Modality())
 		}
-		if res[i].Source != SourceInference {
-			t.Errorf("chain link %d source %v, want inference", i, res[i].Source)
+		if res[i].Rule.Source() != SourceInference {
+			t.Errorf("chain link %d source %v, want inference", i, res[i].Rule.Source())
 		}
 	}
 }
@@ -229,7 +229,7 @@ func TestChainInferenceNeedsTightGaps(t *testing.T) {
 	}
 	res := classify(t, central(t, jobs, nil, nil))
 	for i := range jobs {
-		if res[i].Modality == job.ModWorkflow {
+		if res[i].Rule.Modality() == job.ModWorkflow {
 			t.Errorf("slow chain link %d inferred as workflow", i)
 		}
 	}
@@ -468,14 +468,14 @@ func TestEvidenceTags(t *testing.T) {
 	}
 	attrs := []accounting.GatewayAttrRecord{{GatewayID: "g", GatewayUser: "alice", JobID: 10}}
 	res := classify(t, central(t, jobs, attrs, nil))
-	want := []string{
-		EvQOSUrgent, EvQOSInteractive, EvGatewayID, EvSubmitVia,
-		EvCoAllocID, EvBrokerID, EvSubmitVia, EvWorkflowID, EvEnsembleID,
-		EvGatewayUserRec, EvCapabilitySize,
+	want := []Rule{
+		RuleQOSUrgent, RuleQOSInteractive, RuleGatewayID, RuleSubmitViaGateway,
+		RuleCoAllocID, RuleBrokerID, RuleSubmitViaMetasched, RuleWorkflowID, RuleEnsembleID,
+		RuleGatewayUserRec, RuleCapabilitySize,
 	}
 	for i, w := range want {
-		if res[i].Evidence != w {
-			t.Errorf("job %d evidence %q, want %q", i+1, res[i].Evidence, w)
+		if res[i].Rule != w {
+			t.Errorf("job %d evidence %q, want %q", i+1, res[i].Rule, w)
 		}
 	}
 }
@@ -500,11 +500,11 @@ func TestEvidenceInferenceAndDefault(t *testing.T) {
 	}))
 	res := classify(t, central(t, jobs, nil, nil))
 	for i := 0; i < 5; i++ {
-		if res[i].Evidence != EvBurst {
-			t.Errorf("burst job %d evidence %q, want %q", i+1, res[i].Evidence, EvBurst)
+		if res[i].Rule != RuleBurst {
+			t.Errorf("burst job %d evidence %q, want %q", i+1, res[i].Rule, RuleBurst)
 		}
 	}
-	if res[5].Evidence != EvDefaultCapacity {
-		t.Errorf("straggler evidence %q, want %q", res[5].Evidence, EvDefaultCapacity)
+	if res[5].Rule != RuleDefaultCapacity {
+		t.Errorf("straggler evidence %q, want %q", res[5].Rule, RuleDefaultCapacity)
 	}
 }

@@ -8,25 +8,26 @@ import (
 
 	"github.com/tgsim/tgmod/internal/core"
 	"github.com/tgsim/tgmod/internal/experiments"
+	"github.com/tgsim/tgmod/internal/job"
 	"github.com/tgsim/tgmod/internal/scenario"
 )
 
 // classifyDigest hashes every result's (JobID, Modality, Source, Evidence,
 // CampaignID), in record order, and counts the inferred decisions.
-func classifyDigest(results []core.Result) (digest string, bursts, chains int) {
+func classifyDigest(results []core.Result, syms *job.Symbols) (digest string, bursts, chains int) {
 	h := sha256.New()
 	var id [8]byte
 	for _, r := range results {
 		binary.LittleEndian.PutUint64(id[:], uint64(r.JobID))
 		h.Write(id[:])
-		for _, s := range []string{string(r.Modality), r.Source.String(), r.Evidence, r.CampaignID} {
+		for _, s := range []string{string(r.Rule.Modality()), r.Rule.Source().String(), r.Rule.String(), r.CampaignID(syms)} {
 			h.Write([]byte(s))
 			h.Write([]byte{0})
 		}
-		switch r.Evidence {
-		case core.EvBurst:
+		switch r.Rule {
+		case core.RuleBurst:
 			bursts++
-		case core.EvChain:
+		case core.RuleChain:
 			chains++
 		}
 	}
@@ -54,7 +55,7 @@ func TestClassifyGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := core.NewClassifier(core.Config{LargestCores: res.LargestCores}).Classify(res.Central)
-			digest, bursts, chains := classifyDigest(got)
+			digest, bursts, chains := classifyDigest(got, res.Central.Syms())
 			if bursts != tc.bursts || chains != tc.chains {
 				t.Errorf("inferred %d burst and %d chain jobs, want %d and %d",
 					bursts, chains, tc.bursts, tc.chains)

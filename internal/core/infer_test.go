@@ -47,14 +47,14 @@ func chain(id0 int64, user string, t0 float64, gaps ...float64) []accounting.Job
 func TestEnsembleGapEqualToWindowStaysInBurst(t *testing.T) {
 	res := classify(t, central(t, sweep(1, "u1", "sweep", 4, 5, 0, 3600), nil, nil))
 	for i, r := range res {
-		if r.Modality != job.ModEnsemble || r.CampaignID != "inf-ens-00001" {
-			t.Errorf("job %d: %q in %q, want ensemble inf-ens-00001", i+1, r.Modality, r.CampaignID)
+		if r.Rule.Modality() != job.ModEnsemble || r.CampaignID(testSyms) != "inf-ens-00001" {
+			t.Errorf("job %d: %q in %q, want ensemble inf-ens-00001", i+1, r.Rule.Modality(), r.CampaignID(testSyms))
 		}
 	}
 	// One second more splits the group into bursts too small to count.
 	res = classify(t, central(t, sweep(1, "u1", "sweep", 4, 5, 0, 3601), nil, nil))
 	for i, r := range res {
-		if r.Modality == job.ModEnsemble {
+		if r.Rule.Modality() == job.ModEnsemble {
 			t.Errorf("job %d 3601 s from its neighbours inferred as ensemble", i+1)
 		}
 	}
@@ -63,7 +63,7 @@ func TestEnsembleGapEqualToWindowStaysInBurst(t *testing.T) {
 func TestEnsembleNeedsMinJobs(t *testing.T) {
 	res := classify(t, central(t, sweep(1, "u1", "sweep", 4, 4, 0, 60), nil, nil))
 	for i, r := range res {
-		if r.Modality == job.ModEnsemble {
+		if r.Rule.Modality() == job.ModEnsemble {
 			t.Errorf("job %d of a 4-job group inferred as ensemble", i+1)
 		}
 	}
@@ -76,11 +76,11 @@ func TestChainGapBoundaries(t *testing.T) {
 	res := classify(t, central(t, jobs, nil, nil))
 	for i, r := range res {
 		linked := i < 3
-		if got := r.Modality == job.ModWorkflow; got != linked {
+		if got := r.Rule.Modality() == job.ModWorkflow; got != linked {
 			t.Errorf("job %d: workflow=%v, want %v", r.JobID, got, linked)
 		}
-		if linked && r.CampaignID != "inf-wf-00001" {
-			t.Errorf("job %d in %q, want inf-wf-00001", r.JobID, r.CampaignID)
+		if linked && r.CampaignID(testSyms) != "inf-wf-00001" {
+			t.Errorf("job %d in %q, want inf-wf-00001", r.JobID, r.CampaignID(testSyms))
 		}
 	}
 }
@@ -96,8 +96,8 @@ func TestEnsembleGroupsNumberedInCoreOrder(t *testing.T) {
 		if i >= 5 {
 			want = "inf-ens-00001"
 		}
-		if r.CampaignID != want {
-			t.Errorf("job %d (%d cores) in %q, want %q", r.JobID, jobs[i].Cores, r.CampaignID, want)
+		if r.CampaignID(testSyms) != want {
+			t.Errorf("job %d (%d cores) in %q, want %q", r.JobID, jobs[i].Cores, r.CampaignID(testSyms), want)
 		}
 	}
 }
@@ -133,9 +133,9 @@ func TestInferredIDsFollowStringOrder(t *testing.T) {
 		if r.JobID > 20 {
 			w = want[jobs[i].User][1]
 		}
-		if r.Source != SourceInference || r.CampaignID != w {
+		if r.Rule.Source() != SourceInference || r.CampaignID(syms) != w {
 			t.Errorf("job %d of %s: %s in %q, want %q", r.JobID, syms.Str(jobs[i].User),
-				r.Evidence, r.CampaignID, w)
+				r.Rule, r.CampaignID(syms), w)
 		}
 	}
 }

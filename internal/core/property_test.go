@@ -80,15 +80,15 @@ func TestClassifyTotalAndStable(t *testing.T) {
 		rb := cl.Classify(chunked)
 		byID := make(map[int64]job.Modality, len(rb))
 		for _, r := range rb {
-			byID[r.JobID] = r.Modality
+			byID[r.JobID] = r.Rule.Modality()
 		}
 		for _, r := range ra {
-			if r.Modality == "" {
+			if r.Rule.Modality() == "" {
 				t.Fatalf("seed %d: job %d got empty modality", seed, r.JobID)
 			}
-			if byID[r.JobID] != r.Modality {
+			if byID[r.JobID] != r.Rule.Modality() {
 				t.Fatalf("seed %d: job %d classified %q vs %q across packet splits",
-					seed, r.JobID, r.Modality, byID[r.JobID])
+					seed, r.JobID, r.Rule.Modality(), byID[r.JobID])
 			}
 		}
 		return true
@@ -126,12 +126,12 @@ func TestClassifyOrderInvariant(t *testing.T) {
 		rb := cl.Classify(ingest(shuffled))
 		byID := make(map[int64]job.Modality, len(rb))
 		for _, r := range rb {
-			byID[r.JobID] = r.Modality
+			byID[r.JobID] = r.Rule.Modality()
 		}
 		for _, r := range ra {
-			if byID[r.JobID] != r.Modality {
+			if byID[r.JobID] != r.Rule.Modality() {
 				t.Fatalf("seed %d: job %d classified %q in order, %q shuffled",
-					seed, r.JobID, r.Modality, byID[r.JobID])
+					seed, r.JobID, r.Rule.Modality(), byID[r.JobID])
 			}
 		}
 		return true

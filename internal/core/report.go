@@ -52,18 +52,18 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 	byMod := make(map[job.Modality]*agg)
 	bySource := make(map[Source]int)
 	total := 0.0
-	for i, r := range c.JobRecords() {
-		res := results[i]
-		a := byMod[res.Modality]
+	for i, r := range c.Jobs() {
+		rule := results[i].Rule
+		a := byMod[rule.Modality()]
 		if a == nil {
 			a = &agg{accounts: make(map[job.Sym]bool), people: make(map[int64]bool)}
-			byMod[res.Modality] = a
+			byMod[rule.Modality()] = a
 		}
 		a.jobs++
 		a.nus += r.NUs
 		a.accounts[r.User] = true
 		a.people[person(r, endUser)] = true
-		bySource[res.Source]++
+		bySource[rule.Source()]++
 		total += r.NUs
 	}
 	rep := &Report{TotalNUs: total, BySource: bySource}
@@ -143,7 +143,7 @@ func MechanismReport(c *accounting.Central) []MechanismRow {
 	}
 	byMech := make(map[string]*agg)
 	syms := c.Syms()
-	for _, r := range c.JobRecords() {
+	for _, r := range c.Jobs() {
 		mech := syms.Str(r.SubmitVia)
 		if mech == "" {
 			mech = "unknown"
@@ -188,8 +188,8 @@ func ServiceReport(c *accounting.Central, results []Result) []ServiceRow {
 	waits := make(map[job.Modality]*metrics.Sample)
 	counts := make(map[job.Modality]int)
 	killed := make(map[job.Modality]int)
-	for i, r := range c.JobRecords() {
-		m := results[i].Modality
+	for i, r := range c.Jobs() {
+		m := results[i].Rule.Modality()
 		if waits[m] == nil {
 			waits[m] = &metrics.Sample{}
 		}
@@ -236,7 +236,7 @@ func FieldReport(c *accounting.Central) []FieldRow {
 	}
 	byField := make(map[string]*agg)
 	syms := c.Syms()
-	for _, r := range c.JobRecords() {
+	for _, r := range c.Jobs() {
 		f := syms.Str(r.ScienceField)
 		if f == "" {
 			f = "unspecified"
@@ -278,12 +278,12 @@ func FieldReport(c *accounting.Central) []FieldRow {
 func Validate(c *accounting.Central, results []Result) *metrics.Confusion {
 	conf := metrics.NewConfusion(ModalityLabels())
 	syms := c.Syms()
-	for i, r := range c.JobRecords() {
+	for i, r := range c.Jobs() {
 		truth := syms.Str(r.TruthModality)
 		if truth == "" {
 			truth = string(job.ModUnknown)
 		}
-		conf.Observe(truth, string(results[i].Modality))
+		conf.Observe(truth, string(results[i].Rule.Modality()))
 	}
 	return conf
 }
@@ -315,12 +315,12 @@ type Overlap struct {
 func MeasureOverlap(c *accounting.Central, results []Result) Overlap {
 	endUser, _ := endUsers(c.GatewayAttrs())
 	perUser := make(map[int64]map[job.Modality]bool)
-	for i, r := range c.JobRecords() {
+	for i, r := range c.Jobs() {
 		u := person(r, endUser)
 		if perUser[u] == nil {
 			perUser[u] = make(map[job.Modality]bool)
 		}
-		perUser[u][results[i].Modality] = true
+		perUser[u][results[i].Rule.Modality()] = true
 	}
 	ov := Overlap{
 		ByModalityCount: make(map[int]int),
@@ -353,7 +353,7 @@ func MeasureGatewayVisibility(c *accounting.Central) GatewayVisibility {
 	var v GatewayVisibility
 	accounts := make(map[job.Sym]bool)
 	attributed, people := endUsers(c.GatewayAttrs())
-	for _, r := range c.JobRecords() {
+	for _, r := range c.Jobs() {
 		if r.GatewayID == job.SymNone && r.SubmitVia != job.SymGateway {
 			continue
 		}

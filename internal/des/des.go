@@ -406,15 +406,6 @@ func (k *Kernel) RunUntil(limit Time) error {
 // It may be called from inside an event handler.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// NextEventAt returns the timestamp of the earliest pending event and true,
-// or zero and false if no events are pending.
-func (k *Kernel) NextEventAt() (Time, bool) {
-	if len(k.heap) == 0 {
-		return 0, false
-	}
-	return k.heap[0].at, true
-}
-
 // Every schedules fn to run repeatedly with the given period, starting
 // after one period, until the returned Ticker is stopped. A period of zero
 // or less panics: a zero-period ticker would live-lock the kernel.

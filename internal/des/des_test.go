@@ -171,17 +171,6 @@ func TestTracer(t *testing.T) {
 	}
 }
 
-func TestNextEventAt(t *testing.T) {
-	k := New()
-	if _, ok := k.NextEventAt(); ok {
-		t.Error("NextEventAt on empty kernel should report false")
-	}
-	k.Schedule(42, func(*Kernel) {})
-	if at, ok := k.NextEventAt(); !ok || at != 42 {
-		t.Errorf("NextEventAt = %v,%v, want 42,true", at, ok)
-	}
-}
-
 func TestSchedulePanics(t *testing.T) {
 	k := New()
 	assertPanics(t, "nil handler", func() { k.Schedule(1, nil) })

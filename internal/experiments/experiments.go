@@ -144,7 +144,7 @@ func T3ModalityUsage(seed uint64, sc Scale) (*report.Table, error) {
 	truthNUs := map[string]float64{}
 	truthJobs := map[string]int{}
 	syms := res.Central.Syms()
-	for _, r := range res.Central.JobRecords() {
+	for _, r := range res.Central.Jobs() {
 		truthNUs[syms.Str(r.TruthModality)] += r.NUs
 		truthJobs[syms.Str(r.TruthModality)]++
 	}
@@ -207,7 +207,7 @@ func F1JobSize(seed uint64, sc Scale) (*report.Figure, error) {
 	}
 	jobsBySize := map[string]float64{}
 	nusBySize := map[string]float64{}
-	for _, r := range res.Central.JobRecords() {
+	for _, r := range res.Central.Jobs() {
 		b := accounting.SizeBin(r.Cores)
 		jobsBySize[b]++
 		nusBySize[b] += r.NUs
@@ -249,7 +249,7 @@ func F2GatewayGrowth(seed uint64, sc Scale) (*report.Figure, error) {
 			usersPer[b][a.GatewayID+"/"+a.GatewayUser] = true
 		}
 	}
-	for _, r := range res.Central.JobRecords() {
+	for _, r := range res.Central.Jobs() {
 		if r.GatewayID != job.SymNone {
 			jobsPer[int(r.SubmitTime/period)]++
 		}
@@ -451,7 +451,7 @@ func MaintenanceTable(seed uint64, sc Scale) (*report.Table, error) {
 		}
 		var wait metrics.Summary
 		preempted := 0
-		for _, r := range res.Central.JobRecords() {
+		for _, r := range res.Central.Jobs() {
 			wait.Add(r.WaitSeconds() / 3600)
 			if r.Preemptions > 0 {
 				preempted++
@@ -466,7 +466,7 @@ func MaintenanceTable(seed uint64, sc Scale) (*report.Table, error) {
 // usageSample collects per-user NU totals for concentration stats.
 func usageSample(res *scenario.Result) *metrics.Sample {
 	per := map[job.Sym]float64{}
-	for _, r := range res.Central.JobRecords() {
+	for _, r := range res.Central.Jobs() {
 		per[r.User] += r.NUs
 	}
 	var s metrics.Sample

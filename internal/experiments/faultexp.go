@@ -42,7 +42,7 @@ type ftSample struct {
 func ftInspect(_ uint64, res *scenario.Result) any {
 	s := &ftSample{ByModality: make(map[string]*ftModality)}
 	syms := res.Central.Syms()
-	for _, r := range res.Central.JobRecords() {
+	for _, r := range res.Central.Jobs() {
 		mod := syms.Str(r.TruthModality)
 		if mod == "" {
 			mod = string(job.ModUnknown)

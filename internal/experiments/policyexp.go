@@ -69,7 +69,7 @@ func PXPolicyEngines(seed uint64, sc Scale) (*report.Table, error) {
 		var allSum float64
 		var allN int
 		syms := res.Central.Syms()
-		for _, r := range res.Central.JobRecords() {
+		for _, r := range res.Central.Jobs() {
 			w := r.StartTime - r.SubmitTime
 			if w < 0 {
 				continue

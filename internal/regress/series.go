@@ -42,7 +42,7 @@ func acctSeries(r *Run, out map[string]float64) {
 	}
 	byMod := make(map[string]*agg)
 	syms := c.Syms()
-	for _, rec := range c.JobRecords() {
+	for _, rec := range c.Jobs() {
 		mod := syms.Str(rec.TruthModality)
 		if mod == "" {
 			mod = "unknown"

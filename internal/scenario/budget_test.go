@@ -10,14 +10,19 @@ import (
 	"github.com/tgsim/tgmod/internal/core"
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/experiments"
+	"github.com/tgsim/tgmod/internal/obs"
 	"github.com/tgsim/tgmod/internal/scenario"
+	"github.com/tgsim/tgmod/internal/slo"
 	"github.com/tgsim/tgmod/internal/stream"
+	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
 // TestQuickRunAllocBudget is the tier-1 allocation budget of quick seed 7
 // (14,210 events, 5,129 jobs): heap bytes and allocations per finished job
-// for a bare run, a run with the stream tap, and a run whose packets are
-// then ingested into a fresh database, classified and reported. Allocation
+// for a bare run, a run with the stream tap, a run whose packets are then
+// ingested into a fresh database, classified and reported, and a run with
+// each other observer attached alone (spans, the hourly sampler, the
+// telemetry registry, the SLO evaluator), which prices it. Allocation
 // counts repeat to within map-growth noise, so each ceiling sits a little
 // above the measured value: a change that allocates more per job must
 // raise its ceiling on purpose. The race build allocates more, and leaves
@@ -31,20 +36,31 @@ func TestQuickRunAllocBudget(t *testing.T) {
 	for _, m := range fed.Machines() {
 		largest = max(largest, m.BatchCores())
 	}
+	attach := func(o scenario.Observer) func(*testing.T, scenario.Config) *scenario.Result {
+		return func(t *testing.T, cfg scenario.Config) *scenario.Result {
+			cfg.Observers = append(cfg.Observers, o)
+			return run(t, cfg)
+		}
+	}
+	sloEv, err := slo.New()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name          string
+		events        uint64  // kernel events: the sampler's ticks add to the run's 14,210
 		bytes, allocs float64 // ceilings per finished job
 		run           func(t *testing.T, cfg scenario.Config) *scenario.Result
 	}{
-		{"bare", 680, 3.85, run},
-		{"stream tap", 780, 4.35, func(t *testing.T, cfg scenario.Config) *scenario.Result {
+		{"bare", 14210, 680, 3.85, run},
+		{"stream tap", 14210, 760, 4.35, func(t *testing.T, cfg scenario.Config) *scenario.Result {
 			proc := stream.New(stream.Config{LargestCores: largest})
 			cfg.Observers = append(cfg.Observers, stream.Tap(proc))
 			res := run(t, cfg)
 			proc.Advance(cfg.Horizon + cfg.DrainTime)
 			return res
 		}},
-		{"ingest classify report", 845, 3.92, func(t *testing.T, cfg scenario.Config) *scenario.Result {
+		{"ingest classify report", 14210, 795, 3.90, func(t *testing.T, cfg scenario.Config) *scenario.Result {
 			var packets []*accounting.Packet
 			cfg.Observers = append(cfg.Observers, scenario.TapPackets(func(_ des.Time, p *accounting.Packet) {
 				packets = append(packets, p)
@@ -62,14 +78,18 @@ func TestQuickRunAllocBudget(t *testing.T) {
 			}
 			return res
 		}},
+		{"spans", 14210, 2900, 12.90, attach(scenario.RecordSpans(obs.NewBuffer()))},
+		{"sampler 1h", 14642, 860, 4.55, attach(scenario.SampleEvery(des.Hour))},
+		{"telemetry registry", 14210, 715, 4.05, attach(scenario.LiveTelemetry(telemetry.New()))},
+		{"SLO evaluator", 14210, 680, 3.85, attach(scenario.EvaluateSLO(sloEv))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			res := tc.run(t, experiments.StandardConfig(7, experiments.Quick))
 			runtime.ReadMemStats(&after)
-			if ev := res.Kernel.Executed(); ev != 14210 || res.Finished != 5129 || res.Central.Len() != 5129 {
-				t.Fatalf("events/jobs = %d/%d, want the quick seed-7 anchors 14210/5129", ev, res.Finished)
+			if ev := res.Kernel.Executed(); ev != tc.events || res.Finished != 5129 || res.Central.Len() != 5129 {
+				t.Fatalf("events/jobs = %d/%d, want %d/5129", ev, res.Finished, tc.events)
 			}
 			jobs := float64(res.Finished)
 			b := float64(after.TotalAlloc-before.TotalAlloc) / jobs

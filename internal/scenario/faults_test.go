@@ -48,7 +48,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 		t.Fatalf("job counts differ: %d vs %d", len(ja), len(jb))
 	}
 	for i := range ja {
-		if ja[i] != jb[i] {
+		if *ja[i] != *jb[i] {
 			t.Fatalf("record %d differs:\n%+v\n%+v", i, ja[i], jb[i])
 		}
 	}

@@ -119,7 +119,7 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	ja, jb := a.Central.Jobs(), b.Central.Jobs()
 	for i := range ja {
-		if ja[i] != jb[i] {
+		if *ja[i] != *jb[i] {
 			t.Fatalf("record %d differs:\n%+v\n%+v", i, ja[i], jb[i])
 		}
 	}

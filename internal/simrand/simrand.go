@@ -64,13 +64,6 @@ func Derive(seed uint64, name string) *Stream {
 	return New(seed ^ hashName(name))
 }
 
-// Fork returns a new stream whose seed derives from the current stream
-// state and the given name. Useful for giving every generated entity its
-// own private stream.
-func (r *Stream) Fork(name string) *Stream {
-	return New(r.Uint64() ^ hashName(name))
-}
-
 // Uint64 returns the next 64 random bits.
 func (r *Stream) Uint64() uint64 {
 	s := &r.s
@@ -205,16 +198,6 @@ func (r *Stream) Gamma(k, theta float64) float64 {
 			return d * v * theta
 		}
 	}
-}
-
-// HyperExp returns a two-phase hyperexponential variate: with probability p
-// an exponential of rate r1, otherwise rate r2. Used for the bimodal
-// interarrival patterns of mixed interactive/batch workloads.
-func (r *Stream) HyperExp(p, r1, r2 float64) float64 {
-	if r.Bool(p) {
-		return r.Exp(r1)
-	}
-	return r.Exp(r2)
 }
 
 // Zipf samples integers in [1, n] with probability proportional to

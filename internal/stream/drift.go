@@ -1,6 +1,9 @@
 package stream
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
 	"github.com/tgsim/tgmod/internal/metrics"
@@ -11,8 +14,8 @@ import (
 // ground-truth labels carried in the records (the generator's
 // TruthModality, which classifiers themselves never read). Agreement is
 // tracked over the same burn-style trailing windows as usage, plus
-// lifetime totals, peak in-window drift, and an append-only hourly
-// history the drift experiment reads back to localize a workload shift.
+// lifetime totals, peak in-window drift, and an hourly history the drift
+// experiment reads back to localize a workload shift.
 //
 // "Drift" here is the disagreement rate: the fraction of recent
 // classifications that contradict their trailing truth label. A workload
@@ -26,16 +29,15 @@ type driftMonitor struct {
 	agree    int64
 	disagree int64
 
-	// history accumulates per-hour agreement cells in virtual-time order.
-	history    []driftCell
-	histIdx    int64 // absolute hour index of the open cell
-	histPrimed bool
+	// history holds one agreement cell per scored hour, in ascending
+	// hour order.
+	history []driftCell
 
 	cAgree    *telemetry.Counter
 	cDisagree *telemetry.Counter
 }
 
-// driftCell is one closed hour of agreement history.
+// driftCell is one hour of agreement history.
 type driftCell struct {
 	Hour     int64 `json:"hour"` // absolute virtual hour index
 	Agree    int64 `json:"agree"`
@@ -92,15 +94,23 @@ func (d *driftMonitor) observe(at des.Time, measured job.Modality, truth string)
 	d.recordHistory(at, good)
 }
 
-// recordHistory rolls the append-only hourly history forward.
+// recordHistory counts one scored classification in its hour's cell. A
+// live stream offers records in flush order, which interleaves the sites'
+// packets, so an hour can recur after a later one: it finds the hour's
+// cell, trying the newest first, and inserts a missing one in order.
 func (d *driftMonitor) recordHistory(at des.Time, good bool) {
 	hour := int64(at / des.Hour)
-	if !d.histPrimed || hour != d.histIdx {
-		d.history = append(d.history, driftCell{Hour: hour})
-		d.histIdx = hour
-		d.histPrimed = true
+	i := len(d.history) - 1
+	if i < 0 || d.history[i].Hour != hour {
+		var found bool
+		i, found = slices.BinarySearchFunc(d.history, hour, func(c driftCell, h int64) int {
+			return cmp.Compare(c.Hour, h)
+		})
+		if !found {
+			d.history = slices.Insert(d.history, i, driftCell{Hour: hour})
+		}
 	}
-	cell := &d.history[len(d.history)-1]
+	cell := &d.history[i]
 	if good {
 		cell.Agree++
 	} else {
@@ -122,6 +132,6 @@ func (d *driftMonitor) lifetimeRate() float64 {
 	return float64(d.disagree) / float64(d.agree+d.disagree)
 }
 
-// History returns the closed-plus-open hourly agreement cells in
-// virtual-time order. Callers must not modify the slice.
+// History returns the hourly agreement cells in ascending hour order.
+// Callers must not modify the slice.
 func (d *driftMonitor) History() []driftCell { return d.history }

@@ -7,27 +7,28 @@ import (
 	"github.com/tgsim/tgmod/internal/telemetry"
 )
 
-// confidence is the heuristic confidence of each evidence tag. Direct
+// confidence is the heuristic confidence of each classifier rule. Direct
 // accounting fields and deployed attributes are near-certain; behavioral
 // inference and the size-based default split are progressively weaker.
 // The values are heuristic weights for dashboards, not calibrated
 // probabilities — drift against trailing ground truth (driftMonitor) is
 // the calibrated signal.
-var confidence = map[string]float64{
-	core.EvQOSUrgent:       0.99,
-	core.EvQOSInteractive:  0.99,
-	core.EvGatewayID:       0.97,
-	core.EvSubmitVia:       0.97,
-	core.EvGatewayUserRec:  0.97,
-	core.EvCoAllocID:       0.97,
-	core.EvBrokerID:        0.97,
-	core.EvWorkflowID:      0.97,
-	core.EvEnsembleID:      0.97,
-	core.EvStagedBytes:     0.90,
-	core.EvBurst:           0.75,
-	core.EvChain:           0.70,
-	core.EvCapabilitySize:  0.60,
-	core.EvDefaultCapacity: 0.55,
+var confidence = [core.NumRules]float64{
+	core.RuleQOSUrgent:          0.99,
+	core.RuleQOSInteractive:     0.99,
+	core.RuleGatewayID:          0.97,
+	core.RuleSubmitViaGateway:   0.97,
+	core.RuleGatewayUserRec:     0.97,
+	core.RuleCoAllocID:          0.97,
+	core.RuleBrokerID:           0.97,
+	core.RuleSubmitViaMetasched: 0.97,
+	core.RuleWorkflowID:         0.97,
+	core.RuleEnsembleID:         0.97,
+	core.RuleStagedBytes:        0.90,
+	core.RuleBurst:              0.75,
+	core.RuleChain:              0.70,
+	core.RuleCapabilitySize:     0.60,
+	core.RuleDefaultCapacity:    0.55,
 }
 
 // online is the incremental classifier. It applies the batch classifier's
@@ -94,7 +95,7 @@ func (o *online) bind(reg *telemetry.Registry) {
 func (o *online) classify(r *accounting.JobRecord) core.Result {
 	res := o.decide(r)
 	if o.decided != nil {
-		o.decided.With(string(res.Modality), res.Source.String()).Inc()
+		o.decided.With(string(res.Rule.Modality()), res.Rule.Source().String()).Inc()
 	}
 	return res
 }
@@ -126,7 +127,7 @@ func (o *online) decide(r *accounting.JobRecord) core.Result {
 		bs.lastSubmit = r.SubmitTime
 	}
 	if bs.run >= core.EnsembleMinJobs {
-		return core.Result{JobID: r.JobID, Modality: job.ModEnsemble, Source: core.SourceInference, Evidence: core.EvBurst}
+		return core.Result{JobID: r.JobID, Rule: core.RuleBurst}
 	}
 
 	cs := o.chains[r.User]
@@ -143,7 +144,7 @@ func (o *online) decide(r *accounting.JobRecord) core.Result {
 		cs.lastEnd = r.EndTime
 	}
 	if cs.links >= core.ChainMinLinks {
-		return core.Result{JobID: r.JobID, Modality: job.ModWorkflow, Source: core.SourceInference, Evidence: core.EvChain}
+		return core.Result{JobID: r.JobID, Rule: core.RuleChain}
 	}
 
 	return core.SizeSplit(r, o.cfg.LargestCores)

@@ -214,11 +214,11 @@ func TestFinalizeMatchesLiveBatch(t *testing.T) {
 	want := core.NewClassifier(core.Config{LargestCores: res.LargestCores}).Classify(res.Central)
 	got := make(map[int64]string, len(fin.Results))
 	for _, r := range fin.Results {
-		got[r.JobID] = string(r.Modality)
+		got[r.JobID] = string(r.Rule.Modality())
 	}
 	mismatch := 0
 	for _, r := range want {
-		if got[r.JobID] != string(r.Modality) {
+		if got[r.JobID] != string(r.Rule.Modality()) {
 			mismatch++
 		}
 	}

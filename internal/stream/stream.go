@@ -142,8 +142,8 @@ func (p *Processor) offerJob(r *accounting.JobRecord) {
 	at := des.Time(r.EndTime)
 	p.accept(at, p.cJobs)
 	res := p.online.classify(r)
-	p.usage.observe(at, res.Modality, r.NUs, confidence[res.Evidence])
-	p.drift.observe(at, res.Modality, p.Syms().Str(r.TruthModality))
+	p.usage.observe(at, res.Rule.Modality(), r.NUs, confidence[res.Rule])
+	p.drift.observe(at, res.Rule.Modality(), p.Syms().Str(r.TruthModality))
 }
 
 func (p *Processor) offerTransfer(r *accounting.TransferRecord) {

@@ -78,20 +78,20 @@ func TestOnlineDirectEvidence(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := o.classify(&c.rec)
-		if d.Modality != c.want || confidence[d.Evidence] != c.conf {
+		if d.Rule.Modality() != c.want || confidence[d.Rule] != c.conf {
 			t.Errorf("job %d: got (%s, %.2f), want (%s, %.2f)",
-				c.rec.JobID, d.Modality, confidence[d.Evidence], c.want, c.conf)
+				c.rec.JobID, d.Rule.Modality(), confidence[d.Rule], c.want, c.conf)
 		}
 	}
 	// Gateway attribute records reclassify later jobs by the same ID.
 	o.ev.AddGatewayAttr(&accounting.GatewayAttrRecord{JobID: 11})
-	if d := o.classify(&accounting.JobRecord{JobID: 11, Cores: 4}); d.Modality != job.ModGateway {
-		t.Errorf("attr-evidenced job: %s, want gateway", d.Modality)
+	if d := o.classify(&accounting.JobRecord{JobID: 11, Cores: 4}); d.Rule.Modality() != job.ModGateway {
+		t.Errorf("attr-evidenced job: %s, want gateway", d.Rule.Modality())
 	}
 	// Staged bytes past the threshold mark data-centric.
 	o.ev.AddTransfer(&accounting.TransferRecord{JobID: 12, Bytes: 6 << 30})
-	if d := o.classify(&accounting.JobRecord{JobID: 12, Cores: 4}); d.Modality != job.ModDataCentric {
-		t.Errorf("staged job: %s, want data-centric", d.Modality)
+	if d := o.classify(&accounting.JobRecord{JobID: 12, Cores: 4}); d.Rule.Modality() != job.ModDataCentric {
+		t.Errorf("staged job: %s, want data-centric", d.Rule.Modality())
 	}
 }
 
@@ -108,7 +108,7 @@ func TestOnlineBurstAndChain(t *testing.T) {
 			JobID: int64(i + 1), User: sym("alice"), Name: sym("sweep"), Cores: 8,
 			SubmitTime: float64(i * 60), EndTime: float64(i*60 + 5000),
 		})
-		got = append(got, d.Modality)
+		got = append(got, d.Rule.Modality())
 	}
 	for i := 0; i < 4; i++ {
 		if got[i] != job.ModBatchCapacity {
@@ -131,7 +131,7 @@ func TestOnlineBurstAndChain(t *testing.T) {
 			JobID: int64(i + 1), User: sym("bob"), Name: sym(fmt.Sprintf("stage-%d", i)),
 			Cores: 4, SubmitTime: sub, EndTime: end,
 		})
-		got = append(got, d.Modality)
+		got = append(got, d.Rule.Modality())
 	}
 	if got[0] != job.ModBatchCapacity || got[1] != job.ModBatchCapacity {
 		t.Errorf("chain heads = %s,%s, want batch-capacity", got[0], got[1])
@@ -325,8 +325,8 @@ func acceptedJobs(p *Processor) []accounting.JobRecord {
 }
 
 // TestJobStorePointers: the processor keeps the offered packets
-// themselves, in offer order, and Finalize rebuilds every record in that
-// order into an exact-size slice.
+// themselves, in offer order, and Finalize's database reads every record
+// in that order, in the packets' own arrays.
 func TestJobStorePointers(t *testing.T) {
 	p := New(Config{LargestCores: 512})
 	sym := p.Syms().Intern
@@ -349,12 +349,16 @@ func TestJobStorePointers(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := fin.Central.Jobs()
-	if len(jobs) != n || cap(jobs) != n {
-		t.Fatalf("finalize central holds %d jobs (cap %d), want %d", len(jobs), cap(jobs), n)
+	if len(jobs) != n {
+		t.Fatalf("finalize central holds %d jobs, want %d", len(jobs), n)
 	}
-	for i, r := range jobs {
-		if r.JobID != int64(n-i) {
-			t.Fatalf("finalize job %d has ID %d, want %d", i, r.JobID, n-i)
+	i := 0
+	for _, pkt := range packets {
+		for k := range pkt.Jobs {
+			if jobs[i] != &pkt.Jobs[k] || jobs[i].JobID != int64(n-i) {
+				t.Fatalf("finalize job %d has ID %d, want %d in the offered packet", i, jobs[i].JobID, n-i)
+			}
+			i++
 		}
 	}
 }
@@ -383,8 +387,13 @@ func TestOfferPacketBorrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fin.Central.Jobs(), recs) {
-		t.Fatalf("finalize central holds %d jobs, not the %d offered in order", fin.Central.Len(), len(recs))
+	if fin.Central.Len() != len(recs) {
+		t.Fatalf("finalize central holds %d jobs, not the %d offered", fin.Central.Len(), len(recs))
+	}
+	for i, r := range fin.Central.Jobs() {
+		if r != &recs[i] {
+			t.Fatalf("finalize job %d is not the offered record %d in place", i, i)
+		}
 	}
 	if got := fin.Central.Transfers().Len() + fin.Central.GatewayAttrs().Len() + fin.Central.StorageRecords().Len(); got != 3*len(packets) {
 		t.Fatalf("finalize central holds %d evidence records, want %d", got, 3*len(packets))

@@ -20,7 +20,7 @@ import (
 // classification, the usage report and its rendered table, the stream's
 // online payloads after a replay, and the stream's finalized report.
 type outputs struct {
-	results    []core.Result
+	results    []decision
 	report     *core.Report
 	table      []byte
 	modalities []byte
@@ -45,7 +45,19 @@ func outputsOf(t *testing.T, c *accounting.Central, largest int, end des.Time) o
 	if err != nil {
 		t.Fatal(err)
 	}
-	return outputs{results, rep, table.Bytes(), p.ModalitiesJSON(), p.DriftJSON(), fin.Report}
+	decisions := make([]decision, len(results))
+	for i, r := range results {
+		decisions[i] = decision{r.JobID, r.Rule, r.CampaignID(c.Syms())}
+	}
+	return outputs{decisions, rep, table.Bytes(), p.ModalitiesJSON(), p.DriftJSON(), fin.Report}
+}
+
+// decision is a classifier result with its campaign rendered: a tagged
+// campaign's Campaign is a Sym, which only its table gives meaning.
+type decision struct {
+	jobID    int64
+	rule     core.Rule
+	campaign string
 }
 
 // TestSymbolOrderInvariance: no output depends on Sym numbers. Quick seed
