@@ -79,7 +79,7 @@ func record(syms *job.Symbols) []*accounting.JobRecord {
 	}
 	env := &workload.Env{
 		K: k, Seed: 5, Horizon: 30 * des.Day, Syms: syms, Pop: pop,
-		Sched: map[string]*sched.Scheduler{"orig": s},
+		Sched: map[string]*sched.Scheduler{"orig": s}, Jobs: new(job.Pool),
 	}
 	(&workload.BatchGen{JobsPerDay: 300, CapabilityFrac: 0.005,
 		MedianRuntime: 2 * 3600}).Start(env)
@@ -103,7 +103,7 @@ func replay(parsed []trace.Job, pol string) (int, *metrics.Sample, float64) {
 		}
 	})
 	env := &workload.Env{K: k, Horizon: 60 * des.Day, Syms: syms,
-		Sched: map[string]*sched.Scheduler{"half": s}}
+		Sched: map[string]*sched.Scheduler{"half": s}, Jobs: new(job.Pool)}
 	(&workload.ReplayGen{Jobs: parsed, Machine: "half"}).Start(env)
 	k.Run()
 	return finished, waits, s.Utilization()

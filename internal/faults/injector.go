@@ -159,16 +159,19 @@ func (inj *Injector) armCrash(s *sched.Scheduler) {
 			victims := s.Crash(now + repair)
 			inj.stats.CrashKills += uint64(len(victims))
 			for _, j := range victims {
+				// Read the ID first: the re-entry submits the job, and a
+				// submission may end it (a rejection releases the job).
+				id := int64(j.ID)
 				if inj.broker != nil {
 					if to, ok := inj.broker.Failover(j); ok {
 						inj.stats.Failovers++
-						inj.emit(Event{Kind: EvFailover, Target: to, JobID: int64(j.ID)})
+						inj.emit(Event{Kind: EvFailover, Target: to, JobID: id})
 						continue
 					}
 				}
 				s.Requeue(j)
 				inj.stats.Requeues++
-				inj.emit(Event{Kind: EvRequeue, Target: s.M.ID, JobID: int64(j.ID)})
+				inj.emit(Event{Kind: EvRequeue, Target: s.M.ID, JobID: id})
 			}
 			arm(repair + inj.ttf(rng, inj.cfg.MachineMTBF))
 		})

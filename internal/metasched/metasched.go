@@ -77,7 +77,9 @@ type Broker struct {
 	Stage StageCost
 
 	// OnFailover, when non-nil, observes every job the broker re-places
-	// after a machine failure (see Failover).
+	// after a machine failure (see Failover), before the job is submitted
+	// to its new machine. A hook copies what it needs: once submitted,
+	// the job may end and be released.
 	OnFailover func(j *job.Job, to string)
 
 	routed    uint64

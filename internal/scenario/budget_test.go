@@ -10,11 +10,13 @@ import (
 	"github.com/tgsim/tgmod/internal/core"
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/experiments"
+	"github.com/tgsim/tgmod/internal/job"
 	"github.com/tgsim/tgmod/internal/obs"
 	"github.com/tgsim/tgmod/internal/scenario"
 	"github.com/tgsim/tgmod/internal/slo"
 	"github.com/tgsim/tgmod/internal/stream"
 	"github.com/tgsim/tgmod/internal/telemetry"
+	"github.com/tgsim/tgmod/internal/workload"
 )
 
 // TestQuickRunAllocBudget is the tier-1 allocation budget of quick seed 7
@@ -52,15 +54,15 @@ func TestQuickRunAllocBudget(t *testing.T) {
 		bytes, allocs float64 // ceilings per finished job
 		run           func(t *testing.T, cfg scenario.Config) *scenario.Result
 	}{
-		{"bare", 14210, 680, 3.85, run},
-		{"stream tap", 14210, 760, 4.35, func(t *testing.T, cfg scenario.Config) *scenario.Result {
+		{"bare", 14210, 485, 1.85, run},
+		{"stream tap", 14210, 565, 2.35, func(t *testing.T, cfg scenario.Config) *scenario.Result {
 			proc := stream.New(stream.Config{LargestCores: largest})
 			cfg.Observers = append(cfg.Observers, stream.Tap(proc))
 			res := run(t, cfg)
 			proc.Advance(cfg.Horizon + cfg.DrainTime)
 			return res
 		}},
-		{"ingest classify report", 14210, 795, 3.90, func(t *testing.T, cfg scenario.Config) *scenario.Result {
+		{"ingest classify report", 14210, 600, 1.90, func(t *testing.T, cfg scenario.Config) *scenario.Result {
 			var packets []*accounting.Packet
 			cfg.Observers = append(cfg.Observers, scenario.TapPackets(func(_ des.Time, p *accounting.Packet) {
 				packets = append(packets, p)
@@ -78,10 +80,10 @@ func TestQuickRunAllocBudget(t *testing.T) {
 			}
 			return res
 		}},
-		{"spans", 14210, 2900, 12.90, attach(scenario.RecordSpans(obs.NewBuffer()))},
-		{"sampler 1h", 14642, 860, 4.55, attach(scenario.SampleEvery(des.Hour))},
-		{"telemetry registry", 14210, 715, 4.05, attach(scenario.LiveTelemetry(telemetry.New()))},
-		{"SLO evaluator", 14210, 680, 3.85, attach(scenario.EvaluateSLO(sloEv))},
+		{"spans", 14210, 2710, 10.90, attach(scenario.RecordSpans(obs.NewBuffer()))},
+		{"sampler 1h", 14642, 665, 2.55, attach(scenario.SampleEvery(des.Hour))},
+		{"telemetry registry", 14210, 520, 2.05, attach(scenario.LiveTelemetry(telemetry.New()))},
+		{"SLO evaluator", 14210, 485, 1.85, attach(scenario.EvaluateSLO(sloEv))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -109,4 +111,31 @@ func run(t *testing.T, cfg scenario.Config) *scenario.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// poolProbe is a generator that makes no work: it keeps the run's job
+// pool so a test can read it after the run.
+type poolProbe struct{ jobs *job.Pool }
+
+func (*poolProbe) Name() string { return "pool-probe" }
+
+func (p *poolProbe) Start(e *workload.Env) { p.jobs = e.Jobs }
+
+// TestQuickRunJobPool pins job reuse at quick seed 7: every job goes back
+// to the run's pool at its terminal event, so the run allocates as many
+// job objects as are ever out of the pool at once (69), not one per job
+// (5,129).
+func TestQuickRunJobPool(t *testing.T) {
+	probe := &poolProbe{}
+	cfg := experiments.StandardConfig(7, experiments.Quick)
+	cfg.Generators = append(cfg.Generators, probe)
+	res := run(t, cfg)
+	if res.Finished != 5129 {
+		t.Fatalf("jobs = %d, want 5129", res.Finished)
+	}
+	made := probe.jobs.Made()
+	t.Logf("%d job objects for %d jobs", made, res.Finished)
+	if made > 100 {
+		t.Errorf("%d job objects made for %d jobs, want at most 100", made, res.Finished)
+	}
 }

@@ -533,14 +533,29 @@ func Run(cfg Config) (*Result, error) {
 	broker.DataHome = dataHomes
 
 	// Workload.
+	jobs := new(job.Pool)
 	env := &workload.Env{
 		K: k, Seed: cfg.Seed, Horizon: cfg.Horizon, Syms: syms,
 		Pop: pop, Sched: scheds, Broker: broker, Gateways: gateways,
 		Stager: stager, DataHomeSite: dataHomes,
-		Tracker: tracker,
+		Tracker: tracker, Jobs: jobs,
 	}
 	for _, g := range cfg.Generators {
 		g.Start(env)
+	}
+	// A job goes back to the pool at its one terminal event, from the last
+	// listener of its scheduler, subscribed after every installer
+	// (generators included): by then the ledger holds its record, the
+	// tracker has routed it, and every observer has read it. A job that
+	// never reaches a scheduler (a broker misfit, a gateway or staging
+	// give-up, a task of an aborted workflow) is left to the garbage
+	// collector.
+	for _, s := range scheds {
+		s.Subscribe(func(e sched.Event) {
+			if e.Kind == sched.EventFinished || e.Kind == sched.EventRejected {
+				jobs.Put(e.Job)
+			}
+		})
 	}
 
 	// Virtual-time metric sampling, armed last so the first tick sees the
@@ -587,6 +602,7 @@ func Run(cfg Config) (*Result, error) {
 	// gateways (and through them the ledgers): drop the buffers the run
 	// no longer needs.
 	wire = nil
+	jobs.Drop()
 	for _, l := range ledgers {
 		l.Release()
 	}

@@ -33,7 +33,9 @@ type gangEngine struct {
 	// scratch is fitsTogether's tentative profile, reused across calls.
 	scratch profile
 	// groups and groupIdx are gangs()'s storage, reused across calls: a
-	// grouping lives until the next gangs() call.
+	// grouping lives until the next gangs() call. It holds queued jobs
+	// only, and no job ends during a pass, so it never reads a released
+	// job; the slots past each group's length are never read.
 	groups   [][]*job.Job
 	groupIdx map[job.Sym]int
 }

@@ -55,7 +55,8 @@ func TestJobLifecycle(t *testing.T) {
 				name += "+faults"
 			}
 			t.Run(name, func(t *testing.T) {
-				jobs := make(map[*job.Job]*runState)
+				// Keyed by ID: a run reuses a job object once the job ends.
+				jobs := make(map[job.ID]*runState)
 				var errs []string
 				fail := func(format string, args ...any) {
 					if len(errs) < 10 {
@@ -68,10 +69,10 @@ func TestJobLifecycle(t *testing.T) {
 						if live, n := sched.LiveRecords(s), s.RunningCount(); live != n {
 							fail("%s at %v: %d live run records, %d running", s.M.ID, s.K.Now(), live, n)
 						}
-						st := jobs[e.Job]
+						st := jobs[e.Job.ID]
 						if st == nil {
 							st = &runState{}
-							jobs[e.Job] = st
+							jobs[e.Job.ID] = st
 						}
 						switch e.Kind {
 						case sched.EventStarted:

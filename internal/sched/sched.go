@@ -70,7 +70,10 @@ func (k EventKind) String() string {
 	}
 }
 
-// Listener receives job lifecycle events.
+// Listener receives job lifecycle events. EventFinished and EventRejected
+// are a job's terminal events: once the listeners return, the job's owner
+// may release it for reuse (a scenario run does), so a listener copies what
+// it needs from the job instead of keeping the pointer.
 type Listener func(Event)
 
 // Probe receives scheduler-internal decision notifications that the
@@ -405,6 +408,8 @@ func (s *Scheduler) Submit(j *job.Job) {
 	}
 }
 
+// reject fails a job that can never fit. EventRejected is the job's
+// terminal event, so neither reject nor Submit reads it afterwards.
 func (s *Scheduler) reject(j *job.Job) {
 	j.State = job.StateFailed
 	s.emit(EventRejected, j)
@@ -772,7 +777,9 @@ func (s *Scheduler) startBatch(j *job.Job, fromResID string) {
 	s.emit(EventStarted, j)
 }
 
-// finish completes a running batch or viz job.
+// finish completes a running batch or viz job. EventFinished is the job's
+// terminal event: its listeners may release the job, so finish reads
+// nothing of it after the emit.
 func (s *Scheduler) finish(r *running) {
 	j, killed := r.j, r.killed
 	s.untrack(r)
@@ -782,7 +789,8 @@ func (s *Scheduler) finish(r *running) {
 	} else {
 		j.State = job.StateCompleted
 	}
-	if j.QOS == job.QOSInteractive {
+	viz := j.QOS == job.QOSInteractive
+	if viz {
 		s.freeViz += j.Cores
 	} else {
 		s.accumulate()
@@ -791,7 +799,7 @@ func (s *Scheduler) finish(r *running) {
 	}
 	s.stats.Finished++
 	s.emit(EventFinished, j)
-	if j.QOS == job.QOSInteractive {
+	if viz {
 		s.dispatchViz()
 	} else {
 		s.reschedule()

@@ -22,8 +22,12 @@ type Submitter interface {
 // Task is a node in the DAG.
 type Task struct {
 	Name string
-	Job  *job.Job
-	deps []*Task
+	// Job is the task's job until the job reaches its terminal state.
+	// Then the instance lets go of it, since the job's owner may reuse it,
+	// and keeps only its runtime.
+	Job     *job.Job
+	runTime des.Time // Job.RunTime at the terminal state
+	deps    []*Task
 	// bookkeeping
 	remaining int // unfinished dependencies
 	released  bool
@@ -139,7 +143,9 @@ func (w *Instance) releaseReady() {
 
 // TaskFinished informs the engine that a released job reached a terminal
 // state. Successor tasks whose dependencies are all complete are released.
-// Failed tasks abort the workflow (no further releases).
+// Failed tasks abort the workflow (no further releases). j is matched only
+// against tasks that still hold their jobs, so a job object reused after
+// an earlier task let go of it never matches that task.
 func (w *Instance) TaskFinished(j *job.Job) {
 	var t *Task
 	for _, name := range w.order {
@@ -152,6 +158,7 @@ func (w *Instance) TaskFinished(j *job.Job) {
 		return
 	}
 	t.done = true
+	t.Job, t.runTime = nil, j.RunTime
 	w.completed++
 	if j.State != job.StateCompleted {
 		// Task failed or was killed: abort (release nothing further).
@@ -197,7 +204,11 @@ func (w *Instance) CriticalPathLength() des.Time {
 				best = l
 			}
 		}
-		v := best + t.Job.RunTime
+		run := t.runTime
+		if t.Job != nil {
+			run = t.Job.RunTime
+		}
+		v := best + run
 		memo[t] = v
 		return v
 	}

@@ -42,12 +42,12 @@ func (g *BatchGen) Start(e *Env) {
 		}
 		s := e.Sched[m]
 		maxCores := s.M.BatchCores()
-		j := &job.Job{
+		j := e.newJob(job.Job{
 			ID:      e.NewJobID(),
 			User:    u.name,
 			Project: u.project,
 			Attr:    job.Attributes{ScienceField: u.field},
-		}
+		})
 		if rng.Bool(g.CapabilityFrac) {
 			// Hero run: ≥ half of the largest machine in the federation.
 			m = g.largest(e)
@@ -58,12 +58,13 @@ func (g *BatchGen) Start(e *Env) {
 				j.Cores = maxCores // full-machine run
 			}
 			j.RunTime = DrawRuntime(rng, 4*g.MedianRuntime, 0.8)
-			j.Name = e.internf("hero-%s", u.Project)
+			j.Name = e.intern(append(e.nameBuf("hero-"), u.Project...))
 			j.Truth.Modality = job.SymBatchCapability
 		} else {
 			j.Cores = DrawCores(rng, 0, 8, maxCores)
 			j.RunTime = DrawRuntime(rng, g.MedianRuntime, 1.2)
-			j.Name = e.internf("run-%s-%02d", u.Name, rng.Intn(20))
+			b := append(append(e.nameBuf("run-"), u.Name...), '-')
+			j.Name = e.intern(appendPadded(b, rng.Intn(20), 2))
 			j.Truth.Modality = job.SymBatchCapacity
 		}
 		j.ReqWalltime = DrawWalltime(rng, j.RunTime)
@@ -129,15 +130,16 @@ func (g *EnsembleGen) Start(e *Env) {
 		m := machines[rng.Intn(len(machines))]
 		maxCores := e.Sched[m].M.BatchCores()
 		campaignN++
-		campaign := e.internf("ens-%05d", campaignN)
+		campaign := e.intern(appendPadded(e.nameBuf("ens-"), campaignN, 5))
 		tagged := rng.Bool(g.TagCoverage)
 		n := 2 + rng.Intn(2*g.JobsPerCampaign) // width ∈ [2, 2·mean]
 		cores := DrawCores(rng, 0, 4, maxCores)
 		median := g.MedianRuntime
-		name := e.internf("sweep-%s-%02d", u.Name, rng.Intn(10))
+		b := append(append(e.nameBuf("sweep-"), u.Name...), '-')
+		name := e.intern(appendPadded(b, rng.Intn(10), 2))
 		wall := DrawWalltime(rng, DrawRuntime(rng, median, 0.3)*2)
 		for i := 0; i < n; i++ {
-			j := &job.Job{
+			j := e.newJob(job.Job{
 				ID:          e.NewJobID(),
 				Name:        name,
 				User:        u.name,
@@ -147,7 +149,7 @@ func (g *EnsembleGen) Start(e *Env) {
 				ReqWalltime: wall,
 				Attr:        job.Attributes{ScienceField: u.field},
 				Truth:       job.Truth{Modality: job.SymEnsemble, CampaignID: campaign},
-			}
+			})
 			if tagged {
 				j.Attr.EnsembleID = campaign
 			}
@@ -199,9 +201,9 @@ func (g *InteractiveGen) Start(e *Env) {
 		if run > 8*des.Hour {
 			run = 8 * des.Hour
 		}
-		j := &job.Job{
+		j := e.newJob(job.Job{
 			ID:          e.NewJobID(),
-			Name:        e.internf("viz-%s", u.Name),
+			Name:        e.intern(append(e.nameBuf("viz-"), u.Name...)),
 			User:        u.name,
 			Project:     u.project,
 			Cores:       DrawCores(rng, 0, 3, e.Sched[m].M.VizCores()),
@@ -210,7 +212,7 @@ func (g *InteractiveGen) Start(e *Env) {
 			QOS:         job.QOSInteractive,
 			Attr:        job.Attributes{ScienceField: u.field},
 			Truth:       job.Truth{Modality: job.SymInteractive},
-		}
+		})
 		if err := e.SubmitDirect(m, job.SymLogin, j); err != nil {
 			panic(err)
 		}
@@ -250,7 +252,7 @@ func (g *UrgentGen) Start(e *Env) {
 		u := pop.draw(rng)
 		m := capable[rng.Intn(len(capable))]
 		run := DrawRuntime(rng, g.MedianRuntime, 0.5)
-		j := &job.Job{
+		j := e.newJob(job.Job{
 			ID:          e.NewJobID(),
 			Name:        name,
 			User:        u.name,
@@ -261,7 +263,7 @@ func (g *UrgentGen) Start(e *Env) {
 			QOS:         job.QOSUrgent,
 			Attr:        job.Attributes{ScienceField: u.field},
 			Truth:       job.Truth{Modality: job.SymUrgent},
-		}
+		})
 		if err := e.SubmitDirect(m, job.SymGram, j); err != nil {
 			panic(err)
 		}

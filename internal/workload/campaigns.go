@@ -50,16 +50,16 @@ func (g *WorkflowGen) Start(e *Env) {
 		}
 		mkTask := func(sigma float64, coresHi int) *job.Job {
 			run := DrawRuntime(rng, g.MedianTask, sigma)
-			return &job.Job{
+			return e.newJob(job.Job{
 				ID:          e.NewJobID(),
-				Name:        e.internf("wf-task-%s", u.Name),
+				Name:        e.intern(append(e.nameBuf("wf-task-"), u.Name...)),
 				User:        u.name,
 				Project:     u.project,
 				Cores:       DrawCores(rng, 0, coresHi, maxCores),
 				RunTime:     run,
 				ReqWalltime: DrawWalltime(rng, run),
 				Attr:        job.Attributes{ScienceField: u.field},
-			}
+			})
 		}
 		submitter := &directSubmitter{e: e, machine: m, via: job.SymGram}
 		var w *workflow.Instance
@@ -146,6 +146,7 @@ func (g *GatewayGen) Start(e *Env) {
 	// Zipf over the end-user population: a few power users, a long tail.
 	zipf := simrand.NewZipf(g.EndUsers, 1.1)
 	name := e.Syms.Intern(g.Gateway + "-app")
+	userPrefix := g.Gateway + "-user-"
 	peak := g.RequestsPerDay / 86400
 	PoissonArrivals(e, rng, peak, "arrival-"+g.Name(), func() {
 		// Linear ramp: early in the horizon most arrivals are thinned out,
@@ -159,9 +160,9 @@ func (g *GatewayGen) Start(e *Env) {
 		if pool < 1 {
 			pool = 1
 		}
-		endUser := fmt.Sprintf("%s-user-%05d", g.Gateway, 1+zipf.Sample(rng)%pool)
+		endUser := e.intern(appendPadded(e.nameBuf(userPrefix), 1+zipf.Sample(rng)%pool, 5))
 		run := DrawRuntime(rng, g.MedianRuntime, 0.8)
-		j := &job.Job{
+		j := e.newJob(job.Job{
 			ID:          e.NewJobID(),
 			Name:        name,
 			Cores:       DrawCores(rng, 0, 3, 64),
@@ -169,8 +170,8 @@ func (g *GatewayGen) Start(e *Env) {
 			ReqWalltime: DrawWalltime(rng, run),
 			Truth:       job.Truth{Modality: job.SymGateway},
 			// User/Project are set by the gateway (community account).
-		}
-		gw.Request(endUser, j)
+		})
+		gw.Request(e.Syms.Str(endUser), j)
 	})
 }
 
@@ -201,9 +202,9 @@ func (g *DataCentricGen) Start(e *Env) {
 		s := e.Sched[m]
 		run := DrawRuntime(rng, g.MedianRuntime, 0.6)
 		inBytes := int64(rng.LogNormal(logOf(g.MedianInputGB*1e9), 1.0))
-		j := &job.Job{
+		j := e.newJob(job.Job{
 			ID:          e.NewJobID(),
-			Name:        e.internf("analysis-%s", u.Name),
+			Name:        e.intern(append(e.nameBuf("analysis-"), u.Name...)),
 			User:        u.name,
 			Project:     u.project,
 			Cores:       DrawCores(rng, 2, 6, s.M.BatchCores()),
@@ -212,7 +213,7 @@ func (g *DataCentricGen) Start(e *Env) {
 			InputBytes:  inBytes,
 			Attr:        job.Attributes{ScienceField: u.field},
 			Truth:       job.Truth{Modality: job.SymDataCentric},
-		}
+		})
 		home := e.DataHomeSite[u.project]
 		if home == "" {
 			home = s.M.Site
@@ -269,9 +270,9 @@ func (g *MetaschedGen) Start(e *Env) {
 		u := pop.draw(rng)
 		mk := func(coresHi int) *job.Job {
 			run := DrawRuntime(rng, g.MedianRuntime, 0.8)
-			return &job.Job{
+			return e.newJob(job.Job{
 				ID:          e.NewJobID(),
-				Name:        e.internf("grid-%s", u.Name),
+				Name:        e.intern(append(e.nameBuf("grid-"), u.Name...)),
 				User:        u.name,
 				Project:     u.project,
 				Cores:       DrawCores(rng, 2, coresHi, 1<<14),
@@ -279,7 +280,7 @@ func (g *MetaschedGen) Start(e *Env) {
 				ReqWalltime: DrawWalltime(rng, run),
 				Attr:        job.Attributes{ScienceField: u.field},
 				Truth:       job.Truth{Modality: job.SymMetascheduled},
-			}
+			})
 		}
 		if rng.Bool(g.CoAllocFrac) {
 			parts := []*job.Job{mk(6), mk(6)}

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"strconv"
+
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/job"
+	"github.com/tgsim/tgmod/internal/sched"
 	"github.com/tgsim/tgmod/internal/trace"
 )
 
@@ -13,7 +16,8 @@ import (
 // this recorded workload have experienced on this machine/policy" — the
 // classic trace-driven evaluation loop.
 type ReplayGen struct {
-	// Jobs is the parsed trace (see trace.ReadSWF).
+	// Jobs is the parsed trace (see trace.ReadSWF). Each entry is read
+	// again when its job is submitted, so it must not change during a run.
 	Jobs []trace.Job
 	// Machine receives every job ("" = round-robin across machines).
 	Machine string
@@ -35,7 +39,8 @@ func (g *ReplayGen) Start(e *Env) {
 	if len(machines) == 0 {
 		panic("workload: replay needs at least one machine")
 	}
-	for i, tj := range g.Jobs {
+	for i := range g.Jobs {
+		tj := &g.Jobs[i]
 		if tj.Procs <= 0 || tj.Run <= 0 {
 			continue // SWF traces carry cancelled entries; skip them
 		}
@@ -43,54 +48,59 @@ func (g *ReplayGen) Start(e *Env) {
 		if at >= e.Horizon {
 			continue
 		}
-		run := des.Time(tj.Run)
-		wall := des.Time(tj.ReqTime)
-		if wall < run {
-			wall = run // records with unknown requests get exact walltime
-		}
-		j := &job.Job{
-			ID:          e.NewJobID(),
-			Name:        e.internf("exec%d", tj.ExecID),
-			User:        e.internf("u%d", tj.UserID),
-			Project:     e.internf("g%d", tj.GroupID),
-			Cores:       tj.Procs,
-			RunTime:     run,
-			ReqWalltime: wall,
-			Truth:       job.Truth{Modality: job.SymBatchCapacity},
-		}
-		switch tj.Queue {
-		case 2:
-			j.QOS = job.QOSUrgent
-			j.Truth.Modality = job.SymUrgent
-		case 3:
-			j.QOS = job.QOSInteractive
-			j.Truth.Modality = job.SymInteractive
-		}
 		m := g.Machine
 		if m == "" {
 			m = machines[i%len(machines)]
 		}
-		// Oversized entries are clamped to the target machine rather than
-		// silently dropped: replaying a big-machine trace on a small
-		// simulated machine is a common (intentional) experiment.
-		if s := e.Sched[m]; s != nil {
-			limit := s.M.BatchCores()
-			if j.QOS == job.QOSInteractive {
-				limit = s.M.VizCores()
-				if limit == 0 {
-					j.QOS = job.QOSNormal
-					limit = s.M.BatchCores()
-				}
-			}
-			if j.Cores > limit {
-				j.Cores = limit
-			}
-		}
-		jj, mm := j, m
+		// The ID and the names are fixed now, in trace order, but the job
+		// is built from its entry only when it is submitted, in a job from
+		// the pool: a replay holds the jobs in flight, not one per entry.
+		id := e.NewJobID()
+		name := e.intern(strconv.AppendInt(e.nameBuf("exec"), int64(tj.ExecID), 10))
+		user := e.intern(strconv.AppendInt(e.nameBuf("u"), int64(tj.UserID), 10))
+		project := e.intern(strconv.AppendInt(e.nameBuf("g"), int64(tj.GroupID), 10))
 		e.K.AtNamed(at, "replay-submit", func(*des.Kernel) {
-			if err := e.SubmitDirect(mm, job.SymLogin, jj); err != nil {
+			j := e.newJob(job.Job{ID: id, Name: name, User: user, Project: project})
+			request(j, tj, e.Sched[m])
+			if err := e.SubmitDirect(m, job.SymLogin, j); err != nil {
 				panic(err)
 			}
 		})
+	}
+}
+
+// request fills j's request from its trace entry for machine s (nil when
+// the machine is unknown, which SubmitDirect then reports).
+func request(j *job.Job, tj *trace.Job, s *sched.Scheduler) {
+	j.Cores = tj.Procs
+	j.RunTime = des.Time(tj.Run)
+	j.ReqWalltime = des.Time(tj.ReqTime)
+	if j.ReqWalltime < j.RunTime {
+		j.ReqWalltime = j.RunTime // records with unknown requests get exact walltime
+	}
+	j.Truth.Modality = job.SymBatchCapacity
+	switch tj.Queue {
+	case 2:
+		j.QOS = job.QOSUrgent
+		j.Truth.Modality = job.SymUrgent
+	case 3:
+		j.QOS = job.QOSInteractive
+		j.Truth.Modality = job.SymInteractive
+	}
+	// Oversized entries are clamped to the target machine rather than
+	// silently dropped: replaying a big-machine trace on a small
+	// simulated machine is a common (intentional) experiment.
+	if s != nil {
+		limit := s.M.BatchCores()
+		if j.QOS == job.QOSInteractive {
+			limit = s.M.VizCores()
+			if limit == 0 {
+				j.QOS = job.QOSNormal
+				limit = s.M.BatchCores()
+			}
+		}
+		if j.Cores > limit {
+			j.Cores = limit
+		}
 	}
 }

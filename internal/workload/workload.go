@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/gateway"
@@ -44,10 +45,14 @@ type Env struct {
 
 	// Tracker routes terminal job events to workflow instances.
 	Tracker *Tracker
+	// Jobs is the run's free list: every job a generator creates comes
+	// from it, and the scenario layer puts each back at its terminal
+	// event.
+	Jobs *job.Pool
 
 	nextJobID job.ID
 	people    []person // Pop.Users with their Syms, resolved on first use
-	name      []byte   // internf's formatting buffer
+	name      []byte   // the buffer per-job names are built in
 }
 
 // person is a population member with the strings its jobs carry resolved
@@ -83,12 +88,35 @@ func (e *Env) cohort() (*cohort, error) {
 // draw picks one member by activity.
 func (c *cohort) draw(rng *simrand.Stream) *person { return &c.people[c.pick.Pick(rng)] }
 
-// internf formats a per-job string (a job name, a campaign ID) into a
-// reused buffer and interns it, so a name the table already holds costs
-// no string allocation.
-func (e *Env) internf(format string, args ...any) job.Sym {
-	e.name = fmt.Appendf(e.name[:0], format, args...)
-	return e.Syms.InternBytes(e.name)
+// newJob returns a job from the run's pool holding j.
+func (e *Env) newJob(j job.Job) *job.Job {
+	p := e.Jobs.Get()
+	*p = j
+	return p
+}
+
+// nameBuf empties the Env's name buffer and starts it with prefix. A
+// per-job string (a job name, a campaign ID, a gateway end user) is built
+// there by appends and interned with intern, so a name the table already
+// holds costs no allocation.
+func (e *Env) nameBuf(prefix string) []byte { return append(e.name[:0], prefix...) }
+
+// intern interns the name built from nameBuf's buffer and keeps the
+// buffer for the next name.
+func (e *Env) intern(b []byte) job.Sym {
+	e.name = b
+	return e.Syms.InternBytes(b)
+}
+
+// appendPadded appends n ≥ 0 in decimal, zero-padded to width digits
+// (fmt's %0<width>d).
+func appendPadded(b []byte, n, width int) []byte {
+	for d, v := 1, n; d < width; d++ {
+		if v /= 10; v == 0 {
+			b = append(b, '0')
+		}
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 // NewJobID allocates the next unique job ID.
@@ -131,7 +159,7 @@ type Generator interface {
 }
 
 // Tracker routes finished jobs back to the workflow instances that own
-// them, and records campaign completion statistics.
+// them.
 type Tracker struct {
 	byJob map[job.ID]*workflow.Instance
 }
@@ -141,18 +169,21 @@ func NewTracker() *Tracker {
 	return &Tracker{byJob: make(map[job.ID]*workflow.Instance)}
 }
 
-// Watch associates every job of a workflow instance as it is released.
-// Generators call this for each task's job before starting the instance.
+// Watch associates a workflow task's job with its instance as the job is
+// released.
 func (t *Tracker) Watch(j *job.Job, w *workflow.Instance) { t.byJob[j.ID] = w }
 
-// JobFinished forwards a terminal job to its workflow, if any.
+// JobFinished forwards a terminal job to its workflow, if any, and forgets
+// the job: a job reaches one terminal state, so the tracker keeps only the
+// jobs still in flight, not every finished instance.
 func (t *Tracker) JobFinished(j *job.Job) {
 	if w, ok := t.byJob[j.ID]; ok {
+		delete(t.byJob, j.ID)
 		w.TaskFinished(j)
 	}
 }
 
-// Tracked returns the number of tracked jobs.
+// Tracked returns the number of tracked jobs not yet finished.
 func (t *Tracker) Tracked() int { return len(t.byJob) }
 
 // ---- Shared distribution helpers ----

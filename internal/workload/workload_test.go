@@ -143,6 +143,9 @@ func TestTracker(t *testing.T) {
 	if w.Completed() != 1 {
 		t.Error("tracker did not route finish to workflow")
 	}
+	if tr.Tracked() != 0 {
+		t.Errorf("Tracked = %d after the job finished, want 0", tr.Tracked())
+	}
 	// Unknown jobs are ignored.
 	tr.JobFinished(&job.Job{ID: 99})
 }
@@ -193,6 +196,7 @@ func testEnv(t *testing.T, seed uint64) *Env {
 		Sched: scheds, Broker: brk,
 		Gateways: map[string]*gateway.Gateway{"nanohub": gw},
 		Tracker:  NewTracker(),
+		Jobs:     new(job.Pool),
 	}
 }
 
