@@ -534,24 +534,32 @@ func (d *Daemon) handleConn(conn net.Conn) {
 	d.logf("tgobsd: run %s %s from %s (seed %d, source %q)",
 		rs.ID, verb, conn.RemoteAddr(), rs.Seed, rs.Source)
 
+	if err := d.ingestFrames(rs, conn, br); err != nil {
+		d.decodeErrors.Add(1)
+		d.logf("tgobsd: run %s: %v", rs.ID, err)
+	}
+	rs.publish(true)
+}
+
+// ingestFrames applies the frames that follow the hello until the
+// stream ends (nil) or a frame fails to read or apply. Every frame is
+// read into one buffer that grows to the largest frame, so applyFrame
+// and everything it calls must not keep any part of a payload.
+func (d *Daemon) ingestFrames(rs *runState, conn net.Conn, r io.Reader) error {
+	var buf []byte
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrameInto(r, maxFramePayload, &buf)
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
-			if err != io.EOF {
-				d.decodeErrors.Add(1)
-				d.logf("tgobsd: run %s: %v", rs.ID, err)
-			}
-			rs.publish(true)
-			return
+			return err
 		}
 		rs.frames.Add(1)
 		rs.bytes.Add(uint64(len(payload)))
 		rs.lastFrameUNS.Store(time.Now().UnixNano())
 		if err := d.applyFrame(rs, conn, typ, payload); err != nil {
-			d.decodeErrors.Add(1)
-			d.logf("tgobsd: run %s: %v", rs.ID, err)
-			rs.publish(true)
-			return
+			return err
 		}
 	}
 }
@@ -572,7 +580,11 @@ func (d *Daemon) openWAL(rs *runState) (*frameLog, error) {
 }
 
 // applyFrame applies one decoded frame to the run. It runs on the run's
-// connection goroutine, the sole owner of the run's mutable state.
+// connection goroutine, the sole owner of the run's mutable state. The
+// payload is the connection's read buffer and is overwritten by the next
+// frame, so nothing here keeps it: the WAL's buffered writer copies it,
+// IngestWire decodes into new records, the snapshot decoder copies, and
+// the metrics exposition is copied before it is published.
 //
 // Record frames (packet, final) carry sequence numbers: anything at or
 // below the high-water mark is a replayed duplicate and is dropped (a

@@ -59,6 +59,7 @@ type frameLog struct {
 	w        *bufio.Writer
 	durable  bool // fsync every walSyncEvery frames and on every final frame
 	unsynced int
+	hdr      frameHeader
 }
 
 // newFrameLog wraps an open file, writing the header when the file is
@@ -84,7 +85,7 @@ func newFrameLog(f *os.File, meta walMeta, durable bool) (*frameLog, error) {
 // append logs one record frame, syncing a durable log on the batch
 // cadence and on the final frame.
 func (l *frameLog) append(typ byte, payload []byte) error {
-	if err := writeFrame(l.w, typ, payload); err != nil {
+	if err := l.hdr.write(l.w, typ, payload); err != nil {
 		return err
 	}
 	if !l.durable {
@@ -124,12 +125,13 @@ func walPath(dir, id string) string {
 }
 
 // readFrameLog parses a frame log, feeding the hello frame and then each
-// record frame to each, in order. It tolerates a torn tail: a crash can
-// cut the file mid-frame, so parsing stops quietly at the first malformed
-// frame — everything before the tear is whole by construction (frames
-// are appended whole). goodLen is the length of the header plus every
-// frame each accepted; an error from each stops the read and is
-// returned.
+// record frame to each, in order. Every frame is read into one buffer,
+// so each must not keep payload past its return. It tolerates a torn
+// tail: a crash can cut the file mid-frame, so parsing stops quietly at
+// the first malformed frame — everything before the tear is whole by
+// construction (frames are appended whole). goodLen is the length of the
+// header plus every frame each accepted; an error from each stops the
+// read and is returned.
 func readFrameLog(path string, each func(typ byte, payload []byte) error) (goodLen int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -141,7 +143,8 @@ func readFrameLog(path string, each func(typ byte, payload []byte) error) (goodL
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
 		return 0, fmt.Errorf("%w: not a frame log: %s", ErrBadFrame, path)
 	}
-	typ, payload, err := readFrame(br)
+	var buf []byte
+	typ, payload, err := readFrameInto(br, maxFramePayload, &buf)
 	if err != nil || typ != frameHello {
 		return 0, fmt.Errorf("%w: frame log %s missing meta header", ErrBadFrame, path)
 	}
@@ -151,7 +154,7 @@ func readFrameLog(path string, each func(typ byte, payload []byte) error) (goodL
 			return goodLen, err
 		}
 		goodLen += int64(5 + len(payload))
-		if typ, payload, err = readFrame(br); err != nil {
+		if typ, payload, err = readFrameInto(br, maxFramePayload, &buf); err != nil {
 			// io.EOF is a clean end; anything else is the torn tail of a
 			// crash — recovery keeps what parsed and truncates the rest.
 			return goodLen, nil

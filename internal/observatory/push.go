@@ -25,13 +25,19 @@ import (
 // schedules a kernel event and same-seed runs stay byte-identical with or
 // without -push.
 //
-// Flow control: frames pass through a bounded outbox drained by a writer
-// goroutine. Packet frames are never dropped — when the outbox is full
-// the simulation goroutine blocks until the writer catches up (wall-clock
+// Flow control: frames pass through an outbox drained by a writer
+// goroutine. Packet frames are encoded into a fixed set of pushPacketBufs
+// buffers that cycle through a free list: the packet tap takes a free
+// buffer, encodes the frame into it and enqueues it, and the writer puts
+// the buffer back once the frame is journaled and written, or dropped.
+// Packet frames are never dropped — when every buffer is in flight the
+// simulation goroutine blocks until the writer returns one (wall-clock
 // backpressure only; virtual time is untouched), which is what lets the
-// daemon's rebuilt accounting database byte-match the producer's.
-// Snapshot and metrics frames are progress conflation: when the outbox is
-// full they are dropped and counted, never blocking the run.
+// daemon's rebuilt accounting database byte-match the producer's. So at
+// most pushPacketBufs packet frames are queued, and a warm packet frame
+// allocates nothing. Snapshot and metrics frames bring their own
+// payloads and are progress conflation: when the outbox is full they are
+// dropped and counted, never blocking the run.
 //
 // Fault tolerance: the writer goroutine owns the connection end to end.
 // Record frames (packets, final) are sequence-numbered and spilled to a
@@ -55,6 +61,7 @@ type Pusher struct {
 	run  string   // daemon-assigned run ID
 
 	out    chan outFrame
+	free   chan []byte // packet-frame buffers not in flight (see sendPacket)
 	wg     sync.WaitGroup
 	errVal atomic.Pointer[pushErr]
 
@@ -62,6 +69,7 @@ type Pusher struct {
 	spill    *frameLog
 	spillErr error // first failed spill append; replay is impossible from here on
 	nextSeq  uint64
+	hdr      frameHeader
 
 	finalAcked atomic.Bool
 
@@ -127,9 +135,15 @@ func DefaultPushOptions() PushOptions {
 	}
 }
 
-// pushOutbox is the outbox depth. Packet frames block (never drop) when
-// it fills, so it only bounds memory, not fidelity.
+// pushOutbox is the outbox depth. It bounds the snapshot and metrics
+// frames in flight, which are dropped when it is full; the packet-frame
+// buffers bound the packet frames.
 const pushOutbox = 256
+
+// pushPacketBufs is the number of packet-frame buffers a pusher cycles
+// through its free list: the most packet frames in flight at once. Each
+// buffer grows to the largest packet it has carried.
+const pushPacketBufs = 8
 
 // handshakeTimeout bounds the hello and final acks so a wedged daemon
 // cannot hang a producer forever.
@@ -157,15 +171,7 @@ func splitPushAddr(addr string) (network, target string) {
 // are permanent and never retried. The returned pusher's RunID is the
 // daemon-assigned (possibly uniquified) identity.
 func DialPush(addr string, h Hello, opts PushOptions) (*Pusher, error) {
-	h.Schema = helloSchema
-	h.Resume = false
-	p := &Pusher{
-		addr:  addr,
-		hello: h,
-		opts:  opts,
-		out:   make(chan outFrame, pushOutbox),
-		rng:   simrand.Derive(h.Seed, "observatory/push-retry"),
-	}
+	p := newPusher(addr, h, opts)
 	for attempt := 1; ; attempt++ {
 		conn, ack, err := p.dialAndHello(false)
 		if err == nil {
@@ -182,15 +188,42 @@ func DialPush(addr string, h Hello, opts PushOptions) (*Pusher, error) {
 		}
 		time.Sleep(d)
 	}
-	spill, err := p.openSpill()
-	if err != nil {
+	if err := p.start(); err != nil {
 		p.conn.Close()
 		return nil, fmt.Errorf("observatory: spill journal: %w", err)
+	}
+	return p, nil
+}
+
+// newPusher builds an unconnected pusher with its outbox and a full free
+// list of packet-frame buffers.
+func newPusher(addr string, h Hello, opts PushOptions) *Pusher {
+	h.Schema = helloSchema
+	h.Resume = false
+	p := &Pusher{
+		addr:  addr,
+		hello: h,
+		opts:  opts,
+		out:   make(chan outFrame, pushOutbox),
+		free:  make(chan []byte, pushPacketBufs),
+		rng:   simrand.Derive(h.Seed, "observatory/push-retry"),
+	}
+	for range pushPacketBufs {
+		p.free <- nil
+	}
+	return p
+}
+
+// start opens the spill journal and starts the writer on p.conn.
+func (p *Pusher) start() error {
+	spill, err := p.openSpill()
+	if err != nil {
+		return err
 	}
 	p.spill = spill
 	p.wg.Add(1)
 	go p.writer()
-	return p, nil
+	return nil
 }
 
 // openSpill starts the spill journal afresh at opts.SpillPath, or in a
@@ -325,43 +358,17 @@ func (p *Pusher) AppendOpenMetrics(b []byte) []byte {
 // first write attempt, so a failed write (or a whole daemon restart) is
 // recoverable by replay. After the pusher breaks permanently it keeps
 // draining (so blocking senders never deadlock) but discards frames.
+// Every packet frame's buffer goes back to the free list once the frame
+// is written or discarded.
 func (p *Pusher) writer() {
 	defer p.wg.Done()
 	for f := range p.out {
 		switch f.typ {
-		case framePacket, frameFinal:
-			p.nextSeq++
-			stampSeq(f.payload, p.nextSeq)
-			if p.spillErr == nil {
-				// Disk trouble leaves the live session running; only a
-				// reconnect that needs replay breaks the push.
-				if err := p.spill.append(f.typ, f.payload); err != nil {
-					p.spillErr = err
-				} else {
-					p.spilled.Add(uint64(5 + len(f.payload)))
-				}
-			}
-			if p.Err() != nil {
-				if f.typ == framePacket {
-					p.packetsLost.Add(1)
-				}
-				continue
-			}
-			if err := writeFrame(p.conn, f.typ, f.payload); err != nil {
-				if !p.reconnect() {
-					p.fail(fmt.Errorf("observatory: write: %w", err))
-					if f.typ == framePacket {
-						p.packetsLost.Add(1)
-					}
-					continue
-				}
-				// The reconnect replayed every unapplied frame, this one
-				// included — it is delivered.
-			}
-			p.bytes.Add(uint64(len(f.payload)))
-			if f.typ == frameFinal {
-				p.awaitFinalAck()
-			}
+		case framePacket:
+			p.deliverRecord(f)
+			p.free <- f.payload
+		case frameFinal:
+			p.deliverRecord(f)
 		default:
 			// Conflatable progress frames: never sequenced, never
 			// replayed — on trouble, drop the frame and let the
@@ -369,7 +376,7 @@ func (p *Pusher) writer() {
 			if p.Err() != nil {
 				continue
 			}
-			if err := writeFrame(p.conn, f.typ, f.payload); err != nil {
+			if err := p.hdr.write(p.conn, f.typ, f.payload); err != nil {
 				p.snapsDropped.Add(1)
 				if !p.reconnect() {
 					p.fail(fmt.Errorf("observatory: write: %w", err))
@@ -378,6 +385,44 @@ func (p *Pusher) writer() {
 			}
 			p.bytes.Add(uint64(len(f.payload)))
 		}
+	}
+}
+
+// deliverRecord sequences, journals and writes one record frame (packet
+// or final), reconnecting on a wire error. A final frame waits for the
+// daemon's ack.
+func (p *Pusher) deliverRecord(f outFrame) {
+	p.nextSeq++
+	stampSeq(f.payload, p.nextSeq)
+	if p.spillErr == nil {
+		// Disk trouble leaves the live session running; only a
+		// reconnect that needs replay breaks the push.
+		if err := p.spill.append(f.typ, f.payload); err != nil {
+			p.spillErr = err
+		} else {
+			p.spilled.Add(uint64(5 + len(f.payload)))
+		}
+	}
+	if p.Err() != nil {
+		if f.typ == framePacket {
+			p.packetsLost.Add(1)
+		}
+		return
+	}
+	if err := p.hdr.write(p.conn, f.typ, f.payload); err != nil {
+		if !p.reconnect() {
+			p.fail(fmt.Errorf("observatory: write: %w", err))
+			if f.typ == framePacket {
+				p.packetsLost.Add(1)
+			}
+			return
+		}
+		// The reconnect replayed every unapplied frame, this one
+		// included — it is delivered.
+	}
+	p.bytes.Add(uint64(len(f.payload)))
+	if f.typ == frameFinal {
+		p.awaitFinalAck()
 	}
 }
 
@@ -448,7 +493,7 @@ func (p *Pusher) replayFrom(haveSeq uint64) error {
 		if err != nil || seq <= haveSeq {
 			return err
 		}
-		if err := writeFrame(p.conn, typ, payload); err != nil {
+		if err := p.hdr.write(p.conn, typ, payload); err != nil {
 			return err
 		}
 		p.replayed.Add(1)
@@ -493,9 +538,7 @@ func (p *Pusher) awaitFinalAck() {
 // sinks, so sinks attached before it see every snapshot first.
 func (p *Pusher) Observer(reg *telemetry.Registry) scenario.Observer {
 	return scenario.ObserverFunc(func(a *scenario.Attachment) {
-		a.Packets = append(a.Packets, func(at des.Time, pkt *accounting.Packet) {
-			p.sendBlocking(framePacket, pkt.AppendWire(recordFrame(float64(at))))
-		})
+		a.Packets = append(a.Packets, p.sendPacket)
 		a.Snapshots = append(a.Snapshots, func(s *telemetry.Snapshot) {
 			p.snaps.Add(1)
 			p.sendDroppable(frameSnapshot, marshalJSON(s))
@@ -510,20 +553,22 @@ func (p *Pusher) Observer(reg *telemetry.Registry) scenario.Observer {
 	})
 }
 
-// sendBlocking enqueues a frame, waiting for outbox space. Packet frames
-// use it: fidelity over wall-clock speed. Once broken, frames are counted
-// as lost instead of enqueued.
-func (p *Pusher) sendBlocking(typ byte, payload []byte) {
+// sendPacket ships one flushed accounting packet as a packet frame. It
+// takes a buffer from the free list, waiting while every buffer is in
+// flight (fidelity over wall-clock speed), writes the record-frame
+// header and the packet's wire encoding into it, and enqueues it; the
+// writer puts the buffer back. Every packet frame goes through here, so
+// every buffer the writer returns came from the free list. Once broken,
+// packets are counted as lost instead of enqueued.
+func (p *Pusher) sendPacket(at des.Time, pkt *accounting.Packet) {
 	if p.Err() != nil {
-		if typ == framePacket {
-			p.packetsLost.Add(1)
-		}
+		p.packetsLost.Add(1)
 		return
 	}
-	if typ == framePacket {
-		p.packets.Add(1)
-	}
-	p.out <- outFrame{typ: typ, payload: payload}
+	buf := <-p.free
+	buf = pkt.AppendWire(appendRecordFrame(buf[:0], float64(at)))
+	p.packets.Add(1)
+	p.out <- outFrame{typ: framePacket, payload: buf}
 }
 
 // sendDroppable enqueues a frame if there is room, dropping (and
@@ -550,7 +595,9 @@ func (p *Pusher) Finish(end float64) error {
 		return p.Err()
 	}
 	p.finished = true
-	p.sendBlocking(frameFinal, recordFrame(end))
+	if p.Err() == nil {
+		p.out <- outFrame{typ: frameFinal, payload: recordFrame(end)}
+	}
 	close(p.out)
 	p.wg.Wait()
 	defer p.Abort() // only the teardown is left to do

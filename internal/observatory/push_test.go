@@ -201,7 +201,7 @@ func brokenSpillPush(t *testing.T, addr, id string, cut bool) *Pusher {
 		pkt.Jobs = append(pkt.Jobs, accounting.JobRecord{JobID: int64(i + 1), Cores: 1, EndTime: 50,
 			User: syms.Intern(fmt.Sprintf("user-%03d", i)), Project: syms.Intern("TG-spill")})
 	}
-	p.sendBlocking(framePacket, pkt.AppendWire(recordFrame(50)))
+	p.sendPacket(50, pkt)
 	return p
 }
 
@@ -231,5 +231,64 @@ func TestSpillFailureBreaksOnlyReplay(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "spill journal failed") {
 		t.Fatalf("error does not name the spill journal: %v", err)
+	}
+}
+
+// TestDaemonKeepsNoFramePayload: the daemon reads every frame of a
+// connection into one buffer, so whatever it publishes from a frame must
+// be a copy. A metrics frame followed on the same connection by a packet
+// frame at least as large must leave the stored exposition byte for
+// byte as it was sent.
+func TestDaemonKeepsNoFramePayload(t *testing.T) {
+	d, addr := startDaemon(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write([]byte(wireMagicStr)); err != nil {
+		t.Fatal(err)
+	}
+	h := Hello{Schema: helloSchema, Run: "keep", Seed: 1, LargestCores: 512, EndTimeS: 100}
+	if err := writeFrame(conn, frameHello, marshalJSON(&h)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, payload, err := readFrame(conn); err != nil || typ != frameHelloAck {
+		t.Fatalf("hello ack = (%q, %q, %v)", typ, payload, err)
+	}
+
+	om := []byte("# TYPE tg_jobs_finished_total counter\ntg_jobs_finished_total 40\n# EOF\n")
+	sent := bytes.Clone(om)
+	syms := job.NewSymbols()
+	pkt := &accounting.Packet{Site: "s", Seq: 1, Syms: syms}
+	for i := range 4 {
+		pkt.Jobs = append(pkt.Jobs, accounting.JobRecord{JobID: int64(i + 1), Cores: 1, EndTime: 50,
+			User: syms.Intern(fmt.Sprintf("user-%d", i)), Project: syms.Intern("TG-keep")})
+	}
+	packet := pkt.AppendWire(recordFrame(50))
+	stampSeq(packet, 1)
+	if len(packet) < len(om) {
+		t.Fatalf("packet frame (%d bytes) is smaller than the metrics frame (%d)", len(packet), len(om))
+	}
+	final := recordFrame(100)
+	stampSeq(final, 2)
+	for _, f := range []struct {
+		typ     byte
+		payload []byte
+	}{{frameMetrics, om}, {framePacket, packet}, {frameFinal, final}} {
+		if err := writeFrame(conn, f.typ, f.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if typ, _, err := readFrame(conn); err != nil || typ != frameFinalAck {
+		t.Fatalf("final ack = (%q, %v)", typ, err)
+	}
+	var got []byte
+	if p := d.run("keep").metricsOM.Load(); p != nil {
+		got = *p
+	}
+	if !bytes.Equal(got, sent) {
+		t.Fatalf("stored exposition changed after the next frame:\n got %q\nwant %q", got, sent)
 	}
 }

@@ -72,7 +72,7 @@ func TestWALTornTail(t *testing.T) {
 			if typ == frameHello {
 				return unmarshalStrictless(payload, &gotMeta)
 			}
-			recs = append(recs, payload)
+			recs = append(recs, bytes.Clone(payload)) // the reader reuses its buffer
 			return nil
 		})
 		if err != nil {
@@ -149,7 +149,7 @@ func TestWALFinalSyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkt := &accounting.Packet{Site: "s", Seq: 1, Syms: job.NewSymbols(), Jobs: []accounting.JobRecord{{JobID: 1, Cores: 1, EndTime: 10}}}
-	p.sendBlocking(framePacket, pkt.AppendWire(recordFrame(10)))
+	p.sendPacket(10, pkt)
 	rs := d.run("nosync")
 	deadline := time.Now().Add(10 * time.Second)
 	for rs.haveSeq.Load() < 1 {

@@ -142,13 +142,25 @@ func validateRunID(id string) error {
 // writeFrame writes one framed message: type byte, 4-byte big-endian
 // payload length, payload.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	var hdr frameHeader
+	return hdr.write(w, typ, payload)
+}
+
+// frameHeader is the scratch space one frame's header is written from.
+// writeFrame's own copy escapes to the heap on every call; an owner that
+// writes a frame per packet (a frame log, the pusher's writer) keeps one
+// in its own struct, so a frame costs no allocation.
+type frameHeader [5]byte
+
+// write writes one framed message as writeFrame does, using h for the
+// header.
+func (h *frameHeader) write(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("%w: %d-byte payload exceeds limit", ErrBadFrame, len(payload))
 	}
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	h[0] = typ
+	binary.BigEndian.PutUint32(h[1:], uint32(len(payload)))
+	if _, err := w.Write(h[:]); err != nil {
 		return err
 	}
 	if len(payload) == 0 {
@@ -158,34 +170,55 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one framed message. io.EOF is returned clean (not
-// wrapped) when the connection closes between frames.
+// readFrame reads one framed message into a fresh payload. io.EOF is
+// returned clean (not wrapped) when the connection closes between frames.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	return readFrameLimited(r, maxFramePayload)
 }
 
 // readFrameLimited is readFrame with a tighter payload cap, enforced
-// before any allocation — used for the hello, where even the general
-// wire limit is too generous for a peer that has not identified itself.
+// before the payload is allocated — used for the hello, where even the
+// general wire limit is too generous for a peer that has not identified
+// itself.
 func readFrameLimited(r io.Reader, limit uint32) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var buf []byte
+	return readFrameInto(r, limit, &buf)
+}
+
+// readFrameInto is readFrameLimited reading into *buf, header included.
+// *buf is replaced with a larger buffer only when a frame does not fit
+// (the cap is checked first), so a reader that keeps one buffer per
+// stream stops allocating once it has seen the largest frame. The
+// payload is a prefix of *buf: it is valid until the next read into the
+// same buffer, and a caller that keeps any of it must copy it.
+func readFrameInto(r io.Reader, limit uint32, buf *[]byte) (typ byte, payload []byte, err error) {
+	hdr := growTo(buf, 5)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: truncated header: %v", ErrBadFrame, err)
 	}
+	typ = hdr[0]
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n > limit {
 		return 0, nil, fmt.Errorf("%w: %d-byte payload exceeds limit", ErrBadFrame, n)
 	}
-	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
-		}
+	payload = growTo(buf, int(n))
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 	}
-	return hdr[0], payload, nil
+	return typ, payload, nil
+}
+
+// growTo returns the first n bytes of *buf, first replacing *buf with an
+// n-byte buffer when it holds fewer. Nothing is copied: the caller
+// overwrites the bytes.
+func growTo(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	return (*buf)[:n]
 }
 
 // readMagic consumes and checks the connection preamble.
@@ -221,17 +254,21 @@ func splitSeq(payload []byte) (seq uint64, inner []byte, err error) {
 	return binary.LittleEndian.Uint64(payload), payload[8:], nil
 }
 
-// recordFrame starts a record-frame payload: 8 bytes reserved for the
-// sequence number (stampSeq fills them when the writer dequeues the
-// frame), then a virtual time as little-endian float64 bits. A final
-// frame's time is the end of the run and the payload ends there; a packet
-// frame's is the flush time, and the caller appends the packet's
-// accounting wire encoding — the same bytes the simulated AMIE wire
-// carries — into the same buffer.
+// appendRecordFrame starts a record-frame payload in dst: 8 bytes
+// reserved for the sequence number (stampSeq fills them when the writer
+// dequeues the frame), then a virtual time as little-endian float64 bits.
+// A final frame's time is the end of the run and the payload ends there;
+// a packet frame's is the flush time, and the caller appends the
+// packet's accounting wire encoding — the same bytes the simulated AMIE
+// wire carries — into the same buffer.
+func appendRecordFrame(dst []byte, t float64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, 0)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(t))
+}
+
+// recordFrame is appendRecordFrame into a fresh 16-byte payload.
 func recordFrame(t float64) []byte {
-	out := make([]byte, 16)
-	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(t))
-	return out
+	return appendRecordFrame(make([]byte, 0, 16), t)
 }
 
 // splitPacketFrame splits a packet-frame body (the payload past the

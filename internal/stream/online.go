@@ -54,6 +54,9 @@ type online struct {
 	chains map[job.Sym]*chainState
 
 	decided *telemetry.CounterVec
+	// byRule caches decided's counter for each rule, filled on a rule's
+	// first decision so that no series exists before its first count.
+	byRule [core.NumRules]*telemetry.Counter
 }
 
 type burstKey struct {
@@ -95,7 +98,12 @@ func (o *online) bind(reg *telemetry.Registry) {
 func (o *online) classify(r *accounting.JobRecord) core.Result {
 	res := o.decide(r)
 	if o.decided != nil {
-		o.decided.With(string(res.Rule.Modality()), res.Rule.Source().String()).Inc()
+		c := o.byRule[res.Rule]
+		if c == nil {
+			c = o.decided.With(string(res.Rule.Modality()), res.Rule.Source().String())
+			o.byRule[res.Rule] = c
+		}
+		c.Inc()
 	}
 	return res
 }
