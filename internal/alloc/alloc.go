@@ -18,7 +18,6 @@ type Project struct {
 	ScienceField string
 	AwardedNUs   float64
 	usedNUs      float64
-	users        map[string]bool
 }
 
 // Remaining returns the unspent balance in NUs.
@@ -26,16 +25,6 @@ func (p *Project) Remaining() float64 { return p.AwardedNUs - p.usedNUs }
 
 // Exhausted reports whether the project has no balance left.
 func (p *Project) Exhausted() bool { return p.Remaining() <= 0 }
-
-// Users returns the project's authorized users, sorted.
-func (p *Project) Users() []string {
-	out := make([]string, 0, len(p.users))
-	for u := range p.users {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Bank manages all projects and charging.
 type Bank struct {
@@ -60,26 +49,9 @@ func (b *Bank) Award(id, pi, field string, nus float64) (*Project, error) {
 	}
 	p := &Project{
 		ID: id, PI: pi, ScienceField: field, AwardedNUs: nus,
-		users: map[string]bool{pi: true},
 	}
 	b.projects[id] = p
 	return p, nil
-}
-
-// AddUser authorizes a user on a project.
-func (b *Bank) AddUser(id, user string) error {
-	p, ok := b.projects[id]
-	if !ok {
-		return fmt.Errorf("alloc: no project %s", id)
-	}
-	p.users[user] = true
-	return nil
-}
-
-// Project looks up a project.
-func (b *Bank) Project(id string) (*Project, bool) {
-	p, ok := b.projects[id]
-	return p, ok
 }
 
 // Projects returns all projects sorted by ID.

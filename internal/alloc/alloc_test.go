@@ -17,16 +17,6 @@ func TestAwardAndLookup(t *testing.T) {
 	if p.Remaining() != 1e6 || p.Exhausted() {
 		t.Errorf("fresh project: remaining %v exhausted %v", p.Remaining(), p.Exhausted())
 	}
-	if got, ok := b.Project("TG-MCA001"); !ok || got != p {
-		t.Error("Project lookup failed")
-	}
-	if _, ok := b.Project("nope"); ok {
-		t.Error("lookup of missing project succeeded")
-	}
-	// PI is automatically a project user.
-	if u := p.Users(); len(u) != 1 || u[0] != "smith" {
-		t.Errorf("Users = %v, want [smith]", u)
-	}
 }
 
 func TestAwardErrors(t *testing.T) {
@@ -50,18 +40,18 @@ func TestAwardErrors(t *testing.T) {
 
 func TestChargeAndExhaustion(t *testing.T) {
 	b := NewBank()
-	if _, err := b.Award("p", "pi", "f", 100); err != nil {
+	p, err := b.Award("p", "pi", "f", 100)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Charge("p", 60); err != nil {
 		t.Fatal(err)
 	}
 	// Overdraft allowed but reported.
-	err := b.Charge("p", 60)
+	err = b.Charge("p", 60)
 	if !errors.Is(err, ErrExhausted) {
 		t.Errorf("overdraft not reported: %v", err)
 	}
-	p, _ := b.Project("p")
 	if !p.Exhausted() {
 		t.Error("project should be exhausted")
 	}
@@ -73,24 +63,6 @@ func TestChargeAndExhaustion(t *testing.T) {
 	}
 	if err := b.Charge("p", -1); err == nil {
 		t.Error("negative charge accepted")
-	}
-}
-
-func TestSupplementAndUsers(t *testing.T) {
-	b := NewBank()
-	if _, err := b.Award("p", "pi", "f", 100); err != nil {
-		t.Fatal(err)
-	}
-	p, _ := b.Project("p")
-	if err := b.AddUser("p", "bob"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddUser("none", "bob"); err == nil {
-		t.Error("AddUser to missing project accepted")
-	}
-	users := p.Users()
-	if len(users) != 2 || users[0] != "bob" || users[1] != "pi" {
-		t.Errorf("Users = %v", users)
 	}
 }
 

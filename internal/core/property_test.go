@@ -117,8 +117,14 @@ func TestClassifyOrderInvariant(t *testing.T) {
 			}
 			return c
 		}
+		perm := make([]int, len(recs))
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
 		shuffled := make([]accounting.JobRecord, len(recs))
-		for i, j := range rng.Perm(len(recs)) {
+		for i, j := range perm {
 			shuffled[i] = recs[j]
 		}
 		cl := NewClassifier(Config{LargestCores: 512})

@@ -120,15 +120,6 @@ type Timer struct {
 	gen uint32
 }
 
-// At reports the virtual time at which the timer is scheduled to fire, or
-// zero if the event has already fired or been canceled.
-func (t Timer) At() Time {
-	if t.n == nil || t.gen != t.n.gen {
-		return 0
-	}
-	return t.n.at
-}
-
 // Pending reports whether the event is still scheduled.
 func (t Timer) Pending() bool {
 	return t.n != nil && t.gen == t.n.gen && t.n.index >= 0
@@ -371,9 +362,9 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run executes events until the event list is empty, Stop is called, or the
-// pending limit is breached. It returns the kernel error (nil, or a
-// *BacklogError matching ErrEventBacklog).
+// Run executes events until the event list is empty or the pending limit
+// is breached. It returns the kernel error (nil, or a *BacklogError
+// matching ErrEventBacklog).
 func (k *Kernel) Run() error {
 	if k.err != nil {
 		return k.err
@@ -402,51 +393,18 @@ func (k *Kernel) RunUntil(limit Time) error {
 	return k.err
 }
 
-// Stop halts Run or RunUntil after the currently executing event returns.
-// It may be called from inside an event handler.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Every schedules fn to run repeatedly with the given period, starting
-// after one period, until the returned Ticker is stopped. A period of zero
-// or less panics: a zero-period ticker would live-lock the kernel.
-func (k *Kernel) Every(period Time, fn Handler) *Ticker {
-	return k.EveryNamed(period, "", fn)
-}
-
-// EveryNamed is Every with a debug name recorded in traces on every tick.
-func (k *Kernel) EveryNamed(period Time, name string, fn Handler) *Ticker {
+// EveryNamed schedules fn to run repeatedly with the given period, starting
+// after one period, for as long as the kernel runs; name is recorded in
+// traces on every tick. A period of zero or less panics: a zero-period
+// ticker would live-lock the kernel.
+func (k *Kernel) EveryNamed(period Time, name string, fn Handler) {
 	if period <= 0 {
-		panic("des: Every called with non-positive period")
+		panic("des: EveryNamed called with non-positive period")
 	}
-	tk := &Ticker{k: k, period: period, name: name, fn: fn}
-	tk.arm()
-	return tk
-}
-
-// Ticker repeatedly fires a handler at a fixed virtual-time period.
-type Ticker struct {
-	k       *Kernel
-	period  Time
-	name    string
-	fn      Handler
-	timer   Timer
-	stopped bool
-}
-
-func (tk *Ticker) arm() {
-	tk.timer = tk.k.ScheduleNamed(tk.period, tk.name, func(k *Kernel) {
-		if tk.stopped {
-			return
-		}
-		tk.fn(k)
-		if !tk.stopped {
-			tk.arm()
-		}
-	})
-}
-
-// Stop cancels the ticker; the handler will not fire again.
-func (tk *Ticker) Stop() {
-	tk.stopped = true
-	tk.k.Cancel(tk.timer)
+	var tick Handler
+	tick = func(k *Kernel) {
+		fn(k)
+		k.ScheduleNamed(period, name, tick)
+	}
+	k.ScheduleNamed(period, name, tick)
 }

@@ -117,37 +117,11 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStopInsideHandler(t *testing.T) {
-	k := New()
-	var count int
-	for i := 1; i <= 10; i++ {
-		k.Schedule(Time(i), func(k *Kernel) {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 3 {
-		t.Errorf("count = %d after Stop, want 3", count)
-	}
-	if k.Pending() != 7 {
-		t.Errorf("pending = %d, want 7", k.Pending())
-	}
-}
-
 func TestTicker(t *testing.T) {
 	k := New()
 	var ticks []Time
-	var tk *Ticker
-	tk = k.Every(10, func(k *Kernel) {
-		ticks = append(ticks, k.Now())
-		if len(ticks) == 4 {
-			tk.Stop()
-		}
-	})
-	k.Run()
+	k.EveryNamed(10, "", func(k *Kernel) { ticks = append(ticks, k.Now()) })
+	k.RunUntil(40)
 	want := []Time{10, 20, 30, 40}
 	if len(ticks) != len(want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)
@@ -174,7 +148,7 @@ func TestTracer(t *testing.T) {
 func TestSchedulePanics(t *testing.T) {
 	k := New()
 	assertPanics(t, "nil handler", func() { k.Schedule(1, nil) })
-	assertPanics(t, "zero-period ticker", func() { k.Every(0, func(*Kernel) {}) })
+	assertPanics(t, "zero-period ticker", func() { k.EveryNamed(0, "", func(*Kernel) {}) })
 }
 
 func assertPanics(t *testing.T, name string, fn func()) {
@@ -238,135 +212,6 @@ func TestHeapPropertyRandom(t *testing.T) {
 	}
 }
 
-func TestResourceImmediateGrant(t *testing.T) {
-	k := New()
-	r := NewResource(k, 4)
-	granted := false
-	req := r.Acquire(3, func(*Kernel) { granted = true })
-	k.Run()
-	if !granted || !req.Granted() {
-		t.Fatal("acquire within capacity should grant")
-	}
-	if r.InUse() != 3 {
-		t.Errorf("InUse = %d, want 3", r.InUse())
-	}
-	r.Release(3)
-	if r.InUse() != 0 {
-		t.Errorf("InUse after release = %d, want 0", r.InUse())
-	}
-}
-
-func TestResourceFIFOBlocking(t *testing.T) {
-	k := New()
-	r := NewResource(k, 4)
-	var order []string
-	r.Acquire(4, func(*Kernel) { order = append(order, "big") })
-	// Head-of-line: this small request must wait behind the next big one.
-	k.Schedule(1, func(*Kernel) {
-		r.Acquire(3, func(*Kernel) { order = append(order, "second") })
-		r.Acquire(1, func(*Kernel) { order = append(order, "third") })
-	})
-	k.Schedule(2, func(*Kernel) { r.Release(4) })
-	k.Run()
-	want := []string{"big", "second", "third"}
-	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
-		t.Errorf("grant order = %v, want %v", order, want)
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	k := New()
-	r := NewResource(k, 2)
-	if !r.TryAcquire(2) {
-		t.Fatal("TryAcquire within capacity failed")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("TryAcquire beyond capacity succeeded")
-	}
-	r.Release(2)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
-func TestResourceCancelWait(t *testing.T) {
-	k := New()
-	r := NewResource(k, 1)
-	r.Acquire(1, func(*Kernel) {})
-	waiting := r.Acquire(1, func(*Kernel) { t.Error("canceled waiter ran") })
-	if !r.CancelWait(waiting) {
-		t.Fatal("CancelWait on queued request failed")
-	}
-	if r.CancelWait(waiting) {
-		t.Fatal("second CancelWait should fail")
-	}
-	k.Run()
-}
-
-func TestResourceInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := New()
-		cap := 1 + rng.Intn(16)
-		r := NewResource(k, cap)
-		// Random acquire/hold/release processes.
-		for i := 0; i < 100; i++ {
-			units := 1 + rng.Intn(cap)
-			at := Time(rng.Intn(100))
-			hold := Time(1 + rng.Intn(20))
-			k.At(at, func(k *Kernel) {
-				r.Acquire(units, func(k *Kernel) {
-					if r.InUse() > r.Capacity() {
-						t.Fatalf("overcommitted: inUse=%d cap=%d", r.InUse(), r.Capacity())
-					}
-					k.Schedule(hold, func(*Kernel) { r.Release(units) })
-				})
-			})
-		}
-		k.Run()
-		return r.InUse() == 0 && r.QueueLen() == 0 && r.Grants() == 100
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFIFO(t *testing.T) {
-	k := New()
-	q := NewFIFO[int](k)
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop on empty queue should fail")
-	}
-	q.Push(1)
-	q.Push(2)
-	q.Push(3)
-	if q.Len() != 3 || q.MaxLen() != 3 || q.Pushes() != 3 {
-		t.Errorf("Len/MaxLen/Pushes = %d/%d/%d, want 3/3/3", q.Len(), q.MaxLen(), q.Pushes())
-	}
-	if v, ok := q.Peek(); !ok || v != 1 {
-		t.Errorf("Peek = %d,%v, want 1,true", v, ok)
-	}
-	for want := 1; want <= 3; want++ {
-		v, ok := q.Pop()
-		if !ok || v != want {
-			t.Errorf("Pop = %d,%v, want %d,true", v, ok, want)
-		}
-	}
-}
-
-func TestFIFOMeanLen(t *testing.T) {
-	k := New()
-	q := NewFIFO[int](k)
-	q.Push(1) // length 1 during [0,10)
-	k.Schedule(10, func(*Kernel) { q.Pop() })
-	k.Run()
-	k.RunUntil(20) // length 0 during [10,20)
-	got := q.MeanLen()
-	if got < 0.49 || got > 0.51 {
-		t.Errorf("MeanLen = %v, want 0.5", got)
-	}
-}
-
 func BenchmarkKernelScheduleRun(b *testing.B) {
 	k := New()
 	b.ReportAllocs()
@@ -397,8 +242,8 @@ func TestStaleTimerHandleInert(t *testing.T) {
 	if k.Cancel(first) {
 		t.Fatal("stale handle canceled something")
 	}
-	if first.Name() != "" || first.At() != 0 {
-		t.Errorf("stale handle leaks recycled state: name=%q at=%v", first.Name(), first.At())
+	if first.Name() != "" {
+		t.Errorf("stale handle leaks recycled state: name=%q", first.Name())
 	}
 	if !second.Pending() {
 		t.Fatal("live timer lost by stale-handle Cancel")

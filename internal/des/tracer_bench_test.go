@@ -88,7 +88,7 @@ func TestEveryNamed(t *testing.T) {
 	var names []string
 	k.AddTracer(tracerFunc(func(at Time, name string) { names = append(names, name) }))
 	n := 0
-	tk := k.EveryNamed(10, "tick", func(*Kernel) { n++ })
+	k.EveryNamed(10, "tick", func(*Kernel) { n++ })
 	k.RunUntil(35)
 	if n != 3 {
 		t.Errorf("ticker fired %d times, want 3", n)
@@ -97,11 +97,6 @@ func TestEveryNamed(t *testing.T) {
 		if name != "tick" {
 			t.Errorf("ticker event named %q, want \"tick\"", name)
 		}
-	}
-	tk.Stop()
-	k.RunUntil(100)
-	if n != 3 {
-		t.Errorf("stopped ticker kept firing: %d", n)
 	}
 }
 

@@ -82,13 +82,6 @@ func ftStat(reps []fleet.Rep, f func(*ftSample) float64) fleet.Stat {
 	return fleet.Summarize(samples)
 }
 
-func ftCell(s fleet.Stat) string {
-	if s.N < 2 {
-		return report.FormatFloat(s.Mean)
-	}
-	return report.FormatFloat(s.Mean) + " ± " + report.FormatFloat(s.CI95)
-}
-
 // FTChaos sweeps fault intensity over small replication fleets and reports
 // per-modality goodput, wasted NUs, and completion rate. Intensity 0 is the
 // fault-free baseline; 1 is the nominal MTBF mix; higher values fail
@@ -150,7 +143,7 @@ func FTChaos(seed uint64, sc Scale) (*report.Table, error) {
 			return 100 * done / all
 		})
 		t.AddRow(report.FormatFloat(x), "all",
-			ftCell(jobs), ftCell(good), ftCell(waste), ftCell(comp))
+			jobs.String(), good.String(), waste.String(), comp.String())
 
 		mods := make([]string, 0, len(job.AllModalities))
 		for _, m := range job.AllModalities {
@@ -180,7 +173,7 @@ func FTChaos(seed uint64, sc Scale) (*report.Table, error) {
 				}
 				return 100 * float64(m.Completed) / float64(m.Jobs)
 			})
-			t.AddRow("", mod, ftCell(jobs), ftCell(good), ftCell(waste), ftCell(comp))
+			t.AddRow("", mod, jobs.String(), good.String(), waste.String(), comp.String())
 		}
 	}
 	return t, nil

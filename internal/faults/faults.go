@@ -16,30 +16,11 @@
 package faults
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/simrand"
 )
-
-// ErrGiveUp marks work abandoned after a retry policy exhausted its
-// attempts. Wrap sites use GiveUpError; match with errors.Is(err, ErrGiveUp).
-var ErrGiveUp = errors.New("faults: retries exhausted")
-
-// GiveUpError reports what gave up and after how many attempts.
-type GiveUpError struct {
-	Op       string // what was being retried ("gateway-request", "transfer")
-	Attempts int
-}
-
-func (e *GiveUpError) Error() string {
-	return fmt.Sprintf("faults: %s gave up after %d attempts", e.Op, e.Attempts)
-}
-
-// Unwrap makes errors.Is(err, ErrGiveUp) hold for every GiveUpError.
-func (e *GiveUpError) Unwrap() error { return ErrGiveUp }
 
 // RetryPolicy is exponential backoff with deterministic jitter: delay for
 // attempt n (1-based) is Base·Multiplier^(n-1), clamped to MaxDelay, then

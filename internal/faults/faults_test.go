@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -63,16 +62,6 @@ func TestRetryPolicyWallDelay(t *testing.T) {
 	}
 	if _, ok := p.WallDelay(4, nil); ok {
 		t.Error("attempt beyond MaxAttempts allowed")
-	}
-}
-
-func TestGiveUpErrorWrapsErrGiveUp(t *testing.T) {
-	var err error = &GiveUpError{Op: "transfer", Attempts: 6}
-	if !errors.Is(err, ErrGiveUp) {
-		t.Error("GiveUpError does not match ErrGiveUp")
-	}
-	if err.Error() != "faults: transfer gave up after 6 attempts" {
-		t.Errorf("unexpected message %q", err.Error())
 	}
 }
 

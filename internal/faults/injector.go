@@ -53,9 +53,6 @@ func New(k *des.Kernel, cfg Config, seed uint64) *Injector {
 	return &Injector{k: k, cfg: cfg, seed: seed, gwAttempts: make(map[job.ID]int)}
 }
 
-// Config returns the injector's configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
-
 // Stats returns the lifetime fault and resilience counters.
 func (inj *Injector) Stats() Stats { return inj.stats }
 

@@ -8,8 +8,9 @@ import (
 	"github.com/tgsim/tgmod/internal/report"
 )
 
-// meanCI renders a "mean ± ci95" table cell.
-func meanCI(s Stat) string {
+// String renders the "mean ± ci95" table cell; with fewer than two
+// replications there is no interval and the cell is the mean alone.
+func (s Stat) String() string {
 	if s.N < 2 {
 		return report.FormatFloat(s.Mean)
 	}
@@ -28,9 +29,9 @@ func (r *Result) SummaryTable() *report.Table {
 	t.AddRow("fleet wall clock", report.FormatFloat(r.Wall)+" s")
 	t.AddRow("kernel events (total)", report.GroupInt(int64(r.TotalEvents())))
 	t.AddRow("aggregate throughput", report.GroupInt(int64(r.EventsPerSec()))+" events/s")
-	t.AddRow("finished jobs", meanCI(r.Stat(func(rep *Rep) float64 { return float64(rep.Finished) })))
-	t.AddRow("total NUs", meanCI(r.Stat(func(rep *Rep) float64 { return rep.Report.TotalNUs })))
-	t.AddRow("peak FEL", meanCI(r.Stat(func(rep *Rep) float64 { return float64(rep.PeakFEL) })))
+	t.AddRow("finished jobs", r.Stat(func(rep *Rep) float64 { return float64(rep.Finished) }).String())
+	t.AddRow("total NUs", r.Stat(func(rep *Rep) float64 { return rep.Report.TotalNUs }).String())
+	t.AddRow("peak FEL", r.Stat(func(rep *Rep) float64 { return float64(rep.PeakFEL) }).String())
 	// Failed replications stay visible in the merged report — one row per
 	// bad seed with its error — instead of silently shrinking the CI count
 	// or aborting the fleet.
@@ -58,7 +59,7 @@ func (r *Result) ModalityTable() *report.Table {
 		if jobs.N == 0 || jobs.Max == 0 && nus.Max == 0 {
 			continue
 		}
-		t.AddRow(string(m), meanCI(jobs), meanCI(nus), meanCI(acct), meanCI(end))
+		t.AddRow(string(m), jobs.String(), nus.String(), acct.String(), end.String())
 	}
 	return t
 }
@@ -114,7 +115,7 @@ func (r *Result) MechanismTable() *report.Table {
 		fmt.Sprintf("Usage by submission mechanism, mean ± 95%% CI over %d replications", r.Succeeded()),
 		"mechanism", "jobs", "NUs", "acct users")
 	for _, e := range rows {
-		t.AddRow(e.name, meanCI(e.jobs), meanCI(e.nus), meanCI(e.users))
+		t.AddRow(e.name, e.jobs.String(), e.nus.String(), e.users.String())
 	}
 	return t
 }

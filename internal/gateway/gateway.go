@@ -60,7 +60,6 @@ type Gateway struct {
 	requests     uint64
 	attributed   uint64
 	rejectedDown uint64
-	firstSeenAt  map[string]des.Time
 }
 
 // New returns a gateway that submits through s and spools attribute records
@@ -80,7 +79,7 @@ func New(id, account, project, field string, coverage float64,
 		syms: syms, id: syms.Intern(id), account: syms.Intern(account),
 		project: syms.Intern(project), field: syms.Intern(field),
 		available: true,
-		users:     make(map[string]bool), firstSeenAt: make(map[string]des.Time),
+		users:     make(map[string]bool),
 	}, nil
 }
 
@@ -102,12 +101,6 @@ func (g *Gateway) Requests() uint64 { return g.requests }
 // Attributed returns how many submissions carried their end-user attribute.
 func (g *Gateway) Attributed() uint64 { return g.attributed }
 
-// FirstSeen returns when an end user first used the gateway.
-func (g *Gateway) FirstSeen(user string) (des.Time, bool) {
-	t, ok := g.firstSeenAt[user]
-	return t, ok
-}
-
 // Request submits a job on behalf of end-user endUser. The job is rewritten
 // to the community account and tagged as a gateway submission; with
 // probability AttrCoverage the end-user attribute record is also emitted.
@@ -119,10 +112,7 @@ func (g *Gateway) Request(endUser string, j *job.Job) {
 		}
 		return
 	}
-	if !g.users[endUser] {
-		g.users[endUser] = true
-		g.firstSeenAt[endUser] = g.k.Now()
-	}
+	g.users[endUser] = true
 	g.requests++
 	j.User = g.account
 	j.Project = g.project

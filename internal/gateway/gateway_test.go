@@ -124,23 +124,3 @@ func TestZeroCoverageEmitsNothing(t *testing.T) {
 		t.Errorf("attribute state wrong: %+v", sub.jobs[0].Attr)
 	}
 }
-
-func TestFirstSeen(t *testing.T) {
-	k := des.New()
-	sub := &captureSubmitter{}
-	syms := job.NewSymbols()
-	g, err := New("g", "acct", "proj", "f", 1, k, syms, simrand.New(1), sub, accounting.NewLedger("s", syms))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Schedule(100, func(*des.Kernel) { g.Request("alice", mkJob(syms, 1)) })
-	k.Schedule(200, func(*des.Kernel) { g.Request("alice", mkJob(syms, 2)) })
-	k.Run()
-	at, ok := g.FirstSeen("alice")
-	if !ok || at != 100 {
-		t.Errorf("FirstSeen = %v,%v, want 100,true", at, ok)
-	}
-	if _, ok := g.FirstSeen("bob"); ok {
-		t.Error("FirstSeen for unseen user")
-	}
-}

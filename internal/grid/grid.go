@@ -34,9 +34,6 @@ func (m *Machine) BatchCores() int { return (m.Nodes - m.VizNodes) * m.CoresPerN
 // VizCores returns cores in the interactive/visualization partition.
 func (m *Machine) VizCores() int { return m.VizNodes * m.CoresPerNode }
 
-// PeakGFlops returns the machine's peak performance.
-func (m *Machine) PeakGFlops() float64 { return float64(m.TotalCores()) * m.GFlopsPerCore }
-
 // NUs converts core-seconds consumed on this machine to normalized units.
 func (m *Machine) NUs(coreSeconds float64) float64 {
 	return coreSeconds / 3600 * m.NUPerCoreHour
@@ -109,7 +106,6 @@ type Federation struct {
 	Name     string
 	Sites    []*Site
 	machines map[string]*Machine
-	sites    map[string]*Site
 }
 
 // NewFederation assembles and validates a federation from sites. Machine
@@ -122,16 +118,16 @@ func NewFederation(name string, sites ...*Site) (*Federation, error) {
 		Name:     name,
 		Sites:    sites,
 		machines: make(map[string]*Machine),
-		sites:    make(map[string]*Site),
 	}
+	seen := make(map[string]bool, len(sites))
 	for _, s := range sites {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := f.sites[s.ID]; dup {
+		if seen[s.ID] {
 			return nil, fmt.Errorf("federation %s: duplicate site %s", name, s.ID)
 		}
-		f.sites[s.ID] = s
+		seen[s.ID] = true
 		for _, m := range s.Machines {
 			if _, dup := f.machines[m.ID]; dup {
 				return nil, fmt.Errorf("federation %s: duplicate machine %s", name, m.ID)
@@ -140,18 +136,6 @@ func NewFederation(name string, sites ...*Site) (*Federation, error) {
 		}
 	}
 	return f, nil
-}
-
-// Machine looks up a machine by ID.
-func (f *Federation) Machine(id string) (*Machine, bool) {
-	m, ok := f.machines[id]
-	return m, ok
-}
-
-// Site looks up a site by ID.
-func (f *Federation) Site(id string) (*Site, bool) {
-	s, ok := f.sites[id]
-	return s, ok
 }
 
 // Machines returns all machines sorted by ID (deterministic iteration).
@@ -171,15 +155,6 @@ func (f *Federation) TotalCores() int {
 		total += s.TotalCores()
 	}
 	return total
-}
-
-// PeakTFlops returns the federation's aggregate peak performance in TFlops.
-func (f *Federation) PeakTFlops() float64 {
-	total := 0.0
-	for _, m := range f.machines {
-		total += m.PeakGFlops()
-	}
-	return total / 1000
 }
 
 // LargestMachine returns the machine with the most cores (ties broken by

@@ -107,9 +107,6 @@ func New(k *des.Kernel, syms *job.Symbols, policy SelectPolicy, rng *simrand.Str
 	}
 }
 
-// Policy returns the selection policy.
-func (b *Broker) Policy() SelectPolicy { return b.policy }
-
 // Routed returns the number of jobs placed.
 func (b *Broker) Routed() uint64 { return b.routed }
 

@@ -47,9 +47,6 @@ func (s *Summary) Mean() float64 { return s.mean }
 func (s *Summary) Min() float64 { return s.min }
 func (s *Summary) Max() float64 { return s.max }
 
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
 // Variance returns the sample variance (0 for fewer than 2 points).
 func (s *Summary) Variance() float64 {
 	if s.n < 2 {

@@ -86,36 +86,6 @@ func (ev Event) ArgInt(key string) (int64, bool) {
 	return 0, false
 }
 
-// ArgFloat returns the numeric value recorded under key.
-func (ev Event) ArgFloat(key string) (float64, bool) {
-	v, ok := ev.Arg(key)
-	if !ok {
-		return 0, false
-	}
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case int:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	case uint64:
-		return float64(x), true
-	}
-	return 0, false
-}
-
-// ArgBool returns the boolean recorded under key (false when absent or not
-// a bool).
-func (ev Event) ArgBool(key string) bool {
-	v, ok := ev.Arg(key)
-	if !ok {
-		return false
-	}
-	b, _ := v.(bool)
-	return b
-}
-
 // Buffer is the in-memory span sink. Events are appended in execution
 // order, which the single-threaded kernel makes deterministic. A nil
 // *Buffer records nothing, so call sites need no guards of their own.

@@ -1,6 +1,6 @@
-// Virtual-time metric sampling: a registry of gauges polled by a single
-// des.Ticker into metrics.TimeSeries, grouped into named CSV exports
-// (one column per gauge, one row per sample period).
+// Virtual-time metric sampling: a registry of gauges polled by one kernel
+// ticker (des.Kernel.EveryNamed) into metrics.TimeSeries, grouped into
+// named CSV exports (one column per gauge, one row per sample period).
 package obs
 
 import (
@@ -30,7 +30,7 @@ type Sampler struct {
 	period  des.Time
 	groups  []*samplerGroup
 	byName  map[string]*samplerGroup
-	ticker  *des.Ticker
+	started bool
 	samples int
 }
 
@@ -86,19 +86,13 @@ func (s *Sampler) Series(group, col string) *metrics.TimeSeries {
 // Start begins sampling on kernel k; the first sample is taken one period
 // in. Start may be called once.
 func (s *Sampler) Start(k *des.Kernel) {
-	if s.ticker != nil {
+	if s.started {
 		panic("obs: Sampler.Start called twice")
 	}
-	s.ticker = k.EveryNamed(s.period, "obs-sample", func(k *des.Kernel) {
+	s.started = true
+	k.EveryNamed(s.period, "obs-sample", func(k *des.Kernel) {
 		s.sample(k.Now())
 	})
-}
-
-// Stop halts sampling.
-func (s *Sampler) Stop() {
-	if s.ticker != nil {
-		s.ticker.Stop()
-	}
 }
 
 func (s *Sampler) sample(at des.Time) {

@@ -139,8 +139,7 @@ type runState struct {
 	bytes        atomic.Uint64
 	packets      atomic.Uint64
 	lastFrameUNS atomic.Int64 // unix nanos of the last frame received
-
-	lastPublish time.Time // owned by the connection goroutine
+	publishes    atomic.Uint64
 }
 
 // NewDaemon returns a daemon ready to accept listeners.
@@ -344,7 +343,7 @@ func (d *Daemon) Recover() (int, error) {
 				d.logf("tgobsd: recovery: truncate %s: %v", path, err)
 			}
 		}
-		rs.publish(true)
+		rs.publish()
 		d.mu.Lock()
 		if _, taken := d.runs[rs.ID]; taken {
 			d.mu.Unlock()
@@ -538,7 +537,9 @@ func (d *Daemon) handleConn(conn net.Conn) {
 		d.decodeErrors.Add(1)
 		d.logf("tgobsd: run %s: %v", rs.ID, err)
 	}
-	rs.publish(true)
+	if !rs.finalized.Load() {
+		rs.publish()
+	}
 }
 
 // ingestFrames applies the frames that follow the hello until the
@@ -615,7 +616,9 @@ func (d *Daemon) applyFrame(rs *runState, conn net.Conn, typ byte, payload []byt
 		if err := rs.applyPacket(seq, body); err != nil {
 			return err
 		}
-		rs.publish(false)
+		if rs.packets.Load()%publishEvery == 1 {
+			rs.publish()
+		}
 	case frameSnapshot:
 		d.frameSnaps.Add(1)
 		s := &telemetry.Snapshot{}
@@ -701,18 +704,17 @@ func (rs *runState) applyPacket(seq uint64, body []byte) error {
 	return nil
 }
 
-// publishMinWall throttles mid-run payload publication; finals always
-// publish.
-const publishMinWall = 100 * time.Millisecond
+// publishEvery is the packet-frame stride of mid-run publication: a run
+// publishes at its first packet frame and at every publishEvery-th after
+// it, so the daemon's work per record does not depend on how fast the
+// host is. Recovery, finalization and a disconnect before the final
+// always publish.
+const publishEvery = 256
 
 // publish renders and publishes the run's live payloads. Runs on the
 // connection goroutine.
-func (rs *runState) publish(force bool) {
-	now := time.Now()
-	if !force && now.Sub(rs.lastPublish) < publishMinWall {
-		return
-	}
-	rs.lastPublish = now
+func (rs *runState) publish() {
+	rs.publishes.Add(1)
 	mp := rs.proc.Modalities()
 	dp := rs.proc.Drift()
 	mj := stream.MarshalPayload(mp)
@@ -749,7 +751,7 @@ func (d *Daemon) finalizeRun(rs *runState, end float64) error {
 	}
 	report := buf.Bytes()
 	rs.report.Store(&report)
-	rs.publish(true)
+	rs.publish()
 	rs.finalized.Store(true)
 	d.logf("tgobsd: run %s finalized (%d jobs, %d packets)",
 		rs.ID, rs.central.Len(), rs.packets.Load())

@@ -26,6 +26,9 @@ type RunInfo struct {
 	Packets    uint64  `json:"packets"`
 	Bytes      uint64  `json:"bytes"`
 	Reconnects uint64  `json:"reconnects"`
+	// Publishes counts renders of the run's live payloads (see
+	// publishEvery).
+	Publishes uint64 `json:"publishes"`
 	// Progress / SimTime / Done come from the producer's latest snapshot
 	// (absent until one arrives).
 	Progress float64 `json:"progress,omitempty"`
@@ -44,6 +47,7 @@ func (rs *runState) info(now time.Time) RunInfo {
 		Packets:    rs.packets.Load(),
 		Bytes:      rs.bytes.Load(),
 		Reconnects: rs.reconnects.Load(),
+		Publishes:  rs.publishes.Load(),
 	}
 	if uns := rs.lastFrameUNS.Load(); uns > 0 {
 		ri.LagSeconds = now.Sub(time.Unix(0, uns)).Seconds()

@@ -304,11 +304,6 @@ func Run(cfg Config) (*Result, error) {
 		if _, err := bank.Award(proj, piName, field, nus); err != nil {
 			return nil, err
 		}
-		for _, u := range pop.Team(proj) {
-			if err := bank.AddUser(proj, u.Name); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	// The run's one symbol table, made before anything creates a job: every

@@ -123,17 +123,6 @@ func (r *Stream) IntRange(lo, hi int) int {
 // Bool returns true with probability p.
 func (r *Stream) Bool(p float64) bool { return r.Float64() < p }
 
-// Perm returns a random permutation of [0,n).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Exp returns an exponential variate with the given rate (mean 1/rate).
 func (r *Stream) Exp(rate float64) float64 {
 	if rate <= 0 {
@@ -169,35 +158,6 @@ func (r *Stream) Pareto(xm, alpha float64) float64 {
 		panic("simrand: Pareto with non-positive parameter")
 	}
 	return xm / math.Pow(1-r.Float64(), 1/alpha)
-}
-
-// Gamma returns a gamma variate with the given shape k and scale theta,
-// using the Marsaglia–Tsang method (with Ahrens-Dieter boost for k < 1).
-func (r *Stream) Gamma(k, theta float64) float64 {
-	if k <= 0 || theta <= 0 {
-		panic("simrand: Gamma with non-positive parameter")
-	}
-	if k < 1 {
-		// boost: Gamma(k) = Gamma(k+1) * U^(1/k)
-		return r.Gamma(k+1, theta) * math.Pow(r.Float64(), 1/k)
-	}
-	d := k - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.Normal(0, 1)
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * theta
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * theta
-		}
-	}
 }
 
 // Zipf samples integers in [1, n] with probability proportional to

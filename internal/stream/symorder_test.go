@@ -78,7 +78,14 @@ func TestSymbolOrderInvariance(t *testing.T) {
 	live := res.Central.Syms()
 	permuted := job.NewSymbols()
 	permuted.Intern("a string no record holds")
-	for _, i := range simrand.New(11).Perm(live.Len()) {
+	rng := simrand.New(11)
+	perm := make([]int, live.Len())
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	for _, i := range perm {
 		permuted.Intern(live.Str(job.Sym(i)))
 	}
 	load := func(syms *job.Symbols) *accounting.Central {

@@ -72,7 +72,7 @@ func BenchmarkTelemetry(b *testing.B) {
 				return &Snapshot{SimTime: float64(at), Events: events}
 			},
 			Sink:    func(*Snapshot) {},
-			MinWall: time.Hour, // isolate the steady-state stride cost
+			minWall: time.Hour, // isolate the steady-state stride cost
 		}
 		k.AddTracer(p)
 		stepping(k, b.N)

@@ -59,9 +59,6 @@ func (c *Console) Update(s *Snapshot, openMetrics []byte) {
 	}
 }
 
-// Snapshot returns the most recently published snapshot.
-func (c *Console) Snapshot() *Snapshot { return c.snap.Load() }
-
 // PublishJSON mounts (or refreshes) an extra JSON document at path (e.g.
 // "/modalities"). The payload must be treated as immutable after the call;
 // a nil payload unmounts the path. Safe to call from the simulation

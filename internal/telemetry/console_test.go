@@ -135,8 +135,8 @@ func TestPublisherThrottleAndFinal(t *testing.T) {
 			return &Snapshot{SimTime: float64(at), Events: events, Pending: pending, Progress: float64(at) / 100}
 		},
 		Sink:       func(s *Snapshot) { published = append(published, s) },
-		CheckEvery: 10,
-		MinWall:    time.Nanosecond,
+		checkEvery: 10,
+		minWall:    time.Nanosecond,
 	}
 	for i := 1; i <= 25; i++ {
 		p.AfterEvent(des.Time(i), "ev", 25-i)
@@ -166,8 +166,8 @@ func TestPublisherWallThrottle(t *testing.T) {
 	p := &Publisher{
 		Build:      func(at des.Time, events uint64, pending int) *Snapshot { return &Snapshot{} },
 		Sink:       func(*Snapshot) { n++ },
-		CheckEvery: 1,
-		MinWall:    time.Hour,
+		checkEvery: 1,
+		minWall:    time.Hour,
 	}
 	for i := 1; i <= 1000; i++ {
 		p.AfterEvent(des.Time(i), "ev", 0)

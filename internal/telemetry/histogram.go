@@ -1,5 +1,4 @@
-// Log-bucketed streaming histogram: O(buckets) state with cheap quantile
-// estimates, replacing metrics.Sample (which retains every observation and
+// Log-bucketed streaming histogram: O(buckets) state, replacing metrics.Sample (which retains every observation and
 // cannot serve a 90-day full-scale run) for live views.
 package telemetry
 
@@ -17,9 +16,10 @@ const (
 	histBuckets = histMaxExp - histMinExp + 1
 )
 
-// Histogram accumulates observations into logarithmic buckets. Quantile
-// estimates are exact to within bucket resolution (a factor of two), which
-// is the live-telemetry tradeoff: bounded memory for bounded error.
+// Histogram accumulates observations into logarithmic buckets. A quantile
+// read off the buckets is exact only to within bucket resolution (a factor
+// of two), which is the live-telemetry tradeoff: bounded memory for bounded
+// error.
 type Histogram struct {
 	counts [histBuckets]uint64
 	n      uint64
@@ -115,59 +115,6 @@ func (h *Histogram) Max() float64 {
 		return 0
 	}
 	return h.max
-}
-
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) by locating the target
-// rank's bucket and interpolating geometrically inside it (log-bucketed
-// data is closer to log-uniform than uniform within a bucket). The result
-// is clamped to the observed [min, max], so tail quantiles of a
-// single-bucket histogram stay honest. Returns 0 when empty or nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	rank := q * float64(h.n)
-	var cum float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next {
-			frac := (rank - cum) / float64(c)
-			v := interpolate(i, frac)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
-		}
-		cum = next
-	}
-	return h.max
-}
-
-// interpolate places frac ∈ [0,1] inside bucket i. Geometric interpolation
-// between the bucket bounds; the underflow bucket (lower bound 0) and the
-// overflow bucket (upper bound +Inf) fall back to their finite edge.
-func interpolate(i int, frac float64) float64 {
-	hi := histUpper(i)
-	if i == 0 {
-		return hi * frac // linear within the underflow bucket
-	}
-	if math.IsInf(hi, 1) {
-		return histUpper(i - 1) // overflow bucket: report its lower edge
-	}
-	lo := histUpper(i - 1)
-	return lo * math.Pow(hi/lo, frac)
 }
 
 // buckets returns (upperBound, cumulativeCount) pairs for every bucket up

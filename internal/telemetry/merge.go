@@ -7,8 +7,6 @@
 // byte-identical between parallel and sequential fleet runs.
 package telemetry
 
-import "fmt"
-
 // Merge folds src into r: counters and gauges add, histograms add
 // bucket-wise (sums, counts, and exact min/max extremes combine). Callback
 // gauges in src are evaluated at merge time and folded into the merged
@@ -68,9 +66,8 @@ func (h *Histogram) Merge(src *Histogram) {
 	h.sum += src.sum
 }
 
-// seriesCount reports the total number of series across families — a cheap
-// sanity figure for fleet summaries and tests.
-func (r *Registry) seriesCount() int {
+// SeriesCount reports the total number of series across all families.
+func (r *Registry) SeriesCount() int {
 	if r == nil {
 		return 0
 	}
@@ -79,25 +76,4 @@ func (r *Registry) seriesCount() int {
 		n += len(f.series)
 	}
 	return n
-}
-
-// SeriesCount reports the total number of series across all families.
-func (r *Registry) SeriesCount() int { return r.seriesCount() }
-
-// mustSameSchema is a debugging helper used by tests to assert two
-// registries declare compatible schemas before merging.
-func mustSameSchema(a, b *Registry) error {
-	if a == nil || b == nil {
-		return nil
-	}
-	for name, bf := range b.families {
-		af, ok := a.families[name]
-		if !ok {
-			continue
-		}
-		if af.kind != bf.kind || len(af.labels) != len(bf.labels) {
-			return fmt.Errorf("telemetry: family %s schema mismatch", name)
-		}
-	}
-	return nil
 }

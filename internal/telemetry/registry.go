@@ -224,14 +224,6 @@ func (g *Gauge) Set(v float64) {
 	g.s.value = v
 }
 
-// Add shifts the gauge by a (possibly negative) delta. Nil-safe.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	g.s.value += v
-}
-
 // Value returns the current value, evaluating callback gauges (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -104,21 +104,22 @@ func compactCount(v uint64) string {
 
 // Publisher drives snapshot publication from inside the kernel's event
 // loop. It implements des.Tracer (no-op) and des.StepObserver: every
-// CheckEvery events it consults the wall clock and, if MinWall has elapsed
-// since the last publication, builds a snapshot and hands it to Sink. Both
-// Build and Sink run on the simulation goroutine.
+// 4096 events it consults the wall clock and, if 250 ms have elapsed since
+// the last publication, builds a snapshot and hands it to Sink. Both Build
+// and Sink run on the simulation goroutine.
 type Publisher struct {
 	// Build fills the deterministic fields of a snapshot from simulation
 	// state; the publisher adds the wall-clock fields.
 	Build func(at des.Time, events uint64, pending int) *Snapshot
 	// Sink receives every published snapshot.
 	Sink func(*Snapshot)
-	// CheckEvery is the event-count stride between wall-clock checks
-	// (default 4096): the steady-state per-event overhead is one counter
-	// increment and one modulo.
-	CheckEvery uint64
-	// MinWall is the minimum wall time between publications (default 250ms).
-	MinWall time.Duration
+	// checkEvery is the event-count stride between wall-clock checks
+	// (4096 when zero): the steady-state per-event overhead is one counter
+	// increment and one modulo. Only tests set it.
+	checkEvery uint64
+	// minWall is the minimum wall time between publications (250 ms when
+	// zero). Only tests set it.
+	minWall time.Duration
 
 	n       uint64
 	started time.Time
@@ -131,7 +132,7 @@ func (p *Publisher) Event(at des.Time, name string) {}
 // AfterEvent implements des.StepObserver.
 func (p *Publisher) AfterEvent(at des.Time, name string, pending int) {
 	p.n++
-	every := p.CheckEvery
+	every := p.checkEvery
 	if every == 0 {
 		every = 4096
 	}
@@ -142,7 +143,7 @@ func (p *Publisher) AfterEvent(at des.Time, name string, pending int) {
 	if p.started.IsZero() {
 		p.started = now.Add(-time.Millisecond) // avoid a zero wall span
 	}
-	minWall := p.MinWall
+	minWall := p.minWall
 	if minWall == 0 {
 		minWall = 250 * time.Millisecond
 	}

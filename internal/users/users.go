@@ -156,9 +156,6 @@ func fieldCode(field string) string {
 	return code
 }
 
-// Team returns a project's users.
-func (p *Population) Team(project string) []*User { return p.byProj[project] }
-
 // PI returns a project's principal investigator.
 func (p *Population) PI(project string) (*User, bool) {
 	for _, u := range p.byProj[project] {

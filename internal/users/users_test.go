@@ -61,7 +61,7 @@ func TestSynthesizeStructure(t *testing.T) {
 		if !strings.HasPrefix(proj, "TG-") {
 			t.Errorf("project id %q lacks TG- prefix", proj)
 		}
-		team := p.Team(proj)
+		team := p.byProj[proj]
 		if len(team) == 0 {
 			t.Errorf("project %s has no team", proj)
 		}

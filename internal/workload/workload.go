@@ -125,9 +125,6 @@ func (e *Env) NewJobID() job.ID {
 	return e.nextJobID
 }
 
-// JobsCreated returns how many IDs have been allocated.
-func (e *Env) JobsCreated() int64 { return int64(e.nextJobID) }
-
 // Machines returns machine IDs sorted, for deterministic iteration.
 func (e *Env) Machines() []string {
 	out := make([]string, 0, len(e.Sched))

@@ -427,7 +427,7 @@ func TestEnvHelpers(t *testing.T) {
 		t.Errorf("Machines = %v", ms)
 	}
 	id1, id2 := e.NewJobID(), e.NewJobID()
-	if id2 != id1+1 || e.JobsCreated() != 2 {
+	if id2 != id1+1 {
 		t.Error("job ID allocation wrong")
 	}
 	j := &job.Job{ID: 1, Name: e.Syms.Intern("x"), User: e.Syms.Intern("u"), Project: e.Syms.Intern("p"), Cores: 1,
