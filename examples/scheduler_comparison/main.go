@@ -54,7 +54,7 @@ func main() {
 	for _, pol := range []string{"fcfs", "easy", "conservative"} {
 		k := des.New()
 		m := &grid.Machine{ID: "bench", Site: "s", Nodes: 512, CoresPerNode: 8,
-			GFlopsPerCore: 4, NUPerCoreHour: 1}
+			NUPerCoreHour: 1}
 		syms := job.NewSymbols()
 		s := sched.MustNamed(k, syms, m, pol)
 		jobs := make([]*job.Job, n)

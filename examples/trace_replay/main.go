@@ -63,7 +63,7 @@ func main() {
 func record(syms *job.Symbols) []*accounting.JobRecord {
 	k := des.New()
 	m := &grid.Machine{ID: "orig", Site: "s", Nodes: 512, CoresPerNode: 8,
-		GFlopsPerCore: 4, NUPerCoreHour: 1.5}
+		NUPerCoreHour: 1.5}
 	s := sched.MustNamed(k, syms, m, "easy")
 	var recs []*accounting.JobRecord
 	s.Subscribe(func(e sched.Event) {
@@ -91,7 +91,7 @@ func record(syms *job.Symbols) []*accounting.JobRecord {
 func replay(parsed []trace.Job, pol string) (int, *metrics.Sample, float64) {
 	k := des.New()
 	m := &grid.Machine{ID: "half", Site: "s", Nodes: 256, CoresPerNode: 8,
-		GFlopsPerCore: 4, NUPerCoreHour: 1.5}
+		NUPerCoreHour: 1.5}
 	syms := job.NewSymbols()
 	s := sched.MustNamed(k, syms, m, pol)
 	waits := &metrics.Sample{}

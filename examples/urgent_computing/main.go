@@ -25,7 +25,7 @@ func main() {
 	k := des.New()
 	machine := &grid.Machine{
 		ID: "mesa-ranger", Site: "mesa", Nodes: 512, CoresPerNode: 16, // 8192 cores
-		GFlopsPerCore: 2.3, NUPerCoreHour: 1.9, UrgentCapable: true,
+		NUPerCoreHour: 1.9, UrgentCapable: true,
 	}
 	syms := job.NewSymbols()
 	s := sched.MustNamed(k, syms, machine, "easy")

@@ -40,7 +40,7 @@ func (ss *schedSubmitter) SubmitJob(j *job.Job) {
 func main() {
 	k := des.New()
 	m := &grid.Machine{ID: "hpc", Site: "s", Nodes: 256, CoresPerNode: 8,
-		GFlopsPerCore: 4, NUPerCoreHour: 1.4}
+		NUPerCoreHour: 1.4}
 	central := accounting.NewCentral(nil)
 	syms := central.Syms()
 	s := sched.MustNamed(k, syms, m, "easy")

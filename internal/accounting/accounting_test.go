@@ -13,7 +13,7 @@ import (
 
 func testMachine() *grid.Machine {
 	return &grid.Machine{ID: "m", Site: "s", Nodes: 10, CoresPerNode: 8,
-		GFlopsPerCore: 4, NUPerCoreHour: 2}
+		NUPerCoreHour: 2}
 }
 
 func finishedJob(syms *job.Symbols, id int64) *job.Job {
@@ -57,14 +57,15 @@ func TestRecordOf(t *testing.T) {
 }
 
 func TestLedgerFlush(t *testing.T) {
-	l := NewLedger("s", job.NewSymbols())
+	syms := job.NewSymbols()
+	l := NewLedger("s", syms)
 	if p := l.Flush(0); p != nil {
 		t.Error("empty flush should return nil")
 	}
 	l.AddJob(JobRecord{JobID: 1})
 	l.AddTransfer(TransferRecord{TransferID: 2})
-	l.AddGatewayAttr(GatewayAttrRecord{JobID: 1, GatewayUser: "end-user"})
-	l.AddStorage(StorageRecord{Site: "s", Project: "p", Bytes: 10})
+	l.AddGatewayAttr(GatewayAttrRecord{JobID: 1, GatewayUser: syms.Intern("end-user")})
+	l.AddStorage(StorageRecord{Site: syms.Intern("s"), Project: syms.Intern("p"), Bytes: 10})
 	if l.Pending() != 4 {
 		t.Errorf("Pending = %d, want 4", l.Pending())
 	}

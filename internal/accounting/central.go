@@ -10,8 +10,8 @@ import (
 // It ingests site packets idempotently and answers the aggregation queries
 // the usage-modality analysis and the experiment harness rely on.
 //
-// Its job records index one symbol table (Syms), the run's: every packet
-// with job records it ingests must carry that table.
+// Its records index one symbol table (Syms), the run's: every packet with
+// records it ingests must carry that table.
 //
 // Central borrows every record it holds: a flushed packet never changes
 // again, so Ingest keeps the runs of a packet's records it accepts in the
@@ -21,7 +21,7 @@ import (
 // Export) reads those arrays in place and writes nothing, so any number of
 // goroutines may read a Central concurrently while no ingest runs.
 type Central struct {
-	syms         *job.Symbols // the table every held job record indexes
+	syms         *job.Symbols // the table every held record indexes
 	recs         []*JobRecord // job records in arrival order, in borrowed arrays
 	jobRuns      Runs[JobRecord]
 	ids          idIndex // JobID → arrival position in recs
@@ -95,8 +95,8 @@ func (x *idIndex) add(id int64, pos int) {
 	x.far[id] = pos
 }
 
-// NewCentral returns an empty central database whose job records index
-// syms, the run's table; nil gives the database a fresh table.
+// NewCentral returns an empty central database whose records index syms,
+// the run's table; nil gives the database a fresh table.
 func NewCentral(syms *job.Symbols) *Central {
 	if syms == nil {
 		syms = job.NewSymbols()
@@ -110,13 +110,13 @@ func NewCentral(syms *job.Symbols) *Central {
 // indicates a bug). Central borrows the records: it keeps the runs of
 // p.Jobs between duplicate JobIDs, and p's other record slices, in place
 // and never writes to them, so the caller must not change p afterwards. A
-// packet whose job records index another table than the database's is an
+// packet whose records index another table than the database's is an
 // error, and is not admitted.
 func (c *Central) Ingest(p *Packet) error {
 	if p == nil {
 		return nil
 	}
-	if len(p.Jobs) > 0 && p.Syms != c.syms {
+	if p.Records() > 0 && p.Syms != c.syms {
 		return fmt.Errorf("accounting: site %s packet %d indexes another symbol table", p.Site, p.Seq)
 	}
 	if fresh, err := c.admit(p.Site, p.Seq); !fresh {
@@ -128,7 +128,7 @@ func (c *Central) Ingest(p *Packet) error {
 
 // IngestWire decodes a packet in the binary wire form into the database's
 // table and ingests it as Ingest does. It returns the packet, or nil for a
-// re-delivery. It interns the job records' strings only once the whole
+// re-delivery. It interns the records' strings only once the whole
 // packet has decoded and been admitted, so input it rejects (a malformed
 // packet, a gap or a re-delivery) leaves the table as it was: a long-lived
 // table fed untrusted bytes grows only by the strings of packets it keeps.
@@ -208,7 +208,7 @@ func grow[T any](s []T, n int) []T {
 	return t
 }
 
-// Syms returns the table the database's job records index.
+// Syms returns the table the database's records index.
 func (c *Central) Syms() *job.Symbols { return c.syms }
 
 // Duplicates returns how many duplicate packets/records were skipped.
@@ -247,6 +247,10 @@ func (c *Central) Job(id int64) (JobRecord, bool) {
 	}
 	return *c.recs[i], true
 }
+
+// Pos returns the arrival position (the index At takes) of the job record
+// with JobID id.
+func (c *Central) Pos(id int64) (int, bool) { return c.ids.get(id) }
 
 // ---- Aggregation queries ----
 

@@ -26,9 +26,10 @@ func spoolOne(l *Ledger, id int64, jobs int) {
 		r.JobID = id + int64(i)
 		l.AddJob(r)
 	}
-	l.AddTransfer(TransferRecord{TransferID: id, Src: "ridge", Dst: "mesa", Bytes: id})
-	l.AddGatewayAttr(GatewayAttrRecord{GatewayID: "nanohub", GatewayUser: "u", JobID: id})
-	l.AddStorage(StorageRecord{Site: "ridge", Project: "p", Bytes: id})
+	s := l.syms.Intern
+	l.AddTransfer(TransferRecord{TransferID: id, Src: s("ridge"), Dst: s("mesa"), Bytes: id})
+	l.AddGatewayAttr(GatewayAttrRecord{GatewayID: s("nanohub"), GatewayUser: s("u"), JobID: id})
+	l.AddStorage(StorageRecord{Site: s("ridge"), Project: s("p"), Bytes: id})
 }
 
 func clonePacket(p *Packet) *Packet {

@@ -180,8 +180,8 @@ func priorCentral(t testing.TB) (*Central, *refCentral, []*Packet) {
 		}})
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
-		packets = append(packets, &Packet{Site: "s", Seq: seq,
-			Storage: []StorageRecord{{Site: "s", Project: "p", Bytes: int64(seq)}}})
+		packets = append(packets, &Packet{Site: "s", Seq: seq, Syms: syms,
+			Storage: []StorageRecord{{Site: syms.Intern("s"), Project: syms.Intern("p"), Bytes: int64(seq)}}})
 	}
 	for _, p := range packets {
 		if err := c.Ingest(p); err != nil {

@@ -230,7 +230,7 @@ func TestSealInterleaved(t *testing.T) {
 func TestImportRefusesHeldRecords(t *testing.T) {
 	for _, p := range []*Packet{
 		{Site: "ridge", Seq: 1, Jobs: []JobRecord{{JobID: 1}}},
-		{Site: "ridge", Seq: 1, Storage: []StorageRecord{{Site: "ridge", Bytes: 1}}},
+		{Site: "ridge", Seq: 1, Storage: []StorageRecord{{Bytes: 1}}},
 	} {
 		c := NewCentral(nil)
 		p.Syms = c.Syms()

@@ -96,8 +96,66 @@ func (j *jobJSON) record(t *job.Symbols) JobRecord {
 	}
 }
 
-// Export writes the full database as JSON lines, job record strings
-// spelled out through the database's table.
+// transferJSON, gatewayAttrJSON and storageJSON are the JSON forms of the
+// other record kinds, as jobJSON is JobRecord's.
+type transferJSON struct {
+	TransferID int64   `json:"transfer_id"`
+	Src        string  `json:"src"`
+	Dst        string  `json:"dst"`
+	Bytes      int64   `json:"bytes"`
+	Start      float64 `json:"start"`
+	End        float64 `json:"end"`
+	User       string  `json:"user"`
+	Project    string  `json:"project"`
+	JobID      int64   `json:"job_id,omitempty"`
+}
+
+type gatewayAttrJSON struct {
+	GatewayID   string  `json:"gateway_id"`
+	GatewayUser string  `json:"gateway_user"`
+	JobID       int64   `json:"job_id"`
+	At          float64 `json:"at"`
+}
+
+type storageJSON struct {
+	Site    string  `json:"site"`
+	Project string  `json:"project"`
+	Bytes   int64   `json:"bytes"`
+	At      float64 `json:"at"`
+}
+
+func transferToJSON(r *TransferRecord, t *job.Symbols) transferJSON {
+	return transferJSON{TransferID: r.TransferID, Src: t.Str(r.Src), Dst: t.Str(r.Dst),
+		Bytes: r.Bytes, Start: r.Start, End: r.End,
+		User: t.Str(r.User), Project: t.Str(r.Project), JobID: r.JobID}
+}
+
+func (j *transferJSON) record(t *job.Symbols) TransferRecord {
+	return TransferRecord{TransferID: j.TransferID, Src: t.Intern(j.Src), Dst: t.Intern(j.Dst),
+		Bytes: j.Bytes, Start: j.Start, End: j.End,
+		User: t.Intern(j.User), Project: t.Intern(j.Project), JobID: j.JobID}
+}
+
+func gatewayAttrToJSON(r *GatewayAttrRecord, t *job.Symbols) gatewayAttrJSON {
+	return gatewayAttrJSON{GatewayID: t.Str(r.GatewayID), GatewayUser: t.Str(r.GatewayUser),
+		JobID: r.JobID, At: r.At}
+}
+
+func (j *gatewayAttrJSON) record(t *job.Symbols) GatewayAttrRecord {
+	return GatewayAttrRecord{GatewayID: t.Intern(j.GatewayID), GatewayUser: t.Intern(j.GatewayUser),
+		JobID: j.JobID, At: j.At}
+}
+
+func storageToJSON(r *StorageRecord, t *job.Symbols) storageJSON {
+	return storageJSON{Site: t.Str(r.Site), Project: t.Str(r.Project), Bytes: r.Bytes, At: r.At}
+}
+
+func (j *storageJSON) record(t *job.Symbols) StorageRecord {
+	return StorageRecord{Site: t.Intern(j.Site), Project: t.Intern(j.Project), Bytes: j.Bytes, At: j.At}
+}
+
+// Export writes the full database as JSON lines, record strings spelled
+// out through the database's table.
 func (c *Central) Export(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	write := func(kind string, v any) error {
@@ -119,23 +177,25 @@ func (c *Central) Export(w io.Writer) error {
 			return err
 		}
 	}
-	if err := writeRuns(write, "transfer", c.transfers); err != nil {
+	if err := writeRuns(write, "transfer", c.transfers, c.syms, transferToJSON); err != nil {
 		return err
 	}
-	if err := writeRuns(write, "gateway_attr", c.gatewayAttrs); err != nil {
+	if err := writeRuns(write, "gateway_attr", c.gatewayAttrs, c.syms, gatewayAttrToJSON); err != nil {
 		return err
 	}
-	if err := writeRuns(write, "storage", c.storage); err != nil {
+	if err := writeRuns(write, "storage", c.storage, c.syms, storageToJSON); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// writeRuns writes every record of rs as a line of the given kind.
-func writeRuns[T any](write func(kind string, v any) error, kind string, rs Runs[T]) error {
+// writeRuns writes every record of rs, spelled out through t, as a line of
+// the given kind.
+func writeRuns[T, J any](write func(kind string, v any) error, kind string, rs Runs[T],
+	t *job.Symbols, toJSON func(*T, *job.Symbols) J) error {
 	for _, run := range rs {
 		for i := range run {
-			if err := write(kind, &run[i]); err != nil {
+			if err := write(kind, toJSON(&run[i], t)); err != nil {
 				return err
 			}
 		}
@@ -148,7 +208,7 @@ func writeRuns[T any](write func(kind string, v any) error, kind string, rs Runs
 const importBlock = 256
 
 // Import reads a JSON-lines export into an empty central database,
-// interning job record strings into the database's table. It refuses to
+// interning record strings into the database's table. It refuses to
 // import into a database that already holds records, since the
 // sequence-tracking state would be inconsistent. Every failure wraps
 // ErrBadImport; the records of the lines before a failing one stay
@@ -192,11 +252,11 @@ func (c *Central) Import(r io.Reader) error {
 				c.hold(appendBlock(&c.jobRuns, &jobs, rec.record(c.syms)))
 			}
 		case "transfer":
-			err = decodeInto(tl.Data, &c.transfers, &transfers)
+			err = decodeInto(tl.Data, c.syms, (*transferJSON).record, &c.transfers, &transfers)
 		case "gateway_attr":
-			err = decodeInto(tl.Data, &c.gatewayAttrs, &attrs)
+			err = decodeInto(tl.Data, c.syms, (*gatewayAttrJSON).record, &c.gatewayAttrs, &attrs)
 		case "storage":
-			err = decodeInto(tl.Data, &c.storage, &storage)
+			err = decodeInto(tl.Data, c.syms, (*storageJSON).record, &c.storage, &storage)
 		default:
 			return fmt.Errorf("%w: line %d: unknown kind %q", ErrBadImport, lineNo, tl.Kind)
 		}
@@ -210,13 +270,14 @@ func (c *Central) Import(r io.Reader) error {
 	return nil
 }
 
-// decodeInto decodes one record into the open block.
-func decodeInto[T any](data []byte, rs *Runs[T], block *[]T) error {
-	var rec T
+// decodeInto decodes one record's JSON form, interns its strings into t
+// and appends the record to the open block.
+func decodeInto[J, T any](data []byte, t *job.Symbols, record func(*J, *job.Symbols) T, rs *Runs[T], block *[]T) error {
+	var rec J
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return err
 	}
-	appendBlock(rs, block, rec)
+	appendBlock(rs, block, record(&rec, t))
 	return nil
 }
 

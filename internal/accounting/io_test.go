@@ -20,9 +20,9 @@ func populated(t *testing.T) *Central {
 			{JobID: 1, User: s.Intern("a"), NUs: 10, Cores: 4, TruthModality: job.SymBatchCapacity},
 			{JobID: 2, User: s.Intern("b"), NUs: 20, Cores: 8, GatewayID: s.Intern("g")},
 		},
-		Transfers:    []TransferRecord{{TransferID: 9, Src: "x", Dst: "y", Bytes: 100, JobID: 1}},
-		GatewayAttrs: []GatewayAttrRecord{{GatewayID: "g", GatewayUser: "u", JobID: 2}},
-		Storage:      []StorageRecord{{Site: "s", Project: "p", Bytes: 7}},
+		Transfers:    []TransferRecord{{TransferID: 9, Src: s.Intern("x"), Dst: s.Intern("y"), Bytes: 100, JobID: 1}},
+		GatewayAttrs: []GatewayAttrRecord{{GatewayID: s.Intern("g"), GatewayUser: s.Intern("u"), JobID: 2}},
+		Storage:      []StorageRecord{{Site: s.Intern("s"), Project: s.Intern("p"), Bytes: 7}},
 	})
 	if err != nil {
 		t.Fatal(err)

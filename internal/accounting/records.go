@@ -111,34 +111,43 @@ func (r *JobRecord) WaitSeconds() float64 {
 	return w
 }
 
-// TransferRecord is the usage record for one bulk data movement.
+// TransferRecord is the usage record for one bulk data movement. Like
+// JobRecord's, its string fields are Syms into the run's table, so it holds
+// no pointers; the wire codec and the JSON export spell them out.
 type TransferRecord struct {
-	TransferID int64   `json:"transfer_id"`
-	Src        string  `json:"src"`
-	Dst        string  `json:"dst"`
-	Bytes      int64   `json:"bytes"`
-	Start      float64 `json:"start"`
-	End        float64 `json:"end"`
-	User       string  `json:"user"`
-	Project    string  `json:"project"`
-	JobID      int64   `json:"job_id,omitempty"`
+	TransferID int64
+	Src, Dst   job.Sym
+	Bytes      int64
+	Start      float64
+	End        float64
+	User       job.Sym
+	Project    job.Sym
+	JobID      int64 // the job a staging transfer serves; 0 if none
 }
 
 // GatewayAttrRecord is the AAAA-model attribute a gateway submits alongside
 // a community-account job, identifying the real end user of the request.
+// Its string fields are Syms into the run's table.
 type GatewayAttrRecord struct {
-	GatewayID   string  `json:"gateway_id"`
-	GatewayUser string  `json:"gateway_user"`
-	JobID       int64   `json:"job_id"`
-	At          float64 `json:"at"`
+	GatewayID   job.Sym
+	GatewayUser job.Sym
+	JobID       int64
+	At          float64
+}
+
+// EndUser returns the person the record names, its (gateway, end user)
+// pair, as one key of both Syms.
+func (g *GatewayAttrRecord) EndUser() uint64 {
+	return uint64(g.GatewayID)<<32 | uint64(g.GatewayUser)
 }
 
 // StorageRecord is a periodic snapshot of archival holdings per project.
+// Its string fields are Syms into the run's table.
 type StorageRecord struct {
-	Site    string  `json:"site"`
-	Project string  `json:"project"`
-	Bytes   int64   `json:"bytes"`
-	At      float64 `json:"at"`
+	Site    job.Sym
+	Project job.Sym
+	Bytes   int64
+	At      float64
 }
 
 // Packet is the AMIE-style batch of records a site ships to the central
@@ -153,9 +162,14 @@ type Packet struct {
 	GatewayAttrs []GatewayAttrRecord `json:"gateway_attrs,omitempty"`
 	Storage      []StorageRecord     `json:"storage,omitempty"`
 
-	// Syms is the table the job records' Syms index: the flushing
-	// ledger's, or the one DecodePacket decoded into.
+	// Syms is the table the records' Syms index: the flushing ledger's,
+	// or the one DecodePacket decoded into.
 	Syms *job.Symbols `json:"-"`
+}
+
+// Records returns the number of records the packet carries, of all kinds.
+func (p *Packet) Records() int {
+	return len(p.Jobs) + len(p.Transfers) + len(p.GatewayAttrs) + len(p.Storage)
 }
 
 // Ledger is a site's local spool of unreported records. Sites flush their
@@ -171,8 +185,8 @@ type Ledger struct {
 	storage      []StorageRecord
 }
 
-// NewLedger returns an empty ledger for a site whose job records index
-// syms, the run's table.
+// NewLedger returns an empty ledger for a site whose records index syms,
+// the run's table.
 func NewLedger(site string, syms *job.Symbols) *Ledger { return &Ledger{Site: site, syms: syms} }
 
 // AddJob spools a job record.

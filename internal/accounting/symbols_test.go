@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"github.com/tgsim/tgmod/internal/job"
 )
@@ -35,15 +34,26 @@ func pointerFields(t reflect.Type, path string) []string {
 	return nil
 }
 
-// TestJobRecordIsPointerFree pins the record layout: no field holds a
-// pointer, so a slice of records is a no-scan span, and a record takes at
-// most 160 bytes.
+// TestJobRecordIsPointerFree pins the layout of every record kind: no
+// field holds a pointer, so a slice of records is a no-scan span, and each
+// record takes at most its pinned size.
 func TestJobRecordIsPointerFree(t *testing.T) {
-	if got := pointerFields(reflect.TypeOf(JobRecord{}), "JobRecord"); len(got) > 0 {
-		t.Errorf("JobRecord fields hold pointers: %s", strings.Join(got, ", "))
-	}
-	if n := unsafe.Sizeof(JobRecord{}); n > 160 {
-		t.Errorf("unsafe.Sizeof(JobRecord{}) = %d, want at most 160", n)
+	for _, tc := range []struct {
+		rec  any
+		size uintptr
+	}{
+		{JobRecord{}, 160},
+		{GatewayAttrRecord{}, 24},
+		{TransferRecord{}, 56},
+		{StorageRecord{}, 24},
+	} {
+		typ := reflect.TypeOf(tc.rec)
+		if got := pointerFields(typ, typ.Name()); len(got) > 0 {
+			t.Errorf("%s fields hold pointers: %s", typ.Name(), strings.Join(got, ", "))
+		}
+		if n := typ.Size(); n > tc.size {
+			t.Errorf("%s takes %d bytes, want at most %d", typ.Name(), n, tc.size)
+		}
 	}
 }
 
@@ -70,18 +80,24 @@ func TestRecordOfInternsNothing(t *testing.T) {
 	}
 }
 
-// TestIngestRejectsForeignTable: Central refuses a packet whose job
-// records index another table, without admitting its sequence number.
+// TestIngestRejectsForeignTable: Central refuses a packet whose records,
+// of any kind, index another table, without admitting its sequence number.
 func TestIngestRejectsForeignTable(t *testing.T) {
 	c := NewCentral(nil)
 	for _, syms := range []*job.Symbols{job.NewSymbols(), nil} {
-		p := &Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 1}}, Syms: syms}
-		if err := c.Ingest(p); err == nil || !strings.Contains(err.Error(), "symbol table") {
-			t.Fatalf("packet with table %p ingested into a database with table %p: %v", syms, c.Syms(), err)
+		for _, p := range []*Packet{
+			{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 1}}, Syms: syms},
+			{Site: "s", Seq: 1, Transfers: []TransferRecord{{TransferID: 1}}, Syms: syms},
+			{Site: "s", Seq: 1, GatewayAttrs: []GatewayAttrRecord{{JobID: 1}}, Syms: syms},
+			{Site: "s", Seq: 1, Storage: []StorageRecord{{Bytes: 1}}, Syms: syms},
+		} {
+			if err := c.Ingest(p); err == nil || !strings.Contains(err.Error(), "symbol table") {
+				t.Fatalf("packet %+v ingested into a database with table %p: %v", p, c.Syms(), err)
+			}
 		}
 	}
-	if err := c.Ingest(&Packet{Site: "s", Seq: 1, Storage: []StorageRecord{{Site: "s"}}}); err != nil {
-		t.Fatalf("a packet without job records needs no table: %v", err)
+	if err := c.Ingest(&Packet{Site: "s", Seq: 1}); err != nil {
+		t.Fatalf("a packet without records needs no table: %v", err)
 	}
 	if err := c.Ingest(&Packet{Site: "s", Seq: 2, Jobs: []JobRecord{{JobID: 1}}, Syms: c.Syms()}); err != nil {
 		t.Fatalf("the next packet of the database's table: %v", err)
@@ -99,7 +115,8 @@ func TestRejectedWireLeavesTable(t *testing.T) {
 	enc := func(seq uint64, user string) []byte {
 		syms := job.NewSymbols()
 		return (&Packet{Site: "s", Seq: seq, Syms: syms,
-			Jobs: []JobRecord{{JobID: int64(seq), User: syms.Intern(user), Project: syms.Intern("p-" + user)}}}).AppendWire(nil)
+			Jobs:         []JobRecord{{JobID: int64(seq), User: syms.Intern(user), Project: syms.Intern("p-" + user)}},
+			GatewayAttrs: []GatewayAttrRecord{{GatewayUser: syms.Intern("end-" + user), JobID: int64(seq)}}}).AppendWire(nil)
 	}
 	c := NewCentral(nil)
 	n := c.Syms().Len()
@@ -122,13 +139,14 @@ func TestRejectedWireLeavesTable(t *testing.T) {
 	if err != nil || p == nil || p.Syms != c.Syms() {
 		t.Fatalf("IngestWire of the next packet: %v, %v", p, err)
 	}
-	if got := c.Syms().Len(); got != n+2 || c.Syms().Str(c.At(0).User) != "first" {
-		t.Fatalf("admitted packet: table holds %d strings, want %d", got, n+2)
+	if got := c.Syms().Len(); got != n+3 || c.Syms().Str(c.At(0).User) != "first" ||
+		c.Syms().Str(p.GatewayAttrs[0].GatewayUser) != "end-first" {
+		t.Fatalf("admitted packet: table holds %d strings, want %d", got, n+3)
 	}
 	if p, err := c.IngestWire(enc(1, "again")); p != nil || err != nil || c.Duplicates() != 1 {
 		t.Fatalf("re-delivery: packet %v, error %v, %d duplicates", p, err, c.Duplicates())
 	}
-	if got := c.Syms().Len(); got != n+2 {
-		t.Fatalf("re-delivery grew the table to %d strings, want %d", got, n+2)
+	if got := c.Syms().Len(); got != n+3 {
+		t.Fatalf("re-delivery grew the table to %d strings, want %d", got, n+3)
 	}
 }

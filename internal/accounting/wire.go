@@ -59,8 +59,8 @@ type wireReader struct {
 	off     int
 	ver     byte
 	err     error
-	jobsOff int          // offset of the first job record
-	syms    *job.Symbols // the table job record strings intern into; nil checks them only
+	recsOff int          // offset of the first record count
+	syms    *job.Symbols // the table record strings intern into; nil checks them only
 }
 
 // newWireReader checks the packet header (magic and version) and returns
@@ -238,57 +238,57 @@ func (r *wireReader) jobRecord(j *JobRecord) {
 	}
 }
 
-func appendTransferRecord(b []byte, t *TransferRecord) []byte {
-	b = appendI64(b, t.TransferID)
-	b = appendStr(b, t.Src)
-	b = appendStr(b, t.Dst)
-	b = appendI64(b, t.Bytes)
-	b = appendF64(b, t.Start)
-	b = appendF64(b, t.End)
-	b = appendStr(b, t.User)
-	b = appendStr(b, t.Project)
-	b = appendI64(b, t.JobID)
+func appendTransferRecord(b []byte, tr *TransferRecord, t *job.Symbols) []byte {
+	b = appendI64(b, tr.TransferID)
+	b = appendSym(b, t, tr.Src)
+	b = appendSym(b, t, tr.Dst)
+	b = appendI64(b, tr.Bytes)
+	b = appendF64(b, tr.Start)
+	b = appendF64(b, tr.End)
+	b = appendSym(b, t, tr.User)
+	b = appendSym(b, t, tr.Project)
+	b = appendI64(b, tr.JobID)
 	return b
 }
 
 func (r *wireReader) transferRecord(t *TransferRecord) {
 	t.TransferID = r.i64("transfer_id")
-	t.Src = r.str("src")
-	t.Dst = r.str("dst")
+	t.Src = r.sym("src")
+	t.Dst = r.sym("dst")
 	t.Bytes = r.i64("bytes")
 	t.Start = r.f64("start")
 	t.End = r.f64("end")
-	t.User = r.str("user")
-	t.Project = r.str("project")
+	t.User = r.sym("user")
+	t.Project = r.sym("project")
 	t.JobID = r.i64("job_id")
 }
 
-func appendGatewayAttrRecord(b []byte, g *GatewayAttrRecord) []byte {
-	b = appendStr(b, g.GatewayID)
-	b = appendStr(b, g.GatewayUser)
+func appendGatewayAttrRecord(b []byte, g *GatewayAttrRecord, t *job.Symbols) []byte {
+	b = appendSym(b, t, g.GatewayID)
+	b = appendSym(b, t, g.GatewayUser)
 	b = appendI64(b, g.JobID)
 	b = appendF64(b, g.At)
 	return b
 }
 
 func (r *wireReader) gatewayAttrRecord(g *GatewayAttrRecord) {
-	g.GatewayID = r.str("gateway_id")
-	g.GatewayUser = r.str("gateway_user")
+	g.GatewayID = r.sym("gateway_id")
+	g.GatewayUser = r.sym("gateway_user")
 	g.JobID = r.i64("job_id")
 	g.At = r.f64("at")
 }
 
-func appendStorageRecord(b []byte, s *StorageRecord) []byte {
-	b = appendStr(b, s.Site)
-	b = appendStr(b, s.Project)
+func appendStorageRecord(b []byte, s *StorageRecord, t *job.Symbols) []byte {
+	b = appendSym(b, t, s.Site)
+	b = appendSym(b, t, s.Project)
 	b = appendI64(b, s.Bytes)
 	b = appendF64(b, s.At)
 	return b
 }
 
 func (r *wireReader) storageRecord(s *StorageRecord) {
-	s.Site = r.str("site")
-	s.Project = r.str("project")
+	s.Site = r.sym("site")
+	s.Project = r.sym("project")
 	s.Bytes = r.i64("bytes")
 	s.At = r.f64("at")
 }
@@ -303,13 +303,13 @@ var (
 		wireVersion:  len(appendJobRecord(nil, &JobRecord{}, wireVersion, zeroSyms)),
 		wireVersion2: len(appendJobRecord(nil, &JobRecord{}, wireVersion2, zeroSyms)),
 	}
-	minTransferWire    = len(appendTransferRecord(nil, &TransferRecord{}))
-	minGatewayAttrWire = len(appendGatewayAttrRecord(nil, &GatewayAttrRecord{}))
-	minStorageWire     = len(appendStorageRecord(nil, &StorageRecord{}))
+	minTransferWire    = len(appendTransferRecord(nil, &TransferRecord{}, zeroSyms))
+	minGatewayAttrWire = len(appendGatewayAttrRecord(nil, &GatewayAttrRecord{}, zeroSyms))
+	minStorageWire     = len(appendStorageRecord(nil, &StorageRecord{}, zeroSyms))
 )
 
 // AppendWire appends the packet's binary wire form to dst and returns the
-// extended buffer. Job record strings are written through p.Syms, so the
+// extended buffer. Record strings are written through p.Syms, so the
 // bytes do not depend on Sym numbering. A buffer reused across packets stops allocating once it
 // has grown to the largest packet's size hint.
 func (p *Packet) AppendWire(dst []byte) []byte {
@@ -338,21 +338,21 @@ func (p *Packet) AppendWire(dst []byte) []byte {
 	}
 	b = appendU64(b, uint64(len(p.Transfers)))
 	for i := range p.Transfers {
-		b = appendTransferRecord(b, &p.Transfers[i])
+		b = appendTransferRecord(b, &p.Transfers[i], p.Syms)
 	}
 	b = appendU64(b, uint64(len(p.GatewayAttrs)))
 	for i := range p.GatewayAttrs {
-		b = appendGatewayAttrRecord(b, &p.GatewayAttrs[i])
+		b = appendGatewayAttrRecord(b, &p.GatewayAttrs[i], p.Syms)
 	}
 	b = appendU64(b, uint64(len(p.Storage)))
 	for i := range p.Storage {
-		b = appendStorageRecord(b, &p.Storage[i])
+		b = appendStorageRecord(b, &p.Storage[i], p.Syms)
 	}
 	return b
 }
 
 // DecodePacket parses a packet in the binary wire form into a new Packet
-// whose job records index syms, the caller's table. It never panics on
+// whose records index syms, the caller's table. It never panics on
 // corrupt input: every failure wraps ErrBadPacket. It checks the whole
 // packet before it interns a string, so a packet that fails leaves syms
 // as it was.
@@ -365,8 +365,8 @@ func DecodePacket(data []byte, syms *job.Symbols) (*Packet, error) {
 	return p, nil
 }
 
-// checkPacket decodes a packet without a table: every Sym of its job
-// records is SymNone until intern fills them in from the returned reader.
+// checkPacket decodes a packet without a table: every Sym of its records
+// is SymNone until intern fills them in from the returned reader.
 func checkPacket(data []byte) (*Packet, *wireReader, error) {
 	r, err := newWireReader(data)
 	if err != nil {
@@ -379,13 +379,11 @@ func checkPacket(data []byte) (*Packet, *wireReader, error) {
 	return p, &r, nil
 }
 
-// intern reads the job records of the packet checkPacket decoded again,
-// this time interning their strings into syms.
+// intern reads the records of the packet checkPacket decoded again, into
+// the same slices, this time interning their strings into syms.
 func (r *wireReader) intern(p *Packet, syms *job.Symbols) {
-	r.off, r.syms = r.jobsOff, syms
-	for i := range p.Jobs {
-		r.jobRecord(&p.Jobs[i])
-	}
+	r.off, r.syms = r.recsOff, syms
+	r.records(p)
 	p.Syms = syms
 }
 
@@ -395,23 +393,8 @@ func (r *wireReader) packet(p *Packet) error {
 	p.Site = r.str("site")
 	p.Seq = r.u64("seq")
 	p.SentAt = r.f64("sent_at")
-	p.Jobs = records[JobRecord](r.count("jobs", minJobWire[r.ver]))
-	r.jobsOff = r.off
-	for i := range p.Jobs {
-		r.jobRecord(&p.Jobs[i])
-	}
-	p.Transfers = records[TransferRecord](r.count("transfers", minTransferWire))
-	for i := range p.Transfers {
-		r.transferRecord(&p.Transfers[i])
-	}
-	p.GatewayAttrs = records[GatewayAttrRecord](r.count("gateway_attrs", minGatewayAttrWire))
-	for i := range p.GatewayAttrs {
-		r.gatewayAttrRecord(&p.GatewayAttrs[i])
-	}
-	p.Storage = records[StorageRecord](r.count("storage", minStorageWire))
-	for i := range p.Storage {
-		r.storageRecord(&p.Storage[i])
-	}
+	r.recsOff = r.off
+	r.records(p)
 	if r.err != nil {
 		return r.err
 	}
@@ -421,11 +404,24 @@ func (r *wireReader) packet(p *Packet) error {
 	return nil
 }
 
-// records returns n zero records, or nil for none, so a decoded packet
-// holds nil where the encoded one did.
-func records[T any](n int) []T {
-	if n == 0 {
-		return nil
+// records decodes the four record sections into p.
+func (r *wireReader) records(p *Packet) {
+	section(r, &p.Jobs, "jobs", minJobWire[r.ver], r.jobRecord)
+	section(r, &p.Transfers, "transfers", minTransferWire, r.transferRecord)
+	section(r, &p.GatewayAttrs, "gateway_attrs", minGatewayAttrWire, r.gatewayAttrRecord)
+	section(r, &p.Storage, "storage", minStorageWire, r.storageRecord)
+}
+
+// section reads a record count and that many records into *recs. The
+// first pass over a packet makes the slice, nil for none so a decoded
+// packet holds nil where the encoded one did; intern's pass reads the same
+// bytes into the slice the first pass made.
+func section[T any](r *wireReader, recs *[]T, what string, minSize int, read func(*T)) {
+	n := r.count(what, minSize)
+	if *recs == nil && n > 0 {
+		*recs = make([]T, n)
 	}
-	return make([]T, n)
+	for i := range *recs {
+		read(&(*recs)[i])
+	}
 }

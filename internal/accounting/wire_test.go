@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// samplePacket returns a packet of every record kind, its job records
-// indexing a fresh table.
+// samplePacket returns a packet of every record kind, its records indexing
+// a fresh table.
 func samplePacket() *Packet {
 	syms := job.NewSymbols()
 	s := syms.Intern
@@ -29,14 +29,14 @@ func samplePacket() *Packet {
 				Machine: s("ridge-xt"), Queue: s("batch"), Cores: 1},
 		},
 		Transfers: []TransferRecord{
-			{TransferID: 7, Src: "ridge", Dst: "mesa", Bytes: 1 << 40,
-				Start: 10, End: 20, User: "alice", Project: "TG-AST001", JobID: 1},
+			{TransferID: 7, Src: s("ridge"), Dst: s("mesa"), Bytes: 1 << 40,
+				Start: 10, End: 20, User: s("alice"), Project: s("TG-AST001"), JobID: 1},
 		},
 		GatewayAttrs: []GatewayAttrRecord{
-			{GatewayID: "nanohub", GatewayUser: "student-77", JobID: 1, At: 100},
+			{GatewayID: s("nanohub"), GatewayUser: s("student-77"), JobID: 1, At: 100},
 		},
 		Storage: []StorageRecord{
-			{Site: "ridge", Project: "TG-AST001", Bytes: 123456789, At: 86400},
+			{Site: s("ridge"), Project: s("TG-AST001"), Bytes: 123456789, At: 86400},
 		},
 	}
 }

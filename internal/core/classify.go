@@ -165,20 +165,21 @@ func (c Config) WithDefaults() Config {
 // EvidenceIndex holds the direct evidence about jobs that arrives in
 // records other than the job's own: the jobs with a gateway end-user
 // attribute record, and the bytes staged per job. The batch classifier
-// fills it from the central database, the stream as records arrive.
+// fills it from the central database, the stream as records arrive. The
+// attributed jobs are a set of JobIDs, about one bit per job of the run;
+// the staged bytes stay a map, since few jobs stage.
 type EvidenceIndex struct {
-	gwAttr map[int64]bool
+	gwAttr jobSet
 	staged map[int64]int64
 }
 
-// NewEvidenceIndex returns an empty index sized for attrs gateway
-// attribute records.
-func NewEvidenceIndex(attrs int) *EvidenceIndex {
-	return &EvidenceIndex{gwAttr: make(map[int64]bool, attrs), staged: make(map[int64]int64)}
+// NewEvidenceIndex returns an empty index.
+func NewEvidenceIndex() *EvidenceIndex {
+	return &EvidenceIndex{staged: make(map[int64]int64)}
 }
 
 // AddGatewayAttr indexes a gateway end-user attribute record.
-func (x *EvidenceIndex) AddGatewayAttr(r *accounting.GatewayAttrRecord) { x.gwAttr[r.JobID] = true }
+func (x *EvidenceIndex) AddGatewayAttr(r *accounting.GatewayAttrRecord) { x.gwAttr.add(r.JobID) }
 
 // AddTransfer adds a transfer's bytes to the job it references, if any.
 func (x *EvidenceIndex) AddTransfer(r *accounting.TransferRecord) {
@@ -201,7 +202,7 @@ func (x *EvidenceIndex) Direct(r *accounting.JobRecord) (Result, bool) {
 		res.Rule = RuleGatewayID
 	case r.SubmitVia == job.SymGateway:
 		res.Rule = RuleSubmitViaGateway
-	case x.gwAttr[r.JobID]:
+	case x.gwAttr.has(r.JobID):
 		res.Rule = RuleGatewayUserRec
 	case r.CoAllocID != job.SymNone:
 		res.Rule = RuleCoAllocID
@@ -249,9 +250,8 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 	jobs, syms := c.Jobs(), c.Syms()
 	results := make([]Result, len(jobs))
 
-	attrs := c.GatewayAttrs()
-	ev := NewEvidenceIndex(attrs.Len())
-	for _, run := range attrs {
+	ev := NewEvidenceIndex()
+	for _, run := range c.GatewayAttrs() {
 		for i := range run {
 			ev.AddGatewayAttr(&run[i])
 		}

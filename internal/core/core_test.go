@@ -115,7 +115,7 @@ func TestDirectEvidencePrecedence(t *testing.T) {
 func TestGatewayByAttrRecordOnly(t *testing.T) {
 	// Job carries no gateway fields, but an attribute record references it.
 	jobs := []accounting.JobRecord{rec(1, nil)}
-	attrs := []accounting.GatewayAttrRecord{{GatewayID: "g", GatewayUser: "alice", JobID: 1}}
+	attrs := []accounting.GatewayAttrRecord{{GatewayID: sym("g"), GatewayUser: sym("alice"), JobID: 1}}
 	res := classify(t, central(t, jobs, attrs, nil))
 	if res[0].Rule.Modality() != job.ModGateway {
 		t.Errorf("classified %q, want gateway (via attribute record)", res[0].Rule.Modality())
@@ -255,8 +255,8 @@ func TestBuildReport(t *testing.T) {
 		rec(4, func(r *accounting.JobRecord) { r.NUs = 100 }),
 	}
 	attrs := []accounting.GatewayAttrRecord{
-		{GatewayID: "g", GatewayUser: "alice", JobID: 2},
-		{GatewayID: "g", GatewayUser: "bob", JobID: 3},
+		{GatewayID: sym("g"), GatewayUser: sym("alice"), JobID: 2},
+		{GatewayID: sym("g"), GatewayUser: sym("bob"), JobID: 3},
 	}
 	c := central(t, jobs, attrs, nil)
 	res := classify(t, c)
@@ -348,8 +348,8 @@ func TestMeasureGatewayVisibility(t *testing.T) {
 		rec(4, nil), // not a gateway job
 	}
 	attrs := []accounting.GatewayAttrRecord{
-		{GatewayID: "g1", GatewayUser: "alice", JobID: 1},
-		{GatewayID: "g1", GatewayUser: "bob", JobID: 2},
+		{GatewayID: sym("g1"), GatewayUser: sym("alice"), JobID: 1},
+		{GatewayID: sym("g1"), GatewayUser: sym("bob"), JobID: 2},
 	}
 	v := MeasureGatewayVisibility(central(t, jobs, attrs, nil))
 	if v.GatewayJobs != 3 || v.AttributedJobs != 2 {
@@ -433,7 +433,7 @@ func TestMeasureOverlap(t *testing.T) {
 		rec(3, func(r *accounting.JobRecord) { r.User = sym("b") }), // batch only
 		rec(4, func(r *accounting.JobRecord) { r.User = sym("comm"); r.GatewayID = sym("g") }),
 	}
-	attrs := []accounting.GatewayAttrRecord{{GatewayID: "g", GatewayUser: "carol", JobID: 4}}
+	attrs := []accounting.GatewayAttrRecord{{GatewayID: sym("g"), GatewayUser: sym("carol"), JobID: 4}}
 	c := central(t, jobs, attrs, nil)
 	ov := MeasureOverlap(c, classify(t, c))
 	// a: 2 modalities; b: 1; g/carol: 1.
@@ -466,7 +466,7 @@ func TestEvidenceTags(t *testing.T) {
 		rec(10, nil),
 		rec(11, func(r *accounting.JobRecord) { r.Cores = 1024 }),
 	}
-	attrs := []accounting.GatewayAttrRecord{{GatewayID: "g", GatewayUser: "alice", JobID: 10}}
+	attrs := []accounting.GatewayAttrRecord{{GatewayID: sym("g"), GatewayUser: sym("alice"), JobID: 10}}
 	res := classify(t, central(t, jobs, attrs, nil))
 	want := []Rule{
 		RuleQOSUrgent, RuleQOSInteractive, RuleGatewayID, RuleSubmitViaGateway,

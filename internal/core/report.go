@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/tgsim/tgmod/internal/accounting"
@@ -42,12 +44,15 @@ func (r *Report) Row(m job.Modality) UsageRow {
 
 // BuildReport aggregates classification results into the usage report.
 func BuildReport(c *accounting.Central, results []Result) *Report {
-	endUser, _ := endUsers(c.GatewayAttrs())
+	attributed, endUserN := endUsers(c)
+	syms := c.Syms().Len()
+	// accounts holds each modality's charging accounts by Sym; people its
+	// end users by number, then the accounts of its unattributed jobs at
+	// endUserN + Sym.
 	type agg struct {
-		jobs     int
-		nus      float64
-		accounts map[job.Sym]bool
-		people   map[int64]bool
+		jobs             int
+		nus              float64
+		accounts, people bitset
 	}
 	byMod := make(map[job.Modality]*agg)
 	bySource := make(map[Source]int)
@@ -56,13 +61,17 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 		rule := results[i].Rule
 		a := byMod[rule.Modality()]
 		if a == nil {
-			a = &agg{accounts: make(map[job.Sym]bool), people: make(map[int64]bool)}
+			a = &agg{accounts: newBitset(syms), people: newBitset(endUserN + syms)}
 			byMod[rule.Modality()] = a
 		}
 		a.jobs++
 		a.nus += r.NUs
-		a.accounts[r.User] = true
-		a.people[person(r, endUser)] = true
+		a.accounts.add(int(r.User))
+		if p, ok := attributed.at(i); ok {
+			a.people.add(int(p))
+		} else {
+			a.people.add(endUserN + int(r.User))
+		}
 		bySource[rule.Source()]++
 		total += r.NUs
 	}
@@ -72,7 +81,7 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 		if a, ok := byMod[m]; ok {
 			rep.Rows = append(rep.Rows, UsageRow{
 				Modality: m, Jobs: a.jobs, NUs: a.nus,
-				AccountUsers: len(a.accounts), EndUsers: len(a.people),
+				AccountUsers: a.accounts.count(), EndUsers: a.people.count(),
 			})
 			delete(byMod, m)
 		}
@@ -91,37 +100,59 @@ func BuildReport(c *accounting.Central, results []Result) *Report {
 	return rep
 }
 
-// endUsers keys the people that gateway attribute records name: the i-th
-// distinct (gateway, end user) pair is person -1 - i. It maps each
-// attributed job to its person (the last record wins for a job with two)
-// and returns the number of distinct pairs.
-func endUsers(attrs accounting.Runs[accounting.GatewayAttrRecord]) (byJob map[int64]int64, people int) {
-	type pair struct{ gateway, user string }
-	keys := make(map[pair]int64)
-	byJob = make(map[int64]int64, attrs.Len())
+// attribution is a held job that a gateway attribute record names the end
+// user of: the job's arrival position in the database and the end user's
+// number.
+type attribution struct{ pos, person int32 }
+
+// attributions is endUsers' result, sorted by position: a cursor that
+// at reads alongside the held jobs.
+type attributions []attribution
+
+// at returns the end user of the job at position pos, if a record names
+// one. Calls must come in increasing position order, and must not skip an
+// attributed job.
+func (a *attributions) at(pos int) (int32, bool) {
+	if len(*a) == 0 || int((*a)[0].pos) != pos {
+		return 0, false
+	}
+	p := (*a)[0].person
+	*a = (*a)[1:]
+	return p, true
+}
+
+// endUsers numbers the people that gateway attribute records name: each
+// distinct (gateway, end user) pair, in the order of its first record. It
+// returns the held jobs a record attributes, each with its end user (the
+// last record wins for a job with two), and the number of distinct pairs.
+func endUsers(c *accounting.Central) (attributions, int) {
+	attrs := c.GatewayAttrs()
+	keys := make(map[uint64]int32)
+	byPos := make(attributions, 0, attrs.Len())
 	for _, run := range attrs {
 		for i := range run {
 			a := &run[i]
-			p := pair{a.GatewayID, a.GatewayUser}
-			k, ok := keys[p]
+			k := a.EndUser()
+			p, ok := keys[k]
 			if !ok {
-				k = -1 - int64(len(keys))
-				keys[p] = k
+				p = int32(len(keys))
+				keys[k] = p
 			}
-			byJob[a.JobID] = k
+			if pos, ok := c.Pos(a.JobID); ok {
+				byPos = append(byPos, attribution{int32(pos), p})
+			}
 		}
 	}
-	return byJob, len(keys)
-}
-
-// person returns the key of the real person behind a job: its gateway end
-// user where an attribute record names one, else its charging account,
-// keyed by the account's Sym (≥ 0, so never an end user's key).
-func person(r *accounting.JobRecord, endUser map[int64]int64) int64 {
-	if k, ok := endUser[r.JobID]; ok {
-		return k
+	// The stable sort keeps a job's records in arrival order, so the last
+	// of each run of one position is the record that wins.
+	slices.SortStableFunc(byPos, func(a, b attribution) int { return cmp.Compare(a.pos, b.pos) })
+	last := byPos[:0]
+	for i, a := range byPos {
+		if i+1 == len(byPos) || byPos[i+1].pos != a.pos {
+			last = append(last, a)
+		}
 	}
-	return int64(r.User)
+	return last, len(keys)
 }
 
 // MechanismRow breaks usage down by submission mechanism — the measurement
@@ -313,10 +344,15 @@ type Overlap struct {
 // MeasureOverlap computes modality overlap per effective user: gateway
 // end users where attributes exist, charging accounts otherwise.
 func MeasureOverlap(c *accounting.Central, results []Result) Overlap {
-	endUser, _ := endUsers(c.GatewayAttrs())
+	attributed, _ := endUsers(c)
 	perUser := make(map[int64]map[job.Modality]bool)
 	for i, r := range c.Jobs() {
-		u := person(r, endUser)
+		// A person is an end user, keyed -1 - number, or else a charging
+		// account, keyed by its Sym (≥ 0, so never an end user's key).
+		u := int64(r.User)
+		if p, ok := attributed.at(i); ok {
+			u = -1 - int64(p)
+		}
 		if perUser[u] == nil {
 			perUser[u] = make(map[job.Modality]bool)
 		}
@@ -351,19 +387,20 @@ func MeasureOverlap(c *accounting.Central, results []Result) Overlap {
 // central database.
 func MeasureGatewayVisibility(c *accounting.Central) GatewayVisibility {
 	var v GatewayVisibility
-	accounts := make(map[job.Sym]bool)
-	attributed, people := endUsers(c.GatewayAttrs())
-	for _, r := range c.Jobs() {
+	accounts := newBitset(c.Syms().Len())
+	attributed, people := endUsers(c)
+	for i, r := range c.Jobs() {
+		_, ok := attributed.at(i)
 		if r.GatewayID == job.SymNone && r.SubmitVia != job.SymGateway {
 			continue
 		}
 		v.GatewayJobs++
-		accounts[r.User] = true
-		if _, ok := attributed[r.JobID]; ok {
+		accounts.add(int(r.User))
+		if ok {
 			v.AttributedJobs++
 		}
 	}
-	v.CommunityAccounts = len(accounts)
+	v.CommunityAccounts = accounts.count()
 	v.RecoveredEndUsers = people
 	return v
 }

@@ -237,16 +237,16 @@ func F2GatewayGrowth(seed uint64, sc Scale) (*report.Figure, error) {
 		period = 91.25 * 24 * 3600
 		label = "quarter"
 	}
-	type bucketSet map[int]map[string]bool
+	type bucketSet map[int]map[uint64]bool
 	usersPer := bucketSet{}
 	jobsPer := map[int]int{}
 	for _, run := range res.Central.GatewayAttrs() {
 		for _, a := range run {
 			b := int(a.At / period)
 			if usersPer[b] == nil {
-				usersPer[b] = map[string]bool{}
+				usersPer[b] = map[uint64]bool{}
 			}
-			usersPer[b][a.GatewayID+"/"+a.GatewayUser] = true
+			usersPer[b][a.EndUser()] = true
 		}
 	}
 	for _, r := range res.Central.Jobs() {

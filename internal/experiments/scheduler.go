@@ -18,7 +18,7 @@ import (
 func schedulerMachine() *grid.Machine {
 	return &grid.Machine{
 		ID: "bench", Site: "bench", Nodes: 256, CoresPerNode: 8, // 2048 cores
-		GFlopsPerCore: 4, NUPerCoreHour: 1, UrgentCapable: true,
+		NUPerCoreHour: 1, UrgentCapable: true,
 	}
 }
 

@@ -86,9 +86,9 @@ func newRig(t *testing.T, seed uint64, cfg Config) *rig {
 	t.Helper()
 	k, syms := des.New(), job.NewSymbols()
 	m1 := &grid.Machine{ID: "m1", Site: "sA", Nodes: 8, CoresPerNode: 8,
-		GFlopsPerCore: 4, NUPerCoreHour: 1, UrgentCapable: true}
+		NUPerCoreHour: 1, UrgentCapable: true}
 	m2 := &grid.Machine{ID: "m2", Site: "sB", Nodes: 8, CoresPerNode: 8,
-		GFlopsPerCore: 4, NUPerCoreHour: 1}
+		NUPerCoreHour: 1}
 	s1 := sched.MustNamed(k, syms, m1, "easy")
 	s2 := sched.MustNamed(k, syms, m2, "easy")
 	broker := metasched.New(k, syms, metasched.LeastLoaded, simrand.Derive(seed, "broker"),
@@ -299,7 +299,7 @@ func TestCrashVictimRequeuedWhenNoHealthyMachine(t *testing.T) {
 	// Single machine, no broker alternatives: victims must requeue locally.
 	k := des.New()
 	m := &grid.Machine{ID: "solo", Site: "sA", Nodes: 8, CoresPerNode: 8,
-		GFlopsPerCore: 4, NUPerCoreHour: 1}
+		NUPerCoreHour: 1}
 	syms := job.NewSymbols()
 	s := sched.MustNamed(k, syms, m, "fcfs")
 	broker := metasched.New(k, syms, metasched.LeastLoaded, simrand.Derive(1, "broker"),

@@ -54,9 +54,8 @@ type Gateway struct {
 	syms                        *job.Symbols
 	id, account, project, field job.Sym
 
-	// Registered end users and activity counters.
+	// Availability and activity counters.
 	available    bool
-	users        map[string]bool
 	requests     uint64
 	attributed   uint64
 	rejectedDown uint64
@@ -79,7 +78,6 @@ func New(id, account, project, field string, coverage float64,
 		syms: syms, id: syms.Intern(id), account: syms.Intern(account),
 		project: syms.Intern(project), field: syms.Intern(field),
 		available: true,
-		users:     make(map[string]bool),
 	}, nil
 }
 
@@ -91,9 +89,6 @@ func (g *Gateway) SetAvailable(up bool) { g.available = up }
 
 // RejectedDown returns how many requests were turned away while down.
 func (g *Gateway) RejectedDown() uint64 { return g.rejectedDown }
-
-// Users returns the number of distinct end users seen so far.
-func (g *Gateway) Users() int { return len(g.users) }
 
 // Requests returns the number of jobs submitted.
 func (g *Gateway) Requests() uint64 { return g.requests }
@@ -112,7 +107,6 @@ func (g *Gateway) Request(endUser string, j *job.Job) {
 		}
 		return
 	}
-	g.users[endUser] = true
 	g.requests++
 	j.User = g.account
 	j.Project = g.project
@@ -126,8 +120,8 @@ func (g *Gateway) Request(endUser string, j *job.Job) {
 		j.Attr.GatewayUser = g.syms.Intern(endUser)
 		g.attributed++
 		g.ledger.AddGatewayAttr(accounting.GatewayAttrRecord{
-			GatewayID:   g.ID,
-			GatewayUser: endUser,
+			GatewayID:   g.id,
+			GatewayUser: j.Attr.GatewayUser,
 			JobID:       int64(j.ID),
 			At:          float64(g.k.Now()),
 		})

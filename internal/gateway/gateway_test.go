@@ -71,7 +71,7 @@ func TestRequestRewritesIdentity(t *testing.T) {
 	}
 	// Attribute record spooled.
 	p := l.Flush(k.Now())
-	if p == nil || len(p.GatewayAttrs) != 1 || p.GatewayAttrs[0].GatewayUser != "researcher-7" {
+	if p == nil || len(p.GatewayAttrs) != 1 || syms.Str(p.GatewayAttrs[0].GatewayUser) != "researcher-7" {
 		t.Errorf("attribute record not spooled: %+v", p)
 	}
 }
@@ -96,8 +96,16 @@ func TestCoverageControlsAttribution(t *testing.T) {
 	if g.Requests() != n {
 		t.Errorf("Requests = %d, want %d", g.Requests(), n)
 	}
-	if g.Users() != 100 {
-		t.Errorf("Users = %d, want 100", g.Users())
+	p := l.Flush(k.Now())
+	if uint64(len(p.GatewayAttrs)) != g.Attributed() {
+		t.Fatalf("%d attribute records spooled for %d attributed requests", len(p.GatewayAttrs), g.Attributed())
+	}
+	endUsers := map[job.Sym]bool{}
+	for _, a := range p.GatewayAttrs {
+		endUsers[a.GatewayUser] = true
+	}
+	if len(endUsers) != 100 {
+		t.Errorf("attribute records name %d end users, want 100", len(endUsers))
 	}
 }
 

@@ -19,7 +19,6 @@ type Machine struct {
 	Site          string
 	Nodes         int
 	CoresPerNode  int
-	GFlopsPerCore float64
 	NUPerCoreHour float64
 	VizNodes      int  // nodes reserved for interactive/visualization use
 	UrgentCapable bool // supports preemptive on-demand computing
@@ -50,8 +49,6 @@ func (m *Machine) Validate() error {
 		return fmt.Errorf("machine %s: non-positive size %dx%d", m.ID, m.Nodes, m.CoresPerNode)
 	case m.VizNodes < 0 || m.VizNodes >= m.Nodes:
 		return fmt.Errorf("machine %s: viz nodes %d out of range", m.ID, m.VizNodes)
-	case m.GFlopsPerCore <= 0:
-		return fmt.Errorf("machine %s: non-positive GFlops", m.ID)
 	case m.NUPerCoreHour <= 0:
 		return fmt.Errorf("machine %s: non-positive NU factor", m.ID)
 	}

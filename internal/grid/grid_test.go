@@ -8,7 +8,7 @@ import (
 func machine(id, site string) *Machine {
 	return &Machine{
 		ID: id, Site: site, Nodes: 100, CoresPerNode: 8,
-		GFlopsPerCore: 4, NUPerCoreHour: 1.5,
+		NUPerCoreHour: 1.5,
 	}
 }
 
@@ -35,9 +35,8 @@ func TestMachineValidate(t *testing.T) {
 		{},
 		{ID: "x"},
 		{ID: "x", Site: "s", Nodes: 0, CoresPerNode: 8},
-		{ID: "x", Site: "s", Nodes: 4, CoresPerNode: 8, VizNodes: 4, GFlopsPerCore: 1, NUPerCoreHour: 1},
-		{ID: "x", Site: "s", Nodes: 4, CoresPerNode: 8, GFlopsPerCore: 0, NUPerCoreHour: 1},
-		{ID: "x", Site: "s", Nodes: 4, CoresPerNode: 8, GFlopsPerCore: 1, NUPerCoreHour: 0},
+		{ID: "x", Site: "s", Nodes: 4, CoresPerNode: 8, VizNodes: 4, NUPerCoreHour: 1},
+		{ID: "x", Site: "s", Nodes: 4, CoresPerNode: 8, NUPerCoreHour: 0},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -108,7 +107,7 @@ func TestFederationDuplicates(t *testing.T) {
 }
 
 func TestLargestMachine(t *testing.T) {
-	big := &Machine{ID: "kraken", Site: "s1", Nodes: 1000, CoresPerNode: 12, GFlopsPerCore: 4, NUPerCoreHour: 2}
+	big := &Machine{ID: "kraken", Site: "s1", Nodes: 1000, CoresPerNode: 12, NUPerCoreHour: 2}
 	small := machine("small", "s1")
 	s := &Site{ID: "s1", WANGbps: 10, Machines: []*Machine{small, big}}
 	f, err := NewFederation("t", s)

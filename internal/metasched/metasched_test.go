@@ -26,9 +26,9 @@ func mkJob(cores int, run, wall des.Time) *job.Job {
 // twoMachines builds schedulers for a big and a small machine.
 func twoMachines(k *des.Kernel) []*sched.Scheduler {
 	big := &grid.Machine{ID: "big", Site: "s1", Nodes: 64, CoresPerNode: 8,
-		GFlopsPerCore: 4, NUPerCoreHour: 2, UrgentCapable: true} // 512 cores
+		NUPerCoreHour: 2, UrgentCapable: true} // 512 cores
 	small := &grid.Machine{ID: "small", Site: "s2", Nodes: 8, CoresPerNode: 8,
-		GFlopsPerCore: 2, NUPerCoreHour: 1} // 64 cores
+		NUPerCoreHour: 1} // 64 cores
 	return []*sched.Scheduler{
 		sched.MustNamed(k, testSyms, big, "easy"),
 		sched.MustNamed(k, testSyms, small, "easy"),
@@ -203,7 +203,7 @@ func fourMachines(k *des.Kernel) []*sched.Scheduler {
 		nodes int
 	}{{"a", 8}, {"b", 8}, {"c", 16}, {"d", 4}} {
 		out = append(out, sched.MustNamed(k, testSyms, &grid.Machine{ID: m.id, Site: "s-" + m.id,
-			Nodes: m.nodes, CoresPerNode: 8, GFlopsPerCore: 4, NUPerCoreHour: 1}, "easy"))
+			Nodes: m.nodes, CoresPerNode: 8, NUPerCoreHour: 1}, "easy"))
 	}
 	return out
 }

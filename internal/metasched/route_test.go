@@ -126,7 +126,7 @@ func twinWorlds(r *simrand.Stream, policy SelectPolicy) [2]*world {
 	for i := range w {
 		for m, p := range plans {
 			mach := &grid.Machine{ID: fmt.Sprintf("m%d", m), Site: fmt.Sprintf("s%d", p.site),
-				Nodes: p.nodes, CoresPerNode: 8, GFlopsPerCore: 4, NUPerCoreHour: 1}
+				Nodes: p.nodes, CoresPerNode: 8, NUPerCoreHour: 1}
 			w[i].scheds = append(w[i].scheds, sched.MustNamed(w[i].k, testSyms, mach, p.engine))
 		}
 	}
@@ -346,7 +346,7 @@ func routeFederation(policy SelectPolicy) (*Broker, []*sched.Scheduler) {
 	r := simrand.New(1)
 	for m := 0; m < 8; m++ {
 		s := sched.MustNamed(k, testSyms, &grid.Machine{ID: fmt.Sprintf("m%d", m), Site: fmt.Sprintf("s%d", m%3),
-			Nodes: 16, CoresPerNode: 8, GFlopsPerCore: 4, NUPerCoreHour: 1}, "easy")
+			Nodes: 16, CoresPerNode: 8, NUPerCoreHour: 1}, "easy")
 		if m == 6 {
 			s.Submit(mk(64, 6*des.Hour))
 		} else {

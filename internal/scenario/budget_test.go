@@ -62,7 +62,7 @@ func TestQuickRunAllocBudget(t *testing.T) {
 			proc.Advance(cfg.Horizon + cfg.DrainTime)
 			return res
 		}},
-		{"ingest classify report", 14210, 600, 1.90, func(t *testing.T, cfg scenario.Config) *scenario.Result {
+		{"ingest classify report", 14210, 548, 1.87, func(t *testing.T, cfg scenario.Config) *scenario.Result {
 			var packets []*accounting.Packet
 			cfg.Observers = append(cfg.Observers, scenario.TapPackets(func(_ des.Time, p *accounting.Packet) {
 				packets = append(packets, p)

@@ -36,40 +36,40 @@ import (
 // very large capability system, viz partitions at two sites, and
 // urgent-capable systems at three. Names are descriptive, not historic.
 func TG9() (*grid.Federation, error) {
-	mk := func(id, site string, nodes, cpn int, gf, nu float64, viz int, urgent bool) *grid.Machine {
+	mk := func(id, site string, nodes, cpn int, nu float64, viz int, urgent bool) *grid.Machine {
 		return &grid.Machine{
 			ID: id, Site: site, Nodes: nodes, CoresPerNode: cpn,
-			GFlopsPerCore: gf, NUPerCoreHour: nu, VizNodes: viz, UrgentCapable: urgent,
+			NUPerCoreHour: nu, VizNodes: viz, UrgentCapable: urgent,
 		}
 	}
 	sites := []*grid.Site{
 		{ID: "ridge", WANGbps: 30, ArchivePB: 10, Machines: []*grid.Machine{
-			mk("ridge-xt", "ridge", 8256, 12, 10.4, 2.9, 0, false), // ~99k cores, capability
+			mk("ridge-xt", "ridge", 8256, 12, 2.9, 0, false), // ~99k cores, capability
 		}},
 		{ID: "mesa", WANGbps: 30, ArchivePB: 6, Machines: []*grid.Machine{
-			mk("mesa-ranger", "mesa", 3936, 16, 2.3, 1.9, 0, true), // ~63k cores
+			mk("mesa-ranger", "mesa", 3936, 16, 1.9, 0, true), // ~63k cores
 		}},
 		{ID: "lakeside", WANGbps: 20, ArchivePB: 4, Machines: []*grid.Machine{
-			mk("lakeside-abe", "lakeside", 1200, 8, 9.3, 2.2, 0, true),
-			mk("lakeside-viz", "lakeside", 96, 16, 2.2, 1.0, 64, false),
+			mk("lakeside-abe", "lakeside", 1200, 8, 2.2, 0, true),
+			mk("lakeside-viz", "lakeside", 96, 16, 1.0, 64, false),
 		}},
 		{ID: "harbor", WANGbps: 20, ArchivePB: 25, Machines: []*grid.Machine{
-			mk("harbor-db", "harbor", 512, 8, 2.8, 1.2, 0, false), // data-intensive system
+			mk("harbor-db", "harbor", 512, 8, 1.2, 0, false), // data-intensive system
 		}},
 		{ID: "prairie", WANGbps: 10, ArchivePB: 3, Machines: []*grid.Machine{
-			mk("prairie-cluster", "prairie", 768, 8, 3.7, 1.4, 0, false),
+			mk("prairie-cluster", "prairie", 768, 8, 1.4, 0, false),
 		}},
 		{ID: "foothill", WANGbps: 10, ArchivePB: 2, Machines: []*grid.Machine{
-			mk("foothill-ia", "foothill", 640, 4, 3.1, 1.1, 32, false),
+			mk("foothill-ia", "foothill", 640, 4, 1.1, 32, false),
 		}},
 		{ID: "bayou", WANGbps: 10, ArchivePB: 2, Machines: []*grid.Machine{
-			mk("bayou-qb", "bayou", 668, 8, 4.8, 1.6, 0, true),
+			mk("bayou-qb", "bayou", 668, 8, 1.6, 0, true),
 		}},
 		{ID: "summit", WANGbps: 10, ArchivePB: 1, Machines: []*grid.Machine{
-			mk("summit-pople", "summit", 384, 8, 4.4, 1.3, 0, false),
+			mk("summit-pople", "summit", 384, 8, 1.3, 0, false),
 		}},
 		{ID: "campus", WANGbps: 10, ArchivePB: 1, Machines: []*grid.Machine{
-			mk("campus-condor", "campus", 400, 2, 1.9, 0.6, 0, false), // HTC farm
+			mk("campus-condor", "campus", 400, 2, 0.6, 0, false), // HTC farm
 		}},
 	}
 	return grid.NewFederation("tg9", sites...)
@@ -325,9 +325,9 @@ func Run(cfg Config) (*Result, error) {
 			return
 		}
 		l.AddTransfer(accounting.TransferRecord{
-			TransferID: tr.ID, Src: tr.Src, Dst: tr.Dst, Bytes: tr.Bytes,
+			TransferID: tr.ID, Src: syms.Intern(tr.Src), Dst: syms.Intern(tr.Dst), Bytes: tr.Bytes,
 			Start: float64(tr.StartedAt), End: float64(tr.EndedAt),
-			User: tr.User, Project: tr.Project, JobID: tr.JobID,
+			User: syms.Intern(tr.User), Project: syms.Intern(tr.Project), JobID: tr.JobID,
 		})
 	}
 

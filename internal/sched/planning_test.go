@@ -79,7 +79,7 @@ func BenchmarkBuildProfile(b *testing.B) {
 	k := des.New()
 	now := des.Time(1e6)
 	k.RunUntil(now)
-	m := &grid.Machine{ID: "big", Site: "s", Nodes: 2048, CoresPerNode: 8, GFlopsPerCore: 4, NUPerCoreHour: 1}
+	m := &grid.Machine{ID: "big", Site: "s", Nodes: 2048, CoresPerNode: 8, NUPerCoreHour: 1}
 	s := MustNamed(k, testSyms, m, "easy")
 	for i := 0; i < 4096; i++ {
 		j := mkJob(1+i%3, 1, 1)

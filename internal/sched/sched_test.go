@@ -27,7 +27,7 @@ func mkJob(cores int, run, wall des.Time) *job.Job {
 func testMachine() *grid.Machine {
 	return &grid.Machine{
 		ID: "m", Site: "s", Nodes: 16, CoresPerNode: 8, // 128 cores
-		GFlopsPerCore: 4, NUPerCoreHour: 1, UrgentCapable: true, VizNodes: 2,
+		NUPerCoreHour: 1, UrgentCapable: true, VizNodes: 2,
 	}
 }
 

@@ -77,7 +77,7 @@ type chainState struct {
 func newOnline(cfg core.Config) *online {
 	return &online{
 		cfg:    cfg.WithDefaults(),
-		ev:     core.NewEvidenceIndex(0),
+		ev:     core.NewEvidenceIndex(),
 		bursts: make(map[burstKey]*burstState),
 		chains: make(map[job.Sym]*chainState),
 	}

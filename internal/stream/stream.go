@@ -109,13 +109,13 @@ func (p *Processor) bind(reg *telemetry.Registry) {
 // never misses same-packet evidence. The processor keeps the packet for
 // Finalize, so the caller must not change it afterwards; a flushed packet
 // never changes. The first packet with a table gives the processor its
-// table if it has none; a packet whose job records index another table
+// table if it has none; a packet whose records index another table
 // panics, since one run's records index one table.
 func (p *Processor) OfferPacket(at des.Time, pkt *accounting.Packet) {
 	if pkt == nil {
 		return
 	}
-	if !p.bindSyms(pkt.Syms) && len(pkt.Jobs) > 0 {
+	if !p.bindSyms(pkt.Syms) && pkt.Records() > 0 {
 		panic("stream: packet indexes another symbol table than the processor's")
 	}
 	for i := range pkt.GatewayAttrs {
@@ -186,7 +186,7 @@ func (p *Processor) bindSyms(t *job.Symbols) bool {
 	return p.syms == t
 }
 
-// Syms returns the table the processor's job records index, giving the
+// Syms returns the table the processor's records index, giving the
 // processor a fresh one if it has none yet.
 func (p *Processor) Syms() *job.Symbols {
 	if p.syms == nil {

@@ -369,12 +369,13 @@ func TestJobStorePointers(t *testing.T) {
 func TestOfferPacketBorrows(t *testing.T) {
 	p := New(Config{LargestCores: 512})
 	recs := randomRecords(simrand.New(5), 300, p.Syms())
+	s := p.Syms().Intern
 	var packets, clones []*accounting.Packet
 	for i := 0; i < len(recs); i += 100 {
 		pkt := &accounting.Packet{Site: "s", Seq: uint64(i/100 + 1), Jobs: recs[i : i+100 : i+100], Syms: p.Syms(),
-			Transfers:    []accounting.TransferRecord{{TransferID: int64(i), User: "u", JobID: recs[i].JobID}},
-			GatewayAttrs: []accounting.GatewayAttrRecord{{GatewayID: "gw", GatewayUser: "e", JobID: recs[i].JobID}},
-			Storage:      []accounting.StorageRecord{{Site: "s", Project: "p", Bytes: int64(i)}},
+			Transfers:    []accounting.TransferRecord{{TransferID: int64(i), User: s("u"), JobID: recs[i].JobID}},
+			GatewayAttrs: []accounting.GatewayAttrRecord{{GatewayID: s("gw"), GatewayUser: s("e"), JobID: recs[i].JobID}},
+			Storage:      []accounting.StorageRecord{{Site: s("s"), Project: s("p"), Bytes: int64(i)}},
 		}
 		packets = append(packets, pkt)
 		clones = append(clones, clonePacket(pkt))

@@ -24,8 +24,6 @@ type Histogram struct {
 	counts [histBuckets]uint64
 	n      uint64
 	sum    float64
-	min    float64
-	max    float64
 }
 
 // NewHistogram returns an empty histogram.
@@ -66,12 +64,6 @@ func (h *Histogram) Observe(v float64) {
 	if v < 0 || math.IsNaN(v) {
 		v = 0
 	}
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if h.n == 0 || v > h.max {
-		h.max = v
-	}
 	h.counts[bucketOf(v)]++
 	h.n++
 	h.sum += v
@@ -91,30 +83,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return h.sum
-}
-
-// Mean returns the arithmetic mean (0 when empty or nil).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Min and Max return the exact observed extremes (0 when empty or nil).
-func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation seen.
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
 }
 
 // buckets returns (upperBound, cumulativeCount) pairs for every bucket up

@@ -47,17 +47,11 @@ func (r *Registry) Merge(src *Registry) {
 }
 
 // Merge adds src's observations to h: bucket counts, observation count, and
-// sum accumulate; min/max take the combined extremes. Histograms share one
-// fixed bucket geometry, so the merge is exact. Nil-safe on both sides.
+// sum accumulate. Histograms share one fixed bucket geometry, so the merge
+// is exact. Nil-safe on both sides.
 func (h *Histogram) Merge(src *Histogram) {
 	if h == nil || src == nil || src.n == 0 {
 		return
-	}
-	if h.n == 0 || src.min < h.min {
-		h.min = src.min
-	}
-	if h.n == 0 || src.max > h.max {
-		h.max = src.max
 	}
 	for i := range h.counts {
 		h.counts[i] += src.counts[i]

@@ -168,11 +168,19 @@ func (n *nullSubmitter) grab(t *testing.T, w *workflow.Instance) *job.Job {
 // testEnv builds a two-machine environment with all substrates.
 func testEnv(t *testing.T, seed uint64) *Env {
 	t.Helper()
+	e, _ := testEnvLedger(t, seed)
+	return e
+}
+
+// testEnvLedger is testEnv together with the ledger its gateway spools
+// attribute records into.
+func testEnvLedger(t *testing.T, seed uint64) (*Env, *accounting.Ledger) {
+	t.Helper()
 	k, syms := des.New(), job.NewSymbols()
 	big := &grid.Machine{ID: "big", Site: "s1", Nodes: 128, CoresPerNode: 8,
-		GFlopsPerCore: 4, NUPerCoreHour: 2, UrgentCapable: true, VizNodes: 8}
+		NUPerCoreHour: 2, UrgentCapable: true, VizNodes: 8}
 	small := &grid.Machine{ID: "small", Site: "s2", Nodes: 32, CoresPerNode: 8,
-		GFlopsPerCore: 2, NUPerCoreHour: 1}
+		NUPerCoreHour: 1}
 	scheds := map[string]*sched.Scheduler{
 		"big":   sched.MustNamed(k, syms, big, "easy"),
 		"small": sched.MustNamed(k, syms, small, "easy"),
@@ -197,7 +205,7 @@ func testEnv(t *testing.T, seed uint64) *Env {
 		Gateways: map[string]*gateway.Gateway{"nanohub": gw},
 		Tracker:  NewTracker(),
 		Jobs:     new(job.Pool),
-	}
+	}, ledger
 }
 
 type schedSub struct{ s *sched.Scheduler }
@@ -312,7 +320,7 @@ func TestWorkflowGenRunsToCompletion(t *testing.T) {
 }
 
 func TestGatewayGen(t *testing.T) {
-	e := testEnv(t, 4)
+	e, ledger := testEnvLedger(t, 4)
 	(&GatewayGen{Gateway: "nanohub", RequestsPerDay: 60, EndUsers: 50, MedianRuntime: 300}).Start(e)
 	byMod := drain(e)
 	gwj := byMod[job.ModGateway]
@@ -327,8 +335,18 @@ func TestGatewayGen(t *testing.T) {
 			t.Fatal("gateway job missing gateway attribute")
 		}
 	}
-	if e.Gateways["nanohub"].Users() < 5 {
-		t.Errorf("distinct end users = %d, want several", e.Gateways["nanohub"].Users())
+	c := accounting.NewCentral(e.Syms)
+	if err := c.Ingest(ledger.Flush(e.K.Now())); err != nil {
+		t.Fatal(err)
+	}
+	endUsers := map[job.Sym]bool{}
+	for _, run := range c.GatewayAttrs() {
+		for _, a := range run {
+			endUsers[a.GatewayUser] = true
+		}
+	}
+	if len(endUsers) < 5 {
+		t.Errorf("distinct end users = %d, want several", len(endUsers))
 	}
 }
 
