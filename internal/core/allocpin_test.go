@@ -30,10 +30,10 @@ func TestClassifyAllocs(t *testing.T) {
 }
 
 // maxReportBytes bounds one Classify and one BuildReport on a freshly
-// ingested quick seed-7 database (189,128 B measured): the results, the
+// ingested quick seed-7 database (161,736 B measured): the results, the
 // evidence index, the end-user attributions and the per-modality bitsets.
 // That is under a quarter of one copy of its job records (5,129 × 160 B).
-const maxReportBytes = 197_000
+const maxReportBytes = 169_600
 
 // TestReportReadsInPlace pins that the modality report reads the database
 // in place, and what its side state costs.

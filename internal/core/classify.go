@@ -262,12 +262,13 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 		}
 	}
 
-	// Pass 1: direct evidence.
-	undecided := make([]int, 0, len(jobs))
+	// Pass 1: direct evidence. Undecided jobs are kept as int32
+	// positions, as Central files them.
+	undecided := make([]int32, 0, len(jobs))
 	for i, r := range jobs {
 		res, ok := ev.Direct(r)
 		if !ok {
-			undecided = append(undecided, i)
+			undecided = append(undecided, int32(i))
 		}
 		results[i] = res
 	}
@@ -291,8 +292,8 @@ func (cl *Classifier) Classify(c *accounting.Central) []Result {
 // cores) group is one run in time order; Syms are compared as numbers, which
 // only groups. The groups large enough to hold a burst are then numbered in
 // the order of their strings, so campaign IDs do not depend on the table.
-func (cl *Classifier) inferEnsembles(jobs []*accounting.JobRecord, syms *job.Symbols, results []Result, undecided []int) {
-	slices.SortFunc(undecided, func(a, b int) int {
+func (cl *Classifier) inferEnsembles(jobs []*accounting.JobRecord, syms *job.Symbols, results []Result, undecided []int32) {
+	slices.SortFunc(undecided, func(a, b int32) int {
 		ja, jb := jobs[a], jobs[b]
 		if ja.User != jb.User {
 			return cmp.Compare(ja.User, jb.User)
@@ -306,7 +307,7 @@ func (cl *Classifier) inferEnsembles(jobs []*accounting.JobRecord, syms *job.Sym
 		return bySubmit(ja, jb)
 	})
 	var groups []span
-	runs(undecided, func(a, b int) bool {
+	runs(undecided, func(a, b int32) bool {
 		ja, jb := jobs[a], jobs[b]
 		return ja.User == jb.User && ja.Name == jb.Name && ja.Cores == jb.Cores
 	}, func(lo, hi int) {
@@ -328,7 +329,7 @@ func (cl *Classifier) inferEnsembles(jobs []*accounting.JobRecord, syms *job.Sym
 	for _, g := range groups {
 		// Split into bursts at gaps larger than the window.
 		idxs := undecided[g.lo:g.hi]
-		runs(idxs, func(a, b int) bool {
+		runs(idxs, func(a, b int32) bool {
 			return jobs[b].SubmitTime-jobs[a].SubmitTime <= cl.cfg.EnsembleWindow
 		}, func(lo, hi int) {
 			if hi-lo >= EnsembleMinJobs {
@@ -347,9 +348,9 @@ func (cl *Classifier) inferEnsembles(jobs []*accounting.JobRecord, syms *job.Sym
 // slice. A chain is a stretch of its user's run; qualifying chains are
 // numbered in the order of their users' names (a stable sort keeps each
 // user's chains in time order), so campaign IDs do not depend on the table.
-func (cl *Classifier) inferChains(jobs []*accounting.JobRecord, syms *job.Symbols, results []Result, undecided []int) []int {
-	undecided = slices.DeleteFunc(undecided, func(i int) bool { return results[i].Rule != RuleNone })
-	slices.SortFunc(undecided, func(a, b int) int {
+func (cl *Classifier) inferChains(jobs []*accounting.JobRecord, syms *job.Symbols, results []Result, undecided []int32) []int32 {
+	undecided = slices.DeleteFunc(undecided, func(i int32) bool { return results[i].Rule != RuleNone })
+	slices.SortFunc(undecided, func(a, b int32) int {
 		ja, jb := jobs[a], jobs[b]
 		if ja.User != jb.User {
 			return cmp.Compare(ja.User, jb.User)
@@ -357,7 +358,7 @@ func (cl *Classifier) inferChains(jobs []*accounting.JobRecord, syms *job.Symbol
 		return bySubmit(ja, jb)
 	})
 	var chains []span
-	runs(undecided, func(a, b int) bool {
+	runs(undecided, func(a, b int32) bool {
 		gap := jobs[b].SubmitTime - jobs[a].EndTime
 		return jobs[a].User == jobs[b].User && gap >= 0 && gap <= cl.cfg.ChainSlack
 	}, func(lo, hi int) {
@@ -376,7 +377,7 @@ func (cl *Classifier) inferChains(jobs []*accounting.JobRecord, syms *job.Symbol
 
 // runs calls emit(lo, hi) for each maximal run s[lo:hi] whose neighbours
 // all satisfy join(prev, next).
-func runs(s []int, join func(prev, next int) bool, emit func(lo, hi int)) {
+func runs(s []int32, join func(prev, next int32) bool, emit func(lo, hi int)) {
 	lo := 0
 	for k := 1; k <= len(s); k++ {
 		if k < len(s) && join(s[k-1], s[k]) {
@@ -401,7 +402,7 @@ func bySubmit(a, b *accounting.JobRecord) int {
 }
 
 // claim records inferred campaign n's decision for each of its jobs.
-func claim(jobs []*accounting.JobRecord, results []Result, idxs []int, rule Rule, n uint32) {
+func claim(jobs []*accounting.JobRecord, results []Result, idxs []int32, rule Rule, n uint32) {
 	for _, i := range idxs {
 		results[i] = Result{JobID: jobs[i].JobID, Rule: rule, Campaign: n}
 	}

@@ -544,10 +544,13 @@ func (d *Daemon) handleConn(conn net.Conn) {
 
 // ingestFrames applies the frames that follow the hello until the
 // stream ends (nil) or a frame fails to read or apply. Every frame is
-// read into one buffer that grows to the largest frame, so applyFrame
-// and everything it calls must not keep any part of a payload.
+// read into one buffer from the frame-buffer free list that grows to the
+// largest frame and goes back, poisoned, when the loop returns, so
+// applyFrame and everything it calls must not keep any part of a
+// payload.
 func (d *Daemon) ingestFrames(rs *runState, conn net.Conn, r io.Reader) error {
-	var buf []byte
+	buf := takeFrameBuf()
+	defer func() { giveFrameBuf(buf) }()
 	for {
 		typ, payload, err := readFrameInto(r, maxFramePayload, &buf)
 		if err == io.EOF {

@@ -2,10 +2,13 @@ package observatory
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/tgsim/tgmod/internal/accounting"
 	"github.com/tgsim/tgmod/internal/core"
@@ -126,5 +129,57 @@ func BenchmarkDaemonIngest(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPushRun is the producer half of the same layer: the packets of
+// one quick-scale run pushed through a Pusher into an in-process daemon
+// with a write-ahead log, from dial to final ack, with the checks
+// tgbench's obsd-ingest makes. One op is one push. Every 16 pushes a
+// fresh daemon takes over, made off the clock, so the finished runs a
+// daemon keeps do not pile up; the frame-buffer list carries over, as it
+// does in a process that pushes many runs. records/op converts the
+// per-op figures to per-record.
+func BenchmarkPushRun(b *testing.B) {
+	run := recordQuickRun(b)
+	dir := b.TempDir()
+	var d *Daemon
+	var addr string
+	stop := func() {
+		if d != nil {
+			if err := d.Shutdown(5 * time.Second); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	defer stop()
+	b.ReportAllocs()
+	b.ReportMetric(float64(run.records), "records/op")
+	for i := 0; i < b.N; i++ {
+		if i%16 == 0 {
+			b.StopTimer()
+			stop()
+			d = NewDaemon(Config{WALDir: filepath.Join(dir, fmt.Sprint(i))})
+			var err error
+			if addr, err = d.ListenIngest("127.0.0.1:0"); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		opts := DefaultPushOptions()
+		opts.SpillPath = filepath.Join(dir, "push.spill")
+		p, err := DialPush(addr, Hello{Run: "bench", Seed: run.seed, LargestCores: run.largest, EndTimeS: run.end, Source: "bench"}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rp := range run.packets {
+			p.sendPacket(rp.at, rp.pkt)
+		}
+		if err := p.Finish(run.end); err != nil {
+			b.Fatal(err)
+		}
+		if p.Lossy() || !bytes.Equal(d.RunReport(p.RunID()), run.table) {
+			b.Fatalf("lossy %v, or the daemon's report differs from the producer's", p.Lossy())
+		}
 	}
 }

@@ -125,10 +125,11 @@ func walPath(dir, id string) string {
 }
 
 // readFrameLog parses a frame log, feeding the hello frame and then each
-// record frame to each, in order. Every frame is read into one buffer,
-// so each must not keep payload past its return. It tolerates a torn
-// tail: a crash can cut the file mid-frame, so parsing stops quietly at
-// the first malformed frame — everything before the tear is whole by
+// record frame to each, in order. Every frame is read into one buffer
+// from the frame-buffer free list, given back poisoned on return, so
+// each must not keep payload past its return. It tolerates a torn tail:
+// a crash can cut the file mid-frame, so parsing stops quietly at the
+// first malformed frame — everything before the tear is whole by
 // construction (frames are appended whole). goodLen is the length of the
 // header plus every frame each accepted; an error from each stops the
 // read and is returned.
@@ -143,7 +144,8 @@ func readFrameLog(path string, each func(typ byte, payload []byte) error) (goodL
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
 		return 0, fmt.Errorf("%w: not a frame log: %s", ErrBadFrame, path)
 	}
-	var buf []byte
+	buf := takeFrameBuf()
+	defer func() { giveFrameBuf(buf) }()
 	typ, payload, err := readFrameInto(br, maxFramePayload, &buf)
 	if err != nil || typ != frameHello {
 		return 0, fmt.Errorf("%w: frame log %s missing meta header", ErrBadFrame, path)

@@ -30,6 +30,9 @@ import (
 // buffers that cycle through a free list: the packet tap takes a free
 // buffer, encodes the frame into it and enqueues it, and the writer puts
 // the buffer back once the frame is journaled and written, or dropped.
+// The buffers come from the process-wide frame-buffer list when the
+// pusher is made and go back to it when the pusher ends, so the next
+// pusher starts with buffers already grown.
 // Packet frames are never dropped — when every buffer is in flight the
 // simulation goroutine blocks until the writer returns one (wall-clock
 // backpressure only; virtual time is untouched), which is what lets the
@@ -142,7 +145,8 @@ const pushOutbox = 256
 
 // pushPacketBufs is the number of packet-frame buffers a pusher cycles
 // through its free list: the most packet frames in flight at once. Each
-// buffer grows to the largest packet it has carried.
+// buffer grows to the largest packet it has carried, in this pusher or
+// an earlier one.
 const pushPacketBufs = 8
 
 // handshakeTimeout bounds the hello and final acks so a wedged daemon
@@ -196,7 +200,9 @@ func DialPush(addr string, h Hello, opts PushOptions) (*Pusher, error) {
 }
 
 // newPusher builds an unconnected pusher with its outbox and a full free
-// list of packet-frame buffers.
+// list of pushPacketBufs packet-frame buffers taken from the frame-buffer
+// list (nil ones when it runs short). Abort gives them back; a pusher
+// whose dial fails leaves them to the garbage collector.
 func newPusher(addr string, h Hello, opts PushOptions) *Pusher {
 	h.Schema = helloSchema
 	h.Resume = false
@@ -209,7 +215,7 @@ func newPusher(addr string, h Hello, opts PushOptions) *Pusher {
 		rng:   simrand.Derive(h.Seed, "observatory/push-retry"),
 	}
 	for range pushPacketBufs {
-		p.free <- nil
+		p.free <- takeFrameBuf()
 	}
 	return p
 }
@@ -611,13 +617,21 @@ func (p *Pusher) Finish(end float64) error {
 }
 
 // Abort closes the connection without the final handshake (for error
-// paths where the run never completed) and removes the spill journal.
+// paths where the run never completed), removes the spill journal, and
+// gives the packet-frame buffers back to the frame-buffer list.
 // Idempotent, in either order with Finish.
 func (p *Pusher) Abort() {
 	if !p.finished {
 		p.finished = true
 		close(p.out)
 		p.wg.Wait()
+	}
+	// The writer has exited, so no frame is left in the outbox or being
+	// written: every buffer is back in p.free, and a repeated Abort finds
+	// it empty. They go back before the connection closes, so the
+	// daemon's buffer for this connection follows them into the list.
+	for len(p.free) > 0 {
+		giveFrameBuf(<-p.free)
 	}
 	p.conn.Close()
 	p.spill.close(false)

@@ -221,6 +221,64 @@ func growTo(buf *[]byte, n int) []byte {
 	return (*buf)[:n]
 }
 
+// frameBufs is the process-wide free list of frame buffers. Pushers take
+// their packet-frame buffers from it and give them back when they end,
+// and each daemon connection and frame-log read does the same with its
+// read buffer, so a buffer grown by one push or connection serves the
+// next instead of being grown again. It is a channel of fixed capacity,
+// not a sync.Pool: a garbage collection never empties it, so what a push
+// allocates does not depend on when the collector ran. Four pushers'
+// worth of buffers covers a fleet pushing on a few workers beside a
+// daemon's connections; a buffer given to a full list goes to the
+// garbage collector.
+var frameBufs = make(chan []byte, 4*pushPacketBufs)
+
+// maxKeptFrameBuf is the largest buffer the free list keeps, about 12
+// times the largest full-scale packet frame. A larger one goes to the
+// garbage collector, so one huge frame cannot stay pinned for the
+// process's lifetime: the list holds at most cap(frameBufs) ×
+// maxKeptFrameBuf bytes.
+const maxKeptFrameBuf = 1 << 20
+
+// framePoison is what giveFrameBuf overwrites a buffer with.
+const framePoison = 0xDB
+
+// takeFrameBuf returns a buffer from the free list, or nil when it is
+// empty. Its bytes are poison: the taker overwrites what it uses.
+func takeFrameBuf() []byte {
+	select {
+	case buf := <-frameBufs:
+		return buf
+	default:
+		return nil
+	}
+}
+
+// giveFrameBuf releases buf, which its caller must not touch again. It
+// overwrites every byte up to cap(buf) with framePoison, so a holder
+// that kept a payload past its frame reads garbage rather than the next
+// frame, and keeps buf for a later takeFrameBuf unless buf is larger
+// than maxKeptFrameBuf or the list is full.
+func giveFrameBuf(buf []byte) {
+	if cap(buf) == 0 {
+		return
+	}
+	buf = buf[:cap(buf)]
+	buf[0] = framePoison
+	// Doubling the poisoned prefix with copy is a memmove per step, where
+	// a byte loop would store one byte at a time.
+	for n := 1; n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
+	}
+	if len(buf) > maxKeptFrameBuf {
+		return
+	}
+	select {
+	case frameBufs <- buf:
+	default:
+	}
+}
+
 // readMagic consumes and checks the connection preamble.
 func readMagic(r io.Reader) error {
 	var m [4]byte
