@@ -591,7 +591,8 @@ func printReport(out *tableSink, withAnalysis bool, res *scenario.Result, result
 // cross-replication tables: fleet summary, per-modality usage with 95%
 // confidence intervals, and per-mechanism usage with CIs. With -progress
 // each replication streams per-worker progress lines; with -push every
-// replication is pushed to the observatory daemon as its own run. cfg is
+// replication is pushed to the observatory daemon as its own run, whose
+// pusher is finished when the replication ends. cfg is
 // the base seed's scenario, already built, so flag errors surfaced before
 // any worker started.
 func runFleet(o *options, cfg scenario.Config) error {
@@ -633,6 +634,9 @@ func runFleet(o *options, cfg scenario.Config) error {
 			}
 			return obs
 		}
+	}
+	if pushes != nil {
+		spec.Done = pushes.finishRun
 	}
 	res, err := fleet.Run(spec)
 	if o.progress {
@@ -677,16 +681,24 @@ func runFleet(o *options, cfg scenario.Config) error {
 }
 
 // pushRuns is the -push lifecycle shared by single runs and fleet
-// replications: dial one pusher per run, finish them all at the end of
-// virtual time, and fold what they lost into one verdict.
+// replications: dial one pusher per run, finish each at the end of its
+// run's virtual time, and fold what they lost into one verdict. A fleet
+// finishes each replication's pusher as the replication ends, so the
+// next replication on that worker reuses its frame buffers.
 type pushRuns struct {
 	o       *options
 	fleet   bool
 	largest int
 	endTime float64
-	mu      sync.Mutex
-	pushers []*observatory.Pusher
-	failed  int // fleet replications that could not connect
+
+	mu         sync.Mutex
+	pushers    []*observatory.Pusher // by replication; nil until dialed and once finished
+	losses     []error               // by replication
+	dialed     int
+	failed     int // fleet replications that could not connect
+	reconnects uint64
+	replayed   uint64
+	lost       uint64
 }
 
 func newPushRuns(o *options, cfg scenario.Config, fleet bool) (*pushRuns, error) {
@@ -694,7 +706,12 @@ func newPushRuns(o *options, cfg scenario.Config, fleet bool) (*pushRuns, error)
 	if err != nil {
 		return nil, err
 	}
-	return &pushRuns{o: o, fleet: fleet, largest: largest, endTime: float64(cfg.Horizon + cfg.DrainTime)}, nil
+	runs := 1
+	if fleet {
+		runs = max(o.reps, 1)
+	}
+	return &pushRuns{o: o, fleet: fleet, largest: largest, endTime: float64(cfg.Horizon + cfg.DrainTime),
+		pushers: make([]*observatory.Pusher, runs), losses: make([]error, runs)}, nil
 }
 
 // dial connects one run to the daemon. Fleet replication rep gets a -rNN
@@ -723,47 +740,65 @@ func (ps *pushRuns) dial(rep int, seed uint64) (*observatory.Pusher, error) {
 		ps.failed++
 		return nil, err
 	}
-	ps.pushers = append(ps.pushers, p)
+	ps.dialed++
+	ps.pushers[rep] = p
 	return p, nil
 }
 
-// finish closes every pusher at the end of virtual time, reports the
-// disconnects they survived, and returns the first loss: a failed finish,
-// a lossy run, or a fleet replication that never connected. A nil
-// pushRuns (no -push) has nothing to finish.
+// finishRun closes run rep's pusher, if it has one still open, at the end
+// of virtual time and records what it lost and the disconnects it
+// survived.
+func (ps *pushRuns) finishRun(rep int) {
+	ps.mu.Lock()
+	p := ps.pushers[rep]
+	ps.pushers[rep] = nil
+	ps.mu.Unlock()
+	if p == nil {
+		return
+	}
+	err := p.Finish(ps.endTime)
+	st := p.Stats()
+	if err == nil && p.Lossy() {
+		who := "push"
+		if ps.fleet {
+			who = "run " + p.RunID()
+		}
+		err = fmt.Errorf("%s lost %d packet frames", who, st.PacketsLost)
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.losses[rep] = err
+	ps.reconnects, ps.replayed, ps.lost = ps.reconnects+st.Reconnects, ps.replayed+st.Replayed, ps.lost+st.PacketsLost
+}
+
+// finish closes every pusher still open, reports the disconnects they
+// survived, and returns the first loss in run order: a failed finish, a
+// lossy run, or a fleet replication that never connected. A nil pushRuns
+// (no -push) has nothing to finish.
 func (ps *pushRuns) finish() error {
 	if ps == nil {
 		return nil
 	}
-	var loss error
-	var reconnects, replayed, lost uint64
-	for _, p := range ps.pushers {
-		err := p.Finish(ps.endTime)
-		st := p.Stats()
-		if err == nil && p.Lossy() {
-			who := "push"
-			if ps.fleet {
-				who = "run " + p.RunID()
-			}
-			err = fmt.Errorf("%s lost %d packet frames", who, st.PacketsLost)
-		}
-		if loss == nil {
-			loss = err
-		}
-		reconnects, replayed, lost = reconnects+st.Reconnects, replayed+st.Replayed, lost+st.PacketsLost
+	for rep := range ps.pushers {
+		ps.finishRun(rep)
 	}
 	switch {
-	case reconnects > 0 && ps.fleet:
+	case ps.reconnects > 0 && ps.fleet:
 		fmt.Fprintf(os.Stderr, "tgsim: observatory push survived %d disconnect(s) across the fleet: %d frame(s) replayed\n",
-			reconnects, replayed)
-	case reconnects > 0:
+			ps.reconnects, ps.replayed)
+	case ps.reconnects > 0:
 		fmt.Fprintf(os.Stderr, "tgsim: observatory push survived %d disconnect(s): %d frame(s) replayed, %d lost\n",
-			reconnects, replayed, lost)
+			ps.reconnects, ps.replayed, ps.lost)
 	}
-	if loss == nil && ps.failed > 0 {
-		loss = fmt.Errorf("%d of %d replications could not connect", ps.failed, ps.failed+len(ps.pushers))
+	for _, err := range ps.losses {
+		if err != nil {
+			return err
+		}
 	}
-	return loss
+	if ps.failed > 0 {
+		return fmt.Errorf("%d of %d replications could not connect", ps.failed, ps.failed+ps.dialed)
+	}
+	return nil
 }
 
 // pushVerdict folds a push loss into the run's outcome: exit code 3 under

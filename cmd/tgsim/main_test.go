@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -128,7 +129,9 @@ func TestExportWritesModalityTable(t *testing.T) {
 // share against an in-process daemon: a single run and a fleet whose
 // replications dial concurrently both finish without loss under
 // -strict-obs, the daemon's final report byte-matches the run directory's
-// modality.txt, and a fleet that cannot connect fails with exit code 3.
+// modality.txt, a fleet on one worker finishes each replication's push
+// before the next one dials, and a fleet that cannot connect fails with
+// exit code 3.
 func TestPushLifecycle(t *testing.T) {
 	silence(t)
 	d := observatory.NewDaemon(observatory.Config{})
@@ -159,6 +162,43 @@ func TestPushLifecycle(t *testing.T) {
 		if d.RunReport(id) == nil {
 			t.Errorf("fleet replication %s has no final report", id)
 		}
+	}
+
+	// A proxy in front of the daemon notes, as each connection arrives,
+	// whether replication 0's run is already final.
+	front, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	finalAtDial := make(chan bool, 4)
+	go func() {
+		for {
+			c, err := front.Accept()
+			if err != nil {
+				return
+			}
+			finalAtDial <- d.RunReport("s-r00") != nil
+			b, err := net.Dial("tcp", addr)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			pipe := func(dst, src net.Conn) {
+				io.Copy(dst, src)
+				dst.Close()
+				src.Close()
+			}
+			go pipe(b, c)
+			go pipe(c, b)
+		}
+	}()
+	if err := run([]string{"-scale", "quick", "-seed", "11", "-reps", "2", "-parallel", "1",
+		"-push", front.Addr().String(), "-push-id", "s", "-strict-obs", "-quiet"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(finalAtDial) != 2 || <-finalAtDial || !<-finalAtDial {
+		t.Error("a one-worker fleet's second replication dialed before the first one's run was final")
 	}
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -79,6 +79,12 @@ type Spec struct {
 	// zero-perturbation seams so fleets stay byte-identical with or
 	// without observation.
 	Observe func(rep int, seed uint64, reg *telemetry.Registry) []scenario.Observer
+	// Done, when non-nil, runs on the worker goroutine once replication
+	// rep has ended, whether it succeeded, failed or panicked after its
+	// scenario was built, and before the worker takes its next one: the
+	// point to finish what Observe started, so a replication's pusher
+	// closes with its run rather than with the fleet.
+	Done func(rep int)
 }
 
 // Rep is the outcome of one replication.
@@ -195,6 +201,9 @@ func runRep(spec *Spec, i int, rep *Rep) {
 	cfg := spec.Build(rep.Seed)
 	cfg.Seed = rep.Seed
 	reg := telemetry.New()
+	if spec.Done != nil {
+		defer spec.Done(i)
+	}
 	if spec.Observe != nil {
 		cfg.Observers = append(cfg.Observers, spec.Observe(i, rep.Seed, reg)...)
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/regress"
 	"github.com/tgsim/tgmod/internal/scenario"
+	"github.com/tgsim/tgmod/internal/telemetry"
 	"github.com/tgsim/tgmod/internal/users"
 	"github.com/tgsim/tgmod/internal/workload"
 )
@@ -241,6 +242,39 @@ func TestFleetInspect(t *testing.T) {
 		if !ok || got != rep.Finished {
 			t.Errorf("rep %d Custom = %v, want Finished=%d", i, rep.Custom, rep.Finished)
 		}
+	}
+}
+
+// TestFleetDone: Spec.Done runs once for each replication, succeeded,
+// failed or panicked, before its worker takes the next one.
+func TestFleetDone(t *testing.T) {
+	var calls []string
+	res, err := Run(Spec{
+		Reps:     3,
+		Parallel: 1,
+		BaseSeed: 7,
+		Build: func(seed uint64) scenario.Config {
+			cfg := testBuild(seed)
+			if seed == 8 { // rep 1 fails
+				cfg.EventLimit = 8
+			}
+			return cfg
+		},
+		Observe: func(rep int, seed uint64, reg *telemetry.Registry) []scenario.Observer {
+			calls = append(calls, fmt.Sprintf("observe %d", rep))
+			if rep == 2 {
+				return []scenario.Observer{scenario.ObserverFunc(func(*scenario.Attachment) { panic("rep 2") })}
+			}
+			return nil
+		},
+		Done: func(rep int) { calls = append(calls, fmt.Sprintf("done %d", rep)) },
+	})
+	if err == nil || res.Reps[0].Err != nil || res.Reps[1].Err == nil || res.Reps[2].Err == nil {
+		t.Fatalf("fleet error %v; want reps 1 and 2 failed, rep 0 ok", err)
+	}
+	want := "observe 0,done 0,observe 1,done 1,observe 2,done 2"
+	if got := strings.Join(calls, ","); got != want {
+		t.Errorf("calls = %s, want %s", got, want)
 	}
 }
 

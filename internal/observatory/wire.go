@@ -227,17 +227,19 @@ func growTo(buf *[]byte, n int) []byte {
 // read buffer, so a buffer grown by one push or connection serves the
 // next instead of being grown again. It is a channel of fixed capacity,
 // not a sync.Pool: a garbage collection never empties it, so what a push
-// allocates does not depend on when the collector ran. Four pushers'
-// worth of buffers covers a fleet pushing on a few workers beside a
-// daemon's connections; a buffer given to a full list goes to the
-// garbage collector.
+// allocates does not depend on when the collector ran. Its capacity is
+// four pushers' worth: a fleet pushing on four workers circulates
+// exactly 32 buffers, two workers 16, and two pushers beside their two
+// daemon connections in one process 18. A buffer given to a full list
+// goes to the garbage collector, so a wider fleet only regrows the
+// excess.
 var frameBufs = make(chan []byte, 4*pushPacketBufs)
 
 // maxKeptFrameBuf is the largest buffer the free list keeps, about 12
-// times the largest full-scale packet frame. A larger one goes to the
+// times the largest full-scale frame (83,126 B). A larger one goes to the
 // garbage collector, so one huge frame cannot stay pinned for the
 // process's lifetime: the list holds at most cap(frameBufs) ×
-// maxKeptFrameBuf bytes.
+// maxKeptFrameBuf bytes, and about 32 × 83 KB from full-scale runs.
 const maxKeptFrameBuf = 1 << 20
 
 // framePoison is what giveFrameBuf overwrites a buffer with.
